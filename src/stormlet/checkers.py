@@ -1,9 +1,9 @@
 """Sparse verification engine: property dispatch, precomputation, solving."""
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,13 +34,8 @@ def check(model, prop, env):
     rel, threshold = prop.bound
     if model.dtype == "float":
         threshold = float(threshold)
-    compare = {
-        "<": lambda v: v < threshold,
-        "<=": lambda v: v <= threshold,
-        ">": lambda v: v > threshold,
-        ">=": lambda v: v >= threshold,
-    }[rel]
-    booleans = np.array([bool(compare(v)) for v in numeric])
+    compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[rel]
+    booleans = np.asarray(compare(numeric, threshold), dtype=bool)
     return CheckResult(values=booleans, numeric=numeric, metadata=meta)
 
 
@@ -78,33 +73,15 @@ def _dispatch_path(model, path, optimum, env):
         return check_bounded_until(model, left, right, k, optimum), {"method": "stepping"}
     if model.kind is ModelKind.MDP:
         return check_until_mdp(model, left, right, optimum, env)
-    return check_until(model, left, right, env)
+    return check_until(model.matrix, left, right, env)
 
 
 def _check_globally(model, path, optimum, env):
-    """G f is checked as one minus reaching the complement of f."""
-    target = _bits(model, path.target, env)
+    """G f is checked as one minus reaching the complement of f, optimised the other way."""
     dual = None if optimum is None else ("min" if optimum == "max" else "max")
-    if path.bound is not None and model.kind is not ModelKind.CTMC:
-        k = int(path.bound[1])
-        values = check_bounded_until(
-            model, np.ones(model.n_states, dtype=bool), ~target, k, dual
-        )
-        meta = {"method": "stepping"}
-    elif path.bound is not None:
-        values, meta = check_timebounded_until_ctmc(
-            model, np.ones(model.n_states, dtype=bool), ~target, path.bound[1], env
-        )
-    elif model.kind is ModelKind.MDP:
-        values, meta = check_until_mdp(
-            model, np.ones(model.n_states, dtype=bool), ~target, dual, env
-        )
-    else:
-        values, meta = check_until(model, np.ones(model.n_states, dtype=bool), ~target, env)
-    one = Fraction(1) if model.dtype == "rational" else 1.0
-    if isinstance(values, np.ndarray):
-        return one - values, meta
-    return [one - v for v in values], meta
+    reach_violation = props.Until(np.ones(model.n_states, dtype=bool), props.Not(path.target), path.bound)
+    values, meta = _dispatch_path(model, reach_violation, dual, env)
+    return 1 - values, meta
 
 
 def _bits(model, state_formula, env):
@@ -126,96 +103,43 @@ def _bits(model, state_formula, env):
 
 
 def check_next(model, target, optimum=None):
-    rational = model.dtype == "rational"
-    if rational:
-        x = [Fraction(1) if t else Fraction(0) for t in target]
-        q = kernels.matvec_rational(model.matrix, x)
-    else:
-        x = target.astype(np.float64)
-        q = kernels.matvec(model.matrix, x)
-    if model.kind is not ModelKind.MDP:
-        return np.asarray(q) if not rational else q
-    return _reduce_choices(model, q, optimum == "max", rational)
+    return _step(model, sparse.as_vector(target, model.dtype), optimum)
 
 
-def _reduce_choices(model, per_choice, maximize, rational):
-    if not rational:
-        out = np.empty(model.n_states)
-        for s in range(model.n_states):
-            lo, hi = model.choice_offsets[s], model.choice_offsets[s + 1]
-            out[s] = max(per_choice[lo:hi]) if maximize else min(per_choice[lo:hi])
-        return out
-    out = []
-    for s in range(model.n_states):
-        lo, hi = model.choice_offsets[s], model.choice_offsets[s + 1]
-        seg = per_choice[lo:hi]
-        out.append(max(seg) if maximize else min(seg))
-    return out
+def _step(model, x, optimum, b=None):
+    """One backward step b + P.x per state, optimised over the choices of an MDP."""
+    if model.kind is ModelKind.MDP:
+        return kernels.matvec_reduce(model.matrix, model.choice_offsets, x, optimum == "max", b)[0]
+    q = kernels.matvec(model.matrix, x)
+    return q if b is None else q + b
 
 
 def check_bounded_until(model, left, right, k, optimum=None):
     """k synchronized backward steps; right states pinned to one."""
-    rational = model.dtype == "rational"
     active = left & ~right
-    if rational:
-        x = [Fraction(1) if r else Fraction(0) for r in right]
-        for _ in range(k):
-            q = kernels.matvec_rational(model.matrix, x)
-            if model.kind is ModelKind.MDP:
-                q = _reduce_choices(model, q, optimum == "max", True)
-            x = [
-                Fraction(1) if right[s] else (q[s] if active[s] else Fraction(0))
-                for s in range(model.n_states)
-            ]
-        return x
-    x = right.astype(np.float64)
+    pinned = sparse.as_vector(right, model.dtype)
+    x = pinned
     for _ in range(k):
-        if model.kind is ModelKind.MDP:
-            q, _ = kernels.matvec_reduce(model.matrix, model.choice_offsets, x, optimum == "max")
-        else:
-            q = kernels.matvec(model.matrix, x)
-        x = np.where(right, 1.0, np.where(active, q, 0.0))
+        x = np.where(active, _step(model, x, optimum), pinned)
     return x
 
 
-def _row_mass_into(matrix, rows_keep, target):
-    """Per kept row, the one-step mass into target states (CSR order)."""
-    rational = matrix.dtype == "rational"
-    out = []
-    for i in range(matrix.rows):
-        if not rows_keep[i]:
-            continue
-        acc = Fraction(0) if rational else 0.0
-        lo, hi = matrix.row_offsets[i], matrix.row_offsets[i + 1]
-        for kk in range(lo, hi):
-            if target[matrix.col_indices[kk]]:
-                acc += matrix.values[kk]
-        out.append(acc)
-    return out
-
-
-def check_until(model, left, right, env):
+def check_until(matrix, left, right, env):
     """Unbounded until on a DTMC (or the embedded chain of a CTMC)."""
-    matrix = model.matrix
     p0 = graph.prob0(matrix, left, right)
     p1 = graph.prob1(matrix, left, right, p0)
     maybe = ~(p0 | p1)
-    rational = matrix.dtype == "rational"
     meta = {"prob0": int(p0.sum()), "prob1": int(p1.sum())}
 
-    if rational:
-        values = [Fraction(1) if p1[s] else Fraction(0) for s in range(model.n_states)]
-    else:
-        values = p1.astype(np.float64)
+    values = sparse.as_vector(p1, matrix.dtype)
     if maybe.any():
         sub, _ = sparse.restrict(matrix, maybe, maybe)
-        b = _row_mass_into(matrix, maybe, p1)
+        # one-step mass into p1; adding v * 0 is exact, so CSR order is kept
+        b = kernels.matvec(matrix, values)[maybe]
         outcome = solvers.solve_linear(solvers.LinearSystem(sub, b), env)
         meta["iterations"] = outcome.iterations
         meta["method"] = outcome.method
-        idx = np.flatnonzero(maybe)
-        for out_i, s in enumerate(idx):
-            values[s] = outcome.x[out_i]
+        values[maybe] = outcome.x
     else:
         meta["iterations"] = 0
         meta["method"] = "precomputation"
@@ -232,31 +156,22 @@ def check_until_mdp(model, left, right, direction, env):
     else:
         p0, p1 = graph.prob01_min(matrix, offsets, left, right)
     maybe = ~(p0 | p1)
-    rational = matrix.dtype == "rational"
     meta = {"prob0": int(p0.sum()), "prob1": int(p1.sum()), "direction": direction}
 
-    if rational:
-        values = [Fraction(1) if p1[s] else Fraction(0) for s in range(model.n_states)]
-    else:
-        values = p1.astype(np.float64)
+    values = sparse.as_vector(p1, matrix.dtype)
     scheduler = np.zeros(model.n_states, dtype=np.int64)
     if maybe.any():
-        rows_keep = np.zeros(matrix.rows, dtype=bool)
-        sub_offsets = [0]
-        for s in np.flatnonzero(maybe):
-            rows_keep[offsets[s] : offsets[s + 1]] = True
-            sub_offsets.append(sub_offsets[-1] + int(offsets[s + 1] - offsets[s]))
+        counts = np.diff(offsets)
+        rows_keep = np.repeat(maybe, counts)
+        sub_offsets = np.concatenate(([0], np.cumsum(counts[maybe])))
         sub, _ = sparse.restrict(matrix, rows_keep, maybe)
-        b = _row_mass_into(matrix, rows_keep, p1)
-        system = solvers.BellmanSystem(
-            sub, np.asarray(sub_offsets), b, "maximize" if direction == "max" else "minimize"
-        )
+        b = kernels.matvec(matrix, values)[rows_keep]
+        system = solvers.BellmanSystem(sub, sub_offsets, b, "maximize" if direction == "max" else "minimize")
         outcome = solvers.solve_minmax(system, env)
         meta["iterations"] = outcome.iterations
         meta["method"] = outcome.method
-        for out_i, s in enumerate(np.flatnonzero(maybe)):
-            values[s] = outcome.x[out_i]
-            scheduler[s] = outcome.scheduler[out_i]
+        values[maybe] = outcome.x
+        scheduler[maybe] = outcome.scheduler
     else:
         meta["iterations"] = 0
         meta["method"] = "precomputation"
@@ -285,15 +200,20 @@ def _dispatch_reward(model, prop, env):
 
 def _choice_rewards(model, rm):
     """Reward collected when taking each choice row (state plus action part)."""
-    rational = model.dtype == "rational"
-    zero = Fraction(0) if rational else 0.0
-    out = []
-    for s in range(model.n_states):
-        state_part = rm.state_rewards[s] if rm.state_rewards is not None else zero
-        for c in model.choices_of(s):
-            action_part = rm.action_rewards[c] if rm.action_rewards is not None else zero
-            out.append(state_part + action_part)
-    return out
+    zeros = sparse.as_vector(np.zeros(model.n_choices), model.dtype)
+    state_part = action_part = zeros
+    if rm.state_rewards is not None:
+        state_part = np.repeat(sparse.as_vector(rm.state_rewards, model.dtype), np.diff(model.choice_offsets))
+    if rm.action_rewards is not None:
+        action_part = sparse.as_vector(rm.action_rewards, model.dtype)
+    return state_part + action_part
+
+
+def _reward_values(model, infinite):
+    """Per-state reward vector: zero, with infinity where the target is missed."""
+    values = sparse.as_vector(np.zeros(model.n_states), model.dtype)
+    values[infinite] = math.inf
+    return values
 
 
 def check_reach_reward(model, rm, target, env):
@@ -304,24 +224,16 @@ def check_reach_reward(model, rm, target, env):
     p1 = graph.prob1(matrix, everywhere, target, p0)
     infinite = ~p1
     maybe = p1 & ~target
-    rational = matrix.dtype == "rational"
-    rewards = _choice_rewards(model, rm)
     meta = {"infinite": int(infinite.sum())}
 
-    zero = Fraction(0) if rational else 0.0
-    values = [zero] * model.n_states if rational else np.zeros(model.n_states)
-    for s in np.flatnonzero(infinite):
-        values[s] = math.inf
+    values = _reward_values(model, infinite)
     if maybe.any():
         sub, _ = sparse.restrict(matrix, maybe, maybe)
-        b = [rewards[s] for s in np.flatnonzero(maybe)]
+        b = _choice_rewards(model, rm)[maybe]
         outcome = solvers.solve_linear(solvers.LinearSystem(sub, b), env)
         meta["iterations"] = outcome.iterations
         meta["method"] = outcome.method
-        for out_i, s in enumerate(np.flatnonzero(maybe)):
-            values[s] = outcome.x[out_i]
-    if rational and isinstance(values, list):
-        values = [v for v in values]
+        values[maybe] = outcome.x
     return values, meta
 
 
@@ -331,8 +243,6 @@ def check_reach_reward_mdp(model, rm, target, direction, env):
     matrix = model.matrix
     offsets = model.choice_offsets
     everywhere = np.ones(model.n_states, dtype=bool)
-    rational = matrix.dtype == "rational"
-    rewards = _choice_rewards(model, rm)
     initial_scheduler = None
 
     if direction == "max":
@@ -352,10 +262,7 @@ def check_reach_reward_mdp(model, rm, target, direction, env):
     infinite = ~finite
     maybe = finite & ~target
     meta = {"infinite": int(infinite.sum()), "direction": direction}
-    zero = Fraction(0) if rational else 0.0
-    values = [zero] * model.n_states if rational else np.zeros(model.n_states)
-    for s in np.flatnonzero(infinite):
-        values[s] = math.inf
+    values = _reward_values(model, infinite)
     scheduler = np.zeros(model.n_states, dtype=np.int64)
 
     if maybe.any():
@@ -375,45 +282,27 @@ def check_reach_reward_mdp(model, rm, target, direction, env):
                     count += 1
             sub_offsets.append(sub_offsets[-1] + count)
             init_sub.append(picked)
+        sub_offsets = np.asarray(sub_offsets)
         sub, _ = sparse.restrict(matrix, rows_keep, maybe)
-        b = [rewards[r] for r in np.flatnonzero(rows_keep)]
-        system = solvers.BellmanSystem(
-            sub, np.asarray(sub_offsets), b, "maximize" if direction == "max" else "minimize"
-        )
+        b = _choice_rewards(model, rm)[rows_keep]
+        system = solvers.BellmanSystem(sub, sub_offsets, b, "maximize" if direction == "max" else "minimize")
         outcome = solvers.solve_minmax(
             system, env, initial_scheduler=np.asarray(init_sub) if initial_scheduler is not None else None
         )
         meta["iterations"] = outcome.iterations
         meta["method"] = outcome.method
-        for out_i, s in enumerate(np.flatnonzero(maybe)):
-            values[s] = outcome.x[out_i]
-            row = sub_offsets[out_i] + int(outcome.scheduler[out_i])
-            scheduler[s] = kept_choice_index[row]
+        values[maybe] = outcome.x
+        scheduler[maybe] = np.asarray(kept_choice_index)[sub_offsets[:-1] + outcome.scheduler]
     meta["scheduler"] = scheduler
     return values, meta
 
 
 def check_cumulative_reward(model, rm, k, optimum=None):
     """Expected reward accumulated over the first k steps (one collection per step)."""
-    rational = model.dtype == "rational"
-    rewards = _choice_rewards(model, rm)
-    if rational:
-        x = [Fraction(0)] * model.n_states
-        for _ in range(k):
-            q = kernels.matvec_rational(model.matrix, x)
-            q = [rewards[c] + q[c] for c in range(model.matrix.rows)]
-            if model.kind is ModelKind.MDP:
-                x = _reduce_choices(model, q, optimum == "max", True)
-            else:
-                x = q
-        return x
-    b = np.asarray(rewards, dtype=np.float64)
-    x = np.zeros(model.n_states)
+    b = _choice_rewards(model, rm)
+    x = sparse.as_vector(np.zeros(model.n_states), model.dtype)
     for _ in range(k):
-        if model.kind is ModelKind.MDP:
-            x, _ = kernels.matvec_reduce(model.matrix, model.choice_offsets, x, optimum == "max", b)
-        else:
-            x = kernels.matvec(model.matrix, x) + b
+        x = _step(model, x, optimum, b)
     return x
 
 
@@ -466,11 +355,6 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
     return result, meta
 
 
-def check_until_ctmc_unbounded(model, left, right, env):
-    """Unbounded CSL until: delegate to the embedded chain."""
-    return check_until(model, left, right, env)
-
-
 # --- conditional probabilities --------------------------------------------
 
 
@@ -505,7 +389,6 @@ def check_conditional(model, objective, condition, env):
     obj_r = _as_bits(model, objective.right, env)
     con_l = _as_bits(model, condition.left, env)
     con_r = _as_bits(model, condition.right, env)
-    rational = model.dtype == "rational"
 
     index = {}
     order = []
@@ -544,30 +427,15 @@ def check_conditional(model, objective, condition, env):
 
     target = np.array([a == _SUCCESS and b == _SUCCESS for (_, a, b) in order])
     everywhere = np.ones(len(order), dtype=bool)
+    num_all, _ = check_until(product, everywhere, target, env)
+    den, den_meta = check_until(model.matrix, con_l, con_r, env)
 
-    class _ProductView:
-        pass
-
-    view = _ProductView()
-    view.matrix = product
-    view.n_states = len(order)
-    num_all, _ = check_until(view, everywhere, target, env)
-    den, den_meta = check_until(
-        model, con_l, con_r, env
-    )
-
-    zero_states = []
-    values = [None] * model.n_states
-    for s in range(model.n_states):
-        num = num_all[starts[s]]
-        d = den[s]
-        if d == 0:
-            values[s] = math.nan
-            zero_states.append(s)
-        else:
-            values[s] = num / d
-    if not rational:
-        values = np.array([float(v) for v in values])
+    num = num_all[starts]
+    zero = den == 0
+    values = sparse.as_vector(np.zeros(model.n_states), model.dtype)
+    values[~zero] = num[~zero] / den[~zero]
+    values[zero] = math.nan
+    zero_states = np.flatnonzero(zero).tolist()
     meta = {"method": "conditional-product", "product_states": len(order)}
     if zero_states:
         meta["condition_zero"] = zero_states

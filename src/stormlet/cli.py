@@ -1,14 +1,14 @@
 """Command-line interface: load a model, check properties, report results.
 
-Exit codes: 0 all checks completed; 1 usage or parse error; 2 some bounded
-property is false at an initial state (only with --fail-on-false);
-3 numerical non-convergence; 4 semantic model error.
+Exit codes: 0 all checks completed; 1 usage or parse error, or a model file
+that cannot be read or written; 2 some bounded property is false at an
+initial state (only with --fail-on-false); 3 numerical non-convergence;
+4 semantic model, property or solver error.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,7 +134,7 @@ def parse_args(argv):
     if ns.prop_file:
         try:
             text = Path(ns.prop_file).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail_usage(f"cannot read property file: {exc}")
         for line in text.splitlines():
             if "//" in line:
@@ -262,11 +262,11 @@ def _export(model, directory):
 
 
 def run(config):
-    # STORMLET_THREADS caps internal parallelism; the built-in solvers are
-    # sequential by contract, so any value behaves like 1.
-    os.environ.get("STORMLET_THREADS")
     try:
         model, state_map = _load_model(config)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"stormlet: cannot read model file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ParseError, TypecheckError) as exc:
         print(f"stormlet: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -275,7 +275,11 @@ def run(config):
         return EXIT_MODEL_ERROR
 
     if config.export_model:
-        _export(model, config.export_model)
+        try:
+            _export(model, config.export_model)
+        except OSError as exc:
+            print(f"stormlet: cannot write model: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     initial = [int(s) for s in np.flatnonzero(model.initial_states)]
     if not initial:

@@ -39,12 +39,16 @@ def _content_lines(text, strip_comments=True):
 
 
 def _parse_value(token, rational, line):
+    """A decimal or fraction token; float mode rounds the exact value once."""
     try:
-        if rational:
-            return Fraction(token)
-        return float(token)
-    except (ValueError, ZeroDivisionError):
+        value = Fraction(token)
+        return value if rational else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(f"invalid number {token!r}", line=line)
+
+
+def _domain(rational):
+    return "rational" if rational else "float"
 
 
 def parse_transitions(text, rational=False, fix_deadlocks=False):
@@ -106,10 +110,12 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     if n == 0:
         raise ParseError("transitions file declares no transitions", line=header_no)
 
-    have_src = {s for s, _ in order}
+    keys_by_src = {}  # source state -> its (src, choice) keys, in choice order
+    for key in order:
+        keys_by_src.setdefault(key[0], []).append(key)
     patched = np.zeros(n, dtype=bool)
     for s in range(n):
-        if s in have_src:
+        if s in keys_by_src:
             continue
         if s not in dsts:
             raise ParseError(f"gap in state indices: state {s} is never used")
@@ -124,7 +130,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     exit_rates = [] if kind is ModelKind.CTMC else None
     row_index = 0
     for s in range(n):
-        state_choices = [key for key in order if key[0] == s] if s in have_src else []
+        state_choices = keys_by_src.get(s, [])
         if not state_choices:
             triples.append((row_index, s, one))
             if kind is ModelKind.CTMC:
@@ -158,7 +164,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
                 row_index += 1
         choice_offsets.append(row_index)
 
-    matrix = sparse.build_sparse(triples, row_index, n, "rational" if rational else "float")
+    matrix = sparse.build_sparse(triples, row_index, n, _domain(rational))
     if kind is not ModelKind.MDP:
         choice_offsets = np.arange(n + 1, dtype=np.int64)
     return kind, matrix, np.asarray(choice_offsets, dtype=np.int64), exit_rates, patched
@@ -206,8 +212,7 @@ def parse_labels(text, n_states):
 
 def parse_state_rewards(text, n_states, rational=False):
     """Parse `state reward` lines into a dense vector (unlisted states are 0)."""
-    zero = Fraction(0) if rational else 0.0
-    vec = [zero] * n_states
+    vec = sparse.as_vector(np.zeros(n_states), _domain(rational))
     seen = set()
     for no, line in _content_lines(text):
         parts = line.split()
@@ -226,15 +231,14 @@ def parse_state_rewards(text, n_states, rational=False):
         if value < 0:
             raise ModelError(f"negative reward for state {state} (line {no})")
         vec[state] = value
-    return np.array(vec) if not rational else vec
+    return vec
 
 
 def parse_action_rewards(text, kind, choice_offsets, rational=False):
     """Parse action rewards keyed by (state, choice) for MDPs, by state otherwise."""
     n_choices = int(choice_offsets[-1])
     n_states = len(choice_offsets) - 1
-    zero = Fraction(0) if rational else 0.0
-    vec = [zero] * n_choices
+    vec = sparse.as_vector(np.zeros(n_choices), _domain(rational))
     seen = set()
     for no, line in _content_lines(text):
         parts = line.split()
@@ -260,7 +264,7 @@ def parse_action_rewards(text, kind, choice_offsets, rational=False):
         if value < 0:
             raise ModelError(f"negative reward at state {state} (line {no})")
         vec[int(choice_offsets[state]) + choice] = value
-    return np.array(vec) if not rational else vec
+    return vec
 
 
 def build_model(bundle, rational=False, fix_deadlocks=False, reward_name="default"):

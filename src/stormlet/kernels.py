@@ -4,11 +4,18 @@ The compiled extension (stormlet._ckernels) is preferred; the pure-Python
 fallbacks below are the reference semantics. Both accumulate strictly
 left-to-right in CSR order, so results are bit-identical across backends.
 Set STORMLET_PURE=1 to force the fallback (used by the benchmark and tests).
+``matvec`` and ``matvec_reduce`` dispatch on the matrix's domain: float
+matrices go to the selected backend, rational ones to pure-Python loops over
+Fraction values.
 """
 
 import os
+from fractions import Fraction
 
 import numpy as np
+
+from . import sparse
+from .errors import StormletError
 
 
 def _py_csr_matvec(row_offsets, col_indices, values, x, out):
@@ -79,13 +86,18 @@ else:
     BACKEND = "pure-python"
 
 
-def matvec(m, x):
-    """y = m . x for a float CSR matrix; fixed left-to-right accumulation."""
-    from .errors import StormletError
-
-    x = np.ascontiguousarray(x, dtype=np.float64)
+def _checked_vector(m, x):
+    x = sparse.as_vector(x, m.dtype)
     if len(x) != m.cols:
         raise StormletError(f"dimension mismatch: matrix has {m.cols} columns, vector length {len(x)}")
+    return x
+
+
+def matvec(m, x):
+    """y = m . x in the matrix's domain; fixed left-to-right accumulation."""
+    x = _checked_vector(m, x)
+    if m.dtype == "rational":
+        return matvec_rational(m, x)
     out = np.empty(m.rows)
     csr_matvec(m.row_offsets, m.col_indices, m.values, x, out)
     return out
@@ -93,31 +105,32 @@ def matvec(m, x):
 
 def matvec_reduce(m, choice_offsets, x, maximize, b=None):
     """Per-state opt over choice rows of b + A.x; returns (values, argopt)."""
-    from .errors import StormletError
-
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if len(x) != m.cols:
-        raise StormletError(f"dimension mismatch: matrix has {m.cols} columns, vector length {len(x)}")
+    x = _checked_vector(m, x)
     choice_offsets = np.ascontiguousarray(choice_offsets, dtype=np.int64)
-    if b is None:
-        b = np.zeros(m.rows)
-    else:
-        b = np.ascontiguousarray(b, dtype=np.float64)
+    b = sparse.as_vector(np.zeros(m.rows) if b is None else b, m.dtype)
     n = len(choice_offsets) - 1
-    out = np.empty(n)
     arg_out = np.empty(n, dtype=np.int64)
-    csr_matvec_reduce(m.row_offsets, m.col_indices, m.values, choice_offsets, b, x, maximize, out, arg_out)
+    if m.dtype == "rational":
+        out = np.empty(n, dtype=object)
+        _py_csr_matvec_reduce(
+            m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist(),
+            choice_offsets.tolist(), b.tolist(), x.tolist(), maximize, out, arg_out,
+        )
+    else:
+        out = np.empty(n)
+        csr_matvec_reduce(
+            m.row_offsets, m.col_indices, m.values, choice_offsets, b, x, maximize, out, arg_out
+        )
     return out, arg_out
 
 
 def matvec_rational(m, x):
-    """Exact-rational mat-vec (always pure Python)."""
-    from fractions import Fraction
-
-    out = [Fraction(0)] * m.rows
+    """Exact-rational mat-vec over Fraction vectors (always pure Python)."""
+    offsets, cols, values, x = m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist(), list(x)
+    out = np.empty(m.rows, dtype=object)
     for i in range(m.rows):
         acc = Fraction(0)
-        for k in range(m.row_offsets[i], m.row_offsets[i + 1]):
-            acc += m.values[k] * x[m.col_indices[k]]
+        for k in range(offsets[i], offsets[i + 1]):
+            acc += values[k] * x[cols[k]]
         out[i] = acc
     return out

@@ -7,7 +7,6 @@ rate 1 (the rate never influences any supported property).
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -194,11 +193,6 @@ class Model:
         if name not in self.rewards:
             raise ModelError(f"unknown reward model {name!r}")
         return self.rewards[name]
-
-    def zero_vector(self):
-        if self.dtype == "float":
-            return np.zeros(self.n_states)
-        return [Fraction(0)] * self.n_states
 
     def __eq__(self, other):
         if not isinstance(other, Model):

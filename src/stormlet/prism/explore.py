@@ -299,6 +299,7 @@ def build_reward_models(program, model, state_map, exact=False):
     from ..models import ModelKind
 
     zero = Fraction(0) if exact else 0.0
+    domain = "rational" if exact else "float"
     rewards = {}
     for block in program.reward_blocks:
         state_rw = [zero] * model.n_states
@@ -323,14 +324,10 @@ def build_reward_models(program, model, state_map, exact=False):
                     state_rw[s] = state_rw[s] + value
         rewards[block.name] = RewardModel(
             block.name,
-            _vec(state_rw, exact) if has_state else None,
-            _vec(action_rw, exact) if has_action else None,
+            sparse.as_vector(state_rw, domain) if has_state else None,
+            sparse.as_vector(action_rw, domain) if has_action else None,
         )
     return rewards
-
-
-def _vec(values, exact):
-    return values if exact else np.array(values, dtype=np.float64)
 
 
 def _matching_choices(program, model, state_map, state, action, exact):

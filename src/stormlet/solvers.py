@@ -50,6 +50,7 @@ class LinearSystem:
     b: object  # vector, len = rows
 
     def __post_init__(self):
+        self.b = sparse.as_vector(self.b, self.A.dtype)
         if self.A.rows != self.A.cols or len(self.b) != self.A.rows:
             raise SolverError("linear system dimensions are inconsistent")
 
@@ -62,6 +63,7 @@ class BellmanSystem:
     direction: str  # minimize | maximize
 
     def __post_init__(self):
+        self.b = sparse.as_vector(self.b, self.A.dtype)
         self.choice_offsets = np.asarray(self.choice_offsets, dtype=np.int64)
         if np.any(np.diff(self.choice_offsets) < 1):
             raise SolverError("every state needs at least one choice")
@@ -96,9 +98,7 @@ def _max_diff(new, old, criterion):
 def solve_linear(system, env):
     """Solve x = A.x + b iteratively (or exactly when env selects it)."""
     if env.linear_method == "exact" or system.A.dtype == "rational":
-        x = solve_linear_exact(system.A.to_rational(), [Fraction(v) for v in system.b])
-        if system.A.dtype == "float":
-            x = np.array([float(v) for v in x])
+        x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
         return SolveOutcome(x=x, iterations=0, converged=True, method="exact")
     if env.linear_method == "jacobi":
         return _jacobi(system, env)
@@ -106,7 +106,7 @@ def solve_linear(system, env):
 
 
 def _jacobi(system, env):
-    b = np.asarray(system.b, dtype=np.float64)
+    b = system.b
     x = np.zeros(len(b))
     tol = env.precision * CONVERGENCE_SAFETY
     for it in range(1, env.max_iterations + 1):
@@ -119,7 +119,7 @@ def _jacobi(system, env):
 
 
 def _gauss_seidel(system, env):
-    b = np.ascontiguousarray(system.b, dtype=np.float64)
+    b = system.b
     x = np.zeros(len(b))
     m = system.A
     relative = env.criterion == "relative"
@@ -189,7 +189,7 @@ def solve_minmax(system, env, initial_scheduler=None):
 
 def _value_iteration(system, env):
     maximize = system.direction == "maximize"
-    b = np.ascontiguousarray(system.b, dtype=np.float64)
+    b = system.b
     x = np.zeros(system.n_states)
     arg = np.zeros(system.n_states, dtype=np.int64)
     tol = env.precision * CONVERGENCE_SAFETY
@@ -209,8 +209,7 @@ def _induced_rows(system, scheduler):
     keep = np.zeros(system.A.rows, dtype=bool)
     keep[rows] = True
     sub, _ = sparse.restrict(system.A, keep, np.ones(system.A.cols, dtype=bool))
-    b = [system.b[r] for r in rows]
-    return sub, b
+    return sub, system.b[rows]
 
 
 def _evaluate_scheduler(system, scheduler, env):
@@ -220,41 +219,22 @@ def _evaluate_scheduler(system, scheduler, env):
     before solving, which keeps the restricted system nonsingular.
     """
     A, b = _induced_rows(system, scheduler)
-    n = A.rows
-    rational = A.dtype == "rational"
-    support = np.array([v != 0 for v in b], dtype=bool)
-    relevant = graph._backward_closure(A, support, np.ones(n, dtype=bool))
-    if not relevant.any():
-        return [Fraction(0)] * n if rational else np.zeros(n)
-    sub, _ = sparse.restrict(A, relevant, relevant)
-    b_sub = [b[i] for i in np.flatnonzero(relevant)]
-    if rational or env.linear_method == "exact":
-        x_sub = solve_linear_exact(sub.to_rational(), [Fraction(v) for v in b_sub])
-        if not rational:
-            x_sub = [float(v) for v in x_sub]
-    else:
+    x = sparse.as_vector(np.zeros(A.rows), A.dtype)
+    relevant = graph._backward_closure(A, b != 0, np.ones(A.rows, dtype=bool))
+    if relevant.any():
+        sub, _ = sparse.restrict(A, relevant, relevant)
         inner = SolverEnvironment(
             linear_method=env.linear_method,
             precision=min(env.precision, 1e-9),
             criterion=env.criterion,
             max_iterations=env.max_iterations,
         )
-        x_sub = solve_linear(LinearSystem(sub, b_sub), inner).x
-    if rational:
-        x = [Fraction(0)] * n
-        for out_i, i in enumerate(np.flatnonzero(relevant)):
-            x[i] = x_sub[out_i]
-        return x
-    x = np.zeros(n)
-    x[relevant] = x_sub
+        x[relevant] = solve_linear(LinearSystem(sub, b[relevant]), inner).x
     return x
 
 
 def _q_values(system, x):
-    if system.A.dtype == "rational":
-        q = kernels.matvec_rational(system.A, [Fraction(v) for v in x])
-        return [q[c] + Fraction(system.b[c]) for c in range(system.A.rows)]
-    return kernels.matvec(system.A, np.asarray(x, dtype=np.float64)) + np.asarray(system.b, dtype=np.float64)
+    return kernels.matvec(system.A, x) + system.b
 
 
 def _argopt(system, q, maximize):
@@ -272,8 +252,8 @@ def _argopt(system, q, maximize):
 
 def _policy_iteration(system, env, initial_scheduler):
     maximize = system.direction == "maximize"
-    rational = system.A.dtype == "rational"
-    imp_eps = 0 if rational else 1e-12
+    # exact arithmetic needs no margin against round-off in the improvement test
+    imp_eps = 0 if system.A.dtype == "rational" else 1e-12
     if initial_scheduler is None:
         scheduler = np.zeros(system.n_states, dtype=np.int64)
     else:
@@ -283,7 +263,7 @@ def _policy_iteration(system, env, initial_scheduler):
     cap = max(64, 4 * system.A.rows)
     for it in range(1, cap + 1):
         x = _evaluate_scheduler(system, scheduler, env)
-        q = _q_values(system, x)
+        q = _q_values(system, x).tolist()
         changed = False
         for s in range(system.n_states):
             lo, hi = system.choice_offsets[s], system.choice_offsets[s + 1]

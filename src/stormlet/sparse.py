@@ -1,8 +1,9 @@
 """Compressed-sparse-row matrices over float64 or exact rationals.
 
 A matrix is entirely one scalar domain: ``dtype == "float"`` stores a float64
-value array, ``dtype == "rational"`` stores a list of fractions.Fraction.
-Structural zeros are never stored.
+value array, ``dtype == "rational"`` an object array of fractions.Fraction.
+Every numeric vector of the engine uses the same representation, made by
+``as_vector``. Structural zeros are never stored.
 """
 
 from fractions import Fraction
@@ -20,16 +21,11 @@ class SparseMatrix:
         self.cols = int(cols)
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
-        if dtype == "float":
-            self.values = np.asarray(values, dtype=np.float64)
-        elif dtype == "rational":
-            self.values = [Fraction(v) for v in values]
-        else:
-            raise ValueError(f"unknown dtype {dtype!r}")
+        self.values = as_vector(values, dtype)
         self.dtype = dtype
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows+1")
-        if self.row_offsets[-1] != len(self.col_indices) or len(self.col_indices) != len(values):
+        if self.row_offsets[-1] != len(self.col_indices) or len(self.col_indices) != len(self.values):
             raise ValueError("inconsistent entry counts")
 
     @property
@@ -43,47 +39,22 @@ class SparseMatrix:
 
     def entries(self):
         """Iterate (row, col, value) in CSR order."""
+        offsets, cols, values = self.row_offsets.tolist(), self.col_indices.tolist(), self.values.tolist()
         for i in range(self.rows):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            for k in range(lo, hi):
-                yield i, int(self.col_indices[k]), self.values[k]
-
-    def to_dense(self):
-        if self.dtype == "float":
-            out = np.zeros((self.rows, self.cols))
-            for i, j, v in self.entries():
-                out[i, j] = v
-            return out
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for i, j, v in self.entries():
-            out[i][j] = v
-        return out
+            for k in range(offsets[i], offsets[i + 1]):
+                yield i, cols[k], values[k]
 
     def to_float(self):
         """Same structure with float64 values (identity for float matrices)."""
         if self.dtype == "float":
             return self
-        return SparseMatrix(
-            self.rows,
-            self.cols,
-            self.row_offsets,
-            self.col_indices,
-            [float(v) for v in self.values],
-            "float",
-        )
+        return SparseMatrix(self.rows, self.cols, self.row_offsets, self.col_indices, self.values, "float")
 
     def to_rational(self):
         """Same structure with values converted exactly to rationals."""
         if self.dtype == "rational":
             return self
-        return SparseMatrix(
-            self.rows,
-            self.cols,
-            self.row_offsets,
-            self.col_indices,
-            [Fraction(float(v)) for v in self.values],
-            "rational",
-        )
+        return SparseMatrix(self.rows, self.cols, self.row_offsets, self.col_indices, self.values, "rational")
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -99,6 +70,24 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, dtype={self.dtype})"
+
+
+def as_vector(values, dtype):
+    """The 1-D vector of ``values`` in a scalar domain.
+
+    ``"float"`` gives a contiguous float64 array, ``"rational"`` an object
+    array of Fraction (floats convert exactly). A bool mask becomes the
+    domain's 0/1.
+    """
+    if dtype == "float":
+        return np.ascontiguousarray(values, dtype=np.float64)
+    if dtype == "rational":
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        out = np.empty(len(values), dtype=object)
+        out[:] = [v if type(v) is Fraction else Fraction(v) for v in values]
+        return out
+    raise ValueError(f"unknown dtype {dtype!r}")
 
 
 def build_sparse(triples, rows, cols, dtype="float"):
@@ -137,17 +126,15 @@ def build_sparse(triples, rows, cols, dtype="float"):
 
 
 def row_sums(m):
-    """Vector of per-row entry sums."""
-    if m.dtype == "float":
-        out = np.zeros(m.rows)
-        for i in range(m.rows):
-            lo, hi = m.row_offsets[i], m.row_offsets[i + 1]
-            s = 0.0
-            for k in range(lo, hi):
-                s += m.values[k]
-            out[i] = s
-        return out
-    return [sum(m.values[m.row_offsets[i] : m.row_offsets[i + 1]], Fraction(0)) for i in range(m.rows)]
+    """Vector of per-row entry sums, added left to right in CSR order."""
+    out = as_vector(np.zeros(m.rows), m.dtype)
+    offsets, values = m.row_offsets.tolist(), m.values.tolist()
+    for i in range(m.rows):
+        s = out[i]
+        for k in range(offsets[i], offsets[i + 1]):
+            s += values[k]
+        out[i] = s
+    return out
 
 
 def transpose(m):
@@ -166,23 +153,12 @@ def restrict(m, keep_rows, keep_cols):
         raise StormletError("restriction bitsets must match matrix dimensions")
     col_map = np.full(m.cols, -1, dtype=np.int64)
     col_map[keep_cols] = np.arange(int(keep_cols.sum()))
-    new_rows = int(keep_rows.sum())
-    new_cols = int(keep_cols.sum())
-    triples = []
-    new_i = 0
-    for i in range(m.rows):
-        if not keep_rows[i]:
-            continue
-        lo, hi = m.row_offsets[i], m.row_offsets[i + 1]
-        for k in range(lo, hi):
-            j = m.col_indices[k]
-            if keep_cols[j]:
-                triples.append((new_i, int(col_map[j]), m.values[k]))
-        new_i += 1
-    return build_sparse(triples, new_rows, new_cols, m.dtype), col_map
-
-
-def identity_like_rows(n, dtype="float"):
-    """n x n identity matrix (used for absorbing-state padding)."""
-    one = 1.0 if dtype == "float" else Fraction(1)
-    return build_sparse(((i, i, one) for i in range(n)), n, n, dtype)
+    row_of = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
+    keep = keep_rows[row_of] & keep_cols[m.col_indices]
+    counts = np.bincount(row_of[keep], minlength=m.rows)[keep_rows]
+    row_offsets = np.concatenate(([0], np.cumsum(counts)))
+    sub = SparseMatrix(
+        int(keep_rows.sum()), int(keep_cols.sum()), row_offsets,
+        col_map[m.col_indices[keep]], m.values[keep], m.dtype,
+    )
+    return sub, col_map

@@ -1,6 +1,7 @@
 """Command-line interface: flags, output formats, exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,96 @@ def test_deadlock_exit_4(capsys, tmp_path):
 def test_unknown_label_exit_4(capsys):
     code, out, err = run_cli(capsys, "--prism", DIE, "--prop", 'P=? [ F "nonexistent" ]')
     assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize(
+    "program, prop, message",
+    [
+        ("die.pm", 'P=? [ G<=2.5 "six" ]', "fractional (time) bounds require a continuous-time model"),
+        ("die.pm", 'P=? [ G<=-1 "six" ]', "step bound must be nonnegative"),
+        ("queue.sm", 'P=? [ G<=-1 "full" ]', "time bound must be nonnegative"),
+    ],
+)
+def test_globally_bounds_are_validated_like_until(capsys, program, prop, message):
+    code, out, err = run_cli(capsys, "--prism", str(CORPUS / program), "--prop", prop)
+    assert code == 4 and out == ""
+    assert message in err
+
+
+def test_unreadable_model_path_exit_1(capsys, tmp_path, explicit_files):
+    missing = str(tmp_path / "missing.pm")
+    binary = tmp_path / "binary.pm"
+    binary.write_bytes(b"\xff\xfe dtmc")
+    for path in (missing, str(binary)):
+        code, out, err = run_cli(capsys, "--prism", path, "--prop", 'P=? [ F "x" ]')
+        assert code == 1 and out == ""
+        assert "cannot read model file" in err
+    tra, lab = explicit_files
+    for argv in ([missing, lab], [tra, missing]):
+        code, out, err = run_cli(capsys, "--explicit", *argv, "--prop", 'P=? [ F "goal" ]')
+        assert code == 1 and out == "" and "cannot read model file" in err
+
+
+def test_unwritable_export_path_exit_1(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(
+        capsys, "--prism", DIE, "--export-model", str(blocker / "out"), "--prop", 'P=? [ F "six" ]'
+    )
+    assert code == 1 and out == ""
+    assert "cannot write model" in err
+
+
+MDP_TRA = "mdp\n0 0 0 1/2\n0 0 1 1/2\n0 1 2 1\n1 0 2 1\n2 0 2 1\n"
+MDP_LAB = "#DECLARATION\ninit goal\n#END\n0 init\n2 goal\n"
+MDP_SREW = "0 1\n1 2/3\n"
+DTMC_TRA = "dtmc\n0 0 2/3\n0 1 1/3\n1 1 1\n"
+DTMC_SREW = "0 1\n"
+
+
+@pytest.fixture
+def reward_models(tmp_path):
+    """Explicit MDP and DTMC with state rewards, as CLI arguments by name."""
+    out = {}
+    for name, tra, lab, srew in (("mdp", MDP_TRA, MDP_LAB, MDP_SREW), ("dtmc", DTMC_TRA, LAB, DTMC_SREW)):
+        paths = [tmp_path / f"{name}.{ext}" for ext in ("tra", "lab", "srew")]
+        for path, text in zip(paths, (tra, lab, srew)):
+            path.write_text(text)
+        out[name] = ["--explicit", str(paths[0]), str(paths[1]), "--srew", str(paths[2])]
+    return out
+
+
+# every operator in both domains, against hand-derived rationals
+@pytest.mark.parametrize(
+    "source, prop, expected",
+    [
+        ("die.pm", 'P=? [ X "done" ]', "0"),
+        ("die.pm", 'P=? [ F<=3 "done" ]', "3/4"),
+        ("die.pm", 'P=? [ G !"six" ]', "5/6"),
+        ("die.pm", 'P=? [ G<=3 !"done" ]', "1/4"),
+        ("die.pm", 'P=? [ F "six" || F "done" ]', "1/6"),
+        ("coin.nm", 'Pmax=? [ X "agree" ]', "1/2"),
+        ("coin.nm", 'Pmin=? [ F<=2 "agree" ]', "1/2"),
+        ("coin.nm", 'Pmax=? [ G !"agree" ]', "1/2"),
+        ("mdp", 'Rmin=? [ F "goal" ]', "1"),
+        ("mdp", 'Rmax=? [ F "goal" ]', "8/3"),
+        ("mdp", "Rmax=? [ C<=3 ]", "9/4"),
+        ("dtmc", 'R=? [ F "goal" ]', "3"),
+        ("dtmc", "R=? [ C<=2 ]", "5/3"),
+    ],
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_operator_domain_matrix(capsys, reward_models, source, prop, expected, exact):
+    argv = reward_models.get(source, ["--prism", str(CORPUS / source)])
+    argv = [*argv, "--json", "--prop", prop] + (["--exact"] if exact else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    value = json.loads(out)["values"]["0"]
+    if exact:
+        assert value == expected
+    else:
+        assert isinstance(value, float)
+        assert value == pytest.approx(float(Fraction(expected)), abs=1e-6)
 
 
 def test_constants_flag(capsys, tmp_path):

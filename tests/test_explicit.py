@@ -110,6 +110,18 @@ def test_rational_mode_requires_exact_distribution():
         explicit.parse_transitions("dtmc\n0 0 1/3\n0 1 1/3\n1 1 1\n", rational=True)
 
 
+def test_float_mode_parses_fraction_tokens_exactly_once():
+    text = "dtmc\n0 0 1/3\n0 1 2/3\n1 1 1\n"
+    _, m, _, _, _ = explicit.parse_transitions(text)
+    assert m.dtype == "float"
+    assert list(m.values) == [float(Fraction(1, 3)), float(Fraction(2, 3)), 1.0]
+    assert list(explicit.parse_state_rewards("0 1/4\n", 1)) == [0.25]
+    for rational in (False, True):
+        for token in ("inf", "nan"):
+            with pytest.raises(ParseError):
+                explicit.parse_transitions(f"dtmc\n0 0 {token}\n", rational=rational)
+
+
 def test_duplicate_transitions_coalesce():
     kind, m, _, _, _ = explicit.parse_transitions("dtmc\n0 1 0.5\n0 1 0.5\n1 1 1\n")
     cols, vals = m.row(0)

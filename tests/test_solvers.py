@@ -187,7 +187,7 @@ def test_matvec_dimension_mismatch():
 def test_matvec_rational_is_exact():
     m = sparse.build_sparse([(0, 0, Fraction(1, 3)), (0, 1, Fraction(2, 3))], 1, 2, "rational")
     out = kernels.matvec_rational(m, [Fraction(1, 7), Fraction(1, 5)])
-    assert out == [Fraction(1, 21) + Fraction(2, 15)]
+    assert list(out) == [Fraction(1, 21) + Fraction(2, 15)]
 
 
 # --- Bellman systems ------------------------------------------------------
