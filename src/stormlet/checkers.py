@@ -115,12 +115,20 @@ def _step(model, x, optimum, b=None):
 
 
 def check_bounded_until(model, left, right, k, optimum=None):
-    """k synchronized backward steps; right states pinned to one."""
+    """k synchronized backward steps; right states pinned to one.
+
+    The step depends only on x, so stepping stops once an iterate equals its
+    predecessor exactly: every later iterate would be the same. Float
+    iterates often get there (die.pm after 56 steps); exact ones rarely do
+    and take all k steps.
+    """
     active = left & ~right
     pinned = sparse.as_vector(right, model.dtype)
     x = pinned
     for _ in range(k):
-        x = np.where(active, _step(model, x, optimum), pinned)
+        x, previous = np.where(active, _step(model, x, optimum), pinned), x
+        if np.array_equal(x, previous):
+            break
     return x
 
 
@@ -161,22 +169,43 @@ def check_until_mdp(model, left, right, direction, env):
     values = sparse.as_vector(p1, matrix.dtype)
     scheduler = np.zeros(model.n_states, dtype=np.int64)
     if maybe.any():
-        counts = np.diff(offsets)
-        rows_keep = np.repeat(maybe, counts)
-        sub_offsets = np.concatenate(([0], np.cumsum(counts[maybe])))
-        sub, _ = sparse.restrict(matrix, rows_keep, maybe)
-        b = kernels.matvec(matrix, values)[rows_keep]
-        system = solvers.BellmanSystem(sub, sub_offsets, b, "maximize" if direction == "max" else "minimize")
-        outcome = solvers.solve_minmax(system, env)
+        every_row = np.ones(matrix.rows, dtype=bool)
+        b = kernels.matvec(matrix, values)  # one-step mass into p1, as in check_until
+        outcome, chosen = _solve_maybe_mdp(model, maybe, every_row, b, direction, env)
         meta["iterations"] = outcome.iterations
         meta["method"] = outcome.method
         values[maybe] = outcome.x
-        scheduler[maybe] = outcome.scheduler
+        scheduler[maybe] = chosen
     else:
         meta["iterations"] = 0
         meta["method"] = "precomputation"
     meta["scheduler"] = scheduler
     return values, meta
+
+
+def _solve_maybe_mdp(model, maybe, choice_ok, b, direction, env, seed=None):
+    """Solve the Bellman system of the maybe states over their choice_ok rows.
+
+    ``b`` holds the one-step value of every row of the model and ``seed`` a
+    per-state choice index that starts policy iteration. Returns the outcome
+    and each maybe state's optimal choice as an index among all its choices.
+    """
+    offsets = model.choice_offsets
+    counts = np.diff(offsets)
+    rows_keep = np.repeat(maybe, counts) & choice_ok
+    kept_before = np.concatenate(([0], np.cumsum(rows_keep)))  # kept rows ahead of each row
+    first_rows = offsets[:-1][maybe]
+    sub_offsets = np.append(kept_before[first_rows], kept_before[-1])
+    choice_index = np.arange(model.n_choices) - np.repeat(offsets[:-1], counts)
+    if seed is not None:
+        rows = first_rows + seed[maybe]
+        seed = np.where(rows_keep[rows], kept_before[rows] - sub_offsets[:-1], 0)
+    sub, _ = sparse.restrict(model.matrix, rows_keep, maybe)
+    system = solvers.BellmanSystem(
+        sub, sub_offsets, b[rows_keep], "maximize" if direction == "max" else "minimize"
+    )
+    outcome = solvers.solve_minmax(system, env, initial_scheduler=seed)
+    return outcome, choice_index[rows_keep][sub_offsets[:-1] + outcome.scheduler]
 
 
 # --- reward operators -----------------------------------------------------
@@ -243,7 +272,7 @@ def check_reach_reward_mdp(model, rm, target, direction, env):
     matrix = model.matrix
     offsets = model.choice_offsets
     everywhere = np.ones(model.n_states, dtype=bool)
-    initial_scheduler = None
+    witness = None
 
     if direction == "max":
         # infinite wherever some scheduler misses the target with positive probability
@@ -257,7 +286,6 @@ def check_reach_reward_mdp(model, rm, target, direction, env):
         # choices leaving the almost-sure region would have infinite value
         choice_ok = graph._per_row_all(matrix, finite)
         witness = graph.prob1e_witness(matrix, offsets, everywhere, target, p1e)
-        initial_scheduler = witness
 
     infinite = ~finite
     maybe = finite & ~target
@@ -266,43 +294,28 @@ def check_reach_reward_mdp(model, rm, target, direction, env):
     scheduler = np.zeros(model.n_states, dtype=np.int64)
 
     if maybe.any():
-        rows_keep = np.zeros(matrix.rows, dtype=bool)
-        sub_offsets = [0]
-        kept_choice_index = []  # original per-state choice index of each kept row
-        init_sub = []
-        for s in np.flatnonzero(maybe):
-            count = 0
-            picked = 0
-            for c in range(offsets[s], offsets[s + 1]):
-                if choice_ok[c]:
-                    if c - offsets[s] == (initial_scheduler[s] if initial_scheduler is not None else -1):
-                        picked = count
-                    rows_keep[c] = True
-                    kept_choice_index.append(int(c - offsets[s]))
-                    count += 1
-            sub_offsets.append(sub_offsets[-1] + count)
-            init_sub.append(picked)
-        sub_offsets = np.asarray(sub_offsets)
-        sub, _ = sparse.restrict(matrix, rows_keep, maybe)
-        b = _choice_rewards(model, rm)[rows_keep]
-        system = solvers.BellmanSystem(sub, sub_offsets, b, "maximize" if direction == "max" else "minimize")
-        outcome = solvers.solve_minmax(
-            system, env, initial_scheduler=np.asarray(init_sub) if initial_scheduler is not None else None
+        outcome, chosen = _solve_maybe_mdp(
+            model, maybe, choice_ok, _choice_rewards(model, rm), direction, env, witness
         )
         meta["iterations"] = outcome.iterations
         meta["method"] = outcome.method
         values[maybe] = outcome.x
-        scheduler[maybe] = np.asarray(kept_choice_index)[sub_offsets[:-1] + outcome.scheduler]
+        scheduler[maybe] = chosen
     meta["scheduler"] = scheduler
     return values, meta
 
 
 def check_cumulative_reward(model, rm, k, optimum=None):
-    """Expected reward accumulated over the first k steps (one collection per step)."""
+    """Expected reward accumulated over the first k steps (one collection per step).
+
+    Stops early at an exact fixed point of the step, as check_bounded_until.
+    """
     b = _choice_rewards(model, rm)
     x = sparse.as_vector(np.zeros(model.n_states), model.dtype)
     for _ in range(k):
-        x = _step(model, x, optimum, b)
+        x, previous = _step(model, x, optimum, b), x
+        if np.array_equal(x, previous):
+            break
     return x
 
 

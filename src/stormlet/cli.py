@@ -316,7 +316,7 @@ def run(config):
 def main(argv=None):
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
-    except ParseError as exc:
+    except (ParseError, SolverError) as exc:  # SolverError: invalid --precision or --max-iter
         print(f"stormlet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return run(config)

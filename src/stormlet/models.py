@@ -157,16 +157,19 @@ class Model:
         if len(self.initial_states) != n:
             raise ModelError("initial_states bitset has wrong length")
 
+        # an empty row sums to 0, so the first bad row is empty or off by more than the tolerance
         sums = sparse.row_sums(m)
-        for r in range(m.rows):
+        if m.dtype == "rational":
+            bad = np.flatnonzero(sums != 1)
+        else:
+            bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
+        if bad.size:
+            r = int(bad[0])
             if m.row_offsets[r] == m.row_offsets[r + 1]:
                 raise DeadlockError(self.row_of_choice(r), "row has no transitions")
-            s = sums[r]
             if m.dtype == "rational":
-                if s != 1:
-                    raise ModelError(f"row {r} sums to {s}, expected exactly 1")
-            elif abs(s - 1.0) > ROW_SUM_TOLERANCE:
-                raise ModelError(f"row {r} sums to {s!r}, outside 1 +- {ROW_SUM_TOLERANCE}")
+                raise ModelError(f"row {r} sums to {sums[r]}, expected exactly 1")
+            raise ModelError(f"row {r} sums to {float(sums[r])!r}, outside 1 +- {ROW_SUM_TOLERANCE}")
 
         if self.kind is ModelKind.CTMC:
             if self.exit_rates is None or len(self.exit_rates) != n:

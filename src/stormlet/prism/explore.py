@@ -52,10 +52,6 @@ class StateMap:
         return len(self.valuations)
 
 
-def _variable_order(program):
-    return [decl for decl in program.all_variables()]
-
-
 def _initial_valuation(decls, exact):
     values = []
     for decl in decls:
@@ -93,10 +89,7 @@ def _command_branches(command, valuation, exact, kind):
             w = one
         else:
             w = eval_expr(upd.weight, valuation, exact)
-            if exact:
-                w = Fraction(w)
-            else:
-                w = float(w)
+            w = Fraction(w) if exact else float(w)
         if w < 0:
             raise ModelError(f"negative update weight at line {command.span[0]}")
         total += w
@@ -135,8 +128,7 @@ def explore(program, options=None):
     options = options or ExploreOptions()
     kind = program.model_type
     exact = options.exact
-    decls = _variable_order(program)
-    decl_of = {d.name: d for d in decls}
+    decls = list(program.all_variables())
     names = [d.name for d in decls]
 
     # modules participating in each synchronizing action, in module order
@@ -156,6 +148,15 @@ def explore(program, options=None):
     choice_offsets = [0]
     exit_rates = [] if kind is ModelKind.CTMC else None
     patched = []
+    # row -> action labels (None: unlabeled) of the commands that produced it,
+    # interned so that rows with the same labels share one frozenset
+    row_actions = []
+    interned = {}
+
+    def actions_of(labels):
+        key = frozenset(labels)
+        return interned.setdefault(key, key)
+
     row_index = 0
     one = Fraction(1) if exact else 1.0
 
@@ -163,7 +164,7 @@ def explore(program, options=None):
         s = queue.popleft()
         valuation = dict(zip(names, state_map.valuations[s]))
 
-        # one distribution per enabled unlabeled command, then per action
+        # one (action, branches, total) per enabled unlabeled command, then per action
         choices = []
         enabled_by_module = [
             [cmd for cmd in module.commands if eval_expr(cmd.guard, valuation, exact)]
@@ -173,7 +174,7 @@ def explore(program, options=None):
             for cmd in cmds:
                 if cmd.action is None:
                     branches, total = _command_branches(cmd, valuation, exact, kind)
-                    choices.append((branches, total))
+                    choices.append((None, branches, total))
         for action in action_order:
             participants = action_modules[action]
             per_module = []
@@ -192,7 +193,7 @@ def explore(program, options=None):
                     branches, t = _command_branches(cmd, valuation, exact, kind)
                     parts.append(branches)
                     total = total * t
-                choices.append((_combine(parts), total))
+                choices.append((action, _combine(parts), total))
 
         def successor(assigns):
             new_values = []
@@ -215,6 +216,7 @@ def explore(program, options=None):
                 raise DeadlockError(s, f"valuation {state_map.valuation_dict(s)}")
             patched.append(s)
             triples.append((row_index, s, one))
+            row_actions.append(actions_of(()))
             if kind is ModelKind.CTMC:
                 exit_rates.append(one)  # absorbing convention: rate-1 self-loop
             row_index += 1
@@ -222,17 +224,18 @@ def explore(program, options=None):
             continue
 
         if kind is ModelKind.MDP:
-            for branches, _ in choices:
+            for action, branches, _ in choices:
                 for w, assigns in branches:
                     if w == 0:
                         continue
                     triples.append((row_index, successor(assigns), w))
+                row_actions.append(actions_of((action,)))
                 row_index += 1
         else:
             # DTMC: uniform mixture over combined commands; CTMC: rates add
             mass = {}
             total_rate = Fraction(0) if exact else 0.0
-            for branches, total in choices:
+            for _, branches, total in choices:
                 for w, assigns in branches:
                     if w == 0:
                         continue
@@ -247,6 +250,7 @@ def explore(program, options=None):
                 for t, w in mass.items():
                     triples.append((row_index, t, w / total_rate))
                 exit_rates.append(total_rate)
+            row_actions.append(actions_of(action for action, _, _ in choices))
             row_index += 1
         choice_offsets.append(row_index)
 
@@ -255,8 +259,7 @@ def explore(program, options=None):
     initial_states = np.zeros(n, dtype=bool)
     initial_states[init] = True
     deadlock_fixed = np.zeros(n, dtype=bool)
-    for s in patched:
-        deadlock_fixed[s] = True
+    deadlock_fixed[patched] = True
     if kind is ModelKind.MDP:
         offsets = np.asarray(choice_offsets, dtype=np.int64)
     else:
@@ -272,20 +275,17 @@ def explore(program, options=None):
         exit_rates=exit_rates,
         deadlock_fixed=deadlock_fixed,
     )
-    for name, bits in build_label_bitsets(program, state_map, model).items():
-        if name not in ("init", "deadlock"):
+    for name, bits in build_label_bitsets(program, state_map).items():
+        if name not in labeling:  # the built-in init and deadlock labels win
             labeling.add(name, bits)
-    model.rewards.update(build_reward_models(program, model, state_map, exact=exact))
+    model.rewards.update(build_reward_models(program, model, state_map, row_actions, exact=exact))
     return model, state_map
 
 
-def build_label_bitsets(program, state_map, model=None):
-    """Evaluate declared labels per state; built-ins: init, deadlock."""
+def build_label_bitsets(program, state_map):
+    """Evaluate the declared labels per state."""
     n = len(state_map)
     out = {}
-    if model is not None:
-        out["init"] = model.initial_states
-        out["deadlock"] = model.deadlock_fixed
     for lab in program.labels:
         bits = np.zeros(n, dtype=bool)
         for s in range(n):
@@ -294,10 +294,13 @@ def build_label_bitsets(program, state_map, model=None):
     return out
 
 
-def build_reward_models(program, model, state_map, exact=False):
-    """Sum reward items per state (state items) and per choice (action items)."""
-    from ..models import ModelKind
+def build_reward_models(program, model, state_map, row_actions, exact=False):
+    """Sum reward items per state (state items) and per choice (action items).
 
+    An action item ``[a] g : r`` adds r to every row of a state satisfying g
+    whose ``row_actions`` entry (the labels of the commands that produced the
+    row) contains a; ``[]`` matches unlabeled commands.
+    """
     zero = Fraction(0) if exact else 0.0
     domain = "rational" if exact else "float"
     rewards = {}
@@ -317,8 +320,10 @@ def build_reward_models(program, model, state_map, exact=False):
                     )
                 if item.is_action_item:
                     has_action = True
-                    for c in _matching_choices(program, model, state_map, s, item.action, exact):
-                        action_rw[c] = action_rw[c] + value
+                    action = item.action or None
+                    for c in model.choices_of(s):
+                        if action in row_actions[c]:
+                            action_rw[c] = action_rw[c] + value
                 else:
                     has_state = True
                     state_rw[s] = state_rw[s] + value
@@ -329,48 +334,3 @@ def build_reward_models(program, model, state_map, exact=False):
         )
     return rewards
 
-
-def _matching_choices(program, model, state_map, state, action, exact):
-    """Choice rows of a state produced by commands with the given action label.
-
-    For deterministic models the single row matches if any enabled command
-    carries the action; for MDPs choices are matched by recomputing the
-    enabled-choice list in exploration order.
-    """
-    valuation = state_map.valuation_dict(state)
-    enabled_by_module = [
-        [cmd for cmd in module.commands if eval_expr(cmd.guard, valuation, exact)]
-        for module in program.modules
-    ]
-    actions_in_order = []
-    for cmds in enabled_by_module:
-        for cmd in cmds:
-            if cmd.action is None:
-                actions_in_order.append(None)
-    action_modules = {}
-    for mi, module in enumerate(program.modules):
-        for cmd in module.commands:
-            if cmd.action is not None:
-                action_modules.setdefault(cmd.action, [])
-                if mi not in action_modules[cmd.action]:
-                    action_modules[cmd.action].append(mi)
-    for act in action_modules:
-        participants = action_modules[act]
-        count = 1
-        alive = True
-        for mi in participants:
-            enabled = [c for c in enabled_by_module[mi] if c.action == act]
-            if not enabled:
-                alive = False
-                break
-            count *= len(enabled)
-        if alive:
-            actions_in_order.extend([act] * count)
-
-    first = model.choice_offsets[state]
-    if model.kind is not ModelKind.MDP:
-        wanted = action if action != "" else None
-        hit = any(a == wanted for a in actions_in_order)
-        return [int(first)] if hit else []
-    wanted = action if action != "" else None
-    return [int(first) + i for i, a in enumerate(actions_in_order) if a == wanted]

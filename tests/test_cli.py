@@ -148,6 +148,36 @@ def test_not_converged_exit_3(capsys):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--precision", "precision must be positive"), ("--max-iter", "max_iterations must be at least 1")],
+)
+def test_invalid_solver_settings_exit_1(capsys, flag, message):
+    code, out, err = run_cli(capsys, "--prism", DIE, flag, "0", "--prop", 'P=? [ F "six" ]')
+    assert code == 1 and out == ""
+    assert err == f"stormlet: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "corpus_file, appended, prop",
+    [
+        ("die.pm", "", 'P=? [ F<={k} "six" ]'),
+        ("coin.nm", "", 'Pmax=? [ F<={k} "agree" ]'),
+        ("die.pm", 'rewards "flips"\n  s<7 : 1;\nendrewards\n', "R=? [ C<={k} ]"),
+    ],
+)
+def test_huge_step_bound_stops_at_a_fixed_point(capsys, tmp_path, corpus_file, appended, prop):
+    # stepping stops once an iterate repeats, so 10^8 steps give the 1000-step value at once
+    program = tmp_path / corpus_file
+    program.write_text((CORPUS / corpus_file).read_text() + appended)
+    values = []
+    for k in (1000, 100_000_000):
+        code, out, _ = run_cli(capsys, "--prism", str(program), "--json", "--prop", prop.format(k=k))
+        assert code == 0
+        values.append(json.loads(out)["values"])
+    assert values[0] == values[1]
+
+
 def test_deadlock_exit_4(capsys, tmp_path):
     tra = tmp_path / "dead.tra"
     lab = tmp_path / "dead.lab"

@@ -50,7 +50,7 @@ def test_dtmc_model_basic():
 
 def test_row_sum_validation_float():
     bad = sparse.build_sparse([(0, 0, 0.4), (0, 1, 0.5), (1, 1, 1.0)], 2, 2)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="row 0 sums to 0.9,"):
         Model(ModelKind.DTMC, bad, StateLabeling(2))
 
 

@@ -306,6 +306,58 @@ endrewards
     assert list(rm.action_rewards) == [3.0, 0.0]
 
 
+SYNC_ACTION_REWARDS = """{kind}
+module a
+  x : [0..1] init 0;
+  [go] x=0 -> (x'=1);
+  [go] x=0 -> (x'=0);
+  [] x=1 -> (x'=0);
+endmodule
+module b
+  y : [0..1] init 0;
+  [go] true -> (y'=1-y);
+endmodule
+rewards "r"
+  [go] true : 1;
+  [] x=1 : 5;
+  [stop] true : 7;
+endrewards
+"""
+
+DEADLOCK_ACTION_REWARDS = """{kind}
+module m
+  x : [0..2] init 0;
+  [a] x<2 -> (x'=x+1);
+  [] x=0 -> (x'=2);
+endmodule
+rewards "r"
+  [a] true : 1;
+  [] true : 2;
+endrewards
+"""
+
+
+@pytest.mark.parametrize(
+    "source, kind, expected",
+    [
+        # MDP: one value per choice row, unlabeled rows before synchronised ones
+        (SYNC_ACTION_REWARDS, "mdp", [1, 1, 5, 1, 1, 5]),
+        # DTMC/CTMC: an item adds once to the single row if any enabled command matches
+        (SYNC_ACTION_REWARDS, "dtmc", [1, 5, 1, 5]),
+        (SYNC_ACTION_REWARDS, "ctmc", [1, 5, 1, 5]),
+        # the row patched in by fix_deadlocks matches no action item
+        (DEADLOCK_ACTION_REWARDS, "mdp", [2, 1, 0, 1]),
+        (DEADLOCK_ACTION_REWARDS, "dtmc", [3, 0, 1]),
+    ],
+)
+@pytest.mark.parametrize("exact", [False, True])
+def test_explore_action_reward_placement(source, kind, expected, exact):
+    model, _ = build(source.format(kind=kind), fix_deadlocks=True, exact=exact)
+    rm = model.reward_model("r")
+    assert rm.state_rewards is None
+    assert list(rm.action_rewards) == expected
+
+
 def test_explore_negative_reward_rejected():
     src = "dtmc\nmodule m\nx : [0..0] init 0;\n[] true -> (x'=0);\nendmodule\nrewards \"r\"\n true : -1;\nendrewards"
     with pytest.raises(ModelError):
