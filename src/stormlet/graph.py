@@ -3,45 +3,74 @@
 All functions work on the transition structure only (values ignored beyond
 being positive). MDP variants take the choice_offsets grouping matrix rows
 by state; deterministic models pass the identity grouping.
+
+Each call builds one predecessor index from the matrix and grows its sets
+by a worklist backward search, so a least fixed point costs
+O(states + transitions). The greatest fixed point behind prob1E repeats one
+such search per round: linear per round, O(states * transitions) in the
+worst case (Baier & Katoen, Principles of Model Checking, 10.1 and 10.6).
 """
 
 import numpy as np
 
-
-def _row_hit_counts(m, in_set):
-    """Per matrix row: number of successors inside in_set (empty rows give 0)."""
-    if m.nnz == 0:
-        return np.zeros(m.rows, dtype=np.int64)
-    cum = np.concatenate(([0], np.cumsum(in_set[m.col_indices], dtype=np.int64)))
-    return cum[m.row_offsets[1:]] - cum[m.row_offsets[:-1]]
+from . import sparse
 
 
-def _per_row_exists(m, in_set):
-    """Per matrix row: has some successor inside in_set."""
-    return _row_hit_counts(m, in_set) > 0
+def _predecessors(matrix, choice_offsets):
+    """Backward index as int64 memoryviews: (offsets, rows, owner).
+
+    rows[offsets[t]:offsets[t + 1]] are the matrix rows with an entry in
+    column t, ascending, and owner[r] is the state whose choice row r is.
+    Memoryviews rather than lists, so the index holds no Python int per entry.
+    """
+    t = sparse.transpose(matrix)
+    owner = np.repeat(np.arange(len(choice_offsets) - 1), np.diff(choice_offsets))
+    return memoryview(t.row_offsets), memoryview(t.col_indices), memoryview(owner)
+
+
+def _closure(index, start, allowed, need=None, row_ok=None):
+    """Least superset of start closed under adding allowed states whose rows reach it.
+
+    A state outside the set joins once it is allowed and ``need[s]`` of its
+    rows (one when need is None) have a successor in the set; rows with
+    ``row_ok`` false never count. Every predecessor entry is visited at most
+    once.
+    """
+    offsets, rows, owner = index
+    start = np.asarray(start, dtype=bool)
+    allowed = np.asarray(allowed, dtype=bool)
+    closed = (start | ~allowed).tolist()
+    need = [1] * len(closed) if need is None else need.tolist()
+    counted = [False] * len(owner) if row_ok is None else (~row_ok).tolist()
+    stack = np.flatnonzero(start).tolist()
+    while stack:
+        t = stack.pop()
+        for r in rows[offsets[t]:offsets[t + 1]]:
+            if counted[r]:
+                continue
+            counted[r] = True
+            s = owner[r]
+            if closed[s]:
+                continue
+            need[s] -= 1
+            if not need[s]:
+                closed[s] = True
+                stack.append(s)
+    # closed now holds the set plus the states never allowed in
+    return np.array(closed) & (allowed | start)
 
 
 def _per_row_all(m, in_set):
     """Per matrix row: all successors inside in_set (vacuously true for empty rows)."""
-    return _row_hit_counts(m, in_set) == np.diff(m.row_offsets)
-
-
-def _state_exists(per_row, choice_offsets):
-    return np.logical_or.reduceat(per_row, choice_offsets[:-1])
-
-
-def _state_all(per_row, choice_offsets):
-    return np.logical_and.reduceat(per_row, choice_offsets[:-1])
+    misses = np.flatnonzero(~np.asarray(in_set, dtype=bool)[m.col_indices])
+    out = np.ones(m.rows, dtype=bool)
+    out[np.searchsorted(m.row_offsets, misses, side="right") - 1] = False
+    return out
 
 
 def _backward_closure(m, start, frontier_allowed):
     """Least set containing start, closed under: s allowed and s has a successor in the set."""
-    reach = start.copy()
-    while True:
-        add = frontier_allowed & ~reach & _per_row_exists(m, reach)
-        if not add.any():
-            return reach
-        reach |= add
+    return _closure(_predecessors(m, np.arange(m.rows + 1)), start, frontier_allowed)
 
 
 def prob0(matrix, safe, target):
@@ -66,31 +95,19 @@ def prob01_max(matrix, choice_offsets, safe, target):
     """(prob0A, prob1E): all-scheduler probability 0 / some-scheduler probability 1."""
     safe = np.asarray(safe, dtype=bool)
     target = np.asarray(target, dtype=bool)
-    choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
+    index = _predecessors(matrix, np.asarray(choice_offsets, dtype=np.int64))
 
     # Pmax > 0: backward reachability with existential choice.
-    reach = target.copy()
-    while True:
-        add = safe & ~reach & _state_exists(_per_row_exists(matrix, reach), choice_offsets)
-        if not add.any():
-            break
-        reach |= add
-    prob0a = ~reach
+    prob0a = ~_closure(index, target, safe)
 
-    # Pmax = 1: greatest fixed point over a nested least fixed point.
+    # Pmax = 1: greatest fixed point over a nested least fixed point, whose
+    # rounds only count choices that stay inside the current candidate set.
     u = np.ones(matrix.cols, dtype=bool)
     while True:
-        v = target.copy()
-        while True:
-            ok_rows = _per_row_all(matrix, u) & _per_row_exists(matrix, v)
-            add = safe & ~v & _state_exists(ok_rows, choice_offsets)
-            if not add.any():
-                break
-            v |= add
+        v = _closure(index, target, safe, row_ok=_per_row_all(matrix, u))
         if np.array_equal(v, u):
-            break
+            return prob0a, u
         u = v
-    return prob0a, u
 
 
 def prob01_min(matrix, choice_offsets, safe, target):
@@ -98,23 +115,13 @@ def prob01_min(matrix, choice_offsets, safe, target):
     safe = np.asarray(safe, dtype=bool)
     target = np.asarray(target, dtype=bool)
     choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
+    index = _predecessors(matrix, choice_offsets)
 
     # Pmin > 0: backward reachability with universal choice.
-    reach = target.copy()
-    while True:
-        add = safe & ~reach & _state_all(_per_row_exists(matrix, reach), choice_offsets)
-        if not add.any():
-            break
-        reach |= add
-    prob0e = ~reach
+    prob0e = ~_closure(index, target, safe, need=np.diff(choice_offsets))
 
     # Pmin < 1: some scheduler reaches prob0E while avoiding target.
-    bad = prob0e.copy()
-    while True:
-        add = safe & ~target & ~bad & _state_exists(_per_row_exists(matrix, bad), choice_offsets)
-        if not add.any():
-            break
-        bad |= add
+    bad = _closure(index, prob0e, safe & ~target)
     return prob0e, ~bad
 
 
@@ -124,24 +131,34 @@ def prob1e_witness(matrix, choice_offsets, safe, target, prob1e):
     For states outside prob1e (or in target) the entry is 0. The returned
     choices keep all successors inside prob1e and make progress toward
     target, so the induced chain reaches target almost surely.
+
+    States join in breadth-first layers back from target. A state of a new
+    layer takes its lowest choice that stays inside prob1e and reaches the
+    previous layer; no choice of it reaches an earlier one, or it would have
+    joined earlier.
     """
     choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
-    n = len(choice_offsets) - 1
-    witness = np.zeros(n, dtype=np.int64)
-    v = np.asarray(target, dtype=bool).copy()
-    safe = np.asarray(safe, dtype=bool)
-    pending = prob1e & safe & ~v
-    while pending.any():
-        ok_rows = _per_row_all(matrix, prob1e) & _per_row_exists(matrix, v)
-        progressed = False
-        for s in np.flatnonzero(pending):
-            for c in range(choice_offsets[s], choice_offsets[s + 1]):
-                if ok_rows[c]:
-                    witness[s] = c - choice_offsets[s]
-                    pending[s] = False
-                    v[s] = True
-                    progressed = True
-                    break
-        if not progressed:
-            break
+    offsets, rows, owner = _predecessors(matrix, choice_offsets)
+    target = np.asarray(target, dtype=bool)
+    pending = (np.asarray(prob1e, dtype=bool) & np.asarray(safe, dtype=bool) & ~target).tolist()
+    seen = (~_per_row_all(matrix, prob1e)).tolist()
+    chosen = {}
+    layer = np.flatnonzero(target).tolist()
+    while layer:
+        lowest = {}
+        for t in layer:
+            for r in rows[offsets[t]:offsets[t + 1]]:
+                if seen[r]:
+                    continue
+                seen[r] = True
+                s = owner[r]
+                if pending[s] and r < lowest.get(s, r + 1):
+                    lowest[s] = r
+        for s in lowest:
+            pending[s] = False
+        chosen.update(lowest)
+        layer = list(lowest)
+    witness = np.zeros(len(choice_offsets) - 1, dtype=np.int64)
+    states = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    witness[states] = np.fromiter(chosen.values(), dtype=np.int64, count=len(chosen)) - choice_offsets[states]
     return witness

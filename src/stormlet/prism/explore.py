@@ -276,8 +276,7 @@ def explore(program, options=None):
         deadlock_fixed=deadlock_fixed,
     )
     for name, bits in build_label_bitsets(program, state_map).items():
-        if name not in labeling:  # the built-in init and deadlock labels win
-            labeling.add(name, bits)
+        labeling.add(name, bits)
     model.rewards.update(build_reward_models(program, model, state_map, row_actions, exact=exact))
     return model, state_map
 

@@ -13,6 +13,8 @@ from ..errors import ParseError, StormletError
 from . import syntax
 
 NUMERIC = ("int", "double")
+# labels every explored model defines itself
+RESERVED_LABELS = ("init", "deadlock")
 
 
 class TypecheckError(StormletError):
@@ -123,6 +125,8 @@ def typecheck(program, constant_bindings=None):
 
     typed_labels = []
     for lab in program.labels:
+        if lab.name in RESERVED_LABELS:
+            raise TypecheckError(f'label "{lab.name}" is reserved', lab.span)
         expr = tc(lab.expr)
         if expr.type != "bool":
             raise TypecheckError(f"label {lab.name!r} must be boolean", lab.span)

@@ -126,19 +126,25 @@ def build_sparse(triples, rows, cols, dtype="float"):
 
 
 def row_sums(m):
-    """Vector of per-row entry sums, added left to right in CSR order."""
+    """Vector of per-row entry sums; an empty row sums to 0.
+
+    Rational rows add exactly left to right; float rows use numpy's
+    reduction, so a long row may round differently from a left-to-right sum.
+    """
     out = as_vector(np.zeros(m.rows), m.dtype)
-    offsets, values = m.row_offsets.tolist(), m.values.tolist()
-    for i in range(m.rows):
-        s = out[i]
-        for k in range(offsets[i], offsets[i + 1]):
-            s += values[k]
-        out[i] = s
+    nonempty = np.diff(m.row_offsets) > 0
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(m.values, m.row_offsets[:-1][nonempty])
     return out
 
 
 def transpose(m):
-    return build_sparse(((j, i, v) for i, j, v in m.entries()), m.cols, m.rows, m.dtype)
+    """The transposed matrix; each row keeps its columns in ascending order."""
+    order = np.argsort(m.col_indices, kind="stable")
+    row_of = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
+    counts = np.bincount(m.col_indices, minlength=m.cols)
+    row_offsets = np.concatenate(([0], np.cumsum(counts)))
+    return SparseMatrix(m.cols, m.rows, row_offsets, row_of[order], m.values[order], m.dtype)
 
 
 def restrict(m, keep_rows, keep_cols):

@@ -197,6 +197,15 @@ def test_unknown_label_exit_4(capsys):
     assert code == 4 and out == ""
 
 
+@pytest.mark.parametrize("name", ["init", "deadlock"])
+def test_reserved_label_name_exit_1(capsys, tmp_path, name):
+    model = tmp_path / "reserved.pm"
+    model.write_text(f'dtmc\nmodule m\nx : [0..1] init 0;\n[] true -> (x\'=1-x);\nendmodule\nlabel "{name}" = x=1;\n')
+    code, out, err = run_cli(capsys, "--prism", str(model), "--prop", f'P=? [ F "{name}" ]')
+    assert code == 1 and out == ""
+    assert f'label "{name}" is reserved' in err
+
+
 @pytest.mark.parametrize(
     "program, prop, message",
     [

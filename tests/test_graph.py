@@ -111,6 +111,158 @@ def test_prob1e_witness_induces_almost_sure_reachability(seed):
     _, p1e = graph.prob01_max(model.matrix, offsets, safe, target)
     witness = graph.prob1e_witness(model.matrix, offsets, safe, target, p1e)
     induced = induced_rows(rows, offsets, witness)
+    for s in np.flatnonzero(p1e & ~target):
+        assert all(p1e[t] for t in induced[s])
     exact = oracle_reach_probability(induced, [True] * 5, list(target))
     for s in np.flatnonzero(p1e):
         assert exact[s] == 1
+
+
+# --- brute-force fixed points ---------------------------------------------
+
+
+def succ_sets(m):
+    return [set(m.row(r)[0].tolist()) for r in range(m.rows)]
+
+
+def naive_closure(choices, start, allowed, joins):
+    """Least superset of start under: an allowed state joins when joins(its successor sets, set)."""
+    reach = set(np.flatnonzero(start).tolist())
+    changed = True
+    while changed:
+        changed = False
+        for s, rows in enumerate(choices):
+            if s not in reach and allowed[s] and joins(rows, reach):
+                reach.add(s)
+                changed = True
+    return reach
+
+
+def some_row_hits(rows, reach):
+    return any(row & reach for row in rows)
+
+
+def every_row_hits(rows, reach):
+    return all(row & reach for row in rows)
+
+
+def naive_prob01(choices, safe, target):
+    """(prob0A, prob1E, prob0E, prob1A) as state sets, one full scan per step."""
+    n = len(choices)
+    everything = set(range(n))
+    prob0a = everything - naive_closure(choices, target, safe, some_row_hits)
+    prob0e = everything - naive_closure(choices, target, safe, every_row_hits)
+    prob0e_bits = np.array([s in prob0e for s in range(n)], dtype=bool)
+    prob1a = everything - naive_closure(choices, prob0e_bits, safe & ~target, some_row_hits)
+    u = everything
+    while True:
+        staying = [[row for row in rows if row <= u] for rows in choices]
+        v = naive_closure(staying, target, safe, some_row_hits)
+        if v == u:
+            return prob0a, u, prob0e, prob1a
+        u = v
+
+
+def naive_witness(choices, safe, target, prob1e):
+    """Layer by layer back from target, each new state's lowest choice that stays
+    inside prob1e and reaches an earlier layer."""
+    witness = [0] * len(choices)
+    done = set(np.flatnonzero(target).tolist())
+    pending = [s for s in range(len(choices)) if prob1e[s] and safe[s] and s not in done]
+    while True:
+        layer = {}
+        for s in pending:
+            for c, row in enumerate(choices[s]):
+                if all(prob1e[t] for t in row) and row & done:
+                    layer[s] = c
+                    break
+        if not layer:
+            return witness
+        for s, c in layer.items():
+            witness[s] = c
+        done |= set(layer)
+        pending = [s for s in pending if s not in layer]
+
+
+def as_set(bits):
+    return set(np.flatnonzero(bits).tolist())
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_graph_functions_match_naive_fixed_points(seed, rational):
+    rng = random.Random(4000 + seed)
+    n = rng.randint(1, 9)
+    model, _, offsets = random_mdp(rng, n, max_choices=3, rational=rational)
+    dtmc, _ = random_dtmc(rng, n, rational=rational)
+    safe = np.array([rng.random() < 0.85 for _ in range(n)])
+    target = np.array([rng.random() < 0.3 for _ in range(n)])
+    everything = set(range(n))
+
+    # deterministic: one choice per state
+    det = [[row] for row in succ_sets(dtmc.matrix)]
+    p0 = graph.prob0(dtmc.matrix, safe, target)
+    assert as_set(p0) == everything - naive_closure(det, target, safe, some_row_hits)
+    p1 = graph.prob1(dtmc.matrix, safe, target, p0)
+    assert as_set(p1) == everything - naive_closure(det, p0, safe & ~target, some_row_hits)
+    allowed = np.array([rng.random() < 0.7 for _ in range(n)])
+    closure = graph._backward_closure(dtmc.matrix, target, allowed)
+    assert as_set(closure) == naive_closure(det, target, allowed, some_row_hits)
+
+    rows = succ_sets(model.matrix)
+    choices = [rows[offsets[s]:offsets[s + 1]] for s in range(n)]
+    p0a, p1e, p0e, p1a = naive_prob01(choices, safe, target)
+    got_0a, got_1e = graph.prob01_max(model.matrix, offsets, safe, target)
+    got_0e, got_1a = graph.prob01_min(model.matrix, offsets, safe, target)
+    assert (as_set(got_0a), as_set(got_1e), as_set(got_0e), as_set(got_1a)) == (p0a, p1e, p0e, p1a)
+    assert list(graph._per_row_all(model.matrix, got_1e)) == [row <= p1e for row in rows]
+
+    witness = graph.prob1e_witness(model.matrix, offsets, safe, target, got_1e)
+    assert witness.dtype == np.int64
+    assert witness.tolist() == naive_witness(choices, safe, target, got_1e)
+    # any other candidate set is layered the same way
+    other = np.array([rng.random() < 0.7 for _ in range(n)])
+    assert graph.prob1e_witness(model.matrix, offsets, safe, target, other).tolist() == naive_witness(
+        choices, safe, target, other
+    )
+
+
+LONG = 20000
+
+
+def long_chain(choices):
+    """0..LONG: 0 reflects (up or stay), LONG absorbs, inner states step up or down.
+
+    With two choices every state but LONG gets a first choice that stays put;
+    the moving choice comes second.
+    """
+    half = Fraction(1, 2)
+    rows = []
+    for x in range(LONG):
+        move = {max(x - 1, 0): half, x + 1: half}
+        rows.extend([{x: Fraction(1)}, move] if choices == 2 else [move])
+    rows.append({LONG: Fraction(1)})
+    counts = [choices] * LONG + [1]
+    return rows_to_matrix(rows, LONG + 1, False), np.cumsum([0] + counts)
+
+
+def test_long_chain_precomputation_sets():
+    n = LONG + 1
+    everywhere = np.ones(n, dtype=bool)
+    top, bottom = bits(n, [LONG]), bits(n, [0])
+    dtmc, _ = long_chain(1)
+    p0 = graph.prob0(dtmc, everywhere, top)
+    assert not p0.any() and graph.prob1(dtmc, everywhere, top, p0).all()
+    p0 = graph.prob0(dtmc, everywhere, bottom)
+    assert as_set(p0) == {LONG}
+    assert as_set(graph.prob1(dtmc, everywhere, bottom, p0)) == {0}
+
+    mdp, offsets = long_chain(2)
+    p0a, p1e = graph.prob01_max(mdp, offsets, everywhere, top)
+    assert not p0a.any() and p1e.all()
+    p0e, p1a = graph.prob01_min(mdp, offsets, everywhere, top)
+    assert as_set(p0e) == set(range(LONG)) and as_set(p1a) == {LONG}
+    witness = graph.prob1e_witness(mdp, offsets, everywhere, top, p1e)
+    assert witness.tolist() == [1] * LONG + [0]
+    p0e, p1a = graph.prob01_min(mdp, offsets, everywhere, bottom)
+    assert as_set(p0e) == set(range(1, n)) and as_set(p1a) == {0}

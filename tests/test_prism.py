@@ -156,6 +156,13 @@ def test_typecheck_type_errors():
         typecheck(parse_program(bad_and))
 
 
+@pytest.mark.parametrize("name", ["init", "deadlock"])
+def test_typecheck_rejects_reserved_label_names(name):
+    src = TWO_STATE + f'label "{name}" = x=1;\n'
+    with pytest.raises(TypecheckError, match=f'label "{name}" is reserved'):
+        typecheck(parse_program(src))
+
+
 def test_eval_expr_arithmetic():
     src = "dtmc\nconst int c = 1 + 2 * 3;\nconst double d = min(0.5, 2);\nconst int e = mod(7, 3);\nmodule m\nx : [0..0] init 0;\n[] true -> (x'=0);\nendmodule"
     program = typecheck(parse_program(src))
