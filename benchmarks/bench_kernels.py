@@ -1,36 +1,52 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled CSR kernels against the pure-Python fallbacks.
+"""Benchmark the CSR kernels against the scalar reference loops.
 
-Runs each kernel (matvec, matvec_reduce, gauss_seidel_sweep) on random sparse
-matrices of increasing size, checks both backends produce bit-identical
-output, and prints per-call timings with the speedup.
+Times ``matvec`` and ``matvec_reduce`` (two choices per state) against the
+left-to-right scalar loops kept in ``tests/test_solvers.py``, run on the
+matrix's numpy arrays, on random row-stochastic matrices of growing size and
+on a 10^4-state skewed matrix: one 10^4-entry row among two-entry rows.
+``gauss_seidel_sweep`` is timed on the Python lists the solver hands it
+against the same sweep on numpy arrays. Every output is asserted
+bit-identical to its reference; each line prints the best time of both in ms
+and the ratio.
 
 Usage: python3 benchmarks/bench_kernels.py [--sizes 1000,10000,100000]
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from stormlet import kernels
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from test_solvers import reference_matvec, reference_matvec_reduce  # noqa: E402
+
+from stormlet import kernels  # noqa: E402
+from stormlet.sparse import SparseMatrix  # noqa: E402
 
 
-def random_csr(rng, n, nnz_per_row):
-    """Row-stochastic CSR arrays with `nnz_per_row` entries per row."""
-    row_offsets = np.arange(0, (n + 1) * nnz_per_row, nnz_per_row, dtype=np.int64)
-    col_indices = np.empty(n * nnz_per_row, dtype=np.int64)
-    values = np.empty(n * nnz_per_row)
-    for i in range(n):
-        cols = np.sort(rng.choice(n, size=nnz_per_row, replace=False))
-        probs = rng.random(nnz_per_row)
-        probs /= probs.sum()
-        col_indices[i * nnz_per_row : (i + 1) * nnz_per_row] = cols
-        values[i * nnz_per_row : (i + 1) * nnz_per_row] = probs
-    return row_offsets, col_indices, values
+def random_matrix(rng, n, nnz_per_row):
+    """Row-stochastic n x n matrix with `nnz_per_row` sorted entries per row."""
+    cols = np.sort(rng.integers(0, n, size=(n, nnz_per_row)), axis=1)
+    probs = rng.random((n, nnz_per_row))
+    probs /= probs.sum(axis=1, keepdims=True)
+    offsets = np.arange(0, (n + 1) * nnz_per_row, nnz_per_row)
+    return SparseMatrix(n, n, offsets, cols.ravel(), probs.ravel(), "float")
 
 
-def timeit(fn, repeats):
+def skewed_matrix(rng, n):
+    """n x n matrix whose row n // 2 has n entries and every other row two."""
+    lengths = np.full(n, 2)
+    lengths[n // 2] = n
+    cols = np.concatenate([np.sort(rng.choice(n, size=k, replace=False)) for k in lengths])
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    return SparseMatrix(n, n, offsets, cols, rng.random(len(cols)) / 2, "float")
+
+
+def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -39,89 +55,59 @@ def timeit(fn, repeats):
     return best
 
 
-def bench_size(n, nnz_per_row, repeats, compiled):
-    rng = np.random.default_rng(12345)
-    row_offsets, col_indices, values = random_csr(rng, n, nnz_per_row)
-    x = rng.random(n)
-    b = rng.random(n)
-    # two choices per state for the reduce kernel
-    choice_offsets = np.arange(0, n + 1, 2, dtype=np.int64)
-    n_states = len(choice_offsets) - 1
-
+def bench_matrix(m, rng, repeats):
+    """(kernel, kernel s, reference s) for each kernel on m."""
+    x = rng.random(m.cols)
+    b = rng.random(m.rows)
+    offsets = np.arange(0, m.rows + 1, 2) if m.rows % 2 == 0 else np.arange(m.rows + 1)
+    args = (m.row_offsets, m.col_indices, m.values)
     rows = []
-    for name, pure_fn, compiled_fn, make_args, identical in (
-        (
-            "matvec",
-            kernels._py_csr_matvec,
-            compiled.csr_matvec if compiled else None,
-            lambda: (row_offsets, col_indices, values, x, np.empty(n)),
-            lambda a, b_: np.array_equal(a[4], b_[4]),
-        ),
-        (
-            "matvec_reduce",
-            kernels._py_csr_matvec_reduce,
-            compiled.csr_matvec_reduce if compiled else None,
-            lambda: (
-                row_offsets,
-                col_indices,
-                values,
-                choice_offsets,
-                b,
-                x[:n],
-                True,
-                np.empty(n_states),
-                np.empty(n_states, dtype=np.int64),
-            ),
-            lambda a, b_: np.array_equal(a[7], b_[7]) and np.array_equal(a[8], b_[8]),
-        ),
-        (
-            "gauss_seidel_sweep",
-            kernels._py_gauss_seidel_sweep,
-            compiled.gauss_seidel_sweep if compiled else None,
-            lambda: (row_offsets, col_indices, values, b * 0.01, x.copy() * 0.0, True),
-            lambda a, b_: np.array_equal(a[4], b_[4]),
-        ),
-    ):
-        pure_args = make_args()
-        t_pure = timeit(lambda: pure_fn(*pure_args), repeats)
-        if compiled_fn is None:
-            rows.append((name, t_pure, None, None))
-            continue
-        comp_args = make_args()
-        t_comp = timeit(lambda: compiled_fn(*comp_args), repeats)
-        # re-run once each on fresh buffers to compare outputs
-        pa, ca = make_args(), make_args()
-        pure_fn(*pa)
-        compiled_fn(*ca)
-        assert identical(pa, ca), f"{name}: backends disagree at n={n}"
-        rows.append((name, t_pure, t_comp, t_pure / t_comp))
+
+    def check_matvec():
+        expected = reference_matvec(*args, x, 0.0)
+        assert kernels.matvec(m, x).tobytes() == np.array(expected).tobytes(), "matvec differs"
+        return lambda: kernels.matvec(m, x), lambda: reference_matvec(*args, x, 0.0)
+
+    def check_reduce():
+        values, arg = kernels.matvec_reduce(m, offsets, x, True, b)
+        expected, expected_arg = reference_matvec_reduce(*args, offsets, b, x, True)
+        assert values.tobytes() == np.array(expected).tobytes(), "matvec_reduce differs"
+        assert arg.tolist() == expected_arg, "matvec_reduce picks other choices"
+        return (lambda: kernels.matvec_reduce(m, offsets, x, True, b),
+                lambda: reference_matvec_reduce(*args, offsets, b, x, True))
+
+    def check_sweep():
+        scaled = m.values * 0.5
+        lists = (m.row_offsets.tolist(), m.col_indices.tolist(), scaled.tolist(), b.tolist())
+        x_list, x_array = [0.0] * m.rows, np.zeros(m.rows)
+        d_list = kernels.gauss_seidel_sweep(*lists, x_list, True)
+        d_array = kernels.gauss_seidel_sweep(m.row_offsets, m.col_indices, scaled, b, x_array, True)
+        assert d_list == d_array and np.array(x_list).tobytes() == x_array.tobytes(), "sweeps differ"
+        return (lambda: kernels.gauss_seidel_sweep(*lists, [0.0] * m.rows, True),
+                lambda: kernels.gauss_seidel_sweep(m.row_offsets, m.col_indices, scaled, b, np.zeros(m.rows), True))
+
+    for name, check in (("matvec", check_matvec), ("matvec_reduce", check_reduce),
+                        ("gauss_seidel_sweep", check_sweep)):
+        fast, reference = check()
+        rows.append((name, best_of(fast, repeats), best_of(reference, repeats)))
     return rows
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--sizes", default="1000,10000,100000", help="comma-separated state counts"
-    )
-    parser.add_argument("--nnz", type=int, default=4, help="nonzeros per row")
+    parser.add_argument("--sizes", default="1000,10000,100000", help="comma-separated state counts")
+    parser.add_argument("--nnz", type=int, default=4, help="entries per row of the random matrices")
     parser.add_argument("--repeats", type=int, default=5, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
-    try:
-        from stormlet import _ckernels as compiled
-    except ImportError:
-        compiled = None
-        print("compiled backend unavailable; timing pure-Python only\n")
-
-    print(f"active library backend: {kernels.BACKEND}")
-    print(f"{'n':>8}  {'kernel':<20} {'pure (ms)':>10} {'compiled (ms)':>14} {'speedup':>8}")
-    for n in (int(s) for s in args.sizes.split(",")):
-        for name, t_pure, t_comp, speedup in bench_size(n, args.nnz, args.repeats, compiled):
-            comp_s = f"{t_comp * 1e3:.3f}" if t_comp is not None else "-"
-            speed_s = f"{speedup:.1f}x" if speedup is not None else "-"
-            print(f"{n:>8}  {name:<20} {t_pure * 1e3:>10.3f} {comp_s:>14} {speed_s:>8}")
-        if compiled is not None:
-            print(f"{'':>8}  (outputs bit-identical across backends)")
+    rng = np.random.default_rng(12345)
+    cases = [(f"{n}", random_matrix(rng, n, args.nnz)) for n in (int(s) for s in args.sizes.split(","))]
+    cases.append(("10000 skewed", skewed_matrix(rng, 10000)))
+    print(f"{'matrix':>14}  {'kernel':<20} {'kernel (ms)':>12} {'reference (ms)':>15} {'ratio':>8}")
+    for label, m in cases:
+        for name, t_fast, t_ref in bench_matrix(m, rng, args.repeats):
+            print(f"{label:>14}  {name:<20} {t_fast * 1e3:>12.3f} {t_ref * 1e3:>15.3f} {t_ref / t_fast:>7.1f}x")
+    print("(every kernel output is bit-identical to its reference)")
 
 
 if __name__ == "__main__":

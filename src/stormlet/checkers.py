@@ -322,6 +322,35 @@ def check_cumulative_reward(model, rm, k, optimum=None):
 # --- continuous time ------------------------------------------------------
 
 
+def _uniformized(model, active):
+    """The uniformized jump matrix for the active states, and its rate q.
+
+    Active row s is the embedded row scaled by ratio = rate(s)/q, with the
+    self-loop folded into the diagonal (1 - ratio) + ratio * p(s,s), which is
+    kept only when positive; other states get identity rows. Entries that
+    round to zero are dropped.
+    """
+    n = model.n_states
+    rates = np.where(active, sparse.as_vector(model.exit_rates, "float"), 0.0)
+    q = UNIFORMIZATION_SLACK * rates.max()
+    embedded = model.matrix.to_float()
+    # an inactive state has ratio 0, so its row reduces to the identity
+    ratio = rates / q
+    row_of = np.repeat(np.arange(n), np.diff(embedded.row_offsets))
+    scaled = ratio[row_of] * embedded.values
+    loop = embedded.col_indices == row_of
+    diag = 1.0 - ratio
+    diag[row_of[loop]] += scaled[loop]
+    off = ~loop & (scaled != 0.0)
+    on = np.flatnonzero(diag > 0.0)
+    rows = np.concatenate((row_of[off], on))
+    cols = np.concatenate((embedded.col_indices[off], on))
+    order = np.lexsort((cols, rows))
+    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    values = np.concatenate((scaled[off], diag[on]))[order]
+    return sparse.SparseMatrix(n, n, row_offsets, cols[order], values, "float"), q
+
+
 def check_timebounded_until_ctmc(model, left, right, t, env):
     """CSL time-bounded until via uniformization with a truncated Poisson window."""
     t = float(t)
@@ -331,27 +360,7 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
     if t == 0.0 or not active.any():
         return right.astype(np.float64), meta
 
-    rates = np.array([float(model.exit_rates[s]) if active[s] else 0.0 for s in range(n)])
-    q = UNIFORMIZATION_SLACK * rates.max()
-    embedded = model.matrix.to_float()
-
-    triples = []
-    for s in range(n):
-        if not active[s]:
-            triples.append((s, s, 1.0))
-            continue
-        ratio = rates[s] / q
-        diag = 1.0 - ratio
-        cols, vals = embedded.row(s)
-        for j, v in zip(cols, vals):
-            if j == s:
-                diag += ratio * v
-            else:
-                triples.append((s, int(j), ratio * v))
-        if diag > 0.0:
-            triples.append((s, s, diag))
-    p_unif = sparse.build_sparse(triples, n, n, "float")
-
+    p_unif, q = _uniformized(model, active)
     lam = q * t
     L, R, w, total = solvers.fox_glynn(lam, env.precision * 0.1)
     meta["poisson_window"] = (L, R)

@@ -116,7 +116,7 @@ class Model:
         if initial_states is None:
             initial_states = np.zeros(n, dtype=bool)
         self.initial_states = np.asarray(initial_states, dtype=bool)
-        self.exit_rates = exit_rates
+        self.exit_rates = None if exit_rates is None else sparse.as_vector(exit_rates, matrix.dtype)
         if deadlock_fixed is None:
             deadlock_fixed = np.zeros(n, dtype=bool)
         self.deadlock_fixed = np.asarray(deadlock_fixed, dtype=bool)
@@ -174,9 +174,9 @@ class Model:
         if self.kind is ModelKind.CTMC:
             if self.exit_rates is None or len(self.exit_rates) != n:
                 raise ModelError("CTMC requires one exit rate per state")
-            for i, rate in enumerate(self.exit_rates):
-                if rate <= 0:
-                    raise ModelError(f"CTMC exit rate of state {i} must be positive")
+            bad = np.flatnonzero(self.exit_rates <= 0)
+            if bad.size:
+                raise ModelError(f"CTMC exit rate of state {bad[0]} must be positive")
         elif self.exit_rates is not None:
             raise ModelError("exit rates are only meaningful for CTMCs")
 
@@ -201,8 +201,7 @@ class Model:
         if not isinstance(other, Model):
             return NotImplemented
         same_rates = (self.exit_rates is None) == (other.exit_rates is None) and (
-            self.exit_rates is None
-            or all(a == b for a, b in zip(self.exit_rates, other.exit_rates))
+            self.exit_rates is None or np.array_equal(self.exit_rates, other.exit_rates)
         )
         return (
             self.kind == other.kind

@@ -119,18 +119,20 @@ def _jacobi(system, env):
 
 
 def _gauss_seidel(system, env):
-    b = system.b
-    x = np.zeros(len(b))
     m = system.A
+    # the sequential sweep indexes single entries, which lists do far faster than arrays
+    offsets, cols, values = m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist()
+    b = system.b.tolist()
+    x = [0.0] * len(b)
     relative = env.criterion == "relative"
     tol = env.precision * CONVERGENCE_SAFETY
     for it in range(1, env.max_iterations + 1):
-        diff, bad = kernels.gauss_seidel_sweep(m.row_offsets, m.col_indices, m.values, b, x, relative)
+        diff, bad = kernels.gauss_seidel_sweep(offsets, cols, values, b, x, relative)
         if bad >= 0:
             raise DiagonalOne(bad)
         if diff <= tol:
-            return SolveOutcome(x=x, iterations=it, converged=True, method="gauss_seidel")
-    raise NotConverged(env.max_iterations, best=x)
+            return SolveOutcome(x=np.array(x), iterations=it, converged=True, method="gauss_seidel")
+    raise NotConverged(env.max_iterations, best=np.array(x))
 
 
 def solve_linear_exact(A, b):
@@ -237,19 +239,6 @@ def _q_values(system, x):
     return kernels.matvec(system.A, x) + system.b
 
 
-def _argopt(system, q, maximize):
-    """Lowest-index optimal choice per state."""
-    arg = np.zeros(system.n_states, dtype=np.int64)
-    for s in range(system.n_states):
-        lo, hi = system.choice_offsets[s], system.choice_offsets[s + 1]
-        best = lo
-        for c in range(lo + 1, hi):
-            if (q[c] > q[best]) if maximize else (q[c] < q[best]):
-                best = c
-        arg[s] = best - lo
-    return arg
-
-
 def _policy_iteration(system, env, initial_scheduler):
     maximize = system.direction == "maximize"
     # exact arithmetic needs no margin against round-off in the improvement test
@@ -263,7 +252,8 @@ def _policy_iteration(system, env, initial_scheduler):
     cap = max(64, 4 * system.A.rows)
     for it in range(1, cap + 1):
         x = _evaluate_scheduler(system, scheduler, env)
-        q = _q_values(system, x).tolist()
+        q = _q_values(system, x)
+        qs = q.tolist()
         changed = False
         for s in range(system.n_states):
             lo, hi = system.choice_offsets[s], system.choice_offsets[s + 1]
@@ -272,14 +262,14 @@ def _policy_iteration(system, env, initial_scheduler):
             for c in range(lo, hi):
                 if c == cur:
                     continue
-                better = (q[c] > q[best] + imp_eps) if maximize else (q[c] < q[best] - imp_eps)
+                better = (qs[c] > qs[best] + imp_eps) if maximize else (qs[c] < qs[best] - imp_eps)
                 if better:
                     best = c
             if best != cur:
                 scheduler[s] = best - lo
                 changed = True
         if not changed:
-            final = _argopt(system, q, maximize)
+            _, final = kernels.first_optimum(q, system.choice_offsets, maximize)
             return SolveOutcome(x=x, iterations=it, converged=True, scheduler=final, method="policy_iteration")
     raise NotConverged(cap, best=x)
 

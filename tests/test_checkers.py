@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CORPUS,
     oracle_bounded_until,
     oracle_cumulative_reward,
     oracle_mdp_reach,
@@ -394,6 +395,82 @@ def test_ctmc_unbounded_until_delegates_to_embedded_chain():
     vc = run(ctmc, 'P=? [ F "goal" ]').values
     vd = run(embedded, 'P=? [ F "goal" ]').values
     assert np.array_equal(vc, vd)
+
+
+TANDEM = """
+ctmc
+const int c;
+module station1
+  n1 : [0..c] init 0;
+  [arrive] n1<c -> 3 : (n1'=n1+1);
+  [serve1] n1>0 -> 2.5 : (n1'=n1-1);
+endmodule
+module station2
+  n2 : [0..c] init 0;
+  [serve1] n2<c -> 1 : (n2'=n2+1);
+  [serve2] n2>0 -> 2 : (n2'=n2-1);
+endmodule
+module station3
+  n3 : [0..c] init 0;
+  [serve2] n3<c -> 1 : (n3'=n3+1);
+  [serve3] n3>0 -> 3.1 : (n3'=n3-1);
+endmodule
+"""
+
+
+def reference_uniformized(model, active):
+    """The uniformized matrix assembled entry by entry through build_sparse."""
+    n = model.n_states
+    rates = np.array([float(model.exit_rates[s]) if active[s] else 0.0 for s in range(n)])
+    q = checkers.UNIFORMIZATION_SLACK * rates.max()
+    embedded = model.matrix.to_float()
+    triples = []
+    for s in range(n):
+        if not active[s]:
+            triples.append((s, s, 1.0))
+            continue
+        ratio = rates[s] / q
+        diag = 1.0 - ratio
+        cols, vals = embedded.row(s)
+        for j, v in zip(cols, vals):
+            if j == s:
+                diag += ratio * v
+            else:
+                triples.append((s, int(j), ratio * v))
+        if diag > 0.0:
+            triples.append((s, s, diag))
+    return sparse.build_sparse(triples, n, n, "float"), q
+
+
+def uniformization_models():
+    for exact in (False, True):
+        yield explore(typecheck(parse_program((CORPUS / "queue.sm").read_text())), ExploreOptions(exact=exact))[0]
+        for cap in (2, 3, 5):
+            program = typecheck(parse_program(TANDEM), {"c": cap})
+            yield explore(program, ExploreOptions(exact=exact))[0]
+    rng = random.Random(7)
+    for i in range(40):
+        n = rng.randint(1, 12)
+        rows = random_stochastic_rows(rng, n, n)
+        rates = [rng.choice([F(1, 3), F(1), F(5, 2), F(7), F(1, 1000)]) for _ in range(n)]
+        if i % 5 == 0:
+            rates[0] = 5e-324  # scaled entries of this row round to zero
+        rational = i % 2 == 1 and i % 5 != 0
+        yield Model(ModelKind.CTMC, rows_to_matrix(rows, n, rational), StateLabeling(n), exit_rates=rates)
+
+
+def test_uniformized_matrix_matches_entrywise_assembly():
+    rng = random.Random(11)
+    for model in uniformization_models():
+        n = model.n_states
+        picked = np.array([rng.random() < 0.6 for _ in range(n)])
+        for active in (np.ones(n, dtype=bool), np.arange(n) % 2 == 0, picked):
+            if not active.any():
+                continue
+            got, q = checkers._uniformized(model, active)
+            expected, expected_q = reference_uniformized(model, active)
+            assert got == expected and got.values.tobytes() == expected.values.tobytes()
+            assert q == expected_q
 
 
 # --- conditional probabilities --------------------------------------------

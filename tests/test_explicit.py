@@ -235,7 +235,7 @@ def test_ctmc_round_trip_preserves_rates():
     model = explicit.build_model(bundle)
     again = explicit.build_model(explicit.write_model(model))
     assert again == model
-    assert again.exit_rates == [2.5, 2.0]
+    assert list(again.exit_rates) == [2.5, 2.0]
 
 
 @settings(deadline=None, max_examples=150)

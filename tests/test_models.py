@@ -96,7 +96,7 @@ def test_ctmc_requires_positive_exit_rates():
     with pytest.raises(ModelError):
         Model(ModelKind.CTMC, dtmc_matrix(), StateLabeling(2), exit_rates=[1.0, 0.0])
     m = Model(ModelKind.CTMC, dtmc_matrix(), StateLabeling(2), exit_rates=[2.0, 1.0])
-    assert m.exit_rates == [2.0, 1.0]
+    assert list(m.exit_rates) == [2.0, 1.0]
 
 
 def test_exit_rates_rejected_on_discrete_models():

@@ -248,7 +248,7 @@ module m
 endmodule
 """
     model, _ = build(src)
-    assert model.exit_rates == [5.0, 1.0]
+    assert list(model.exit_rates) == [5.0, 1.0]
     cols, vals = model.matrix.row(0)
     assert list(cols) == [1] and vals[0] == 1.0
 

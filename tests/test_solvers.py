@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_solve_exact,
@@ -162,6 +165,12 @@ def test_matvec_reduce_lowest_index_tie_breaking():
     m = sparse.build_sparse([(0, 0, 1.0), (1, 0, 1.0)], 2, 1)
     values, arg = kernels.matvec_reduce(m, np.array([0, 2]), np.array([0.5]), True)
     assert values[0] == 0.5 and arg[0] == 0
+    # -0.0 == 0.0 is a tie too, and the first choice keeps its sign
+    empty = sparse.SparseMatrix(2, 1, [0, 0, 0], [], [], "float")
+    for maximize in (True, False):
+        for b in ([-0.0, 0.0], [0.0, -0.0]):
+            values, arg = kernels.matvec_reduce(empty, np.array([0, 2]), np.array([1.0]), maximize, np.array(b))
+            assert np.signbit(values[0]) == np.signbit(b[0]) and arg[0] == 0
 
 
 def test_matvec_reduce_with_offset_vector():
@@ -332,36 +341,127 @@ def test_fox_glynn_input_validation():
         solvers.fox_glynn(2e9, 1e-10)
 
 
-# --- backend parity -------------------------------------------------------
+# --- kernels against the scalar reference loops ---------------------------
 
 
-def test_pure_python_backend_is_bit_identical():
-    rng = random.Random(42)
-    rows = random_stochastic_rows(rng, 12, 6)
-    m = rows_to_matrix(rows, 6, False)
-    x = np.array([rng.uniform(0, 1) for _ in range(6)])
-    b = np.array([rng.uniform(0, 1) for _ in range(12)])
-    offsets = np.array([0, 2, 4, 6, 8, 10, 12])
+def reference_matvec_reduce(offsets, cols, values, choice_offsets, b, x, maximize):
+    """Per state: each choice row adds its products to b[c] left to right; the first best wins."""
+    out, arg = [], []
+    for s in range(len(choice_offsets) - 1):
+        best, best_c = None, -1
+        for c in range(choice_offsets[s], choice_offsets[s + 1]):
+            acc = b[c]
+            for k in range(offsets[c], offsets[c + 1]):
+                acc += values[k] * x[cols[k]]
+            if best_c < 0 or (acc > best if maximize else acc < best):
+                best, best_c = acc, c
+        out.append(best)
+        arg.append(best_c - choice_offsets[s])
+    return out, arg
 
-    out_a = np.empty(12)
-    kernels.csr_matvec(m.row_offsets, m.col_indices, m.values, x, out_a)
-    out_b = np.empty(12)
-    kernels._py_csr_matvec(m.row_offsets, m.col_indices, m.values, x, out_b)
-    assert np.array_equal(out_a, out_b)
 
-    v_a = np.empty(6)
-    a_a = np.empty(6, dtype=np.int64)
-    kernels.csr_matvec_reduce(m.row_offsets, m.col_indices, m.values, offsets, b, x, True, v_a, a_a)
-    v_b = np.empty(6)
-    a_b = np.empty(6, dtype=np.int64)
-    kernels._py_csr_matvec_reduce(m.row_offsets, m.col_indices, m.values, offsets, b, x, True, v_b, a_b)
-    assert np.array_equal(v_a, v_b) and np.array_equal(a_a, a_b)
+def reference_matvec(offsets, cols, values, x, zero):
+    n = len(offsets) - 1
+    return reference_matvec_reduce(offsets, cols, values, range(n + 1), [zero] * n, x, True)[0]
 
-    sub = rows_to_matrix(random_stochastic_rows(rng, 6, 6), 6, False)
-    scaled = sparse.build_sparse(((i, j, 0.5 * v) for i, j, v in sub.entries()), 6, 6)
-    bb = np.array([rng.uniform(0, 1) for _ in range(6)])
-    x1 = np.zeros(6)
-    x2 = np.zeros(6)
-    d1 = kernels.gauss_seidel_sweep(scaled.row_offsets, scaled.col_indices, scaled.values, bb, x1, True)
-    d2 = kernels._py_gauss_seidel_sweep(scaled.row_offsets, scaled.col_indices, scaled.values, bb, x2, True)
-    assert d1 == d2 and np.array_equal(x1, x2)
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 1e16, -1e16, 2.0**-1074]
+
+
+def random_scalar(rnd, rational):
+    if rational:
+        return Fraction(rnd.randint(-20, 20), rnd.randint(1, 40))
+    return rnd.choice(SPECIAL_FLOATS) if rnd.random() < 0.5 else rnd.uniform(-1e3, 1e3)
+
+
+@st.composite
+def choice_matrices(draw):
+    """(matrix, choice offsets, b, x): empty rows, rows of 1-200 entries, repeated rows for ties."""
+    rational = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n_cols = draw(st.integers(1, 6))
+    rows = []  # (columns, values, b) per choice row
+    for _ in range(draw(st.integers(1, 10))):
+        if rows and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+            continue
+        length = draw(st.one_of(st.just(0), st.integers(1, 4), st.integers(1, 200)))
+        # a row of one signed zero sums to -0.0 when x >= 0, but only if no addition loses the sign
+        z = rnd.choice([0.0, -0.0])
+        scalar = (lambda: z) if draw(st.booleans()) else (lambda: random_scalar(rnd, rational))
+        rows.append(([rnd.randrange(n_cols) for _ in range(length)], [scalar() for _ in range(length)], scalar()))
+    cuts = sorted(c for c in draw(st.sets(st.integers(1, len(rows)))) if c < len(rows))
+    choice_offsets = np.array([0, *cuts, len(rows)], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(c) for c, _, _ in rows])
+    dtype = "rational" if rational else "float"
+    matrix = sparse.SparseMatrix(
+        len(rows), n_cols, offsets,
+        [j for c, _, _ in rows for j in c], [v for _, vs, _ in rows for v in vs], dtype,
+    )
+    b = sparse.as_vector([r[2] for r in rows], dtype)
+    x = [random_scalar(rnd, rational) for _ in range(n_cols)]
+    x = sparse.as_vector([abs(v) for v in x] if draw(st.booleans()) else x, dtype)
+    return matrix, choice_offsets, b, x
+
+
+def assert_same_vector(got, expected, dtype):
+    if dtype == "float":
+        assert got.dtype == np.float64 and got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    else:
+        assert list(got) == expected and all(type(v) is Fraction for v in got)
+
+
+@settings(deadline=None, max_examples=300)
+@given(choice_matrices(), st.booleans(), st.sampled_from([1, 3, 40, kernels._BLOCK_CELLS]))
+def test_kernels_match_scalar_reference_loops(problem, maximize, block_cells):
+    m, choice_offsets, b, x = problem
+    offsets, cols, values = m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist()
+    zero = sparse.as_vector([0], m.dtype)[0]
+
+    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+        got = kernels.matvec(m, x)
+        out, arg = kernels.matvec_reduce(m, choice_offsets, x, maximize, b)
+    assert_same_vector(got, reference_matvec(offsets, cols, values, x.tolist(), zero), m.dtype)
+
+    ref_out, ref_arg = reference_matvec_reduce(
+        offsets, cols, values, choice_offsets.tolist(), b.tolist(), x.tolist(), maximize
+    )
+    assert_same_vector(out, ref_out, m.dtype)
+    assert arg.tolist() == ref_arg
+
+
+@pytest.mark.parametrize("dtype", ["float", "rational"])
+def test_kernels_on_matrices_without_entries(dtype):
+    x = sparse.as_vector([1, 2, 3], dtype)
+    no_rows = sparse.SparseMatrix(0, 3, [0], [], [], dtype)
+    assert len(kernels.matvec(no_rows, x)) == 0
+    out, arg = kernels.matvec_reduce(no_rows, np.array([0]), x, True)
+    assert len(out) == 0 and len(arg) == 0
+    empty_rows = sparse.SparseMatrix(3, 3, [0, 0, 0, 0], [], [], dtype)
+    assert_same_vector(kernels.matvec(empty_rows, x), [sparse.as_vector([0], dtype)[0]] * 3, dtype)
+    b = sparse.as_vector([5, 4, 6], dtype)
+    out, arg = kernels.matvec_reduce(empty_rows, np.array([0, 2, 3]), x, False, b)
+    assert_same_vector(out, list(b[[1, 2]]), dtype)
+    assert arg.tolist() == [1, 0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 30), st.booleans(), st.integers(0, 2**32))
+def test_gauss_seidel_sweep_on_lists_matches_arrays(n, relative, seed):
+    rnd = random.Random(seed)
+    lengths = [rnd.choice([0, 1, 2, 3, n]) for _ in range(n)]
+    offsets = np.cumsum([0] + lengths)
+    cols = np.array([rnd.randrange(n) for _ in range(offsets[-1])], dtype=np.int64)
+    values = np.array([rnd.choice([0.0, -0.0, 0.5, float(n), rnd.uniform(-1.0, 1.0)]) / n for _ in cols])
+    b = np.array([rnd.uniform(-1.0, 1.0) for _ in range(n)])
+    x0 = np.array([rnd.choice([0.0, -0.0, rnd.uniform(-1.0, 1.0)]) for _ in range(n)])
+
+    x_array = x0.copy()
+    from_arrays = kernels.gauss_seidel_sweep(offsets, cols, values, b, x_array, relative)
+    x_list = x0.tolist()
+    from_lists = kernels.gauss_seidel_sweep(
+        offsets.tolist(), cols.tolist(), values.tolist(), b.tolist(), x_list, relative
+    )
+    assert np.float64(from_lists[0]).tobytes() == np.float64(from_arrays[0]).tobytes()
+    assert from_lists[1] == from_arrays[1]
+    assert np.array(x_list).tobytes() == x_array.tobytes()
