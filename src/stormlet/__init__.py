@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import StormletError
-from .models import Model, ModelKind, RewardModel, StateLabeling, classify
+from .models import Model, ModelKind, RewardModel, StateLabeling
 from .solvers import SolverEnvironment
 from .sparse import SparseMatrix, build_sparse
 
@@ -16,6 +16,5 @@ __all__ = [
     "StateLabeling",
     "StormletError",
     "build_sparse",
-    "classify",
     "__version__",
 ]

@@ -1,5 +1,6 @@
 """Sparse verification engine: property dispatch, precomputation, solving."""
 
+import functools
 import math
 import operator
 import time
@@ -9,9 +10,10 @@ import numpy as np
 
 from . import graph, kernels, props, solvers, sparse
 from .errors import PropertyError, UnsupportedCombination
-from .models import ModelKind
+from .models import Model, ModelKind, StateLabeling
 
 UNIFORMIZATION_SLACK = 1.02  # diagonal slack factor on the uniformization rate
+_DUAL = {None: None, "min": "max", "max": "min"}
 
 
 @dataclass
@@ -19,9 +21,6 @@ class CheckResult:
     values: object  # bool array for bounded operators, else numeric vector
     numeric: object  # underlying per-state quantities
     metadata: dict = field(default_factory=dict)
-
-    def value_at(self, state):
-        return self.values[state]
 
 
 def check(model, prop, env):
@@ -71,16 +70,13 @@ def _dispatch_path(model, path, optimum, env):
         if k < 0:
             raise PropertyError("step bound must be nonnegative")
         return check_bounded_until(model, left, right, k, optimum), {"method": "stepping"}
-    if model.kind is ModelKind.MDP:
-        return check_until_mdp(model, left, right, optimum, env)
-    return check_until(model.matrix, left, right, env)
+    return check_until(model, left, right, optimum, env)
 
 
 def _check_globally(model, path, optimum, env):
     """G f is checked as one minus reaching the complement of f, optimised the other way."""
-    dual = None if optimum is None else ("min" if optimum == "max" else "max")
     reach_violation = props.Until(np.ones(model.n_states, dtype=bool), props.Not(path.target), path.bound)
-    values, meta = _dispatch_path(model, reach_violation, dual, env)
+    values, meta = _dispatch_path(model, reach_violation, _DUAL[optimum], env)
     return 1 - values, meta
 
 
@@ -132,55 +128,58 @@ def check_bounded_until(model, left, right, k, optimum=None):
     return x
 
 
-def check_until(matrix, left, right, env):
-    """Unbounded until on a DTMC (or the embedded chain of a CTMC)."""
-    p0 = graph.prob0(matrix, left, right)
-    p1 = graph.prob1(matrix, left, right, p0)
-    maybe = ~(p0 | p1)
+def _prob01(model, left, right, optimum):
+    """States where left U right holds with probability 0 and with probability 1.
+
+    On an MDP these are prob0A/prob1E for the max and prob0E/prob1A for the
+    min scheduler; a CTMC answers with its embedded chain.
+    """
+    if model.kind is not ModelKind.MDP:
+        p0 = graph.prob0(model.matrix, left, right)
+        return p0, graph.prob1(model.matrix, left, right, p0)
+    prob01 = graph.prob01_max if optimum == "max" else graph.prob01_min
+    return prob01(model.matrix, model.choice_offsets, left, right)
+
+
+def check_until(model, left, right, optimum, env):
+    """Unbounded until on any model kind; a CTMC is checked on its embedded chain."""
+    p0, p1 = _prob01(model, left, right, optimum)
     meta = {"prob0": int(p0.sum()), "prob1": int(p1.sum())}
-
-    values = sparse.as_vector(p1, matrix.dtype)
-    if maybe.any():
-        sub, _ = sparse.restrict(matrix, maybe, maybe)
-        # one-step mass into p1; adding v * 0 is exact, so CSR order is kept
-        b = kernels.matvec(matrix, values)[maybe]
-        outcome = solvers.solve_linear(solvers.LinearSystem(sub, b), env)
-        meta["iterations"] = outcome.iterations
-        meta["method"] = outcome.method
-        values[maybe] = outcome.x
-    else:
-        meta["iterations"] = 0
-        meta["method"] = "precomputation"
+    values = sparse.as_vector(p1, model.dtype)
+    # b is the one-step mass into p1; adding v * 0 is exact, so CSR order is kept
+    one_step = functools.partial(kernels.matvec, model.matrix, values)
+    meta.update(_solve_maybe(model, values, ~(p0 | p1), one_step, optimum, env))
     return values, meta
 
 
-def check_until_mdp(model, left, right, direction, env):
-    if direction not in ("min", "max"):
-        raise PropertyError("MDP until needs a min or max direction")
-    matrix = model.matrix
-    offsets = model.choice_offsets
-    if direction == "max":
-        p0, p1 = graph.prob01_max(matrix, offsets, left, right)
-    else:
-        p0, p1 = graph.prob01_min(matrix, offsets, left, right)
-    maybe = ~(p0 | p1)
-    meta = {"prob0": int(p0.sum()), "prob1": int(p1.sum()), "direction": direction}
+def _solve_maybe(model, values, maybe, rhs, optimum, env, choice_ok=None, seed=None):
+    """Solve x = b + P.x on the maybe states into values[maybe]; return its metadata.
 
-    values = sparse.as_vector(p1, matrix.dtype)
-    scheduler = np.zeros(model.n_states, dtype=np.int64)
-    if maybe.any():
-        every_row = np.ones(matrix.rows, dtype=bool)
-        b = kernels.matvec(matrix, values)  # one-step mass into p1, as in check_until
-        outcome, chosen = _solve_maybe_mdp(model, maybe, every_row, b, direction, env)
-        meta["iterations"] = outcome.iterations
-        meta["method"] = outcome.method
-        values[maybe] = outcome.x
-        scheduler[maybe] = chosen
+    ``rhs()`` gives b, one entry per matrix row; it is called only when some
+    state is maybe. A chain solves one linear system. An MDP optimises over
+    its choice_ok rows (all by default), with policy iteration started from
+    ``seed``; its metadata adds the direction and each state's optimal choice
+    (0 where precomputation settled the state).
+    """
+    meta = {"iterations": 0, "method": "precomputation"}
+    mdp = model.kind is ModelKind.MDP
+    if mdp:
+        meta["direction"] = optimum
+        meta["scheduler"] = np.zeros(model.n_states, dtype=np.int64)
+    if not maybe.any():
+        return meta
+    if mdp:
+        if choice_ok is None:
+            choice_ok = np.ones(model.n_choices, dtype=bool)
+        outcome, chosen = _solve_maybe_mdp(model, maybe, choice_ok, rhs(), optimum, env, seed)
+        meta["scheduler"][maybe] = chosen
     else:
-        meta["iterations"] = 0
-        meta["method"] = "precomputation"
-    meta["scheduler"] = scheduler
-    return values, meta
+        sub, _ = sparse.restrict(model.matrix, maybe, maybe)
+        outcome = solvers.solve_linear(solvers.LinearSystem(sub, rhs()[maybe]), env)
+    values[maybe] = outcome.x
+    meta["iterations"] = outcome.iterations
+    meta["method"] = outcome.method
+    return meta
 
 
 def _solve_maybe_mdp(model, maybe, choice_ok, b, direction, env, seed=None):
@@ -221,10 +220,7 @@ def _dispatch_reward(model, prop, env):
         if k.denominator != 1 or k < 0:
             raise PropertyError("cumulative bound must be a nonnegative integer")
         return check_cumulative_reward(model, rm, int(k), prop.optimum), {"method": "stepping"}
-    target = _bits(model, arg, env)
-    if model.kind is ModelKind.MDP:
-        return check_reach_reward_mdp(model, rm, target, prop.optimum, env)
-    return check_reach_reward(model, rm, target, env)
+    return check_reach_reward(model, rm, _bits(model, arg, env), prop.optimum, env)
 
 
 def _choice_rewards(model, rm):
@@ -238,70 +234,24 @@ def _choice_rewards(model, rm):
     return state_part + action_part
 
 
-def _reward_values(model, infinite):
-    """Per-state reward vector: zero, with infinity where the target is missed."""
-    values = sparse.as_vector(np.zeros(model.n_states), model.dtype)
-    values[infinite] = math.inf
-    return values
+def check_reach_reward(model, rm, target, optimum, env):
+    """Expected reward accumulated until reaching target, on any model kind.
 
-
-def check_reach_reward(model, rm, target, env):
-    """Expected reward accumulated until reaching target (DTMC / embedded CTMC)."""
-    matrix = model.matrix
+    The reward is finite where even the scheduler of the opposite optimum
+    reaches target almost surely: prob1A for Rmax, prob1E for Rmin.
+    """
     everywhere = np.ones(model.n_states, dtype=bool)
-    p0 = graph.prob0(matrix, everywhere, target)
-    p1 = graph.prob1(matrix, everywhere, target, p0)
-    infinite = ~p1
-    maybe = p1 & ~target
-    meta = {"infinite": int(infinite.sum())}
-
-    values = _reward_values(model, infinite)
-    if maybe.any():
-        sub, _ = sparse.restrict(matrix, maybe, maybe)
-        b = _choice_rewards(model, rm)[maybe]
-        outcome = solvers.solve_linear(solvers.LinearSystem(sub, b), env)
-        meta["iterations"] = outcome.iterations
-        meta["method"] = outcome.method
-        values[maybe] = outcome.x
-    return values, meta
-
-
-def check_reach_reward_mdp(model, rm, target, direction, env):
-    if direction not in ("min", "max"):
-        raise PropertyError("MDP reward needs a min or max direction")
-    matrix = model.matrix
-    offsets = model.choice_offsets
-    everywhere = np.ones(model.n_states, dtype=bool)
-    witness = None
-
-    if direction == "max":
-        # infinite wherever some scheduler misses the target with positive probability
-        _, p1a = graph.prob01_min(matrix, offsets, everywhere, target)
-        finite = p1a
-        choice_ok = np.ones(matrix.rows, dtype=bool)
-    else:
-        # infinite wherever no scheduler reaches the target almost surely
-        _, p1e = graph.prob01_max(matrix, offsets, everywhere, target)
-        finite = p1e
+    _, finite = _prob01(model, everywhere, target, _DUAL[optimum])
+    choice_ok = seed = None
+    if optimum == "min":
         # choices leaving the almost-sure region would have infinite value
-        choice_ok = graph._per_row_all(matrix, finite)
-        witness = graph.prob1e_witness(matrix, offsets, everywhere, target, p1e)
-
-    infinite = ~finite
-    maybe = finite & ~target
-    meta = {"infinite": int(infinite.sum()), "direction": direction}
-    values = _reward_values(model, infinite)
-    scheduler = np.zeros(model.n_states, dtype=np.int64)
-
-    if maybe.any():
-        outcome, chosen = _solve_maybe_mdp(
-            model, maybe, choice_ok, _choice_rewards(model, rm), direction, env, witness
-        )
-        meta["iterations"] = outcome.iterations
-        meta["method"] = outcome.method
-        values[maybe] = outcome.x
-        scheduler[maybe] = chosen
-    meta["scheduler"] = scheduler
+        choice_ok = graph._per_row_all(model.matrix, finite)
+        seed = graph.prob1e_witness(model.matrix, model.choice_offsets, everywhere, target, finite)
+    meta = {"infinite": int((~finite).sum())}
+    values = sparse.as_vector(np.zeros(model.n_states), model.dtype)
+    values[~finite] = math.inf
+    rewards = functools.partial(_choice_rewards, model, rm)
+    meta.update(_solve_maybe(model, values, finite & ~target, rewards, optimum, env, choice_ok, seed))
     return values, meta
 
 
@@ -407,10 +357,10 @@ def check_conditional(model, objective, condition, env):
             raise UnsupportedCombination(
                 "conditional probabilities support unbounded reachability/until formulas only"
             )
-    obj_l = _as_bits(model, objective.left, env)
-    obj_r = _as_bits(model, objective.right, env)
-    con_l = _as_bits(model, condition.left, env)
-    con_r = _as_bits(model, condition.right, env)
+    obj_l = _bits(model, objective.left, env)
+    obj_r = _bits(model, objective.right, env)
+    con_l = _bits(model, condition.left, env)
+    con_r = _bits(model, condition.right, env)
 
     index = {}
     order = []
@@ -449,8 +399,9 @@ def check_conditional(model, objective, condition, env):
 
     target = np.array([a == _SUCCESS and b == _SUCCESS for (_, a, b) in order])
     everywhere = np.ones(len(order), dtype=bool)
-    num_all, _ = check_until(product, everywhere, target, env)
-    den, den_meta = check_until(model.matrix, con_l, con_r, env)
+    chain = Model(ModelKind.DTMC, product, StateLabeling(len(order)))
+    num_all, _ = check_until(chain, everywhere, target, None, env)
+    den, den_meta = check_until(model, con_l, con_r, None, env)
 
     num = num_all[starts]
     zero = den == 0
@@ -464,7 +415,3 @@ def check_conditional(model, objective, condition, env):
     meta.update({k: v for k, v in den_meta.items() if k == "iterations"})
     return values, meta
 
-
-def _as_bits(model, sf, env):
-    bits = _bits(model, sf, env)
-    return np.asarray(bits, dtype=bool)

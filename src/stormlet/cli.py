@@ -145,23 +145,15 @@ def parse_args(argv):
     if not properties:
         _fail_usage("at least one property is required (--prop or --prop-file)")
 
-    if ns.exact:
-        env = SolverEnvironment(
-            linear_method="exact",
-            minmax_method="policy_iteration",
-            precision=ns.precision,
-            criterion="absolute" if ns.absolute else "relative",
-            max_iterations=ns.max_iter,
-            exact=True,
-        )
-    else:
-        env = SolverEnvironment(
-            linear_method=ns.solver.replace("-", "_"),
-            minmax_method="policy_iteration" if ns.minmax == "pi" else "value_iteration",
-            precision=ns.precision,
-            criterion="absolute" if ns.absolute else "relative",
-            max_iterations=ns.max_iter,
-        )
+    # with --exact the matrices are rational, and the solvers then pick
+    # exact elimination and policy iteration whatever the method flags say
+    env = SolverEnvironment(
+        linear_method=ns.solver.replace("-", "_"),
+        minmax_method="policy_iteration" if ns.minmax == "pi" else "value_iteration",
+        precision=ns.precision,
+        criterion="absolute" if ns.absolute else "relative",
+        max_iterations=ns.max_iter,
+    )
     return RunConfig(
         explicit_paths=tuple(ns.explicit) if ns.explicit else None,
         srew_path=ns.srew,
@@ -203,11 +195,26 @@ def _load_model(config):
     return explore(typed, options)
 
 
+def _fraction_text(v):
+    """v written out in full.
+
+    Python refuses to turn an int of more than 4300 digits into a string;
+    that limit guards the parsing of model and property input, so it is
+    lifted only while a result is written.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _value_text(v):
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, Fraction):
-        return str(v)
+        return _fraction_text(v)
     v = float(v)
     if math.isinf(v):
         return "inf"
@@ -220,7 +227,7 @@ def _value_json(v):
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, Fraction):
-        return str(v)
+        return _fraction_text(v)
     v = float(v)
     if math.isinf(v):
         return "inf"

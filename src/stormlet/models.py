@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from . import sparse
-from .errors import DeadlockError, ModelError, StormletError
+from .errors import DeadlockError, ModelError
 
 ROW_SUM_TOLERANCE = 1e-10
 
@@ -20,29 +20,6 @@ class ModelKind(Enum):
     DTMC = "dtmc"
     CTMC = "ctmc"
     MDP = "mdp"
-
-    @property
-    def continuous_time(self):
-        return self is ModelKind.CTMC
-
-    @property
-    def nondeterministic(self):
-        return self is ModelKind.MDP
-
-
-def classify(time, nondeterministic):
-    """Map (time domain, nondeterminism) to a model kind.
-
-    Continuous-time nondeterministic models (Markov automata / CTMDPs) are
-    not supported.
-    """
-    if time not in ("discrete", "continuous"):
-        raise StormletError(f"unknown time domain {time!r}")
-    if time == "discrete":
-        return ModelKind.MDP if nondeterministic else ModelKind.DTMC
-    if nondeterministic:
-        raise ModelError("continuous-time nondeterministic models are unsupported")
-    return ModelKind.CTMC
 
 
 class StateLabeling:

@@ -29,7 +29,7 @@ class SolverEnvironment:
     precision: float = 1e-6
     criterion: str = "relative"  # relative | absolute
     max_iterations: int = 1_000_000
-    exact: bool = False
+    exact: bool = False  # unread: a rational matrix selects the exact methods
 
     def __post_init__(self):
         if self.linear_method not in ("jacobi", "gauss_seidel", "exact"):
@@ -253,24 +253,13 @@ def _policy_iteration(system, env, initial_scheduler):
     for it in range(1, cap + 1):
         x = _evaluate_scheduler(system, scheduler, env)
         q = _q_values(system, x)
-        qs = q.tolist()
-        changed = False
-        for s in range(system.n_states):
-            lo, hi = system.choice_offsets[s], system.choice_offsets[s + 1]
-            cur = lo + scheduler[s]
-            best = cur
-            for c in range(lo, hi):
-                if c == cur:
-                    continue
-                better = (qs[c] > qs[best] + imp_eps) if maximize else (qs[c] < qs[best] - imp_eps)
-                if better:
-                    best = c
-            if best != cur:
-                scheduler[s] = best - lo
-                changed = True
-        if not changed:
-            _, final = kernels.first_optimum(q, system.choice_offsets, maximize)
-            return SolveOutcome(x=x, iterations=it, converged=True, scheduler=final, method="policy_iteration")
+        best, first = kernels.first_optimum(q, system.choice_offsets, maximize)
+        current = q[system.choice_offsets[:-1] + scheduler]
+        # a state switches to its first optimal choice only if that beats its current one by the margin
+        switch = (best > current + imp_eps) if maximize else (best < current - imp_eps)
+        if not switch.any():
+            return SolveOutcome(x=x, iterations=it, converged=True, scheduler=first, method="policy_iteration")
+        scheduler[switch] = first[switch]
     raise NotConverged(cap, best=x)
 
 

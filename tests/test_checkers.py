@@ -214,6 +214,52 @@ def test_mdp_scheduler_metadata():
     assert out.metadata["direction"] == "max"
 
 
+# state 0 splits between the absorbing states 1 and 2; in the MDP it may
+# also move to 1 for sure
+TWO_WAY = """{kind}
+module m
+  s : [0..2] init 0;
+  [] s=0 -> {p} : (s'=1) + {p} : (s'=2);
+  {extra}
+  [] s>0 -> (s'=s);
+endmodule
+label "one" = s=1;
+label "done" = s>0;
+rewards "r" true : 1; endrewards
+"""
+TWO_WAY_CASES = {
+    "dtmc": ("0.5", "", ["P=? [ F {} ]", "R=? [ F {} ]"]),
+    "ctmc": ("2", "", ["P=? [ F {} ]", "R=? [ F {} ]"]),
+    "mdp": ("0.5", "[] s=0 -> (s'=1);", ["Pmin=? [ F {} ]", "Pmax=? [ F {} ]", "Rmin=? [ F {} ]", "Rmax=? [ F {} ]"]),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("kind", ["dtmc", "ctmc", "mdp"])
+def test_unbounded_metadata_on_every_model_kind(kind, exact):
+    p, extra, templates = TWO_WAY_CASES[kind]
+    program = typecheck(parse_program(TWO_WAY.format(kind=kind, p=p, extra=extra)))
+    model, state_map = explore(program, ExploreOptions(exact=exact))
+    seen = set()
+    for template in templates:
+        for target in ('"one"', '"done"'):
+            text = template.format(target)
+            prop = resolve_atoms(parse_property(text), model, state_map)
+            meta = checkers.check(model, prop, ENV).metadata
+            assert meta.keys() >= {"iterations", "method"}, text
+            settled = meta["method"] == "precomputation"
+            seen.add((text[0], settled))
+            if settled:
+                assert meta["iterations"] == 0
+            elif exact:
+                assert meta["method"] in ("exact", "policy_iteration")
+            if kind == "mdp":
+                assert meta["direction"] == text[1:4]
+                assert len(meta["scheduler"]) == model.n_states
+    # P and R each met a solve and a query that precomputation settled
+    assert seen == {("P", True), ("P", False), ("R", True), ("R", False)}
+
+
 # --- rewards --------------------------------------------------------------
 
 

@@ -1,12 +1,14 @@
 """Command-line interface: flags, output formats, exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stormlet import cli
+from stormlet import checkers, cli
 
 CORPUS = Path(__file__).parent / "corpus"
 DIE = str(CORPUS / "die.pm")
@@ -55,6 +57,25 @@ def test_json_output(capsys):
 def test_json_exact_values_are_strings(capsys):
     code, out, _ = run_cli(capsys, "--prism", DIE, "--exact", "--json", "--prop", 'P=? [ F "six" ]')
     assert json.loads(out)["values"]["0"] == "1/6"
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_format_result_prints_long_fractions_in_full(fmt):
+    # 5001 digits, past Python's default int-to-str limit of 4300
+    value = Fraction(10**5000 + 1, 3)
+    values = np.array([value], dtype=object)
+    result = checkers.CheckResult(values=values, numeric=values)
+    limit = sys.get_int_max_str_digits()
+    out = cli.format_result(result, fmt, "R=? [ C<=15000 ]", [0])
+    expected = "1" + "0" * 4999 + "1/3"
+    if fmt == "human":
+        assert out.splitlines()[1] == f"Result (state 0): {expected}"
+    else:
+        assert json.loads(out)["values"]["0"] == expected
+    # the limit still guards input parsing
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        int("1" * 5000)
 
 
 def test_multiple_properties_in_order(capsys):

@@ -1,4 +1,4 @@
-"""Model construction, classification, labeling and validation."""
+"""Model construction, labeling and validation."""
 
 from fractions import Fraction
 
@@ -6,27 +6,14 @@ import numpy as np
 import pytest
 
 from stormlet import sparse
-from stormlet.errors import DeadlockError, ModelError, StormletError
-from stormlet.models import Model, ModelKind, RewardModel, StateLabeling, classify
+from stormlet.errors import DeadlockError, ModelError
+from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 
 
 def dtmc_matrix():
     return sparse.build_sparse(
         [(0, 0, 0.5), (0, 1, 0.5), (1, 1, 1.0)], 2, 2
     )
-
-
-def test_classify_table():
-    assert classify("discrete", False) is ModelKind.DTMC
-    assert classify("discrete", True) is ModelKind.MDP
-    assert classify("continuous", False) is ModelKind.CTMC
-
-
-def test_classify_rejects_continuous_nondeterminism():
-    with pytest.raises(ModelError):
-        classify("continuous", True)
-    with pytest.raises(StormletError):
-        classify("hybrid", False)
 
 
 def test_labeling_basic():

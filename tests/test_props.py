@@ -1,6 +1,8 @@
 """Property grammar, printing, and atom resolution."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,28 @@ def test_resolve_keeps_nested_operators():
     model = simple_dtmc({"a": [True, False]})
     resolved = resolve_atoms(parse_property('P=? [ F P>=1 [ F "a" ] ]'), model)
     assert isinstance(resolved.path.right, props.NestedCheck)
+
+
+# --- README examples ------------------------------------------------------
+
+
+def _readme_property_section():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## Property language\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_property_examples_parse():
+    block = _readme_property_section().split("```", 2)[1]
+    examples = [line for line in block.splitlines() if line.strip()]
+    assert len(examples) >= 8
+    for line in examples:
+        # each line is a property followed by its description
+        parse_property(line[: line.rindex("]") + 1])
+
+
+def test_readme_connectives_parse():
+    listed = re.search(r"boolean connectives\s*\(([^)]*)\)", _readme_property_section()).group(1)
+    connectives = re.findall(r"`([^`]+)`", listed)
+    assert connectives
+    for op in connectives:
+        parse_property(f'P=? [ F {op} "a" ]' if op == "!" else f'P=? [ F "a" {op} "b" ]')

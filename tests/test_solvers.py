@@ -296,6 +296,31 @@ def test_scheduler_extraction_lowest_index():
         assert out.scheduler[0] == 0
 
 
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("direction", ["maximize", "minimize"])
+def test_policy_improvement_margin(direction, rational):
+    # one state whose choices stop at once with value b; choice 1 is better
+    # than the current choice 0 by 5e-13, less than the float margin 1e-12
+    gain = Fraction(1, 2 * 10**12)
+    b = [Fraction(1, 2), Fraction(1, 2) + gain]
+    if direction == "minimize":
+        b = [b[1], b[0]]
+    dtype = "rational" if rational else "float"
+    system = BellmanSystem(sparse.build_sparse([], 2, 1, dtype), [0, 2], sparse.as_vector(b, dtype), direction)
+    out = solvers.solve_minmax(system, SolverEnvironment(minmax_method="policy_iteration"), initial_scheduler=[0])
+    # float keeps the current choice; exact switches on any strict gain
+    assert out.x[0] == (b[1] if rational else float(b[0]))
+    assert out.iterations == (2 if rational else 1)
+
+
+def test_policy_improvement_takes_first_optimal_choice():
+    # choice 2 is optimal; choice 1 beats the current choice 0 by more than the margin too
+    b = [0.5, 0.5 + 2e-12, 0.5 + 2.5e-12]
+    system = BellmanSystem(sparse.build_sparse([], 3, 1), [0, 3], b, "maximize")
+    out = solvers.solve_minmax(system, SolverEnvironment(minmax_method="policy_iteration"), initial_scheduler=[0])
+    assert out.x[0] == b[2] and out.scheduler[0] == 2
+
+
 # --- Fox-Glynn windows ----------------------------------------------------
 
 
