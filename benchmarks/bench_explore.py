@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Benchmark model construction on a growing tandem queue.
+
+The CTMC has three stations in series, each holding up to c customers;
+stations 1-2 and 2-3 synchronise on the hand-over actions, and the program
+has three labels and a state and an action reward structure, so every
+construction phase has work to do. c = 10, 20, 30, 40 gives (c+1)^3 =
+1 331 to 68 921 states.
+
+``explore`` is timed whole; the label, reward and ``build_sparse`` calls
+it makes are timed by wrapping them where ``explore`` looks them up, and
+the explore phase is the rest. For each c the script prints the best time
+of each phase in ms and the same time per 10^3 stored transitions; a flat
+last column is linear growth.
+
+Usage: python3 benchmarks/bench_explore.py [--caps 10,20,30,40] [--repeats 3]
+"""
+
+import argparse
+import sys
+import time
+
+from stormlet import sparse
+from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
+
+TANDEM = """ctmc
+
+const int c;
+const double lam = 3.001;
+const double mu1 = 2.499;
+const double mu2 = 1.999;
+const double mu3 = 3.003;
+
+module station1
+  n1 : [0..c] init 0;
+  [arrive] n1<c -> lam : (n1'=n1+1);
+  [serve1] n1>0 -> mu1 : (n1'=n1-1);
+endmodule
+
+module station2
+  n2 : [0..c] init 0;
+  [serve1] n2<c -> 1 : (n2'=n2+1);
+  [serve2] n2>0 -> mu2 : (n2'=n2-1);
+endmodule
+
+module station3
+  n3 : [0..c] init 0;
+  [serve2] n3<c -> 1 : (n3'=n3+1);
+  [serve3] n3>0 -> mu3 : (n3'=n3-1);
+endmodule
+
+label "busy1" = n1>=1;
+label "queue1" = n1>=2;
+label "busy2" = n2>=1;
+
+rewards "queue"
+  true : n1+n2+n3;
+endrewards
+
+rewards "served"
+  [serve3] true : 1;
+endrewards
+"""
+
+PHASES = ("explore", "labels", "rewards", "build_sparse")
+# phase -> (module, attribute) of the call explore makes for it
+TIMED = {
+    "labels": (sys.modules["stormlet.prism.explore"], "build_label_bitsets"),
+    "rewards": (sys.modules["stormlet.prism.explore"], "build_reward_models"),
+    "build_sparse": (sparse, "build_sparse"),
+}
+
+
+def timed_explore(program):
+    """One explore call: the model and the seconds spent in each phase."""
+    spent = dict.fromkeys(PHASES, 0.0)
+    saved = {}
+
+    def wrap(phase, fn):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[phase] += time.perf_counter() - start
+        return timed
+
+    for phase, (owner, attr) in TIMED.items():
+        saved[phase] = getattr(owner, attr)
+        setattr(owner, attr, wrap(phase, saved[phase]))
+    try:
+        start = time.perf_counter()
+        model, _ = explore(program, ExploreOptions())
+        total = time.perf_counter() - start
+    finally:
+        for phase, (owner, attr) in TIMED.items():
+            setattr(owner, attr, saved[phase])
+    spent["explore"] = total - sum(spent[p] for p in TIMED)
+    return model, spent
+
+
+def bench_cap(cap, repeats):
+    program = typecheck(parse_program(TANDEM), {"c": cap})
+    best = dict.fromkeys(PHASES, float("inf"))
+    for _ in range(repeats):
+        model, spent = timed_explore(program)
+        for phase in PHASES:
+            best[phase] = min(best[phase], spent[phase])
+    return model.n_states, model.matrix.nnz, best
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--caps", default="10,20,30,40", help="comma-separated station capacities c")
+    parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
+    args = parser.parse_args()
+
+    print(f"{'c':>4} {'states':>8} {'transitions':>11}  {'phase':<12} {'ms':>10} {'ms/1e3 tr':>10}")
+    for cap in (int(s) for s in args.caps.split(",")):
+        states, nnz, best = bench_cap(cap, args.repeats)
+        for phase in PHASES:
+            ms = best[phase] * 1e3
+            print(f"{cap:>4} {states:>8} {nnz:>11}  {phase:<12} {ms:>10.2f} {ms / nnz * 1e3:>10.4f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -69,7 +69,7 @@ class RewardModel:
         for vec in (self.state_rewards, self.action_rewards):
             if vec is None:
                 continue
-            if any(v < 0 for v in vec):
+            if np.any(np.asarray(vec) < 0):
                 raise ModelError(f"reward model {self.name!r} contains negative rewards")
 
 

@@ -3,12 +3,13 @@
 from .explore import ExploreOptions, build_label_bitsets, build_reward_models, explore
 from .lexer import tokenize
 from .parser import parse_program
-from .semantics import eval_expr, typecheck
+from .semantics import compile_expr, eval_expr, typecheck
 
 __all__ = [
     "ExploreOptions",
     "build_label_bitsets",
     "build_reward_models",
+    "compile_expr",
     "eval_expr",
     "explore",
     "parse_program",

@@ -1,5 +1,10 @@
 """Explicit-state exploration of a typechecked program.
 
+Every guard, update weight, assignment, label and reward expression is
+compiled once per call into a closure over the valuation tuple
+(``semantics.compile_expr``); states are valuation tuples, and a successor
+copies its source tuple and overwrites the assigned slots. Variable ranges
+are checked once before exploring, and every assigned value against them.
 BFS from the initial valuation with state indices in discovery order.
 Unlabeled commands interleave; commands sharing an action label synchronize
 across every module that mentions the action (branch weights multiply,
@@ -8,7 +13,6 @@ CTMCs race (rates add), MDPs keep one choice per combined command.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +21,10 @@ import numpy as np
 from .. import sparse
 from ..errors import DeadlockError, ModelError, StormletError
 from ..models import Model, ModelKind, RewardModel, StateLabeling
-from .semantics import eval_expr
+from .semantics import compile_expr, eval_expr
 
 WEIGHT_SUM_TOLERANCE = 1e-10
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass
@@ -34,6 +39,8 @@ class StateMap:
 
     def __init__(self, variable_names):
         self.variable_names = list(variable_names)
+        # variable name -> position in a valuation tuple
+        self.slots = {name: i for i, name in enumerate(self.variable_names)}
         self.index_of = {}
         self.valuations = []
 
@@ -52,49 +59,67 @@ class StateMap:
         return len(self.valuations)
 
 
-def _initial_valuation(decls, exact):
-    values = []
+class _Command:
+    """A command with its guard, weights and assignments compiled.
+
+    ``updates`` holds one (weight or None, [(slot, value)]) per update.
+    """
+
+    __slots__ = ("action", "span", "guard", "updates")
+
+    def __init__(self, command, slots, exact):
+        self.action = command.action
+        self.span = command.span
+        self.guard = compile_expr(command.guard, slots, exact)
+        self.updates = [
+            (
+                None if upd.weight is None else compile_expr(upd.weight, slots, exact),
+                [(slots[var], compile_expr(rhs, slots, exact)) for var, rhs in upd.assignments],
+            )
+            for upd in command.updates
+        ]
+
+
+def _ranges(decls):
+    """Per variable, None for a boolean or its (low, high); empty ranges are errors."""
+    bounds = []
     for decl in decls:
-        v = eval_expr(decl.init, {}, exact)
-        _check_bounds(decl, v, "initial value")
-        values.append(v)
-    return tuple(values)
+        if decl.is_bool:
+            bounds.append(None)
+            continue
+        low, high = eval_expr(decl.low), eval_expr(decl.high)
+        if low > high:
+            raise ModelError(f"variable {decl.name!r} has empty range [{low}..{high}]")
+        bounds.append((low, high))
+    return bounds
 
 
-def _check_bounds(decl, value, what):
-    if decl.is_bool:
+def _check_bounds(decl, bound, value, what):
+    if bound is None:
         if not isinstance(value, bool):
             raise ModelError(f"{what} of {decl.name!r} is not boolean")
-        return
-    low = decl.low.value
-    high = decl.high.value
-    if not low <= value <= high:
-        raise StormletError(
-            f"{what} of {decl.name!r} is {value}, outside [{low}..{high}]"
-        )
-    if low > high:
-        raise ModelError(f"variable {decl.name!r} has empty range [{low}..{high}]")
+    elif not bound[0] <= value <= bound[1]:
+        raise StormletError(f"{what} of {decl.name!r} is {value}, outside [{bound[0]}..{bound[1]}]")
 
 
 def _command_branches(command, valuation, exact, kind):
-    """Evaluate one enabled command into [(weight, {var: value})].
+    """Evaluate one enabled command into [(weight, {slot: value})].
 
     For DTMC/MDP the weights must sum to 1 (within 1e-10 in float mode).
     """
-    one = Fraction(1) if exact else 1.0
+    one = _ONE if exact else 1.0
     branches = []
-    total = Fraction(0) if exact else 0.0
-    for upd in command.updates:
-        if upd.weight is None:
+    total = _ZERO if exact else 0.0
+    for weight, assignments in command.updates:
+        if weight is None:
             w = one
         else:
-            w = eval_expr(upd.weight, valuation, exact)
+            w = weight(valuation)
             w = Fraction(w) if exact else float(w)
         if w < 0:
             raise ModelError(f"negative update weight at line {command.span[0]}")
         total += w
-        assigns = {var: eval_expr(rhs, valuation, exact) for var, rhs in upd.assignments}
-        branches.append((w, assigns))
+        branches.append((w, {slot: value(valuation) for slot, value in assignments}))
     if kind is not ModelKind.CTMC:
         if exact:
             if total != 1:
@@ -112,6 +137,8 @@ def _command_branches(command, valuation, exact, kind):
 
 def _combine(parts):
     """Cartesian product of per-module branch lists: weights multiply, assignments merge."""
+    if len(parts) == 1:
+        return parts[0]
     combined = []
     for combo in itertools.product(*parts):
         weight = combo[0][0]
@@ -129,7 +156,9 @@ def explore(program, options=None):
     kind = program.model_type
     exact = options.exact
     decls = list(program.all_variables())
-    names = [d.name for d in decls]
+    state_map = StateMap(d.name for d in decls)
+    bounds = _ranges(decls)
+    modules = [[_Command(cmd, state_map.slots, exact) for cmd in module.commands] for module in program.modules]
 
     # modules participating in each synchronizing action, in module order
     action_modules = {}
@@ -139,11 +168,12 @@ def explore(program, options=None):
                 action_modules.setdefault(cmd.action, [])
                 if mi not in action_modules[cmd.action]:
                     action_modules[cmd.action].append(mi)
-    action_order = list(action_modules)
 
-    state_map = StateMap(names)
-    init, _ = state_map.intern(_initial_valuation(decls, exact))
-    queue = deque([init])
+    initial = tuple(eval_expr(decl.init, exact=exact) for decl in decls)
+    for decl, bound, value in zip(decls, bounds, initial):
+        _check_bounds(decl, bound, value, "initial value")
+    init, _ = state_map.intern(initial)
+    valuations, index_of = state_map.valuations, state_map.index_of
     triples = []
     choice_offsets = [0]
     exit_rates = [] if kind is ModelKind.CTMC else None
@@ -157,34 +187,50 @@ def explore(program, options=None):
         key = frozenset(labels)
         return interned.setdefault(key, key)
 
+    def successor(assigns):
+        values = list(valuation)
+        for slot, value in assigns.items():
+            bound = bounds[slot]
+            if not (isinstance(value, bool) if bound is None else bound[0] <= value <= bound[1]):
+                # report the first bad variable in declaration order
+                for i in sorted(assigns):
+                    _check_bounds(decls[i], bounds[i], assigns[i], f"assignment in state {valuation}")
+            values[slot] = value
+        values = tuple(values)
+        idx = index_of.get(values)
+        if idx is None:
+            idx, _ = state_map.intern(values)
+            if len(valuations) > options.max_states:
+                raise StormletError(f"state limit of {options.max_states} states exceeded")
+        return idx
+
     row_index = 0
     one = Fraction(1) if exact else 1.0
+    zero = Fraction(0) if exact else 0.0
 
-    while queue:
-        s = queue.popleft()
-        valuation = dict(zip(names, state_map.valuations[s]))
+    # BFS: states are numbered in discovery order, so the queue is the index range
+    s = 0
+    while s < len(valuations):
+        valuation = valuations[s]
+
+        # enabled commands of each module by action (None: unlabeled), all guards in module order
+        enabled_by_module = []
+        for commands in modules:
+            enabled = {}
+            for cmd in commands:
+                if cmd.guard(valuation):
+                    enabled.setdefault(cmd.action, []).append(cmd)
+            enabled_by_module.append(enabled)
 
         # one (action, branches, total) per enabled unlabeled command, then per action
         choices = []
-        enabled_by_module = [
-            [cmd for cmd in module.commands if eval_expr(cmd.guard, valuation, exact)]
-            for module in program.modules
-        ]
-        for mi, cmds in enumerate(enabled_by_module):
-            for cmd in cmds:
-                if cmd.action is None:
-                    branches, total = _command_branches(cmd, valuation, exact, kind)
-                    choices.append((None, branches, total))
-        for action in action_order:
-            participants = action_modules[action]
-            per_module = []
-            for mi in participants:
-                enabled = [c for c in enabled_by_module[mi] if c.action == action]
-                if not enabled:
-                    per_module = None
-                    break
-                per_module.append(enabled)
-            if per_module is None:
+        for enabled in enabled_by_module:
+            for cmd in enabled.get(None, ()):
+                branches, total = _command_branches(cmd, valuation, exact, kind)
+                choices.append((None, branches, total))
+        for action, participants in action_modules.items():
+            per_module = [enabled_by_module[mi].get(action) for mi in participants]
+            if not all(per_module):
                 continue
             for combo in itertools.product(*per_module):
                 parts = []
@@ -195,22 +241,6 @@ def explore(program, options=None):
                     total = total * t
                 choices.append((action, _combine(parts), total))
 
-        def successor(assigns):
-            new_values = []
-            for d in decls:
-                if d.name in assigns:
-                    v = assigns[d.name]
-                    _check_bounds(d, v, f"assignment in state {state_map.valuations[s]}")
-                else:
-                    v = valuation[d.name]
-                new_values.append(v)
-            idx, fresh = state_map.intern(tuple(new_values))
-            if fresh:
-                if len(state_map) > options.max_states:
-                    raise StormletError(f"state limit of {options.max_states} states exceeded")
-                queue.append(idx)
-            return idx
-
         if not choices:
             if not options.fix_deadlocks:
                 raise DeadlockError(s, f"valuation {state_map.valuation_dict(s)}")
@@ -220,10 +250,7 @@ def explore(program, options=None):
             if kind is ModelKind.CTMC:
                 exit_rates.append(one)  # absorbing convention: rate-1 self-loop
             row_index += 1
-            choice_offsets.append(row_index)
-            continue
-
-        if kind is ModelKind.MDP:
+        elif kind is ModelKind.MDP:
             for action, branches, _ in choices:
                 for w, assigns in branches:
                     if w == 0:
@@ -234,25 +261,23 @@ def explore(program, options=None):
         else:
             # DTMC: uniform mixture over combined commands; CTMC: rates add
             mass = {}
-            total_rate = Fraction(0) if exact else 0.0
+            total_rate = zero
             for _, branches, total in choices:
                 for w, assigns in branches:
                     if w == 0:
                         continue
                     t = successor(assigns)
-                    mass[t] = mass.get(t, Fraction(0) if exact else 0.0) + w
+                    mass[t] = mass.get(t, zero) + w
                 total_rate += total
-            if kind is ModelKind.DTMC:
-                count = len(choices)
-                for t, w in mass.items():
-                    triples.append((row_index, t, w / count))
-            else:
-                for t, w in mass.items():
-                    triples.append((row_index, t, w / total_rate))
+            scale = len(choices) if kind is ModelKind.DTMC else total_rate
+            for t, w in mass.items():
+                triples.append((row_index, t, w / scale))
+            if kind is ModelKind.CTMC:
                 exit_rates.append(total_rate)
             row_actions.append(actions_of(action for action, _, _ in choices))
             row_index += 1
         choice_offsets.append(row_index)
+        s += 1
 
     n = len(state_map)
     matrix = sparse.build_sparse(triples, row_index, n, "rational" if exact else "float")
@@ -283,13 +308,10 @@ def explore(program, options=None):
 
 def build_label_bitsets(program, state_map):
     """Evaluate the declared labels per state."""
-    n = len(state_map)
     out = {}
     for lab in program.labels:
-        bits = np.zeros(n, dtype=bool)
-        for s in range(n):
-            bits[s] = bool(eval_expr(lab.expr, state_map.valuation_dict(s)))
-        out[lab.name] = bits
+        holds = compile_expr(lab.expr, state_map.slots)
+        out[lab.name] = np.fromiter(map(holds, state_map.valuations), dtype=bool, count=len(state_map))
     return out
 
 
@@ -302,25 +324,27 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
     """
     zero = Fraction(0) if exact else 0.0
     domain = "rational" if exact else "float"
+    offsets = model.choice_offsets.tolist()
     rewards = {}
     for block in program.reward_blocks:
         state_rw = [zero] * model.n_states
         action_rw = [zero] * model.n_choices
         has_state = has_action = False
         for item in block.items:
-            for s in range(model.n_states):
-                valuation = state_map.valuation_dict(s)
-                if not eval_expr(item.guard, valuation, exact):
+            guard = compile_expr(item.guard, state_map.slots, exact)
+            reward = compile_expr(item.expr, state_map.slots, exact)
+            action = item.action or None
+            for s, valuation in enumerate(state_map.valuations):
+                if not guard(valuation):
                     continue
-                value = eval_expr(item.expr, valuation, exact)
+                value = reward(valuation)
                 if value < 0:
                     raise ModelError(
                         f"reward block {block.name!r} evaluates to {value} at state {s}"
                     )
                 if item.is_action_item:
                     has_action = True
-                    action = item.action or None
-                    for c in model.choices_of(s):
+                    for c in range(offsets[s], offsets[s + 1]):
                         if action in row_actions[c]:
                             action_rw[c] = action_rw[c] + value
                 else:
@@ -332,4 +356,3 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
             sparse.as_vector(action_rw, domain) if has_action else None,
         )
     return rewards
-

@@ -1,11 +1,15 @@
-"""Type checking, constant folding and expression evaluation.
+"""Type checking, constant folding and expression compilation.
 
 typecheck() closes all constants (using caller-supplied bindings for the
 undefined ones), inlines formulas, and annotates every expression with its
-type. Evaluation is exact for booleans and integers; doubles evaluate to
+type. compile_expr() turns an expression into a closure over a valuation
+tuple once, before any state is visited; no expression tree is walked per
+state. Evaluation is exact for booleans and integers; doubles evaluate to
 float64 normally and to Fraction in exact mode.
 """
 
+import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,7 +51,7 @@ def typecheck(program, constant_bindings=None):
             value = _coerce_constant(const, value)
         elif const.value is not None:
             expr = _type_expr(const.value, {}, const_values, const_types, {})
-            value = eval_expr(expr, {}, exact=True)
+            value = eval_expr(expr, exact=True)
             value = _coerce_constant(const, value)
         else:
             raise TypecheckError(f"undefined constant {const.name!r} needs a binding", const.span)
@@ -254,77 +258,91 @@ def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolv
     raise TypecheckError(f"cannot type {type(expr).__name__}")
 
 
-def eval_expr(expr, valuation, exact=False):
-    """Evaluate a typechecked expression under a variable valuation."""
+# operators whose closure is just the Python operator on the two operand values
+_PLAIN = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def compile_expr(expr, slots, exact=False):
+    """Compile an expression into a closure over a valuation tuple.
+
+    ``slots`` maps each variable name to its position in the tuple. Literals
+    are converted once, here: a double literal becomes a float, or stays a
+    Fraction in exact mode. ``&`` and ``|`` short-circuit; ``/`` and ``mod``
+    by zero raise DivisionByZero. This is the only statement of the
+    operator semantics.
+    """
     if isinstance(expr, syntax.Lit):
-        v = expr.value
-        if isinstance(v, Fraction) and not exact:
-            return float(v)
-        return v
+        value = expr.value
+        if isinstance(value, Fraction) and not exact:
+            value = float(value)
+        return lambda v: value
     if isinstance(expr, syntax.Var):
-        return valuation[expr.name]
+        if expr.name not in slots:
+            raise TypecheckError(f"unknown identifier {expr.name!r}", expr.span)
+        return operator.itemgetter(slots[expr.name])
     if isinstance(expr, syntax.Unary):
-        v = eval_expr(expr.operand, valuation, exact)
-        return (not v) if expr.op == "!" else -v
+        operand = compile_expr(expr.operand, slots, exact)
+        if expr.op == "!":
+            return lambda v: not operand(v)
+        return lambda v: -operand(v)
     if isinstance(expr, syntax.Binary):
         op = expr.op
-        left = eval_expr(expr.left, valuation, exact)
+        left = compile_expr(expr.left, slots, exact)
+        right = compile_expr(expr.right, slots, exact)
         if op == "&":
-            return bool(left) and bool(eval_expr(expr.right, valuation, exact))
+            return lambda v: bool(left(v)) and bool(right(v))
         if op == "|":
-            return bool(left) or bool(eval_expr(expr.right, valuation, exact))
-        right = eval_expr(expr.right, valuation, exact)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
+            return lambda v: bool(left(v)) or bool(right(v))
         if op == "/":
-            if right == 0:
-                raise DivisionByZero("division by zero")
-            if exact:
-                return Fraction(left) / Fraction(right)
-            return left / right
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
+            def divide(v):
+                a, b = left(v), right(v)
+                if b == 0:
+                    raise DivisionByZero("division by zero")
+                return Fraction(a) / Fraction(b) if exact else a / b
+            return divide
+        fn = _PLAIN[op]
+        if isinstance(expr.right, syntax.Lit):
+            constant = right(())
+            return lambda v: fn(left(v), constant)
+        return lambda v: fn(left(v), right(v))
     if isinstance(expr, syntax.Call):
-        args = [eval_expr(a, valuation, exact) for a in expr.args]
+        args = [compile_expr(a, slots, exact) for a in expr.args]
         fn = expr.func
-        if fn == "min":
-            return min(args)
-        if fn == "max":
-            return max(args)
-        if fn == "floor":
-            import math
-
-            return math.floor(args[0])
-        if fn == "ceil":
-            import math
-
-            return math.ceil(args[0])
+        if fn in ("min", "max"):
+            pick = min if fn == "min" else max
+            return lambda v: pick([a(v) for a in args])
+        if fn in ("floor", "ceil"):
+            rounding = math.floor if fn == "floor" else math.ceil
+            arg = args[0]
+            return lambda v: rounding(arg(v))
         if fn == "mod":
-            if args[1] == 0:
-                raise DivisionByZero("mod by zero")
-            return args[0] % args[1]
-        # pow
-        base, exp = args
-        if expr.type == "int":
-            if exp < 0:
-                raise DivisionByZero("negative integer exponent")
-            return base ** exp
-        if exact:
-            if isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1):
-                return Fraction(base) ** int(exp)
-            return Fraction(float(base) ** float(exp))
-        return float(base) ** float(exp)
+            def modulo(v):
+                a, b = args[0](v), args[1](v)
+                if b == 0:
+                    raise DivisionByZero("mod by zero")
+                return a % b
+            return modulo
+        integer = expr.type == "int"
+
+        def power(v):
+            base, exp = args[0](v), args[1](v)
+            if integer:
+                if exp < 0:
+                    raise DivisionByZero("negative integer exponent")
+                return base ** exp
+            if exact:
+                if isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1):
+                    return Fraction(base) ** int(exp)
+                return Fraction(float(base) ** float(exp))
+            return float(base) ** float(exp)
+        return power
     raise StormletError(f"cannot evaluate {type(expr).__name__}")
+
+
+def eval_expr(expr, *, exact=False):
+    """Value of a closed expression (constants, bounds, initial values)."""
+    return compile_expr(expr, {}, exact)(())

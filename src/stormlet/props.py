@@ -24,7 +24,7 @@ from .models import ModelKind
 from .prism import syntax
 from .prism.lexer import tokenize
 from .prism.parser import TokenCursor, parse_expression
-from .prism.semantics import eval_expr
+from .prism.semantics import DivisionByZero, TypecheckError, compile_expr
 
 RELOPS = ("<", "<=", ">", ">=")
 
@@ -372,12 +372,16 @@ def resolve_atoms(prop, model, state_map=None):
                 raise PropertyError(
                     "variable predicates need a program state map (explicit-format models have none)"
                 )
-            bits = np.zeros(model.n_states, dtype=bool)
-            for s in range(model.n_states):
-                value = eval_expr(sf.expr, state_map.valuation_dict(s))
-                if not isinstance(value, bool):
-                    raise PropertyError(f"predicate ({sf.text}) is not boolean")
-                bits[s] = value
+            try:
+                holds = compile_expr(sf.expr, state_map.slots)
+                bits = np.zeros(model.n_states, dtype=bool)
+                for s, valuation in enumerate(state_map.valuations):
+                    value = holds(valuation)
+                    if not isinstance(value, bool):
+                        raise PropertyError(f"predicate ({sf.text}) is not boolean")
+                    bits[s] = value
+            except (TypecheckError, DivisionByZero) as exc:
+                raise PropertyError(f"predicate ({sf.text}): {exc}") from exc
             return bits
         if isinstance(sf, Not):
             inner = resolve_state(sf.operand)

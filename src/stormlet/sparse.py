@@ -93,36 +93,49 @@ def as_vector(values, dtype):
 def build_sparse(triples, rows, cols, dtype="float"):
     """Assemble a CSR matrix from (row, col, value) triples.
 
-    Duplicate positions are coalesced by addition, columns are sorted within
-    each row, and entries that end up exactly zero are dropped.
+    Duplicate positions are coalesced by addition, strictly left to right in
+    input order, columns are sorted within each row, and entries that end up
+    exactly zero are dropped. Of several bad triples (index out of range, or
+    a non-finite float), the first in input order is reported.
     """
-    per_cell = {}
-    for row, col, value in triples:
-        if not (0 <= row < rows and 0 <= col < cols):
-            raise StormletError(f"index ({row},{col}) out of range for {rows}x{cols} matrix")
-        if dtype == "float":
-            value = float(value)
-            if not np.isfinite(value):
-                raise StormletError(f"non-finite value at ({row},{col})")
-        else:
-            value = Fraction(value)
-        key = (row, col)
-        if key in per_cell:
-            per_cell[key] += value
-        else:
-            per_cell[key] = value
+    if rows * cols > np.iinfo(np.int64).max:
+        raise StormletError(f"a {rows}x{cols} matrix has more positions than int64 can index")
+    entries = np.fromiter(triples, dtype=[
+        ("row", np.int64), ("col", np.int64), ("value", np.float64 if dtype == "float" else object),
+    ])
+    n = len(entries)
+    row_of, col_of = entries["row"], entries["col"]
+    bad = (row_of < 0) | (row_of >= rows) | (col_of < 0) | (col_of >= cols)
+    if dtype == "float":
+        bad |= ~np.isfinite(entries["value"])
+    if bad.any():
+        k = int(np.argmax(bad))
+        row, col = int(row_of[k]), int(col_of[k])
+        if 0 <= row < rows and 0 <= col < cols:
+            raise StormletError(f"non-finite value at ({row},{col})")
+        raise StormletError(f"index ({row},{col}) out of range for {rows}x{cols} matrix")
 
+    # a stable sort by position keeps the entries of one position in input order
+    position = row_of * cols + col_of
+    order = np.argsort(position, kind="stable")
+    position = position[order]
+    values = as_vector(entries["value"][order], dtype)
+    first = np.ones(n, dtype=bool)
+    first[1:] = position[1:] != position[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n)
+    summed = values[starts]
+    for i in np.flatnonzero(ends - starts > 1).tolist():
+        run = values[starts[i]:ends[i]].tolist()
+        total = run[0]
+        for value in run[1:]:
+            total = total + value
+        summed[i] = total
+    keep = summed != 0
+    row_of, col_of = np.divmod(position[starts][keep], cols)
     row_offsets = np.zeros(rows + 1, dtype=np.int64)
-    col_indices = []
-    values = []
-    for (row, col), value in sorted(per_cell.items()):
-        if value == 0:
-            continue
-        row_offsets[row + 1] += 1
-        col_indices.append(col)
-        values.append(value)
-    np.cumsum(row_offsets, out=row_offsets)
-    return SparseMatrix(rows, cols, row_offsets, col_indices, values, dtype)
+    np.cumsum(np.bincount(row_of, minlength=rows), out=row_offsets[1:])
+    return SparseMatrix(rows, cols, row_offsets, col_of, summed[keep], dtype)
 
 
 def row_sums(m):

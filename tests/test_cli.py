@@ -213,6 +213,30 @@ def test_deadlock_exit_4(capsys, tmp_path):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("divisor, message", [("x/(x-1)", "division by zero"), ("mod(x, x-1)", "mod by zero")])
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_zero_divisor_in_a_state_exit_4(capsys, tmp_path, divisor, message, exact):
+    program = tmp_path / "div.pm"
+    program.write_text(f"dtmc\nmodule m\nx : [0..3] init 3;\n[] x>0 & {divisor}>=0 -> (x'=x-1);\n"
+                       "[] x=0 -> (x'=0);\nendmodule\n")
+    code, out, err = run_cli(capsys, "--prism", str(program), *exact, "--prop", "P=? [ F x=0 ]")
+    assert code == 4 and out == ""
+    assert err == f"stormlet: model error: {message}\n"
+
+
+@pytest.mark.parametrize("predicate, message", [
+    ("(x/(x-1)>0)", "division by zero"),
+    ("(mod(x, x-1)=0)", "mod by zero"),
+    ("(y=1)", "unknown identifier 'y'"),
+])
+def test_bad_predicate_exit_4(capsys, tmp_path, predicate, message):
+    program = tmp_path / "walk.pm"
+    program.write_text("dtmc\nmodule m\nx : [0..3] init 3;\n[] x>0 -> (x'=x-1);\n[] x=0 -> (x'=0);\nendmodule\n")
+    code, out, err = run_cli(capsys, "--prism", str(program), "--prop", f"P=? [ F {predicate} ]")
+    assert code == 4 and out == ""
+    assert message in err
+
+
 def test_unknown_label_exit_4(capsys):
     code, out, err = run_cli(capsys, "--prism", DIE, "--prop", 'P=? [ F "nonexistent" ]')
     assert code == 4 and out == ""

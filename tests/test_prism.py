@@ -14,7 +14,7 @@ from stormlet.prism import (
     tokenize,
     typecheck,
 )
-from stormlet.prism.semantics import DivisionByZero, TypecheckError, eval_expr
+from stormlet.prism.semantics import DivisionByZero, TypecheckError
 
 
 def build(source, constants=None, **opts):
@@ -283,9 +283,29 @@ def test_explore_exact_mode_builds_rational_matrix():
     assert model.matrix.values[0] == Fraction(1, 2)
 
 
+def test_explore_empty_range_is_reported_before_the_initial_value():
+    src = "dtmc\nmodule m\nx : [5..3] init 4;\n[] true -> (x'=x);\nendmodule"
+    with pytest.raises(ModelError, match=r"variable 'x' has empty range \[5..3\]"):
+        build(src)
+
+
+def test_explore_range_bounds_may_be_constant_expressions():
+    src = "dtmc\nconst int N = 4;\nmodule m\nx : [1..N-1] init N-2;\n[] x<N-1 -> (x'=x+1);\n[] x=N-1 -> (x'=x);\nendmodule"
+    model, state_map = build(src)
+    assert state_map.valuations == [(2,), (3,)]
+    with pytest.raises(StormletError, match=r"initial value of 'x' is 0, outside \[1..3\]"):
+        build(src.replace("init N-2", "init N-4"))
+
+
 def test_explore_assignment_out_of_bounds():
     src = "dtmc\nmodule m\nx : [0..1] init 0;\n[] true -> (x'=x+1);\nendmodule"
     with pytest.raises(StormletError):
+        build(src)
+
+
+def test_explore_out_of_bounds_reports_the_first_variable_in_declaration_order():
+    src = "dtmc\nmodule m\nx : [0..2] init 0;\ny : [0..2] init 0;\n[] true -> (y'=y+3) & (x'=x+3);\nendmodule"
+    with pytest.raises(StormletError, match=r"assignment in state \(0, 0\) of 'x' is 3, outside \[0..2\]"):
         build(src)
 
 
@@ -376,3 +396,84 @@ def test_explore_is_deterministic(die_source):
     b_model, b_map = build(die_source)
     assert a_model == b_model
     assert a_map.valuations == b_map.valuations
+
+
+# --- every operator in a state-dependent position -------------------------
+
+# One enabled command per state. Discovery order: x = 0, 8, 2, 3, 1, 5, 9.
+OPERATORS = """dtmc
+module m
+  x : [0..9] init 0;
+  [] x=0 -> (x'=pow(2,3));
+  [] mod(x,4)=0 & x>0 -> 0.25 : (x'=floor(x/3)) + 0.75 : (x'=ceil(x/3));
+  [] x=2 -> pow(2.0,-2) : (x'=min(x,1)) + 1-pow(0.5,2) : (x'=max(x,5));
+  [] x=3 -> pow(x,2)/12 : (x'=mod(x+4,5)) + floor(x/2)/4 : (x'=9);
+  [] min(x,4)=1 | (max(x,5)=5 & x>4) | (floor(x/3)=ceil(x/3) & x>8) -> (x'=x);
+endmodule
+label "square" = pow(x,2) > 20;
+label "third" = mod(x,3)=0;
+rewards "ops"
+  x=9 | x=0 : pow(x,0.5);
+  mod(x,3)=2 : max(x/4,1);
+  x>2 : floor(x/2) + ceil(x/4);
+  [] mod(x,2)=0 : pow(2,x)/pow(2,x+1);
+endrewards
+"""
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_explore_evaluates_every_operator_per_state(exact):
+    model, state_map = build(OPERATORS, exact=exact)
+    assert state_map.valuations == [(0,), (8,), (2,), (3,), (1,), (5,), (9,)]
+    q = Fraction(1, 4)
+    rows = {
+        0: {1: 1},
+        1: {2: q, 3: 3 * q},  # floor(8/3), ceil(8/3)
+        2: {4: q, 5: 3 * q},  # pow(2.0,-2), 1-pow(0.5,2)
+        3: {2: 3 * q, 6: q},  # pow(3,2)/12 to mod(7,5); floor(3/2)/4
+        4: {4: 1}, 5: {5: 1}, 6: {6: 1},
+    }
+    assert list(model.matrix.entries()) == [(r, c, v) for r in rows for c, v in rows[r].items()]
+    assert all(type(v) is (Fraction if exact else float) for _, _, v in model.matrix.entries())
+    assert model.labeling.states_with("square").tolist() == [1, 5, 6]
+    assert model.labeling.states_with("third").tolist() == [0, 3, 6]
+    rm = model.reward_model("ops")
+    assert list(rm.state_rewards) == [0, 8, 1, 2, 0, Fraction(21, 4), 10]
+    assert list(rm.action_rewards) == [q * 2, q * 2, q * 2, 0, 0, 0, 0]
+    assert rm.state_rewards.dtype == (object if exact else np.float64)
+
+
+ZERO_DIVISOR = """ctmc
+module m
+  x : [0..3] init 3;
+  [] x>0 & {guard} -> {rate} : (x'={assignment});
+  [] x=0 -> (x'=0);
+endmodule
+label "l" = {label};
+rewards "r"
+  true : {reward};
+endrewards
+"""
+DEFAULTS = {"guard": "true", "rate": "1", "assignment": "x-1", "label": "true", "reward": "1"}
+
+
+@pytest.mark.parametrize("divisor, message", [("x/(x-1)", "division by zero"), ("mod(x, x-1)", "mod by zero")])
+@pytest.mark.parametrize("position, template", [
+    ("guard", "{} >= 0"),
+    ("rate", "1 + {}"),
+    ("assignment", "floor({})"),
+    ("label", "{} >= 0"),
+    ("reward", "1 + {}"),
+])
+@pytest.mark.parametrize("exact", [False, True])
+def test_state_dependent_zero_divisor_raises(divisor, message, position, template, exact):
+    # every state 3, 2, 1, 0 is reached, and x=1 makes the divisor zero
+    source = ZERO_DIVISOR.format(**{**DEFAULTS, position: template.format(divisor)})
+    with pytest.raises(DivisionByZero, match=message):
+        build(source, exact=exact)
+
+
+def test_negative_integer_exponent_raises():
+    src = "dtmc\nmodule m\nx : [0..3] init 3;\n[] x>0 -> (x'=pow(2, x-3)+x-2);\n[] x=0 -> (x'=0);\nendmodule"
+    with pytest.raises(DivisionByZero, match="negative integer exponent"):
+        build(src)

@@ -167,6 +167,10 @@ def test_resolve_predicate_with_state_map():
     assert list(resolved.path.right) == [False, True]
     with pytest.raises(PropertyError):
         resolve_atoms(parse_property("P=? [ F (x+1) ]"), model, state_map)
+    with pytest.raises(PropertyError, match="division by zero"):
+        resolve_atoms(parse_property("P=? [ F (1/(x-1)>0) ]"), model, state_map)
+    with pytest.raises(PropertyError, match="unknown identifier 'N'"):
+        resolve_atoms(parse_property("P=? [ F (x=N) ]"), model, state_map)
 
 
 def test_resolve_optimum_direction_validation():

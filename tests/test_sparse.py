@@ -52,6 +52,62 @@ def test_build_rejects_non_finite():
         sparse.build_sparse([(0, 0, float("inf"))], 1, 1)
 
 
+@pytest.mark.parametrize("values, expected", [
+    ([1e16, -1e16, 1.0], [1.0]),
+    ([1e16, 1.0, -1e16], []),  # 1e16 + 1.0 rounds back to 1e16
+    # np.add.reduceat adds a run of 8 or more pairwise and returns 4.1 here
+    ([0.1, 0.1, 0.1, 1e16] + [1.0] * 5 + [-1e16], []),
+])
+def test_build_adds_float_duplicates_left_to_right(values, expected):
+    m = sparse.build_sparse([(0, 0, v) for v in values], 1, 1)
+    assert list(m.values) == expected
+    assert list(m.row_offsets) == [0, len(expected)]
+
+
+def _left_to_right(triples, rows):
+    """Reference assembly: one dict cell per position, added in input order."""
+    cells = {}
+    for r, c, v in triples:
+        cells[r, c] = cells[r, c] + v if (r, c) in cells else v
+    kept = sorted((key, v) for key, v in cells.items() if v != 0)
+    offsets = np.cumsum([0] + [sum(1 for (r, _), _ in kept if r == i) for i in range(rows)])
+    return offsets.tolist(), [c for (_, c), _ in kept], [v for _, v in kept]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                          st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, 0.0, -0.0])), max_size=40))
+def test_build_float_matches_left_to_right_reference(triples):
+    m = sparse.build_sparse(triples, 4, 3)
+    offsets, cols, values = _left_to_right(triples, 4)
+    assert m.row_offsets.tolist() == offsets
+    assert m.col_indices.tolist() == cols
+    assert m.values.tolist() == values
+
+
+@pytest.mark.parametrize("triples, message", [
+    ([(0, 0, 1.0), (0, 1, float("nan")), (2, 0, 1.0)], r"non-finite value at \(0,1\)"),
+    ([(0, 0, 1.0), (2, 0, 1.0), (0, 1, float("inf"))], r"index \(2,0\) out of range for 1x2 matrix"),
+    ([(0, 5, float("nan")), (0, 0, float("inf"))], r"index \(0,5\) out of range"),
+])
+def test_build_reports_the_first_bad_triple(triples, message):
+    with pytest.raises(StormletError, match=message):
+        sparse.build_sparse(triples, 1, 2)
+
+
+def test_build_rejects_positions_beyond_int64():
+    with pytest.raises(StormletError, match="more positions than int64"):
+        sparse.build_sparse([(0, 2**62, 1.0)], 2, 2**62 + 1)
+
+
+@pytest.mark.parametrize("dtype", ["float", "rational"])
+def test_build_from_no_triples_is_all_empty(dtype):
+    m = sparse.build_sparse([], 3, 2, dtype)
+    assert (m.rows, m.cols, m.nnz, m.dtype) == (3, 2, 0, dtype)
+    assert m.row_offsets.tolist() == [0, 0, 0, 0]
+    assert len(m.values) == 0
+
+
 def test_rational_values_stay_exact():
     m = sparse.build_sparse([(0, 0, Fraction(1, 3)), (0, 1, Fraction(2, 3))], 1, 2, "rational")
     assert list(m.values) == [Fraction(1, 3), Fraction(2, 3)]
