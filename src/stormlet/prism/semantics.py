@@ -13,7 +13,7 @@ import operator
 from dataclasses import replace
 from fractions import Fraction
 
-from ..errors import ParseError, StormletError
+from ..errors import ModelError, ParseError, StormletError
 from . import syntax
 
 NUMERIC = ("int", "double")
@@ -272,7 +272,8 @@ def compile_expr(expr, slots, exact=False):
     ``slots`` maps each variable name to its position in the tuple. Literals
     are converted once, here: a double literal becomes a float, or stays a
     Fraction in exact mode. ``&`` and ``|`` short-circuit; ``/`` and ``mod``
-    by zero raise DivisionByZero. This is the only statement of the
+    by zero raise DivisionByZero; a double ``pow`` whose value is not a
+    finite real raises ModelError. This is the only statement of the
     operator semantics.
     """
     if isinstance(expr, syntax.Lit):
@@ -327,6 +328,7 @@ def compile_expr(expr, slots, exact=False):
                 return a % b
             return modulo
         integer = expr.type == "int"
+        where = f" (line {expr.span[0]}, column {expr.span[1]})" if expr.span else ""
 
         def power(v):
             base, exp = args[0](v), args[1](v)
@@ -334,11 +336,16 @@ def compile_expr(expr, slots, exact=False):
                 if exp < 0:
                     raise DivisionByZero("negative integer exponent")
                 return base ** exp
-            if exact:
-                if isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1):
+            try:
+                if exact and (isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1)):
                     return Fraction(base) ** int(exp)
-                return Fraction(float(base) ** float(exp))
-            return float(base) ** float(exp)
+                value = float(base) ** float(exp)
+            except (OverflowError, ZeroDivisionError):
+                value = None
+            # a negative base with a fractional exponent gives a complex number
+            if type(value) is not float or not math.isfinite(value):
+                raise ModelError(f"pow({base}, {exp}) is not a finite real{where}")
+            return Fraction(value) if exact else value
         return power
     raise StormletError(f"cannot evaluate {type(expr).__name__}")
 

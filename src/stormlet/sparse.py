@@ -4,6 +4,10 @@ A matrix is entirely one scalar domain: ``dtype == "float"`` stores a float64
 value array, ``dtype == "rational"`` an object array of fractions.Fraction.
 Every numeric vector of the engine uses the same representation, made by
 ``as_vector``. Structural zeros are never stored.
+
+A matrix is immutable once built: no code writes to its arrays, and the
+kernels cache a plan of its rows in ``plan`` on first use (see
+``kernels``), which stays valid only while the arrays stay as they are.
 """
 
 from fractions import Fraction
@@ -14,7 +18,7 @@ from .errors import StormletError
 
 
 class SparseMatrix:
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype")
+    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype", "plan")
 
     def __init__(self, rows, cols, row_offsets, col_indices, values, dtype):
         self.rows = int(rows)
@@ -23,6 +27,7 @@ class SparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = as_vector(values, dtype)
         self.dtype = dtype
+        self.plan = None  # the kernels' row grouping, built by the first kernel call
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows+1")
         if self.row_offsets[-1] != len(self.col_indices) or len(self.col_indices) != len(self.values):

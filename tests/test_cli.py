@@ -224,6 +224,16 @@ def test_zero_divisor_in_a_state_exit_4(capsys, tmp_path, divisor, message, exac
     assert err == f"stormlet: model error: {message}\n"
 
 
+@pytest.mark.parametrize("exact, value", [([], "pow(-1, 0.5)"), (["--exact"], "pow(-1, 1/2)")])
+def test_pow_that_is_not_a_finite_real_exit_4(capsys, tmp_path, exact, value):
+    program = tmp_path / "pow.pm"
+    program.write_text("dtmc\nmodule m\nx : [0..3] init 3;\n[] x>0 -> (x'=x-1);\n[] x=0 -> (x'=0);\nendmodule\n"
+                       "rewards \"r\"\n  true : pow(x-2, 0.5);\nendrewards\n")
+    code, out, err = run_cli(capsys, "--prism", str(program), *exact, "--prop", "R=? [ F x=0 ]")
+    assert code == 4 and out == ""
+    assert err == f"stormlet: model error: {value} is not a finite real (line 8, column 10)\n"
+
+
 @pytest.mark.parametrize("predicate, message", [
     ("(x/(x-1)>0)", "division by zero"),
     ("(mod(x, x-1)=0)", "mod by zero"),

@@ -477,3 +477,14 @@ def test_negative_integer_exponent_raises():
     src = "dtmc\nmodule m\nx : [0..3] init 3;\n[] x>0 -> (x'=pow(2, x-3)+x-2);\n[] x=0 -> (x'=0);\nendmodule"
     with pytest.raises(DivisionByZero, match="negative integer exponent"):
         build(src)
+
+
+# x = 1 gives a complex number, x >= 1 overflows (in exact mode too, as the exponent is
+# not whole), and x < 3 raises 0.0 to a negative power
+@pytest.mark.parametrize("power", ["pow(x-2, 0.5)", "pow(10.0, 400*x+0.5)", "pow(0.0, x-3)"])
+@pytest.mark.parametrize("position, template", [("reward", "{}"), ("label", "{} >= 0"), ("guard", "{} >= 0")])
+@pytest.mark.parametrize("exact", [False, True])
+def test_double_pow_that_is_not_a_finite_real_raises(power, position, template, exact):
+    source = ZERO_DIVISOR.format(**{**DEFAULTS, position: template.format(power)})
+    with pytest.raises(ModelError, match=r"^pow\(.+\) is not a finite real \(line \d+, column \d+\)$"):
+        build(source, exact=exact)

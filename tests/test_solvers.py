@@ -1,7 +1,11 @@
 """Linear and Bellman solvers, cross-validated and oracle-checked."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,8 +22,9 @@ from conftest import (
     random_stochastic_rows,
     rows_to_matrix,
 )
+import stormlet
 from stormlet import kernels, solvers, sparse
-from stormlet.errors import DiagonalOne, LambdaTooLarge, NotConverged, SingularMatrix, SolverError
+from stormlet.errors import DiagonalOne, LambdaTooLarge, NotConverged, SingularMatrix, SolverError, StormletError
 from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
 
@@ -187,8 +192,6 @@ def test_matvec_reduce_with_offset_vector():
 
 def test_matvec_dimension_mismatch():
     m = sparse.build_sparse([(0, 0, 1.0)], 1, 1)
-    from stormlet.errors import StormletError
-
     with pytest.raises(StormletError):
         kernels.matvec(m, np.zeros(2))
 
@@ -400,6 +403,13 @@ def random_scalar(rnd, rational):
 
 
 @st.composite
+def choice_offset_arrays(draw, n):
+    """Choice offsets that give each state at least one of n >= 1 choice rows."""
+    cuts = sorted(c for c in draw(st.sets(st.integers(1, n))) if c < n)
+    return np.array([0, *cuts, n], dtype=np.int64)
+
+
+@st.composite
 def choice_matrices(draw):
     """(matrix, choice offsets, b, x): empty rows, rows of 1-200 entries, repeated rows for ties."""
     rational = draw(st.booleans())
@@ -415,8 +425,7 @@ def choice_matrices(draw):
         z = rnd.choice([0.0, -0.0])
         scalar = (lambda: z) if draw(st.booleans()) else (lambda: random_scalar(rnd, rational))
         rows.append(([rnd.randrange(n_cols) for _ in range(length)], [scalar() for _ in range(length)], scalar()))
-    cuts = sorted(c for c in draw(st.sets(st.integers(1, len(rows)))) if c < len(rows))
-    choice_offsets = np.array([0, *cuts, len(rows)], dtype=np.int64)
+    choice_offsets = draw(choice_offset_arrays(len(rows)))
     offsets = np.cumsum([0] + [len(c) for c, _, _ in rows])
     dtype = "rational" if rational else "float"
     matrix = sparse.SparseMatrix(
@@ -455,6 +464,56 @@ def test_kernels_match_scalar_reference_loops(problem, maximize, block_cells):
     assert arg.tolist() == ref_arg
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.data(), st.sampled_from([1, 3, 40, kernels._BLOCK_CELLS]))
+def test_kernel_plans_are_reused_across_calls(data, block_cells):
+    # each matrix plans its rows at its first call: inside the patch, so small blocks are planned too
+    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+        m, first_offsets, _, _ = data.draw(choice_matrices())
+        twin = m.to_rational() if m.dtype == "float" else m.to_float()
+        choices = [first_offsets, data.draw(choice_offset_arrays(m.rows))]
+        rnd = random.Random(data.draw(st.integers(0, 2**32)))
+        for _ in range(data.draw(st.integers(2, 5))):
+            x = [random_scalar(rnd, m.dtype == "rational") for _ in range(m.cols)]
+            b = [random_scalar(rnd, m.dtype == "rational") for _ in range(m.rows)]
+            maximize, choice_offsets = data.draw(st.booleans()), choices[data.draw(st.integers(0, 1))]
+            for matrix in (m, twin):
+                xs, bs = sparse.as_vector(x, matrix.dtype), sparse.as_vector(b, matrix.dtype)
+                offsets, cols, values = matrix.row_offsets.tolist(), matrix.col_indices.tolist(), matrix.values.tolist()
+                zero = sparse.as_vector([0], matrix.dtype)[0]
+                assert_same_vector(kernels.matvec(matrix, xs),
+                                   reference_matvec(offsets, cols, values, xs.tolist(), zero), matrix.dtype)
+                out, arg = kernels.matvec_reduce(matrix, choice_offsets, xs, maximize, bs)
+                ref_out, ref_arg = reference_matvec_reduce(
+                    offsets, cols, values, choice_offsets.tolist(), bs.tolist(), xs.tolist(), maximize
+                )
+                assert_same_vector(out, ref_out, matrix.dtype)
+                assert arg.tolist() == ref_arg
+
+
+def test_matvec_reduce_sees_choice_offsets_changed_in_place():
+    m = sparse.build_sparse([(0, 0, 1.0), (1, 1, 1.0), (2, 0, 0.5)], 3, 2)
+    x = np.array([0.25, 0.75])
+    offsets = np.array([0, 1, 3])
+    values, arg = kernels.matvec_reduce(m, offsets, x, True)
+    assert values.tolist() == [0.25, 0.75] and arg.tolist() == [0, 0]
+    offsets[1] = 2
+    values, arg = kernels.matvec_reduce(m, offsets, x, True)
+    assert values.tolist() == [0.75, 0.125] and arg.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 3], [0, 2, 2], [0, 1, 2], [0, 2, 4]])
+def test_choice_offsets_are_validated_on_every_call(bad):
+    # a state without a choice, or offsets that do not end at the last row
+    m = sparse.build_sparse([(0, 0, 1.0), (1, 1, 1.0), (2, 0, 0.5)], 3, 2)
+    x = np.array([0.25, 0.75])
+    with pytest.raises(StormletError, match="every state a choice"):
+        kernels.first_optimum(np.array([1.0, 2.0, 3.0]), np.array(bad), True)
+    kernels.matvec_reduce(m, np.array([0, 1, 3]), x, True)
+    with pytest.raises(StormletError, match="every state a choice"):
+        kernels.matvec_reduce(m, np.array(bad), x, True)
+
+
 @pytest.mark.parametrize("dtype", ["float", "rational"])
 def test_kernels_on_matrices_without_entries(dtype):
     x = sparse.as_vector([1, 2, 3], dtype)
@@ -468,6 +527,16 @@ def test_kernels_on_matrices_without_entries(dtype):
     out, arg = kernels.matvec_reduce(empty_rows, np.array([0, 2, 3]), x, False, b)
     assert_same_vector(out, list(b[[1, 2]]), dtype)
     assert arg.tolist() == [1, 0]
+
+
+def test_kernel_benchmark_runs():
+    # the script asserts every kernel output bit-identical to its reference loop
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    src = str(Path(stormlet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, str(script), "--sizes", "100", "--repeats", "1"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 @settings(deadline=None, max_examples=200)
