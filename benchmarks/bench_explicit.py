@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Benchmark the explicit-format loader on growing birth-death chains.
+
+The chain on 0..N reflects at 0 (up or stay) and absorbs at N; every inner
+state moves down, stays or moves up, with probabilities k/1000 drawn from a
+seeded generator, written as decimals. The DTMC has one choice per state;
+the MDP has two, so its file has about twice the lines. The ``.lab`` file
+declares three labels.
+
+For each N the script times ``explicit.build_model`` on the file texts (no
+file I/O), in float and in exact mode, and prints the best time in ms and
+the same time per 10^3 lines of the ``.tra`` file; a flat last column is
+linear growth.
+
+Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repeats 3]
+"""
+
+import argparse
+import random
+import time
+
+from stormlet import explicit
+
+
+def chain_files(n, choices, seed=1):
+    """(tra, lab) texts of the reflecting chain on 0..n."""
+    rng = random.Random(seed)
+    lines = ["mdp" if choices > 1 else "dtmc"]
+    for i in range(n + 1):
+        for c in range(choices):
+            head = f"{i} {c}" if choices > 1 else f"{i}"
+            if i == n:
+                lines.append(f"{head} {i} 1")
+                break
+            up = rng.randint(350 + 100 * c, 450 + 100 * c)
+            down = 0 if i == 0 else rng.randint(100, 1000 - up - 100)
+            if down:
+                lines.append(f"{head} {i - 1} 0.{down:03d}")
+            lines.append(f"{head} {i} 0.{1000 - up - down:03d}")
+            lines.append(f"{head} {i + 1} 0.{up:03d}")
+    half = n // 2
+    lab = ["#DECLARATION", "init done far", "#END", "0 init"]
+    lab += [f"{i} far" for i in range(half, n)]
+    lab.append(f"{n} far done")
+    return "\n".join(lines) + "\n", "\n".join(lab) + "\n"
+
+
+def best_of(fn, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", default="1000,10000,100000", help="comma-separated chain lengths N")
+    parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
+    args = parser.parse_args()
+
+    print(f"{'N':>8}  {'model':<5} {'mode':<6} {'lines':>9} {'ms':>10} {'ms/1e3 lines':>13}")
+    for n in (int(s) for s in args.sizes.split(",")):
+        for model, choices in (("dtmc", 1), ("mdp", 2)):
+            tra, lab = chain_files(n, choices)
+            bundle = explicit.ExplicitBundle(tra, lab)
+            lines = tra.count("\n")
+            for mode, rational in (("float", False), ("exact", True)):
+                loaded = explicit.build_model(bundle, rational=rational)
+                if loaded.n_states != n + 1:
+                    raise SystemExit(f"{model} N={n}: loaded {loaded.n_states} states, expected {n + 1}")
+                ms = best_of(lambda: explicit.build_model(bundle, rational=rational), args.repeats) * 1e3
+                print(f"{n:>8}  {model:<5} {mode:<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+
+
+if __name__ == "__main__":
+    main()

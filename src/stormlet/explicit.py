@@ -4,9 +4,16 @@ Files are UTF-8 with ``\\n`` or ``\\r\\n`` line endings; ``#`` starts a
 comment anywhere except inside the label declaration block. The transitions
 file starts with a header token (``dtmc``, ``ctmc`` or ``mdp``) followed by
 ``src dst value`` lines (``src choice dst prob`` for MDPs). States are
-0-based and sources must appear in ascending order.
+0-based; each (state, choice) must first appear in ascending order, and its
+later lines may come anywhere after that.
+
+The transitions and reward files are read column by column: a piece of
+lines at a time is split into fields, each column is converted in one pass
+and every check is an array operation over the piece. Of several bad lines,
+the first in file order is reported, with its number.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,152 +34,277 @@ class ExplicitBundle:
     action_rewards_text: str = None
 
 
-def _content_lines(text, strip_comments=True):
+def _content_lines(text):
     """Yield (1-based line number, stripped content) for non-empty lines."""
     for no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if strip_comments and "#" in line:
-            line = line[: line.index("#")]
-        line = line.strip()
+        line = raw.strip()
         if line:
             yield no, line
 
 
-def _parse_value(token, rational, line):
-    """A decimal or fraction token; float mode rounds the exact value once."""
+# a file is read in pieces of whole lines of about this many characters, so
+# the per-token strings held at once stay few however long the file is
+_PIECE_CHARS = 1 << 14
+
+
+def _first(bad):
+    """Index of the first true entry of ``bad``, or its length if there is none."""
+    return int(np.argmax(bad)) if bad.any() else len(bad)
+
+
+def _error(message):
+    return lambda k, no: ParseError(message, line=no)
+
+
+def _first_failure(convert, tokens):
+    """Index of the first token that ``convert`` rejects, or the number of tokens."""
+    for k, token in enumerate(tokens):
+        try:
+            convert(token)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return k
+    return len(tokens)
+
+
+def _integers(tokens):
+    """The integers of ``tokens`` up to the first token that is none, and its index.
+
+    A value beyond int64 makes the array one of Python ints; every check
+    before the state-index checks handles it alike.
+    """
     try:
-        value = Fraction(token)
-        return value if rational else float(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ParseError(f"invalid number {token!r}", line=line)
+        values = list(map(int, tokens))
+    except ValueError:
+        values = list(map(int, tokens[: _first_failure(int, tokens)]))
+    try:
+        return np.array(values, dtype=np.int64), len(values)
+    except OverflowError:
+        return np.array(values, dtype=object), len(values)
+
+
+def _float(token):
+    """The float nearest to the exact value of a decimal or fraction token.
+
+    ``float()`` rounds a decimal correctly, but reads no fraction and keeps
+    the sign of a negative zero; those tokens go through Fraction.
+    """
+    if "/" in token or token[0] == "-":
+        return float(Fraction(token))
+    return float(token)
+
+
+class _Rows:
+    """The rows of one piece of lines that come before its first bad line.
+
+    Each check is applied to the rows still kept, in the order a line is
+    checked in, so ``error`` ends up as the error of the first bad line in
+    file order, for the first check that line fails.
+    """
+
+    def __init__(self, numbers):
+        self.numbers = numbers
+        self.end = len(numbers)
+        self.error = None
+
+    def cut(self, k, error):
+        """Keep the rows before row k, which fails with ``error(k, line number)``."""
+        if k < self.end:
+            self.end, self.error = k, error(k, int(self.numbers[k]))
+
+    def check(self, bad, error):
+        """Keep the rows before the first true entry of ``bad``."""
+        self.cut(_first(bad[: self.end]), error)
+
+    def values(self, tokens, rational, parsed):
+        """The values of the kept rows' tokens, up to the first that is not a
+        finite number. ``parsed`` holds the Fraction of each distinct token
+        read so far, so exact mode reads each token once."""
+        tokens = tokens[: self.end]
+        if rational:
+            new = [token for token in dict.fromkeys(tokens) if token not in parsed]
+            bad = _first_failure(Fraction, new)
+            parsed.update(zip(new[:bad], map(Fraction, new[:bad])))
+            k = tokens.index(new[bad]) if bad < len(new) else len(tokens)
+            values = np.fromiter(map(parsed.__getitem__, tokens[:k]), object, k)
+        else:
+            try:
+                values = np.fromiter(map(_float, tokens), np.float64, len(tokens))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                values = np.fromiter(map(_float, tokens), np.float64, _first_failure(_float, tokens))
+            k = _first(~np.isfinite(values))
+        self.cut(k, lambda k, no: ParseError(f"invalid number {tokens[k]!r}", line=no))
+        return values[:k]
+
+
+def _records(text, want, count_message, index_message, start=0, no=1):
+    """Per piece of the lines of ``text[start:]``, the first of them line
+    ``no``: its rows, cut before the first line that has other than ``want``
+    fields or a non-integer index field; the index columns; the value tokens.
+
+    ``count_message(found)`` is the message for a line of ``found`` fields.
+    """
+    while True:
+        end = text.find("\n", start + _PIECE_CHARS)
+        piece = text[start:] if end < 0 else text[start:end]
+        lines = piece.split("\n")
+        if "#" in piece:
+            lines = [line.partition("#")[0] for line in lines]
+        fields = list(map(str.split, lines))
+        counts = np.fromiter(map(len, fields), np.int64, len(fields))
+        kept = np.flatnonzero(counts)
+        counts = counts[kept]
+        rows = _Rows(no + kept)
+        rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
+        tokens = list(itertools.chain.from_iterable(list(filter(None, fields))[: rows.end]))
+        index = [_integers(tokens[j::want]) for j in range(want - 1)]
+        rows.cut(min(k for _, k in index), _error(index_message))
+        yield rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
+        if end < 0:
+            return
+        start, no = end + 1, no + len(lines)
 
 
 def _domain(rational):
     return "rational" if rational else "float"
 
 
+def _header(text):
+    """The kind, the header's line number and where the line after it starts."""
+    start, no = 0, 1
+    while True:
+        end = text.find("\n", start)
+        header = (text[start:] if end < 0 else text[start:end]).partition("#")[0].strip()
+        if header:
+            try:
+                return ModelKind(header), no, len(text) if end < 0 else end + 1
+            except ValueError:
+                raise ParseError(f"expected header dtmc|ctmc|mdp, found {header!r}", line=no) from None
+        if end < 0:
+            raise ParseError("empty transitions file", line=1)
+        start, no = end + 1, no + 1
+
+
+def _new_keys(src, choice, numbers):
+    """The rows that bring a new (state, choice) key, in file order.
+
+    The keys must come in ascending order, each state's choices numbered
+    from 0 without gaps; the first row that breaks this raises its error.
+    """
+    order = np.lexsort((choice, src))
+    s, c = src[order], choice[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (c[1:] != c[:-1])
+    new = np.sort(order[new])
+    s, c = src[new], choice[new]
+    same = np.concatenate(([False], s[1:] == s[:-1]))
+    back = np.concatenate(([False], (s[1:] < s[:-1]) | same[1:] & (c[1:] < c[:-1])))
+    gap = np.concatenate(([False], same[1:] & (c[1:] - 1 != c[:-1])))
+    start = ~same & (c != 0)
+    j = _first(back | gap | start)
+    if j < len(new):
+        state, no = s[j], int(numbers[new[j]])
+        if back[j]:
+            raise ParseError(f"state {state} choice {c[j]} out of ascending order", line=no)
+        if gap[j]:
+            raise ParseError(f"gap in choice indices of state {state}", line=no)
+        raise ParseError(f"choices of state {state} must start at 0", line=no)
+    return new
+
+
 def parse_transitions(text, rational=False, fix_deadlocks=False):
     """Parse a transitions file.
 
     Returns (kind, matrix, choice_offsets, exit_rates or None, patched bitset).
-    DTMC/MDP rows within 1e-6 of a distribution are renormalized; duplicate
-    transitions coalesce additively.
+    The lines of one (state, choice) need not be adjacent. Duplicate
+    transitions add up in file order; then DTMC/MDP rows within 1e-6 of a
+    distribution are renormalized. The first bad line in file order is
+    reported, with its number.
     """
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty transitions file", line=1)
-    header_no, header = lines[0]
-    try:
-        kind = ModelKind(header)
-    except ValueError:
-        raise ParseError(f"expected header dtmc|ctmc|mdp, found {header!r}", line=header_no)
-
-    # rows keyed by (src, choice); choice is always 0 for deterministic kinds
-    rows = {}
-    order = []
-    dsts = set()
-    max_state = -1
-    for no, line in lines[1:]:
-        parts = line.split()
-        want = 4 if kind is ModelKind.MDP else 3
-        if len(parts) != want:
-            raise ParseError(f"expected {want} fields, found {len(parts)}", line=no)
-        try:
-            src = int(parts[0])
-            choice = int(parts[1]) if kind is ModelKind.MDP else 0
-            dst = int(parts[-2])
-        except ValueError:
-            raise ParseError("state indices must be integers", line=no)
-        if src < 0 or dst < 0 or choice < 0:
-            raise ParseError("indices must be nonnegative", line=no)
-        value = _parse_value(parts[-1], rational, no)
-        if value <= 0:
-            raise ParseError("transition values must be positive", line=no)
-        key = (src, choice)
-        if key not in rows:
-            prev = order[-1] if order else None
-            if prev is not None and key < prev:
-                raise ParseError(f"state {src} choice {choice} out of ascending order", line=no)
-            if prev is not None and src == prev[0] and choice != prev[1] + 1:
-                raise ParseError(f"gap in choice indices of state {src}", line=no)
-            if (prev is None or src != prev[0]) and choice != 0:
-                raise ParseError(f"choices of state {src} must start at 0", line=no)
-            rows[key] = {}
-            order.append(key)
-        if dst in rows[key]:
-            rows[key][dst] += value  # duplicate transition: additive coalescing
-        else:
-            rows[key][dst] = value
-        dsts.add(dst)
-        max_state = max(max_state, src, dst)
-
-    n = max_state + 1
-    if n == 0:
+    kind, header_no, start = _header(text)
+    want = 4 if kind is ModelKind.MDP else 3
+    parsed = {}
+    blocks = []  # per piece: (src, choice, dst, value, line number) of its rows before the first bad line
+    for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields, found {found}",
+                                              "state indices must be integers", start, header_no + 1):
+        src, dst = index[0], index[-1]
+        choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
+        rows.check((src < 0) | (choice < 0) | (dst < 0), _error("indices must be nonnegative"))
+        values = rows.values(value_tokens, rational, parsed)
+        rows.check(values <= 0, _error("transition values must be positive"))
+        e = rows.end
+        blocks.append((src[:e], choice[:e], dst[:e], values[:e], rows.numbers[:e]))
+        if rows.error is not None:
+            break
+    src, choice, dst, values, numbers = (np.concatenate(column) for column in zip(*blocks))
+    new = _new_keys(src, choice, numbers)
+    if rows.error is not None:
+        raise rows.error
+    if not len(src):
         raise ParseError("transitions file declares no transitions", line=header_no)
 
-    keys_by_src = {}  # source state -> its (src, choice) keys, in choice order
-    for key in order:
-        keys_by_src.setdefault(key[0], []).append(key)
-    patched = np.zeros(n, dtype=bool)
-    for s in range(n):
-        if s in keys_by_src:
-            continue
-        if s not in dsts:
-            raise ParseError(f"gap in state indices: state {s} is never used")
-        if not fix_deadlocks:
-            raise DeadlockError(s, "no outgoing transitions in transitions file")
-        patched[s] = True
+    # the first unused and the first source-less state, found from the indices
+    # that occur, so a huge index allocates nothing of its size
+    used = np.unique(np.concatenate((src, dst)))
+    unused = _first(used != np.arange(len(used)))
+    sources = np.unique(src[new])
+    sourceless = _first(sources != np.arange(len(sources)))
+    if not fix_deadlocks and sourceless < unused:
+        raise DeadlockError(sourceless, "no outgoing transitions in transitions file")
+    if unused < len(used):
+        raise ParseError(f"gap in state indices: state {unused} is never used")
+    n = len(used)
+    src, choice, dst = (np.asarray(a, dtype=np.int64) for a in (src, choice, dst))
+    s, c = src[new], choice[new]  # the keys, ascending
 
-    zero = Fraction(0) if rational else 0.0
-    one = Fraction(1) if rational else 1.0
-    triples = []
-    choice_offsets = [0]
-    exit_rates = [] if kind is ModelKind.CTMC else None
-    row_index = 0
-    for s in range(n):
-        state_choices = keys_by_src.get(s, [])
-        if not state_choices:
-            triples.append((row_index, s, one))
-            if kind is ModelKind.CTMC:
-                exit_rates.append(one)  # absorbing convention: self-loop at rate 1
-            row_index += 1
-        else:
-            for key in state_choices:
-                entries = rows[key]
-                total = sum(entries.values(), zero)
-                if kind is ModelKind.CTMC:
-                    exit_rates.append(total)
-                    for dst, v in entries.items():
-                        triples.append((row_index, dst, v / total))
-                else:
-                    if rational:
-                        if total != 1:
-                            raise ModelError(
-                                f"row of state {s} sums to {total}, expected exactly 1"
-                            )
-                        scale = one
-                    else:
-                        if abs(total - 1.0) > ROW_TOLERANCE:
-                            raise ModelError(
-                                f"row of state {s} sums to {total!r}, outside 1 +- {ROW_TOLERANCE}"
-                            )
-                        # renormalize only when the deviation is above rounding
-                        # noise, so written models parse back value-identical
-                        scale = one if abs(total - 1.0) <= 1e-10 else total
-                    for dst, v in entries.items():
-                        triples.append((row_index, dst, v / scale))
-                row_index += 1
-        choice_offsets.append(row_index)
-
-    matrix = sparse.build_sparse(triples, row_index, n, _domain(rational))
+    patched = np.ones(n, dtype=bool)
+    patched[s] = False
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.maximum(np.bincount(s, minlength=n), 1), out=offsets[1:])
+    # duplicates add up in file order; a row's total adds its entries in the
+    # order their destinations first appear, the order the scaled entries go in
+    position, summed, first = sparse.coalesce((offsets[src] + choice) * n + dst, values)
+    entry_row = position // n
+    order = np.lexsort((first, entry_row))
+    entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
+    _, totals, _ = sparse.coalesce(entry_row, summed)
+    of_entry = np.searchsorted(offsets[s] + c, entry_row)
+    domain = _domain(rational)
+    exit_rates = None
+    if kind is ModelKind.CTMC:
+        rates = sparse.as_vector(np.ones(n), domain)
+        rates[s] = totals  # absorbing convention: a patched state has a self-loop at rate 1
+        exit_rates = rates.tolist()
+        scaled = summed / totals[of_entry]
+    elif rational:
+        k = _first(totals != 1)
+        if k < len(totals):
+            raise ModelError(f"row of state {s[k]} sums to {totals[k]}, expected exactly 1")
+        scaled = summed
+    else:
+        deviation = np.abs(totals - 1.0)
+        k = _first(deviation > ROW_TOLERANCE)
+        if k < len(totals):
+            raise ModelError(
+                f"row of state {s[k]} sums to {float(totals[k])!r}, outside 1 +- {ROW_TOLERANCE}"
+            )
+        # renormalize only when the deviation is above rounding noise, so
+        # written models parse back value-identical
+        scaled = summed / np.where(deviation <= 1e-10, 1.0, totals)[of_entry]
+    loops = np.flatnonzero(patched)
+    entries = np.rec.fromarrays([
+        np.concatenate((entry_row, offsets[loops])),
+        np.concatenate((entry_col, loops)),
+        np.concatenate((scaled, np.repeat(sparse.as_vector([1], domain), len(loops)))),
+    ], names="row,col,value")
+    matrix = sparse.build_sparse(entries, int(offsets[-1]), n, domain)
     if kind is not ModelKind.MDP:
-        choice_offsets = np.arange(n + 1, dtype=np.int64)
-    return kind, matrix, np.asarray(choice_offsets, dtype=np.int64), exit_rates, patched
+        offsets = np.arange(n + 1, dtype=np.int64)
+    return kind, matrix, offsets, exit_rates, patched
 
 
 def parse_labels(text, n_states):
     """Parse a labels file into a StateLabeling (declared labels only)."""
-    lines = list(_content_lines(text, strip_comments=False))
+    lines = list(_content_lines(text))
     # comment lines are allowed before the declaration block
     while lines and lines[0][1].startswith("#") and lines[0][1] != "#DECLARATION":
         lines.pop(0)
@@ -210,60 +342,64 @@ def parse_labels(text, n_states):
     return labeling
 
 
+def _repeated(keys, seen):
+    """Which keys were seen before, in earlier pieces or earlier in this one."""
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    return seen[keys] | ~first
+
+
 def parse_state_rewards(text, n_states, rational=False):
     """Parse `state reward` lines into a dense vector (unlisted states are 0)."""
     vec = sparse.as_vector(np.zeros(n_states), _domain(rational))
-    seen = set()
-    for no, line in _content_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected `state reward`", line=no)
-        try:
-            state = int(parts[0])
-        except ValueError:
-            raise ParseError("state index must be an integer", line=no)
-        if not 0 <= state < n_states:
-            raise ParseError(f"state {state} out of range", line=no)
-        if state in seen:
-            raise ParseError(f"duplicate reward assignment for state {state}", line=no)
-        seen.add(state)
-        value = _parse_value(parts[1], rational, no)
-        if value < 0:
-            raise ModelError(f"negative reward for state {state} (line {no})")
-        vec[state] = value
+    seen = np.zeros(n_states, dtype=bool)
+    parsed = {}
+    for rows, (state,), value_tokens in _records(text, 2, lambda found: "expected `state reward`",
+                                                 "state index must be an integer"):
+        rows.check((state < 0) | (state >= n_states),
+                   lambda k, no: ParseError(f"state {state[k]} out of range", line=no))
+        state = state[: rows.end].astype(np.int64)
+        rows.check(_repeated(state, seen),
+                   lambda k, no: ParseError(f"duplicate reward assignment for state {state[k]}", line=no))
+        values = rows.values(value_tokens, rational, parsed)
+        rows.check(values < 0, lambda k, no: ModelError(f"negative reward for state {state[k]} (line {no})"))
+        if rows.error is not None:
+            raise rows.error
+        vec[state] = values
+        seen[state] = True
     return vec
 
 
 def parse_action_rewards(text, kind, choice_offsets, rational=False):
     """Parse action rewards keyed by (state, choice) for MDPs, by state otherwise."""
-    n_choices = int(choice_offsets[-1])
-    n_states = len(choice_offsets) - 1
-    vec = sparse.as_vector(np.zeros(n_choices), _domain(rational))
-    seen = set()
-    for no, line in _content_lines(text):
-        parts = line.split()
-        want = 3 if kind is ModelKind.MDP else 2
-        if len(parts) != want:
-            raise ParseError(f"expected {want} fields", line=no)
-        try:
-            state = int(parts[0])
-            choice = int(parts[1]) if kind is ModelKind.MDP else 0
-        except ValueError:
-            raise ParseError("indices must be integers", line=no)
-        if not 0 <= state < n_states:
-            raise ParseError(f"state {state} out of range", line=no)
-        n_state_choices = int(choice_offsets[state + 1] - choice_offsets[state])
-        if not 0 <= choice < n_state_choices:
-            raise ParseError(
-                f"choice {choice} out of range for state {state} ({n_state_choices} choices)", line=no
-            )
-        if (state, choice) in seen:
-            raise ParseError(f"duplicate reward assignment for state {state} choice {choice}", line=no)
-        seen.add((state, choice))
-        value = _parse_value(parts[-1], rational, no)
-        if value < 0:
-            raise ModelError(f"negative reward at state {state} (line {no})")
-        vec[int(choice_offsets[state]) + choice] = value
+    offsets = np.asarray(choice_offsets, dtype=np.int64)
+    n_states = len(offsets) - 1
+    vec = sparse.as_vector(np.zeros(int(offsets[-1])), _domain(rational))
+    seen = np.zeros(len(vec), dtype=bool)
+    parsed = {}
+    want = 3 if kind is ModelKind.MDP else 2
+    for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields",
+                                              "indices must be integers"):
+        state = index[0]
+        choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
+        rows.check((state < 0) | (state >= n_states),
+                   lambda k, no: ParseError(f"state {state[k]} out of range", line=no))
+        # a choice beyond int64 stays a Python int until its range check
+        state, choice = state[: rows.end].astype(np.int64), choice[: rows.end]
+        first_row = offsets[state]
+        n_state_choices = offsets[state + 1] - first_row
+        rows.check((choice < 0) | (choice >= n_state_choices), lambda k, no: ParseError(
+            f"choice {choice[k]} out of range for state {state[k]} ({n_state_choices[k]} choices)", line=no))
+        state, choice = state[: rows.end], choice[: rows.end].astype(np.int64)
+        row = first_row[: rows.end] + choice
+        rows.check(_repeated(row, seen), lambda k, no: ParseError(
+            f"duplicate reward assignment for state {state[k]} choice {choice[k]}", line=no))
+        values = rows.values(value_tokens, rational, parsed)
+        rows.check(values < 0, lambda k, no: ModelError(f"negative reward at state {state[k]} (line {no})"))
+        if rows.error is not None:
+            raise rows.error
+        vec[row] = values
+        seen[row] = True
     return vec
 
 

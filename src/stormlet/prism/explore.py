@@ -62,7 +62,8 @@ class StateMap:
 class _Command:
     """A command with its guard, weights and assignments compiled.
 
-    ``updates`` holds one (weight or None, [(slot, value)]) per update.
+    ``updates`` holds one (weight or None, weight span, [(slot, value)])
+    per update.
     """
 
     __slots__ = ("action", "span", "guard", "updates")
@@ -74,6 +75,7 @@ class _Command:
         self.updates = [
             (
                 None if upd.weight is None else compile_expr(upd.weight, slots, exact),
+                None if upd.weight is None else upd.weight.span,
                 [(slots[var], compile_expr(rhs, slots, exact)) for var, rhs in upd.assignments],
             )
             for upd in command.updates
@@ -102,6 +104,15 @@ def _check_bounds(decl, bound, value, what):
         raise StormletError(f"{what} of {decl.name!r} is {value}, outside [{bound[0]}..{bound[1]}]")
 
 
+def _to_float(value, what, span):
+    """float(value); an integer too large for a float is a ModelError at its expression."""
+    try:
+        return float(value)
+    except OverflowError:
+        where = f" (line {span[0]}, column {span[1]})" if span else ""
+        raise ModelError(f"{what} is an integer too large for a float{where}") from None
+
+
 def _command_branches(command, valuation, exact, kind):
     """Evaluate one enabled command into [(weight, {slot: value})].
 
@@ -110,12 +121,12 @@ def _command_branches(command, valuation, exact, kind):
     one = _ONE if exact else 1.0
     branches = []
     total = _ZERO if exact else 0.0
-    for weight, assignments in command.updates:
+    for weight, span, assignments in command.updates:
         if weight is None:
             w = one
         else:
             w = weight(valuation)
-            w = Fraction(w) if exact else float(w)
+            w = Fraction(w) if exact else _to_float(w, "update weight", span)
         if w < 0:
             raise ModelError(f"negative update weight at line {command.span[0]}")
         total += w
@@ -342,6 +353,8 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
                     raise ModelError(
                         f"reward block {block.name!r} evaluates to {value} at state {s}"
                     )
+                if not exact:
+                    value = _to_float(value, "reward", item.expr.span)
                 if item.is_action_item:
                     has_action = True
                     for c in range(offsets[s], offsets[s + 1]):

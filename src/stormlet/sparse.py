@@ -98,21 +98,25 @@ def as_vector(values, dtype):
 def build_sparse(triples, rows, cols, dtype="float"):
     """Assemble a CSR matrix from (row, col, value) triples.
 
-    Duplicate positions are coalesced by addition, strictly left to right in
-    input order, columns are sorted within each row, and entries that end up
-    exactly zero are dropped. Of several bad triples (index out of range, or
-    a non-finite float), the first in input order is reported.
+    ``triples`` is an iterable of triples, or a record array whose ``row``,
+    ``col`` and ``value`` fields are the three columns. Duplicate positions
+    are coalesced by addition, strictly left to right in input order,
+    columns are sorted within each row, and entries that end up exactly zero
+    are dropped. Of several bad triples (index out of range, or a non-finite
+    float), the first in input order is reported.
     """
     if rows * cols > np.iinfo(np.int64).max:
         raise StormletError(f"a {rows}x{cols} matrix has more positions than int64 can index")
-    entries = np.fromiter(triples, dtype=[
-        ("row", np.int64), ("col", np.int64), ("value", np.float64 if dtype == "float" else object),
-    ])
-    n = len(entries)
-    row_of, col_of = entries["row"], entries["col"]
+    if isinstance(triples, np.ndarray):
+        entries = triples
+    else:
+        entries = np.fromiter(triples, dtype=[
+            ("row", np.int64), ("col", np.int64), ("value", np.float64 if dtype == "float" else object),
+        ])
+    row_of, col_of, values = entries["row"], entries["col"], entries["value"]
     bad = (row_of < 0) | (row_of >= rows) | (col_of < 0) | (col_of >= cols)
     if dtype == "float":
-        bad |= ~np.isfinite(entries["value"])
+        bad |= ~np.isfinite(values)
     if bad.any():
         k = int(np.argmax(bad))
         row, col = int(row_of[k]), int(col_of[k])
@@ -120,27 +124,53 @@ def build_sparse(triples, rows, cols, dtype="float"):
             raise StormletError(f"non-finite value at ({row},{col})")
         raise StormletError(f"index ({row},{col}) out of range for {rows}x{cols} matrix")
 
-    # a stable sort by position keeps the entries of one position in input order
-    position = row_of * cols + col_of
-    order = np.argsort(position, kind="stable")
-    position = position[order]
-    values = as_vector(entries["value"][order], dtype)
-    first = np.ones(n, dtype=bool)
-    first[1:] = position[1:] != position[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], n)
-    summed = values[starts]
-    for i in np.flatnonzero(ends - starts > 1).tolist():
-        run = values[starts[i]:ends[i]].tolist()
-        total = run[0]
-        for value in run[1:]:
-            total = total + value
-        summed[i] = total
+    position, summed, _ = coalesce(row_of * cols + col_of, as_vector(values, dtype))
     keep = summed != 0
-    row_of, col_of = np.divmod(position[starts][keep], cols)
+    row_of, col_of = np.divmod(position[keep], cols)
     row_offsets = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_of, minlength=rows), out=row_offsets[1:])
     return SparseMatrix(rows, cols, row_offsets, col_of, summed[keep], dtype)
+
+
+def coalesce(position, values):
+    """Add up the values of equal positions, strictly left to right in input order.
+
+    ``values`` is a vector of either domain. Returns the distinct positions
+    in ascending order, the sum of each, and the input index of the first
+    entry of each.
+    """
+    # a stable sort by position keeps the entries of one position in input order
+    order = np.argsort(position, kind="stable")
+    position = position[order]
+    first = np.ones(len(position), dtype=bool)
+    first[1:] = position[1:] != position[:-1]
+    starts = np.flatnonzero(first)
+    lengths = np.diff(np.append(starts, len(position)))
+    return position[starts], _add_runs(values[order], starts, lengths), order[starts]
+
+
+def _add_runs(values, starts, lengths):
+    """The sum of each run ``values[s:s + n]``, added strictly left to right.
+
+    Runs of 2^(j-1) < n <= 2^j entries go into one table with rows of 2^j
+    cells, padded with the additive identity (-0.0, or Fraction(0)), and
+    ``np.add.accumulate`` adds along each row in order; a table holds at most
+    twice its runs' entries.
+    """
+    sums = values[starts]
+    long = np.flatnonzero(lengths > 1)
+    group = np.frexp(lengths[long] - 1)[1]
+    pad = -0.0 if values.dtype == np.float64 else Fraction(0)
+    for j in np.unique(group).tolist():
+        runs = long[group == j]
+        n = lengths[runs]
+        before = np.cumsum(n) - n  # entries of the group's earlier runs
+        k = np.arange(int(n.sum()))
+        table = np.full((len(runs), 1 << j), pad, dtype=values.dtype)
+        cells = np.repeat((np.arange(len(runs)) << j) - before, n) + k
+        table.flat[cells] = values[np.repeat(starts[runs] - before, n) + k]
+        sums[runs] = np.add.accumulate(table, axis=1)[:, -1]
+    return sums
 
 
 def row_sums(m):

@@ -1,0 +1,27 @@
+"""The benchmark scripts run to completion at tiny sizes, so they cannot rot."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stormlet
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.mark.parametrize("script, args", [
+    # bench_kernels asserts every kernel output bit-identical to its reference loop
+    pytest.param("bench_kernels.py", ["--sizes", "100", "--repeats", "1"], id="bench_kernels"),
+    pytest.param("bench_explicit.py", ["--sizes", "50", "--repeats", "1"], id="bench_explicit"),
+    pytest.param("bench_explore.py", ["--caps", "2", "--repeats", "1"], id="bench_explore"),
+    pytest.param("bench_graph.py", ["--sizes", "50", "--repeats", "1"], id="bench_graph"),
+])
+def test_benchmark_script_runs(script, args):
+    src = str(Path(stormlet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, str(BENCHMARKS / script), *args],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -234,6 +234,33 @@ def test_pow_that_is_not_a_finite_real_exit_4(capsys, tmp_path, exact, value):
     assert err == f"stormlet: model error: {value} is not a finite real (line 8, column 10)\n"
 
 
+@pytest.mark.parametrize("index", ["100000000000000", "99999999999999999999999"])
+def test_huge_state_index_exit_1(capsys, tmp_path, index):
+    tra, lab = tmp_path / "huge.tra", tmp_path / "huge.lab"
+    tra.write_text(f"dtmc\n0 {index} 1\n")
+    lab.write_text("#DECLARATION\ngoal\n#END\n")
+    code, out, err = run_cli(capsys, "--explicit", str(tra), str(lab), "--prop", 'P=? [ F "goal" ]')
+    assert code == 1 and out == ""
+    assert err == "stormlet: parse error: gap in state indices: state 1 is never used\n"
+
+
+@pytest.mark.parametrize("weight, reward, message", [
+    ("pow(10, 400) : ", "1", "update weight is an integer too large for a float (line 4, column 11)"),
+    ("", "pow(10, 400)", "reward is an integer too large for a float (line 8, column 10)"),
+])
+def test_integer_too_large_for_a_float_exit_4(capsys, tmp_path, weight, reward, message):
+    program = tmp_path / "big.pm"
+    program.write_text(f"ctmc\nmodule m\nx : [0..3] init 0;\n[] x<3 -> {weight}(x'=x+1);\n[] x=3 -> (x'=3);\n"
+                       f"endmodule\nrewards \"r\"\n  true : {reward};\nendrewards\n")
+    code, out, err = run_cli(capsys, "--prism", str(program), "--prop", "R=? [ F (x=3) ]")
+    assert code == 4 and out == ""
+    assert err == f"stormlet: model error: {message}\n"
+    code, out, err = run_cli(capsys, "--prism", str(program), "--exact", "--prop", "R=? [ F (x=3) ]")
+    assert code == 0 and err == ""
+    assert out.startswith("Property: R=? [ F (x=3) ]\nResult (state 0): ")
+    assert out.endswith("3\n" if weight else "3" + "0" * 400 + "\n")
+
+
 @pytest.mark.parametrize("predicate, message", [
     ("(x/(x-1)>0)", "division by zero"),
     ("(mod(x, x-1)=0)", "mod by zero"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormlet import explicit
+from stormlet import explicit, sparse
 from stormlet.errors import DeadlockError, ModelError, ParseError, StormletError
 from stormlet.explicit import ExplicitBundle
 from stormlet.models import ModelKind
@@ -126,6 +126,58 @@ def test_duplicate_transitions_coalesce():
     kind, m, _, _, _ = explicit.parse_transitions("dtmc\n0 1 0.5\n0 1 0.5\n1 1 1\n")
     cols, vals = m.row(0)
     assert list(cols) == [1] and vals[0] == 1.0
+
+
+def test_lines_of_one_state_need_not_be_adjacent():
+    text = "mdp\n0 0 1 0.25\n0 1 0 1\n1 0 1 1\n0 0 0 0.5\n0 0 1 0.25\n"
+    _, m, offsets, _, _ = explicit.parse_transitions(text)
+    assert offsets.tolist() == [0, 2, 3]
+    assert m.row(0)[0].tolist() == [0, 1] and m.row(0)[1].tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("text, error, message, line", [
+    # the value is checked before the order of the keys, within one line
+    ("dtmc\n# c\n\n1 1 1\n0 0 x\n", ParseError, "invalid number 'x'", 5),
+    # an order error ends the file before a later bad line
+    ("dtmc\n1 1 1\n0 0 1\n0 0 x\n", ParseError, "state 0 choice 0 out of ascending order", 3),
+    ("mdp\n0 0 0 1\n0 2 0 1\n1 0\n", ParseError, "gap in choice indices of state 0", 3),
+    ("mdp\n0 0 0 1\n1 1 1 1\n", ParseError, "choices of state 1 must start at 0", 3),
+    ("dtmc\r\n0 0 1\r\n1 1 -1\r\n0 0\r\n", ParseError, "transition values must be positive", 3),
+    ("ctmc\n0 1 1 # rate\n1 0 2 3\n", ParseError, "expected 3 fields, found 4", 3),
+    ("\n# kind\n dtmc x \n0 0 1\n", ParseError, "expected header dtmc|ctmc|mdp, found 'dtmc x'", 3),
+])
+def test_first_bad_line_is_reported_with_its_number(text, error, message, line):
+    with pytest.raises(error) as exc:
+        explicit.parse_transitions(text)
+    assert str(exc.value) == f"{message} at line {line}" and exc.value.line == line
+
+
+@pytest.mark.parametrize("text, state", [
+    ("dtmc\n0 100000000000000 1\n", 1),
+    ("dtmc\n0 99999999999999999999999 1\n", 1),
+    ("dtmc\n0 1 1\n1 0 1\n99999999999999999999999 0 1\n", 2),
+    ("mdp\n0 0 0 1\n1 0 100000000000000000000 1\n", 2),
+])
+@pytest.mark.parametrize("fix", [False, True])
+def test_huge_state_index_is_a_gap(text, state, fix):
+    """Found from the indices that occur, before anything of that size is allocated."""
+    with pytest.raises(ParseError, match=f"^gap in state indices: state {state} is never used$"):
+        explicit.parse_transitions(text, fix_deadlocks=fix)
+
+
+def test_huge_state_index_in_the_other_checks():
+    with pytest.raises(DeadlockError, match="^deadlock state 1: "):
+        explicit.parse_transitions("dtmc\n0 1 0.5\n0 100000000000000 0.5\n")
+    with pytest.raises(ParseError, match="^state 0 choice 0 out of ascending order at line 3$"):
+        explicit.parse_transitions("dtmc\n99999999999999999999 0 1\n0 0 1\n")
+    with pytest.raises(ParseError, match="^gap in choice indices of state 0 at line 3$"):
+        explicit.parse_transitions("mdp\n0 0 0 1\n0 99999999999999999999 0 1\n")
+    with pytest.raises(ParseError, match="^indices must be nonnegative at line 2$"):
+        explicit.parse_transitions("dtmc\n0 -99999999999999999999 1\n")
+    with pytest.raises(ParseError, match="^state 99999999999999999999 out of range at line 1$"):
+        explicit.parse_state_rewards("99999999999999999999 1\n", 3)
+    with pytest.raises(ParseError, match=r"^choice 99999999999999999999 out of range for state 0 \(2 choices\)"):
+        explicit.parse_action_rewards("0 99999999999999999999 1\n", ModelKind.MDP, [0, 2])
 
 
 def test_nonpositive_values_rejected():
@@ -246,3 +298,433 @@ def test_parser_totality_on_fuzzed_input(text):
         explicit.parse_transitions(text)
     except StormletError:
         pass
+
+
+# --- the columnar loader against the scalar loop it replaced --------------
+#
+# The reference below is the per-line parser the loader replaced, kept as the
+# oracle: on every generated file the loader must return the same model, bit
+# for bit, or raise the same exception class with the same message and line.
+
+
+def ref_content_lines(text, strip_comments=True):
+    """Yield (1-based line number, stripped content) for non-empty lines."""
+    for no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if strip_comments and "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
+        if line:
+            yield no, line
+
+
+def ref_parse_value(token, rational, line):
+    """A decimal or fraction token; float mode rounds the exact value once."""
+    try:
+        value = Fraction(token)
+        return value if rational else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ParseError(f"invalid number {token!r}", line=line)
+
+
+def ref_domain(rational):
+    return "rational" if rational else "float"
+
+
+def ref_parse_transitions(text, rational=False, fix_deadlocks=False):
+    """Parse a transitions file.
+
+    Returns (kind, matrix, choice_offsets, exit_rates or None, patched bitset).
+    DTMC/MDP rows within 1e-6 of a distribution are renormalized; duplicate
+    transitions coalesce additively.
+    """
+    lines = list(ref_content_lines(text))
+    if not lines:
+        raise ParseError("empty transitions file", line=1)
+    header_no, header = lines[0]
+    try:
+        kind = ModelKind(header)
+    except ValueError:
+        raise ParseError(f"expected header dtmc|ctmc|mdp, found {header!r}", line=header_no)
+
+    # rows keyed by (src, choice); choice is always 0 for deterministic kinds
+    rows = {}
+    order = []
+    dsts = set()
+    max_state = -1
+    for no, line in lines[1:]:
+        parts = line.split()
+        want = 4 if kind is ModelKind.MDP else 3
+        if len(parts) != want:
+            raise ParseError(f"expected {want} fields, found {len(parts)}", line=no)
+        try:
+            src = int(parts[0])
+            choice = int(parts[1]) if kind is ModelKind.MDP else 0
+            dst = int(parts[-2])
+        except ValueError:
+            raise ParseError("state indices must be integers", line=no)
+        if src < 0 or dst < 0 or choice < 0:
+            raise ParseError("indices must be nonnegative", line=no)
+        value = ref_parse_value(parts[-1], rational, no)
+        if value <= 0:
+            raise ParseError("transition values must be positive", line=no)
+        key = (src, choice)
+        if key not in rows:
+            prev = order[-1] if order else None
+            if prev is not None and key < prev:
+                raise ParseError(f"state {src} choice {choice} out of ascending order", line=no)
+            if prev is not None and src == prev[0] and choice != prev[1] + 1:
+                raise ParseError(f"gap in choice indices of state {src}", line=no)
+            if (prev is None or src != prev[0]) and choice != 0:
+                raise ParseError(f"choices of state {src} must start at 0", line=no)
+            rows[key] = {}
+            order.append(key)
+        if dst in rows[key]:
+            rows[key][dst] += value  # duplicate transition: additive coalescing
+        else:
+            rows[key][dst] = value
+        dsts.add(dst)
+        max_state = max(max_state, src, dst)
+
+    n = max_state + 1
+    if n == 0:
+        raise ParseError("transitions file declares no transitions", line=header_no)
+
+    keys_by_src = {}  # source state -> its (src, choice) keys, in choice order
+    for key in order:
+        keys_by_src.setdefault(key[0], []).append(key)
+    patched = np.zeros(n, dtype=bool)
+    for s in range(n):
+        if s in keys_by_src:
+            continue
+        if s not in dsts:
+            raise ParseError(f"gap in state indices: state {s} is never used")
+        if not fix_deadlocks:
+            raise DeadlockError(s, "no outgoing transitions in transitions file")
+        patched[s] = True
+
+    zero = Fraction(0) if rational else 0.0
+    one = Fraction(1) if rational else 1.0
+    triples = []
+    choice_offsets = [0]
+    exit_rates = [] if kind is ModelKind.CTMC else None
+    row_index = 0
+    for s in range(n):
+        state_choices = keys_by_src.get(s, [])
+        if not state_choices:
+            triples.append((row_index, s, one))
+            if kind is ModelKind.CTMC:
+                exit_rates.append(one)  # absorbing convention: self-loop at rate 1
+            row_index += 1
+        else:
+            for key in state_choices:
+                entries = rows[key]
+                total = sum(entries.values(), zero)
+                if kind is ModelKind.CTMC:
+                    exit_rates.append(total)
+                    for dst, v in entries.items():
+                        triples.append((row_index, dst, v / total))
+                else:
+                    if rational:
+                        if total != 1:
+                            raise ModelError(
+                                f"row of state {s} sums to {total}, expected exactly 1"
+                            )
+                        scale = one
+                    else:
+                        if abs(total - 1.0) > explicit.ROW_TOLERANCE:
+                            raise ModelError(
+                                f"row of state {s} sums to {total!r}, outside 1 +- {explicit.ROW_TOLERANCE}"
+                            )
+                        # renormalize only when the deviation is above rounding
+                        # noise, so written models parse back value-identical
+                        scale = one if abs(total - 1.0) <= 1e-10 else total
+                    for dst, v in entries.items():
+                        triples.append((row_index, dst, v / scale))
+                row_index += 1
+        choice_offsets.append(row_index)
+
+    matrix = sparse.build_sparse(triples, row_index, n, ref_domain(rational))
+    if kind is not ModelKind.MDP:
+        choice_offsets = np.arange(n + 1, dtype=np.int64)
+    return kind, matrix, np.asarray(choice_offsets, dtype=np.int64), exit_rates, patched
+
+
+def ref_parse_state_rewards(text, n_states, rational=False):
+    """Parse `state reward` lines into a dense vector (unlisted states are 0)."""
+    vec = sparse.as_vector(np.zeros(n_states), ref_domain(rational))
+    seen = set()
+    for no, line in ref_content_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("expected `state reward`", line=no)
+        try:
+            state = int(parts[0])
+        except ValueError:
+            raise ParseError("state index must be an integer", line=no)
+        if not 0 <= state < n_states:
+            raise ParseError(f"state {state} out of range", line=no)
+        if state in seen:
+            raise ParseError(f"duplicate reward assignment for state {state}", line=no)
+        seen.add(state)
+        value = ref_parse_value(parts[1], rational, no)
+        if value < 0:
+            raise ModelError(f"negative reward for state {state} (line {no})")
+        vec[state] = value
+    return vec
+
+
+def ref_parse_action_rewards(text, kind, choice_offsets, rational=False):
+    """Parse action rewards keyed by (state, choice) for MDPs, by state otherwise."""
+    n_choices = int(choice_offsets[-1])
+    n_states = len(choice_offsets) - 1
+    vec = sparse.as_vector(np.zeros(n_choices), ref_domain(rational))
+    seen = set()
+    for no, line in ref_content_lines(text):
+        parts = line.split()
+        want = 3 if kind is ModelKind.MDP else 2
+        if len(parts) != want:
+            raise ParseError(f"expected {want} fields", line=no)
+        try:
+            state = int(parts[0])
+            choice = int(parts[1]) if kind is ModelKind.MDP else 0
+        except ValueError:
+            raise ParseError("indices must be integers", line=no)
+        if not 0 <= state < n_states:
+            raise ParseError(f"state {state} out of range", line=no)
+        n_state_choices = int(choice_offsets[state + 1] - choice_offsets[state])
+        if not 0 <= choice < n_state_choices:
+            raise ParseError(
+                f"choice {choice} out of range for state {state} ({n_state_choices} choices)", line=no
+            )
+        if (state, choice) in seen:
+            raise ParseError(f"duplicate reward assignment for state {state} choice {choice}", line=no)
+        seen.add((state, choice))
+        value = ref_parse_value(parts[-1], rational, no)
+        if value < 0:
+            raise ModelError(f"negative reward at state {state} (line {no})")
+        vec[int(choice_offsets[state]) + choice] = value
+    return vec
+
+
+GARBAGE = ["x", "-1", "0", "-0", "0.0", "1.2.3", "1/0", "1/-3", "inf", "-inf", "nan", "1e400", "1e-400",
+           "-1e-400", "٣", "1_0", "_1", "1__0", "0x1", "2.5", "9", "1/3", "3_0/4", "1e1_0", "+.5", "1.e1"]
+
+
+def _digits(q):
+    """Exact decimal digits of q when its denominator divides 10**6, else None."""
+    scaled = q * 10**6
+    if scaled.denominator != 1:
+        return None
+    whole, frac = divmod(int(scaled), 10**6)
+    return whole, f"{frac:06d}".rstrip("0")
+
+
+def _token(rng, q, rough=False):
+    """A token for the positive Fraction q: fraction, decimal, exponent or underscore form.
+
+    ``rough`` gives a decimal that misses q by about 10^-k, for rows near 1.
+    """
+    if rough:
+        return f"{float(q):.{rng.choice([5, 8, 12, 17])}f}"
+    forms = [f"{q.numerator}/{q.denominator}"]
+    digits = _digits(q)
+    if digits is not None:
+        whole, frac = digits
+        forms.append(f"{whole}.{frac}" if frac else str(whole))
+        forms.append(f"{int(q * 10**6)}e-6")
+        forms.append(f"{q.numerator * 10}e-1" if q.denominator == 1 else f"{float(q) * 10:g}E-1")
+        if len(frac) >= 2:
+            forms.append(f"{whole}.{frac[0]}_{frac[1:]}")
+    return rng.choice(forms)
+
+
+def _split(rng, q):
+    """q, or two positive parts that add up to it (duplicate lines)."""
+    if rng.random() < 0.25:
+        part = q * rng.choice([Fraction(1, 2), Fraction(1, 4), Fraction(3, 5)])
+        return [part, q - part]
+    return [q]
+
+
+def _transition_lines(rng, kind):
+    """The data lines of a random model; sometimes with deadlocks, gaps or rough rows."""
+    n = rng.randint(1, 6)
+    keys = []
+    for s in range(n):
+        if rng.random() < 0.15:
+            continue
+        for c in range(rng.randint(1, 3) if kind == "mdp" else 1):
+            dsts = rng.sample(range(n), rng.randint(1, min(4, n)))
+            denominator = rng.choice([1, 3, 4, 7, 8, 10, 1000])
+            if kind == "ctmc":
+                weights = [Fraction(rng.randint(1, 3 * denominator), denominator) for _ in dsts]
+            else:
+                whole = len(dsts) * denominator
+                cuts = sorted(rng.sample(range(1, whole), len(dsts) - 1))
+                weights = [Fraction(b - a, whole) for a, b in zip([0, *cuts], [*cuts, whole])]
+            rough = rng.random() < 0.2
+            head = f"{s} {c}" if kind == "mdp" else f"{s}"
+            row = [f"{head} {d} {_token(rng, part, rough)}" for d, w in zip(dsts, weights) for part in _split(rng, w)]
+            rng.shuffle(row)  # destinations out of order
+            keys.append(row)
+    lines = [line for row in keys for line in row]
+    firsts = {sum(map(len, keys[:i])) for i in range(len(keys))}
+    for _ in range(rng.randint(0, 3)):  # move a line that is not its key's first to a later place
+        movable = [i for i in range(len(lines)) if i not in firsts]
+        if movable:
+            i = rng.choice(movable)
+            line = lines.pop(i)
+            lines.insert(rng.randint(i, len(lines)), line)
+            firsts = {f - 1 if f > i else f for f in firsts}
+    return lines
+
+
+def _mutate(rng, lines):
+    """One to three changes that may make a valid file invalid."""
+    for _ in range(rng.randint(1, 3)):
+        if lines:
+            lines = _change(rng, lines)
+    return lines
+
+
+def _change(rng, lines):
+    what = rng.randrange(9)
+    i = rng.randrange(len(lines))
+    fields = lines[i].split()
+    if not fields:
+        return lines[:i] + lines[i + 1:]
+    if what in (0, 7, 8):
+        fields[rng.randrange(len(fields))] = rng.choice(GARBAGE)
+    elif what == 1:
+        fields.pop(rng.randrange(len(fields)))
+    elif what == 2:
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(["7", "0", "x"]))
+    elif what == 3:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines
+    elif what == 4:
+        return lines[:i] + lines[i + 1:]
+    elif what == 5:
+        return lines[:i] + [lines[i]] + lines[i:]
+    else:
+        fields[rng.randrange(max(1, len(fields) - 1))] = str(rng.randint(0, 9))
+    lines[i] = " ".join(fields)
+    return lines
+
+
+def _decorate(rng, lines):
+    """Text of the lines with comments, blank lines, tabs and mixed line endings."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.1:
+            out.append(rng.choice(["", "   ", "# a comment", "\t# 0 0 1", "#"]))
+        line = rng.choice(["\t", " "]).join(line.split(" ")) if rng.random() < 0.2 else line
+        if rng.random() < 0.15:
+            line = f"  {line} # note"
+        out.append(line + ("\r" if rng.random() < 0.2 else ""))
+    return "\n".join(out) + rng.choice(["", "\n", "\r\n", "\n\n"])
+
+
+def _same_failure(expected, call):
+    with pytest.raises(StormletError) as got:
+        call()
+    assert type(got.value) is type(expected)
+    assert str(got.value) == str(expected)
+    assert getattr(got.value, "line", None) == getattr(expected, "line", None)
+
+
+def _assert_same_vector(got, expected, rational):
+    assert got.dtype == expected.dtype and len(got) == len(expected)
+    if rational:
+        assert list(got) == list(expected) and all(type(v) is Fraction for v in got)
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except StormletError as exc:
+        return None, exc
+
+
+@settings(deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]),
+       rational=st.booleans(), fix=st.booleans(), mutate=st.booleans(),
+       piece=st.sampled_from([1, 9, 50, explicit._PIECE_CHARS]))
+def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piece):
+    rng = random.Random(seed)
+    lines = _transition_lines(rng, kind)
+    if mutate:
+        lines = _mutate(rng, lines)
+    header = [rng.choice(["", "# model", "  "]) for _ in range(rng.randint(0, 2))]
+    header.append(rng.choice([kind, f" {kind}\t", f"{kind} # kind"] if not mutate or rng.random() < 0.8
+                             else ["markov", f"{kind} 0", "", f"{kind}{kind}"]))
+    text = _decorate(rng, header + lines)
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    try:
+        expected, error = _outcome(lambda: ref_parse_transitions(text, rational, fix))
+        if error is not None:
+            _same_failure(error, lambda: explicit.parse_transitions(text, rational, fix))
+            return
+        got = explicit.parse_transitions(text, rational, fix)
+    finally:
+        explicit._PIECE_CHARS = saved
+    kind_, m, offsets, rates, patched = got
+    e_kind, e_m, e_offsets, e_rates, e_patched = expected
+    assert kind_ is e_kind
+    assert (m.rows, m.cols, m.dtype) == (e_m.rows, e_m.cols, e_m.dtype)
+    assert np.array_equal(m.row_offsets, e_m.row_offsets) and np.array_equal(m.col_indices, e_m.col_indices)
+    _assert_same_vector(m.values, e_m.values, rational)
+    assert offsets.dtype == np.int64 and np.array_equal(offsets, e_offsets)
+    assert patched.dtype == bool and np.array_equal(patched, e_patched)
+    if e_rates is None:
+        assert rates is None
+    else:
+        assert type(rates) is list
+        _assert_same_vector(sparse.as_vector(rates, m.dtype), sparse.as_vector(e_rates, m.dtype), rational)
+        assert [type(r) for r in rates] == [type(r) for r in e_rates]
+
+
+def _reward_lines(rng, offsets, mdp, per_choice):
+    lines = []
+    for s in range(len(offsets) - 1):
+        for c in range(offsets[s + 1] - offsets[s] if per_choice else 1):
+            if rng.random() < 0.6:
+                value = rng.choice([Fraction(0), Fraction(rng.randint(1, 40), rng.choice([1, 3, 4, 1000]))])
+                token = rng.choice(["0", "-0", "0.0"]) if value == 0 else _token(rng, value, rng.random() < 0.1)
+                lines.append(f"{s} {c} {token}" if per_choice and mdp else f"{s} {token}")
+    rng.shuffle(lines)  # reward lines may come in any order
+    return lines
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), mdp=st.booleans(), rational=st.booleans(),
+       mutate=st.booleans(), piece=st.sampled_from([1, 9, explicit._PIECE_CHARS]))
+def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piece):
+    rng = random.Random(seed)
+    counts = [rng.randint(1, 3) if mdp else 1 for _ in range(rng.randint(1, 6))]
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    kind = ModelKind.MDP if mdp else ModelKind.DTMC
+    cases = [
+        (lambda text: ref_parse_state_rewards(text, len(counts), rational),
+         lambda text: explicit.parse_state_rewards(text, len(counts), rational), False),
+        (lambda text: ref_parse_action_rewards(text, kind, offsets, rational),
+         lambda text: explicit.parse_action_rewards(text, kind, offsets, rational), True),
+    ]
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    try:
+        for reference, loader, per_choice in cases:
+            lines = _reward_lines(rng, offsets, mdp, per_choice)
+            if mutate:
+                lines = _mutate(rng, lines)
+            text = _decorate(rng, lines)
+            expected, error = _outcome(lambda: reference(text))
+            if error is not None:
+                _same_failure(error, lambda: loader(text))
+            else:
+                _assert_same_vector(loader(text), expected, rational)
+    finally:
+        explicit._PIECE_CHARS = saved

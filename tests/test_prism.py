@@ -473,6 +473,16 @@ def test_state_dependent_zero_divisor_raises(divisor, message, position, templat
         build(source, exact=exact)
 
 
+@pytest.mark.parametrize("position, what", [("rate", "update weight"), ("reward", "reward")])
+def test_integer_too_large_for_a_float_raises(position, what):
+    source = ZERO_DIVISOR.format(**{**DEFAULTS, position: "pow(10, 400)"})
+    with pytest.raises(ModelError, match=rf"^{what} is an integer too large for a float \(line \d+, column \d+\)$"):
+        build(source)
+    model, _ = build(source, exact=True)
+    exact = model.exit_rates[0] if position == "rate" else model.rewards["r"].state_rewards[0]  # state 0 is x=3
+    assert exact == 10**400
+
+
 def test_negative_integer_exponent_raises():
     src = "dtmc\nmodule m\nx : [0..3] init 3;\n[] x>0 -> (x'=pow(2, x-3)+x-2);\n[] x=0 -> (x'=0);\nendmodule"
     with pytest.raises(DivisionByZero, match="negative integer exponent"):

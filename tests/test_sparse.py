@@ -85,6 +85,35 @@ def test_build_float_matches_left_to_right_reference(triples):
     assert m.values.tolist() == values
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, -0.0])),
+                max_size=120),
+       st.booleans())
+def test_coalesce_matches_left_to_right_loop(entries, rational):
+    """Runs of up to 120 entries, so several table widths occur; a run of -0.0 sums to -0.0."""
+    position = np.array([p for p, _ in entries], dtype=np.int64)
+    domain = "rational" if rational else "float"
+    values = sparse.as_vector([v for _, v in entries], domain)
+    sums, first = {}, {}
+    for i, (p, v) in enumerate(zip(position.tolist(), values.tolist())):
+        sums[p] = sums[p] + v if p in sums else v
+        first.setdefault(p, i)
+    got_position, got_sums, got_first = sparse.coalesce(position, values)
+    assert got_position.tolist() == sorted(sums)
+    assert got_first.tolist() == [first[p] for p in sorted(sums)]
+    expected = sparse.as_vector([sums[p] for p in sorted(sums)], domain)
+    if rational:
+        assert got_sums.tolist() == expected.tolist() and all(type(v) is Fraction for v in got_sums)
+    else:
+        assert got_sums.tobytes() == expected.tobytes()
+
+
+def test_build_takes_columns_as_a_record_array():
+    triples = [(1, 0, 0.5), (0, 1, 0.25), (1, 0, 0.25), (0, 0, 1.0)]
+    columns = np.rec.fromarrays([np.array(c) for c in zip(*triples)], names="row,col,value")
+    assert sparse.build_sparse(columns, 2, 2) == sparse.build_sparse(triples, 2, 2)
+
+
 @pytest.mark.parametrize("triples, message", [
     ([(0, 0, 1.0), (0, 1, float("nan")), (2, 0, 1.0)], r"non-finite value at \(0,1\)"),
     ([(0, 0, 1.0), (2, 0, 1.0), (0, 1, float("inf"))], r"index \(2,0\) out of range for 1x2 matrix"),
