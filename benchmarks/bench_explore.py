@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark model construction on a growing tandem queue.
+"""Benchmark model construction on a growing tandem queue and a thin chain.
 
-The CTMC has three stations in series, each holding up to c customers;
-stations 1-2 and 2-3 synchronise on the hand-over actions, and the program
-has three labels and a state and an action reward structure, so every
-construction phase has work to do. c = 10, 20, 30, 40 gives (c+1)^3 =
-1 331 to 68 921 states.
+The tandem is a CTMC with three stations in series, each holding up to c
+customers; stations 1-2 and 2-3 synchronise on the hand-over actions, and
+the program has three labels and a state and an action reward structure, so
+every construction phase has work to do. c = 10, 20, 30, 40, 46 gives
+(c+1)^3 = 1 331 to 103 823 states, in a few hundred BFS layers.
+
+The chain is a birth-death DTMC with as many states, started in the middle,
+so each BFS layer holds about two states: N states take N/2 layers. It
+measures the fixed cost that exploration pays per layer, which the short
+chains of ``perfbench``'s ``solve_iter`` pay on every layer. Its explore
+row also gives that cost in microseconds per layer.
 
 ``explore`` is timed whole; the label, reward and ``build_sparse`` calls
 it makes are timed by wrapping them where ``explore`` looks them up, and
-the explore phase is the rest. For each c the script prints the best time
+the explore phase is the rest. For each size the script prints the best time
 of each phase in ms and the same time per 10^3 stored transitions; a flat
-last column is linear growth.
+column is linear growth.
 
-Usage: python3 benchmarks/bench_explore.py [--caps 10,20,30,40] [--repeats 3]
+Usage: python3 benchmarks/bench_explore.py [--caps 10,20,30,40,46] [--repeats 3]
 """
 
 import argparse
@@ -62,6 +68,26 @@ rewards "served"
 endrewards
 """
 
+# a birth-death chain over 0..N started at M = N // 2: each BFS layer adds
+# the states one step further down and one step further up
+CHAIN = """dtmc
+
+const int N;
+const int M;
+
+module walk
+  x : [0..N] init M;
+  [] x>0 & x<N -> 0.4 : (x'=x+1) + 0.35 : (x'=x-1) + 0.25 : (x'=x);
+  [] x=0 | x=N -> (x'=x);
+endmodule
+
+label "top" = x=N;
+
+rewards "steps"
+  x>0 & x<N : 1;
+endrewards
+"""
+
 PHASES = ("explore", "labels", "rewards", "build_sparse")
 # phase -> (module, attribute) of the call explore makes for it
 TIMED = {
@@ -99,8 +125,7 @@ def timed_explore(program):
     return model, spent
 
 
-def bench_cap(cap, repeats):
-    program = typecheck(parse_program(TANDEM), {"c": cap})
+def bench(program, repeats):
     best = dict.fromkeys(PHASES, float("inf"))
     for _ in range(repeats):
         model, spent = timed_explore(program)
@@ -111,16 +136,25 @@ def bench_cap(cap, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--caps", default="10,20,30,40", help="comma-separated station capacities c")
+    parser.add_argument("--caps", default="10,20,30,40,46",
+                        help="comma-separated station capacities c; the chain gets (c+1)^3 states")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
-    print(f"{'c':>4} {'states':>8} {'transitions':>11}  {'phase':<12} {'ms':>10} {'ms/1e3 tr':>10}")
+    print(f"{'family':<7} {'size':>7} {'states':>8} {'transitions':>11}  {'phase':<12} {'ms':>10} "
+          f"{'ms/1e3 tr':>10} {'us/layer':>9}")
     for cap in (int(s) for s in args.caps.split(",")):
-        states, nnz, best = bench_cap(cap, args.repeats)
-        for phase in PHASES:
-            ms = best[phase] * 1e3
-            print(f"{cap:>4} {states:>8} {nnz:>11}  {phase:<12} {ms:>10.2f} {ms / nnz * 1e3:>10.4f}")
+        n = (cap + 1) ** 3 - 1
+        for family, size, program, layers in (
+            ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), None),
+            ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2}), n - n // 2 + 1),
+        ):
+            states, nnz, best = bench(program, args.repeats)
+            for phase in PHASES:
+                ms = best[phase] * 1e3
+                per_layer = f"{ms * 1e3 / layers:9.1f}" if layers and phase == "explore" else f"{'-':>9}"
+                print(f"{family:<7} {size:>7} {states:>8} {nnz:>11}  {phase:<12} {ms:>10.2f} "
+                      f"{ms / nnz * 1e3:>10.4f} {per_layer}")
 
 
 if __name__ == "__main__":

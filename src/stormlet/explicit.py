@@ -7,10 +7,10 @@ file starts with a header token (``dtmc``, ``ctmc`` or ``mdp``) followed by
 0-based; each (state, choice) must first appear in ascending order, and its
 later lines may come anywhere after that.
 
-The transitions and reward files are read column by column: a piece of
-lines at a time is split into fields, each column is converted in one pass
-and every check is an array operation over the piece. Of several bad lines,
-the first in file order is reported, with its number.
+The transitions, reward and label files are read column by column: a piece
+of lines at a time is split into fields, each column is converted in one
+pass and every check is an array operation over the piece. Of several bad
+lines, the first in file order is reported, with its number.
 """
 
 import itertools
@@ -32,14 +32,6 @@ class ExplicitBundle:
     labels_text: str
     state_rewards_text: str = None
     action_rewards_text: str = None
-
-
-def _content_lines(text):
-    """Yield (1-based line number, stripped content) for non-empty lines."""
-    for no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield no, line
 
 
 # a file is read in pieces of whole lines of about this many characters, so
@@ -136,13 +128,10 @@ class _Rows:
         return values[:k]
 
 
-def _records(text, want, count_message, index_message, start=0, no=1):
+def _pieces(text, start=0, no=1):
     """Per piece of the lines of ``text[start:]``, the first of them line
-    ``no``: its rows, cut before the first line that has other than ``want``
-    fields or a non-integer index field; the index columns; the value tokens.
-
-    ``count_message(found)`` is the message for a line of ``found`` fields.
-    """
+    ``no``: the numbers, field counts and fields of its lines that have any
+    field once comments are removed."""
     while True:
         end = text.find("\n", start + _PIECE_CHARS)
         piece = text[start:] if end < 0 else text[start:end]
@@ -152,16 +141,26 @@ def _records(text, want, count_message, index_message, start=0, no=1):
         fields = list(map(str.split, lines))
         counts = np.fromiter(map(len, fields), np.int64, len(fields))
         kept = np.flatnonzero(counts)
-        counts = counts[kept]
-        rows = _Rows(no + kept)
-        rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
-        tokens = list(itertools.chain.from_iterable(list(filter(None, fields))[: rows.end]))
-        index = [_integers(tokens[j::want]) for j in range(want - 1)]
-        rows.cut(min(k for _, k in index), _error(index_message))
-        yield rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
+        yield no + kept, counts[kept], list(filter(None, fields))
         if end < 0:
             return
         start, no = end + 1, no + len(lines)
+
+
+def _records(text, want, count_message, index_message, start=0, no=1):
+    """Per piece of the lines of ``text[start:]``, the first of them line
+    ``no``: its rows, cut before the first line that has other than ``want``
+    fields or a non-integer index field; the index columns; the value tokens.
+
+    ``count_message(found)`` is the message for a line of ``found`` fields.
+    """
+    for numbers, counts, fields in _pieces(text, start, no):
+        rows = _Rows(numbers)
+        rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
+        tokens = list(itertools.chain.from_iterable(fields[: rows.end]))
+        index = [_integers(tokens[j::want]) for j in range(want - 1)]
+        rows.cut(min(k for _, k in index), _error(index_message))
+        yield rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
 
 
 def _domain(rational):
@@ -302,44 +301,65 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     return kind, matrix, offsets, exit_rates, patched
 
 
-def parse_labels(text, n_states):
-    """Parse a labels file into a StateLabeling (declared labels only)."""
-    lines = list(_content_lines(text))
-    # comment lines are allowed before the declaration block
-    while lines and lines[0][1].startswith("#") and lines[0][1] != "#DECLARATION":
-        lines.pop(0)
-    if not lines or lines[0][1] != "#DECLARATION":
+def _declarations(text):
+    """The declared label names, and the offset and number of the line after ``#END``."""
+    declared = first = last = None
+    start, no = 0, 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line, start, no = text[start:end].strip(), end + 1, no + 1
+        if not line:
+            continue
+        last = no
+        if declared is None:
+            if line == "#DECLARATION":
+                declared = []
+            elif not line.startswith("#"):  # comment lines may come before the block
+                break
+            continue
+        first = first or no
+        if line == "#END":
+            if len(set(declared)) != len(declared):
+                raise ParseError("duplicate label declaration", line=first)
+            return declared, start, no + 1
+        declared.extend(line.split())
+    if declared is None:
         raise ParseError("labels file must start with #DECLARATION", line=1)
-    declared = []
-    i = 1
-    while i < len(lines) and lines[i][1] != "#END":
-        declared.extend(lines[i][1].split())
-        i += 1
-    if i == len(lines):
-        raise ParseError("missing #END after label declarations", line=lines[-1][0])
-    if len(set(declared)) != len(declared):
-        raise ParseError("duplicate label declaration", line=lines[1][0])
+    raise ParseError("missing #END after label declarations", line=last)
 
-    labeling = StateLabeling(n_states, {name: np.zeros(n_states, dtype=bool) for name in declared})
-    for no, line in lines[i + 1 :]:
-        if "#" in line:
-            line = line[: line.index("#")].strip()
-            if not line:
-                continue
-        parts = line.split()
-        try:
-            state = int(parts[0])
-        except ValueError:
-            raise ParseError("label line must start with a state index", line=no)
-        if not 0 <= state < n_states:
-            raise ParseError(f"state {state} out of range (model has {n_states} states)", line=no)
-        if len(parts) < 2:
-            raise ParseError("label line lists no labels", line=no)
-        for name in parts[1:]:
-            if name not in labeling:
-                raise ParseError(f"label {name!r} was not declared", line=no)
-            labeling.get(name)[state] = True
-    return labeling
+
+def parse_labels(text, n_states):
+    """Parse a labels file into a StateLabeling (declared labels only).
+
+    The state lines after the declaration block are read column by column;
+    of several bad lines, the first in file order is reported.
+    """
+    declared, start, no = _declarations(text)
+    ids = {name: i for i, name in enumerate(declared)}
+    bits = np.zeros((len(declared), n_states), dtype=bool)
+    for numbers, counts, fields in _pieces(text, start, no):
+        rows = _Rows(numbers)
+        tokens = np.array(list(itertools.chain.from_iterable(fields)), dtype=object)
+        firsts = np.cumsum(counts) - counts
+        state, k = _integers(tokens[firsts].tolist())
+        rows.cut(k, _error("label line must start with a state index"))
+        rows.check((state < 0) | (state >= n_states), lambda k, no: ParseError(
+            f"state {state[k]} out of range (model has {n_states} states)", line=no))
+        rows.check(counts < 2, _error("label line lists no labels"))
+        is_name = np.ones(len(tokens), dtype=bool)
+        is_name[firsts] = False
+        names = tokens[is_name].tolist()
+        label = np.fromiter(map(ids.get, names, itertools.repeat(-1)), np.int64, len(names))
+        line_of = np.repeat(np.arange(len(counts)), counts - 1)
+        j = _first(label < 0)
+        if j < len(names):
+            rows.cut(int(line_of[j]), lambda k, no: ParseError(f"label {names[j]!r} was not declared", line=no))
+        if rows.error is not None:
+            raise rows.error
+        bits[label, state[line_of].astype(np.int64)] = True
+    return StateLabeling(n_states, dict(zip(declared, bits)))
 
 
 def _repeated(keys, seen):

@@ -2,16 +2,21 @@
 
 typecheck() closes all constants (using caller-supplied bindings for the
 undefined ones), inlines formulas, and annotates every expression with its
-type. compile_expr() turns an expression into a closure over a valuation
-tuple once, before any state is visited; no expression tree is walked per
-state. Evaluation is exact for booleans and integers; doubles evaluate to
-float64 normally and to Fraction in exact mode.
+type. compile_expr() turns an expression, once, into a closure over a table
+of per-variable columns that evaluates it on a subset of the table's rows,
+one numpy operation per operator for all of them. The same closures drive
+exploration (over a BFS layer), labels, rewards and property predicates
+(over all states) and eval_expr (over a one-row table), so the operator
+semantics is stated once. Every value is the one Python's operators give on
+the row's values: evaluation is exact for booleans and integers, and doubles
+evaluate to float64 normally and to Fraction in exact mode.
 """
 
 import math
-import operator
 from dataclasses import replace
 from fractions import Fraction
+
+import numpy as np
 
 from ..errors import ModelError, ParseError, StormletError
 from . import syntax
@@ -258,98 +263,305 @@ def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolv
     raise TypecheckError(f"cannot type {type(expr).__name__}")
 
 
-# operators whose closure is just the Python operator on the two operand values
-_PLAIN = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "=": operator.eq, "!=": operator.ne,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+def typecheck_expr(expr, var_types):
+    """Type an expression over variables of the given types (a property
+    predicate); it may name no constant or formula."""
+    return _type_expr(expr, var_types, {}, {}, None)
+
+
+# --- the column compiler ---------------------------------------------------
+#
+# A column is a 1-D numpy array. bool columns are numpy bools. An int column is
+# int64 while every value is within +-2^53, where int64 arithmetic cannot wrap
+# and the conversion to float64 is exact, and an object array of Python ints
+# otherwise. A double column is float64, or in exact mode an object array of
+# Fractions. An object column in float mode (a big int, or a min/max that
+# mixes ints and doubles and keeps the winner's type) evaluates element by
+# element with Python's operators, so every value is the one Python gives.
+
+EXACT_INT = 2**53
+
+_UFUNC = {
+    "+": np.add, "-": np.subtract, "*": np.multiply,
+    "=": np.equal, "!=": np.not_equal,
+    "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
 }
 
 
-def compile_expr(expr, slots, exact=False):
-    """Compile an expression into a closure over a valuation tuple.
+def _where(span):
+    return f" (line {span[0]}, column {span[1]})" if span else ""
 
-    ``slots`` maps each variable name to its position in the tuple. Literals
-    are converted once, here: a double literal becomes a float, or stays a
-    Fraction in exact mode. ``&`` and ``|`` short-circuit; ``/`` and ``mod``
-    by zero raise DivisionByZero; a double ``pow`` whose value is not a
-    finite real raises ModelError. This is the only statement of the
-    operator semantics.
+
+def _fits(values):
+    """Whether an int64 column stays within +-2^53."""
+    return not len(values) or (-EXACT_INT <= values.min() and values.max() <= EXACT_INT)
+
+
+def _int_column(values):
+    """An int column from a list of Python ints."""
+    fits = all(-EXACT_INT <= v <= EXACT_INT for v in values)
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+def _each(fn, *columns):
+    """An object column of fn applied to the Python values of each row."""
+    out = np.empty(len(columns[0]), dtype=object)
+    out[:] = [fn(*values) for values in zip(*(c.tolist() for c in columns))]
+    return out
+
+
+def _constant(value, n):
+    if isinstance(value, bool):
+        dtype = bool
+    elif isinstance(value, int) and -EXACT_INT <= value <= EXACT_INT:
+        dtype = np.int64
+    else:
+        dtype = np.float64 if isinstance(value, float) else object
+    out = np.empty(n, dtype=dtype)
+    out.fill(value)
+    return out
+
+
+def compile_expr(expr, slots, exact=False, bounds=None):
+    """Compile a typed expression into a closure ``f(table, rows)``.
+
+    ``table`` holds one column per variable, at the position ``slots`` gives
+    its name; ``rows`` is an int array of the table rows to evaluate, and the
+    closure returns one value per row, as a column. ``bounds`` may give the
+    (low, high) range of int variables: integer arithmetic whose result
+    provably stays within +-2^53 then skips its range check. Literals are converted
+    once, here: a double literal becomes a float, or stays a Fraction in
+    exact mode. ``&`` and ``|`` evaluate their right operand only on the rows
+    that need it; ``/`` and ``mod`` by zero raise DivisionByZero; a double
+    ``pow`` whose value is not a finite real, and an integer too large for a
+    float met in float arithmetic, raise ModelError. This is the only
+    statement of the operator semantics: every value is the one Python's
+    operators give on the row's values.
     """
     if isinstance(expr, syntax.Lit):
         value = expr.value
         if isinstance(value, Fraction) and not exact:
             value = float(value)
-        return lambda v: value
+        return lambda table, rows: _constant(value, len(rows))
     if isinstance(expr, syntax.Var):
         if expr.name not in slots:
             raise TypecheckError(f"unknown identifier {expr.name!r}", expr.span)
-        return operator.itemgetter(slots[expr.name])
+        slot = slots[expr.name]
+        return lambda table, rows: table[slot][rows]
     if isinstance(expr, syntax.Unary):
-        operand = compile_expr(expr.operand, slots, exact)
+        operand = compile_expr(expr.operand, slots, exact, bounds)
         if expr.op == "!":
-            return lambda v: not operand(v)
-        return lambda v: -operand(v)
+            return lambda table, rows: ~operand(table, rows)
+        return lambda table, rows: -operand(table, rows)
     if isinstance(expr, syntax.Binary):
-        op = expr.op
-        left = compile_expr(expr.left, slots, exact)
-        right = compile_expr(expr.right, slots, exact)
-        if op == "&":
-            return lambda v: bool(left(v)) and bool(right(v))
-        if op == "|":
-            return lambda v: bool(left(v)) or bool(right(v))
-        if op == "/":
-            def divide(v):
-                a, b = left(v), right(v)
-                if b == 0:
-                    raise DivisionByZero("division by zero")
-                return Fraction(a) / Fraction(b) if exact else a / b
-            return divide
-        fn = _PLAIN[op]
-        if isinstance(expr.right, syntax.Lit):
-            constant = right(())
-            return lambda v: fn(left(v), constant)
-        return lambda v: fn(left(v), right(v))
+        left, right = (compile_expr(e, slots, exact, bounds) for e in (expr.left, expr.right))
+        return _binary(expr, left, right, exact, _interval(expr, bounds or {}))
     if isinstance(expr, syntax.Call):
-        args = [compile_expr(a, slots, exact) for a in expr.args]
-        fn = expr.func
-        if fn in ("min", "max"):
-            pick = min if fn == "min" else max
-            return lambda v: pick([a(v) for a in args])
-        if fn in ("floor", "ceil"):
-            rounding = math.floor if fn == "floor" else math.ceil
-            arg = args[0]
-            return lambda v: rounding(arg(v))
-        if fn == "mod":
-            def modulo(v):
-                a, b = args[0](v), args[1](v)
-                if b == 0:
-                    raise DivisionByZero("mod by zero")
-                return a % b
-            return modulo
-        integer = expr.type == "int"
-        where = f" (line {expr.span[0]}, column {expr.span[1]})" if expr.span else ""
-
-        def power(v):
-            base, exp = args[0](v), args[1](v)
-            if integer:
-                if exp < 0:
-                    raise DivisionByZero("negative integer exponent")
-                return base ** exp
-            try:
-                if exact and (isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1)):
-                    return Fraction(base) ** int(exp)
-                value = float(base) ** float(exp)
-            except (OverflowError, ZeroDivisionError):
-                value = None
-            # a negative base with a fractional exponent gives a complex number
-            if type(value) is not float or not math.isfinite(value):
-                raise ModelError(f"pow({base}, {exp}) is not a finite real{where}")
-            return Fraction(value) if exact else value
-        return power
+        return _call(expr, [compile_expr(a, slots, exact, bounds) for a in expr.args], exact)
     raise StormletError(f"cannot evaluate {type(expr).__name__}")
 
 
+def _interval(expr, bounds):
+    """A (low, high) that holds every value of an int expression, or None."""
+    if expr.type != "int":
+        return None
+    if isinstance(expr, syntax.Lit):
+        return expr.value, expr.value
+    if isinstance(expr, syntax.Var):
+        return bounds.get(expr.name)
+    if isinstance(expr, syntax.Unary):
+        inner = _interval(expr.operand, bounds)
+        return inner and (-inner[1], -inner[0])
+    if isinstance(expr, syntax.Binary):
+        a, b = _interval(expr.left, bounds), _interval(expr.right, bounds)
+        if a is None or b is None:
+            return None
+        if expr.op == "+":
+            return a[0] + b[0], a[1] + b[1]
+        if expr.op == "-":
+            return a[0] - b[1], a[1] - b[0]
+        corners = [x * y for x in a for y in b]
+        return min(corners), max(corners)
+    if expr.func in ("min", "max"):
+        intervals = [_interval(arg, bounds) for arg in expr.args]
+        if None in intervals:
+            return None
+        pick = min if expr.func == "min" else max
+        return pick(low for low, _ in intervals), pick(high for _, high in intervals)
+    return None
+
+
+def _binary(expr, left, right, exact, interval=None):
+    op = expr.op
+    if op in ("&", "|"):
+        # the right operand decides only the rows that the left one does not
+        conjunction = op == "&"
+
+        def logical(table, rows):
+            holds = left(table, rows)
+            open_ = (holds if conjunction else ~holds).nonzero()[0]
+            if len(open_) == len(rows):
+                return right(table, rows)
+            if len(open_):
+                holds = holds.copy()
+                holds[open_] = right(table, rows[open_])
+            return holds
+        return logical
+    too_large = f"an operand of {op!r} is an integer too large for a float{_where(expr.span)}"
+    if op == "/":
+        def divide(table, rows):
+            a, b = left(table, rows), right(table, rows)
+            if (b == 0).any():
+                raise DivisionByZero("division by zero")
+            if exact:
+                return _each(lambda x, y: Fraction(x) / Fraction(y), a, b)
+            try:
+                return np.true_divide(a, b)
+            except OverflowError:
+                raise ModelError(too_large) from None
+        return divide
+    fn = _UFUNC[op]
+    integer = expr.type == "int"
+    # a literal met with a non-literal operand enters the ufunc as a Python scalar
+    is_scalar, value = _scalar(expr.left, expr.right, exact)
+    if is_scalar:
+        left = lambda table, rows, value=value: value  # noqa: E731
+    is_scalar, value = _scalar(expr.right, expr.left, exact)
+    if is_scalar:
+        right = lambda table, rows, value=value: value  # noqa: E731
+
+    if (interval is not None and -EXACT_INT <= interval[0] and interval[1] <= EXACT_INT) or op not in "+-*":
+        # a comparison never raises, and int arithmetic whose result provably
+        # stays within +-2^53 has int64 operands (or small literals) and result
+        return lambda table, rows: fn(left(table, rows), right(table, rows))
+
+    def apply(table, rows):
+        a, b = left(table, rows), right(table, rows)
+        if integer and _int64(a) and _int64(b):
+            if op != "*" or _magnitude(a) * _magnitude(b) <= EXACT_INT:
+                out = fn(a, b)
+                return out if _fits(out) else out.astype(object)
+            if isinstance(a, np.ndarray):
+                a = a.astype(object)
+            else:
+                b = b.astype(object)
+        try:
+            return fn(a, b)
+        except OverflowError:
+            raise ModelError(too_large) from None
+    return apply
+
+
+def _scalar(node, other, exact):
+    """(True, value) for a literal that may enter a ufunc as a Python scalar
+    beside the column of a non-literal ``other``; else (False, None)."""
+    if not isinstance(node, syntax.Lit) or isinstance(other, syntax.Lit):
+        return False, None
+    value = node.value
+    if isinstance(value, Fraction) and not exact:
+        value = float(value)
+    if isinstance(value, (bool, float)) or (isinstance(value, int) and -EXACT_INT <= value <= EXACT_INT):
+        return True, value
+    return False, None
+
+
+def _int64(operand):
+    """Whether an int operand is an int64 column or a small Python int."""
+    return isinstance(operand, int) or operand.dtype == np.int64
+
+
+def _magnitude(operand):
+    if isinstance(operand, int):
+        return abs(operand)
+    return max(-int(operand.min()), int(operand.max()), 0) if len(operand) else 0
+
+
+def _call(expr, args, exact):
+    fn = expr.func
+    if fn in ("min", "max"):
+        better = np.less if fn == "min" else np.greater
+        # Python's min and max return an argument itself: with ints and doubles
+        # mixed, the columns go to objects so that each row keeps its winner's type
+        mixed = len({a.type for a in expr.args}) > 1
+
+        def pick(table, rows):
+            out = None
+            for arg in args:
+                value = arg(table, rows)
+                if mixed:
+                    value = value.astype(object)
+                # a later argument replaces the current one only when strictly better
+                out = value if out is None else np.where(better(value, out), value, out)
+            return out
+        return pick
+    if fn in ("floor", "ceil"):
+        arg = args[0]
+        if expr.args[0].type == "int":
+            return arg
+        rounding = math.floor if fn == "floor" else math.ceil
+        ufunc = np.floor if fn == "floor" else np.ceil
+
+        def round_(table, rows):
+            value = arg(table, rows)
+            if value.dtype == np.float64:
+                out = ufunc(value)
+                if np.isfinite(out).all() and _fits(out):
+                    return out.astype(np.int64)
+            try:
+                return _int_column([rounding(v) for v in value.tolist()])
+            except (OverflowError, ValueError):
+                raise ModelError(f"{fn} of a value that is not finite{_where(expr.span)}") from None
+        return round_
+    if fn == "mod":
+        def modulo(table, rows):
+            a, b = args[0](table, rows), args[1](table, rows)
+            if (b == 0).any():
+                raise DivisionByZero("mod by zero")
+            return np.mod(a, b)
+        return modulo
+    where = _where(expr.span)
+    if expr.type == "int":
+        def integer_power(table, rows):
+            base, exp = args[0](table, rows), args[1](table, rows)
+            if (exp < 0).any():
+                raise DivisionByZero("negative integer exponent")
+            return _int_column([b**e for b, e in zip(base.tolist(), exp.tolist())])
+        return integer_power
+
+    def power(base, exp):
+        try:
+            if exact and (isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1)):
+                return Fraction(base) ** int(exp)
+            value = float(base) ** float(exp)
+        except (OverflowError, ZeroDivisionError):
+            value = None
+        # a negative base with a fractional exponent gives a complex number
+        if type(value) is not float or not math.isfinite(value):
+            raise ModelError(f"pow({base}, {exp}) is not a finite real{where}")
+        return Fraction(value) if exact else value
+
+    def double_power(table, rows):
+        # Python's float ** per row: numpy's vectorised power may differ in the last ulp
+        out = _each(power, args[0](table, rows), args[1](table, rows))
+        return out if exact else out.astype(np.float64)
+    return double_power
+
+
+def evaluate_rows(step, rows):
+    """``step(rows)``; if it raises, ``step`` runs again on one row at a time,
+    so that the error raised is that of the first row that fails alone."""
+    try:
+        return step(rows)
+    except StormletError:
+        for k in range(len(rows)):
+            step(rows[k: k + 1])
+        raise
+
+
+_ONE_ROW = np.zeros(1, dtype=np.int64)
+
+
 def eval_expr(expr, *, exact=False):
-    """Value of a closed expression (constants, bounds, initial values)."""
-    return compile_expr(expr, {}, exact)(())
+    """Value of a closed expression (constants, bounds, initial values), as a Python value."""
+    with np.errstate(all="ignore"):
+        return compile_expr(expr, {}, exact)([], _ONE_ROW).tolist()[0]

@@ -24,7 +24,7 @@ from .models import ModelKind
 from .prism import syntax
 from .prism.lexer import tokenize
 from .prism.parser import TokenCursor, parse_expression
-from .prism.semantics import DivisionByZero, TypecheckError, compile_expr
+from .prism.semantics import DivisionByZero, TypecheckError, compile_expr, evaluate_rows, typecheck_expr
 
 RELOPS = ("<", "<=", ">", ">=")
 
@@ -373,13 +373,13 @@ def resolve_atoms(prop, model, state_map=None):
                     "variable predicates need a program state map (explicit-format models have none)"
                 )
             try:
-                holds = compile_expr(sf.expr, state_map.slots)
-                bits = np.zeros(model.n_states, dtype=bool)
-                for s, valuation in enumerate(state_map.valuations):
-                    value = holds(valuation)
-                    if not isinstance(value, bool):
-                        raise PropertyError(f"predicate ({sf.text}) is not boolean")
-                    bits[s] = value
+                typed = typecheck_expr(sf.expr, state_map.types)
+                if typed.type != "bool":
+                    raise PropertyError(f"predicate ({sf.text}) is not boolean")
+                holds = compile_expr(typed, state_map.slots, bounds=state_map.bounds)
+                table = state_map.columns
+                with np.errstate(all="ignore"):
+                    bits = evaluate_rows(lambda rows: holds(table, rows), np.arange(model.n_states))
             except (TypecheckError, DivisionByZero) as exc:
                 raise PropertyError(f"predicate ({sf.text}): {exc}") from exc
             return bits

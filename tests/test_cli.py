@@ -427,3 +427,16 @@ def test_solver_flag_selects_method(capsys):
         payload = json.loads(out)
         assert payload["values"]["0"] == pytest.approx(1 / 6, abs=1e-6)
     assert json.loads(out)["metadata"]["method"] == "exact"
+
+
+@pytest.mark.parametrize("weight, label, message", [
+    ("pow(10, 400) * 0.5 : ", "true", "an operand of '*' is an integer too large for a float (line 4, column 24)"),
+    ("", "pow(10, 400) * 1.0 > x", "an operand of '*' is an integer too large for a float (line 7, column 26)"),
+])
+def test_double_arithmetic_on_an_integer_too_large_for_a_float_exit_4(capsys, tmp_path, weight, label, message):
+    program = tmp_path / "big.sm"
+    program.write_text(f"ctmc\nmodule m\nx : [0..3] init 0;\n[] x<3 -> {weight}(x'=x+1);\n[] x=3 -> (x'=3);\n"
+                       f"endmodule\nlabel \"l\" = {label};\n")
+    code, out, err = run_cli(capsys, "--prism", str(program), "--prop", 'P=? [ F "l" ]')
+    assert code == 4 and out == ""
+    assert err == f"stormlet: model error: {message}\n"

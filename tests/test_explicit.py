@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stormlet import explicit, sparse
 from stormlet.errors import DeadlockError, ModelError, ParseError, StormletError
 from stormlet.explicit import ExplicitBundle
-from stormlet.models import ModelKind
+from stormlet.models import ModelKind, StateLabeling
 
 LABELS_EMPTY = "#DECLARATION\n\n#END\n"
 
@@ -726,5 +726,93 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
                 _same_failure(error, lambda: loader(text))
             else:
                 _assert_same_vector(loader(text), expected, rational)
+    finally:
+        explicit._PIECE_CHARS = saved
+
+
+def ref_parse_labels(text, n_states):
+    """The per-line labels parser the columnar one replaced."""
+    lines = [(no, raw.strip()) for no, raw in enumerate(text.split("\n"), start=1) if raw.strip()]
+    while lines and lines[0][1].startswith("#") and lines[0][1] != "#DECLARATION":
+        lines.pop(0)
+    if not lines or lines[0][1] != "#DECLARATION":
+        raise ParseError("labels file must start with #DECLARATION", line=1)
+    declared = []
+    i = 1
+    while i < len(lines) and lines[i][1] != "#END":
+        declared.extend(lines[i][1].split())
+        i += 1
+    if i == len(lines):
+        raise ParseError("missing #END after label declarations", line=lines[-1][0])
+    if len(set(declared)) != len(declared):
+        raise ParseError("duplicate label declaration", line=lines[1][0])
+    labeling = StateLabeling(n_states, {name: np.zeros(n_states, dtype=bool) for name in declared})
+    for no, line in lines[i + 1:]:
+        if "#" in line:
+            line = line[: line.index("#")].strip()
+            if not line:
+                continue
+        parts = line.split()
+        try:
+            state = int(parts[0])
+        except ValueError:
+            raise ParseError("label line must start with a state index", line=no)
+        if not 0 <= state < n_states:
+            raise ParseError(f"state {state} out of range (model has {n_states} states)", line=no)
+        if len(parts) < 2:
+            raise ParseError("label line lists no labels", line=no)
+        for name in parts[1:]:
+            if name not in labeling:
+                raise ParseError(f"label {name!r} was not declared", line=no)
+            labeling.get(name)[state] = True
+    return labeling
+
+
+LABEL_NAMES = ["init", "goal", "far", "done", "a_1", "x"]
+
+
+def _label_file(rng, n_states, mutate):
+    """The lines of a labels file: a declaration block, then state lines in any order."""
+    names = rng.sample(LABEL_NAMES, rng.randint(0, len(LABEL_NAMES)))
+    head = [rng.choice(["", "# labels", "  "]) for _ in range(rng.randint(0, 2))] + ["#DECLARATION"]
+    per_line = rng.randint(1, max(1, len(names)))
+    head += [" ".join(names[i:i + per_line]) for i in range(0, len(names), per_line)] + ["#END"]
+    body = []
+    if names:
+        for s in range(n_states):
+            if rng.random() < 0.6:
+                body.append(" ".join([str(s), *rng.sample(names, rng.randint(1, len(names)))]))
+    rng.shuffle(body)
+    if mutate:
+        what = rng.randrange(6)
+        if what == 0 and body:
+            body = _mutate(rng, body)
+        elif what == 1:
+            head.remove("#END")
+        elif what == 2 and len(head) > 2:
+            head.insert(rng.randrange(len(head)), rng.choice(LABEL_NAMES + ["#DECLARATION", "# x"]))
+        elif what == 3:
+            body.insert(rng.randint(0, len(body)), rng.choice(["7", "-1 goal", "99999999999999999999 x", "2 y",
+                                                               "0 init init", "1e1 goal", "x goal"]))
+        elif what == 4:
+            head = head[rng.randint(1, len(head)):]
+        else:
+            body.append(rng.choice(["#END", "#DECLARATION", "goal", "0"]))
+    return head + body
+
+
+@settings(deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), mutate=st.booleans(), piece=st.sampled_from([1, 9, explicit._PIECE_CHARS]))
+def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
+    rng = random.Random(seed)
+    n_states = rng.randint(1, 8)
+    text = _decorate(rng, _label_file(rng, n_states, mutate))
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    try:
+        expected, error = _outcome(lambda: ref_parse_labels(text, n_states))
+        if error is not None:
+            _same_failure(error, lambda: explicit.parse_labels(text, n_states))
+        else:
+            assert explicit.parse_labels(text, n_states) == expected
     finally:
         explicit._PIECE_CHARS = saved

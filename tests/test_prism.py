@@ -1,16 +1,27 @@
 """Program language frontend: lexing, parsing, typing, exploration."""
 
+import importlib
+import itertools
+import math
+import operator
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stormlet import sparse
 from stormlet.errors import DeadlockError, ModelError, ParseError, StormletError
-from stormlet.models import ModelKind
+from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.prism import (
     ExploreOptions,
     explore,
     parse_program,
+    syntax,
     tokenize,
     typecheck,
 )
@@ -292,7 +303,7 @@ def test_explore_empty_range_is_reported_before_the_initial_value():
 def test_explore_range_bounds_may_be_constant_expressions():
     src = "dtmc\nconst int N = 4;\nmodule m\nx : [1..N-1] init N-2;\n[] x<N-1 -> (x'=x+1);\n[] x=N-1 -> (x'=x);\nendmodule"
     model, state_map = build(src)
-    assert state_map.valuations == [(2,), (3,)]
+    assert list(zip(*state_map.columns)) == [(2,), (3,)]
     with pytest.raises(StormletError, match=r"initial value of 'x' is 0, outside \[1..3\]"):
         build(src.replace("init N-2", "init N-4"))
 
@@ -395,7 +406,7 @@ def test_explore_is_deterministic(die_source):
     a_model, a_map = build(die_source)
     b_model, b_map = build(die_source)
     assert a_model == b_model
-    assert a_map.valuations == b_map.valuations
+    assert list(zip(*a_map.columns)) == list(zip(*b_map.columns))
 
 
 # --- every operator in a state-dependent position -------------------------
@@ -424,7 +435,7 @@ endrewards
 @pytest.mark.parametrize("exact", [False, True])
 def test_explore_evaluates_every_operator_per_state(exact):
     model, state_map = build(OPERATORS, exact=exact)
-    assert state_map.valuations == [(0,), (8,), (2,), (3,), (1,), (5,), (9,)]
+    assert list(zip(*state_map.columns)) == [(0,), (8,), (2,), (3,), (1,), (5,), (9,)]
     q = Fraction(1, 4)
     rows = {
         0: {1: 1},
@@ -498,3 +509,559 @@ def test_double_pow_that_is_not_a_finite_real_raises(power, position, template, 
     source = ZERO_DIVISOR.format(**{**DEFAULTS, position: template.format(power)})
     with pytest.raises(ModelError, match=r"^pow\(.+\) is not a finite real \(line \d+, column \d+\)$"):
         build(source, exact=exact)
+
+
+# --- the layered explorer against the per-state loop it replaced ----------
+#
+# The reference below is the per-state exploration loop, with the scalar
+# expression compiler it used, kept as the oracle: on every program the
+# explorer must build the same model, bit for bit, with the same valuations,
+# labels, rewards and row action labels, or raise the same exception class
+# with the same message.
+
+_REF_PLAIN = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def ref_compile(expr, slots, exact=False):
+    """A closure over a valuation tuple: Python's operators on the state's values."""
+    if isinstance(expr, syntax.Lit):
+        value = expr.value
+        if isinstance(value, Fraction) and not exact:
+            value = float(value)
+        return lambda v: value
+    if isinstance(expr, syntax.Var):
+        return operator.itemgetter(slots[expr.name])
+    if isinstance(expr, syntax.Unary):
+        operand = ref_compile(expr.operand, slots, exact)
+        if expr.op == "!":
+            return lambda v: not operand(v)
+        return lambda v: -operand(v)
+    if isinstance(expr, syntax.Binary):
+        op = expr.op
+        left = ref_compile(expr.left, slots, exact)
+        right = ref_compile(expr.right, slots, exact)
+        if op == "&":
+            return lambda v: bool(left(v)) and bool(right(v))
+        if op == "|":
+            return lambda v: bool(left(v)) or bool(right(v))
+        where = f" (line {expr.span[0]}, column {expr.span[1]})"
+
+        def guarded(fn):
+            def value(v):
+                try:
+                    return fn(v)
+                except OverflowError:
+                    raise ModelError(f"an operand of {op!r} is an integer too large for a float{where}") from None
+            return value
+        if op == "/":
+            def divide(v):
+                a, b = left(v), right(v)
+                if b == 0:
+                    raise DivisionByZero("division by zero")
+                return Fraction(a) / Fraction(b) if exact else a / b
+            return guarded(divide)
+        fn = _REF_PLAIN[op]
+        return guarded(lambda v: fn(left(v), right(v)))
+    args = [ref_compile(a, slots, exact) for a in expr.args]
+    fn = expr.func
+    if fn in ("min", "max"):
+        pick = min if fn == "min" else max
+        return lambda v: pick([a(v) for a in args])
+    if fn in ("floor", "ceil"):
+        rounding = math.floor if fn == "floor" else math.ceil
+        return lambda v: rounding(args[0](v))
+    if fn == "mod":
+        def modulo(v):
+            a, b = args[0](v), args[1](v)
+            if b == 0:
+                raise DivisionByZero("mod by zero")
+            return a % b
+        return modulo
+    integer = expr.type == "int"
+    where = f" (line {expr.span[0]}, column {expr.span[1]})"
+
+    def power(v):
+        base, exp = args[0](v), args[1](v)
+        if integer:
+            if exp < 0:
+                raise DivisionByZero("negative integer exponent")
+            return base ** exp
+        try:
+            if exact and (isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1)):
+                return Fraction(base) ** int(exp)
+            value = float(base) ** float(exp)
+        except (OverflowError, ZeroDivisionError):
+            value = None
+        if type(value) is not float or not math.isfinite(value):
+            raise ModelError(f"pow({base}, {exp}) is not a finite real{where}")
+        return Fraction(value) if exact else value
+    return power
+
+
+def _ref_to_float(value, what, span):
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelError(f"{what} is an integer too large for a float (line {span[0]}, column {span[1]})") from None
+
+
+def _ref_check_bounds(decl, bound, value, what):
+    if bound is not None and not bound[0] <= value <= bound[1]:
+        raise StormletError(f"{what} of {decl.name!r} is {value}, outside [{bound[0]}..{bound[1]}]")
+
+
+def _ref_branches(cmd, valuation, exact, kind):
+    """[(weight, {slot: value})] and the total of one enabled command."""
+    branches = []
+    total = Fraction(0) if exact else 0.0
+    for weight, span, assignments in cmd["updates"]:
+        if weight is None:
+            w = Fraction(1) if exact else 1.0
+        else:
+            w = weight(valuation)
+            w = Fraction(w) if exact else _ref_to_float(w, "update weight", span)
+        if w < 0:
+            raise ModelError(f"negative update weight at line {cmd['line']}")
+        total += w
+        branches.append((w, {slot: value(valuation) for slot, value in assignments}))
+    if kind is not ModelKind.CTMC:
+        if exact:
+            if total != 1:
+                raise ModelError(f"update weights of command at line {cmd['line']} sum to {total}, expected 1")
+        elif abs(total - 1.0) > 1e-10:
+            raise ModelError(f"update weights of command at line {cmd['line']} sum to {total!r}, expected 1")
+    elif total <= 0:
+        raise ModelError(f"command at line {cmd['line']} has non-positive total rate")
+    return branches, total
+
+
+def _ref_combine(parts):
+    combined = []
+    for combo in itertools.product(*parts):
+        weight, assigns = combo[0][0], dict(combo[0][1])
+        for w, a in combo[1:]:
+            weight = weight * w
+            assigns.update(a)
+        combined.append((weight, assigns))
+    return combined
+
+
+def ref_explore(program, options):
+    """(model, valuations, row action labels) by expanding one state at a time."""
+    kind, exact = program.model_type, options.exact
+    decls = list(program.all_variables())
+    slots = {d.name: i for i, d in enumerate(decls)}
+
+    def closed(expr, exact_=False):
+        return ref_compile(expr, {}, exact_)(())
+
+    bounds = []
+    for decl in decls:
+        if decl.is_bool:
+            bounds.append(None)
+            continue
+        low, high = closed(decl.low), closed(decl.high)
+        if low > high:
+            raise ModelError(f"variable {decl.name!r} has empty range [{low}..{high}]")
+        bounds.append((low, high))
+    modules = [[{
+        "action": c.action, "line": c.span[0], "guard": ref_compile(c.guard, slots, exact),
+        "updates": [(None if u.weight is None else ref_compile(u.weight, slots, exact),
+                     None if u.weight is None else u.weight.span,
+                     [(slots[var], ref_compile(rhs, slots, exact)) for var, rhs in u.assignments])
+                    for u in c.updates],
+    } for c in module.commands] for module in program.modules]
+    action_modules = {}
+    for mi, module in enumerate(program.modules):
+        for c in module.commands:
+            if c.action is not None and mi not in action_modules.setdefault(c.action, []):
+                action_modules[c.action].append(mi)
+    initial = tuple(closed(decl.init, exact) for decl in decls)
+    for decl, bound, value in zip(decls, bounds, initial):
+        _ref_check_bounds(decl, bound, value, "initial value")
+    valuations, index_of = [initial], {initial: 0}
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    triples, offsets, exit_rates, patched, row_actions = [], [0], [], [], []
+
+    def successor(valuation, assigns):
+        values = list(valuation)
+        for slot, value in assigns.items():
+            bound = bounds[slot]
+            if bound is not None and not bound[0] <= value <= bound[1]:
+                for i in sorted(assigns):
+                    _ref_check_bounds(decls[i], bounds[i], assigns[i], f"assignment in state {valuation}")
+            values[slot] = value
+        values = tuple(values)
+        if values not in index_of:
+            index_of[values] = len(valuations)
+            valuations.append(values)
+            if len(valuations) > options.max_states:
+                raise StormletError(f"state limit of {options.max_states} states exceeded")
+        return index_of[values]
+
+    row, s = 0, 0
+    while s < len(valuations):
+        valuation = valuations[s]
+        enabled = []
+        for commands in modules:
+            by_action = {}
+            for c in commands:
+                if c["guard"](valuation):
+                    by_action.setdefault(c["action"], []).append(c)
+            enabled.append(by_action)
+        choices = []
+        for by_action in enabled:
+            for c in by_action.get(None, ()):
+                choices.append((None, *_ref_branches(c, valuation, exact, kind)))
+        for action, participants in action_modules.items():
+            per_module = [enabled[mi].get(action) for mi in participants]
+            if not all(per_module):
+                continue
+            for combo in itertools.product(*per_module):
+                parts, total = [], one
+                for c in combo:
+                    branches, t = _ref_branches(c, valuation, exact, kind)
+                    parts.append(branches)
+                    total = total * t
+                choices.append((action, _ref_combine(parts), total))
+        if not choices:
+            if not options.fix_deadlocks:
+                raise DeadlockError(s, f"valuation {dict(zip(slots, valuation))}")
+            patched.append(s)
+            triples.append((row, s, one))
+            row_actions.append(frozenset())
+            exit_rates.append(one)
+            row += 1
+        elif kind is ModelKind.MDP:
+            for action, branches, _ in choices:
+                for w, assigns in branches:
+                    if w != 0:
+                        triples.append((row, successor(valuation, assigns), w))
+                row_actions.append(frozenset((action,)))
+                row += 1
+        else:
+            mass, rate = {}, zero
+            for _, branches, total in choices:
+                for w, assigns in branches:
+                    if w != 0:
+                        t = successor(valuation, assigns)
+                        mass[t] = mass.get(t, zero) + w
+                rate += total
+            scale = len(choices) if kind is ModelKind.DTMC else rate
+            triples.extend((row, t, w / scale) for t, w in mass.items())
+            exit_rates.append(rate)
+            row_actions.append(frozenset(action for action, _, _ in choices))
+            row += 1
+        offsets.append(row)
+        s += 1
+
+    n = len(valuations)
+    domain = "rational" if exact else "float"
+    matrix = sparse.build_sparse(triples, row, n, domain)
+    initial_states = np.arange(n) == 0
+    deadlock_fixed = np.zeros(n, dtype=bool)
+    deadlock_fixed[patched] = True
+    labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})
+    model = Model(kind, matrix, labeling,
+                  choice_offsets=offsets if kind is ModelKind.MDP else np.arange(n + 1),
+                  initial_states=initial_states,
+                  exit_rates=exit_rates if kind is ModelKind.CTMC else None, deadlock_fixed=deadlock_fixed)
+    for lab in program.labels:
+        holds = ref_compile(lab.expr, slots)
+        labeling.add(lab.name, [holds(v) for v in valuations])
+    for block in program.reward_blocks:
+        state_rw, action_rw = [zero] * n, [zero] * row
+        has_state = has_action = False
+        for item in block.items:
+            guard, reward = ref_compile(item.guard, slots, exact), ref_compile(item.expr, slots, exact)
+            for s, valuation in enumerate(valuations):
+                if not guard(valuation):
+                    continue
+                value = reward(valuation)
+                if value < 0:
+                    raise ModelError(f"reward block {block.name!r} evaluates to {value} at state {s}")
+                if not exact:
+                    value = _ref_to_float(value, "reward", item.expr.span)
+                if item.is_action_item:
+                    has_action = True
+                    for c in range(model.choice_offsets[s], model.choice_offsets[s + 1]):
+                        if (item.action or None) in row_actions[c]:
+                            action_rw[c] = action_rw[c] + value
+                else:
+                    has_state = True
+                    state_rw[s] = state_rw[s] + value
+        model.rewards[block.name] = RewardModel(
+            block.name, sparse.as_vector(state_rw, domain) if has_state else None,
+            sparse.as_vector(action_rw, domain) if has_action else None)
+    return model, valuations, row_actions
+
+
+def _same_vector(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    assert got.dtype == expected.dtype and len(got) == len(expected)
+    if got.dtype == object:
+        assert list(got) == list(expected) and all(type(v) is Fraction for v in got)
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+def explore_matches_reference(program, **opts):
+    """Explore with both explorers; assert the same model or the same error."""
+    options = ExploreOptions(**opts)
+    try:
+        expected, error = ref_explore(program, options), None
+    except StormletError as exc:
+        expected, error = None, exc
+    module = importlib.import_module("stormlet.prism.explore")
+    original, seen = module.build_reward_models, []
+
+    def capture(program_, model, state_map, row_actions, exact=False):
+        seen.append(row_actions)
+        return original(program_, model, state_map, row_actions, exact=exact)
+
+    module.build_reward_models = capture
+    try:
+        if error is not None:
+            with pytest.raises(StormletError) as got:
+                explore(program, options)
+            assert type(got.value) is type(error) and str(got.value) == str(error)
+            return error
+        model, state_map = explore(program, options)
+    finally:
+        module.build_reward_models = original
+    e_model, e_valuations, e_row_actions = expected
+    assert model == e_model
+    assert [state_map.valuation(s) for s in range(len(state_map))] == e_valuations
+    assert [tuple(map(type, state_map.valuation(s))) for s in range(len(state_map))] == [
+        tuple(map(type, v)) for v in e_valuations]
+    assert np.array_equal(model.choice_offsets, e_model.choice_offsets)
+    _same_vector(model.matrix.values, e_model.matrix.values)
+    _same_vector(model.exit_rates, e_model.exit_rates)
+    assert model.labeling == e_model.labeling
+    assert list(model.rewards) == list(e_model.rewards)
+    for name, rm in model.rewards.items():
+        _same_vector(rm.state_rewards, e_model.rewards[name].state_rewards)
+        _same_vector(rm.action_rewards, e_model.rewards[name].action_rewards)
+    sets, row_set = seen[0]
+    assert [sets[i] for i in row_set] == e_row_actions
+    return model
+
+
+CORPUS_PROGRAMS = [path.name for path in sorted((Path(__file__).parent / "corpus").iterdir())]
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+@pytest.mark.parametrize("exact", [False, True])
+def test_explorer_matches_reference_on_the_corpus(name, exact):
+    source = (Path(__file__).parent / "corpus" / name).read_text()
+    explore_matches_reference(typecheck(parse_program(source)), exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_explorer_matches_reference_on_every_operator(exact):
+    explore_matches_reference(typecheck(parse_program(OPERATORS)), exact=exact)
+
+
+def _bench_tandem():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_explore.py"
+    return re.search(r'TANDEM = """(.*?)"""', path.read_text(), re.S).group(1)
+
+
+@pytest.mark.parametrize("cap", [3, 10, 18])
+def test_explorer_matches_reference_on_the_tandem(cap):
+    explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": cap}))
+
+
+# Two faults in one BFS layer: from x=2 the layer is x=1 (state 1) and x=3
+# (state 2); each explorer must report the fault of state 1.
+TWO_FAULTS = """dtmc
+module m
+  x : [0..5] init 2;
+  [] x=2 -> 0.5 : (x'=1) + 0.5 : (x'=3);
+  [] x=3 -> {fault3};
+  [] x=1 -> {fault1};
+  [] x=0 | x>3 -> (x'=x);
+endmodule
+"""
+
+
+@pytest.mark.parametrize("fault1, fault3, message", [
+    ("1/(x-1) : (x'=0)", "(x'=x+3)", "division by zero"),
+    ("(x'=x-2)", "1/(x-3) : (x'=0)", r"assignment in state \(1,\) of 'x' is -1"),
+    ("0.5 : (x'=0) + 0.4 : (x'=2)", "-1 : (x'=0)", "sum to (0.9|9/10), expected 1"),
+    ("(x'=mod(x, x-1))", "(x'=6)", "mod by zero"),
+])
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_first_faulty_state_of_a_layer_reports_its_fault(fault1, fault3, message, exact):
+    program = typecheck(parse_program(TWO_FAULTS.format(fault1=fault1, fault3=fault3)))
+    error = explore_matches_reference(program, exact=exact)
+    assert re.search(message, str(error))
+
+
+def _atom(rng, ints, bools):
+    if bools and rng.random() < 0.25:
+        b = rng.choice(bools)
+        return b if rng.random() < 0.5 else f"!{b}"
+    (x, k) = rng.choice(ints)
+    return f"{x}{rng.choice(['<', '<=', '=', '!=', '>', '>='])}{rng.randint(0, k)}"
+
+
+def _guard(rng, ints, bools):
+    guard = _atom(rng, ints, bools)
+    for _ in range(rng.randint(0, 2)):
+        guard = f"({guard}) {rng.choice(['&', '|'])} {_atom(rng, ints, bools)}"
+    return rng.choice([guard, guard, guard, "true"])
+
+
+def _assignment(rng, var, k, ints, bools):
+    if k is None:
+        return f"({var}'={rng.choice(['!' + var, 'true', 'false', _atom(rng, ints, bools)])})"
+    other = rng.choice(ints)[0]
+    if rng.random() < 0.06:  # may leave the range
+        rhs = rng.choice([f"{var}+1", f"{var}-1", other, f"floor(({var}+{other})/2)+1"])
+    else:
+        rhs = rng.choice([f"min({var}+1,{k})", f"max({var}-1,0)", f"{k}-{var}", "0", f"{var}",
+                          f"mod({var}+{other},{k + 1})", f"min({other},{k})", f"floor({var}/2)"])
+    return f"({var}'={rhs})"
+
+
+def _weights(rng, kind, ints):
+    x = rng.choice(ints)[0]
+    if rng.random() < 0.04:  # weights that may be invalid
+        return rng.choice([[f"1/({x}-1)", "0.5"], ["0.7", "0.4"], [f"{x}-1"], ["0"], [f"mod(2, {x})"]])
+    if kind == "ctmc":
+        return [rng.choice(["1", "2.5", "0.5", f"{x}+1", f"{x}*0.5+0.25", "1/3", f"pow({x}+1,0.5)", "0"])
+                for _ in range(rng.randint(1, 3))] + [rng.choice(["1", "0.75"])]
+    return rng.choice([
+        [None], [None], ["0.5", "0.5"], ["0.2", "0.3", "0.5"], ["1/3", "2/3"], ["0", "1"], ["0.25", "0.25", "0.5"],
+        [f"{x}/({x}+2)", f"1-{x}/({x}+2)"], ["1/3", "1/3", "1/3"], ["0.1", "0.2", "0.3", "0.4"],
+    ])
+
+
+def random_program(rng, kind):
+    """A small program over one to three modules, with labels and rewards."""
+    modules, ints, bools = [], [], []
+    for m in range(rng.randint(1, 3)):
+        own = []
+        for v in range(rng.randint(1, 2)):
+            name = f"v{m}{v}"
+            if rng.random() < 0.25:
+                bools.append(name)
+                own.append((name, None, f"{name} : bool init {rng.choice(['true', 'false'])};"))
+            else:
+                k = rng.randint(1, 4)
+                ints.append((name, k))
+                own.append((name, k, f"{name} : [0..{k}] init {rng.randint(0, k + (rng.random() < 0.03))};"))
+        modules.append(own)
+    if not ints:
+        ints.append(("w", 1))
+        modules[0].append(("w", 1, "w : [0..1] init 0;"))
+    lines = [kind]
+    for m, own in enumerate(modules):
+        lines += [f"module m{m}"] + [decl for _, _, decl in own]
+        for _ in range(rng.randint(1, 4)):
+            action = rng.choice(["", "", "a", "b"])
+            updates = []
+            for weight in _weights(rng, kind, ints):
+                assigned = rng.sample(own, rng.randint(0, len(own)))
+                body = " & ".join(_assignment(rng, var, k, ints, bools) for var, k, _ in assigned) or "true"
+                updates.append(body if weight is None else f"{weight} : {body}")
+            lines.append(f"  [{action}] {_guard(rng, ints, bools)} -> {' + '.join(updates)};")
+        lines.append("endmodule")
+    x = rng.choice(ints)[0]
+    lines.append(f'label "l0" = {_guard(rng, ints, bools)};')
+    lines.append(f'label "l1" = {rng.choice([_guard(rng, ints, bools), f"{x}/2 > 0.5", f"pow({x}, 2) >= 1"])};')
+    lines.append('rewards "r"')
+    for _ in range(rng.randint(1, 3)):
+        action = rng.choice(["", "[] ", "[a] ", "[b] "])
+        lines.append(f"  {action}{_guard(rng, ints, bools)} : {rng.choice(['1', '0.5', f'{x}+1', f'{x}/3', '2'])};")
+    lines.append("endrewards")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]),
+       exact=st.booleans(), fix=st.booleans(), limit=st.sampled_from([0, 1, 3, 10_000_000, 10_000_000]))
+def test_explorer_matches_reference_on_random_programs(seed, kind, exact, fix, limit):
+    source = random_program(random.Random(seed), kind)
+    program = typecheck(parse_program(source))
+    explore_matches_reference(program, exact=exact, fix_deadlocks=fix, max_states=limit)
+
+
+MANY_ACTIONS = "mdp\nmodule m\n  x : [0..70] init 0;\n" + "".join(
+    f"  [a{i}] x={i} -> (x'={i + 1});\n  [b{i}] x={i} -> 0.5 : (x'={i + 1}) + 0.5 : (x'=0);\n" for i in range(70)
+) + "  [] x=70 -> true;\nendmodule\nrewards \"r\"\n  [a3] true : 1;\n  [b69] true : 2;\n  [] true : 3;\nendrewards\n"
+
+EDGE_PROGRAMS = {
+    # both modules assign y on [go]: the later module's value wins
+    "shared_assignment": """mdp
+module a
+  x : [0..2] init 0;
+  y : [0..3] init 0;
+  [go] x<2 -> 0.5 : (x'=x+1) & (y'=1) + 0.5 : (y'=2);
+  [] x=2 -> true;
+endmodule
+module b
+  z : bool init false;
+  [go] true -> 0.25 : (y'=3) & (z'=!z) + 0.75 : (z'=true);
+  [go] !z -> (z'=true);
+endmodule
+rewards "r"
+  [go] true : y;
+endrewards
+""",
+    # values beyond 2^53 and min/max that mix ints and doubles
+    "big_values": """ctmc
+const int B = pow(2, 60);
+module m
+  x : [0..3] init 0;
+  [] x<3 -> pow(2, 60 + x) / B : (x'=x+1) + max(x, 0.5) * pow(10, 20) / pow(10, 20) : (x'=0);
+  [] x=3 -> (x'=floor(pow(10, 20) / pow(10, 20)) - 1 + x - 2);
+endmodule
+label "big" = pow(3, 40) * x > B + x & min(x, 0.5) < 1;
+rewards "r"
+  true : max(x, 1.5) + min(pow(2, 70) * x, x + 0.5);
+  x>0 : mod(pow(2, 61) + x, 3);
+endrewards
+""",
+    # a range too wide for int64 packing and a state with no choice but a zero weight
+    "wide_range": """dtmc
+module m
+  x : [0..pow(10, 30)] init pow(10, 29);
+  b : bool init false;
+  [] x<pow(10, 29) + 3 -> 0.5 : (x'=x+1) + 0.5 : (b'=!b) & (x'=x+2);
+  [] x>=pow(10, 29) + 3 -> 0 : (x'=0) + 1 : true;
+endmodule
+label "far" = x > pow(10, 29) + 2;
+""",
+    "many_actions": MANY_ACTIONS,
+    "many_actions_dtmc": MANY_ACTIONS.replace("mdp", "dtmc", 1),
+    # no variables: one state, whose choices loop
+    "no_variables": """mdp
+module m
+  [a] true -> true;
+  [] true -> 0.5 : true + 0.5 : true;
+endmodule
+module n
+  [a] true -> true;
+endmodule
+rewards "r"
+  [a] true : 1;
+  true : 2;
+endrewards
+""",
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PROGRAMS)
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("limit", [1, 10_000_000])
+def test_explorer_matches_reference_on_edge_programs(name, exact, limit):
+    program = typecheck(parse_program(EDGE_PROGRAMS[name]))
+    explore_matches_reference(program, exact=exact, fix_deadlocks=True, max_states=limit)
