@@ -77,6 +77,8 @@ def _check_globally(model, path, optimum, env):
     """G f is checked as one minus reaching the complement of f, optimised the other way."""
     reach_violation = props.Until(np.ones(model.n_states, dtype=bool), props.Not(path.target), path.bound)
     values, meta = _dispatch_path(model, reach_violation, _DUAL[optimum], env)
+    if env.criterion == "relative":
+        meta.pop("error_bound", None)  # it is relative to the values, not to their complements
     return 1 - values, meta
 
 
@@ -159,7 +161,8 @@ def _solve_maybe(model, values, maybe, rhs, optimum, env, choice_ok=None, seed=N
     state is maybe. A chain solves one linear system. An MDP optimises over
     its choice_ok rows (all by default), with policy iteration started from
     ``seed``; its metadata adds the direction and each state's optimal choice
-    (0 where precomputation settled the state).
+    (0 where precomputation settled the state). A solve that proved a bound
+    on its error adds it as ``error_bound``.
     """
     meta = {"iterations": 0, "method": "precomputation"}
     mdp = model.kind is ModelKind.MDP
@@ -179,6 +182,8 @@ def _solve_maybe(model, values, maybe, rhs, optimum, env, choice_ok=None, seed=N
     values[maybe] = outcome.x
     meta["iterations"] = outcome.iterations
     meta["method"] = outcome.method
+    if outcome.error_bound is not None:
+        meta["error_bound"] = outcome.error_bound
     return meta
 
 

@@ -75,8 +75,8 @@ def _build_argparser():
                       help="property string (repeatable)")
     prop.add_argument("--prop-file", metavar="FILE", help="property file, one property per line")
     solver = p.add_argument_group("solver")
-    solver.add_argument("--solver", choices=["jacobi", "gauss-seidel", "exact"],
-                        default="gauss-seidel", help="linear equation method")
+    solver.add_argument("--solver", choices=["elimination", "gauss-seidel", "exact"],
+                        default="elimination", help="linear equation method")
     solver.add_argument("--minmax", choices=["vi", "pi"], default="vi",
                         help="Bellman equation method (value/policy iteration)")
     solver.add_argument("--precision", type=float, default=1e-6)
@@ -246,7 +246,7 @@ def format_result(result, fmt, property_text, initial_states):
     meta = {
         k: v
         for k, v in result.metadata.items()
-        if k in ("iterations", "method", "prob0", "prob1", "direction", "product_states")
+        if k in ("iterations", "method", "error_bound", "prob0", "prob1", "direction", "product_states")
     }
     payload = {
         "property": property_text,

@@ -1,13 +1,30 @@
 """Solver layer: linear fixed-point systems, Bellman systems, Poisson windows.
 
-All systems use the fixed-point form x = A.x + b. Iterative methods require
-the spectral radius of A to be below one; the checkers guarantee this by
-qualitative precomputation and the solvers do not re-verify it.
+All systems use the fixed-point form x = A.x + b with A nonnegative and
+substochastic. The checkers' qualitative precomputation makes I - A
+nonsingular, so each system has one fixed point; the solvers do not
+re-verify it.
+
+Linear systems are solved by sparse LU of I - A in A's row order without
+pivoting (``_factor``), one body for float64 and Fraction: I - A is a
+nonsingular M-matrix, so every pivot is positive. Exact mode eliminates all
+the way. Float elimination gives up past ``ELIMINATION_BUDGET`` multiply-adds
+per entry read, and its x must pass the verification step of optimistic value
+iteration (Hartmanns & Kaminski, CAV 2020): with f(y) = A.y + b, one matvec
+each shows f(x+d) <= x+d and f(x-d) >= x-d, which puts the one fixed point
+between x-d and x+d. d is twice the solve of |f(x) - x| plus a rounding
+margin, reported as ``error_bound`` (relative under the relative criterion).
+When the budget runs out, a pivot is not positive, the check fails or the
+bound exceeds the precision, Gauss-Seidel solves the system from zero.
+
+Gauss-Seidel and value iteration stop once successive iterates differ by at
+most ``CONVERGENCE_SAFETY`` times the precision, which on a slow chain can
+be far from the fixed point.
 """
 
+import bisect
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +38,29 @@ from .errors import DiagonalOne, LambdaTooLarge, NotConverged, SingularMatrix, S
 # iteration, so results are accurate to roughly the requested precision.
 CONVERGENCE_SAFETY = 0.02
 
+# Float elimination gives up once it has spent more than this many
+# multiply-adds per entry of the rows it has read. benchmarks/bench_solve.py:
+# a chain takes 0.3 per entry and a k x k grid walk about k^2/4 (895 at
+# 60 x 60: 1.6 s, where Gauss-Seidel takes 11.5 s), so grids up to about
+# 63 x 63 get through. A multiply-add costs about one entry of a
+# Gauss-Seidel sweep, so a give-up wastes at most about 1000 sweeps, and less
+# when the fill-in shows early.
+ELIMINATION_BUDGET = 1000
+
 
 @dataclass
 class SolverEnvironment:
-    linear_method: str = "gauss_seidel"  # jacobi | gauss_seidel | exact
+    linear_method: str = "elimination"  # elimination | gauss_seidel | exact
     minmax_method: str = "value_iteration"  # value_iteration | policy_iteration
     precision: float = 1e-6
     criterion: str = "relative"  # relative | absolute
     max_iterations: int = 1_000_000
-    exact: bool = False  # unread: a rational matrix selects the exact methods
+    # unread (a rational matrix selects the exact methods); the benchmark's
+    # self-test still passes it, so it goes with the next benchmark change
+    exact: bool = False
 
     def __post_init__(self):
-        if self.linear_method not in ("jacobi", "gauss_seidel", "exact"):
+        if self.linear_method not in ("elimination", "gauss_seidel", "exact"):
             raise SolverError(f"unknown linear method {self.linear_method!r}")
         if self.minmax_method not in ("value_iteration", "policy_iteration"):
             raise SolverError(f"unknown min-max method {self.minmax_method!r}")
@@ -84,38 +112,28 @@ class SolveOutcome:
     converged: bool
     scheduler: object = None
     method: str = ""
+    error_bound: float = None  # proven bound on the error of x, if any
 
 
-def _max_diff(new, old, criterion):
-    diff = np.abs(new - old)
+def _largest_error(diff, x, criterion):
+    """The largest entry of diff (scaled in place), each relative to |x| under the relative criterion."""
     if criterion == "relative":
-        scale = np.abs(new)
+        scale = np.abs(x)
         big = scale >= 1e-30
         diff[big] /= scale[big]
     return float(diff.max(initial=0.0))
 
 
 def solve_linear(system, env):
-    """Solve x = A.x + b iteratively (or exactly when env selects it)."""
+    """Solve x = A.x + b: exact or certified elimination, else Gauss-Seidel."""
     if env.linear_method == "exact" or system.A.dtype == "rational":
         x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
         return SolveOutcome(x=x, iterations=0, converged=True, method="exact")
-    if env.linear_method == "jacobi":
-        return _jacobi(system, env)
+    if env.linear_method == "elimination":
+        x, bound = _certified_elimination(system, env.criterion)
+        if bound <= env.precision:
+            return SolveOutcome(x=x, iterations=0, converged=True, method="elimination", error_bound=bound)
     return _gauss_seidel(system, env)
-
-
-def _jacobi(system, env):
-    b = system.b
-    x = np.zeros(len(b))
-    tol = env.precision * CONVERGENCE_SAFETY
-    for it in range(1, env.max_iterations + 1):
-        y = kernels.matvec(system.A, x) + b
-        diff = _max_diff(y, x, env.criterion)
-        x = y
-        if diff <= tol:
-            return SolveOutcome(x=x, iterations=it, converged=True, method="jacobi")
-    raise NotConverged(env.max_iterations, best=x)
 
 
 def _gauss_seidel(system, env):
@@ -135,46 +153,111 @@ def _gauss_seidel(system, env):
     raise NotConverged(env.max_iterations, best=np.array(x))
 
 
-def solve_linear_exact(A, b):
-    """Exact rational solution of (I - A)x = b.
+class _LU:
+    """LU factors of I - A: per row, L's and U's off-diagonal (columns, values) and U's pivot.
 
-    Gaussian elimination with partial (magnitude) pivoting over rationals on
-    the dense system; intended for the moderate system sizes of exact mode.
+    ``work`` counts the multiply-adds the factorisation took.
     """
-    n = A.rows
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    for i, j, v in A.entries():
-        m[i][j] -= Fraction(v)
-    rhs = [Fraction(v) for v in b]
 
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[pivot][col] == 0:
-            raise SingularMatrix("system matrix I - A is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        pv = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if f == 0:
-                continue
-            f /= pv
-            row_r, row_c = m[r], m[col]
-            for c in range(col, n):
-                row_r[c] -= row_c[c] * f
-            rhs[r] -= rhs[col] * f
+    __slots__ = ("lower", "upper", "pivots", "work")
 
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = rhs[r]
-        row = m[r]
-        for c in range(r + 1, n):
-            s -= row[c] * x[c]
-        x[r] = s / row[r]
-    return x
+    def __init__(self):
+        self.lower, self.upper, self.pivots, self.work = [], [], [], 0
+
+    def solve(self, rhs):
+        """The list x with (I - A) x = rhs, for a list rhs in the factors' domain."""
+        y = list(rhs)
+        for i, (cols, values) in enumerate(self.lower):
+            acc = y[i]
+            for k, f in zip(cols, values):
+                acc -= f * y[k]
+            y[i] = acc
+        for i in range(len(y) - 1, -1, -1):
+            cols, values = self.upper[i]
+            acc = y[i]
+            for j, u in zip(cols, values):
+                acc -= u * y[j]
+            y[i] = acc / self.pivots[i]
+        return y
+
+
+def _factor(A, budget=None):
+    """The LU factors of I - A in A's row order, without pivoting.
+
+    Returns None as soon as the multiply-adds exceed ``budget`` per entry of
+    the rows read so far, so that a matrix that fills in badly is given up
+    after a share of its rows, not all of them.
+
+    Row i starts as row i of I - A in a dict and has its entries left of the
+    diagonal eliminated in column order, against the finished rows above;
+    a fill-in left of the diagonal joins the sorted list being walked. The same
+    body serves float64 and Fraction. Raises SingularMatrix on a pivot that
+    is not positive, which for a substochastic A means I - A is singular.
+    """
+    offsets, cols, values = A.row_offsets.tolist(), A.col_indices.tolist(), A.values.tolist()
+    lu = _LU()
+    upper, pivots = lu.upper, lu.pivots
+    work = 0
+    for i in range(A.rows):
+        limit = math.inf if budget is None else budget * offsets[i + 1]
+        row = {i: 1}
+        for k in range(offsets[i], offsets[i + 1]):
+            row[cols[k]] = row.get(cols[k], 0) - values[k]
+        left = sorted(j for j in row if j < i)
+        lower_cols, lower_values = [], []
+        for k in left:
+            f = row.pop(k) / pivots[k]
+            lower_cols.append(k)
+            lower_values.append(f)
+            u_cols, u_values = upper[k]
+            work += len(u_cols)
+            if work > limit:
+                return None
+            for j, u in zip(u_cols, u_values):
+                if j in row:
+                    row[j] -= f * u
+                else:
+                    row[j] = -(f * u)
+                    if j < i:
+                        bisect.insort(left, j)
+        pivot = row.pop(i)
+        if not pivot > 0:
+            raise SingularMatrix(f"system matrix I - A is singular (pivot {pivot} in row {i})")
+        pivots.append(pivot)
+        lu.lower.append((lower_cols, lower_values))
+        upper.append((list(row), list(row.values())))
+    lu.work = work
+    return lu
+
+
+def _certified_elimination(system, criterion):
+    """(x, d): float elimination's x and its proven error bound, or (None, inf).
+
+    d is relative under the relative criterion. See the module docstring for
+    the check that proves it.
+    """
+    A, b = system.A, system.b
+    try:
+        lu = _factor(A, ELIMINATION_BUDGET)
+    except SingularMatrix:
+        lu = None
+    if lu is None:
+        return None, math.inf
+    x = np.array(lu.solve(b.tolist()))
+    size = np.abs(x)
+    # a row's sum of k products plus b, less x, is off by at most about (k + 2) eps of its magnitudes
+    terms = int(np.diff(A.row_offsets).max(initial=0)) + 2
+    margin = terms * np.finfo(np.float64).eps * (size + kernels.matvec(A, size) + np.abs(b))
+    d = 2.0 * np.array(lu.solve((np.abs(kernels.matvec(A, x) + b - x) + margin).tolist()))
+    hi, lo = x + d, x - d
+    if np.all(kernels.matvec(A, hi) + b <= hi) and np.all(kernels.matvec(A, lo) + b >= lo):
+        return x, _largest_error(d, x, criterion)
+    return None, math.inf
+
+
+def solve_linear_exact(A, b):
+    """The exact solution of (I - A) x = b, a list of Fraction, for a rational A."""
+    return _factor(A).solve(sparse.as_vector(b, "rational").tolist())
 
 
 def solve_minmax(system, env, initial_scheduler=None):
@@ -199,7 +282,7 @@ def _value_iteration(system, env):
         y, arg = kernels.matvec_reduce(system.A, system.choice_offsets, x, maximize, b)
         if __debug__ and it % 1000 == 0:
             assert np.all(y >= x - 1e-12), "value iteration lost monotonicity"
-        diff = _max_diff(y, x, env.criterion)
+        diff = _largest_error(np.abs(y - x), y, env.criterion)
         x = y
         if diff <= tol:
             return SolveOutcome(x=x, iterations=it, converged=True, scheduler=arg, method="value_iteration")

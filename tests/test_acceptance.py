@@ -5,6 +5,7 @@ suite output doubles as a short report (run with `pytest -s` to see them).
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -23,7 +24,7 @@ from conftest import (
     random_stochastic_rows,
     rows_to_matrix,
 )
-from stormlet import checkers, explicit, graph, solvers
+from stormlet import checkers, cli, explicit, graph, solvers
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.props import parse_property, resolve_atoms
@@ -34,7 +35,7 @@ CORPUS_MODELS = ["die.pm", "coin.nm", "queue.sm"]
 
 FLOAT_ENV = SolverEnvironment(precision=1e-6)
 TIGHT_ENV = SolverEnvironment(precision=1e-10)
-EXACT_ENV = SolverEnvironment(linear_method="exact", minmax_method="policy_iteration", exact=True)
+EXACT_ENV = SolverEnvironment(linear_method="exact", minmax_method="policy_iteration")
 
 
 def report(name, ok, detail=""):
@@ -94,7 +95,7 @@ def test_02_solver_cross_validation():
         matrix = rows_to_matrix(rows, n, False)
         b = [float(Fraction(rng.randint(0, 5), 4)) for _ in range(n)]
         solutions = []
-        for method in ("jacobi", "gauss_seidel", "exact"):
+        for method in ("elimination", "gauss_seidel", "exact"):
             env = SolverEnvironment(linear_method=method, precision=1e-6)
             out = solvers.solve_linear(LinearSystem(matrix, b), env)
             x = np.array([float(v) for v in out.x])
@@ -330,3 +331,40 @@ def test_09_fox_glynn_windows():
         worst_norm = max(worst_norm, abs(float(normalized) - 1.0))
     ok = worst_tail <= eps and worst_norm <= eps
     report("Poisson window truncation", ok, f"max tail {worst_tail:.2e}, norm gap {worst_norm:.2e}")
+
+
+# the lazy walk on 0..n, moving each way with probability 1/100: Gauss-Seidel
+# iterates barely change on it long before they are near the fixed point
+SLOW_CHAIN = """dtmc
+module walk
+  x : [0..{n}] init {init};
+  [] x>0 & x<{n} -> 0.01 : (x'=x+1) + 0.01 : (x'=x-1) + 0.98 : (x'=x);
+  [] x=0 | x={n} -> (x'=x);
+endmodule
+label "top" = x={n};
+label "end" = x=0 | x={n};
+rewards "steps"
+  x>0 & x<{n} : 1;
+endrewards
+"""
+
+
+@pytest.mark.parametrize("n", [40, 100, 200])
+def test_10_slow_chains_meet_the_precision(n, tmp_path, capsys):
+    init = n // 2 - 1
+    program = tmp_path / "walk.pm"
+    program.write_text(SLOW_CHAIN.format(n=n, init=init))
+    code = cli.main(["--prism", str(program), "--json", "--prop", 'P=? [ F "top" ]', "--prop", 'R=? [ F "end" ]'])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # closed forms: P(top) = init/n, and the expected steps are init*(n-init)/(2/100)
+    refs = [Fraction(init, n), Fraction(init * (n - init) * 50)]
+    errors = [abs(Fraction(line["values"]["0"]) - ref) / ref for line, ref in zip(lines, refs)]
+    bounds = [line["metadata"].get("error_bound", math.inf) for line in lines]
+    ok = (
+        code == 0
+        and all(line["metadata"]["method"] == "elimination" for line in lines)
+        and max(errors) <= 1e-6
+        and max(bounds) <= 1e-6
+    )
+    report(f"slow chain of {n + 1} states", ok,
+           f"relative errors {float(max(errors)):.1e}, error bounds {max(bounds):.1e}")

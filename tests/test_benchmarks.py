@@ -18,6 +18,8 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
     pytest.param("bench_explicit.py", ["--sizes", "50", "--repeats", "1"], id="bench_explicit"),
     pytest.param("bench_explore.py", ["--caps", "2", "--repeats", "1"], id="bench_explore"),
     pytest.param("bench_graph.py", ["--sizes", "50", "--repeats", "1"], id="bench_graph"),
+    pytest.param("bench_solve.py", ["--chains", "20", "--grids", "3", "--gs-states", "50", "--repeats", "1"],
+                 id="bench_solve"),
 ])
 def test_benchmark_script_runs(script, args):
     src = str(Path(stormlet.__file__).resolve().parent.parent)

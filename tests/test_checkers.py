@@ -28,7 +28,7 @@ from stormlet.props import parse_property, resolve_atoms
 from stormlet.solvers import SolverEnvironment
 
 ENV = SolverEnvironment(precision=1e-10)
-EXACT_ENV = SolverEnvironment(linear_method="exact", minmax_method="policy_iteration", exact=True)
+EXACT_ENV = SolverEnvironment(linear_method="exact", minmax_method="policy_iteration")
 
 
 def dtmc(rows, labels=None, rational=False, rewards=None):

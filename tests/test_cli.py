@@ -163,7 +163,7 @@ def test_fail_on_false_exit_2(capsys):
 
 def test_not_converged_exit_3(capsys):
     code, out, err = run_cli(
-        capsys, "--prism", DIE, "--max-iter", "1", "--solver", "jacobi",
+        capsys, "--prism", DIE, "--max-iter", "1", "--solver", "gauss-seidel",
         "--prop", 'P=? [ F "six" ]',
     )
     assert code == 3 and out == ""
@@ -419,14 +419,28 @@ def test_version(capsys):
 
 
 def test_solver_flag_selects_method(capsys):
-    for solver in ("jacobi", "gauss-seidel", "exact"):
+    for solver in ("elimination", "gauss-seidel", "exact"):
         code, out, _ = run_cli(
             capsys, "--prism", DIE, "--solver", solver, "--json", "--prop", 'P=? [ F "six" ]'
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["values"]["0"] == pytest.approx(1 / 6, abs=1e-6)
-    assert json.loads(out)["metadata"]["method"] == "exact"
+        assert payload["metadata"]["method"] == solver.replace("-", "_")
+
+
+@pytest.mark.parametrize("criterion, prop, bounded", [
+    ([], 'P=? [ F "six" ]', True),
+    ([], 'P=? [ G !"six" ]', False),  # a relative bound on F would not hold for 1 - F
+    (["--absolute"], 'P=? [ G !"six" ]', True),
+])
+def test_json_reports_the_error_bound(capsys, criterion, prop, bounded):
+    code, out, _ = run_cli(capsys, "--prism", DIE, *criterion, "--json", "--prop", prop)
+    meta = json.loads(out)["metadata"]
+    assert code == 0 and meta["method"] == "elimination" and meta["iterations"] == 0
+    assert ("error_bound" in meta) == bounded
+    if bounded:
+        assert 0 < meta["error_bound"] <= 1e-6
 
 
 @pytest.mark.parametrize("weight, label, message", [

@@ -67,7 +67,7 @@ def test_system_validation():
 def test_zero_matrix_returns_b_immediately():
     m = sparse.build_sparse([], 3, 3)
     b = [1.0, 2.0, 3.0]
-    out = solvers.solve_linear(LinearSystem(m, b), SolverEnvironment(linear_method="jacobi"))
+    out = solvers.solve_linear(LinearSystem(m, b), SolverEnvironment(linear_method="gauss_seidel"))
     assert np.array_equal(out.x, b)
     assert out.converged and out.iterations <= 2
 
@@ -75,7 +75,7 @@ def test_zero_matrix_returns_b_immediately():
 def test_geometric_fixed_point():
     # x = 0.5 x + 0.5 has the fixed point 1
     m = sparse.build_sparse([(0, 0, 0.5)], 1, 1)
-    for method in ("jacobi", "gauss_seidel"):
+    for method in ("elimination", "gauss_seidel"):
         out = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(linear_method=method))
         assert out.x[0] == pytest.approx(1.0, abs=1e-6)
     exact = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(linear_method="exact"))
@@ -92,7 +92,7 @@ def test_gauss_seidel_rejects_unit_diagonal():
 def test_not_converged_carries_best_iterate():
     rng = random.Random(5)
     m, b, _ = substochastic_system(rng, 6)
-    env = SolverEnvironment(linear_method="jacobi", max_iterations=1)
+    env = SolverEnvironment(linear_method="gauss_seidel", max_iterations=1)
     with pytest.raises(NotConverged) as exc:
         solvers.solve_linear(LinearSystem(m, b), env)
     assert exc.value.iterations == 1
@@ -107,7 +107,7 @@ def test_exact_solver_singular_matrix():
 
 def test_rational_systems_always_solve_exactly():
     m = sparse.build_sparse([(0, 0, Fraction(1, 3))], 1, 1, "rational")
-    out = solvers.solve_linear(LinearSystem(m, [Fraction(2, 3)]), SolverEnvironment(linear_method="jacobi"))
+    out = solvers.solve_linear(LinearSystem(m, [Fraction(2, 3)]), SolverEnvironment(linear_method="gauss_seidel"))
     assert out.method == "exact" and out.x[0] == Fraction(1)
 
 
@@ -117,7 +117,7 @@ def test_solvers_agree_with_dense_oracle(seed):
     n = rng.randint(2, 10)
     m, b, rows = substochastic_system(rng, n)
     expected = dense_solve_exact(rows, [Fraction(v).limit_denominator(10**9) for v in b])
-    for method in ("jacobi", "gauss_seidel"):
+    for method in ("elimination", "gauss_seidel"):
         out = solvers.solve_linear(
             LinearSystem(m, b), SolverEnvironment(linear_method=method, precision=1e-10)
         )
@@ -133,14 +133,55 @@ def test_solvers_agree_with_dense_oracle(seed):
 
 
 def test_absolute_vs_relative_criterion():
-    m = sparse.build_sparse([(0, 0, 0.9)], 1, 1)
-    loose = SolverEnvironment(linear_method="jacobi", criterion="absolute", precision=1e-3)
-    tight = SolverEnvironment(linear_method="jacobi", criterion="relative", precision=1e-3)
-    out_a = solvers.solve_linear(LinearSystem(m, [0.1]), loose)
-    out_r = solvers.solve_linear(LinearSystem(m, [0.1]), tight)
+    # two states that feed each other, so Gauss-Seidel cannot settle them in one sweep
+    m = sparse.build_sparse([(0, 1, 0.9), (1, 0, 0.9)], 2, 2)
+    loose = SolverEnvironment(linear_method="gauss_seidel", criterion="absolute", precision=1e-3)
+    tight = SolverEnvironment(linear_method="gauss_seidel", criterion="relative", precision=1e-3)
+    out_a = solvers.solve_linear(LinearSystem(m, [0.1, 0.1]), loose)
+    out_r = solvers.solve_linear(LinearSystem(m, [0.1, 0.1]), tight)
     # fixed point is 1.0; the relative criterion needs at least as many sweeps
     assert out_r.iterations >= out_a.iterations
     assert out_r.x[0] == pytest.approx(1.0, abs=1e-2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 14), st.integers(0, 2**32), st.sampled_from(["relative", "absolute"]))
+def test_elimination_error_bound_holds(n, seed, criterion):
+    rng = random.Random(seed)
+    m, b, rows = substochastic_system(rng, n)
+    # the oracle solves the float system itself: its entries are the exact values of the stored floats
+    float_rows = [{c: Fraction(float(v)) for c, v in row.items()} for row in rows]
+    expected = dense_solve_exact(float_rows, [Fraction(v) for v in b])
+    out = solvers.solve_linear(LinearSystem(m, b), SolverEnvironment(criterion=criterion))
+    assert out.method == "elimination" and out.iterations == 0
+    assert 0 <= out.error_bound <= 1e-6
+    scale = np.abs(out.x) if criterion == "relative" else np.ones(n)
+    scale[scale < 1e-30] = 1.0
+    for i in range(n):
+        assert abs(Fraction(out.x[i]) - expected[i]) <= Fraction(out.error_bound * scale[i])
+    exact = solvers.solve_linear_exact(rows_to_matrix(float_rows, n, True), [Fraction(v) for v in b])
+    assert exact == expected
+
+
+def test_unmet_certificate_falls_back_to_gauss_seidel():
+    m = sparse.build_sparse([(0, 0, 0.5)], 1, 1)
+    # the rounding margin alone makes the bound a few ulps, more than 1e-15 allows
+    _, bound = solvers._certified_elimination(LinearSystem(m, [0.5]), "relative")
+    assert 1e-15 < bound < 1e-13
+    out = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(precision=1e-15))
+    assert out.method == "gauss_seidel" and out.error_bound is None and out.x[0] == 1.0
+    with pytest.raises(DiagonalOne) as exc:
+        solvers.solve_linear(LinearSystem(sparse.build_sparse([(0, 0, 1.0)], 1, 1), [0.0]), SolverEnvironment())
+    assert exc.value.state == 0
+
+
+def test_elimination_budget_falls_back():
+    # a dense 6x6 block needs more multiply-adds than a budget of one per entry allows
+    m = sparse.build_sparse([(i, j, 0.15) for i in range(6) for j in range(6)], 6, 6)
+    with mock.patch.object(solvers, "ELIMINATION_BUDGET", 1):
+        out = solvers.solve_linear(LinearSystem(m, [0.1] * 6), SolverEnvironment())
+    assert out.method == "gauss_seidel" and out.x == pytest.approx([1.0] * 6)
+    assert solvers._factor(m).work > m.nnz
 
 
 # --- kernels --------------------------------------------------------------
@@ -271,10 +312,10 @@ def test_policy_iteration_exact_rational():
         [(0, 0, Fraction(2, 3)), (1, 0, Fraction(1, 2))], 2, 1, "rational"
     )
     system = BellmanSystem(m, [0, 2], [Fraction(1, 3), Fraction(1, 2)], "maximize")
-    out = solvers.solve_minmax(system, SolverEnvironment(exact=True))
+    out = solvers.solve_minmax(system, SolverEnvironment())
     assert out.x[0] == Fraction(1)
     system_min = BellmanSystem(m, [0, 2], [Fraction(1, 3), Fraction(1, 2)], "minimize")
-    out_min = solvers.solve_minmax(system_min, SolverEnvironment(exact=True))
+    out_min = solvers.solve_minmax(system_min, SolverEnvironment())
     assert out_min.x[0] == Fraction(1)
 
 
