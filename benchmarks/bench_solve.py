@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the float linear solve: sparse elimination against Gauss-Seidel.
+"""Benchmark the float solves: sparse elimination against Gauss-Seidel, and
+policy iteration against value iteration.
 
 Two families of maybe-state systems x = A.x + b, both slow for an
 iterative method:
@@ -18,17 +19,33 @@ whether the default solve falls back to Gauss-Seidel (the budget runs out,
 or the bound is missing or above the precision 1e-6), and, at the sizes up
 to ``--gs-states``, the time Gauss-Seidel takes on its own.
 
-Usage: python3 benchmarks/bench_solve.py [--chains 100,1000,10000]
+The MDP family is the two-action gambler's ruin of ``perfbench``'s
+``solve_iter``, at the ``--chains`` sizes: states 0..N, each inner state steps
+up with 0.401 or with 0.441, started at N/2. For ``Pmax`` and ``Pmin`` of
+reaching N and ``Rmin`` of the steps until 0 or N, it prints per method
+(``pi``, the default, and ``vi``) the best time of the whole check, its
+iterations, the ``error_bound`` it reports ("-" for none), its relative error
+at N/2 and whether a policy evaluation fell back to Gauss-Seidel. The
+references are exact: the closed form (r^i - 1) / (r^N - 1), r = down/up, of
+the better or worse choice for ``Pmax`` and ``Pmin``, and for ``Rmin`` the
+expected steps of the scheduler that exact policy iteration, started from the
+one ``pi`` returned, ends at.
+
+Usage: python3 benchmarks/bench_solve.py [--chains 60,300,1000,3000]
        [--grids 10,30,60] [--gs-states 1000] [--repeats 3]
 """
 
 import argparse
 import time
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from stormlet import solvers, sparse
+from stormlet import checkers, solvers, sparse
 from stormlet.errors import NotConverged
+from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
+from stormlet.props import parse_property, resolve_atoms
 from stormlet.solvers import LinearSystem, SolverEnvironment
 
 PRECISION = 1e-6
@@ -76,8 +93,9 @@ def best_of(fn, repeats):
 def bench(name, A, b, repeats, gs_states):
     system = LinearSystem(A, b)
     factor_s, lu = best_of(lambda: solvers._factor(A), repeats)
-    _, bound = solvers._certified_elimination(system, "relative")
-    fell_back = not bound <= PRECISION  # the bound is inf when the budget ran out
+    certified = solvers._certified_elimination(system, "relative")
+    bound = float("inf") if certified is None else certified.error_bound
+    fell_back = not bound <= PRECISION
     gs = "-"
     if A.rows <= gs_states:
         env = SolverEnvironment(linear_method="gauss_seidel", precision=PRECISION, max_iterations=GS_SWEEPS)
@@ -91,21 +109,105 @@ def bench(name, A, b, repeats, gs_states):
           f"{shown:>11} {'yes' if fell_back else 'no':>9}  {gs}")
 
 
+RUIN_MDP = """mdp
+module walk
+  x : [0..{n}] init {init};
+  [] x>0 & x<{n} -> 0.401 : (x'=x+1) + 0.599 : (x'=x-1);
+  [] x>0 & x<{n} -> 0.441 : (x'=x+1) + 0.559 : (x'=x-1);
+  [] x=0 | x={n} -> (x'=x);
+endmodule
+label "top" = x={n};
+label "end" = x=0 | x={n};
+rewards "steps"
+  x>0 & x<{n} : 1;
+endrewards
+"""
+UPS = (Fraction(401, 1000), Fraction(441, 1000))
+
+
+def ruin_top(n, up, i):
+    """P(reach n before 0) from i, stepping up with ``up``."""
+    r = (1 - up) / up
+    return (r**i - 1) / (r**n - 1)
+
+
+def ruin_steps(n, policy):
+    """Exact expected steps until 0 or n from each of 0..n, stepping up with UPS[policy[x]] at x."""
+    # D_x = f_x + g_x D_(x+1), eliminated from D_0 = 0 upwards
+    f, g = [Fraction(0)], [Fraction(0)]
+    for x in range(1, n):
+        up = UPS[policy[x]]
+        pivot = 1 - (1 - up) * g[-1]
+        f.append((1 + (1 - up) * f[-1]) / pivot)
+        g.append(up / pivot)
+    steps = [Fraction(0)] * (n + 1)
+    for x in range(n - 1, 0, -1):
+        steps[x] = f[x] + g[x] * steps[x + 1]
+    return steps
+
+
+def least_steps(n, policy):
+    """Exact optimal Rmin: policy iteration over Fractions from ``policy``, until no choice improves."""
+    while True:
+        steps = ruin_steps(n, policy)
+        changed = False
+        for x in range(1, n):
+            backups = [1 + up * steps[x + 1] + (1 - up) * steps[x - 1] for up in UPS]
+            best = min(range(len(UPS)), key=backups.__getitem__)
+            if backups[best] < backups[policy[x]]:
+                policy[x], changed = best, True
+        if not changed:
+            return steps
+
+
+def bench_mdp(n, repeats):
+    init = n // 2
+    model, state_map = explore(typecheck(parse_program(RUIN_MDP.format(n=n, init=init))), ExploreOptions())
+    position = state_map.columns[0]
+    refs = {}
+    for method in ("policy_iteration", "value_iteration"):
+        env = SolverEnvironment(minmax_method=method, precision=PRECISION)
+        for text in ('Pmax=? [ F "top" ]', 'Pmin=? [ F "top" ]', 'Rmin=? [ F "end" ]'):
+            prop = resolve_atoms(parse_property(text), model, state_map)
+            # count the policy evaluations that fall back to Gauss-Seidel
+            with mock.patch.object(solvers, "_gauss_seidel", wraps=solvers._gauss_seidel) as fallback:
+                seconds, result = best_of(lambda: checkers.check(model, prop, env), repeats)
+            meta = result.metadata
+            if text.startswith("Rmin") and text not in refs:
+                policy = [0] * (n + 1)
+                for s, x in enumerate(position):
+                    policy[x] = int(meta["scheduler"][s])
+                refs[text] = least_steps(n, policy)[init]
+            elif text not in refs:
+                refs[text] = ruin_top(n, UPS[text.startswith("Pmax")], init)
+            error = float(abs(Fraction(result.values[0]) - refs[text]) / refs[text])
+            bound = meta.get("error_bound")
+            shown = "-" if bound is None else f"{bound:.2e}"
+            print(f"{'ruin mdp ' + str(n):<14} {text[:4]:<5} {method[:1]}i {seconds * 1e3:>10.1f} "
+                  f"{meta['iterations']:>6} {shown:>11} {error:>9.1e} {'yes' if fallback.called else 'no':>9}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--chains", default="100,1000,10000", help="comma-separated chain lengths N")
+    parser.add_argument("--chains", default="60,300,1000,3000",
+                        help="comma-separated sizes N of the chain and the MDP family")
     parser.add_argument("--grids", default="10,30,60", help="comma-separated grid sides k")
     parser.add_argument("--gs-states", type=int, default=1000,
                         help="time Gauss-Seidel only on systems of at most this many states")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
+    chains = [int(v) for v in args.chains.split(",") if v]
     print(f"budget {solvers.ELIMINATION_BUDGET} multiply-adds per entry, precision {PRECISION:g}")
     print(f"{'system':<12} {'states':>8} {'nnz':>8} {'factor ms':>10} {'madd/nnz':>9} "
           f"{'error_bound':>11} {'fallback':>9}  gauss-seidel ms")
-    for n in (int(v) for v in args.chains.split(",") if v):
+    for n in chains:
         bench(f"chain {n}", *chain(n), args.repeats, args.gs_states)
     for k in (int(v) for v in args.grids.split(",") if v):
         bench(f"grid {k}", *grid(k), args.repeats, args.gs_states)
+    print()
+    print(f"{'mdp':<14} {'prop':<5} by {'ms':>10} {'iters':>6} {'error_bound':>11} {'rel error':>9} {'fallback':>9}")
+    for n in chains:
+        bench_mdp(n, args.repeats)
 
 
 if __name__ == "__main__":

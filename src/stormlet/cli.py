@@ -77,7 +77,7 @@ def _build_argparser():
     solver = p.add_argument_group("solver")
     solver.add_argument("--solver", choices=["elimination", "gauss-seidel", "exact"],
                         default="elimination", help="linear equation method")
-    solver.add_argument("--minmax", choices=["vi", "pi"], default="vi",
+    solver.add_argument("--minmax", choices=["vi", "pi"], default="pi",
                         help="Bellman equation method (value/policy iteration)")
     solver.add_argument("--precision", type=float, default=1e-6)
     solver.add_argument("--absolute", action="store_true",

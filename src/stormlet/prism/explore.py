@@ -114,9 +114,6 @@ class StateMap:
         """The valuation of a state, as a tuple of Python values."""
         return tuple(data.item(index) for data in self._data)
 
-    def valuation_dict(self, index):
-        return dict(zip(self.variable_names, self.valuation(index)))
-
     def __len__(self):
         return self._n
 
@@ -488,7 +485,7 @@ class _Layers:
         if stuck.any():
             if not self.options.fix_deadlocks:
                 s = lo + int(np.argmax(stuck))
-                raise DeadlockError(s, f"valuation {state_map.valuation_dict(s)}")
+                raise DeadlockError(s, f"valuation {dict(zip(state_map.slots, state_map.valuation(s)))}")
             # a deadlock gets one choice: a self-loop of weight (and rate) 1, with no action
             rows = np.flatnonzero(stuck)
             ones = self._full(len(rows), self.one)

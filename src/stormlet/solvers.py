@@ -17,9 +17,25 @@ margin, reported as ``error_bound`` (relative under the relative criterion).
 When the budget runs out, a pivot is not positive, the check fails or the
 bound exceeds the precision, Gauss-Seidel solves the system from zero.
 
+Bellman systems x = opt_c (b_c + A_c.x) are solved by policy iteration by
+default, one body for float64 and Fraction. Each scheduler is evaluated by
+``solve_linear``, so in floats its value comes with the bound d above, and a
+state switches choice only if another beats its current one by more than the
+rounding margin of its row. Once no state switches, one backup of the optimal
+operator F on the optimistic side (``kernels.matvec_reduce``) proves the
+scheduler optimal within d: F(x+d) <= x+d for max, as a pre-fixed point
+y >= 0 lies above every scheduler's value; F(y) >= y at y = max(x-d, 0) for
+min, as a post-fixed point lies below the value of every transient scheduler,
+and after prob0E (or, for expected rewards, among the proper schedulers) the
+optimal one is transient. The evaluated scheduler's own certificate gives the
+other side, so x-d <= opt <= x+d, and d is reported as ``error_bound``. No
+end-component collapse is needed for the proof, but an end component inside
+the maybe states can keep the backup from holding; the result then carries no
+bound (see ``_policy_iteration``).
+
 Gauss-Seidel and value iteration stop once successive iterates differ by at
 most ``CONVERGENCE_SAFETY`` times the precision, which on a slow chain can
-be far from the fixed point.
+be far from the fixed point; their results carry no bound.
 """
 
 import bisect
@@ -47,11 +63,14 @@ CONVERGENCE_SAFETY = 0.02
 # when the fill-in shows early.
 ELIMINATION_BUDGET = 1000
 
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
 
 @dataclass
 class SolverEnvironment:
     linear_method: str = "elimination"  # elimination | gauss_seidel | exact
-    minmax_method: str = "value_iteration"  # value_iteration | policy_iteration
+    minmax_method: str = "policy_iteration"  # policy_iteration | value_iteration
     precision: float = 1e-6
     criterion: str = "relative"  # relative | absolute
     max_iterations: int = 1_000_000
@@ -113,6 +132,7 @@ class SolveOutcome:
     scheduler: object = None
     method: str = ""
     error_bound: float = None  # proven bound on the error of x, if any
+    error: object = None  # the proven bound per entry of x, absolute, if any
 
 
 def _largest_error(diff, x, criterion):
@@ -130,9 +150,9 @@ def solve_linear(system, env):
         x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
         return SolveOutcome(x=x, iterations=0, converged=True, method="exact")
     if env.linear_method == "elimination":
-        x, bound = _certified_elimination(system, env.criterion)
-        if bound <= env.precision:
-            return SolveOutcome(x=x, iterations=0, converged=True, method="elimination", error_bound=bound)
+        outcome = _certified_elimination(system, env.criterion)
+        if outcome is not None and outcome.error_bound <= env.precision:
+            return outcome
     return _gauss_seidel(system, env)
 
 
@@ -230,11 +250,24 @@ def _factor(A, budget=None):
     return lu
 
 
-def _certified_elimination(system, criterion):
-    """(x, d): float elimination's x and its proven error bound, or (None, inf).
+def _rounding_margin(A, b, x):
+    """Per row, a bound on the rounding in b + A.x less x.
 
-    d is relative under the relative criterion. See the module docstring for
-    the check that proves it.
+    A row's sum of k products plus b, less x, is off by at most about (k + 2)
+    eps of its magnitudes, and below the normal range by up to k + 2 smallest
+    subnormals whatever the magnitudes.
+    """
+    terms = int(np.diff(A.row_offsets).max(initial=0)) + 2
+    size = np.abs(x)
+    return terms * (_EPS * (size + kernels.matvec(A, size) + np.abs(b)) + _TINY)
+
+
+def _certified_elimination(system, criterion):
+    """Float elimination's outcome with its proven error bound, or None.
+
+    The outcome's ``error`` holds the bound d per entry, its ``error_bound``
+    the largest, relative under the relative criterion. See the module
+    docstring for the check that proves it.
     """
     A, b = system.A, system.b
     try:
@@ -242,17 +275,16 @@ def _certified_elimination(system, criterion):
     except SingularMatrix:
         lu = None
     if lu is None:
-        return None, math.inf
+        return None
     x = np.array(lu.solve(b.tolist()))
-    size = np.abs(x)
-    # a row's sum of k products plus b, less x, is off by at most about (k + 2) eps of its magnitudes
-    terms = int(np.diff(A.row_offsets).max(initial=0)) + 2
-    margin = terms * np.finfo(np.float64).eps * (size + kernels.matvec(A, size) + np.abs(b))
-    d = 2.0 * np.array(lu.solve((np.abs(kernels.matvec(A, x) + b - x) + margin).tolist()))
+    residual = np.abs(kernels.matvec(A, x) + b - x)
+    d = 2.0 * np.array(lu.solve((residual + _rounding_margin(A, b, x)).tolist()))
     hi, lo = x + d, x - d
     if np.all(kernels.matvec(A, hi) + b <= hi) and np.all(kernels.matvec(A, lo) + b >= lo):
-        return x, _largest_error(d, x, criterion)
-    return None, math.inf
+        bound = _largest_error(d.copy(), x, criterion)
+        return SolveOutcome(x=x, iterations=0, converged=True, method="elimination", error_bound=bound,
+                            error=d)
+    return None
 
 
 def solve_linear_exact(A, b):
@@ -298,13 +330,18 @@ def _induced_rows(system, scheduler):
 
 
 def _evaluate_scheduler(system, scheduler, env):
-    """Value of the chain induced by a scheduler, as a least fixed point.
+    """The value of the chain a scheduler induces, as a least fixed point.
 
-    States that cannot reach the support of b have value 0 and are excluded
-    before solving, which keeps the restricted system nonsingular.
+    Returns (x, d, margin): the value x, a bound d with the value within
+    [x - d, x + d] (None when the solve proved none: it was exact or fell
+    back to Gauss-Seidel) and the rounding margin of each state's induced row
+    (0 in exact arithmetic). States that cannot reach the support of b have
+    value 0 and are excluded before solving, which keeps the restricted system
+    nonsingular.
     """
     A, b = _induced_rows(system, scheduler)
     x = sparse.as_vector(np.zeros(A.rows), A.dtype)
+    d = np.zeros(A.rows)
     relevant = graph._backward_closure(A, b != 0, np.ones(A.rows, dtype=bool))
     if relevant.any():
         sub, _ = sparse.restrict(A, relevant, relevant)
@@ -314,36 +351,82 @@ def _evaluate_scheduler(system, scheduler, env):
             criterion=env.criterion,
             max_iterations=env.max_iterations,
         )
-        x[relevant] = solve_linear(LinearSystem(sub, b[relevant]), inner).x
-    return x
+        outcome = solve_linear(LinearSystem(sub, b[relevant]), inner)
+        x[relevant] = outcome.x
+        if outcome.error is None:
+            d = None
+        else:
+            d[relevant] = outcome.error
+    if A.dtype == "rational":
+        return x, None, 0
+    return x, d, _rounding_margin(A, b, x)
 
 
-def _q_values(system, x):
-    return kernels.matvec(system.A, x) + system.b
+def _backup_violations(system, x, d, maximize):
+    """Where one backup of the optimal operator on the optimistic side fails, and each state's backup choice.
+
+    See the module docstring for why the backup proves x - d <= opt <= x + d.
+    """
+    if maximize:
+        y = x + d
+        backup, arg = kernels.matvec_reduce(system.A, system.choice_offsets, y, True, system.b)
+        return backup > y, arg
+    y = np.maximum(x - d, 0.0)
+    backup, arg = kernels.matvec_reduce(system.A, system.choice_offsets, y, False, system.b)
+    return backup < y, arg
 
 
 def _policy_iteration(system, env, initial_scheduler):
+    """Policy iteration, certified in floats when every evaluation is.
+
+    A state switches to its first optimal choice only if that beats its
+    current one by more than the rounding margin of its row. Once no state
+    switches, one backup must prove the bound (``_backup_violations``); where
+    it fails, the violating states switch to their backup choice and the
+    iteration goes on. The scheduler returned is the one evaluated last, a
+    witness of the value. The result carries no bound when an evaluation
+    proved none, or when the backup's switches lead back to a scheduler
+    already evaluated (an end component inside the maybe states can keep the
+    backup from holding) or, minimizing, to one under which a state of
+    positive value gets value 0 (it no longer reaches the target); the last
+    settled outcome is then returned.
+    """
     maximize = system.direction == "maximize"
-    # exact arithmetic needs no margin against round-off in the improvement test
-    imp_eps = 0 if system.A.dtype == "rational" else 1e-12
     if initial_scheduler is None:
         scheduler = np.zeros(system.n_states, dtype=np.int64)
     else:
         scheduler = np.asarray(initial_scheduler, dtype=np.int64).copy()
-
+    rows = system.choice_offsets[:-1]
+    seen = set()
+    settled = None  # the last outcome that no state could improve on
     x = None
     cap = max(64, 4 * system.A.rows)
     for it in range(1, cap + 1):
-        x = _evaluate_scheduler(system, scheduler, env)
-        q = _q_values(system, x)
+        seen.add(scheduler.tobytes())
+        previous, (x, d, margin) = x, _evaluate_scheduler(system, scheduler, env)
+        if settled is not None and not maximize and np.any((x == 0) & (previous > 0)):
+            break
+        q = kernels.matvec(system.A, x) + system.b
         best, first = kernels.first_optimum(q, system.choice_offsets, maximize)
-        current = q[system.choice_offsets[:-1] + scheduler]
-        # a state switches to its first optimal choice only if that beats its current one by the margin
-        switch = (best > current + imp_eps) if maximize else (best < current - imp_eps)
+        current = q[rows + scheduler]
+        switch = (best > current + margin) if maximize else (best < current - margin)
         if not switch.any():
-            return SolveOutcome(x=x, iterations=it, converged=True, scheduler=first, method="policy_iteration")
+            settled = SolveOutcome(x=x, iterations=it, converged=True, scheduler=scheduler.copy(),
+                                   method="policy_iteration")
+            if d is None:
+                return settled
+            switch, first = _backup_violations(system, x, d, maximize)
+            if not switch.any():
+                settled.error_bound = _largest_error(d.copy(), x, env.criterion)
+                settled.error = d
+                return settled
         scheduler[switch] = first[switch]
-    raise NotConverged(cap, best=x)
+        if scheduler.tobytes() in seen:
+            break
+    if settled is None:
+        raise NotConverged(it, best=x)
+    settled.iterations = it
+    return settled
 
 
 def fox_glynn(lam, epsilon):

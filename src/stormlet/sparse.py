@@ -42,13 +42,6 @@ class SparseMatrix:
         lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
         return self.col_indices[lo:hi], self.values[lo:hi]
 
-    def entries(self):
-        """Iterate (row, col, value) in CSR order."""
-        offsets, cols, values = self.row_offsets.tolist(), self.col_indices.tolist(), self.values.tolist()
-        for i in range(self.rows):
-            for k in range(offsets[i], offsets[i + 1]):
-                yield i, cols[k], values[k]
-
     def to_float(self):
         """Same structure with float64 values (identity for float matrices)."""
         if self.dtype == "float":

@@ -18,6 +18,20 @@ from stormlet.models import Model, ModelKind, StateLabeling
 
 CORPUS = Path(__file__).parent / "corpus"
 
+# state 0 may [stay] forever or [go] to the goal for reward 1; only [go] reaches it
+STAY_OR_GO = """mdp
+module m
+  s : [0..1] init 0;
+  [stay] s=0 -> (s'=0);
+  [go] s=0 -> (s'=1);
+  [] s=1 -> (s'=1);
+endmodule
+label "goal" = s=1;
+rewards
+  [go] true : 1;
+endrewards
+"""
+
 
 @pytest.fixture
 def die_source():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    STAY_OR_GO,
     oracle_bounded_until,
     oracle_cumulative_reward,
     oracle_mdp_reach,
@@ -212,6 +213,33 @@ def test_mdp_scheduler_metadata():
     )
     out = run(model, 'Pmax=? [ F "goal" ]')
     assert out.metadata["direction"] == "max"
+
+
+def test_rmin_scheduler_witnesses_the_value():
+    model, state_map = explore(typecheck(parse_program(STAY_OR_GO)), ExploreOptions())
+    out = run(model, 'Rmin=? [ F "goal" ]', state_map=state_map)
+    # choice 1 is [go]; [stay] ties with it in the Bellman equation but never reaches the goal
+    assert out.values[0] == 1.0 and out.metadata["method"] == "policy_iteration"
+    assert list(out.metadata["scheduler"]) == [1, 0]
+    assert 0 < out.metadata["error_bound"] <= 1e-10
+
+
+@pytest.mark.parametrize("optimum, p", [("max", F(1, 2)), ("min", F(1))])
+def test_end_component_leaves_policy_iteration_uncertified(optimum, p):
+    # states 0 and 1 form an end component of zero-reward moves; 0 may also leave it for
+    # reward 1, to the goal 2 with probability p, else to the sink 3. The backup cannot
+    # hold inside the end component, and switching there would loop (Pmax) or never
+    # reach the goal (Rmin, where that loop would have value 0)
+    rows = [{1: F(1)}, {2: p, 3: 1 - p}, {0: F(1)}, {2: F(1)}, {3: F(1)}]
+    rm = RewardModel("r", action_rewards=np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+    model = Model(ModelKind.MDP, rows_to_matrix(rows, 4, False),
+                  StateLabeling(4, {"goal": [False, False, True, False]}),
+                  choice_offsets=[0, 2, 3, 4, 5], rewards={"r": rm})
+    text = 'Pmax=? [ F "goal" ]' if optimum == "max" else 'Rmin{"r"}=? [ F "goal" ]'
+    out = run(model, text)
+    assert out.metadata["method"] == "policy_iteration" and "error_bound" not in out.metadata
+    assert out.values[0] == out.values[1] == float(p)
+    assert out.metadata["scheduler"][0] == 1
 
 
 # state 0 splits between the absorbing states 1 and 2; in the MDP it may

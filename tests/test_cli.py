@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import STAY_OR_GO
 from stormlet import checkers, cli
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -441,6 +442,16 @@ def test_json_reports_the_error_bound(capsys, criterion, prop, bounded):
     assert ("error_bound" in meta) == bounded
     if bounded:
         assert 0 < meta["error_bound"] <= 1e-6
+
+
+def test_rmin_defaults_to_certified_policy_iteration(capsys, tmp_path):
+    program = tmp_path / "stay_or_go.nm"
+    program.write_text(STAY_OR_GO)
+    code, out, _ = run_cli(capsys, "--prism", str(program), "--prop", 'Rmin=? [ F "goal" ]')
+    assert code == 0 and out == 'Property: Rmin=? [ F "goal" ]\nResult (state 0): 1\n'
+    code, out, _ = run_cli(capsys, "--prism", str(program), "--json", "--prop", 'Rmin=? [ F "goal" ]')
+    meta = json.loads(out)["metadata"]
+    assert meta["method"] == "policy_iteration" and 0 < meta["error_bound"] <= 1e-6
 
 
 @pytest.mark.parametrize("weight, label, message", [

@@ -196,7 +196,7 @@ def test_explore_two_state_chain():
     model, state_map = build(TWO_STATE)
     assert model.kind is ModelKind.DTMC
     assert model.n_states == 2
-    assert state_map.valuation_dict(0) == {"x": 0}
+    assert dict(zip(state_map.slots, state_map.valuation(0))) == {"x": 0}
     assert list(model.labeling.get("goal")) == [False, True]
     assert list(model.initial_states) == [True, False]
     cols, vals = model.matrix.row(0)
@@ -444,8 +444,11 @@ def test_explore_evaluates_every_operator_per_state(exact):
         3: {2: 3 * q, 6: q},  # pow(3,2)/12 to mod(7,5); floor(3/2)/4
         4: {4: 1}, 5: {5: 1}, 6: {6: 1},
     }
-    assert list(model.matrix.entries()) == [(r, c, v) for r in rows for c, v in rows[r].items()]
-    assert all(type(v) is (Fraction if exact else float) for _, _, v in model.matrix.entries())
+    m = model.matrix
+    assert m.row_offsets.tolist() == [0, *itertools.accumulate(len(rows[r]) for r in rows)]
+    assert m.col_indices.tolist() == [c for r in rows for c in rows[r]]
+    assert m.values.tolist() == [v for r in rows for v in rows[r].values()]
+    assert all(type(v) is (Fraction if exact else float) for v in m.values.tolist())
     assert model.labeling.states_with("square").tolist() == [1, 5, 6]
     assert model.labeling.states_with("third").tolist() == [0, 3, 6]
     rm = model.reward_model("ops")

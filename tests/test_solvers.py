@@ -1,5 +1,6 @@
 """Linear and Bellman solvers, cross-validated and oracle-checked."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -14,12 +15,14 @@ from conftest import (
     enumerate_schedulers,
     induced_rows,
     oracle_mdp_reach,
+    oracle_mdp_reach_reward,
     oracle_reach_probability,
     random_stochastic_rows,
     rows_to_matrix,
 )
-from stormlet import kernels, solvers, sparse
+from stormlet import checkers, kernels, solvers, sparse
 from stormlet.errors import DiagonalOne, LambdaTooLarge, NotConverged, SingularMatrix, SolverError, StormletError
+from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
 
@@ -166,7 +169,7 @@ def test_elimination_error_bound_holds(n, seed, criterion):
 def test_unmet_certificate_falls_back_to_gauss_seidel():
     m = sparse.build_sparse([(0, 0, 0.5)], 1, 1)
     # the rounding margin alone makes the bound a few ulps, more than 1e-15 allows
-    _, bound = solvers._certified_elimination(LinearSystem(m, [0.5]), "relative")
+    bound = solvers._certified_elimination(LinearSystem(m, [0.5]), "relative").error_bound
     assert 1e-15 < bound < 1e-13
     out = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(precision=1e-15))
     assert out.method == "gauss_seidel" and out.error_bound is None and out.x[0] == 1.0
@@ -182,6 +185,25 @@ def test_elimination_budget_falls_back():
         out = solvers.solve_linear(LinearSystem(m, [0.1] * 6), SolverEnvironment())
     assert out.method == "gauss_seidel" and out.x == pytest.approx([1.0] * 6)
     assert solvers._factor(m).work > m.nnz
+
+
+def test_certificate_covers_subnormal_values():
+    # gambler's ruin on 0..1500 stepping up with 3/8: P(reach 1500) is subnormal
+    # below about state 110 and below the smallest subnormal below about 40
+    n, p = 1500, Fraction(3, 8)
+    triples = [(i, i + 1, float(p)) for i in range(n - 2)] + [(i, i - 1, float(1 - p)) for i in range(1, n - 1)]
+    b = np.zeros(n - 1)
+    b[-1] = float(p)
+    out = solvers.solve_linear(LinearSystem(sparse.build_sparse(triples, n - 1, n - 1), b), SolverEnvironment())
+    assert out.method == "elimination" and out.error_bound <= 1e-6
+    assert np.count_nonzero(out.x == 0) > 0 and np.count_nonzero((out.x > 0) & (out.x < 2.3e-308)) > 50
+    # the closed form (r^i - 1) / (r^n - 1) with r = 5/3 is (5^i - 3^i) 3^(n-i) / (5^n - 3^n)
+    denominator = 5**n - 3**n
+    for i in range(1, n):
+        value = (5**i - 3**i) * 3 ** (n - i)
+        xp, xq = out.x[i - 1].as_integer_ratio()
+        dp, dq = out.error[i - 1].as_integer_ratio()
+        assert abs(xp * denominator - value * xq) * dq <= dp * denominator * xq
 
 
 # --- kernels --------------------------------------------------------------
@@ -306,6 +328,42 @@ def _reach_bellman(rows, offsets, target, direction, zero_states=frozenset()):
     return BellmanSystem(matrix, np.asarray(sub_offsets), b, direction), keep
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32), st.sampled_from(["max", "min"]), st.booleans(),
+       st.sampled_from(["relative", "absolute"]))
+def test_policy_iteration_error_bound_holds(seed, optimum, reward, criterion):
+    # Pmax, Pmin, Rmax and Rmin on random MDPs; zero rewards allow zero-reward end components
+    rng = random.Random(seed)
+    n = 5
+    rows, offsets, _ = _mdp_rows(rng, n, max_choices=3)
+    target = [rng.random() < 0.3 for _ in range(n)]
+    target[rng.randrange(n)] = True
+    choice_rewards = [Fraction(rng.randint(0, 3)) for _ in rows]
+    rm = RewardModel("r", action_rewards=np.array([float(v) for v in choice_rewards]))
+    model = Model(ModelKind.MDP, rows_to_matrix(rows, n, False), StateLabeling(n), choice_offsets=offsets)
+    env = SolverEnvironment(criterion=criterion)
+    goal = np.array(target)
+    if reward:
+        values, meta = checkers.check_reach_reward(model, rm, goal, optimum, env)
+        expected = oracle_mdp_reach_reward(rows, offsets, target, choice_rewards, optimum == "max")
+    else:
+        values, meta = checkers.check_until(model, np.ones(n, dtype=bool), goal, optimum, env)
+        expected = oracle_mdp_reach(rows, offsets, target, optimum == "max")
+    if meta["method"] == "precomputation":
+        return
+    assert meta["method"] == "policy_iteration"
+    # Rmax's and Pmin's maybe states hold no end component, so their backup always holds
+    if optimum == "max" and reward or optimum == "min" and not reward:
+        assert "error_bound" in meta
+    bound = meta.get("error_bound", 1e-6)
+    for s in range(n):
+        if expected[s] is None:
+            assert values[s] == math.inf
+            continue
+        scale = abs(values[s]) if criterion == "relative" and abs(values[s]) >= 1e-30 else 1.0
+        assert abs(Fraction(values[s]) - expected[s]) <= Fraction(bound * scale)
+
+
 def test_policy_iteration_exact_rational():
     # state 0 has two choices: go to target with 1/3 vs 1/2 per step
     m = sparse.build_sparse(
@@ -323,7 +381,7 @@ def test_value_iteration_not_converged():
     m = sparse.build_sparse([(0, 0, 0.999)], 1, 1)
     system = BellmanSystem(m, [0, 1], [0.001], "maximize")
     with pytest.raises(NotConverged):
-        solvers.solve_minmax(system, SolverEnvironment(max_iterations=3))
+        solvers.solve_minmax(system, SolverEnvironment(minmax_method="value_iteration", max_iterations=3))
 
 
 def test_scheduler_extraction_lowest_index():
@@ -339,8 +397,8 @@ def test_scheduler_extraction_lowest_index():
 @pytest.mark.parametrize("direction", ["maximize", "minimize"])
 def test_policy_improvement_margin(direction, rational):
     # one state whose choices stop at once with value b; choice 1 is better
-    # than the current choice 0 by 5e-13, less than the float margin 1e-12
-    gain = Fraction(1, 2 * 10**12)
+    # than the current choice 0 by one ulp of 1/2, within the rounding margin of the row
+    gain = Fraction(1, 2**53)
     b = [Fraction(1, 2), Fraction(1, 2) + gain]
     if direction == "minimize":
         b = [b[1], b[0]]
@@ -350,6 +408,18 @@ def test_policy_improvement_margin(direction, rational):
     # float keeps the current choice; exact switches on any strict gain
     assert out.x[0] == (b[1] if rational else float(b[0]))
     assert out.iterations == (2 if rational else 1)
+
+
+@pytest.mark.parametrize("direction", ["maximize", "minimize"])
+def test_policy_improvement_margin_is_relative(direction):
+    # values near 1e-20 still improve by a relative 1e-7, far below any absolute margin
+    b = [1e-20, 1.0000001e-20]
+    if direction == "minimize":
+        b.reverse()
+    system = BellmanSystem(sparse.build_sparse([], 2, 1), [0, 2], b, direction)
+    out = solvers.solve_minmax(system, SolverEnvironment(), initial_scheduler=[0])
+    assert out.method == "policy_iteration" and out.iterations == 2
+    assert out.x[0] == b[1] and out.scheduler[0] == 1
 
 
 def test_policy_improvement_takes_first_optimal_choice():

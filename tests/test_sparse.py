@@ -13,8 +13,8 @@ from stormlet.errors import StormletError
 
 def to_dense(m):
     out = np.zeros((m.rows, m.cols))
-    for i, j, v in m.entries():
-        out[i, j] = v
+    rows = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
+    out[rows, m.col_indices] = m.values
     return out
 
 
@@ -147,7 +147,8 @@ def test_row_and_entries_iteration():
     m = sparse.build_sparse([(1, 0, 2.0), (0, 1, 3.0)], 2, 2)
     cols, vals = m.row(0)
     assert list(cols) == [1] and list(vals) == [3.0]
-    assert list(m.entries()) == [(0, 1, 3.0), (1, 0, 2.0)]
+    assert m.row_offsets.tolist() == [0, 1, 2]
+    assert m.col_indices.tolist() == [1, 0] and m.values.tolist() == [3.0, 2.0]
 
 
 def test_to_float_and_to_rational_round_trip():
