@@ -19,17 +19,26 @@ whether the default solve falls back to Gauss-Seidel (the budget runs out,
 or the bound is missing or above the precision 1e-6), and, at the sizes up
 to ``--gs-states``, the time Gauss-Seidel takes on its own.
 
-The MDP family is the two-action gambler's ruin of ``perfbench``'s
-``solve_iter``, at the ``--chains`` sizes: states 0..N, each inner state steps
-up with 0.401 or with 0.441, started at N/2. For ``Pmax`` and ``Pmin`` of
-reaching N and ``Rmin`` of the steps until 0 or N, it prints per method
-(``pi``, the default, and ``vi``) the best time of the whole check, its
-iterations, the ``error_bound`` it reports ("-" for none), its relative error
-at N/2 and whether a policy evaluation fell back to Gauss-Seidel. The
-references are exact: the closed form (r^i - 1) / (r^N - 1), r = down/up, of
-the better or worse choice for ``Pmax`` and ``Pmin``, and for ``Rmin`` the
-expected steps of the scheduler that exact policy iteration, started from the
-one ``pi`` returned, ends at.
+Two MDP families are solved end to end by ``checkers.check``, by policy
+iteration (``pi``, the default) and by value iteration (``vi``):
+- ``ruin mdp N``, at the ``--chains`` sizes: the two-action gambler's ruin of
+  ``perfbench``'s ``solve_iter``, states 0..N, each inner state steps up with
+  0.401 or with 0.441, started at N/2; ``Pmax`` and ``Pmin`` of reaching N and
+  ``Rmin`` of the steps until 0 or N. Its induced chains make no fill-in.
+- ``grid mdp k``, at the ``--grids`` sides: the grid walk above, where each
+  inner state may also move left or right with 0.3 and up or down with 0.2,
+  started in the middle; ``Pmax`` and ``Pmin`` of leaving through the right
+  edge and ``Rmin`` and ``Rmax`` of the steps until leaving. Its induced
+  chains fill in like the grid, and past about k = 63 their elimination runs
+  out of budget, so policy iteration hands over to value iteration.
+Per check it prints the best time, the iterations, the method reported, the
+``error_bound`` ("-" for none) and the relative error at the initial state
+against a reference. The ruin references are exact: the closed form
+(r^i - 1) / (r^N - 1), r = down/up, of the better or worse choice for ``Pmax``
+and ``Pmin``, and for ``Rmin`` the expected steps of the scheduler that
+policy iteration in integers, started from the one ``pi`` returned, ends at
+(``tests/test_acceptance.py`` checks against the same references). The grid
+reference is the certified ``pi`` value, exact within its bound.
 
 Usage: python3 benchmarks/bench_solve.py [--chains 60,300,1000,3000]
        [--grids 10,30,60] [--gs-states 1000] [--repeats 3]
@@ -37,8 +46,6 @@ Usage: python3 benchmarks/bench_solve.py [--chains 60,300,1000,3000]
 
 import argparse
 import time
-from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 
@@ -109,6 +116,7 @@ def bench(name, A, b, repeats, gs_states):
           f"{shown:>11} {'yes' if fell_back else 'no':>9}  {gs}")
 
 
+# gambler's ruin on 0..n where every inner state steps up with 0.401 or with 0.441
 RUIN_MDP = """mdp
 module walk
   x : [0..{n}] init {init};
@@ -122,92 +130,160 @@ rewards "steps"
   x>0 & x<{n} : 1;
 endrewards
 """
-UPS = (Fraction(401, 1000), Fraction(441, 1000))
+RUIN_UPS = (401, 441)  # per thousand
+RUIN_PROPS = ('Pmax=? [ F "top" ]', 'Pmin=? [ F "top" ]', 'Rmin=? [ F "end" ]')
+
+# the k x k grid walk with a second, horizontal choice, absorbed on the border
+GRID_MDP = """mdp
+module walk
+  r : [0..{e}] init {m};
+  c : [0..{e}] init {m};
+  [] r>0 & r<{e} & c>0 & c<{e} -> 0.25 : (r'=r-1) + 0.25 : (r'=r+1) + 0.25 : (c'=c-1) + 0.25 : (c'=c+1);
+  [] r>0 & r<{e} & c>0 & c<{e} -> 0.2 : (r'=r-1) + 0.2 : (r'=r+1) + 0.3 : (c'=c-1) + 0.3 : (c'=c+1);
+  [] r=0 | r={e} | c=0 | c={e} -> true;
+endmodule
+label "right" = c={e};
+label "out" = r=0 | r={e} | c=0 | c={e};
+rewards "steps"
+  r>0 & r<{e} & c>0 & c<{e} : 1;
+endrewards
+"""
+GRID_PROPS = ('Pmax=? [ F "right" ]', 'Pmin=? [ F "right" ]', 'Rmin=? [ F "out" ]', 'Rmax=? [ F "out" ]')
 
 
-def ruin_top(n, up, i):
-    """P(reach n before 0) from i, stepping up with ``up``."""
-    r = (1 - up) / up
-    return (r**i - 1) / (r**n - 1)
+def ruin_top(n, up):
+    """P(hit n before 0) from each of 0..n, stepping up with up/1000, as pairs (numerator, denominator).
+
+    The closed form (r^x - 1) / (r^n - 1) with r = down/up is
+    (down^x - up^x) up^(n-x) / (down^n - up^n).
+    """
+    down = 1000 - up
+    up_powers, down_powers = [1], [1]
+    for _ in range(n):
+        up_powers.append(up_powers[-1] * up)
+        down_powers.append(down_powers[-1] * down)
+    denominator = down_powers[n] - up_powers[n]
+    return [((down_powers[x] - up_powers[x]) * up_powers[n - x], denominator) for x in range(n + 1)]
 
 
 def ruin_steps(n, policy):
-    """Exact expected steps until 0 or n from each of 0..n, stepping up with UPS[policy[x]] at x."""
-    # D_x = f_x + g_x D_(x+1), eliminated from D_0 = 0 upwards
-    f, g = [Fraction(0)], [Fraction(0)]
+    """Exact expected steps until 0 or n from each of 0..n, with ``policy[x]`` the choice at x.
+
+    Returns the values as pairs (numerator, denominator) and the inner states
+    where the other choice gives fewer steps, empty exactly when ``policy`` is
+    optimal for Rmin. Shooting from D_0 = 0 and D_1 = t, per thousand:
+    up D_(x+1) = 1000 D_x - 1000 - down D_(x-1), so D_x = (a_x + b_x t) / q_x
+    in integers with q_(x+1) = ups[x+1] q_x, and D_n = 0 fixes t = -a_n / b_n.
+    Then D_x = N_x / (q_x B) with B > 0.
+    """
+    a, b, q, ups = [0, 0], [0, 1], [1, 1], [1, 1]
     for x in range(1, n):
-        up = UPS[policy[x]]
-        pivot = 1 - (1 - up) * g[-1]
-        f.append((1 + (1 - up) * f[-1]) / pivot)
-        g.append(up / pivot)
-    steps = [Fraction(0)] * (n + 1)
-    for x in range(n - 1, 0, -1):
-        steps[x] = f[x] + g[x] * steps[x + 1]
-    return steps
+        up = RUIN_UPS[policy[x]]
+        # a term over q_(x-1) is scaled by q_x / q_(x-1) = ups[x] to be over q_x
+        a.append(1000 * a[x] - 1000 * q[x] - (1000 - up) * a[x - 1] * ups[x])
+        b.append(1000 * b[x] - (1000 - up) * b[x - 1] * ups[x])
+        q.append(up * q[x])
+        ups.append(up)
+    sign = 1 if b[n] > 0 else -1
+    steps, common = [sign * (a[x] * b[n] - b[x] * a[n]) for x in range(n + 1)], sign * b[n]
+    # choice up improves on x where 1000 D_x > 1000 + up D_(x+1) + down D_(x-1), times q_(x+1) B
+    better = [x for x in range(1, n) if any(
+        1000 * steps[x] * ups[x + 1]
+        > 1000 * q[x + 1] * common + up * steps[x + 1] + (1000 - up) * steps[x - 1] * ups[x + 1] * ups[x]
+        for up in RUIN_UPS)]
+    return [(steps[x], q[x] * common) for x in range(n + 1)], better
 
 
 def least_steps(n, policy):
-    """Exact optimal Rmin: policy iteration over Fractions from ``policy``, until no choice improves."""
+    """Exact optimal Rmin from each of 0..n as pairs: policy iteration from ``policy`` in integers."""
+    policy = list(policy)
     while True:
-        steps = ruin_steps(n, policy)
-        changed = False
-        for x in range(1, n):
-            backups = [1 + up * steps[x + 1] + (1 - up) * steps[x - 1] for up in UPS]
-            best = min(range(len(UPS)), key=backups.__getitem__)
-            if backups[best] < backups[policy[x]]:
-                policy[x], changed = best, True
-        if not changed:
+        steps, better = ruin_steps(n, policy)
+        if not better:
             return steps
+        for x in better:
+            policy[x] = 1 - policy[x]
 
 
-def bench_mdp(n, repeats):
-    init = n // 2
-    model, state_map = explore(typecheck(parse_program(RUIN_MDP.format(n=n, init=init))), ExploreOptions())
-    position = state_map.columns[0]
+def relative_error(value, reference):
+    """|value - p/q| / (p/q) for a float value and a pair (p, q) with p/q > 0, in integers."""
+    p, q = reference
+    vp, vq = float(value).as_integer_ratio()
+    return abs(vp * q - p * vq) / (vq * p)
+
+
+def bench_mdp(name, model, state_map, props, repeats, reference):
+    """Time each property by policy and by value iteration.
+
+    ``reference(text, result)`` gives the reference value at the initial
+    state as a pair (p, q), or None, from the policy-iteration result.
+    """
     refs = {}
     for method in ("policy_iteration", "value_iteration"):
         env = SolverEnvironment(minmax_method=method, precision=PRECISION)
-        for text in ('Pmax=? [ F "top" ]', 'Pmin=? [ F "top" ]', 'Rmin=? [ F "end" ]'):
+        for text in props:
             prop = resolve_atoms(parse_property(text), model, state_map)
-            # count the policy evaluations that fall back to Gauss-Seidel
-            with mock.patch.object(solvers, "_gauss_seidel", wraps=solvers._gauss_seidel) as fallback:
-                seconds, result = best_of(lambda: checkers.check(model, prop, env), repeats)
+            seconds, result = best_of(lambda: checkers.check(model, prop, env), repeats)
             meta = result.metadata
-            if text.startswith("Rmin") and text not in refs:
-                policy = [0] * (n + 1)
-                for s, x in enumerate(position):
-                    policy[x] = int(meta["scheduler"][s])
-                refs[text] = least_steps(n, policy)[init]
-            elif text not in refs:
-                refs[text] = ruin_top(n, UPS[text.startswith("Pmax")], init)
-            error = float(abs(Fraction(result.values[0]) - refs[text]) / refs[text])
+            if text not in refs:
+                refs[text] = reference(text, result)
+            error = "-" if refs[text] is None else f"{relative_error(result.values[0], refs[text]):.1e}"
             bound = meta.get("error_bound")
             shown = "-" if bound is None else f"{bound:.2e}"
-            print(f"{'ruin mdp ' + str(n):<14} {text[:4]:<5} {method[:1]}i {seconds * 1e3:>10.1f} "
-                  f"{meta['iterations']:>6} {shown:>11} {error:>9.1e} {'yes' if fallback.called else 'no':>9}")
+            print(f"{name:<14} {text[:4]:<5} {method[:1]}i {seconds * 1e3:>10.1f} {meta['iterations']:>6} "
+                  f"{meta['method']:<16} {shown:>11} {error:>9}")
+
+
+def bench_ruin_mdp(n, repeats):
+    model, state_map = explore(typecheck(parse_program(RUIN_MDP.format(n=n, init=n // 2))), ExploreOptions())
+    position = state_map.columns[0]
+
+    def reference(text, result):
+        if not text.startswith("Rmin"):
+            return ruin_top(n, RUIN_UPS[text.startswith("Pmax")])[n // 2]
+        policy = [0] * (n + 1)
+        for s, x in enumerate(position):
+            policy[x] = int(result.metadata["scheduler"][s])
+        return least_steps(n, policy)[n // 2]
+
+    bench_mdp(f"ruin mdp {n}", model, state_map, RUIN_PROPS, repeats, reference)
+
+
+def bench_grid_mdp(k, repeats):
+    source = GRID_MDP.format(e=k + 1, m=(k + 1) // 2)
+    model, state_map = explore(typecheck(parse_program(source)), ExploreOptions())
+
+    def reference(text, result):
+        # no closed form: the certified policy-iteration value, exact within its bound
+        return result.values[0].as_integer_ratio() if "error_bound" in result.metadata else None
+
+    bench_mdp(f"grid mdp {k}", model, state_map, GRID_PROPS, repeats, reference)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chains", default="60,300,1000,3000",
-                        help="comma-separated sizes N of the chain and the MDP family")
-    parser.add_argument("--grids", default="10,30,60", help="comma-separated grid sides k")
+                        help="comma-separated sizes N of the chain and the ruin MDP")
+    parser.add_argument("--grids", default="10,30,60", help="comma-separated sides k of the grid and the grid MDP")
     parser.add_argument("--gs-states", type=int, default=1000,
                         help="time Gauss-Seidel only on systems of at most this many states")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
     chains = [int(v) for v in args.chains.split(",") if v]
+    grids = [int(v) for v in args.grids.split(",") if v]
     print(f"budget {solvers.ELIMINATION_BUDGET} multiply-adds per entry, precision {PRECISION:g}")
     print(f"{'system':<12} {'states':>8} {'nnz':>8} {'factor ms':>10} {'madd/nnz':>9} "
           f"{'error_bound':>11} {'fallback':>9}  gauss-seidel ms")
     for n in chains:
         bench(f"chain {n}", *chain(n), args.repeats, args.gs_states)
-    for k in (int(v) for v in args.grids.split(",") if v):
+    for k in grids:
         bench(f"grid {k}", *grid(k), args.repeats, args.gs_states)
     print()
-    print(f"{'mdp':<14} {'prop':<5} by {'ms':>10} {'iters':>6} {'error_bound':>11} {'rel error':>9} {'fallback':>9}")
+    print(f"{'mdp':<14} {'prop':<5} by {'ms':>10} {'iters':>6} {'method':<16} {'error_bound':>11} {'rel error':>9}")
     for n in chains:
-        bench_mdp(n, args.repeats)
+        bench_ruin_mdp(n, args.repeats)
+    for k in grids:
+        bench_grid_mdp(k, args.repeats)
 
 
 if __name__ == "__main__":

@@ -18,20 +18,24 @@ When the budget runs out, a pivot is not positive, the check fails or the
 bound exceeds the precision, Gauss-Seidel solves the system from zero.
 
 Bellman systems x = opt_c (b_c + A_c.x) are solved by policy iteration by
-default, one body for float64 and Fraction. Each scheduler is evaluated by
-``solve_linear``, so in floats its value comes with the bound d above, and a
-state switches choice only if another beats its current one by more than the
-rounding margin of its row. Once no state switches, one backup of the optimal
-operator F on the optimistic side (``kernels.matvec_reduce``) proves the
-scheduler optimal within d: F(x+d) <= x+d for max, as a pre-fixed point
-y >= 0 lies above every scheduler's value; F(y) >= y at y = max(x-d, 0) for
-min, as a post-fixed point lies below the value of every transient scheduler,
-and after prob0E (or, for expected rewards, among the proper schedulers) the
-optimal one is transient. The evaluated scheduler's own certificate gives the
-other side, so x-d <= opt <= x+d, and d is reported as ``error_bound``. No
-end-component collapse is needed for the proof, but an end component inside
-the maybe states can keep the backup from holding; the result then carries no
-bound (see ``_policy_iteration``).
+default, one body for float64 and Fraction. In floats each scheduler is
+evaluated by certified elimination, so its value comes with the bound d
+above, and a state switches choice only if another beats its current one by
+more than the rounding margin of its row. Once no state switches, one backup
+of the optimal operator F on the optimistic side (``kernels.matvec_reduce``)
+proves the scheduler optimal within d: F(x+d) <= x+d for max, as a
+pre-fixed point y >= 0 lies above every scheduler's value; F(y) >= y at
+y = max(x-d, 0) for min, as a post-fixed point lies below the value of every
+transient scheduler, and after prob0E (or, for expected rewards, among the
+proper schedulers) the optimal one is transient. The evaluated scheduler's
+own certificate gives the other side, so x-d <= opt <= x+d, and d is
+reported as ``error_bound``. No end-component collapse is needed for the
+proof, but an end component inside the maybe states can keep the backup from
+holding; the result then carries no bound (see ``_policy_iteration``).
+When elimination cannot certify a scheduler's value (the budget runs out, or
+the check fails or misses the precision), every further round would pay the
+same for no bound, so value iteration finishes from the last value policy
+iteration has (``_finish_by_value_iteration``).
 
 Gauss-Seidel and value iteration stop once successive iterates differ by at
 most ``CONVERGENCE_SAFETY`` times the precision, which on a slow chain can
@@ -40,7 +44,7 @@ be far from the fixed point; their results carry no bound.
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,8 +154,8 @@ def solve_linear(system, env):
         x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
         return SolveOutcome(x=x, iterations=0, converged=True, method="exact")
     if env.linear_method == "elimination":
-        outcome = _certified_elimination(system, env.criterion)
-        if outcome is not None and outcome.error_bound <= env.precision:
+        outcome = _certified_within(system, env)
+        if outcome is not None:
             return outcome
     return _gauss_seidel(system, env)
 
@@ -287,6 +291,14 @@ def _certified_elimination(system, criterion):
     return None
 
 
+def _certified_within(system, env):
+    """Certified elimination's outcome if its bound meets the precision, else None."""
+    outcome = _certified_elimination(system, env.criterion)
+    if outcome is not None and outcome.error_bound <= env.precision:
+        return outcome
+    return None
+
+
 def solve_linear_exact(A, b):
     """The exact solution of (I - A) x = b, a list of Fraction, for a rational A."""
     return _factor(A).solve(sparse.as_vector(b, "rational").tolist())
@@ -304,15 +316,16 @@ def solve_minmax(system, env, initial_scheduler=None):
     return _value_iteration(system, env)
 
 
-def _value_iteration(system, env):
+def _value_iteration(system, env, start=None):
+    """Value iteration from ``start`` (zeros by default)."""
     maximize = system.direction == "maximize"
     b = system.b
-    x = np.zeros(system.n_states)
+    x = np.zeros(system.n_states) if start is None else np.array(start, dtype=np.float64)
     arg = np.zeros(system.n_states, dtype=np.int64)
     tol = env.precision * CONVERGENCE_SAFETY
     for it in range(1, env.max_iterations + 1):
         y, arg = kernels.matvec_reduce(system.A, system.choice_offsets, x, maximize, b)
-        if __debug__ and it % 1000 == 0:
+        if __debug__ and start is None and it % 1000 == 0:
             assert np.all(y >= x - 1e-12), "value iteration lost monotonicity"
         diff = _largest_error(np.abs(y - x), y, env.criterion)
         x = y
@@ -333,33 +346,55 @@ def _evaluate_scheduler(system, scheduler, env):
     """The value of the chain a scheduler induces, as a least fixed point.
 
     Returns (x, d, margin): the value x, a bound d with the value within
-    [x - d, x + d] (None when the solve proved none: it was exact or fell
-    back to Gauss-Seidel) and the rounding margin of each state's induced row
-    (0 in exact arithmetic). States that cannot reach the support of b have
-    value 0 and are excluded before solving, which keeps the restricted system
-    nonsingular.
+    [x - d, x + d] (None when the solve proved none: it was exact or ran
+    Gauss-Seidel) and the rounding margin of each state's induced row (0 in
+    exact arithmetic). Under float elimination, returns None instead when
+    elimination cannot certify the value within the precision. States that
+    cannot reach the support of b have value 0 and are excluded before
+    solving, which keeps the restricted system nonsingular.
     """
     A, b = _induced_rows(system, scheduler)
     x = sparse.as_vector(np.zeros(A.rows), A.dtype)
-    d = np.zeros(A.rows)
+    certify = A.dtype == "float" and env.linear_method == "elimination"
+    d = np.zeros(A.rows) if certify else None
     relevant = graph._backward_closure(A, b != 0, np.ones(A.rows, dtype=bool))
     if relevant.any():
         sub, _ = sparse.restrict(A, relevant, relevant)
-        inner = SolverEnvironment(
-            linear_method=env.linear_method,
-            precision=min(env.precision, 1e-9),
-            criterion=env.criterion,
-            max_iterations=env.max_iterations,
-        )
-        outcome = solve_linear(LinearSystem(sub, b[relevant]), inner)
-        x[relevant] = outcome.x
-        if outcome.error is None:
-            d = None
-        else:
+        linear = LinearSystem(sub, b[relevant])
+        if certify:
+            outcome = _certified_within(linear, env)
+            if outcome is None:
+                return None
             d[relevant] = outcome.error
+        else:
+            # an unproven value is solved tighter, so its error cannot sway the improvement step
+            outcome = solve_linear(linear, replace(env, precision=min(env.precision, 1e-9)))
+        x[relevant] = outcome.x
     if A.dtype == "rational":
         return x, None, 0
     return x, d, _rounding_margin(A, b, x)
+
+
+def _finish_by_value_iteration(system, env, scheduler, x, evaluations):
+    """Value iteration from the value x of the last scheduler evaluated.
+
+    Policy iteration hands over once elimination cannot certify the value of
+    ``scheduler``. Maximizing, x lies below the optimum and the iteration
+    rises from it (from 0 if no scheduler was evaluated). Minimizing, it
+    descends from the value of a proper scheduler, which is why a minimized
+    expected reward ends at the optimum among the proper schedulers and not
+    at a fixed point below it; with no value yet, value iteration on the
+    chain of ``scheduler`` (proper for expected rewards) gives one. The
+    iterations reported count the evaluations and all sweeps.
+    """
+    sweeps = 0
+    if x is None and system.direction == "minimize":
+        A, b = _induced_rows(system, scheduler)
+        chain = _value_iteration(BellmanSystem(A, np.arange(A.rows + 1), b, "minimize"), env)
+        x, sweeps = chain.x, chain.iterations
+    outcome = _value_iteration(system, env, x)
+    outcome.iterations += evaluations + sweeps
+    return outcome
 
 
 def _backup_violations(system, x, d, maximize):
@@ -384,8 +419,10 @@ def _policy_iteration(system, env, initial_scheduler):
     switches, one backup must prove the bound (``_backup_violations``); where
     it fails, the violating states switch to their backup choice and the
     iteration goes on. The scheduler returned is the one evaluated last, a
-    witness of the value. The result carries no bound when an evaluation
-    proved none, or when the backup's switches lead back to a scheduler
+    witness of the value. Value iteration takes over when float elimination
+    cannot certify an evaluation (``_finish_by_value_iteration``). The
+    result carries no bound when an evaluation proved none (it was exact or
+    ran Gauss-Seidel), or when the backup's switches lead back to a scheduler
     already evaluated (an end component inside the maybe states can keep the
     backup from holding) or, minimizing, to one under which a state of
     positive value gets value 0 (it no longer reaches the target); the last
@@ -403,7 +440,10 @@ def _policy_iteration(system, env, initial_scheduler):
     cap = max(64, 4 * system.A.rows)
     for it in range(1, cap + 1):
         seen.add(scheduler.tobytes())
-        previous, (x, d, margin) = x, _evaluate_scheduler(system, scheduler, env)
+        evaluated = _evaluate_scheduler(system, scheduler, env)
+        if evaluated is None:
+            return _finish_by_value_iteration(system, env, scheduler, x, it - 1)
+        previous, (x, d, margin) = x, evaluated
         if settled is not None and not maximize and np.any((x == 0) & (previous > 0)):
             break
         q = kernels.matvec(system.A, x) + system.b

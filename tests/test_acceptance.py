@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,10 @@ from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.props import parse_property, resolve_atoms
 from stormlet.solvers import LinearSystem, SolverEnvironment
+
+# the two-action ruin MDP and its exact references are shared with benchmarks/bench_solve.py
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from bench_solve import RUIN_MDP, RUIN_PROPS, relative_error, ruin_steps, ruin_top  # noqa: E402
 
 CORPUS = Path(__file__).parent / "corpus"
 CORPUS_MODELS = ["die.pm", "coin.nm", "queue.sm"]
@@ -370,76 +375,20 @@ def test_10_slow_chains_meet_the_precision(n, tmp_path, capsys):
            f"relative errors {float(max(errors)):.1e}, error bounds {max(bounds):.1e}")
 
 
-# gambler's ruin on 0..n where every inner state steps up with 0.401 or with 0.441
-RUIN_MDP = """mdp
-module walk
-  x : [0..{n}] init {init};
-  [] x>0 & x<{n} -> 0.401 : (x'=x+1) + 0.599 : (x'=x-1);
-  [] x>0 & x<{n} -> 0.441 : (x'=x+1) + 0.559 : (x'=x-1);
-  [] x=0 | x={n} -> (x'=x);
-endmodule
-label "top" = x={n};
-label "end" = x=0 | x={n};
-rewards "steps"
-  x>0 & x<{n} : 1;
-endrewards
-"""
-RUIN_UPS = (401, 441)  # per thousand
-
-
-def ruin_top(n, up):
-    """P(hit n before 0) from each of 0..n, stepping up with up/1000, as pairs (numerator, denominator).
-
-    The closed form (r^x - 1) / (r^n - 1) with r = down/up is
-    (down^x - up^x) up^(n-x) / (down^n - up^n).
-    """
-    down = 1000 - up
-    up_powers, down_powers = [1], [1]
-    for _ in range(n):
-        up_powers.append(up_powers[-1] * up)
-        down_powers.append(down_powers[-1] * down)
-    denominator = down_powers[n] - up_powers[n]
-    return [((down_powers[x] - up_powers[x]) * up_powers[n - x], denominator) for x in range(n + 1)]
-
-
-def ruin_steps(n, policy):
-    """Exact expected steps until 0 or n from each of 0..n, with ``policy[x]`` the choice at x.
-
-    Returns (N, q, ups, B) with D_x = N_x / (q_x B), B > 0 and q_(x+1) = ups[x+1] q_x.
-    Shooting from D_0 = 0 and D_1 = t: up D_(x+1) = 1000 D_x - 1000 - down D_(x-1), all per
-    thousand, so D_x = (a_x + b_x t) / q_x in integers, and D_n = 0 fixes t = -a_n / b_n.
-    """
-    a, b, q, ups = [0, 0], [0, 1], [1, 1], [1, 1]
-    for x in range(1, n):
-        up = RUIN_UPS[policy[x]]
-        # a term over q_(x-1) is scaled by q_x / q_(x-1) = ups[x] to be over q_x
-        a.append(1000 * a[x] - 1000 * q[x] - (1000 - up) * a[x - 1] * ups[x])
-        b.append(1000 * b[x] - (1000 - up) * b[x - 1] * ups[x])
-        q.append(up * q[x])
-        ups.append(up)
-    sign = 1 if b[n] > 0 else -1
-    return [sign * (a[x] * b[n] - b[x] * a[n]) for x in range(n + 1)], q, ups, sign * b[n]
-
-
 @pytest.mark.parametrize("n", [300, 1000])
 def test_11_ruin_mdp_is_certified(n):
     model, state_map = explore(typecheck(parse_program(RUIN_MDP.format(n=n, init=n // 2))), ExploreOptions())
     position = state_map.columns[0]
-    results = {text: check_text(model, text, FLOAT_ENV, state_map)
-               for text in ('Pmax=? [ F "top" ]', 'Pmin=? [ F "top" ]', 'Rmin=? [ F "end" ]')}
+    results = {text: check_text(model, text, FLOAT_ENV, state_map) for text in RUIN_PROPS}
     # the scheduler returned for Rmin is optimal: evaluated exactly, no choice improves on it
     scheduler = results['Rmin=? [ F "end" ]'].metadata["scheduler"]
     policy = [0] * (n + 1)
     for s, x in enumerate(position):
         policy[x] = int(scheduler[s])
-    steps, q, ups, common = ruin_steps(n, policy)
-    for x in range(1, n):
-        # 1000 D_x <= 1000 + up D_(x+1) + down D_(x-1), times q_(x+1) B
-        for up in RUIN_UPS:
-            assert 1000 * steps[x] * ups[x + 1] <= (
-                1000 * q[x + 1] * common + up * steps[x + 1] + (1000 - up) * steps[x - 1] * ups[x + 1] * ups[x])
+    steps, better = ruin_steps(n, policy)
+    assert not better
     refs = {'Pmax=? [ F "top" ]': ruin_top(n, 441), 'Pmin=? [ F "top" ]': ruin_top(n, 401),
-            'Rmin=? [ F "end" ]': [(steps[x], q[x] * common) for x in range(n + 1)]}
+            'Rmin=? [ F "end" ]': steps}
     worst, widest = 0.0, 0.0
     for text, result in results.items():
         meta = result.metadata
@@ -454,6 +403,6 @@ def test_11_ruin_mdp_is_certified(n):
             vp, vq = result.values[s].as_integer_ratio()
             gap = abs(vp * rq - rp * vq)
             assert gap * bq <= bp * abs(vp) * rq, (text, x)
-            worst = max(worst, gap / (vq * rp))
+            worst = max(worst, relative_error(result.values[s], (rp, rq)))
     report(f"ruin MDP of {n + 1} states", worst <= 1e-6,
            f"relative errors {worst:.1e}, error bounds {widest:.1e}")

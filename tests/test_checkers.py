@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     random_stochastic_rows,
     rows_to_matrix,
 )
-from stormlet import checkers, sparse
+from stormlet import checkers, solvers, sparse
 from stormlet.errors import PropertyError, UnsupportedCombination
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
@@ -240,6 +241,34 @@ def test_end_component_leaves_policy_iteration_uncertified(optimum, p):
     assert out.metadata["method"] == "policy_iteration" and "error_bound" not in out.metadata
     assert out.values[0] == out.values[1] == float(p)
     assert out.metadata["scheduler"][0] == 1
+
+
+@pytest.mark.parametrize("text, value", [('Pmax=? [ F "goal" ]', 0.25), ('Rmin{"r"}=? [ F "goal" ]', 10.0)])
+def test_value_iteration_finishes_when_elimination_gives_up(text, value):
+    # states 0, 1 and 2 may [stay] for reward 0 or [go] for reward 1 to each of them with 3/10
+    # and to the goal 3 with 1/10 (for Pmax, the self-loop of [go] leads to the sink 4 instead).
+    # With no elimination budget the first evaluation gives up and value iteration finishes;
+    # for Rmin it descends from the value of the proper seed, so the stay loops' value 0 is
+    # never reached
+    sink = 4 if text.startswith("Pmax") else None
+    rows = []
+    for i in range(3):
+        rows.append({i: F(1)})
+        go = {j: F(3, 10) for j in range(3) if j != i}
+        go.update({sink if sink is not None else i: F(3, 10), 3: F(1, 10)})
+        rows.append(go)
+    rows += [{3: F(1)}, {4: F(1)}]
+    rm = RewardModel("r", action_rewards=np.array([0.0, 1.0] * 3 + [0.0, 0.0]))
+    model = Model(ModelKind.MDP, rows_to_matrix(rows, 5, False),
+                  StateLabeling(5, {"goal": [False, False, False, True, False]}),
+                  choice_offsets=[0, 2, 4, 6, 7, 8], rewards={"r": rm})
+    with mock.patch.object(solvers, "ELIMINATION_BUDGET", 0):
+        out = run(model, text)
+    assert out.metadata["method"] == "value_iteration" and "error_bound" not in out.metadata
+    assert list(out.values[:3]) == pytest.approx([value] * 3, rel=1e-8)
+    if sink is not None:
+        # for Rmin [stay] ties with [go], and value iteration reports the lower choice
+        assert list(out.metadata["scheduler"][:3]) == [1, 1, 1]
 
 
 # state 0 splits between the absorbing states 1 and 2; in the MDP it may

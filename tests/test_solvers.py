@@ -364,6 +364,31 @@ def test_policy_iteration_error_bound_holds(seed, optimum, reward, criterion):
         assert abs(Fraction(values[s]) - expected[s]) <= Fraction(bound * scale)
 
 
+def test_policy_iteration_certifies_a_slow_evaluation():
+    # inner states 1..199 of a lazy walk on 0..200: choice 0 drifts down, choice 1 moves
+    # each way with 1/100, so Pmax of reaching 200 is i/200 under choice 1. Its elimination
+    # bound, about 3e-9, is above 1e-9 and within the precision 1e-6, so it is the bound
+    # reported; Gauss-Seidel would need far more than 20 000 sweeps
+    n = 200
+    triples, b = [], []
+    for i in range(n - 1):
+        for c, (up, down) in enumerate(((0.01, 0.012), (0.01, 0.01))):
+            row = 2 * i + c
+            if i > 0:
+                triples.append((row, i - 1, down))
+            triples.append((row, i, 1 - up - down))
+            if i < n - 2:
+                triples.append((row, i + 1, up))
+            b.append(up if i == n - 2 else 0.0)
+    system = BellmanSystem(sparse.build_sparse(triples, 2 * (n - 1), n - 1), np.arange(0, 2 * n - 1, 2), b,
+                           "maximize")
+    out = solvers.solve_minmax(system, SolverEnvironment(max_iterations=20_000))
+    assert out.method == "policy_iteration" and 1e-9 < out.error_bound <= 1e-6
+    assert list(out.scheduler) == [1] * (n - 1)
+    for i, v in enumerate(out.x, start=1):
+        assert abs(Fraction(v) - Fraction(i, n)) <= Fraction(out.error_bound * v)
+
+
 def test_policy_iteration_exact_rational():
     # state 0 has two choices: go to target with 1/3 vs 1/2 per step
     m = sparse.build_sparse(
