@@ -92,8 +92,8 @@ def _bits(model, state_formula, env):
         return _bits(model, state_formula.left, env) & _bits(model, state_formula.right, env)
     if isinstance(state_formula, props.Or):
         return _bits(model, state_formula.left, env) | _bits(model, state_formula.right, env)
-    if isinstance(state_formula, props.NestedCheck):
-        return check(model, state_formula.operator, env).values
+    if isinstance(state_formula, (props.ProbOperator, props.RewardOperator)):
+        return check(model, state_formula, env).values
     raise PropertyError(f"cannot evaluate state formula {type(state_formula).__name__}")
 
 

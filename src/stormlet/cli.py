@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__, checkers, explicit, props
 from .errors import (
-    InputError,
     ModelError,
     NotConverged,
     ParseError,
@@ -125,7 +124,7 @@ def parse_args(argv):
     ns = _build_argparser().parse_args(argv)
     if (ns.explicit is None) == (ns.prism is None):
         _fail_usage("exactly one of --explicit and --prism is required")
-    if ns.prism is None and (ns.constants or "") != "" and ns.constants:
+    if ns.prism is None and ns.constants:
         _fail_usage("--constants needs --prism")
     if (ns.srew or ns.trew) and ns.explicit is None:
         _fail_usage("--srew/--trew need --explicit")

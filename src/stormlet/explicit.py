@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sparse
 from .errors import DeadlockError, ModelError, ParseError
-from .models import Model, ModelKind, RewardModel, StateLabeling
+from .models import ROW_SUM_TOLERANCE, Model, ModelKind, RewardModel, StateLabeling
 
 ROW_TOLERANCE = 1e-6
 
@@ -288,7 +288,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
             )
         # renormalize only when the deviation is above rounding noise, so
         # written models parse back value-identical
-        scaled = summed / np.where(deviation <= 1e-10, 1.0, totals)[of_entry]
+        scaled = summed / np.where(deviation <= ROW_SUM_TOLERANCE, 1.0, totals)[of_entry]
     loops = np.flatnonzero(patched)
     entries = np.rec.fromarrays([
         np.concatenate((entry_row, offsets[loops])),

@@ -4,31 +4,21 @@
 object arrays of Fraction. Each row's sum starts from its accumulator (0, or
 ``b[c]`` for a choice row) and adds the row's products strictly left to right
 in CSR order, so float results are bitwise those of the plain scalar loop:
-rows are grouped by length (1, 2, 3-4, 5-8, ...), a row of group j gets a
-table row of 1 + 2^j cells, the accumulator and then its products padded with
-the additive identity (-0.0, or Fraction(0)), and ``np.add.accumulate`` adds
-along each table row in order. The table is filled and added in blocks of
-consecutive rows of about 2^16 cells, so the temporaries do not grow with the
-matrix. Among the choices of a state, the first that reaches the optimum wins.
+the products are the terms of ``sparse.sum_runs``'s table sum (the scheme is
+described in ``sparse``), computed per block of rows. Among the choices of a
+state, the first that reaches the optimum wins.
 
-The grouping depends on the row offsets alone, so it is worked out once per
-matrix: the first kernel call on a matrix builds its plan and caches it in
-``SparseMatrix.plan``. Per block, the plan holds the block's non-empty rows in
-group order, its range of CSR entries, the table cell of each accumulator and
-of each product, and where each group starts. A call then multiplies the
-range's values by the gathered ``x``, scatters the products and accumulators
-into a fresh table, accumulates each group and scatters the sums out. The
-padding is taken from the matrix's domain on every call, and a matrix's
-``to_rational()``/``to_float()`` twin builds a plan of its own. The plan also
-keeps ``matvec_reduce``'s choice index (each state's first row, each row's
-state) together with the choice offsets it was built for, and builds it again
-when a call passes offsets that differ.
+The table layout depends on the row offsets alone, so it is worked out once
+per matrix: the first kernel call on a matrix builds its plan and caches it in
+``SparseMatrix.plan``. The padding is taken from the matrix's domain on every
+call, and a matrix's ``to_rational()``/``to_float()`` twin builds a plan of
+its own. The plan also keeps ``matvec_reduce``'s choice index (each state's
+first row, each row's state) together with the choice offsets it was built
+for, and builds it again when a call passes offsets that differ.
 
 ``gauss_seidel_sweep`` is the one sequential kernel; it is float-only and
 runs fastest on Python lists.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,76 +36,15 @@ def _checked_vector(m, x):
     return x
 
 
-# the table is filled and added in blocks of about this many cells, so the
-# temporaries stay the same size however large the matrix is
-_BLOCK_CELLS = 1 << 16
-
-
-class _Plan:
-    """The row grouping of one matrix, built from its row offsets alone.
-
-    ``blocks`` holds, per block of consecutive rows, ``(rows, acc, lo, hi,
-    slots, size, segments)``: the block's non-empty rows in bucket order,
-    the table cell of each row's accumulator, the block's CSR entry range,
-    the table cell of each entry's product, the table size, and per bucket
-    ``(first, end, first cell, end cell)`` in the order of ``rows``.
-    ``choices`` caches the choice index of the last choice offsets seen.
-    """
-
-    __slots__ = ("blocks", "choices")
-
-    def __init__(self, row_offsets):
-        self.blocks = []
-        self.choices = None
-        lengths = np.diff(row_offsets)
-        rows = np.flatnonzero(lengths)
-        # bucket j holds the rows of 2^(j-1) < length <= 2^j; each has a table row of 1 + 2^j cells
-        bucket = np.frexp(lengths[rows] - 1)[1].astype(np.int8)
-        cell = np.concatenate(([0], np.cumsum((1 << bucket.astype(np.int64)) + 1)))
-        lo = 0
-        while lo < len(rows):
-            hi = max(lo + 1, int(np.searchsorted(cell, cell[lo] + _BLOCK_CELLS, side="right")) - 1)
-            self.blocks.append(_block(row_offsets, rows[lo:hi], bucket[lo:hi]))
-            lo = hi
-
-
-def _block(row_offsets, rows, bucket):
-    """The plan of one block of non-empty rows, given in CSR order."""
-    order = np.argsort(bucket, kind="stable")
-    cell = np.concatenate(([0], np.cumsum((1 << bucket[order].astype(np.int64)) + 1)))
-    acc = cell[:-1]
-    first = row_offsets[rows]
-    lengths = row_offsets[rows + 1] - first
-    # the block's entries are one CSR range; the k-th entry of a row goes k + 1 cells after its accumulator
-    row_cell = np.empty_like(acc)
-    row_cell[order] = acc
-    lo, hi = int(first[0]), int(first[-1] + lengths[-1])
-    slots = np.repeat(row_cell + 1 - (first - lo), lengths) + np.arange(hi - lo)
-    bucket = bucket[order]
-    bounds = [0, *(np.flatnonzero(np.diff(bucket)) + 1).tolist(), len(rows)]
-    segments = [(i, j, int(cell[i]), int(cell[j])) for i, j in zip(bounds, bounds[1:])]
-    return rows[order], acc, lo, hi, slots, int(cell[-1]), segments
-
-
 def _plan(m):
     if m.plan is None:
-        m.plan = _Plan(m.row_offsets)
+        m.plan = sparse._Plan(m.row_offsets)
     return m.plan
 
 
 def _add_rows(m, x, start):
     """start[r] + sum_k values[k] * x[cols[k]] over row r, added left to right."""
-    out = start.copy()
-    pad = -0.0 if m.dtype == "float" else Fraction(0)
-    for rows, acc, lo, hi, slots, size, segments in _plan(m).blocks:
-        table = np.full(size, pad, dtype=out.dtype)
-        table[acc] = start[rows]
-        table[slots] = m.values[lo:hi] * x[m.col_indices[lo:hi]]
-        sums = np.empty(len(rows), dtype=out.dtype)
-        for i, j, ci, cj in segments:
-            sums[i:j] = np.add.accumulate(table[ci:cj].reshape(j - i, -1), axis=1)[:, -1]
-        out[rows] = sums
-    return out
+    return sparse.sum_runs(_plan(m), start, lambda lo, hi: m.values[lo:hi] * x[m.col_indices[lo:hi]])
 
 
 def _choice_index(offsets, n):

@@ -13,6 +13,8 @@ import numpy as np
 from . import sparse
 from .errors import DeadlockError, ModelError
 
+# how far from 1 a float row may sum: checked here and by the PRISM explorer,
+# and the explicit loader renormalises only rows that deviate by more
 ROW_SUM_TOLERANCE = 1e-10
 
 

@@ -33,11 +33,9 @@ import numpy as np
 
 from .. import sparse
 from ..errors import DeadlockError, ModelError, StormletError
-from ..models import Model, ModelKind, RewardModel, StateLabeling
+from ..models import ROW_SUM_TOLERANCE, Model, ModelKind, RewardModel, StateLabeling
 from . import syntax
 from .semantics import EXACT_INT, compile_expr, eval_expr, evaluate_rows
-
-WEIGHT_SUM_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -371,7 +369,7 @@ class _Layers:
         """Whether a command's total weight (a value or a column) is invalid."""
         if self.kind is ModelKind.CTMC:
             return total <= 0
-        return total != 1 if self.exact else abs(total - 1.0) > WEIGHT_SUM_TOLERANCE
+        return total != 1 if self.exact else abs(total - 1.0) > ROW_SUM_TOLERANCE
 
     def _sum_error(self, cmd, total):
         if self.kind is ModelKind.CTMC:

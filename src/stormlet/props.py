@@ -1,4 +1,4 @@
-"""Property language: parsing, pretty-printing and atom resolution.
+"""Property language: parsing and atom resolution.
 
 Grammar (informal):
     prop    := probop | rewop
@@ -250,7 +250,7 @@ def _parse_state_atom(cur):
     )
 
 
-# --- pretty printing ------------------------------------------------------
+# --- predicate texts ------------------------------------------------------
 
 
 def _fmt_number(q):
@@ -278,85 +278,14 @@ def _pretty_expr(expr):
     return f"{expr.func}({', '.join(_pretty_expr(a) for a in expr.args)})"
 
 
-def pretty(prop):
-    """Canonical text form; reparsing yields a structurally identical AST."""
-    if isinstance(prop, ProbOperator):
-        head = "P" + (prop.optimum or "")
-        body = _pretty_path(prop.path)
-        if prop.condition is not None:
-            body += " || " + _pretty_path(prop.condition)
-        return f"{head}{_pretty_bound(prop.bound)} [ {body} ]"
-    if isinstance(prop, RewardOperator):
-        head = "R" + (prop.optimum or "")
-        if prop.reward_name is not None:
-            head += '{"' + prop.reward_name + '"}'
-        kind, arg = prop.target
-        body = f"F {_pretty_state(arg)}" if kind == "reach" else f"C<={_fmt_number(arg)}"
-        return f"{head}{_pretty_bound(prop.bound)} [ {body} ]"
-    raise PropertyError(f"cannot print {type(prop).__name__}")
-
-
-def _pretty_bound(bound):
-    if bound is None:
-        return "=?"
-    rel, q = bound
-    return f"{rel}{_fmt_number(q)}"
-
-
-def _pretty_path(path):
-    if isinstance(path, Next):
-        return f"X {_pretty_state(path.target)}"
-    if isinstance(path, Globally):
-        return f"G{_pretty_suffix(path.bound)} {_pretty_state(path.target)}"
-    if isinstance(path, Until):
-        if isinstance(path.left, BoolLit) and path.left.value:
-            return f"F{_pretty_suffix(path.bound)} {_pretty_state(path.right)}"
-        return (
-            f"{_pretty_state(path.left)} U{_pretty_suffix(path.bound)} {_pretty_state(path.right)}"
-        )
-    raise PropertyError(f"cannot print path {type(path).__name__}")
-
-
-def _pretty_suffix(bound):
-    return "" if bound is None else f"<={_fmt_number(bound[1])}"
-
-
-def _pretty_state(state):
-    if isinstance(state, Label):
-        return f'"{state.name}"'
-    if isinstance(state, BoolLit):
-        return "true" if state.value else "false"
-    if isinstance(state, Predicate):
-        # binary-expression texts are already fully parenthesized
-        if state.text.startswith("(") and state.text.endswith(")"):
-            return state.text
-        return f"({state.text})"
-    if isinstance(state, Not):
-        return f"!{_pretty_state(state.operand)}"
-    if isinstance(state, And):
-        return f"{_pretty_state(state.left)} & {_pretty_state(state.right)}"
-    if isinstance(state, Or):
-        return f"{_pretty_state(state.left)} | {_pretty_state(state.right)}"
-    if isinstance(state, (ProbOperator, RewardOperator)):
-        return pretty(state)
-    raise PropertyError(f"cannot print state {type(state).__name__}")
-
-
 # --- resolution -----------------------------------------------------------
 
 
-@dataclass
-class NestedCheck:
-    """A nested bounded operator awaiting evaluation by the checker."""
-
-    operator: object
-
-
 def resolve_atoms(prop, model, state_map=None):
-    """Replace label/predicate atoms by state bitsets.
+    """Replace label, true/false and predicate atoms by state bitsets.
 
-    Boolean structure over pure atoms is collapsed; nested P/R operators are
-    kept for the checker. Also validates optimum direction against the model.
+    Boolean structure and nested P/R operators are kept, resolved, for the
+    checker to evaluate. Also validates optimum direction against the model.
     """
     nondet = model.kind is ModelKind.MDP
 
@@ -384,18 +313,11 @@ def resolve_atoms(prop, model, state_map=None):
                 raise PropertyError(f"predicate ({sf.text}): {exc}") from exc
             return bits
         if isinstance(sf, Not):
-            inner = resolve_state(sf.operand)
-            if isinstance(inner, np.ndarray):
-                return ~inner
-            return Not(inner)
+            return Not(resolve_state(sf.operand))
         if isinstance(sf, (And, Or)):
-            left = resolve_state(sf.left)
-            right = resolve_state(sf.right)
-            if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
-                return (left & right) if isinstance(sf, And) else (left | right)
-            return type(sf)(left, right)
+            return type(sf)(resolve_state(sf.left), resolve_state(sf.right))
         if isinstance(sf, (ProbOperator, RewardOperator)):
-            return NestedCheck(resolve_operator(sf))
+            return resolve_operator(sf)
         raise PropertyError(f"cannot resolve {type(sf).__name__}")
 
     def resolve_path(path):

@@ -498,7 +498,7 @@ def fox_glynn(lam, epsilon):
             if k > limit:
                 break
             k += 1
-            p *= lam / (k if k else 1)
+            p *= lam / k
         w = np.array(weights)
         return 0, k, w, float(w.sum())
 

@@ -8,6 +8,20 @@ Every numeric vector of the engine uses the same representation, made by
 A matrix is immutable once built: no code writes to its arrays, and the
 kernels cache a plan of its rows in ``plan`` on first use (see
 ``kernels``), which stays valid only while the arrays stay as they are.
+
+Sums that must be bitwise those of a plain scalar loop go through one table
+sum, ``sum_runs``. A run is an accumulator followed by terms, added strictly
+left to right; a run with no terms sums to its accumulator. Runs are grouped
+by their number of terms (1, 2, 3-4, 5-8, ...), a run of group j gets a table
+row of 1 + 2^j cells, the accumulator and then its terms padded with the
+additive identity (-0.0, or Fraction(0)), and ``np.add.accumulate`` adds along
+each table row in order. The table is filled and added in blocks of
+consecutive runs of about 2^16 cells, so the temporaries do not grow with the
+input. The grouping depends on the term offsets alone, so it is worked out
+once into a ``_Plan``: per block, the block's runs in group order, its range
+of terms, the table cell of each accumulator and of each term, and where each
+group starts. A sum then scatters the accumulators and the range's terms into
+a fresh table, accumulates each group and scatters the sums out.
 """
 
 from fractions import Fraction
@@ -138,32 +152,81 @@ def coalesce(position, values):
     first = np.ones(len(position), dtype=bool)
     first[1:] = position[1:] != position[:-1]
     starts = np.flatnonzero(first)
-    lengths = np.diff(np.append(starts, len(position)))
-    return position[starts], _add_runs(values[order], starts, lengths), order[starts]
+    # a run's first value is its accumulator and the rest are its terms
+    values = values[order]
+    rest = values[~first]
+    plan = _Plan(np.append(starts, len(position)) - np.arange(len(starts) + 1))
+    return position[starts], sum_runs(plan, values[starts], lambda lo, hi: rest[lo:hi]), order[starts]
 
 
-def _add_runs(values, starts, lengths):
-    """The sum of each run ``values[s:s + n]``, added strictly left to right.
+# the table is filled and added in blocks of about this many cells, so the
+# temporaries stay the same size however large the input is
+_BLOCK_CELLS = 1 << 16
 
-    Runs of 2^(j-1) < n <= 2^j entries go into one table with rows of 2^j
-    cells, padded with the additive identity (-0.0, or Fraction(0)), and
-    ``np.add.accumulate`` adds along each row in order; a table holds at most
-    twice its runs' entries.
+
+class _Plan:
+    """The table layout of a sequence of runs, built from their term offsets alone.
+
+    ``blocks`` holds, per block of consecutive runs, ``(runs, cells, lo, hi,
+    slots, size, segments)``: the block's runs with terms in group order, the
+    table cell of each run's accumulator, the block's range of terms, the
+    table cell of each term, the table size, and per group ``(first, end,
+    first cell, end cell)`` in the order of ``runs``. ``choices`` is left to
+    the kernels, which cache a choice index there.
     """
-    sums = values[starts]
-    long = np.flatnonzero(lengths > 1)
-    group = np.frexp(lengths[long] - 1)[1]
-    pad = -0.0 if values.dtype == np.float64 else Fraction(0)
-    for j in np.unique(group).tolist():
-        runs = long[group == j]
-        n = lengths[runs]
-        before = np.cumsum(n) - n  # entries of the group's earlier runs
-        k = np.arange(int(n.sum()))
-        table = np.full((len(runs), 1 << j), pad, dtype=values.dtype)
-        cells = np.repeat((np.arange(len(runs)) << j) - before, n) + k
-        table.flat[cells] = values[np.repeat(starts[runs] - before, n) + k]
-        sums[runs] = np.add.accumulate(table, axis=1)[:, -1]
-    return sums
+
+    __slots__ = ("blocks", "choices")
+
+    def __init__(self, offsets):
+        self.blocks = []
+        self.choices = None
+        lengths = np.diff(offsets)
+        runs = np.flatnonzero(lengths)
+        # group j holds the runs of 2^(j-1) < terms <= 2^j; each has a table row of 1 + 2^j cells
+        group = np.frexp(lengths[runs] - 1)[1].astype(np.int8)
+        cell = np.concatenate(([0], np.cumsum((1 << group.astype(np.int64)) + 1)))
+        lo = 0
+        while lo < len(runs):
+            hi = max(lo + 1, int(np.searchsorted(cell, cell[lo] + _BLOCK_CELLS, side="right")) - 1)
+            self.blocks.append(_block(offsets, runs[lo:hi], group[lo:hi]))
+            lo = hi
+
+
+def _block(offsets, runs, group):
+    """The plan of one block of runs with terms, given in order."""
+    order = np.argsort(group, kind="stable")
+    cell = np.concatenate(([0], np.cumsum((1 << group[order].astype(np.int64)) + 1)))
+    cells = cell[:-1]
+    first = offsets[runs]
+    lengths = offsets[runs + 1] - first
+    # the block's terms are one range; the k-th term of a run goes k + 1 cells after its accumulator
+    run_cell = np.empty_like(cells)
+    run_cell[order] = cells
+    lo, hi = int(first[0]), int(first[-1] + lengths[-1])
+    slots = np.repeat(run_cell + 1 - (first - lo), lengths) + np.arange(hi - lo)
+    group = group[order]
+    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(runs)]
+    segments = [(i, j, int(cell[i]), int(cell[j])) for i, j in zip(bounds, bounds[1:])]
+    return runs[order], cells, lo, hi, slots, int(cell[-1]), segments
+
+
+def sum_runs(plan, acc, terms):
+    """Per run r, acc[r] and then its terms, added strictly left to right.
+
+    ``terms(lo, hi)`` gives the terms lo..hi-1 of the offsets ``plan`` was
+    built from, in the domain of ``acc``.
+    """
+    out = acc.copy()
+    pad = -0.0 if out.dtype == np.float64 else Fraction(0)
+    for runs, cells, lo, hi, slots, size, segments in plan.blocks:
+        table = np.full(size, pad, dtype=out.dtype)
+        table[cells] = acc[runs]
+        table[slots] = terms(lo, hi)
+        sums = np.empty(len(runs), dtype=out.dtype)
+        for i, j, ci, cj in segments:
+            sums[i:j] = np.add.accumulate(table[ci:cj].reshape(j - i, -1), axis=1)[:, -1]
+        out[runs] = sums
+    return out
 
 
 def row_sums(m):

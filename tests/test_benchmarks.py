@@ -1,5 +1,7 @@
-"""The benchmark scripts run to completion at tiny sizes, so they cannot rot."""
+"""The benchmark scripts run to completion at tiny sizes, and the perfbench
+tracer still finds every function it wraps, so neither can rot."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 import stormlet
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -27,3 +30,20 @@ def test_benchmark_script_runs(script, args):
     result = subprocess.run([sys.executable, str(BENCHMARKS / script), *args],
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_perfbench_spans_resolve():
+    # ``perfbench/run.py --trace 1`` wraps each of these attributes by name
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    missing = []
+    for module, path, _, _ in spans.WRAPPED:
+        try:
+            owner, attr = spans._resolve(module, path)
+            if not callable(getattr(owner, attr)):
+                missing.append(f"{module}.{path}")
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -657,6 +657,28 @@ def test_nested_operator_as_target():
     assert out.values[0] == pytest.approx(0.5, abs=1e-9)
 
 
+# nested operators under !, & and | and on the left of U, with hand-computed values
+# on die.pm: F "six" is 1/6 from s=0, 1/3 from s=2, 2/3 from s=6 and 0 from s=1;
+# P>=1 [ X "done" ] holds at s=4, s=5 and s=7
+NESTED_ON_DIE = [
+    ('P=? [ F P>=1 [ F "done" ] & "six" ]', F(1, 6)),
+    ('P>=0.1 [ !"six" U P>=1 [ X "done" ] ]', True),
+    ('P=? [ G P<0.75 [ F "six" ] ]', F(5, 6)),  # never reach the six itself
+    ('P=? [ F !P>=0.5 [ F "six" ] & P>=0.3 [ F "six" ] ]', F(1, 2)),  # reach s=2
+]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("text, expected", NESTED_ON_DIE)
+def test_nested_operators_inside_boolean_structure(die_source, text, expected, exact):
+    model, state_map = explore(typecheck(parse_program(die_source)), ExploreOptions(exact=exact))
+    value = run(model, text, EXACT_ENV if exact else ENV, state_map=state_map).values[0]
+    if exact or expected is True:
+        assert value == expected
+    else:
+        assert value == pytest.approx(float(expected), abs=1e-9)
+
+
 def test_die_program_end_to_end(die_source):
     program = typecheck(parse_program(die_source))
     model, state_map = explore(program, ExploreOptions())

@@ -379,6 +379,20 @@ def test_operator_domain_matrix(capsys, reward_models, source, prop, expected, e
         assert value == pytest.approx(float(Fraction(expected)), abs=1e-6)
 
 
+@pytest.mark.parametrize("prop, exact_text, float_text", [
+    ('P=? [ F P>=1 [ F "done" ] & "six" ]', "1/6", "0.166667"),
+    ('P>=0.1 [ !"six" U P>=1 [ X "done" ] ]', "true", "true"),
+    ('P=? [ G P<0.75 [ F "six" ] ]', "5/6", "0.833333"),
+    ('P=? [ F !P>=0.5 [ F "six" ] & P>=0.3 [ F "six" ] ]', "1/2", "0.5"),
+])
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_nested_operators_inside_boolean_structure(capsys, prop, exact_text, float_text, domain):
+    flags = ["--exact"] if domain == "exact" else []
+    code, out, _ = run_cli(capsys, "--prism", DIE, *flags, "--prop", prop)
+    assert code == 0
+    assert out == f"Property: {prop}\nResult (state 0): {exact_text if flags else float_text}\n"
+
+
 def test_constants_flag(capsys, tmp_path):
     src = tmp_path / "param.pm"
     src.write_text(

@@ -1,4 +1,4 @@
-"""Property grammar, printing, and atom resolution."""
+"""Property grammar and atom resolution."""
 
 import re
 from fractions import Fraction
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stormlet import props
+from stormlet import checkers, props
 from stormlet.errors import ParseError, PropertyError
 from stormlet.models import Model, ModelKind, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
@@ -21,9 +21,9 @@ from stormlet.props import (
     RewardOperator,
     Until,
     parse_property,
-    pretty,
     resolve_atoms,
 )
+from stormlet.solvers import SolverEnvironment
 
 
 def test_parse_query_reachability():
@@ -99,29 +99,6 @@ def test_parse_errors():
             parse_property(text)
 
 
-ROUND_TRIP_CORPUS = [
-    'P=? [ F "goal" ]',
-    'Pmax>=0.9 [ "a" U<=5 "b" ]',
-    'Pmin=? [ G "safe" ]',
-    'P<0.5 [ X !"a" & "b" ]',
-    'P=? [ F<=1.5 "goal" ]',
-    'P=? [ F "a" || F "b" ]',
-    'R{"energy"}=? [ F "done" ]',
-    'Rmax<=10 [ C<=4 ]',
-    'Rmin=? [ F "done" ]',
-    'P>=1/3 [ F (x>2) ]',
-    'P=? [ F P>=1 [ F "a" ] ]',
-]
-
-
-@pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
-def test_pretty_print_round_trip(text):
-    ast = parse_property(text)
-    printed = pretty(ast)
-    # reparsing the canonical form is stable (print . parse is idempotent)
-    assert pretty(parse_property(printed)) == printed
-
-
 # --- resolution -----------------------------------------------------------
 
 
@@ -144,8 +121,15 @@ def simple_mdp():
 def test_resolve_label_atoms_and_boolean_collapse():
     model = simple_dtmc({"a": [True, False], "b": [False, True]})
     resolved = resolve_atoms(parse_property('P=? [ !"a" & "b" U "a" | "b" ]'), model)
-    assert list(resolved.path.left) == [False, True]
-    assert list(resolved.path.right) == [True, True]
+    # resolution replaces the atoms only; the checker collapses the connectives
+    left, right = resolved.path.left, resolved.path.right
+    assert isinstance(left, props.And) and isinstance(left.left, props.Not)
+    assert list(left.left.operand) == [True, False] and list(left.right) == [False, True]
+    assert isinstance(right, props.Or)
+    assert list(right.left) == [True, False] and list(right.right) == [False, True]
+    env = SolverEnvironment()
+    assert list(checkers._bits(model, left, env)) == [False, True]
+    assert list(checkers._bits(model, right, env)) == [True, True]
 
 
 def test_resolve_unknown_label():
@@ -187,7 +171,10 @@ def test_resolve_optimum_direction_validation():
 def test_resolve_keeps_nested_operators():
     model = simple_dtmc({"a": [True, False]})
     resolved = resolve_atoms(parse_property('P=? [ F P>=1 [ F "a" ] ]'), model)
-    assert isinstance(resolved.path.right, props.NestedCheck)
+    nested = resolved.path.right
+    assert isinstance(nested, ProbOperator) and nested.bound == (">=", 1)
+    assert list(nested.path.right) == [True, False]
+    assert list(checkers._bits(model, nested, SolverEnvironment())) == [True, False]
 
 
 # --- README examples ------------------------------------------------------

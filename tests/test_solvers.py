@@ -577,13 +577,13 @@ def assert_same_vector(got, expected, dtype):
 
 
 @settings(deadline=None, max_examples=300)
-@given(choice_matrices(), st.booleans(), st.sampled_from([1, 3, 40, kernels._BLOCK_CELLS]))
+@given(choice_matrices(), st.booleans(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]))
 def test_kernels_match_scalar_reference_loops(problem, maximize, block_cells):
     m, choice_offsets, b, x = problem
     offsets, cols, values = m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist()
     zero = sparse.as_vector([0], m.dtype)[0]
 
-    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(sparse, "_BLOCK_CELLS", block_cells):
         got = kernels.matvec(m, x)
         out, arg = kernels.matvec_reduce(m, choice_offsets, x, maximize, b)
     assert_same_vector(got, reference_matvec(offsets, cols, values, x.tolist(), zero), m.dtype)
@@ -596,10 +596,10 @@ def test_kernels_match_scalar_reference_loops(problem, maximize, block_cells):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.data(), st.sampled_from([1, 3, 40, kernels._BLOCK_CELLS]))
+@given(st.data(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]))
 def test_kernel_plans_are_reused_across_calls(data, block_cells):
     # each matrix plans its rows at its first call: inside the patch, so small blocks are planned too
-    with mock.patch.object(kernels, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(sparse, "_BLOCK_CELLS", block_cells):
         m, first_offsets, _, _ = data.draw(choice_matrices())
         twin = m.to_rational() if m.dtype == "float" else m.to_float()
         choices = [first_offsets, data.draw(choice_offset_arrays(m.rows))]

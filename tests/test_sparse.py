@@ -1,6 +1,7 @@
 """CSR matrix assembly, conversion, and restriction."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,9 +89,9 @@ def test_build_float_matches_left_to_right_reference(triples):
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, -0.0])),
                 max_size=120),
-       st.booleans())
-def test_coalesce_matches_left_to_right_loop(entries, rational):
-    """Runs of up to 120 entries, so several table widths occur; a run of -0.0 sums to -0.0."""
+       st.booleans(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]))
+def test_coalesce_matches_left_to_right_loop(entries, rational, block_cells):
+    """Runs of up to 120 entries, so several table widths and block cuts occur; a run of -0.0 sums to -0.0."""
     position = np.array([p for p, _ in entries], dtype=np.int64)
     domain = "rational" if rational else "float"
     values = sparse.as_vector([v for _, v in entries], domain)
@@ -98,7 +99,8 @@ def test_coalesce_matches_left_to_right_loop(entries, rational):
     for i, (p, v) in enumerate(zip(position.tolist(), values.tolist())):
         sums[p] = sums[p] + v if p in sums else v
         first.setdefault(p, i)
-    got_position, got_sums, got_first = sparse.coalesce(position, values)
+    with mock.patch.object(sparse, "_BLOCK_CELLS", block_cells):
+        got_position, got_sums, got_first = sparse.coalesce(position, values)
     assert got_position.tolist() == sorted(sums)
     assert got_first.tolist() == [first[p] for p in sorted(sums)]
     expected = sparse.as_vector([sums[p] for p in sorted(sums)], domain)
