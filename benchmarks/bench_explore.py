@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark model construction on a growing tandem queue and a thin chain.
+"""Benchmark model construction on a growing tandem queue and two thin chains.
 
 The tandem is a CTMC with three stations in series, each holding up to c
 customers; stations 1-2 and 2-3 synchronise on the hand-over actions, and
@@ -10,8 +10,10 @@ every construction phase has work to do. c = 10, 20, 30, 40, 46 gives
 The chain is a birth-death DTMC with as many states, started in the middle,
 so each BFS layer holds about two states: N states take N/2 layers. It
 measures the fixed cost that exploration pays per layer, which the short
-chains of ``perfbench``'s ``solve_iter`` pay on every layer. Its explore
-row also gives that cost in microseconds per layer.
+chains of ``perfbench``'s ``solve_iter`` pay on every layer. The thin MDP
+has the shape of ``solve_iter``'s two-action gambler's-ruin MDP: two
+interleaved commands that share a guard, so each state of a layer has two
+choices. Their explore rows also give that cost in microseconds per layer.
 
 ``explore`` is timed whole; the label, reward and ``build_sparse`` calls
 it makes are timed by wrapping them where ``explore`` looks them up, and
@@ -88,6 +90,27 @@ rewards "steps"
 endrewards
 """
 
+# the two-command gambler's-ruin MDP of ``solve_iter``, started in the middle
+RUIN_MDP = """mdp
+
+const int N;
+const int M;
+
+module walk
+  x : [0..N] init M;
+  [] x>0 & x<N -> 0.401 : (x'=x+1) + 0.599 : (x'=x-1);
+  [] x>0 & x<N -> 0.441 : (x'=x+1) + 0.559 : (x'=x-1);
+  [] x=0 | x=N -> (x'=x);
+endmodule
+
+label "top" = x=N;
+label "end" = x=0 | x=N;
+
+rewards "steps"
+  x>0 & x<N : 1;
+endrewards
+"""
+
 PHASES = ("explore", "labels", "rewards", "build_sparse")
 # phase -> (module, attribute) of the call explore makes for it
 TIMED = {
@@ -137,7 +160,7 @@ def bench(program, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--caps", default="10,20,30,40,46",
-                        help="comma-separated station capacities c; the chain gets (c+1)^3 states")
+                        help="comma-separated station capacities c; the thin chains get (c+1)^3 states")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
@@ -148,6 +171,7 @@ def main():
         for family, size, program, layers in (
             ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), None),
             ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2}), n - n // 2 + 1),
+            ("mdp", n + 1, typecheck(parse_program(RUIN_MDP), {"N": n, "M": n // 2}), n - n // 2 + 1),
         ):
             states, nnz, best = bench(program, args.repeats)
             for phase in PHASES:

@@ -6,7 +6,9 @@ state N is the target, every other state moves up or down. The MDP gives
 each inner state a second choice that moves up or stays, so Pmax reaches
 the target almost surely while Pmin does not. Every set spans the whole
 chain, which makes a fixed point that adds one layer per matrix scan
-quadratic here.
+quadratic here. The MDP's ``prob01_max to 0`` row takes state 0 as the
+target instead: prob1E is {0} alone, and a greatest fixed point that drops
+one state per round is quadratic there.
 
 For each N the script prints the best time of each graph call in ms and
 the same time per 10^3 stored transitions; a flat last column is linear
@@ -65,9 +67,13 @@ def bench_size(n, repeats):
 
     mdp, offsets = chain(n, 2)
     _, p1e = graph.prob01_max(mdp, offsets, everywhere, target)
+    ruin = np.zeros(n + 1, dtype=bool)
+    ruin[0] = True
     return [
         ("dtmc", "prob0+prob1", dtmc.nnz, best_of(dtmc_01, repeats)),
         ("mdp", "prob01_max", mdp.nnz, best_of(lambda: graph.prob01_max(mdp, offsets, everywhere, target), repeats)),
+        ("mdp", "prob01_max to 0", mdp.nnz,
+         best_of(lambda: graph.prob01_max(mdp, offsets, everywhere, ruin), repeats)),
         ("mdp", "prob01_min", mdp.nnz, best_of(lambda: graph.prob01_min(mdp, offsets, everywhere, target), repeats)),
         ("mdp", "prob1e_witness", mdp.nnz,
          best_of(lambda: graph.prob1e_witness(mdp, offsets, everywhere, target, p1e), repeats)),

@@ -6,9 +6,14 @@ by state; deterministic models pass the identity grouping.
 
 Each call builds one predecessor index from the matrix and grows its sets
 by a worklist backward search, so a least fixed point costs
-O(states + transitions). The greatest fixed point behind prob1E repeats one
-such search per round: linear per round, O(states * transitions) in the
-worst case (Baier & Katoen, Principles of Model Checking, 10.1 and 10.6).
+O(states + transitions). The greatest fixed point behind prob1E starts from
+the states that can reach target and repeats two such searches per round:
+one drops every state whose choices all leave the candidate set, with all
+that this forces out, and one keeps the states that reach target by choices
+that stay inside it (Baier & Katoen, Principles of Model Checking, 10.1 and
+10.6, Alg. 46). Each round is linear. A round can still remove a single
+state when that state keeps a choice inside the set, which takes an end
+component, so such models cost O(states * transitions) in the worst case.
 """
 
 import numpy as np
@@ -95,15 +100,22 @@ def prob01_max(matrix, choice_offsets, safe, target):
     """(prob0A, prob1E): all-scheduler probability 0 / some-scheduler probability 1."""
     safe = np.asarray(safe, dtype=bool)
     target = np.asarray(target, dtype=bool)
-    index = _predecessors(matrix, np.asarray(choice_offsets, dtype=np.int64))
+    choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
+    index = _predecessors(matrix, choice_offsets)
 
     # Pmax > 0: backward reachability with existential choice.
     prob0a = ~_closure(index, target, safe)
 
     # Pmax = 1: greatest fixed point over a nested least fixed point, whose
     # rounds only count choices that stay inside the current candidate set.
-    u = np.ones(matrix.cols, dtype=bool)
+    # A round first drops every state outside target whose choices all
+    # leave the set, and all that this forces out: none of them can be in
+    # the fixed point, so the result is the same and the rounds fewer.
+    u = ~prob0a
+    choices = np.diff(choice_offsets)
     while True:
+        if not u.all():
+            u = ~_closure(index, ~u, ~target, need=choices)
         v = _closure(index, target, safe, row_ok=_per_row_all(matrix, u))
         if np.array_equal(v, u):
             return prob0a, u

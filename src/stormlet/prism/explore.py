@@ -10,12 +10,14 @@ column per variable. Variable ranges are checked once before exploring, and
 every assigned value against them.
 
 Unlabeled commands interleave. Commands sharing an action label
-synchronize across every module that mentions the action: per layer, each
-participating module's enabled (state, command) pairs are joined on the
-state, branch weights multiply and assignments merge, and weights and
-assignments are evaluated only on the rows where the combined choice fires.
-DTMCs take the uniform mixture over enabled commands, CTMCs race (rates
-add), MDPs keep one choice per combined command.
+synchronize across every module that mentions the action: each combination
+of one such command per module is a choice, whose weights multiply and
+whose assignments merge (a later module's wins). Choices that fire on the
+same rows form a group (``_Group``), evaluated only on those rows, with its
+branches written into a grid of one line per row, so that an update costs
+one array operation whatever the layer's size. DTMCs take the uniform
+mixture over enabled commands, CTMCs race (rates add), MDPs keep one choice
+per combination.
 
 A layer gives the model that expanding its states one at a time in index
 order gives: successors are interned in (state, choice, branch) order, and
@@ -27,8 +29,12 @@ its weights and their sum before its assignments; then range checks in
 branch order.
 """
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, count, groupby, islice, product, repeat
+from math import prod
+from operator import is_
 import numpy as np
 
 from .. import sparse
@@ -80,33 +86,44 @@ class StateMap:
 
     def keys(self, columns, n_rows):
         """The packed key of each row of ``columns``."""
-        key = np.zeros(n_rows, dtype=self._key_dtype)
+        key = None
         for column, low, stride in zip(columns, self._low, self._strides):
-            key += (column.astype(self._key_dtype) - low) * stride
-        return key
+            if column.dtype != self._key_dtype:
+                column = column.astype(self._key_dtype)
+            if low:
+                column = column - low
+            if stride != 1:
+                column = column * stride
+            key = column if key is None else key + column
+        return np.zeros(n_rows, dtype=self._key_dtype) if key is None else key
 
-    def find(self, keys):
-        """The state index of each key (a list), None for a key not interned."""
-        return list(map(self._index_of.get, keys))
+    def intern(self, keys):
+        """The state index of each key (a list), numbering the keys not interned
+        yet on from ``len(self)`` in the order they first appear."""
+        index_of, n = self._index_of, self._n
+        found = list(map(index_of.get, keys))
+        if None in found:
+            new = dict.fromkeys(compress(keys, map(is_, found, repeat(None))))
+            index_of.update(zip(new, count(n)))
+            found, k = list(map(index_of.__getitem__, keys)), len(new)
+            packed = np.fromiter(new, self._key_dtype, k)
+            if self._data and n + k > len(self._data[0]):
+                size = max(2 * len(self._data[0]), n + k)
+                self._data = [np.concatenate([data[:n], np.zeros(size - n, dtype=data.dtype)]) for data in self._data]
+            for i, (data, low, size, stride) in enumerate(zip(self._data, self._low, self._sizes, self._strides)):
+                digit = packed if stride == 1 else packed // stride
+                if i:
+                    digit = digit % size
+                data[n: n + k] = digit + low if low else digit
+            self._n = n + k
+        return found
 
-    def add(self, keys):
-        """Intern the valuations of new keys (a list), in order."""
-        n, k = self._n, len(keys)
-        self._index_of.update(zip(keys, range(n, n + k)))
-        packed = np.array(keys, dtype=self._key_dtype)
-        if self._data and n + k > len(self._data[0]):
-            size = max(2 * len(self._data[0]), n + k)
-            for i, data in enumerate(self._data):
-                grown = np.zeros(size, dtype=data.dtype)
-                grown[:n] = data[:n]
-                self._data[i] = grown
-        for data, low, size, stride in zip(self._data, self._low, self._sizes, self._strides):
-            data[n: n + k] = packed // stride % size + low
-        self._n = n + k
-
-    def index(self, keys):
-        """The state index of each interned key (a list), as an array."""
-        return np.fromiter(map(self._index_of.__getitem__, keys), np.int64, len(keys))
+    def forget(self, n):
+        """Drop the states numbered from n on."""
+        index_of = self._index_of
+        for key in list(islice(reversed(index_of), len(index_of) - n)):
+            del index_of[key]
+        self._n = n
 
     def valuation(self, index):
         """The valuation of a state, as a tuple of Python values."""
@@ -120,15 +137,15 @@ class _Command:
     """A command with its guard, weights and assignments compiled.
 
     ``updates`` holds one (weight or None, weight span, constant weight or
-    None, [(slot, value)]) per update. A weight that is a literal (or absent,
-    1) is converted to the domain once, here, as its constant (``constants``
-    holds them, None for the others); when every weight is one, ``total`` is
-    their sum, else None.
+    None, [(slot, value)]) per update. A literal (or absent, 1) weight is
+    converted to the domain once, here. When all are, ``total`` is their sum
+    and ``pattern`` their array, and ``plain`` says that no check can fail.
+    ``slots`` maps each assigned slot to whether every update assigns it.
     """
 
-    __slots__ = ("action", "span", "guard", "updates", "constants", "total")
+    __slots__ = ("action", "span", "guard", "updates", "total", "pattern", "plain", "slots")
 
-    def __init__(self, command, state_map, exact):
+    def __init__(self, command, state_map, exact, kind):
         slots, bounds = state_map.slots, state_map.bounds
         self.action = command.action
         self.span = command.span
@@ -146,8 +163,22 @@ class _Command:
                 constant,
                 [(slots[var], compile_expr(rhs, slots, exact, bounds)) for var, rhs in upd.assignments],
             ))
-        self.constants = [constant for _, _, constant, _ in self.updates]
-        self.total = None if None in self.constants else sum(self.constants, Fraction(0) if exact else 0.0)
+        constants = [constant for _, _, constant, _ in self.updates]
+        self.total = self.pattern = None
+        self.plain = False
+        if None not in constants:
+            self.total = sum(constants, Fraction(0) if exact else 0.0)
+            self.pattern = np.array(constants, dtype=object if exact else np.float64)
+            self.plain = min(constants) >= 0 and not _bad_sum(self.total, kind, exact)
+        assigned = [{slot for slot, _ in assignments} for _, _, _, assignments in self.updates]
+        self.slots = {slot: all(slot in a for a in assigned) for slot in set().union(*assigned)}
+
+
+def _bad_sum(total, kind, exact):
+    """Whether a command's total weight (a value or a column) is invalid."""
+    if kind is ModelKind.CTMC:
+        return total <= 0
+    return total != 1 if exact else abs(total - 1.0) > ROW_SUM_TOLERANCE
 
 
 def _shape(expr):
@@ -193,83 +224,91 @@ def _domain(values, exact, what, span):
         raise ModelError(f"{what} is an integer too large for a float{where}") from None
 
 
-def _row_major(per_update, n, dtype):
-    """Items i*U + u from U per-update columns (or values) over n rows."""
-    out = np.empty((n, len(per_update)), dtype=dtype)
-    for u, values in enumerate(per_update):
-        out[:, u] = values
-    return out.ravel()
-
-
 def _runs(counts):
     """For runs of the given lengths laid end to end: each item's run and its place in the run."""
     run = np.repeat(np.arange(len(counts)), counts)
     return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
-def _combinations(firsts, counts, group, place):
-    """Per group, every combination of one item from each list, in product
-    order: list j of group g holds items firsts[j][g] ..
-    firsts[j][g] + counts[j][g] - 1, and ``group``/``place`` (from ``_runs``)
-    give each combination's group and its place in the group. Returns the
-    item chosen from each list, per combination."""
-    chosen = [None] * len(firsts)
-    radix = 1
-    for j in reversed(range(len(firsts))):
-        count = counts[j][group]
-        chosen[j] = firsts[j][group] + place // radix % count
-        radix = radix * count
-    return chosen
+class _Group:
+    """Choices that fire on the same rows: commands of one module in a row
+    with one guard, or one combination of commands that synchronise.
 
-
-class _Pairs:
-    """One module's enabled (row, command) pairs of a group, sorted by row
-    then command, with each pair's updates as consecutive items.
-
-    With one command, every pair has its ``n_updates`` updates and pair p's
-    items start at p * n_updates; with several, ``n_updates`` is None and
-    ``first`` and ``updates`` give each pair's first item and its number.
+    ``choices`` holds each choice's action mask and commands. A row's
+    branches are one line of a grid: per choice, the combinations of its
+    commands' updates in product order, with one axis per command when there
+    is one choice (``shape``). ``cells[c][i][u]`` indexes the branches where
+    command i of choice c takes update u; ``slots`` lists each assigned slot
+    with whether every branch assigns it. A line's constant parts are tiled
+    once for many rows and handed out as views (``lines``).
     """
 
-    __slots__ = ("rows", "n_updates", "first", "updates", "totals", "weights", "slots")
+    __slots__ = ("choices", "guards", "shape", "width", "cells", "slots", "line", "masks", "weights", "totals",
+                 "_kept", "_tiles")
 
-    def __init__(self, evaluated):
-        self.n_updates = self.first = self.updates = None
-        if len(evaluated) == 1:
-            self.rows, self.n_updates, self.weights, self.slots, self.totals = evaluated[0]
-            return
-        rows, first, updates, totals, weights, slots = [], [], [], [], [], []
-        n_items = 0
-        for r, n_updates, item_weights, item_slots, total in evaluated:
-            rows.append(r)
-            first.append(n_items + n_updates * np.arange(len(r)))
-            updates.append(np.full(len(r), n_updates))
-            totals.append(total)
-            weights.append(item_weights)
-            slots.append((len(item_weights), item_slots))
-            n_items += len(item_weights)
-        order = np.argsort(np.concatenate(rows), kind="stable")
-        self.rows, self.first, self.updates, self.totals = (
-            np.concatenate(parts)[order] for parts in (rows, first, updates, totals))
-        self.weights = np.concatenate(weights)
-        self.slots = {}
-        for slot in {slot for _, item_slots in slots for slot in item_slots}:
-            some = next(item_slots[slot][1] for _, item_slots in slots if slot in item_slots)
-            has, values = [], []
-            for n, item_slots in slots:
-                if slot in item_slots:
-                    h, v = item_slots[slot]
-                    has.append(np.ones(n, dtype=bool) if h is None else h)
-                    values.append(v)
-                else:
-                    has.append(np.zeros(n, dtype=bool))
-                    values.append(np.zeros(n, dtype=some.dtype))
-            self.slots[slot] = np.concatenate(has), np.concatenate(values)
+    def __init__(self, choices, commands, guard_at, mask_dtype):
+        cmds = [[commands[k] for k in ks] for _, ks in choices]
+        self.choices = choices
+        self.guards = sorted({guard_at[k] for _, ks in choices for k in ks})
+        shapes = [tuple(len(cmd.updates) for cmd in choice) for choice in cmds]
+        widths = [prod(shape) for shape in shapes]
+        self.width = sum(widths)
+        self.shape = shapes[0] if len(choices) == 1 else (self.width,)
+        starts = list(accumulate([0] + widths[:-1]))
+        self.cells = [[[(slice(None),) * (i + 1) + (u,) if len(choices) == 1 else (slice(None), start + u)
+                        for u in range(size)] for i, size in enumerate(shape)] for shape, start in zip(shapes, starts)]
+        assigned = sorted(set().union(*(cmd.slots for choice in cmds for cmd in choice)))
+        self.slots = [(slot, all(any(cmd.slots.get(slot) for cmd in choice) for choice in cmds)) for slot in assigned]
+        self.line = np.repeat(np.arange(len(choices)), widths)
+        self.masks = np.array([mask for mask, _ in choices], dtype=mask_dtype)
+        self.weights = self.totals = None
+        if all(cmd.plain for choice in cmds for cmd in choice):
+            weights, totals = [], []
+            for choice in cmds:
+                w, total = choice[0].pattern, choice[0].total
+                for cmd in choice[1:]:
+                    w, total = np.multiply.outer(w, cmd.pattern).ravel(), total * cmd.total
+                weights.append(w)
+                totals.append(total)
+            self.weights, self.totals = np.concatenate(weights), np.array(totals, dtype=weights[0].dtype)
+        self._kept, self._tiles = 0, None
+
+    def live(self, holds, guard_at):
+        return ((self, None),)
+
+    def lines(self, n):
+        """For n rows: each branch's choice, the choices' action masks, the
+        branches' weights and the choices' totals (None unless constant)."""
+        if self._kept < n:
+            self._kept = kept = max(n, 2 * self._kept)
+            choice = (np.arange(0, kept * len(self.choices), len(self.choices))[:, None] + self.line).ravel()
+            self._tiles = [(choice, self.width)] + [(None, 0) if part is None else (np.tile(part, kept), len(part))
+                                                   for part in (self.masks, self.weights, self.totals)]
+        return [tile if tile is None else tile[: n * size] for tile, size in self._tiles]
 
 
-def _take(values, index):
-    """values[index], where an index of None stands for every position in order."""
-    return values if index is None else values[index]
+class _Sync:
+    """An action that several modules mention, one of them with several
+    commands. Each combination of one command per module is a group of its
+    own, made when first needed."""
+
+    __slots__ = ("mask", "per_module", "make", "made")
+
+    def __init__(self, mask, per_module, make):
+        self.mask, self.per_module, self.make, self.made = mask, per_module, make, {}
+
+    def live(self, holds, guard_at):
+        """The groups of the combinations that fire on some row, each with the
+        rows where it fires, found for all combinations in one pass."""
+        fire, combos = np.ones((1, len(holds[0])), dtype=bool), [()]
+        for ks in self.per_module:
+            fire = (fire[:, None] & np.array([holds[guard_at[k]] for k in ks])).reshape(-1, fire.shape[1])
+            some = fire.any(axis=1)
+            combos, fire = list(compress([combo + (k,) for combo in combos for k in ks], some)), fire[some]
+        for ks, rows in zip(combos, fire):
+            if ks not in self.made:
+                self.made[ks] = self.make([(self.mask, ks)])
+            yield self.made[ks], rows
 
 
 class _Layers:
@@ -277,38 +316,47 @@ class _Layers:
 
     def __init__(self, program, state_map, bounds, options):
         self.kind = program.model_type
+        self.ctmc = self.kind is ModelKind.CTMC
         self.exact = options.exact
         self.options = options
         self.state_map = state_map
         self.bounds = bounds
         commands = [cmd for module in program.modules for cmd in module.commands]
-        self.commands = [_Command(cmd, state_map, self.exact) for cmd in commands]
+        self.commands = [_Command(cmd, state_map, self.exact, self.kind) for cmd in commands]
         # a guard that repeats an earlier command's is evaluated once per layer
         first_of = {}
-        self.guard_of = [first_of.setdefault(_shape(cmd.guard), k) for k, cmd in enumerate(commands)]
-        # the groups of commands whose combinations form choices, in the order
-        # of a state's choices: each unlabeled command alone, in module order,
-        # then each action; a group is its action's bit and, per participating
-        # module in module order, the indices of its commands with the action
+        guard_at = self.guard_at = [first_of.setdefault(_shape(cmd.guard), len(first_of)) for cmd in commands]
+        self.guards = [self.commands[guard_at.index(g)].guard for g in range(len(first_of))]
+        # a state's choices, in order: each unlabeled command, in module
+        # order, then per action (bit i of a row's action mask; bit 0:
+        # unlabeled) each combination of one command of every module that
+        # mentions it, in product order (``_Sync`` when there are several)
         self.actions = [None]
-        self.groups = [(0, [[k]]) for k, cmd in enumerate(self.commands) if cmd.action is None]
+        choices = [(1, (k,)) for k, cmd in enumerate(self.commands) if cmd.action is None]
         for cmd in self.commands:
             if cmd.action not in self.actions:
                 self.actions.append(cmd.action)
-                group, start = [], 0
+                per_module, start = [], 0
                 for module in program.modules:
                     ks = [start + i for i, c in enumerate(module.commands) if c.action == cmd.action]
                     if ks:
-                        group.append(ks)
+                        per_module.append(ks)
                     start += len(module.commands)
-                self.groups.append((len(self.actions) - 1, group))
-        # one bit per action (bit 0: unlabeled) in each row's action mask
+                mask = 1 << len(self.actions) - 1
+                fixed = all(len(ks) == 1 for ks in per_module[1:])
+                choices += [(mask, ks) for ks in product(*per_module)] if fixed else [(mask, per_module)]
         self.mask_dtype = np.int64 if len(self.actions) < 63 else object
+        # choices of one command that follow each other and share a guard fire together
+        runs = [list(run) for _, run in groupby(choices, lambda choice: guard_at[choice[1][0]] if len(
+            choice[1]) == 1 and type(choice[1]) is tuple else id(choice))]
+        make = lambda run: _Group(run, self.commands, guard_at, self.mask_dtype)  # noqa: E731
+        self.groups = [make(run) if type(run[0][1]) is tuple else _Sync(*run[0], make) for run in runs]
         self.one = Fraction(1) if self.exact else 1.0
-        # per expanded batch: its deadlock flags; its choices' states, totals
-        # and action bits; its branches' matrix rows, targets and weights
-        self.patched, self.choice_states, self.totals, self.bits, self.rows, self.cols, self.values = (
-            [] for _ in range(7))
+        # per expanded batch: its first state and choice; which states have a
+        # choice; its choices' states (from its first), totals (CTMC) and action
+        # masks; its branches' rows (from its first state or choice), weights;
+        # and every branch's target
+        self.batches, self.cols = [], array("q")  # an array of ints, which the garbage collector skips
         self.n_choices = 0
 
     def _full(self, n, value):
@@ -317,14 +365,14 @@ class _Layers:
         return out
 
     def _evaluate(self, cmd, table, rows):
-        """An enabled command on the given rows, with its updates as items,
-        row-major (item i*U + u is update u on row i): the rows, U, the item
-        weights, per assigned slot (which items assign it, or None for all;
-        the values), and the total of each row.
-
-        For DTMC/MDP the weights must sum to 1 (within 1e-10 in float mode).
-        """
-        n = len(rows)
+        """An enabled command on the given rows: its weight columns (None when
+        plain), per update [(slot, value column)], and the total of each row
+        (CTMC only). For DTMC/MDP the weights must sum to 1 (within 1e-10 in
+        float mode)."""
+        if cmd.plain:
+            assigns = [[(slot, value(table, rows)) for slot, value in assignments]
+                       for _, _, _, assignments in cmd.updates]
+            return None, assigns, self._full(len(rows), cmd.total) if self.ctmc else None
         weights, assigns = [], []
         for weight, span, constant, assignments in cmd.updates:
             if constant is None:
@@ -335,116 +383,76 @@ class _Layers:
             if negative:
                 raise ModelError(f"negative update weight at line {cmd.span[0]}")
             weights.append(w)
-            assigns.append({slot: value(table, rows) for slot, value in assignments})
-        if cmd.total is None:
-            weights = [self._full(n, constant) if w is None else w
-                       for w, (_, _, constant, _) in zip(weights, cmd.updates)]
-            total = weights[0]  # 0 + w equals w, up to the sign of a zero
-            for w in weights[1:]:
-                total = total + w
-            bad = self._bad_sum(total)
-            if bad.any():
-                self._sum_error(cmd, total.item(int(np.argmax(bad))))
-        else:
-            if self._bad_sum(cmd.total):
-                self._sum_error(cmd, cmd.total)
-            total = self._full(n, cmd.total)
-        n_updates = len(assigns)
-        if n_updates == 1:
-            item_weights = total if weights[0] is None else weights[0]
-            return rows, 1, item_weights, {slot: (None, values) for slot, values in assigns[0].items()}, total
-        if cmd.total is None:
-            item_weights = _row_major(weights, n, weights[0].dtype)
-        else:
-            item_weights = _row_major(cmd.constants, n, object if self.exact else np.float64)
-        slots = {}
-        for slot in {slot for assign in assigns for slot in assign}:
-            present = [slot in assign for assign in assigns]
-            values = [assign.get(slot, 0) for assign in assigns]
-            dtype = np.result_type(*(v for v in values if isinstance(v, np.ndarray)))
-            slots[slot] = None if all(present) else _row_major(present, n, bool), _row_major(values, n, dtype)
-        return rows, n_updates, item_weights, slots, total
-
-    def _bad_sum(self, total):
-        """Whether a command's total weight (a value or a column) is invalid."""
-        if self.kind is ModelKind.CTMC:
-            return total <= 0
-        return total != 1 if self.exact else abs(total - 1.0) > ROW_SUM_TOLERANCE
+            assigns.append([(slot, value(table, rows)) for slot, value in assignments])
+        if cmd.total is not None:
+            self._sum_error(cmd, cmd.total)  # a plain command's total would have passed
+        columns = [self._full(len(rows), constant) if w is None else w
+                   for w, (_, _, constant, _) in zip(weights, cmd.updates)]
+        total = columns[0]  # 0 + w equals w, up to the sign of a zero
+        for w in columns[1:]:
+            total = total + w
+        bad = _bad_sum(total, self.kind, self.exact)
+        if bad.any():
+            self._sum_error(cmd, total.item(int(np.argmax(bad))))
+        return columns, assigns, total if self.ctmc else None
 
     def _sum_error(self, cmd, total):
-        if self.kind is ModelKind.CTMC:
+        if self.ctmc:
             raise ModelError(f"command at line {cmd.span[0]} has non-positive total rate")
         total = total + 0  # a zero sum prints unsigned
         raise ModelError(f"update weights of command at line {cmd.span[0]} sum to "
                          f"{total if self.exact else repr(total)}, expected 1")
 
-    def _fire(self, group, enabled, table):
-        """The combined choices of one group on the frontier, or None if none fires.
+    def _fire(self, group, holds, table, fire=None):
+        """A group's choices on the frontier, or None if it does not fire (on
+        the rows of ``fire``, or where all its guards hold).
 
-        Returns the frontier row and total of each choice, in row order, and
-        per branch its choice, weight and successor columns.
+        Returns the frontier row, action mask and total (CTMC only) of each
+        choice, in row order; per branch its choice, weight and successor
+        columns; and the slots that some branch assigns.
         """
-        fire = None
-        for ks in group:
-            any_enabled = enabled[ks[0]]
-            for k in ks[1:]:
-                any_enabled = any_enabled | enabled[k]
-            fire = any_enabled if fire is None else fire & any_enabled
-        fire_rows = fire.nonzero()[0]
-        if not len(fire_rows):
+        if fire is None:
+            fire = holds[group.guards[0]]
+            for g in group.guards[1:]:
+                fire = fire & holds[g]
+        rows = fire.nonzero()[0]
+        n = len(rows)
+        if not n:
             return None
-        live = [ks if len(ks) == 1 else [k for k in ks if (enabled[k] & fire).any()] for ks in group]
-        # with one command per module, every module's pairs are the firing rows
-        single = all(len(ks) == 1 for ks in live)
-        # each command is evaluated once, in the order a single state's
-        # combinations first use it: every module's first command, then the
-        # other commands of the last module, of the one before, and so on
-        order = [ks[0] for ks in live] + [k for ks in reversed(live) for k in ks[1:]]
-        evaluated = {}
-        for k in order:
-            rows = fire_rows if single else (enabled[k] & fire).nonzero()[0]
-            evaluated[k] = self._evaluate(self.commands[k], table, rows)
-        modules = [_Pairs([evaluated[k] for k in ks]) for ks in live]
-
-        # a row's choices are the combinations of its pairs, one per module, in product order
-        if single:
-            selected = [None] * len(modules)
-        else:
-            firsts = [np.searchsorted(m.rows, fire_rows) for m in modules]
-            counts = [np.searchsorted(m.rows, fire_rows, "right") - first for m, first in zip(modules, firsts)]
-            selected = _combinations(firsts, counts, *_runs(np.prod(counts, axis=0)))
-        choice_rows = _take(modules[0].rows, selected[0])
-        totals = _take(modules[0].totals, selected[0])
-        for m, sel in zip(modules[1:], selected[1:]):
-            totals = totals * _take(m.totals, sel)
-
-        # a choice's branches are the combinations of its pairs' updates
-        if len(modules) == 1 and selected[0] is None:
-            # one command on its rows: its items are the branches, in order
-            n_updates = modules[0].n_updates
-            branch_choice = None if n_updates == 1 else np.arange(len(choice_rows)).repeat(n_updates)
-            items = [None]
-        elif all(m.n_updates == 1 for m in modules):
-            branch_choice, items = None, selected
-        else:
-            pairs = [np.arange(len(choice_rows)) if sel is None else sel for sel in selected]
-            firsts = [sel * m.n_updates if m.first is None else m.first[sel] for m, sel in zip(modules, pairs)]
-            counts = [np.full(len(sel), m.n_updates) if m.updates is None else m.updates[sel]
-                      for m, sel in zip(modules, pairs)]
-            branch_choice, place = _runs(np.prod(counts, axis=0))
-            items = _combinations(firsts, counts, branch_choice, place)
-        weights = _take(modules[0].weights, items[0])
-        for m, item in zip(modules[1:], items[1:]):
-            weights = weights * _take(m.weights, item)
-        source = _take(choice_rows, branch_choice)
-        successors = [column[source] for column in table]
-        for m, item in zip(modules, items):
-            for slot, (has, values) in m.slots.items():
-                values = _take(values, item)
-                successors[slot] = values if has is None else np.where(_take(has, item), values, successors[slot])
-        if branch_choice is None:
-            branch_choice = np.arange(len(choice_rows))
-        return choice_rows, totals, branch_choice, weights, successors
+        choice, masks, weights, totals = group.lines(n)
+        lines = (n,) + group.shape
+        values = {slot: np.empty(lines, dtype=table[slot].dtype) if every else
+                  table[slot][rows].repeat(group.width).reshape(lines) for slot, every in group.slots}
+        factors, rates = [], []
+        for (_, ks), cells in zip(group.choices, group.cells):
+            # the commands in module order, as one state's choices run them
+            factor = rate = None
+            for i, (k, at) in enumerate(zip(ks, cells)):
+                columns, assigns, total = self._evaluate(self.commands[k], table, rows)
+                for cell, assign in zip(at, assigns):
+                    for slot, value in assign:
+                        if len(ks) > 1:
+                            value = value.reshape((n,) + (1,) * (len(ks) - 1))
+                        try:
+                            values[slot][cell] = value
+                        except OverflowError:  # a value beyond int64: the column holds Python ints
+                            values[slot] = values[slot].astype(object)
+                            values[slot][cell] = value
+                if weights is None:
+                    w = self.commands[k].pattern if columns is None else np.stack(columns, axis=1)
+                    w = w.reshape((-1,) + (1,) * i + (len(at),) + (1,) * (len(ks) - 1 - i))
+                    factor = w if factor is None else factor * w
+                    rate = total if rate is None else rate * total
+            factors.append(None if factor is None else np.broadcast_to(factor, (n,) + factor.shape[1:]).reshape(n, -1))
+            rates.append(rate)
+        if weights is None:
+            weights = (factors[0] if len(factors) == 1 else np.concatenate(factors, axis=1)).ravel()
+            if self.ctmc:
+                totals = rates[0] if len(rates) == 1 else np.stack(rates, axis=1).ravel()
+        rows = rows if len(group.choices) == 1 else rows.repeat(len(group.choices))
+        successors = [values[slot].ravel() if slot in values else column[rows[choice]]
+                      for slot, column in enumerate(table)]
+        return rows, masks, totals if self.ctmc else None, choice, weights, successors, values.keys()
 
     def expand(self, lo, hi):
         """Expand states lo..hi-1: append their rows and intern their successors.
@@ -455,101 +463,85 @@ class _Layers:
         table = [column[lo:hi] for column in state_map.columns]
         n = hi - lo
         frontier = np.arange(n)
-        enabled = []
-        for cmd, k in zip(self.commands, self.guard_of):
-            enabled.append(cmd.guard(table, frontier) if k == len(enabled) else enabled[k])
+        holds = [guard(table, frontier) for guard in self.guards]
 
-        # per fired group: its choices' rows, totals and action bits; its
-        # branches' choices (numbered across groups), weights and successor columns
-        rows_, totals_, bits_, branches_, weights_, successors_ = [], [], [], [], [], []
-        n_choices = 0
-        for bit, group in self.groups:
-            fired = self._fire(group, enabled, table)
-            if fired is not None:
-                choice_rows, totals, branch_choice, weights, successors = fired
-                rows_.append(choice_rows)
-                totals_.append(totals)
-                bits = np.empty(len(choice_rows), dtype=self.mask_dtype)
-                bits.fill(1 << bit)
-                bits_.append(bits)
-                branches_.append(n_choices + branch_choice)
-                weights_.append(weights)
-                successors_.append(successors)
-                n_choices += len(choice_rows)
-
-        stuck = np.ones(n, dtype=bool)
-        for choice_rows in rows_:
-            stuck[choice_rows] = False
-        if stuck.any():
+        # per fired group: its choices' rows, action masks and totals; per
+        # branch its choice, weight and successor columns; its assigned slots
+        parts = []
+        covered = np.zeros(n, dtype=bool)
+        for entry in self.groups:
+            for group, fire in entry.live(holds, self.guard_at):
+                fired = self._fire(group, holds, table, fire)
+                if fired is not None:
+                    covered[fired[0]] = True
+                    parts.append(fired)
+        if np.count_nonzero(covered) < n:
             if not self.options.fix_deadlocks:
-                s = lo + int(np.argmax(stuck))
+                s = lo + int(np.argmin(covered))
                 raise DeadlockError(s, f"valuation {dict(zip(state_map.slots, state_map.valuation(s)))}")
             # a deadlock gets one choice: a self-loop of weight (and rate) 1, with no action
-            rows = np.flatnonzero(stuck)
+            rows = np.flatnonzero(~covered)
             ones = self._full(len(rows), self.one)
-            rows_.append(rows)
-            totals_.append(ones)
-            bits_.append(np.zeros(len(rows), dtype=self.mask_dtype))
-            branches_.append(n_choices + np.arange(len(rows)))
-            weights_.append(ones)
-            successors_.append([column[rows] for column in table])
+            parts.append((rows, np.zeros(len(rows), dtype=self.mask_dtype), ones, np.arange(len(rows)), ones,
+                          [column[rows] for column in table], ()))
 
-        if len(rows_) == 1:
+        if len(parts) == 1:
             # one group's choices come in row order, and its branches in choice order
-            choice_rows, totals, bits, branch_rank, weights = rows_[0], totals_[0], bits_[0], branches_[0], weights_[0]
-            successors = successors_[0]
+            choice_rows, bits, totals, branch_rank, weights, successors, assigned = parts[0]
         else:
+            rows_, bits_, totals_, branches_, weights_, successors_, slots_ = zip(*parts)
             choice_rows = np.concatenate(rows_)
             choice_order = choice_rows.argsort(kind="stable")
             choice_rows = choice_rows[choice_order]
-            totals = np.concatenate(totals_)[choice_order]
+            totals = np.concatenate(totals_)[choice_order] if self.ctmc else None
             bits = np.concatenate(bits_)[choice_order]
             rank = np.empty(len(choice_order), dtype=np.int64)
             rank[choice_order] = np.arange(len(choice_order))
-            # branches in (state, choice, branch) order
-            branch_rank = rank[np.concatenate(branches_)]
+            # branches in (state, choice, branch) order, choices numbered across groups
+            sizes = [len(rows) for rows in rows_]
+            branch_rank = rank[np.concatenate(branches_) + np.repeat(
+                np.cumsum([0] + sizes[:-1]), [len(branches) for branches in branches_])]
             order = branch_rank.argsort(kind="stable")
             branch_rank = branch_rank[order]
             weights = np.concatenate(weights_)[order]
             successors = [np.concatenate(column)[order] for column in zip(*successors_)]
-        nonzero = weights != 0  # a zero weight gives no transition
-        if not nonzero.all():
+            assigned = set().union(*slots_)
+        if np.count_nonzero(weights) < len(weights):
+            nonzero = weights != 0  # a zero weight gives no transition
             branch_rank, weights = branch_rank[nonzero], weights[nonzero]
             successors = [column[nonzero] for column in successors]
 
         # cut before the first branch with an assigned value outside its range
         bad = None
-        for column, bound in zip(successors, self.bounds):
-            if bound is not None:
+        for slot in assigned:
+            bound, column = self.bounds[slot], successors[slot]
+            if bound is None:
+                continue
+            if column.dtype == np.int64:
+                # within +-2^53, so the offset from the low bound is exact
+                outside = (column - bound[0] if bound[0] else column).view(np.uint64) > bound[1] - bound[0]
+            else:
                 outside = (column < bound[0]) | (column > bound[1])
-                bad = outside if bad is None else bad | outside
-        cut = int(np.argmax(bad)) if bad is not None and bad.any() else len(weights)
+            bad = outside if bad is None else bad | outside
+        cut = int(bad.argmax()) if bad is not None and np.count_nonzero(bad) else len(weights)
         bad_branch = None
         if cut < len(weights):
             bad_branch = lo + int(choice_rows[branch_rank[cut]]), [column[cut] for column in successors]
             branch_rank, weights = branch_rank[:cut], weights[:cut]
             successors = [column[:cut] for column in successors]
 
-        keys = state_map.keys(successors, len(weights)).tolist()
-        found = state_map.find(keys)
-        # the keys not interned yet, in the order they first appear
-        new = list(dict.fromkeys([key for key, i in zip(keys, found) if i is None])) if None in found else []
-        if new and len(state_map) + len(new) > self.options.max_states:
-            raise StormletError(f"state limit of {self.options.max_states} states exceeded")
-        if bad_branch is not None:
+        n_states = len(state_map)
+        found = state_map.intern(state_map.keys(successors, len(weights)).tolist())
+        over = len(state_map) > max(n_states, self.options.max_states)
+        if over or bad_branch is not None:
+            state_map.forget(n_states)
+            if over:
+                raise StormletError(f"state limit of {self.options.max_states} states exceeded")
             self._range_error(*bad_branch)
 
-        state_map.add(new)
-        self.patched.append(stuck)
-        self.choice_states.append(lo + choice_rows)
-        self.totals.append(totals)
-        self.bits.append(bits)
-        if self.kind is ModelKind.MDP:
-            self.rows.append(self.n_choices + branch_rank)
-        else:
-            self.rows.append(lo + choice_rows[branch_rank])
-        self.cols.append(state_map.index(keys))
-        self.values.append(weights)
+        rows = branch_rank if self.kind is ModelKind.MDP else choice_rows[branch_rank]
+        self.batches.append((lo, self.n_choices, covered, choice_rows, totals, bits, rows, weights))
+        self.cols.extend(found)
         self.n_choices += len(choice_rows)
 
     def _range_error(self, state, values):
@@ -563,15 +555,18 @@ class _Layers:
                                     f"outside [{bound[0]}..{bound[1]}]")
 
 
-def _joined(parts):
-    """The concatenation of a list of arrays, which is emptied."""
+def _joined(parts, offsets=None):
+    """The concatenation of a list of arrays, which is emptied, each raised by
+    its offset if ``offsets`` are given."""
     out = np.concatenate(parts)
+    if offsets is not None:
+        out += np.repeat(offsets, [len(part) for part in parts])
     parts.clear()
     return out
 
 
-def _entries(layers, n, scales, exact):
-    """The (row, col, value) records of the explored branches.
+def _entries(rows, cols, values, n, scales, exact):
+    """The (row, col, value) records of the explored branches, given as arrays.
 
     Without ``scales`` (an MDP) they are the branches themselves. Else a
     target's weights add left to right, and each row is scaled once, by its
@@ -579,7 +574,6 @@ def _entries(layers, n, scales, exact):
     not finite the entries go in the order their targets first appear, so
     that build_sparse reports the first one.
     """
-    rows, cols, values = (_joined(parts) for parts in (layers.rows, layers.cols, layers.values))
     if scales is not None:
         position, summed, first = sparse.coalesce(rows * n + cols, values)
         rows, cols = np.divmod(position, n)
@@ -603,7 +597,7 @@ def explore(program, options=None):
     for decl, bound, value in zip(decls, bounds, initial):
         if bound is not None and not bound[0] <= value <= bound[1]:
             raise StormletError(f"initial value of {decl.name!r} is {value}, outside [{bound[0]}..{bound[1]}]")
-    state_map.add(state_map.keys([np.array([value]) for value in initial], 1).tolist())
+    state_map.intern(state_map.keys([np.array([value]) for value in initial], 1).tolist())
 
     # BFS: states are numbered in discovery order, so a layer is an index range
     done = 0
@@ -621,7 +615,10 @@ def explore(program, options=None):
             done = end
 
     n = len(state_map)
-    choice_states, totals, bits = (_joined(parts) for parts in (layers.choice_states, layers.totals, layers.bits))
+    los, firsts, covered, choice_states, totals, bits, rows, values = map(list, zip(*layers.batches))
+    layers.batches.clear()
+    deadlock_fixed = ~_joined(covered)
+    choice_states, bits = _joined(choice_states, los), _joined(bits)
     counts = np.bincount(choice_states, minlength=n)
     scales = exit_rates = None
     if kind is ModelKind.MDP:
@@ -632,17 +629,20 @@ def explore(program, options=None):
         offsets = np.arange(n + 1, dtype=np.int64)
         masks = np.bitwise_or.reduceat(bits, np.cumsum(counts) - counts)
         # a state's rate is its choices' totals added left to right
-        scales = counts if kind is ModelKind.DTMC else sparse.coalesce(choice_states, totals)[1]
+        scales = counts if kind is ModelKind.DTMC else sparse.coalesce(choice_states, _joined(totals))[1]
         exit_rates = scales if kind is ModelKind.CTMC else None
     del choice_states, totals, bits
     domain = "rational" if exact else "float"
+    rows = _joined(rows, firsts if kind is ModelKind.MDP else los)
+    cols = np.array(layers.cols, dtype=np.int64)
+    del layers.cols[:]
     with np.errstate(all="ignore"):
-        entries = _entries(layers, n, scales, exact)
+        entries = _entries(rows, cols, _joined(values), n, scales, exact)
+    del rows, cols
     matrix = sparse.build_sparse(entries, int(offsets[-1]), n, domain)
     del entries
     initial_states = np.zeros(n, dtype=bool)
     initial_states[0] = True
-    deadlock_fixed = np.concatenate(layers.patched)
 
     labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})
     model = Model(

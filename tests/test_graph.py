@@ -266,3 +266,74 @@ def test_long_chain_precomputation_sets():
     assert witness.tolist() == [1] * LONG + [0]
     p0e, p1a = graph.prob01_min(mdp, offsets, everywhere, bottom)
     assert as_set(p0e) == set(range(1, n)) and as_set(p1a) == {0}
+
+
+def ruin_mdp(n):
+    """0..n: 0 and n absorb, every inner state has two choices that both move."""
+    rows = [{0: Fraction(1)}]
+    for x in range(1, n):
+        rows += [{x - 1: Fraction(3, 5), x + 1: Fraction(2, 5)}, {x - 1: Fraction(2, 5), x + 1: Fraction(3, 5)}]
+    rows.append({n: Fraction(1)})
+    return rows_to_matrix(rows, n + 1, False), np.cumsum([0, 1] + [2] * (n - 1) + [1])
+
+
+def test_prob1e_drops_a_whole_attractor_per_round(monkeypatch):
+    # toward 0 every inner state can slip to n, which never returns: prob1E
+    # is {0}. Dropping one state per round took a closure per state; each
+    # round now drops every state whose choices all leave the candidates.
+    mdp, offsets = ruin_mdp(LONG)
+    calls = []
+    closure = graph._closure
+    monkeypatch.setattr(graph, "_closure", lambda *args, **kw: calls.append(1) or closure(*args, **kw))
+    everywhere = np.ones(LONG + 1, dtype=bool)
+    p0a, p1e = graph.prob01_max(mdp, offsets, everywhere, bits(LONG + 1, [0]))
+    assert as_set(p0a) == {LONG} and as_set(p1e) == {0}
+    # prob0A, one attractor pass, one closure that confirms the fixed point
+    assert len(calls) == 3
+
+
+def stepping_mdp(rng, n, stay):
+    """Choices that mostly step to a neighbour, so the fixed points take many
+    rounds; with ``stay`` some choices loop on their state (end components)."""
+    rows, counts = [], []
+    for s in range(n):
+        counts.append(rng.randint(1, 3))
+        for _ in range(counts[-1]):
+            if stay and rng.random() < 0.3:
+                rows.append({s: Fraction(1)})
+                continue
+            succ = {max(s - 1, 0), min(s + 1, n - 1)} | ({rng.randrange(n)} if rng.random() < 0.2 else set())
+            rows.append({t: Fraction(1, len(succ)) for t in succ})
+    return rows_to_matrix(rows, n, False), np.cumsum([0] + counts)
+
+
+@pytest.mark.parametrize("stay", [False, True])
+@pytest.mark.parametrize("seed", range(30))
+def test_prob01_on_deeper_mdps_matches_naive_fixed_points(seed, stay):
+    rng = random.Random(7000 + seed)
+    n = rng.randint(10, 40)
+    mdp, offsets = stepping_mdp(rng, n, stay)
+    safe = np.array([rng.random() < 0.9 for _ in range(n)])
+    target = bits(n, rng.sample(range(n), rng.randint(1, 3)))
+    rows = succ_sets(mdp)
+    choices = [rows[offsets[s]:offsets[s + 1]] for s in range(n)]
+    p0a, p1e, p0e, p1a = naive_prob01(choices, safe, target)
+    got_0a, got_1e = graph.prob01_max(mdp, offsets, safe, target)
+    got_0e, got_1a = graph.prob01_min(mdp, offsets, safe, target)
+    assert (as_set(got_0a), as_set(got_1e), as_set(got_0e), as_set(got_1a)) == (p0a, p1e, p0e, p1a)
+
+
+def test_prob1e_with_end_components_matches_naive_fixed_point():
+    # long_chain(2) toward 0 on 300 states: every state may stay put, so no
+    # round drops more than one state, and the rounds still agree
+    n = 300
+    rows = [{0: Fraction(1)}, {1: Fraction(1)}]
+    for x in range(1, n - 1):
+        rows += [{x: Fraction(1)}, {x - 1: Fraction(1, 2), x + 1: Fraction(1, 2)}]
+    rows.append({n - 1: Fraction(1)})
+    mdp, offsets = rows_to_matrix(rows, n, False), np.cumsum([0] + [2] * (n - 1) + [1])
+    everywhere, bottom = np.ones(n, dtype=bool), bits(n, [0])
+    succ = succ_sets(mdp)
+    p0a, p1e, _, _ = naive_prob01([succ[offsets[s]:offsets[s + 1]] for s in range(n)], everywhere, bottom)
+    got_0a, got_1e = graph.prob01_max(mdp, offsets, everywhere, bottom)
+    assert (as_set(got_0a), as_set(got_1e)) == (p0a, p1e) == ({n - 1}, {0})

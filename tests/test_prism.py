@@ -1068,3 +1068,100 @@ endrewards
 def test_explorer_matches_reference_on_edge_programs(name, exact, limit):
     program = typecheck(parse_program(EDGE_PROGRAMS[name]))
     explore_matches_reference(program, exact=exact, fix_deadlocks=True, max_states=limit)
+
+
+# Deep, thin chains of about 200 states, started in the middle, so that each
+# BFS layer holds one or two states: the three program shapes of perfbench's
+# solve_iter, a chain two modules drive together on an action, and a CTMC
+# whose rate depends on the state.
+DEEP_PROGRAMS = {
+    "ruin_dtmc": """dtmc
+module walk
+  x : [0..200] init 100;
+  [] x>0 & x<200 -> 0.431 : (x'=x+1) + 0.569 : (x'=x-1);
+  [] x=0 | x=200 -> (x'=x);
+endmodule
+label "top" = x=200;
+rewards "steps"
+  x>0 & x<200 : 1;
+endrewards
+""",
+    "ruin_mdp": """mdp
+module walk
+  x : [0..200] init 100;
+  [] x>0 & x<200 -> 0.401 : (x'=x+1) + 0.599 : (x'=x-1);
+  [] x>0 & x<200 -> 0.441 : (x'=x+1) + 0.559 : (x'=x-1);
+  [] x=0 | x=200 -> (x'=x);
+endmodule
+label "end" = x=0 | x=200;
+rewards "steps"
+  x>0 & x<200 : 1;
+endrewards
+""",
+    "lazy_walk": """dtmc
+module walk
+  x : [0..200] init 100;
+  [] x>0 & x<200 -> 0.01 : (x'=x+1) + 0.01 : (x'=x-1) + 0.98 : (x'=x);
+  [] x=0 | x=200 -> (x'=x);
+endmodule
+""",
+    "synchronised": """mdp
+module walker
+  x : [0..200] init 100;
+  [step] x>0 & x<200 -> 0.5 : (x'=x+1) + 0.5 : (x'=x-1);
+  [] x=0 | x=200 -> true;
+endmodule
+module clock
+  t : [0..1] init 0;
+  [step] t=0 -> (t'=1);
+  [step] t=1 -> 0.25 : (t'=0) + 0.75 : (t'=0);
+endmodule
+rewards "steps"
+  [step] true : 1;
+  t=1 : 2;
+endrewards
+""",
+    "thin_ctmc": """ctmc
+module queue
+  q : [0..200] init 100;
+  [arrive] q<200 -> 2.5 : (q'=q+1);
+  [serve] q>0 -> 3 + q/100 : (q'=q-1);
+endmodule
+label "full" = q=200;
+rewards "waiting"
+  true : q;
+  [serve] true : 1;
+endrewards
+""",
+}
+
+
+@pytest.mark.parametrize("name", DEEP_PROGRAMS)
+@pytest.mark.parametrize("exact", [False, True])
+def test_explorer_matches_reference_on_deep_thin_chains(name, exact):
+    model = explore_matches_reference(typecheck(parse_program(DEEP_PROGRAMS[name])), exact=exact)
+    assert model.n_states >= 200
+
+
+# Each fault first fires at x=160, 60 layers below the initial state.
+DEEP_FAULTS = [
+    ("ruin_dtmc", "(x'=x+1)", "(x'=x+1+100*floor(x/160))", r"assignment in state \(160,\) of 'x' is 261"),
+    ("ruin_dtmc", "0.431 :", "0.431+floor(x/160)/10 :", "sum to (1.1|11/10), expected 1"),
+    ("ruin_mdp", "0.441 :", "0.441*(x-160)/(x-160) :", "division by zero"),
+    ("synchronised", "(t'=1)", "(t'=floor(x/160)+1)", r"assignment in state \(160, 0\) of 't' is 2"),
+]
+
+
+@pytest.mark.parametrize("name, old, new, message", DEEP_FAULTS)
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_fault_deep_in_a_thin_chain_is_reported_as_the_reference_does(name, old, new, message, exact):
+    source = DEEP_PROGRAMS[name]
+    assert old in source
+    error = explore_matches_reference(typecheck(parse_program(source.replace(old, new, 1))), exact=exact)
+    assert re.search(message, str(error))
+
+
+@pytest.mark.parametrize("name", ["ruin_dtmc", "synchronised"])
+def test_state_limit_cuts_a_thin_chain_as_the_reference_does(name):
+    error = explore_matches_reference(typecheck(parse_program(DEEP_PROGRAMS[name])), max_states=120)
+    assert "state limit of 120 states exceeded" in str(error)
