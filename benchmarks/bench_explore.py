@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark model construction on a growing tandem queue and two thin chains.
+"""Benchmark model construction on a growing tandem queue, two thin chains and a synchronised product.
 
 The tandem is a CTMC with three stations in series, each holding up to c
 customers; stations 1-2 and 2-3 synchronise on the hand-over actions, and
@@ -14,6 +14,12 @@ chains of ``perfbench``'s ``solve_iter`` pay on every layer. The thin MDP
 has the shape of ``solve_iter``'s two-action gambler's-ruin MDP: two
 interleaved commands that share a guard, so each state of a layer has two
 choices. Their explore rows also give that cost in microseconds per layer.
+
+The sync family has two modules with c commands each on one action, the
+j-th guarded by ``mod(x, c)=j``: each state has one choice, but a layer's
+states use up to c*c combinations of commands, over (4c+1)^2 states. It
+measures that a synchronised action costs per command and branch, not per
+combination.
 
 ``explore`` is timed whole; the label, reward and ``build_sparse`` calls
 it makes are timed by wrapping them where ``explore`` looks them up, and
@@ -111,6 +117,19 @@ rewards "steps"
 endrewards
 """
 
+
+
+def sync_program(k):
+    """Two modules with k commands each on [go], the j-th enabled where the
+    module's variable is j modulo k; x walks, y jumps by j + 1."""
+    n = 4 * k
+    lines = ["mdp", "", "module a", f"  x : [0..{n}] init 0;"]
+    lines += [f"  [go] mod(x, {k})={j} -> 0.5 : (x'=min(x+1, {n})) + 0.5 : (x'=max(x-1, 0));" for j in range(k)]
+    lines += ["endmodule", "", "module b", f"  y : [0..{n}] init 0;"]
+    lines += [f"  [go] mod(y, {k})={j} -> (y'=mod(y+{j + 1}, {n + 1}));" for j in range(k)]
+    return "\n".join(lines + ["endmodule", ""])
+
+
 PHASES = ("explore", "labels", "rewards", "build_sparse")
 # phase -> (module, attribute) of the call explore makes for it
 TIMED = {
@@ -160,7 +179,8 @@ def bench(program, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--caps", default="10,20,30,40,46",
-                        help="comma-separated station capacities c; the thin chains get (c+1)^3 states")
+                        help="comma-separated station capacities c; the thin chains get (c+1)^3 states, "
+                             "the sync family c commands per module")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
@@ -172,6 +192,7 @@ def main():
             ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), None),
             ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2}), n - n // 2 + 1),
             ("mdp", n + 1, typecheck(parse_program(RUIN_MDP), {"N": n, "M": n // 2}), n - n // 2 + 1),
+            ("sync", cap, typecheck(parse_program(sync_program(cap))), None),
         ):
             states, nnz, best = bench(program, args.repeats)
             for phase in PHASES:

@@ -12,12 +12,13 @@ every assigned value against them.
 Unlabeled commands interleave. Commands sharing an action label
 synchronize across every module that mentions the action: each combination
 of one such command per module is a choice, whose weights multiply and
-whose assignments merge (a later module's wins). Choices that fire on the
-same rows form a group (``_Group``), evaluated only on those rows, with its
-branches written into a grid of one line per row, so that an update costs
-one array operation whatever the layer's size. DTMCs take the uniform
+whose assignments merge (a later module's wins). DTMCs take the uniform
 mixture over enabled commands, CTMCs race (rates add), MDPs keep one choice
-per combination.
+per combination. A layer's branches are written into grids with one line
+per row, so that an update costs one array operation whatever the layer's
+size: one-command choices that share a guard form a group (``_Group``),
+and a synchronised action (``_Sync``) evaluates each command once and
+gathers its lines into the combinations that use it.
 
 A layer gives the model that expanding its states one at a time in index
 order gives: successors are interned in (state, choice, branch) order, and
@@ -32,7 +33,7 @@ branch order.
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, groupby, islice, product, repeat
+from itertools import accumulate, compress, count, groupby, islice, repeat
 from math import prod
 from operator import is_
 import numpy as np
@@ -72,13 +73,9 @@ class StateMap:
             self._strides[i] = self._strides[i + 1] * self._sizes[i + 1]
         space = self._strides[0] * self._sizes[0] if bounds else 1
         self._key_dtype = np.int64 if space <= np.iinfo(np.int64).max else object
-        self._data = [
-            np.zeros(16, dtype=bool if bound is None
-                     else np.int64 if -EXACT_INT <= bound[0] and bound[1] <= EXACT_INT else object)
-            for bound in bounds
-        ]
-        self._n = 0
-        self._index_of = {}
+        self._data = [np.zeros(16, dtype=bool if bound is None else np.int64 if -EXACT_INT <= bound[0]
+                               and bound[1] <= EXACT_INT else object) for bound in bounds]
+        self._n, self._index_of = 0, {}
 
     @property
     def columns(self):
@@ -147,8 +144,7 @@ class _Command:
 
     def __init__(self, command, state_map, exact, kind):
         slots, bounds = state_map.slots, state_map.bounds
-        self.action = command.action
-        self.span = command.span
+        self.action, self.span = command.action, command.span
         self.guard = compile_expr(command.guard, slots, exact, bounds)
         self.updates = []
         for upd in command.updates:
@@ -164,8 +160,7 @@ class _Command:
                 [(slots[var], compile_expr(rhs, slots, exact, bounds)) for var, rhs in upd.assignments],
             ))
         constants = [constant for _, _, constant, _ in self.updates]
-        self.total = self.pattern = None
-        self.plain = False
+        self.total, self.pattern, self.plain = None, None, False
         if None not in constants:
             self.total = sum(constants, Fraction(0) if exact else 0.0)
             self.pattern = np.array(constants, dtype=object if exact else np.float64)
@@ -224,133 +219,100 @@ def _domain(values, exact, what, span):
         raise ModelError(f"{what} is an integer too large for a float{where}") from None
 
 
-def _runs(counts):
-    """For runs of the given lengths laid end to end: each item's run and its place in the run."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+def _grid(columns):
+    """Columns of one length side by side, laid out flat row by row."""
+    return columns[0] if len(columns) == 1 else np.array(columns).T.ravel()
+
+
+def _flat(values, shape=None):
+    """A list of arrays concatenated, or one array broadcast to ``shape``, laid out flat."""
+    if shape is None:
+        return values[0] if len(values) == 1 else np.concatenate(values)
+    if values.shape == shape:
+        return values.reshape(-1)
+    out = np.empty(shape, dtype=values.dtype)
+    out[...] = values
+    return out.reshape(-1)
 
 
 class _Group:
-    """Choices that fire on the same rows: commands of one module in a row
-    with one guard, or one combination of commands that synchronise.
+    """One-command choices that follow each other in a state's choice order
+    and share a guard, so that they fire on the same rows: unlabeled
+    commands, or the commands of an action that one module has.
 
-    ``choices`` holds each choice's action mask and commands. A row's
-    branches are one line of a grid: per choice, the combinations of its
-    commands' updates in product order, with one axis per command when there
-    is one choice (``shape``). ``cells[c][i][u]`` indexes the branches where
-    command i of choice c takes update u; ``slots`` lists each assigned slot
-    with whether every branch assigns it. A line's constant parts are tiled
-    once for many rows and handed out as views (``lines``).
+    ``choices`` holds each choice's action mask and command. A row's
+    branches are one line of a grid, each choice's updates in turn; ``slots``
+    lists the slots that some branch assigns; ``weights`` and ``totals`` hold
+    a line's weights and its choices' totals, if every weight is a constant.
     """
 
-    __slots__ = ("choices", "guards", "shape", "width", "cells", "slots", "line", "masks", "weights", "totals",
-                 "_kept", "_tiles")
+    __slots__ = ("choices", "guard", "width", "slots", "line", "masks", "weights", "totals")
 
-    def __init__(self, choices, commands, guard_at, mask_dtype):
-        cmds = [[commands[k] for k in ks] for _, ks in choices]
-        self.choices = choices
-        self.guards = sorted({guard_at[k] for _, ks in choices for k in ks})
-        shapes = [tuple(len(cmd.updates) for cmd in choice) for choice in cmds]
-        widths = [prod(shape) for shape in shapes]
-        self.width = sum(widths)
-        self.shape = shapes[0] if len(choices) == 1 else (self.width,)
-        starts = list(accumulate([0] + widths[:-1]))
-        self.cells = [[[(slice(None),) * (i + 1) + (u,) if len(choices) == 1 else (slice(None), start + u)
-                        for u in range(size)] for i, size in enumerate(shape)] for shape, start in zip(shapes, starts)]
-        assigned = sorted(set().union(*(cmd.slots for choice in cmds for cmd in choice)))
-        self.slots = [(slot, all(any(cmd.slots.get(slot) for cmd in choice) for choice in cmds)) for slot in assigned]
+    def __init__(self, choices, commands, guard, mask_dtype):
+        cmds = [commands[k] for _, k in choices]
+        widths = [len(cmd.updates) for cmd in cmds]
+        self.choices, self.guard, self.width = choices, guard, sum(widths)
+        self.slots = sorted(set().union(*(cmd.slots for cmd in cmds)))
         self.line = np.repeat(np.arange(len(choices)), widths)
         self.masks = np.array([mask for mask, _ in choices], dtype=mask_dtype)
         self.weights = self.totals = None
-        if all(cmd.plain for choice in cmds for cmd in choice):
-            weights, totals = [], []
-            for choice in cmds:
-                w, total = choice[0].pattern, choice[0].total
-                for cmd in choice[1:]:
-                    w, total = np.multiply.outer(w, cmd.pattern).ravel(), total * cmd.total
-                weights.append(w)
-                totals.append(total)
-            self.weights, self.totals = np.concatenate(weights), np.array(totals, dtype=weights[0].dtype)
-        self._kept, self._tiles = 0, None
-
-    def live(self, holds, guard_at):
-        return ((self, None),)
-
-    def lines(self, n):
-        """For n rows: each branch's choice, the choices' action masks, the
-        branches' weights and the choices' totals (None unless constant)."""
-        if self._kept < n:
-            self._kept = kept = max(n, 2 * self._kept)
-            choice = (np.arange(0, kept * len(self.choices), len(self.choices))[:, None] + self.line).ravel()
-            self._tiles = [(choice, self.width)] + [(None, 0) if part is None else (np.tile(part, kept), len(part))
-                                                   for part in (self.masks, self.weights, self.totals)]
-        return [tile if tile is None else tile[: n * size] for tile, size in self._tiles]
+        if all(cmd.plain for cmd in cmds):
+            self.weights = np.concatenate([cmd.pattern for cmd in cmds])
+            self.totals = np.array([cmd.total for cmd in cmds], dtype=self.weights.dtype)
 
 
 class _Sync:
-    """An action that several modules mention, one of them with several
-    commands. Each combination of one command per module is a group of its
-    own, made when first needed."""
+    """An action that several modules mention. Per module, in module order: its
+    commands with the action, their guards, each slot they assign with whether all
+    their updates do, and the shape that puts a (row, update) array on the module's
+    axis of a choice's branch grid, as wide as the module's widest command."""
 
-    __slots__ = ("mask", "per_module", "make", "made")
+    __slots__ = ("mask", "modules", "guards", "slots", "widths", "views")
 
-    def __init__(self, mask, per_module, make):
-        self.mask, self.per_module, self.make, self.made = mask, per_module, make, {}
-
-    def live(self, holds, guard_at):
-        """The groups of the combinations that fire on some row, each with the
-        rows where it fires, found for all combinations in one pass."""
-        fire, combos = np.ones((1, len(holds[0])), dtype=bool), [()]
-        for ks in self.per_module:
-            fire = (fire[:, None] & np.array([holds[guard_at[k]] for k in ks])).reshape(-1, fire.shape[1])
-            some = fire.any(axis=1)
-            combos, fire = list(compress([combo + (k,) for combo in combos for k in ks], some)), fire[some]
-        for ks, rows in zip(combos, fire):
-            if ks not in self.made:
-                self.made[ks] = self.make([(self.mask, ks)])
-            yield self.made[ks], rows
+    def __init__(self, mask, modules, commands, guard_at):
+        self.mask, self.modules, self.guards = mask, modules, [sorted({guard_at[k] for k in ks}) for ks in modules]
+        self.slots = [[(slot, all(commands[k].slots.get(slot) for k in ks))
+                       for slot in sorted(set().union(*(commands[k].slots for k in ks)))] for ks in modules]
+        self.widths = [max(len(commands[k].updates) for k in ks) for ks in modules]
+        self.views = [(-1,) + (1,) * j + (w,) + (1,) * (len(modules) - 1 - j) for j, w in enumerate(self.widths)]
 
 
 class _Layers:
     """The compiled program and the model built so far, one expanded batch of states at a time."""
 
     def __init__(self, program, state_map, bounds, options):
-        self.kind = program.model_type
+        self.kind, self.exact, self.options, self.state_map, self.bounds = (
+            program.model_type, options.exact, options, state_map, bounds)
         self.ctmc = self.kind is ModelKind.CTMC
-        self.exact = options.exact
-        self.options = options
-        self.state_map = state_map
-        self.bounds = bounds
         commands = [cmd for module in program.modules for cmd in module.commands]
         self.commands = [_Command(cmd, state_map, self.exact, self.kind) for cmd in commands]
+        self.sizes = [len(cmd.updates) for cmd in commands]
         # a guard that repeats an earlier command's is evaluated once per layer
         first_of = {}
         guard_at = self.guard_at = [first_of.setdefault(_shape(cmd.guard), len(first_of)) for cmd in commands]
         self.guards = [self.commands[guard_at.index(g)].guard for g in range(len(first_of))]
+        self.actions = [None] + list(dict.fromkeys(cmd.action for cmd in commands if cmd.action is not None))
+        self.mask_dtype = np.int64 if len(self.actions) < 63 else object
         # a state's choices, in order: each unlabeled command, in module
         # order, then per action (bit i of a row's action mask; bit 0:
         # unlabeled) each combination of one command of every module that
-        # mentions it, in product order (``_Sync`` when there are several)
-        self.actions = [None]
-        choices = [(1, (k,)) for k, cmd in enumerate(self.commands) if cmd.action is None]
-        for cmd in self.commands:
-            if cmd.action not in self.actions:
-                self.actions.append(cmd.action)
-                per_module, start = [], 0
-                for module in program.modules:
-                    ks = [start + i for i, c in enumerate(module.commands) if c.action == cmd.action]
-                    if ks:
-                        per_module.append(ks)
-                    start += len(module.commands)
-                mask = 1 << len(self.actions) - 1
-                fixed = all(len(ks) == 1 for ks in per_module[1:])
-                choices += [(mask, ks) for ks in product(*per_module)] if fixed else [(mask, per_module)]
-        self.mask_dtype = np.int64 if len(self.actions) < 63 else object
-        # choices of one command that follow each other and share a guard fire together
-        runs = [list(run) for _, run in groupby(choices, lambda choice: guard_at[choice[1][0]] if len(
-            choice[1]) == 1 and type(choice[1]) is tuple else id(choice))]
-        make = lambda run: _Group(run, self.commands, guard_at, self.mask_dtype)  # noqa: E731
-        self.groups = [make(run) if type(run[0][1]) is tuple else _Sync(*run[0], make) for run in runs]
+        # mentions it, in product order; one-command choices that follow each
+        # other and share a guard form a group
+        self.groups, singles = [], [(1, k) for k, cmd in enumerate(self.commands) if cmd.action is None]
+        runs = lambda: [_Group(list(run), self.commands, g, self.mask_dtype)  # noqa: E731
+                        for g, run in groupby(singles, lambda choice: guard_at[choice[1]])]
+        for bit, action in enumerate(self.actions[1:], 1):
+            per_module, start = [], 0
+            for module in program.modules:
+                ks = [start + i for i, c in enumerate(module.commands) if c.action == action]
+                per_module += [ks] if ks else []
+                start += len(module.commands)
+            if len(per_module) == 1:
+                singles += [(1 << bit, k) for k in per_module[0]]
+            else:
+                self.groups += runs() + [_Sync(1 << bit, per_module, self.commands, guard_at)]
+                singles = []
+        self.groups += runs()
         self.one = Fraction(1) if self.exact else 1.0
         # per expanded batch: its first state and choice; which states have a
         # choice; its choices' states (from its first), totals (CTMC) and action
@@ -365,12 +327,11 @@ class _Layers:
         return out
 
     def _evaluate(self, cmd, table, rows):
-        """An enabled command on the given rows: its weight columns (None when
-        plain), per update [(slot, value column)], and the total of each row
-        (CTMC only). For DTMC/MDP the weights must sum to 1 (within 1e-10 in
-        float mode)."""
+        """An enabled command on the given rows: its weight columns (None when plain), per
+        update {slot: value column}, and the total of each row (CTMC only). For
+        DTMC/MDP the weights must sum to 1 (within 1e-10 in float mode)."""
         if cmd.plain:
-            assigns = [[(slot, value(table, rows)) for slot, value in assignments]
+            assigns = [{slot: value(table, rows) for slot, value in assignments}
                        for _, _, _, assignments in cmd.updates]
             return None, assigns, self._full(len(rows), cmd.total) if self.ctmc else None
         weights, assigns = [], []
@@ -383,7 +344,7 @@ class _Layers:
             if negative:
                 raise ModelError(f"negative update weight at line {cmd.span[0]}")
             weights.append(w)
-            assigns.append([(slot, value(table, rows)) for slot, value in assignments])
+            assigns.append({slot: value(table, rows) for slot, value in assignments})
         if cmd.total is not None:
             self._sum_error(cmd, cmd.total)  # a plain command's total would have passed
         columns = [self._full(len(rows), constant) if w is None else w
@@ -403,56 +364,115 @@ class _Layers:
         raise ModelError(f"update weights of command at line {cmd.span[0]} sum to "
                          f"{total if self.exact else repr(total)}, expected 1")
 
-    def _fire(self, group, holds, table, fire=None):
-        """A group's choices on the frontier, or None if it does not fire (on
-        the rows of ``fire``, or where all its guards hold).
+    def _fire(self, group, holds, table):
+        """A group's choices on the frontier, or None if it does not fire.
 
         Returns the frontier row, action mask and total (CTMC only) of each
         choice, in row order; per branch its choice, weight and successor
         columns; and the slots that some branch assigns.
         """
-        if fire is None:
-            fire = holds[group.guards[0]]
-            for g in group.guards[1:]:
-                fire = fire & holds[g]
-        rows = fire.nonzero()[0]
-        n = len(rows)
+        rows = holds[group.guard].nonzero()[0]
+        n, k, width = len(rows), len(group.choices), group.width
         if not n:
             return None
-        choice, masks, weights, totals = group.lines(n)
-        lines = (n,) + group.shape
-        values = {slot: np.empty(lines, dtype=table[slot].dtype) if every else
-                  table[slot][rows].repeat(group.width).reshape(lines) for slot, every in group.slots}
-        factors, rates = [], []
-        for (_, ks), cells in zip(group.choices, group.cells):
-            # the commands in module order, as one state's choices run them
-            factor = rate = None
-            for i, (k, at) in enumerate(zip(ks, cells)):
-                columns, assigns, total = self._evaluate(self.commands[k], table, rows)
-                for cell, assign in zip(at, assigns):
-                    for slot, value in assign:
-                        if len(ks) > 1:
-                            value = value.reshape((n,) + (1,) * (len(ks) - 1))
-                        try:
-                            values[slot][cell] = value
-                        except OverflowError:  # a value beyond int64: the column holds Python ints
-                            values[slot] = values[slot].astype(object)
-                            values[slot][cell] = value
-                if weights is None:
-                    w = self.commands[k].pattern if columns is None else np.stack(columns, axis=1)
-                    w = w.reshape((-1,) + (1,) * i + (len(at),) + (1,) * (len(ks) - 1 - i))
-                    factor = w if factor is None else factor * w
-                    rate = total if rate is None else rate * total
-            factors.append(None if factor is None else np.broadcast_to(factor, (n,) + factor.shape[1:]).reshape(n, -1))
-            rates.append(rate)
-        if weights is None:
-            weights = (factors[0] if len(factors) == 1 else np.concatenate(factors, axis=1)).ravel()
-            if self.ctmc:
-                totals = rates[0] if len(rates) == 1 else np.stack(rates, axis=1).ravel()
-        rows = rows if len(group.choices) == 1 else rows.repeat(len(group.choices))
-        successors = [values[slot].ravel() if slot in values else column[rows[choice]]
+        # a column per branch of a line: per assigned slot the assigned value or
+        # the row's own, and (unless constant) the weight; per choice its total
+        values, weights, rates = {slot: [] for slot in group.slots}, [], []
+        for _, c in group.choices:
+            columns, assigns, total = self._evaluate(self.commands[c], table, rows)
+            for assign in assigns:
+                for slot, line in values.items():
+                    line.append(assign[slot] if slot in assign else table[slot][rows])
+            if group.weights is None:
+                weights += columns or [self._full(n, w) for w in self.commands[c].pattern]
+                rates.append(total)
+        values = {slot: _grid(line) for slot, line in values.items()}
+        if group.weights is None:
+            weights, totals = _grid(weights), _grid(rates) if self.ctmc else None
+        else:
+            weights, totals = _flat(group.weights, (n, width)), _flat(group.totals, (n, k)) if self.ctmc else None
+        source, choice = rows.repeat(width), (np.arange(0, n * k, k)[:, None] + group.line).ravel()
+        successors = [values[slot] if slot in values else column[source] for slot, column in enumerate(table)]
+        return rows.repeat(k), _flat(group.masks, (n, k)), totals, choice, weights, successors, values
+
+    def _join(self, sync, holds, table):
+        """A synchronised action's choices on the frontier, as ``_fire`` gives
+        them: a row's choices are the combinations of one enabled command per
+        module, in product order, and a choice's branches a grid with an axis
+        per module, one cell per update of its command (cells past them are
+        dropped). Each command is evaluated once, on the rows where it is
+        enabled, and each choice takes its line of the command's columns in
+        every module, so that the cost follows commands and branches, not
+        combinations."""
+        fire = None
+        for guards in sync.guards:
+            some = holds[guards[0]]
+            for g in guards[1:]:
+                some = some | holds[g]
+            fire = some if fire is None else fire & some
+        rows = fire.nonzero()[0]
+        if not len(rows):
+            return None
+        # per module, its commands enabled on some firing row and where (None: on
+        # all); per choice its place in ``rows`` (None: one choice per row) and,
+        # for a module with several such commands, its command and its line
+        mods, part, picked = [], None, []
+        for ks in sync.modules:
+            at = [(k, w) for k in ks for w in (holds[self.guard_at[k]][rows],) if w.any()] if ks[1:] else ()
+            mods.append(at if len(at) > 1 else [(at[0][0] if at else ks[0], None)])
+            picked.append(None)
+            if len(at) > 1:
+                enabled = np.array([where for _, where in at])
+                p, c = np.nonzero(enabled.T if part is None else enabled.T[part])
+                part, picked = p if part is None else part[p], [x and (x[0][p], x[1]) for x in picked[:-1]]
+                picked.append((c, np.cumsum(enabled).reshape(enabled.shape) - 1))
+        # each command once, in the order one state's choices first use it: every
+        # module's first, then the others of the last module, of the one before, and so on
+        done = {}
+        for j, i in [(j, 0) for j in range(len(mods))] + [(j, i) for j in reversed(range(len(mods)))
+                                                          for i in range(1, len(mods[j]))]:
+            cmd, at = self.commands[mods[j][i][0]], rows if mods[j][i][1] is None else rows[mods[j][i][1]]
+            done[j, i] = (cmd, at) + self._evaluate(cmd, table, at)
+        choice_rows = rows if part is None else rows[part]
+        n, weights, totals, keep, values = len(choice_rows), None, None, None, {}
+        for j, (at, x, width, view) in enumerate(zip(mods, picked, sync.widths, sync.views)):
+            line, cmds = part if x is None else x[1][x[0], part], [done[j, i] for i in range(len(at))]
+            sizes = [len(cmd.updates) for cmd, *_ in cmds]
+            if min(sizes) < width:
+                ok = (np.arange(width) < np.array(sizes)[[0] if x is None else x[0]][:, None]).reshape(view)
+                keep = ok if keep is None else keep & ok
+
+            def lines(grids):  # each command's columns, padded to ``width``, at each choice's line
+                grid = _flat([_grid(g + g[:1] * (width - len(g))) for g in grids]).reshape(-1, width)
+                return (grid if line is None else grid[line]).reshape(view)
+
+            if len(cmds) == 1 and sizes[0] == width and cmds[0][2] is None:  # constant weights
+                w, t = cmds[0][0].pattern.reshape(view), cmds[0][0].total if self.ctmc else None
+            else:
+                w = lines([[self._full(len(r), v) for v in cmd.pattern] if columns is None else columns
+                           for cmd, r, columns, _, _ in cmds])
+                t = _flat([total for *_, total in cmds]) if self.ctmc else None
+                t = t if t is None or line is None else t[line]
+            weights, totals = (w, t) if weights is None else (weights * w, t if t is None else totals * t)
+            for slot, every in sync.slots[j]:
+                value = lines([[a[slot] if slot in a else table[slot][r] for a in assigns]
+                               for _, r, _, assigns, _ in cmds])
+                if not every:
+                    has = lines([[np.full(len(r), slot in a) for a in assigns] for _, r, _, assigns, _ in cmds])
+                    value = np.where(has, value, values[slot] if slot in values else
+                                     table[slot][choice_rows].reshape((-1,) + (1,) * len(mods)))
+                values[slot] = value
+        shape, per, branch, source = (n, *sync.widths), prod(sync.widths), np.arange(n), choice_rows
+        if per > 1:
+            branch, source = branch.repeat(per), source.repeat(per)
+        successors = [_flat(values[slot], shape) if slot in values else column[source]
                       for slot, column in enumerate(table)]
-        return rows, masks, totals if self.ctmc else None, choice, weights, successors, values.keys()
+        weights = _flat(weights, shape)
+        if keep is not None:
+            keep = _flat(keep, shape).nonzero()[0]
+            branch, weights, successors = branch[keep], weights[keep], [column[keep] for column in successors]
+        totals = totals if totals is None or isinstance(totals, np.ndarray) else self._full(n, totals)
+        return choice_rows, np.full(n, sync.mask, dtype=self.mask_dtype), totals, branch, weights, successors, values
 
     def expand(self, lo, hi):
         """Expand states lo..hi-1: append their rows and intern their successors.
@@ -469,12 +489,11 @@ class _Layers:
         # branch its choice, weight and successor columns; its assigned slots
         parts = []
         covered = np.zeros(n, dtype=bool)
-        for entry in self.groups:
-            for group, fire in entry.live(holds, self.guard_at):
-                fired = self._fire(group, holds, table, fire)
-                if fired is not None:
-                    covered[fired[0]] = True
-                    parts.append(fired)
+        for group in self.groups:
+            fired = (self._join if isinstance(group, _Sync) else self._fire)(group, holds, table)
+            if fired is not None:
+                covered[fired[0]] = True
+                parts.append(fired)
         if np.count_nonzero(covered) < n:
             if not self.options.fix_deadlocks:
                 s = lo + int(np.argmin(covered))
@@ -498,9 +517,8 @@ class _Layers:
             rank = np.empty(len(choice_order), dtype=np.int64)
             rank[choice_order] = np.arange(len(choice_order))
             # branches in (state, choice, branch) order, choices numbered across groups
-            sizes = [len(rows) for rows in rows_]
-            branch_rank = rank[np.concatenate(branches_) + np.repeat(
-                np.cumsum([0] + sizes[:-1]), [len(branches) for branches in branches_])]
+            firsts = accumulate([0] + [len(rows) for rows in rows_[:-1]])
+            branch_rank = rank[np.concatenate([branches + first for branches, first in zip(branches_, firsts)])]
             order = branch_rank.argsort(kind="stable")
             branch_rank = branch_rank[order]
             weights = np.concatenate(weights_)[order]
@@ -556,8 +574,7 @@ class _Layers:
 
 
 def _joined(parts, offsets=None):
-    """The concatenation of a list of arrays, which is emptied, each raised by
-    its offset if ``offsets`` are given."""
+    """A list of arrays concatenated and emptied, each raised by its offset if given."""
     out = np.concatenate(parts)
     if offsets is not None:
         out += np.repeat(offsets, [len(part) for part in parts])
@@ -568,11 +585,10 @@ def _joined(parts, offsets=None):
 def _entries(rows, cols, values, n, scales, exact):
     """The (row, col, value) records of the explored branches, given as arrays.
 
-    Without ``scales`` (an MDP) they are the branches themselves. Else a
-    target's weights add left to right, and each row is scaled once, by its
-    number of choices (DTMC) or its exit rate (CTMC); with a value that is
-    not finite the entries go in the order their targets first appear, so
-    that build_sparse reports the first one.
+    Without ``scales`` (an MDP) they are the branches themselves. Else a target's
+    weights add left to right, and each row is scaled once, by its number of choices
+    (DTMC) or its exit rate (CTMC); with a value that is not finite the entries go in
+    the order their targets first appear, so that build_sparse reports the first one.
     """
     if scales is not None:
         position, summed, first = sparse.coalesce(rows * n + cols, values)
@@ -587,8 +603,7 @@ def _entries(rows, cols, values, n, scales, exact):
 def explore(program, options=None):
     """Build (Model, StateMap) from a typechecked program."""
     options = options or ExploreOptions()
-    kind = program.model_type
-    exact = options.exact
+    kind, exact = program.model_type, options.exact
     decls = list(program.all_variables())
     bounds = _ranges(decls)
     state_map = StateMap(decls, bounds)
@@ -645,15 +660,8 @@ def explore(program, options=None):
     initial_states[0] = True
 
     labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})
-    model = Model(
-        kind,
-        matrix,
-        labeling,
-        choice_offsets=offsets,
-        initial_states=initial_states,
-        exit_rates=exit_rates,
-        deadlock_fixed=deadlock_fixed,
-    )
+    model = Model(kind, matrix, labeling, choice_offsets=offsets, initial_states=initial_states,
+                  exit_rates=exit_rates, deadlock_fixed=deadlock_fixed)
     for name, bits in build_label_bitsets(program, state_map).items():
         labeling.add(name, bits)
     # per matrix row, the action labels (None: unlabeled) of the commands that
@@ -703,9 +711,7 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
                 negative = value < 0
                 if negative.any():
                     k = int(np.argmax(negative))
-                    raise ModelError(
-                        f"reward block {block.name!r} evaluates to {value.item(k)} at state {rows[k]}"
-                    )
+                    raise ModelError(f"reward block {block.name!r} evaluates to {value.item(k)} at state {rows[k]}")
                 return rows, value if exact else _domain(value, exact, "reward", item.expr.span)
 
             with np.errstate(all="ignore"):
@@ -715,17 +721,16 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
             if item.is_action_item:
                 has_action = True
                 matches = np.array([(item.action or None) in s for s in sets], dtype=bool)[row_set]
-                state, place = _runs(offsets[rows + 1] - offsets[rows])
-                choice = offsets[rows][state] + place
+                # each choice of the matched states, from its state's first
+                counts = offsets[rows + 1] - offsets[rows]
+                state = np.repeat(np.arange(len(counts)), counts)
+                choice = offsets[rows][state] + np.arange(len(state)) - (np.cumsum(counts) - counts)[state]
                 hit = matches[choice]
                 choice = choice[hit]
                 action_rw[choice] = action_rw[choice] + value[state[hit]]
             else:
                 has_state = True
                 state_rw[rows] = state_rw[rows] + value
-        rewards[block.name] = RewardModel(
-            block.name,
-            state_rw if has_state else None,
-            action_rw if has_action else None,
-        )
+        rewards[block.name] = RewardModel(block.name, state_rw if has_state else None,
+                                          action_rw if has_action else None)
     return rewards

@@ -1165,3 +1165,79 @@ def test_a_fault_deep_in_a_thin_chain_is_reported_as_the_reference_does(name, ol
 def test_state_limit_cuts_a_thin_chain_as_the_reference_does(name):
     error = explore_matches_reference(typecheck(parse_program(DEEP_PROGRAMS[name])), max_states=120)
     assert "state limit of 120 states exceeded" in str(error)
+
+
+# Synchronised actions whose modules have several commands: a row may enable
+# several in each module, commands differ in their number of updates, and
+# both modules assign y (the later module's value wins where it assigns y).
+SYNC_PROGRAMS = {
+    "exclusive_guards": "mdp\nmodule a\n  x : [0..24] init 0;\n" + "".join(
+        f"  [go] mod(x, 6)={j} -> 0.5 : (x'=min(x+1, 24)) + 0.5 : (x'=max(x-1, 0));\n" for j in range(6)
+    ) + "endmodule\nmodule b\n  y : [0..24] init 0;\n" + "".join(
+        f"  [go] mod(y, 6)={j} -> (y'=mod(y+{j + 1}, 25));\n" for j in range(6)
+    ) + "endmodule\n",
+    "overlapping": """{kind}
+module a
+  x : [0..12] init 6;
+  y : [0..4] init 2;
+  [go] x<12 -> {w1} : (x'=x+1) + {w2} : (x'=x) & (y'=1);
+  [go] x>0 -> (x'=x-1);
+  [go] mod(x, 3)=0 -> {w3} : (x'=0) + {w4} : (y'=3) + {w5} : true;
+  [] x=12 -> (x'=0);
+endmodule
+module b
+  z : [0..3] init 1;
+  [go] z<3 -> {w6} : (z'=z+1) & (y'=0) + {w7} : (z'=z);
+  [go] true -> (z'=0);
+  [go] y=2 -> {w1} : (y'=4) + {w2} : (z'=3);
+endmodule
+rewards "r"
+  [go] true : 1;
+  x=0 : 2;
+endrewards
+""",
+}
+SYNC_WEIGHTS = {"mdp": dict(w1=0.5, w2=0.5, w3=0.2, w4=0.3, w5=0.5, w6=0.25, w7=0.75),
+                "ctmc": dict(w1=2, w2=0.5, w3=1, w4="x+1", w5=3, w6=0.25, w7="1/(z+1)")}
+
+
+@pytest.mark.parametrize("name, kind", [("exclusive_guards", "mdp"), ("overlapping", "mdp"), ("overlapping", "ctmc")])
+@pytest.mark.parametrize("exact", [False, True])
+def test_synchronised_commands_in_every_combination_match_the_reference(name, kind, exact):
+    source = SYNC_PROGRAMS[name].format(kind=kind, **SYNC_WEIGHTS[kind])
+    model = explore_matches_reference(typecheck(parse_program(source)), exact=exact, fix_deadlocks=True)
+    assert model.n_states >= 20
+    if name == "overlapping" and kind == "mdp":
+        # the initial state x=6, y=2, z=1 enables every [go] command of both modules: nine choices
+        assert model.choice_offsets[1] - model.choice_offsets[0] == 9
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_fault_deep_in_a_chain_of_synchronised_combinations_is_reported_as_the_reference_does(exact):
+    # both modules have two [step] commands; the walker's second is enabled where x is a multiple of 3
+    source = DEEP_PROGRAMS["synchronised"].replace(
+        "  [] x=0 | x=200 -> true;", "  [step] x>0 & x<200 & mod(x, 3)=0 -> (x'=x+1);\n  [] x=0 | x=200 -> true;")
+    explore_matches_reference(typecheck(parse_program(source)), exact=exact)
+    error = explore_matches_reference(typecheck(parse_program(source.replace("(t'=1)", "(t'=floor(x/160)+1)"))),
+                                      exact=exact)
+    assert re.search(r"assignment in state \(160, 0\) of 't' is 2", str(error))
+
+
+def test_synchronised_commands_are_checked_in_the_order_one_state_uses_them():
+    # one state's combinations (a1,b1), (a1,b2), (a2,b1), (a2,b2) first use a1, b1, b2, then a2: b2's
+    # weights are checked before a2's division by zero
+    source = """dtmc
+module a
+  x : [0..2] init 0;
+  [go] true -> (x'=1);
+  [go] true -> 1/x : (x'=2);
+endmodule
+module b
+  y : [0..2] init 0;
+  [go] true -> (y'=1);
+  [go] true -> 0.6 : (y'=1) + 0.5 : (y'=2);
+endmodule
+"""
+    for exact in (False, True):
+        error = explore_matches_reference(typecheck(parse_program(source)), exact=exact)
+        assert "expected 1" in str(error)
