@@ -11,6 +11,7 @@ import numpy as np
 from . import graph, kernels, props, solvers, sparse
 from .errors import PropertyError, UnsupportedCombination
 from .models import Model, ModelKind, StateLabeling
+from .prism import syntax
 
 UNIFORMIZATION_SLACK = 1.02  # diagonal slack factor on the uniformization rate
 _DUAL = {None: None, "min": "max", "max": "min"}
@@ -75,7 +76,8 @@ def _dispatch_path(model, path, optimum, env):
 
 def _check_globally(model, path, optimum, env):
     """G f is checked as one minus reaching the complement of f, optimised the other way."""
-    reach_violation = props.Until(np.ones(model.n_states, dtype=bool), props.Not(path.target), path.bound)
+    violation = syntax.Unary(op="!", operand=path.target)
+    reach_violation = props.Until(np.ones(model.n_states, dtype=bool), violation, path.bound)
     values, meta = _dispatch_path(model, reach_violation, _DUAL[optimum], env)
     if env.criterion == "relative":
         meta.pop("error_bound", None)  # it is relative to the values, not to their complements
@@ -86,12 +88,12 @@ def _bits(model, state_formula, env):
     """Evaluate a resolved state formula into a bitset (checking nested operators)."""
     if isinstance(state_formula, np.ndarray):
         return state_formula
-    if isinstance(state_formula, props.Not):
+    if isinstance(state_formula, syntax.Unary):  # !
         return ~_bits(model, state_formula.operand, env)
-    if isinstance(state_formula, props.And):
-        return _bits(model, state_formula.left, env) & _bits(model, state_formula.right, env)
-    if isinstance(state_formula, props.Or):
-        return _bits(model, state_formula.left, env) | _bits(model, state_formula.right, env)
+    if isinstance(state_formula, syntax.Binary):  # & or |
+        left = _bits(model, state_formula.left, env)
+        right = _bits(model, state_formula.right, env)
+        return left & right if state_formula.op == "&" else left | right
     if isinstance(state_formula, (props.ProbOperator, props.RewardOperator)):
         return check(model, state_formula, env).values
     raise PropertyError(f"cannot evaluate state formula {type(state_formula).__name__}")
@@ -229,11 +231,18 @@ def _dispatch_reward(model, prop, env):
 
 
 def _choice_rewards(model, rm):
-    """Reward collected when taking each choice row (state plus action part)."""
+    """Reward collected when taking each choice row (state plus action part).
+
+    A CTMC's state reward is a rate: a visit earns it for the expected
+    sojourn time 1/E(s). Action rewards are earned once per transition.
+    """
     zeros = sparse.as_vector(np.zeros(model.n_choices), model.dtype)
     state_part = action_part = zeros
     if rm.state_rewards is not None:
-        state_part = np.repeat(sparse.as_vector(rm.state_rewards, model.dtype), np.diff(model.choice_offsets))
+        state_part = sparse.as_vector(rm.state_rewards, model.dtype)
+        if model.kind is ModelKind.CTMC:
+            state_part = state_part / model.exit_rates
+        state_part = np.repeat(state_part, np.diff(model.choice_offsets))
     if rm.action_rewards is not None:
         action_part = sparse.as_vector(rm.action_rewards, model.dtype)
     return state_part + action_part

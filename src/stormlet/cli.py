@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,22 +33,6 @@ EXIT_USAGE = 1
 EXIT_PROPERTY_FALSE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_MODEL_ERROR = 4
-
-
-@dataclass
-class RunConfig:
-    explicit_paths: tuple = None  # (tra, lab)
-    srew_path: str = None
-    trew_path: str = None
-    prism_path: str = None
-    constants: dict = field(default_factory=dict)
-    properties: list = field(default_factory=list)
-    env: SolverEnvironment = None
-    exact: bool = False
-    fix_deadlocks: bool = False
-    fail_on_false: bool = False
-    export_model: str = None
-    output_format: str = "human"  # human | json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +104,8 @@ def _parse_constants(text):
 
 
 def parse_args(argv):
+    """The options, with ``properties`` (from --prop and --prop-file) and
+    ``constants`` (a dict) filled in, and the solver environment."""
     ns = _build_argparser().parse_args(argv)
     if (ns.explicit is None) == (ns.prism is None):
         _fail_usage("exactly one of --explicit and --prism is required")
@@ -153,20 +138,9 @@ def parse_args(argv):
         criterion="absolute" if ns.absolute else "relative",
         max_iterations=ns.max_iter,
     )
-    return RunConfig(
-        explicit_paths=tuple(ns.explicit) if ns.explicit else None,
-        srew_path=ns.srew,
-        trew_path=ns.trew,
-        prism_path=ns.prism,
-        constants=_parse_constants(ns.constants),
-        properties=properties,
-        env=env,
-        exact=ns.exact,
-        fix_deadlocks=ns.fix_deadlocks,
-        fail_on_false=ns.fail_on_false,
-        export_model=ns.export_model,
-        output_format="json" if ns.json else "human",
-    )
+    ns.properties = properties
+    ns.constants = _parse_constants(ns.constants)
+    return ns, env
 
 
 def _fail_usage(message):
@@ -174,23 +148,21 @@ def _fail_usage(message):
     raise SystemExit(EXIT_USAGE)
 
 
-def _load_model(config):
-    if config.explicit_paths is not None:
-        tra, lab = config.explicit_paths
+def _load_model(ns):
+    if ns.explicit is not None:
+        tra, lab = ns.explicit
         bundle = explicit.ExplicitBundle(
             Path(tra).read_text(encoding="utf-8"),
             Path(lab).read_text(encoding="utf-8"),
-            Path(config.srew_path).read_text(encoding="utf-8") if config.srew_path else None,
-            Path(config.trew_path).read_text(encoding="utf-8") if config.trew_path else None,
+            Path(ns.srew).read_text(encoding="utf-8") if ns.srew else None,
+            Path(ns.trew).read_text(encoding="utf-8") if ns.trew else None,
         )
-        model = explicit.build_model(
-            bundle, rational=config.exact, fix_deadlocks=config.fix_deadlocks
-        )
+        model = explicit.build_model(bundle, rational=ns.exact, fix_deadlocks=ns.fix_deadlocks)
         return model, None
-    source = Path(config.prism_path).read_text(encoding="utf-8")
+    source = Path(ns.prism).read_text(encoding="utf-8")
     program = parse_program(source)
-    typed = typecheck(program, config.constants)
-    options = ExploreOptions(fix_deadlocks=config.fix_deadlocks, exact=config.exact)
+    typed = typecheck(program, ns.constants)
+    options = ExploreOptions(fix_deadlocks=ns.fix_deadlocks, exact=ns.exact)
     return explore(typed, options)
 
 
@@ -265,11 +237,16 @@ def _export(model, directory):
         (out / "model.srew").write_text(bundle.state_rewards_text, encoding="utf-8")
     if bundle.action_rewards_text is not None:
         (out / "model.trew").write_text(bundle.action_rewards_text, encoding="utf-8")
+    names = list(model.rewards)
+    if len(names) > 1:  # the explicit format holds one reward structure; write_model writes the first
+        print(f"stormlet: --export-model wrote reward structure {names[0]!r} only; not written: "
+              f"{', '.join(map(repr, names[1:]))}", file=sys.stderr)
 
 
-def run(config):
+def run(ns, env):
+    """Load the model, check every property and print the results; returns the exit code."""
     try:
-        model, state_map = _load_model(config)
+        model, state_map = _load_model(ns)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"stormlet: cannot read model file: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -280,9 +257,9 @@ def run(config):
         print(f"stormlet: model error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
 
-    if config.export_model:
+    if ns.export_model:
         try:
-            _export(model, config.export_model)
+            _export(model, ns.export_model)
         except OSError as exc:
             print(f"stormlet: cannot write model: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -293,11 +270,11 @@ def run(config):
 
     outputs = []
     some_false = False
-    for text in config.properties:
+    for text in ns.properties:
         try:
             ast = props.parse_property(text)
             resolved = props.resolve_atoms(ast, model, state_map)
-            result = checkers.check(model, resolved, config.env)
+            result = checkers.check(model, resolved, env)
         except ParseError as exc:
             print(f"stormlet: property parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -307,25 +284,25 @@ def run(config):
         except (PropertyError, SolverError, ModelError) as exc:
             print(f"stormlet: {exc}", file=sys.stderr)
             return EXIT_MODEL_ERROR
-        outputs.append(format_result(result, config.output_format, text, initial))
+        outputs.append(format_result(result, "json" if ns.json else "human", text, initial))
         values = result.values
         if isinstance(values, np.ndarray) and values.dtype == bool:
             if not all(bool(values[s]) for s in initial):
                 some_false = True
 
     sys.stdout.write("".join(outputs))
-    if config.fail_on_false and some_false:
+    if ns.fail_on_false and some_false:
         return EXIT_PROPERTY_FALSE
     return EXIT_OK
 
 
 def main(argv=None):
     try:
-        config = parse_args(sys.argv[1:] if argv is None else argv)
+        ns, env = parse_args(sys.argv[1:] if argv is None else argv)
     except (ParseError, SolverError) as exc:  # SolverError: invalid --precision or --max-iter
         print(f"stormlet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(config)
+    return run(ns, env)
 
 
 if __name__ == "__main__":

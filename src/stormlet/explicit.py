@@ -425,7 +425,7 @@ def parse_action_rewards(text, kind, choice_offsets, rational=False):
 
 def build_model(bundle, rational=False, fix_deadlocks=False, reward_name="default"):
     """Assemble a Model from an ExplicitBundle."""
-    kind, matrix, offsets, exit_rates, patched = parse_transitions(
+    kind, matrix, offsets, exit_rates, _ = parse_transitions(
         bundle.transitions_text, rational=rational, fix_deadlocks=fix_deadlocks
     )
     n = len(offsets) - 1
@@ -447,7 +447,6 @@ def build_model(bundle, rational=False, fix_deadlocks=False, reward_name="defaul
         rewards=rewards,
         initial_states=initial,
         exit_rates=exit_rates,
-        deadlock_fixed=patched,
     )
 
 

@@ -83,7 +83,7 @@ class Model:
     """
 
     def __init__(self, kind, matrix, labeling, choice_offsets=None, rewards=None,
-                 initial_states=None, exit_rates=None, deadlock_fixed=None):
+                 initial_states=None, exit_rates=None):
         self.kind = kind
         self.matrix = matrix
         self.labeling = labeling
@@ -96,9 +96,6 @@ class Model:
             initial_states = np.zeros(n, dtype=bool)
         self.initial_states = np.asarray(initial_states, dtype=bool)
         self.exit_rates = None if exit_rates is None else sparse.as_vector(exit_rates, matrix.dtype)
-        if deadlock_fixed is None:
-            deadlock_fixed = np.zeros(n, dtype=bool)
-        self.deadlock_fixed = np.asarray(deadlock_fixed, dtype=bool)
         self._validate()
 
     @property

@@ -661,7 +661,7 @@ def explore(program, options=None):
 
     labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})
     model = Model(kind, matrix, labeling, choice_offsets=offsets, initial_states=initial_states,
-                  exit_rates=exit_rates, deadlock_fixed=deadlock_fixed)
+                  exit_rates=exit_rates)
     for name, bits in build_label_bitsets(program, state_map).items():
         labeling.add(name, bits)
     # per matrix row, the action labels (None: unlabeled) of the commands that

@@ -1,5 +1,7 @@
-"""Hand-written lexer shared by the program and property parsers."""
+"""Lexer shared by the program and property parsers: one regular expression
+with one alternative per token class."""
 
+import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
@@ -14,12 +16,19 @@ KEYWORDS = {
     "min", "max", "floor", "ceil", "pow", "mod",
 }
 
-# longest first so multi-character symbols win
-SYMBOLS = [
-    "->", "..", "||", "!=", "<=", ">=",
-    "[", "]", "(", ")", "{", "}", ";", ":", "'", "=", "<", ">",
-    "+", "-", "*", "/", "&", "|", "!", ",", "?",
-]
+# Identifiers and digits are ASCII, as in the PRISM grammar. A number with a
+# point (not the `..` of a range) or an exponent is a double. Alternatives are
+# tried in order, so multi-character symbols come before their prefixes.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r]+|//[^\n]*)
+  | (?P<newline>\n)
+  | (?P<DOUBLE>(?:[0-9]+\.(?!\.)[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)
+  | (?P<INT>[0-9]+)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<symbol>->|\.\.|\|\||!=|<=|>=|[][(){};:'=<>+\-*/&|!,?])
+  | (?P<error>.)
+""", re.VERBOSE)
 
 
 @dataclass
@@ -28,87 +37,38 @@ class Token:
     value: object
     line: int
     column: int
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.value!r}, {self.line}:{self.column})"
+    offset: int  # of the token's first character in the source
 
 
 def tokenize(text):
     """Tokenize source text; `//` comments run to end of line."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    end = len(text)
+    eof_column = None
+    for m in _TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        column = start - line_start + 1
+        if kind == "skip":
+            # a comment that ends the text leaves the end-of-file column at its start
+            if text.startswith("//", start) and m.end() == end:
+                eof_column = column
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_double = False
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                is_double = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_double = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            if is_double:
-                tokens.append(Token("DOUBLE", word, start_line, start_col))
-            else:
-                tokens.append(Token("INT", int(word), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        word = value = m.group()
+        if kind == "word":
             kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError("unterminated string literal", line=start_line, column=start_col)
-            tokens.append(Token("STRING", text[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unknown character {ch!r}", line=start_line, column=start_col)
-    tokens.append(Token("EOF", None, line, col))
+        elif kind == "symbol":
+            kind = word
+        elif kind == "INT":
+            value = int(word)
+        elif kind == "STRING":
+            value = word[1:-1]
+        elif kind == "error":
+            message = "unterminated string literal" if word == '"' else f"unknown character {word!r}"
+            raise ParseError(message, line=line, column=column)
+        tokens.append(Token(kind, value, line, column, start))
+    tokens.append(Token("EOF", None, line, eof_column or end - line_start + 1, end))
     return tokens

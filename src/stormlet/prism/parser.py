@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the supported program subset."""
+"""Parser for the supported program subset: recursive descent for the program
+structure, one operator-precedence loop for expressions and state formulas."""
 
 from fractions import Fraction
 
@@ -11,12 +12,14 @@ FUNCTIONS = {"min", "max", "floor", "ceil", "pow", "mod"}
 
 
 class TokenCursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # the last token is EOF, which advance never passes; look ahead only past other tokens
+        return self.tokens[self.pos + ahead]
 
     def advance(self):
         tok = self.peek()
@@ -46,70 +49,54 @@ class TokenCursor:
 # --- expressions (also used by the property language) ---------------------
 
 
-def parse_expression(cur):
-    return _parse_or(cur)
-
-
 def _span(tok):
     return (tok.line, tok.column)
 
 
-def _parse_or(cur):
-    left = _parse_and(cur)
-    while True:
-        tok = cur.accept("|")
-        if not tok:
-            return left
-        left = syntax.Binary(op="|", left=left, right=_parse_and(cur), span=_span(tok))
+class Precedence:
+    """An operator table over the operands that ``primary(cur)`` parses.
 
+    ``levels`` run loosest first; each is a fixity and its operators. A
+    ``prefix`` operator takes an operand of its own level, ``left`` ones
+    associate to the left and ``once`` ones (the comparisons) do not chain.
+    """
 
-def _parse_and(cur):
-    left = _parse_not(cur)
-    while True:
-        tok = cur.accept("&")
-        if not tok:
-            return left
-        left = syntax.Binary(op="&", left=left, right=_parse_not(cur), span=_span(tok))
+    def __init__(self, primary, *levels):
+        self.primary = primary
+        self.prefix = {}
+        self.infix = {}  # operator -> (its level, the ceiling that follows it)
+        for level, (fixity, *ops) in enumerate(levels):
+            for op in ops:
+                if fixity == "prefix":
+                    self.prefix[op] = level
+                else:
+                    self.infix[op] = (level, level if fixity == "once" else level + 1)
+        self.depth = len(levels)
 
+    def parse(self, cur, floor=0):
+        """Parse operators of level ``floor`` or tighter (precedence climbing).
 
-def _parse_not(cur):
-    tok = cur.accept("!")
-    if tok:
-        return syntax.Unary(op="!", operand=_parse_not(cur), span=_span(tok))
-    return _parse_comparison(cur)
-
-
-def _parse_comparison(cur):
-    left = _parse_additive(cur)
-    tok = cur.accept("=", "!=", "<", "<=", ">", ">=")
-    if not tok:
-        return left
-    return syntax.Binary(op=tok.kind, left=left, right=_parse_additive(cur), span=_span(tok))
-
-
-def _parse_additive(cur):
-    left = _parse_multiplicative(cur)
-    while True:
-        tok = cur.accept("+", "-")
-        if not tok:
-            return left
-        left = syntax.Binary(op=tok.kind, left=left, right=_parse_multiplicative(cur), span=_span(tok))
-
-
-def _parse_multiplicative(cur):
-    left = _parse_unary(cur)
-    while True:
-        tok = cur.accept("*", "/")
-        if not tok:
-            return left
-        left = syntax.Binary(op=tok.kind, left=left, right=_parse_unary(cur), span=_span(tok))
-
-
-def _parse_unary(cur):
-    tok = cur.accept("-")
-    if tok:
-        return syntax.Unary(op="-", operand=_parse_unary(cur), span=_span(tok))
-    return _parse_primary(cur)
+        ``ceiling`` bounds the levels that may still follow: after an operator
+        of level L, L and looser ones (looser only after a prefix or ``once``
+        operator), as in a parser with one function per level.
+        """
+        tok = cur.peek()
+        level = self.prefix.get(tok.kind)
+        if level is not None and level >= floor:
+            cur.advance()
+            left = syntax.Unary(op=tok.kind, operand=self.parse(cur, level), span=_span(tok))
+            ceiling = level
+        else:
+            left = self.primary(cur)
+            ceiling = self.depth
+        while True:
+            tok = cur.peek()
+            entry = self.infix.get(tok.kind)
+            if entry is None or not floor <= entry[0] < ceiling:
+                return left
+            cur.advance()
+            level, ceiling = entry
+            left = syntax.Binary(op=tok.kind, left=left, right=self.parse(cur, level + 1), span=_span(tok))
 
 
 def _parse_primary(cur):
@@ -142,13 +129,25 @@ def _parse_primary(cur):
     cur.error(f"expected an expression, found {tok.kind!r}")
 
 
+EXPRESSION = Precedence(
+    _parse_primary,
+    ("left", "|"),
+    ("left", "&"),
+    ("prefix", "!"),
+    ("once", "=", "!=", "<", "<=", ">", ">="),
+    ("left", "+", "-"),
+    ("left", "*", "/"),
+    ("prefix", "-"),
+)
+parse_expression = EXPRESSION.parse
+
+
 # --- program structure ----------------------------------------------------
 
 
 def parse_program(source):
-    """Parse a program from source text or a token list."""
-    tokens = tokenize(source) if isinstance(source, str) else source
-    cur = TokenCursor(tokens)
+    """Parse a program from source text."""
+    cur = TokenCursor(source)
 
     tok = cur.expect("dtmc", "ctmc", "mdp")
     model_type = ModelKind(tok.kind)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import ModelError, ParseError, StormletError
+from ..errors import ModelError, StormletError
 from . import syntax
 
 NUMERIC = ("int", "double")
@@ -48,47 +48,45 @@ def _join(a, b, span):
 def typecheck(program, constant_bindings=None):
     """Return a copy of the program with closed constants and typed expressions."""
     bindings = dict(constant_bindings or {})
-    const_values = {}
-    const_types = {}
+    constants = {}  # name -> its value as a typed literal
+    var_types = {}
+    formula_exprs = {}
+    formulas = {}  # name -> typed expression, or None while it is being typed
+
+    def lookup(var):
+        """The typed node a name stands for: a constant's value, a variable
+        or a formula's typed expression. While constants are closed, only
+        the constants before them are defined."""
+        name = var.name
+        if name in constants:
+            return replace(constants[name], span=var.span)
+        if name not in formula_exprs:
+            return _variable(var, var_types)
+        if name not in formulas:
+            formulas[name] = None
+            formulas[name] = _type_expr(formula_exprs[name], lookup)
+        elif formulas[name] is None:
+            raise TypecheckError(f"cyclic formula definition involving {name!r}", var.span)
+        return formulas[name]
+
+    def tc(expr):
+        return _type_expr(expr, lookup)
+
     for const in program.constants:
         if const.name in bindings:
             value = bindings.pop(const.name)
-            value = _coerce_constant(const, value)
         elif const.value is not None:
-            expr = _type_expr(const.value, {}, const_values, const_types, {})
-            value = eval_expr(expr, exact=True)
-            value = _coerce_constant(const, value)
+            value = eval_expr(tc(const.value), exact=True)
         else:
             raise TypecheckError(f"undefined constant {const.name!r} needs a binding", const.span)
-        const_values[const.name] = value
-        const_types[const.name] = const.type
+        constants[const.name] = syntax.Lit(value=_coerce_constant(const, value), type=const.type)
     if bindings:
         unknown = ", ".join(sorted(bindings))
         raise TypecheckError(f"bindings given for unknown constants: {unknown}")
 
-    var_types = {}
     for decl in program.all_variables():
         var_types[decl.name] = "bool" if decl.is_bool else "int"
-
-    formulas = {}
-    formula_exprs = {f.name: f.expr for f in program.formulas}
-    resolving = []
-
-    def resolve_formula(name, span):
-        if name in formulas:
-            return formulas[name]
-        if name in resolving:
-            raise TypecheckError(f"cyclic formula definition involving {name!r}", span)
-        resolving.append(name)
-        typed = _type_expr(
-            formula_exprs[name], var_types, const_values, const_types, formula_exprs, resolve_formula
-        )
-        resolving.pop()
-        formulas[name] = typed
-        return typed
-
-    def tc(expr):
-        return _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolve_formula)
+    formula_exprs.update((f.name, f.expr) for f in program.formulas)
 
     typed_modules = []
     for module in program.modules:
@@ -156,7 +154,7 @@ def typecheck(program, constant_bindings=None):
 
     return syntax.PrismProgram(
         program.model_type,
-        [replace(c, value=syntax.Lit(value=const_values[c.name], type=c.type)) for c in program.constants],
+        [replace(c, value=constants[c.name]) for c in program.constants],
         [],  # formulas are fully inlined
         typed_modules,
         typed_labels,
@@ -180,7 +178,9 @@ def _coerce_constant(const, value):
     return Fraction(value)
 
 
-def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolve_formula=None):
+def _type_expr(expr, lookup):
+    """A typed copy of an expression; ``lookup(var)`` gives the typed node
+    that an identifier stands for, or raises."""
     if isinstance(expr, syntax.Lit):
         if isinstance(expr.value, bool):
             t = "bool"
@@ -190,16 +190,9 @@ def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolv
             t = "double"
         return replace(expr, type=t)
     if isinstance(expr, syntax.Var):
-        name = expr.name
-        if name in const_values:
-            return syntax.Lit(value=const_values[name], type=const_types[name], span=expr.span)
-        if name in var_types:
-            return replace(expr, type=var_types[name])
-        if formula_exprs is not None and name in formula_exprs and resolve_formula is not None:
-            return resolve_formula(name, expr.span)
-        raise TypecheckError(f"unknown identifier {name!r}", expr.span)
+        return lookup(expr)
     if isinstance(expr, syntax.Unary):
-        operand = _type_expr(expr.operand, var_types, const_values, const_types, formula_exprs, resolve_formula)
+        operand = _type_expr(expr.operand, lookup)
         if expr.op == "!":
             if operand.type != "bool":
                 raise TypecheckError("'!' needs a boolean operand", expr.span)
@@ -208,8 +201,8 @@ def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolv
             raise TypecheckError("unary '-' needs a numeric operand", expr.span)
         return replace(expr, operand=operand, type=operand.type)
     if isinstance(expr, syntax.Binary):
-        left = _type_expr(expr.left, var_types, const_values, const_types, formula_exprs, resolve_formula)
-        right = _type_expr(expr.right, var_types, const_values, const_types, formula_exprs, resolve_formula)
+        left = _type_expr(expr.left, lookup)
+        right = _type_expr(expr.right, lookup)
         op = expr.op
         if op in ("&", "|"):
             if left.type != "bool" or right.type != "bool":
@@ -232,10 +225,7 @@ def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolv
             t = _join(left.type, right.type, expr.span)
         return replace(expr, left=left, right=right, type=t)
     if isinstance(expr, syntax.Call):
-        args = [
-            _type_expr(a, var_types, const_values, const_types, formula_exprs, resolve_formula)
-            for a in expr.args
-        ]
+        args = [_type_expr(a, lookup) for a in expr.args]
         fn = expr.func
         if fn in ("min", "max"):
             if len(args) < 2:
@@ -266,7 +256,13 @@ def _type_expr(expr, var_types, const_values, const_types, formula_exprs, resolv
 def typecheck_expr(expr, var_types):
     """Type an expression over variables of the given types (a property
     predicate); it may name no constant or formula."""
-    return _type_expr(expr, var_types, {}, {}, None)
+    return _type_expr(expr, lambda var: _variable(var, var_types))
+
+
+def _variable(var, var_types):
+    if var.name not in var_types:
+        raise TypecheckError(f"unknown identifier {var.name!r}", var.span)
+    return replace(var, type=var_types[var.name])
 
 
 # --- the column compiler ---------------------------------------------------

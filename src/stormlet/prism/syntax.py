@@ -1,7 +1,8 @@
 """AST nodes for programs and expressions.
 
-Expression nodes are shared with the property language (variable predicates
-reuse the same grammar). Spans are (line, column) pairs for diagnostics.
+Expression nodes are shared with the property language: variable predicates
+reuse the same grammar, and state formulas are built from ``Lit``, ``Unary``
+and ``Binary``. Spans are (line, column) pairs for diagnostics.
 """
 
 from dataclasses import dataclass, field

@@ -9,12 +9,15 @@ Grammar (informal):
     state   := '"label"' | "(" expr ")" | "true" | "false"
              | "!" state | state "&" state | state "|" state | probop-with-bound
 
+State formulas parse with the program grammar's operator loop, into its
+``Binary``, ``Unary`` and ``Lit`` nodes.
+
 ``<=k`` with an integer bound counts transitions on discrete-time models;
 on CTMCs the bound is the time interval [0, t]. The two paths of a
 conditional are objective and condition.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +25,11 @@ import numpy as np
 from .errors import ParseError, PropertyError
 from .models import ModelKind
 from .prism import syntax
-from .prism.lexer import tokenize
-from .prism.parser import TokenCursor, parse_expression
+from .prism.parser import Precedence, TokenCursor, parse_expression
 from .prism.semantics import DivisionByZero, TypecheckError, compile_expr, evaluate_rows, typecheck_expr
 
 RELOPS = ("<", "<=", ">", ">=")
+OPERATORS = ("P", "Pmin", "Pmax", "R", "Rmin", "Rmax")
 
 
 # --- AST ------------------------------------------------------------------
@@ -40,29 +43,7 @@ class Label:
 @dataclass
 class Predicate:
     expr: object
-    text: str
-
-
-@dataclass
-class BoolLit:
-    value: bool
-
-
-@dataclass
-class Not:
-    operand: object
-
-
-@dataclass
-class And:
-    left: object
-    right: object
-
-
-@dataclass
-class Or:
-    left: object
-    right: object
+    text: str  # the source between the parentheses
 
 
 @dataclass
@@ -103,18 +84,17 @@ class RewardOperator:
 
 
 def parse_property(text):
-    cur = TokenCursor(tokenize(text))
+    cur = TokenCursor(text)
     prop = _parse_operator(cur, top=True)
-    tok = cur.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing {tok.kind!r}", line=tok.line, column=tok.column)
+    if cur.peek().kind != "EOF":
+        cur.error(f"unexpected trailing {cur.peek().kind!r}")
     return prop
 
 
 def _parse_operator(cur, top=False):
     tok = cur.expect("IDENT")
     head = tok.value
-    if head not in ("P", "Pmin", "Pmax", "R", "Rmin", "Rmax"):
+    if head not in OPERATORS:
         raise ParseError(
             f"expected a P or R operator, found {head!r}", line=tok.line, column=tok.column
         )
@@ -138,17 +118,13 @@ def _parse_operator(cur, top=False):
         op_tok = cur.peek()
         if op_tok.kind == "IDENT" and op_tok.value == "F":
             cur.advance()
-            target = ("reach", _parse_state(cur))
+            target = ("reach", STATE.parse(cur))
         elif op_tok.kind == "IDENT" and op_tok.value == "C":
             cur.advance()
             cur.expect("<=")
             target = ("cumulative", _parse_number(cur))
         else:
-            raise ParseError(
-                "reward operator needs 'F state' or 'C<=bound'",
-                line=op_tok.line,
-                column=op_tok.column,
-            )
+            cur.error("reward operator needs 'F state' or 'C<=bound'")
         cur.expect("]")
         return RewardOperator(optimum, bound, reward_name, target)
 
@@ -182,45 +158,21 @@ def _parse_path(cur):
     tok = cur.peek()
     if tok.kind == "IDENT" and tok.value == "X":
         cur.advance()
-        return Next(_parse_state(cur))
+        return Next(STATE.parse(cur))
     if tok.kind == "IDENT" and tok.value in ("F", "G"):
         cur.advance()
         bound = _parse_bound_suffix(cur)
-        state = _parse_state(cur)
+        state = STATE.parse(cur)
         if tok.value == "F":
-            return Until(BoolLit(True), state, bound)
+            return Until(syntax.Lit(value=True), state, bound)
         return Globally(state, bound)
-    left = _parse_state(cur)
+    left = STATE.parse(cur)
     u = cur.expect("IDENT")
     if u.value != "U":
         raise ParseError(f"expected 'U', found {u.value!r}", line=u.line, column=u.column)
     bound = _parse_bound_suffix(cur)
-    right = _parse_state(cur)
+    right = STATE.parse(cur)
     return Until(left, right, bound)
-
-
-def _parse_state(cur):
-    return _parse_state_or(cur)
-
-
-def _parse_state_or(cur):
-    left = _parse_state_and(cur)
-    while cur.accept("|"):
-        left = Or(left, _parse_state_and(cur))
-    return left
-
-
-def _parse_state_and(cur):
-    left = _parse_state_not(cur)
-    while cur.accept("&"):
-        left = And(left, _parse_state_not(cur))
-    return left
-
-
-def _parse_state_not(cur):
-    if cur.accept("!"):
-        return Not(_parse_state_not(cur))
-    return _parse_state_atom(cur)
 
 
 def _parse_state_atom(cur):
@@ -230,13 +182,13 @@ def _parse_state_atom(cur):
         return Label(tok.value)
     if tok.kind in ("true", "false"):
         cur.advance()
-        return BoolLit(tok.kind == "true")
+        return syntax.Lit(value=tok.kind == "true", span=(tok.line, tok.column))
     if tok.kind == "(":
         cur.advance()
         expr = parse_expression(cur)
-        cur.expect(")")
-        return Predicate(expr, _pretty_expr(expr))
-    if tok.kind == "IDENT" and tok.value in ("P", "Pmin", "Pmax", "R", "Rmin", "Rmax"):
+        close = cur.expect(")")
+        return Predicate(expr, cur.text[tok.offset + 1 : close.offset])
+    if tok.kind == "IDENT" and tok.value in OPERATORS:
         nested = _parse_operator(cur)
         if nested.bound is None:
             raise ParseError(
@@ -245,37 +197,10 @@ def _parse_state_atom(cur):
                 column=tok.column,
             )
         return nested
-    raise ParseError(
-        f"expected a state formula, found {tok.kind!r}", line=tok.line, column=tok.column
-    )
+    cur.error(f"expected a state formula, found {tok.kind!r}")
 
 
-# --- predicate texts ------------------------------------------------------
-
-
-def _fmt_number(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    f = float(q)
-    if Fraction(str(f)) == q:
-        return str(f)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _pretty_expr(expr):
-    if isinstance(expr, syntax.Lit):
-        if isinstance(expr.value, bool):
-            return "true" if expr.value else "false"
-        if isinstance(expr.value, Fraction):
-            return _fmt_number(expr.value)
-        return str(expr.value)
-    if isinstance(expr, syntax.Var):
-        return expr.name
-    if isinstance(expr, syntax.Unary):
-        return f"{expr.op}({_pretty_expr(expr.operand)})"
-    if isinstance(expr, syntax.Binary):
-        return f"({_pretty_expr(expr.left)}{expr.op}{_pretty_expr(expr.right)})"
-    return f"{expr.func}({', '.join(_pretty_expr(a) for a in expr.args)})"
+STATE = Precedence(_parse_state_atom, ("left", "|"), ("left", "&"), ("prefix", "!"))
 
 
 # --- resolution -----------------------------------------------------------
@@ -294,7 +219,7 @@ def resolve_atoms(prop, model, state_map=None):
             if sf.name not in model.labeling:
                 raise PropertyError(f"unknown label {sf.name!r}")
             return model.labeling.get(sf.name).copy()
-        if isinstance(sf, BoolLit):
+        if isinstance(sf, syntax.Lit):
             return np.full(model.n_states, sf.value, dtype=bool)
         if isinstance(sf, Predicate):
             if state_map is None:
@@ -312,10 +237,10 @@ def resolve_atoms(prop, model, state_map=None):
             except (TypecheckError, DivisionByZero) as exc:
                 raise PropertyError(f"predicate ({sf.text}): {exc}") from exc
             return bits
-        if isinstance(sf, Not):
-            return Not(resolve_state(sf.operand))
-        if isinstance(sf, (And, Or)):
-            return type(sf)(resolve_state(sf.left), resolve_state(sf.right))
+        if isinstance(sf, syntax.Unary):
+            return replace(sf, operand=resolve_state(sf.operand))
+        if isinstance(sf, syntax.Binary):
+            return replace(sf, left=resolve_state(sf.left), right=resolve_state(sf.right))
         if isinstance(sf, (ProbOperator, RewardOperator)):
             return resolve_operator(sf)
         raise PropertyError(f"cannot resolve {type(sf).__name__}")

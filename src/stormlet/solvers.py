@@ -132,7 +132,6 @@ class BellmanSystem:
 class SolveOutcome:
     x: object
     iterations: int
-    converged: bool
     scheduler: object = None
     method: str = ""
     error_bound: float = None  # proven bound on the error of x, if any
@@ -152,7 +151,7 @@ def solve_linear(system, env):
     """Solve x = A.x + b: exact or certified elimination, else Gauss-Seidel."""
     if env.linear_method == "exact" or system.A.dtype == "rational":
         x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
-        return SolveOutcome(x=x, iterations=0, converged=True, method="exact")
+        return SolveOutcome(x=x, iterations=0, method="exact")
     if env.linear_method == "elimination":
         outcome = _certified_within(system, env)
         if outcome is not None:
@@ -173,7 +172,7 @@ def _gauss_seidel(system, env):
         if bad >= 0:
             raise DiagonalOne(bad)
         if diff <= tol:
-            return SolveOutcome(x=np.array(x), iterations=it, converged=True, method="gauss_seidel")
+            return SolveOutcome(x=np.array(x), iterations=it, method="gauss_seidel")
     raise NotConverged(env.max_iterations, best=np.array(x))
 
 
@@ -286,7 +285,7 @@ def _certified_elimination(system, criterion):
     hi, lo = x + d, x - d
     if np.all(kernels.matvec(A, hi) + b <= hi) and np.all(kernels.matvec(A, lo) + b >= lo):
         bound = _largest_error(d.copy(), x, criterion)
-        return SolveOutcome(x=x, iterations=0, converged=True, method="elimination", error_bound=bound,
+        return SolveOutcome(x=x, iterations=0, method="elimination", error_bound=bound,
                             error=d)
     return None
 
@@ -330,7 +329,7 @@ def _value_iteration(system, env, start=None):
         diff = _largest_error(np.abs(y - x), y, env.criterion)
         x = y
         if diff <= tol:
-            return SolveOutcome(x=x, iterations=it, converged=True, scheduler=arg, method="value_iteration")
+            return SolveOutcome(x=x, iterations=it, scheduler=arg, method="value_iteration")
     raise NotConverged(env.max_iterations, best=x)
 
 
@@ -451,7 +450,7 @@ def _policy_iteration(system, env, initial_scheduler):
         current = q[rows + scheduler]
         switch = (best > current + margin) if maximize else (best < current - margin)
         if not switch.any():
-            settled = SolveOutcome(x=x, iterations=it, converged=True, scheduler=scheduler.copy(),
+            settled = SolveOutcome(x=x, iterations=it, scheduler=scheduler.copy(),
                                    method="policy_iteration")
             if d is None:
                 return settled

@@ -259,7 +259,8 @@ def test_integer_too_large_for_a_float_exit_4(capsys, tmp_path, weight, reward, 
     code, out, err = run_cli(capsys, "--prism", str(program), "--exact", "--prop", "R=? [ F (x=3) ]")
     assert code == 0 and err == ""
     assert out.startswith("Property: R=? [ F (x=3) ]\nResult (state 0): ")
-    assert out.endswith("3\n" if weight else "3" + "0" * 400 + "\n")
+    # a CTMC state reward is earned per unit of time: three sojourns of 1/10^400 or of 1
+    assert out.endswith(("3/1" if weight else "3") + "0" * 400 + "\n")
 
 
 @pytest.mark.parametrize("predicate, message", [
@@ -479,3 +480,105 @@ def test_double_arithmetic_on_an_integer_too_large_for_a_float_exit_4(capsys, tm
     code, out, err = run_cli(capsys, "--prism", str(program), "--prop", 'P=? [ F "l" ]')
     assert code == 4 and out == ""
     assert err == f"stormlet: model error: {message}\n"
+
+
+# the M/M/1 queue of the corpus, rewarded by the time spent: 33/8 until full
+QUEUE_TIME = (CORPUS / "queue.sm").read_text() + 'rewards "time"\n  true : 1;\nendrewards\n'
+QUEUE_TRA = "ctmc\n0 1 2\n1 0 3\n1 2 2\n2 1 3\n2 3 2\n3 2 3\n"
+QUEUE_LAB = "#DECLARATION\ninit full\n#END\n0 init\n3 full\n"
+
+
+@pytest.mark.parametrize("exact, value", [([], "4.125"), (["--exact"], "33/8")])
+def test_ctmc_state_rewards_accumulate_over_time(capsys, tmp_path, exact, value):
+    program = tmp_path / "queue.sm"
+    program.write_text(QUEUE_TIME)
+    tra, lab, srew = tmp_path / "q.tra", tmp_path / "q.lab", tmp_path / "q.srew"
+    tra.write_text(QUEUE_TRA)
+    lab.write_text(QUEUE_LAB)
+    srew.write_text("0 1\n1 1\n2 1\n3 1\n")
+    for model in (["--prism", str(program)], ["--explicit", str(tra), str(lab), "--srew", str(srew)]):
+        code, out, err = run_cli(capsys, *model, *exact, "--prop", 'R=? [ F "full" ]')
+        assert (code, out, err) == (0, f'Property: R=? [ F "full" ]\nResult (state 0): {value}\n', "")
+
+
+def test_ctmc_action_rewards_are_earned_per_transition(capsys, tmp_path):
+    program = tmp_path / "queue.sm"
+    program.write_text(QUEUE_TIME.replace("true : 1;", "[] true : 1;"))
+    code, out, _ = run_cli(capsys, "--prism", str(program), "--exact", "--prop", 'R=? [ F "full" ]')
+    assert code == 0 and out.endswith("Result (state 0): 27/2\n")  # the expected number of jumps
+
+
+def test_non_ascii_digits_are_refused(capsys, tmp_path):
+    program = tmp_path / "die.pm"
+    program.write_text((CORPUS / "die.pm").read_text().replace("s=0 ->", "s=² ->", 1))
+    code, out, err = run_cli(capsys, "--prism", str(program), "--prop", 'P=? [ F "six" ]')
+    assert (code, out) == (1, "") and err.startswith("stormlet: parse error: unknown character '²' at line ")
+    code, out, err = run_cli(capsys, "--prism", DIE, "--prop", "P=? [ F (s=²) ]")
+    assert (code, out, err) == (1, "", "stormlet: property parse error: unknown character '²' at line 1, column 12\n")
+
+
+REWARD_DTMC = """dtmc
+module m
+  x : [0..2] init 0;
+  [go] x<2 -> 0.5 : (x'=x+1) + 0.5 : (x'=0);
+  [] x=2 -> (x'=2);
+endmodule
+label "done" = x=2;
+rewards "cost"
+  x=1 : 2.5;
+  [go] true : 1;
+endrewards
+"""
+
+REWARD_MDP = """mdp
+module m
+  s : [0..2] init 0;
+  [a] s=0 -> 0.5 : (s'=1) + 0.5 : (s'=2);
+  [b] s=0 -> (s'=2);
+  [] s=1 -> (s'=2);
+  [] s=2 -> (s'=2);
+endmodule
+label "goal" = s=2;
+rewards "r"
+  [a] true : 3;
+  [b] true : 2;
+  [] s=1 : 1;
+endrewards
+"""
+
+
+@pytest.mark.parametrize("source, props", [
+    (REWARD_DTMC, ['R=? [ F "done" ]', "R=? [ C<=3 ]"]),
+    (REWARD_MDP, ['Rmax=? [ F "goal" ]', 'Rmin=? [ F "goal" ]', "Rmax=? [ C<=2 ]"]),
+])
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_export_model_round_trip_with_rewards(capsys, tmp_path, source, props, exact):
+    program, out_dir = tmp_path / "model.pm", tmp_path / "exported"
+    program.write_text(source)
+    argv = [arg for prop in props for arg in ("--prop", prop)] + exact
+    code, direct, err = run_cli(capsys, "--prism", str(program), "--export-model", str(out_dir), *argv)
+    assert code == 0 and err == ""
+    files = [str(out_dir / f"model.{ext}") for ext in ("tra", "lab", "srew", "trew")]
+    srew = ["--srew", files[2]] if (out_dir / "model.srew").exists() else []
+    code, reloaded, _ = run_cli(capsys, "--explicit", *files[:2], *srew, "--trew", files[3], *argv)
+    assert code == 0 and reloaded == direct
+
+
+def test_rmax_reloads_from_the_export(capsys, tmp_path):
+    program, out_dir = tmp_path / "model.nm", tmp_path / "exported"
+    program.write_text(REWARD_MDP)
+    run_cli(capsys, "--prism", str(program), "--export-model", str(out_dir), "--prop", 'Rmax=? [ F "goal" ]')
+    code, out, _ = run_cli(capsys, "--explicit", str(out_dir / "model.tra"), str(out_dir / "model.lab"),
+                           "--trew", str(out_dir / "model.trew"), "--exact", "--prop", 'Rmax=? [ F "goal" ]')
+    assert code == 0 and out.endswith("Result (state 0): 7/2\n")
+
+
+def test_export_names_the_reward_structures_it_does_not_write(capsys, tmp_path):
+    program, out_dir = tmp_path / "model.pm", tmp_path / "exported"
+    program.write_text(REWARD_DTMC + 'rewards "steps"\n  true : 1;\nendrewards\n'
+                       'rewards "served"\n  x=2 : 1;\nendrewards\n')
+    code, out, err = run_cli(capsys, "--prism", str(program), "--export-model", str(out_dir),
+                             "--prop", 'R{"cost"}=? [ F "done" ]')
+    assert code == 0 and out.startswith('Property: R{"cost"}=? [ F "done" ]\n')
+    assert err == "stormlet: --export-model wrote reward structure 'cost' only; not written: 'steps', 'served'\n"
+    assert (out_dir / "model.srew").read_text() == "1 2.5\n"

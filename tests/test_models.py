@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from stormlet import sparse
@@ -112,14 +111,3 @@ def test_reward_model_lookup():
     bare = Model(ModelKind.DTMC, dtmc_matrix(), StateLabeling(2))
     with pytest.raises(ModelError):
         bare.reward_model()
-
-
-def test_model_equality_ignores_deadlock_bookkeeping():
-    a = Model(ModelKind.DTMC, dtmc_matrix(), StateLabeling(2))
-    b = Model(
-        ModelKind.DTMC,
-        dtmc_matrix(),
-        StateLabeling(2),
-        deadlock_fixed=np.array([False, True]),
-    )
-    assert a == b

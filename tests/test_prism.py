@@ -208,7 +208,6 @@ def test_explore_deadlock_detection_and_patch():
     with pytest.raises(DeadlockError):
         build(src)
     model, _ = build(src, fix_deadlocks=True)
-    assert list(model.deadlock_fixed) == [False, True]
     assert list(model.labeling.get("deadlock")) == [False, True]
 
 
@@ -772,7 +771,7 @@ def ref_explore(program, options):
     model = Model(kind, matrix, labeling,
                   choice_offsets=offsets if kind is ModelKind.MDP else np.arange(n + 1),
                   initial_states=initial_states,
-                  exit_rates=exit_rates if kind is ModelKind.CTMC else None, deadlock_fixed=deadlock_fixed)
+                  exit_rates=exit_rates if kind is ModelKind.CTMC else None)
     for lab in program.labels:
         holds = ref_compile(lab.expr, slots)
         labeling.add(lab.name, [holds(v) for v in valuations])

@@ -11,8 +11,8 @@ from stormlet import checkers, props
 from stormlet.errors import ParseError, PropertyError
 from stormlet.models import Model, ModelKind, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
+from stormlet.prism.syntax import Binary, Lit, Unary
 from stormlet.props import (
-    BoolLit,
     Globally,
     Label,
     Next,
@@ -31,7 +31,7 @@ def test_parse_query_reachability():
     assert isinstance(p, ProbOperator)
     assert p.optimum is None and p.bound is None and p.condition is None
     assert isinstance(p.path, Until)
-    assert isinstance(p.path.left, BoolLit) and p.path.left.value
+    assert isinstance(p.path.left, Lit) and p.path.left.value is True
     assert isinstance(p.path.right, Label) and p.path.right.name == "goal"
 
 
@@ -67,9 +67,9 @@ def test_parse_reward_operators():
 def test_parse_boolean_state_structure():
     p = parse_property('P=? [ !"a" & "b" | "c" U true ]')
     left = p.path.left
-    assert isinstance(left, props.Or)  # & binds tighter than |
-    assert isinstance(left.left, props.And)
-    assert isinstance(left.left.left, props.Not)
+    assert isinstance(left, Binary) and left.op == "|"  # & binds tighter than |
+    assert isinstance(left.left, Binary) and left.left.op == "&"
+    assert isinstance(left.left.left, Unary) and left.left.left.op == "!"
 
 
 def test_parse_predicate_atoms():
@@ -123,9 +123,9 @@ def test_resolve_label_atoms_and_boolean_collapse():
     resolved = resolve_atoms(parse_property('P=? [ !"a" & "b" U "a" | "b" ]'), model)
     # resolution replaces the atoms only; the checker collapses the connectives
     left, right = resolved.path.left, resolved.path.right
-    assert isinstance(left, props.And) and isinstance(left.left, props.Not)
+    assert isinstance(left, Binary) and left.op == "&" and isinstance(left.left, Unary)
     assert list(left.left.operand) == [True, False] and list(left.right) == [False, True]
-    assert isinstance(right, props.Or)
+    assert isinstance(right, Binary) and right.op == "|"
     assert list(right.left) == [True, False] and list(right.right) == [False, True]
     env = SolverEnvironment()
     assert list(checkers._bits(model, left, env)) == [False, True]
