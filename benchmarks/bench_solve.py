@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Benchmark the float solves: sparse elimination against Gauss-Seidel, and
-policy iteration against value iteration.
+"""Benchmark the float solves: sparse elimination against the certified
+iteration, and policy iteration against value iteration.
 
-Two families of maybe-state systems x = A.x + b, both slow for an
-iterative method:
+Three families of maybe-state systems x = A.x + b:
 - ``chain N``: the lazy walk on 0..N that moves each way with probability
   1/100, solved for P(reach N before 0) on its inner states; elimination
-  makes no fill-in;
+  makes no fill-in, and iteration converges slowly;
 - ``grid k``: a walk on a k x k grid that moves to each of its four
   neighbours with probability 1/4 and is absorbed when it leaves the grid,
   solved for P(leave through the right edge); elimination in row order fills
-  in the band of k columns left and right of the diagonal.
+  in the band of k columns left and right of the diagonal;
+- ``tandem c``, at c = 8 and 12: the three-station tandem CTMC of
+  ``bench_explore.py``, solved for ``P=? [ (n3<c) U (n1=c) ]`` on its
+  embedded chain; elimination in the explored order fills in badly.
 
 For each system the script prints the best time of the factorisation, the
 multiply-adds it took per stored entry of A (against the budget
 ``solvers.ELIMINATION_BUDGET``), the certified relative ``error_bound`` and
-whether the default solve falls back to Gauss-Seidel (the budget runs out,
-or the bound is missing or above the precision 1e-6), and, at the sizes up
-to ``--gs-states``, the time Gauss-Seidel takes on its own.
+whether the default solve falls back to the certified iteration (the budget
+runs out, or the bound is missing or above the precision 1e-6), and, at the
+sizes up to ``--gs-states``, the time the iteration takes on its own, its
+iterations and its bound.
 
 Two MDP families are solved end to end by ``checkers.check``, by policy
 iteration (``pi``, the default) and by value iteration (``vi``):
@@ -29,8 +32,9 @@ iteration (``pi``, the default) and by value iteration (``vi``):
   inner state may also move left or right with 0.3 and up or down with 0.2,
   started in the middle; ``Pmax`` and ``Pmin`` of leaving through the right
   edge and ``Rmin`` and ``Rmax`` of the steps until leaving. Its induced
-  chains fill in like the grid, and past about k = 63 their elimination runs
-  out of budget, so policy iteration hands over to value iteration.
+  chains fill in like the grid, more so in the explored order, and by
+  k = 45 their elimination runs out of budget, so policy iteration hands
+  over to the certified iteration.
 Per check it prints the best time, the iterations, the method reported, the
 ``error_bound`` ("-" for none) and the relative error at the initial state
 against a reference. The ruin references are exact: the closed form
@@ -41,7 +45,7 @@ policy iteration in integers, started from the one ``pi`` returned, ends at
 reference is the certified ``pi`` value, exact within its bound.
 
 Usage: python3 benchmarks/bench_solve.py [--chains 60,300,1000,3000]
-       [--grids 10,30,60] [--gs-states 1000] [--repeats 3]
+       [--grids 10,30,60] [--gs-states 2500] [--repeats 3]
 """
 
 import argparse
@@ -49,15 +53,17 @@ import time
 
 import numpy as np
 
-from stormlet import checkers, solvers, sparse
+from bench_explore import TANDEM
+from stormlet import checkers, graph, kernels, solvers, sparse
 from stormlet.errors import NotConverged
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.props import parse_property, resolve_atoms
-from stormlet.solvers import LinearSystem, SolverEnvironment
+from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
 PRECISION = 1e-6
-# Gauss-Seidel gives up after this many sweeps; the longer chains need millions
-GS_SWEEPS = 20_000
+# the iteration gives up after this many steps; the longer chains need millions
+ITERATIONS = 20_000
+TANDEM_CAPS = (8, 12)
 
 
 def chain(n, move=0.01):
@@ -88,6 +94,18 @@ def grid(k):
     return sparse.build_sparse(triples, k * k, k * k), b
 
 
+def tandem(c):
+    """The maybe states of P=? [ (n3<c) U (n1=c) ] on the tandem with capacity c, as (A, b)."""
+    model, state_map = explore(typecheck(parse_program(TANDEM), {"c": c}), ExploreOptions())
+    n1, _, n3 = state_map.columns
+    left, right = n3 < c, n1 == c
+    p0 = graph.prob0(model.matrix, left, right)
+    p1 = graph.prob1(model.matrix, left, right, p0)
+    maybe = ~(p0 | p1)
+    A, _ = sparse.restrict(model.matrix, maybe, maybe)
+    return A, kernels.matvec(model.matrix, p1.astype(float))[maybe]
+
+
 def best_of(fn, repeats):
     best, result = float("inf"), None
     for _ in range(repeats):
@@ -98,22 +116,24 @@ def best_of(fn, repeats):
 
 
 def bench(name, A, b, repeats, gs_states):
-    system = LinearSystem(A, b)
     factor_s, lu = best_of(lambda: solvers._factor(A), repeats)
-    certified = solvers._certified_elimination(system, "relative")
+    certified = solvers._certified_elimination(LinearSystem(A, b), "relative")
     bound = float("inf") if certified is None else certified.error_bound
     fell_back = not bound <= PRECISION
-    gs = "-"
+    iterated = "-"
     if A.rows <= gs_states:
-        env = SolverEnvironment(linear_method="gauss_seidel", precision=PRECISION, max_iterations=GS_SWEEPS)
+        # the system as the linear solve hands it to the iteration: one choice per state
+        system = BellmanSystem(A, np.arange(A.rows + 1), b, "maximize")
+        env = SolverEnvironment(precision=PRECISION, max_iterations=ITERATIONS)
         try:
-            gs_s, outcome = best_of(lambda: solvers.solve_linear(system, env), repeats)
-            gs = f"{gs_s * 1e3:.1f} ({outcome.iterations} sweeps)"
+            seconds, outcome = best_of(lambda: solvers._iterate(system, env), repeats)
+            proven = "no bound" if outcome.error_bound is None else f"bound {outcome.error_bound:.1e}"
+            iterated = f"{seconds * 1e3:.1f} ({outcome.iterations} iterations, {proven})"
         except NotConverged:
-            gs = f"no convergence in {GS_SWEEPS} sweeps"
+            iterated = f"no convergence in {ITERATIONS} iterations"
     shown = "-" if bound == float("inf") else f"{bound:.2e}"
     print(f"{name:<12} {A.rows:>8} {A.nnz:>8} {factor_s * 1e3:>10.1f} {lu.work / A.nnz:>9.1f} "
-          f"{shown:>11} {'yes' if fell_back else 'no':>9}  {gs}")
+          f"{shown:>11} {'yes' if fell_back else 'no':>9}  {iterated}")
 
 
 # gambler's ruin on 0..n where every inner state steps up with 0.401 or with 0.441
@@ -265,19 +285,21 @@ def main():
     parser.add_argument("--chains", default="60,300,1000,3000",
                         help="comma-separated sizes N of the chain and the ruin MDP")
     parser.add_argument("--grids", default="10,30,60", help="comma-separated sides k of the grid and the grid MDP")
-    parser.add_argument("--gs-states", type=int, default=1000,
-                        help="time Gauss-Seidel only on systems of at most this many states")
+    parser.add_argument("--gs-states", type=int, default=2500,
+                        help="time the iteration only on systems of at most this many states")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
     chains = [int(v) for v in args.chains.split(",") if v]
     grids = [int(v) for v in args.grids.split(",") if v]
     print(f"budget {solvers.ELIMINATION_BUDGET} multiply-adds per entry, precision {PRECISION:g}")
     print(f"{'system':<12} {'states':>8} {'nnz':>8} {'factor ms':>10} {'madd/nnz':>9} "
-          f"{'error_bound':>11} {'fallback':>9}  gauss-seidel ms")
+          f"{'error_bound':>11} {'fallback':>9}  iteration ms")
     for n in chains:
         bench(f"chain {n}", *chain(n), args.repeats, args.gs_states)
     for k in grids:
         bench(f"grid {k}", *grid(k), args.repeats, args.gs_states)
+    for c in TANDEM_CAPS:
+        bench(f"tandem {c}", *tandem(c), args.repeats, args.gs_states)
     print()
     print(f"{'mdp':<14} {'prop':<5} by {'ms':>10} {'iters':>6} {'method':<16} {'error_bound':>11} {'rel error':>9}")
     for n in chains:

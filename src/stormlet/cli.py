@@ -57,7 +57,7 @@ def _build_argparser():
                       help="property string (repeatable)")
     prop.add_argument("--prop-file", metavar="FILE", help="property file, one property per line")
     solver = p.add_argument_group("solver")
-    solver.add_argument("--solver", choices=["elimination", "gauss-seidel", "exact"],
+    solver.add_argument("--solver", choices=["elimination", "exact"],
                         default="elimination", help="linear equation method")
     solver.add_argument("--minmax", choices=["vi", "pi"], default="pi",
                         help="Bellman equation method (value/policy iteration)")
@@ -132,7 +132,7 @@ def parse_args(argv):
     # with --exact the matrices are rational, and the solvers then pick
     # exact elimination and policy iteration whatever the method flags say
     env = SolverEnvironment(
-        linear_method=ns.solver.replace("-", "_"),
+        linear_method=ns.solver,
         minmax_method="policy_iteration" if ns.minmax == "pi" else "value_iteration",
         precision=ns.precision,
         criterion="absolute" if ns.absolute else "relative",
@@ -181,30 +181,16 @@ def _fraction_text(v):
         sys.set_int_max_str_digits(limit)
 
 
-def _value_text(v):
+def _value(v, human):
+    """A result value as printed, or as a JSON value."""
     if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+        return ("true" if v else "false") if human else bool(v)
     if isinstance(v, Fraction):
         return _fraction_text(v)
     v = float(v)
-    if math.isinf(v):
-        return "inf"
-    if math.isnan(v):
-        return "NaN"
-    return f"{v:.6g}"
-
-
-def _value_json(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, Fraction):
-        return _fraction_text(v)
-    v = float(v)
-    if math.isinf(v):
-        return "inf"
-    if math.isnan(v):
-        return "NaN"
-    return v
+    if math.isinf(v) or math.isnan(v):
+        return "inf" if math.isinf(v) else "NaN"
+    return f"{v:.6g}" if human else v
 
 
 def format_result(result, fmt, property_text, initial_states):
@@ -212,7 +198,7 @@ def format_result(result, fmt, property_text, initial_states):
     if fmt == "human":
         lines = [f"Property: {property_text}"]
         for s in initial_states:
-            lines.append(f"Result (state {s}): {_value_text(result.values[s])}")
+            lines.append(f"Result (state {s}): {_value(result.values[s], True)}")
         return "\n".join(lines) + "\n"
     meta = {
         k: v
@@ -221,7 +207,7 @@ def format_result(result, fmt, property_text, initial_states):
     }
     payload = {
         "property": property_text,
-        "values": {str(s): _value_json(result.values[s]) for s in initial_states},
+        "values": {str(s): _value(result.values[s], False) for s in initial_states},
         "metadata": meta,
     }
     return json.dumps(payload, sort_keys=True) + "\n"

@@ -57,11 +57,5 @@ class SingularMatrix(SolverError):
     pass
 
 
-class DiagonalOne(SolverError):
-    def __init__(self, state):
-        self.state = state
-        super().__init__(f"diagonal entry >= 1 in row {state}; Gauss-Seidel correction undefined")
-
-
 class LambdaTooLarge(SolverError):
     pass

@@ -213,11 +213,11 @@ def _new_keys(src, choice, numbers):
 def parse_transitions(text, rational=False, fix_deadlocks=False):
     """Parse a transitions file.
 
-    Returns (kind, matrix, choice_offsets, exit_rates or None, patched bitset).
-    The lines of one (state, choice) need not be adjacent. Duplicate
-    transitions add up in file order; then DTMC/MDP rows within 1e-6 of a
-    distribution are renormalized. The first bad line in file order is
-    reported, with its number.
+    Returns (kind, matrix, choice_offsets, exit_rates or None); a state
+    without transitions gets a self-loop under ``fix_deadlocks``. The lines of
+    one (state, choice) need not be adjacent. Duplicate transitions add up in
+    file order; then DTMC/MDP rows within 1e-6 of a distribution are
+    renormalized. The first bad line in file order is reported by number.
     """
     kind, header_no, start = _header(text)
     want = 4 if kind is ModelKind.MDP else 3
@@ -255,8 +255,8 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     src, choice, dst = (np.asarray(a, dtype=np.int64) for a in (src, choice, dst))
     s, c = src[new], choice[new]  # the keys, ascending
 
-    patched = np.ones(n, dtype=bool)
-    patched[s] = False
+    deadlocked = np.ones(n, dtype=bool)
+    deadlocked[s] = False
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.maximum(np.bincount(s, minlength=n), 1), out=offsets[1:])
     # duplicates add up in file order; a row's total adds its entries in the
@@ -271,7 +271,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     exit_rates = None
     if kind is ModelKind.CTMC:
         rates = sparse.as_vector(np.ones(n), domain)
-        rates[s] = totals  # absorbing convention: a patched state has a self-loop at rate 1
+        rates[s] = totals  # absorbing convention: a deadlocked state has a self-loop at rate 1
         exit_rates = rates.tolist()
         scaled = summed / totals[of_entry]
     elif rational:
@@ -289,7 +289,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         # renormalize only when the deviation is above rounding noise, so
         # written models parse back value-identical
         scaled = summed / np.where(deviation <= ROW_SUM_TOLERANCE, 1.0, totals)[of_entry]
-    loops = np.flatnonzero(patched)
+    loops = np.flatnonzero(deadlocked)
     entries = np.rec.fromarrays([
         np.concatenate((entry_row, offsets[loops])),
         np.concatenate((entry_col, loops)),
@@ -298,7 +298,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     matrix = sparse.build_sparse(entries, int(offsets[-1]), n, domain)
     if kind is not ModelKind.MDP:
         offsets = np.arange(n + 1, dtype=np.int64)
-    return kind, matrix, offsets, exit_rates, patched
+    return kind, matrix, offsets, exit_rates
 
 
 def _declarations(text):
@@ -425,7 +425,7 @@ def parse_action_rewards(text, kind, choice_offsets, rational=False):
 
 def build_model(bundle, rational=False, fix_deadlocks=False, reward_name="default"):
     """Assemble a Model from an ExplicitBundle."""
-    kind, matrix, offsets, exit_rates, _ = parse_transitions(
+    kind, matrix, offsets, exit_rates = parse_transitions(
         bundle.transitions_text, rational=rational, fix_deadlocks=fix_deadlocks
     )
     n = len(offsets) - 1

@@ -2,7 +2,9 @@
 with one alternative per token class."""
 
 import re
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ..errors import ParseError
 
@@ -34,7 +36,7 @@ _TOKEN = re.compile(r"""
 @dataclass
 class Token:
     kind: str  # keyword/symbol text, or IDENT / INT / DOUBLE / STRING / EOF
-    value: object
+    value: object  # an int for INT, a Fraction for DOUBLE, the text otherwise
     line: int
     column: int
     offset: int  # of the token's first character in the source
@@ -62,8 +64,17 @@ def tokenize(text):
             kind = word if word in KEYWORDS else "IDENT"
         elif kind == "symbol":
             kind = word
-        elif kind == "INT":
-            value = int(word)
+        elif kind in ("INT", "DOUBLE"):
+            # past Python's limit on integer string conversion (0 for none), int() fails
+            # and Fraction builds a power of ten with as many digits as the exponent
+            limit = sys.get_int_max_str_digits()
+            mantissa, _, exponent = word.lower().partition("e")
+            exponent = exponent.lstrip("+-")
+            digits = len(mantissa.replace(".", ""))
+            if limit and (digits > limit or len(exponent) > limit or int(exponent or 0) > limit):
+                raise ParseError(f"numeric literal has more than {limit} digits or an exponent above {limit}",
+                                 line=line, column=column)
+            value = int(word) if kind == "INT" else Fraction(word)
         elif kind == "STRING":
             value = word[1:-1]
         elif kind == "error":

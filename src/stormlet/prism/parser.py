@@ -1,8 +1,6 @@
 """Parser for the supported program subset: recursive descent for the program
 structure, one operator-precedence loop for expressions and state formulas."""
 
-from fractions import Fraction
-
 from ..errors import ParseError
 from ..models import ModelKind
 from . import syntax
@@ -101,12 +99,9 @@ class Precedence:
 
 def _parse_primary(cur):
     tok = cur.peek()
-    if tok.kind == "INT":
+    if tok.kind in ("INT", "DOUBLE"):
         cur.advance()
         return syntax.Lit(value=tok.value, span=_span(tok))
-    if tok.kind == "DOUBLE":
-        cur.advance()
-        return syntax.Lit(value=Fraction(tok.value), span=_span(tok))
     if tok.kind in ("true", "false"):
         cur.advance()
         return syntax.Lit(value=tok.kind == "true", span=_span(tok))

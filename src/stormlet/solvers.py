@@ -15,7 +15,8 @@ each shows f(x+d) <= x+d and f(x-d) >= x-d, which puts the one fixed point
 between x-d and x+d. d is twice the solve of |f(x) - x| plus a rounding
 margin, reported as ``error_bound`` (relative under the relative criterion).
 When the budget runs out, a pivot is not positive, the check fails or the
-bound exceeds the precision, Gauss-Seidel solves the system from zero.
+bound exceeds the precision, the system goes to the certified iteration
+below, as a Bellman system with one choice per state.
 
 Bellman systems x = opt_c (b_c + A_c.x) are solved by policy iteration by
 default, one body for float64 and Fraction. In floats each scheduler is
@@ -34,46 +35,55 @@ proof, but an end component inside the maybe states can keep the backup from
 holding; the result then carries no bound (see ``_policy_iteration``).
 When elimination cannot certify a scheduler's value (the budget runs out, or
 the check fails or misses the precision), every further round would pay the
-same for no bound, so value iteration finishes from the last value policy
-iteration has (``_finish_by_value_iteration``).
+same for no bound, so the certified iteration below takes over from what
+policy iteration has proven (``_hand_over``), as ``--minmax vi`` starts it.
 
-Gauss-Seidel and value iteration stop once successive iterates differ by at
-most ``CONVERGENCE_SAFETY`` times the precision, which on a slow chain can
-be far from the fixed point; their results carry no bound.
+The certified iteration (``_iterate``) is interval iteration (Baier et al.,
+CAV 2017) with an optimistic upper side (Hartmanns & Kaminski, CAV 2020).
+Each backup is widened by its rounding margin m: lo <- F(lo) - m rises from
+0, or from a value below the optimum, and hi <- F(hi) + m descends from a
+value above it. Minimising, that is a scheduler's certified value, and from
+a proper one a minimised expected reward stays at the optimum among the
+proper schedulers. Otherwise hi is guessed as lo plus the precision (times
+lo, relatively) once lo's step is small, and holds once F(hi) + m <= hi, as
+a pre-fixed point y >= 0 lies above every scheduler's value; a guess that
+stops descending or falls below lo is dropped, and the next waits for a
+step ten times smaller. The result is the midpoint, with half the gap as
+``error_bound``. Both iterates are monotone, so they repeat after finitely
+many steps; if they do with the gap open (an end component inside the maybe
+states of ``Pmax`` or ``Rmin``, values below the float range, or a precision
+below the margins), the result, with no bound, is the upper side when
+minimising and the lower side when maximising.
 """
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph, kernels, sparse
-from .errors import DiagonalOne, LambdaTooLarge, NotConverged, SingularMatrix, SolverError
+from .errors import LambdaTooLarge, NotConverged, SingularMatrix, SolverError
 
-
-# Iterative methods stop once successive iterates differ by at most this
-# fraction of the requested precision. The margin absorbs the usual gap
-# between the iterate difference and the true error of a contracting
-# iteration, so results are accurate to roughly the requested precision.
-CONVERGENCE_SAFETY = 0.02
 
 # Float elimination gives up once it has spent more than this many
-# multiply-adds per entry of the rows it has read. benchmarks/bench_solve.py:
-# a chain takes 0.3 per entry and a k x k grid walk about k^2/4 (895 at
-# 60 x 60: 1.6 s, where Gauss-Seidel takes 11.5 s), so grids up to about
-# 63 x 63 get through. A multiply-add costs about one entry of a
-# Gauss-Seidel sweep, so a give-up wastes at most about 1000 sweeps, and less
-# when the fill-in shows early.
+# multiply-adds per entry of the rows it has read. benchmarks/bench_solve.py,
+# against the certified iteration it falls back to: a chain takes 0.3 per
+# entry; a k x k grid walk about k^2/4, at 45 x 45 (503) 0.55 s against
+# 1.4 s and at 60 x 60 (895) 1.9 s against 4.3 s, so grids up to about
+# 63 x 63 get through. The 3-D tandem of bench_explore.py iterates faster:
+# 0.09 s against 0.03 s at c = 8 (285), and at c = 12 (1 322) the give-up
+# alone takes 0.43 s, the iteration then 0.14 s. No budget wins on both.
 ELIMINATION_BUDGET = 1000
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+_NORMAL = np.finfo(np.float64).tiny
 
 
 @dataclass
 class SolverEnvironment:
-    linear_method: str = "elimination"  # elimination | gauss_seidel | exact
+    linear_method: str = "elimination"  # elimination | exact
     minmax_method: str = "policy_iteration"  # policy_iteration | value_iteration
     precision: float = 1e-6
     criterion: str = "relative"  # relative | absolute
@@ -83,7 +93,7 @@ class SolverEnvironment:
     exact: bool = False
 
     def __post_init__(self):
-        if self.linear_method not in ("elimination", "gauss_seidel", "exact"):
+        if self.linear_method not in ("elimination", "exact"):
             raise SolverError(f"unknown linear method {self.linear_method!r}")
         if self.minmax_method not in ("value_iteration", "policy_iteration"):
             raise SolverError(f"unknown min-max method {self.minmax_method!r}")
@@ -139,41 +149,26 @@ class SolveOutcome:
 
 
 def _largest_error(diff, x, criterion):
-    """The largest entry of diff (scaled in place), each relative to |x| under the relative criterion."""
+    """The largest entry of diff (scaled in place), each relative to |x| under the relative criterion.
+
+    Entries where |x| is below the normal range are measured absolutely.
+    """
     if criterion == "relative":
         scale = np.abs(x)
-        big = scale >= 1e-30
+        big = scale >= _NORMAL
         diff[big] /= scale[big]
     return float(diff.max(initial=0.0))
 
 
 def solve_linear(system, env):
-    """Solve x = A.x + b: exact or certified elimination, else Gauss-Seidel."""
+    """Solve x = A.x + b: exact or certified elimination, else the certified iteration."""
     if env.linear_method == "exact" or system.A.dtype == "rational":
         x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
         return SolveOutcome(x=x, iterations=0, method="exact")
-    if env.linear_method == "elimination":
-        outcome = _certified_within(system, env)
-        if outcome is not None:
-            return outcome
-    return _gauss_seidel(system, env)
-
-
-def _gauss_seidel(system, env):
-    m = system.A
-    # the sequential sweep indexes single entries, which lists do far faster than arrays
-    offsets, cols, values = m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist()
-    b = system.b.tolist()
-    x = [0.0] * len(b)
-    relative = env.criterion == "relative"
-    tol = env.precision * CONVERGENCE_SAFETY
-    for it in range(1, env.max_iterations + 1):
-        diff, bad = kernels.gauss_seidel_sweep(offsets, cols, values, b, x, relative)
-        if bad >= 0:
-            raise DiagonalOne(bad)
-        if diff <= tol:
-            return SolveOutcome(x=np.array(x), iterations=it, method="gauss_seidel")
-    raise NotConverged(env.max_iterations, best=np.array(x))
+    outcome = _certified_elimination(system, env.criterion)
+    if outcome is not None and outcome.error_bound <= env.precision:
+        return outcome
+    return _iterate(BellmanSystem(system.A, np.arange(system.A.rows + 1), system.b, "maximize"), env)
 
 
 class _LU:
@@ -290,14 +285,6 @@ def _certified_elimination(system, criterion):
     return None
 
 
-def _certified_within(system, env):
-    """Certified elimination's outcome if its bound meets the precision, else None."""
-    outcome = _certified_elimination(system, env.criterion)
-    if outcome is not None and outcome.error_bound <= env.precision:
-        return outcome
-    return None
-
-
 def solve_linear_exact(A, b):
     """The exact solution of (I - A) x = b, a list of Fraction, for a rational A."""
     return _factor(A).solve(sparse.as_vector(b, "rational").tolist())
@@ -307,30 +294,64 @@ def solve_minmax(system, env, initial_scheduler=None):
     """Solve the Bellman system x = opt_c (b_c + A_c.x).
 
     The system must be preprocessed so the sought optimum is the least fixed
-    point reachable from zero. ``initial_scheduler`` seeds policy iteration
-    (required to be proper for minimized expected-reward systems).
+    point reachable from zero. ``initial_scheduler`` (choice 0 by default)
+    seeds policy iteration, or the chain that value iteration descends from
+    when minimising; it must be proper for minimized expected rewards.
     """
+    if initial_scheduler is None:
+        initial_scheduler = np.zeros(system.n_states, dtype=np.int64)
+    scheduler = np.array(initial_scheduler, dtype=np.int64)
     if system.A.dtype == "rational" or env.minmax_method == "policy_iteration":
-        return _policy_iteration(system, env, initial_scheduler)
-    return _value_iteration(system, env)
+        return _policy_iteration(system, env, scheduler)
+    return _hand_over(system, env, scheduler)
 
 
-def _value_iteration(system, env, start=None):
-    """Value iteration from ``start`` (zeros by default)."""
+def _iterate(system, env, lower=None, upper=None):
+    """The certified iteration on a float Bellman system; see the module docstring.
+
+    ``lower`` (0 by default) must lie below the optimum and ``upper``, if
+    given, above it. The scheduler is the last backup's choice on the side
+    returned.
+    """
     maximize = system.direction == "maximize"
-    b = system.b
-    x = np.zeros(system.n_states) if start is None else np.array(start, dtype=np.float64)
-    arg = np.zeros(system.n_states, dtype=np.int64)
-    tol = env.precision * CONVERGENCE_SAFETY
+    terms = int(np.diff(system.A.row_offsets).max(initial=0)) + 2
+
+    def backup(v):
+        # F(v), its rounding margin as in _rounding_margin and its choices; a row that sums to 0 is
+        # taken as exact, so a value of 0 is provable (only products below half a subnormal escape)
+        w, arg = kernels.matvec_reduce(system.A, system.choice_offsets, v, maximize, system.b)
+        return w, terms * (_EPS * w + _TINY * (w > 0)), arg
+
+    lo = np.zeros(system.n_states) if lower is None else lower
+    hi, proven, final = upper, upper is not None, False
+    step = env.precision  # the largest step of lo at which hi is guessed
     for it in range(1, env.max_iterations + 1):
-        y, arg = kernels.matvec_reduce(system.A, system.choice_offsets, x, maximize, b)
-        if __debug__ and start is None and it % 1000 == 0:
-            assert np.all(y >= x - 1e-12), "value iteration lost monotonicity"
-        diff = _largest_error(np.abs(y - x), y, env.criterion)
-        x = y
-        if diff <= tol:
-            return SolveOutcome(x=x, iterations=it, scheduler=arg, method="value_iteration")
-    raise NotConverged(env.max_iterations, best=x)
+        w, margin, arg = backup(lo)
+        y, z = np.maximum(lo, w - margin), None
+        if hi is not None:
+            w, margin, hi_arg = backup(hi)
+            proven = proven or bool(np.all(w + margin <= hi))
+            z = np.minimum(hi, w + margin)
+            if not proven and (np.array_equal(z, hi) or np.any(z < y)):
+                # the guess lies below the optimum somewhere
+                if final:
+                    return SolveOutcome(x=y, iterations=it, scheduler=arg, method="value_iteration")
+                z, step = None, step / 10
+        if proven:
+            x, scheduler = y + (z - y) / 2, arg if maximize else hi_arg
+            error = np.maximum(z - x, x - y)
+            bound = _largest_error(error.copy(), x, env.criterion)
+            if bound <= env.precision:
+                return SolveOutcome(x=x, iterations=it, scheduler=scheduler, method="value_iteration",
+                                    error_bound=bound, error=error)
+            if np.array_equal(y, lo) and np.array_equal(z, hi):
+                return SolveOutcome(x=y if maximize else z, iterations=it, scheduler=scheduler,
+                                    method="value_iteration")
+        elif z is None and _largest_error(y - lo, y, env.criterion) <= step:
+            z = y + (env.precision * y if env.criterion == "relative" else env.precision)
+            final = np.array_equal(y, lo)  # lo no longer moves, so no later guess differs
+        lo, hi = y, z
+    raise NotConverged(env.max_iterations, best=lo if maximize or hi is None else hi)
 
 
 def _induced_rows(system, scheduler):
@@ -345,12 +366,12 @@ def _evaluate_scheduler(system, scheduler, env):
     """The value of the chain a scheduler induces, as a least fixed point.
 
     Returns (x, d, margin): the value x, a bound d with the value within
-    [x - d, x + d] (None when the solve proved none: it was exact or ran
-    Gauss-Seidel) and the rounding margin of each state's induced row (0 in
-    exact arithmetic). Under float elimination, returns None instead when
-    elimination cannot certify the value within the precision. States that
-    cannot reach the support of b have value 0 and are excluded before
-    solving, which keeps the restricted system nonsingular.
+    [x - d, x + d] (None when the solve was exact) and the rounding margin of
+    each state's induced row (0 in exact arithmetic). Under float
+    elimination, returns None instead when elimination cannot certify the
+    value within the precision. States that cannot reach the support of b
+    have value 0 and are excluded before solving, which keeps the restricted
+    system nonsingular.
     """
     A, b = _induced_rows(system, scheduler)
     x = sparse.as_vector(np.zeros(A.rows), A.dtype)
@@ -361,38 +382,37 @@ def _evaluate_scheduler(system, scheduler, env):
         sub, _ = sparse.restrict(A, relevant, relevant)
         linear = LinearSystem(sub, b[relevant])
         if certify:
-            outcome = _certified_within(linear, env)
-            if outcome is None:
+            outcome = _certified_elimination(linear, env.criterion)
+            if outcome is None or outcome.error_bound > env.precision:
                 return None
             d[relevant] = outcome.error
         else:
-            # an unproven value is solved tighter, so its error cannot sway the improvement step
-            outcome = solve_linear(linear, replace(env, precision=min(env.precision, 1e-9)))
+            outcome = solve_linear(linear, env)
         x[relevant] = outcome.x
     if A.dtype == "rational":
         return x, None, 0
     return x, d, _rounding_margin(A, b, x)
 
 
-def _finish_by_value_iteration(system, env, scheduler, x, evaluations):
-    """Value iteration from the value x of the last scheduler evaluated.
+def _hand_over(system, env, scheduler, x=None, d=None):
+    """The certified iteration from the value x and bound d of the last scheduler evaluated, if any.
 
-    Policy iteration hands over once elimination cannot certify the value of
-    ``scheduler``. Maximizing, x lies below the optimum and the iteration
-    rises from it (from 0 if no scheduler was evaluated). Minimizing, it
-    descends from the value of a proper scheduler, which is why a minimized
-    expected reward ends at the optimum among the proper schedulers and not
-    at a fixed point below it; with no value yet, value iteration on the
-    chain of ``scheduler`` (proper for expected rewards) gives one. The
-    iterations reported count the evaluations and all sweeps.
+    Maximizing, the lower iterate rises from x - d (or 0). Minimizing, the
+    upper one descends from x + d; without them, the chain of ``scheduler``
+    (proper for expected rewards) is solved by the iteration first, and if
+    that proves no bound, neither does the result.
     """
-    sweeps = 0
-    if x is None and system.direction == "minimize":
+    if system.direction == "maximize":
+        return _iterate(system, env, lower=None if x is None else np.maximum(x - d, 0.0))
+    steps = 0
+    if x is None:
         A, b = _induced_rows(system, scheduler)
-        chain = _value_iteration(BellmanSystem(A, np.arange(A.rows + 1), b, "minimize"), env)
-        x, sweeps = chain.x, chain.iterations
-    outcome = _value_iteration(system, env, x)
-    outcome.iterations += evaluations + sweeps
+        chain = _iterate(BellmanSystem(A, np.arange(A.rows + 1), b, "minimize"), env)
+        x, d, steps = chain.x, chain.error, chain.iterations
+    outcome = _iterate(system, env, upper=x if d is None else x + d)
+    outcome.iterations += steps
+    if d is None:
+        outcome.error_bound = outcome.error = None
     return outcome
 
 
@@ -401,16 +421,12 @@ def _backup_violations(system, x, d, maximize):
 
     See the module docstring for why the backup proves x - d <= opt <= x + d.
     """
-    if maximize:
-        y = x + d
-        backup, arg = kernels.matvec_reduce(system.A, system.choice_offsets, y, True, system.b)
-        return backup > y, arg
-    y = np.maximum(x - d, 0.0)
-    backup, arg = kernels.matvec_reduce(system.A, system.choice_offsets, y, False, system.b)
-    return backup < y, arg
+    y = x + d if maximize else np.maximum(x - d, 0.0)
+    backup, arg = kernels.matvec_reduce(system.A, system.choice_offsets, y, maximize, system.b)
+    return (backup > y) if maximize else (backup < y), arg
 
 
-def _policy_iteration(system, env, initial_scheduler):
+def _policy_iteration(system, env, scheduler):
     """Policy iteration, certified in floats when every evaluation is.
 
     A state switches to its first optimal choice only if that beats its
@@ -418,30 +434,26 @@ def _policy_iteration(system, env, initial_scheduler):
     switches, one backup must prove the bound (``_backup_violations``); where
     it fails, the violating states switch to their backup choice and the
     iteration goes on. The scheduler returned is the one evaluated last, a
-    witness of the value. Value iteration takes over when float elimination
-    cannot certify an evaluation (``_finish_by_value_iteration``). The
-    result carries no bound when an evaluation proved none (it was exact or
-    ran Gauss-Seidel), or when the backup's switches lead back to a scheduler
-    already evaluated (an end component inside the maybe states can keep the
-    backup from holding) or, minimizing, to one under which a state of
-    positive value gets value 0 (it no longer reaches the target); the last
-    settled outcome is then returned.
+    witness of the value. The result carries no bound when an evaluation
+    proved none (it was exact), or when the backup's switches lead back to a
+    scheduler already evaluated (an end component inside the maybe states can
+    keep the backup from holding) or, minimizing, to one under which a state
+    of positive value gets value 0 (it no longer reaches the target); the
+    last settled outcome is then returned.
     """
     maximize = system.direction == "maximize"
-    if initial_scheduler is None:
-        scheduler = np.zeros(system.n_states, dtype=np.int64)
-    else:
-        scheduler = np.asarray(initial_scheduler, dtype=np.int64).copy()
     rows = system.choice_offsets[:-1]
     seen = set()
     settled = None  # the last outcome that no state could improve on
-    x = None
+    x = d = None
     cap = max(64, 4 * system.A.rows)
     for it in range(1, cap + 1):
         seen.add(scheduler.tobytes())
         evaluated = _evaluate_scheduler(system, scheduler, env)
         if evaluated is None:
-            return _finish_by_value_iteration(system, env, scheduler, x, it - 1)
+            outcome = _hand_over(system, env, scheduler, x, d)
+            outcome.iterations += it - 1
+            return outcome
         previous, (x, d, margin) = x, evaluated
         if settled is not None and not maximize and np.any((x == 0) & (previous > 0)):
             break

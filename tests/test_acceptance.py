@@ -29,7 +29,7 @@ from stormlet import checkers, cli, explicit, graph, solvers
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.props import parse_property, resolve_atoms
-from stormlet.solvers import LinearSystem, SolverEnvironment
+from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
 # the two-action ruin MDP and its exact references are shared with benchmarks/bench_solve.py
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -100,11 +100,14 @@ def test_02_solver_cross_validation():
         matrix = rows_to_matrix(rows, n, False)
         b = [float(Fraction(rng.randint(0, 5), 4)) for _ in range(n)]
         solutions = []
-        for method in ("elimination", "gauss_seidel", "exact"):
+        for method in ("elimination", "exact"):
             env = SolverEnvironment(linear_method=method, precision=1e-6)
             out = solvers.solve_linear(LinearSystem(matrix, b), env)
             x = np.array([float(v) for v in out.x])
             solutions.append(x)
+        # the certified iteration that the linear solve falls back to
+        chain = BellmanSystem(matrix, np.arange(n + 1), b, "maximize")
+        solutions.append(solvers._iterate(chain, SolverEnvironment(precision=1e-6)).x)
         for xa, xb in itertools.combinations(solutions, 2):
             worst = max(worst, float(np.max(np.abs(xa - xb), initial=0.0)))
     elapsed = time.perf_counter() - start
@@ -338,8 +341,8 @@ def test_09_fox_glynn_windows():
     report("Poisson window truncation", ok, f"max tail {worst_tail:.2e}, norm gap {worst_norm:.2e}")
 
 
-# the lazy walk on 0..n, moving each way with probability 1/100: Gauss-Seidel
-# iterates barely change on it long before they are near the fixed point
+# the lazy walk on 0..n, moving each way with probability 1/100: iterates of
+# value iteration barely change on it long before they are near the fixed point
 SLOW_CHAIN = """dtmc
 module walk
   x : [0..{n}] init {init};
@@ -406,3 +409,19 @@ def test_11_ruin_mdp_is_certified(n):
             worst = max(worst, relative_error(result.values[s], (rp, rq)))
     report(f"ruin MDP of {n + 1} states", worst <= 1e-6,
            f"relative errors {worst:.1e}, error bounds {widest:.1e}")
+
+
+def test_12_tiny_pmin_by_value_iteration(tmp_path, capsys):
+    # from state 20 of 0..200, the worse choice reaches 200 with probability about 3e-32; the
+    # relative precision holds for every normal value, so the iteration must resolve it
+    n, init = 200, 20
+    program = tmp_path / "ruin.nm"
+    program.write_text(RUIN_MDP.format(n=n, init=init))
+    code = cli.main(["--prism", str(program), "--minmax", "vi", "--json", "--prop", 'Pmin=? [ F "top" ]'])
+    line = json.loads(capsys.readouterr().out)
+    value, bound = line["values"]["0"], line["metadata"].get("error_bound", math.inf)
+    ref = ruin_top(n, 401)[init]
+    error = relative_error(value, ref)
+    report(f"Pmin {value:.3g} of the ruin MDP by value iteration", code == 0 and value < 1e-30
+           and line["metadata"]["method"] == "value_iteration" and error <= bound <= 1e-6,
+           f"relative error {error:.1e}, error bound {bound:.1e}")

@@ -247,9 +247,11 @@ def test_end_component_leaves_policy_iteration_uncertified(optimum, p):
 def test_value_iteration_finishes_when_elimination_gives_up(text, value):
     # states 0, 1 and 2 may [stay] for reward 0 or [go] for reward 1 to each of them with 3/10
     # and to the goal 3 with 1/10 (for Pmax, the self-loop of [go] leads to the sink 4 instead).
-    # With no elimination budget the first evaluation gives up and value iteration finishes;
-    # for Rmin it descends from the value of the proper seed, so the stay loops' value 0 is
-    # never reached
+    # With no elimination budget the first evaluation gives up and the certified iteration
+    # finishes without a bound: the stay loops are end components. For Pmax a guess above the
+    # value cannot prove itself, as a stay loop keeps it exactly, and the lower side is
+    # returned; for Rmin the upper side descends from the value of the proper seed, so the
+    # stay loops' value 0 is never reached
     sink = 4 if text.startswith("Pmax") else None
     rows = []
     for i in range(3):

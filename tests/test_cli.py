@@ -163,11 +163,13 @@ def test_fail_on_false_exit_2(capsys):
 
 
 def test_not_converged_exit_3(capsys):
+    # one step of the iteration reaches 1/2 from 0, and none is left to show that it stays there
     code, out, err = run_cli(
-        capsys, "--prism", DIE, "--max-iter", "1", "--solver", "gauss-seidel",
-        "--prop", 'P=? [ F "six" ]',
+        capsys, "--prism", str(CORPUS / "coin.nm"), "--max-iter", "1", "--minmax", "vi",
+        "--prop", 'Pmax=? [ F "agree" ]',
     )
     assert code == 3 and out == ""
+    assert err == "stormlet: no convergence within 1 iterations\n"
 
 
 @pytest.mark.parametrize(
@@ -178,6 +180,25 @@ def test_invalid_solver_settings_exit_1(capsys, flag, message):
     code, out, err = run_cli(capsys, "--prism", DIE, flag, "0", "--prop", 'P=? [ F "six" ]')
     assert code == 1 and out == ""
     assert err == f"stormlet: error: {message}\n"
+
+
+OVERSIZED = "numeric literal has more than 4300 digits or an exponent above 4300"
+
+
+@pytest.mark.parametrize("bound", ["1" * 5000, "1e999999999"])
+def test_oversized_literal_in_a_property_exit_1(capsys, bound):
+    # converting either would fail or build a power of ten with 10^9 digits
+    code, out, err = run_cli(capsys, "--prism", DIE, "--prop", f'P=? [ F<={bound} "six" ]')
+    assert code == 1 and out == ""
+    assert err == f"stormlet: property parse error: {OVERSIZED} at line 1, column 10\n"
+
+
+def test_oversized_literal_in_a_program_exit_1(capsys, tmp_path):
+    program = tmp_path / "big.pm"
+    program.write_text(f"dtmc\nmodule m\n  x : int init {'7' * 5000};\n  [] true -> (x'=x);\nendmodule\n")
+    code, out, err = run_cli(capsys, "--prism", str(program), "--prop", 'P=? [ F x=0 ]')
+    assert code == 1 and out == ""
+    assert err == f"stormlet: parse error: {OVERSIZED} at line 3, column 16\n"
 
 
 @pytest.mark.parametrize(
@@ -435,14 +456,17 @@ def test_version(capsys):
 
 
 def test_solver_flag_selects_method(capsys):
-    for solver in ("elimination", "gauss-seidel", "exact"):
+    for solver in ("elimination", "exact"):
         code, out, _ = run_cli(
             capsys, "--prism", DIE, "--solver", solver, "--json", "--prop", 'P=? [ F "six" ]'
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["values"]["0"] == pytest.approx(1 / 6, abs=1e-6)
-        assert payload["metadata"]["method"] == solver.replace("-", "_")
+        assert payload["metadata"]["method"] == solver
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--prism", DIE, "--solver", "gauss-seidel", "--prop", 'P=? [ F "six" ]'])
+    assert exc.value.code == 1 and "invalid choice: 'gauss-seidel'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("criterion, prop, bounded", [
@@ -467,6 +491,16 @@ def test_rmin_defaults_to_certified_policy_iteration(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--prism", str(program), "--json", "--prop", 'Rmin=? [ F "goal" ]')
     meta = json.loads(out)["metadata"]
     assert meta["method"] == "policy_iteration" and 0 < meta["error_bound"] <= 1e-6
+
+
+@pytest.mark.parametrize("minmax", ["vi", "pi"])
+def test_rmin_with_a_zero_reward_loop_is_1_by_both_methods(capsys, tmp_path, minmax):
+    # [stay] loops for reward 0 and never reaches the goal; the iteration descends from the
+    # value of the proper seed [go], so it never reaches the loop's fixed point 0
+    program = tmp_path / "stay_or_go.nm"
+    program.write_text(STAY_OR_GO)
+    code, out, _ = run_cli(capsys, "--prism", str(program), "--minmax", minmax, "--prop", 'Rmin=? [ F "goal" ]')
+    assert code == 0 and out == 'Property: Rmin=? [ F "goal" ]\nResult (state 0): 1\n'
 
 
 @pytest.mark.parametrize("weight, label, message", [

@@ -17,15 +17,16 @@ LABELS_EMPTY = "#DECLARATION\n\n#END\n"
 
 
 def test_parse_minimal_dtmc():
-    kind, m, offsets, rates, patched = explicit.parse_transitions("dtmc\n0 0 1.0\n")
+    kind, m, offsets, rates = explicit.parse_transitions("dtmc\n0 0 1.0\n")
     assert kind is ModelKind.DTMC
-    assert m.rows == 1 and m.values[0] == 1.0
-    assert rates is None and not patched.any()
+    # the file's own self-loop, and no second one patched in
+    assert m.rows == 1 and m.nnz == 1 and m.values[0] == 1.0
+    assert rates is None
 
 
 def test_parse_two_state_chain():
     text = "dtmc\n0 0 0.5\n0 1 0.5\n1 1 1\n"
-    kind, m, offsets, _, _ = explicit.parse_transitions(text)
+    kind, m, offsets, _ = explicit.parse_transitions(text)
     assert m.rows == 2
     assert list(offsets) == [0, 1, 2]
     cols, vals = m.row(0)
@@ -34,14 +35,14 @@ def test_parse_two_state_chain():
 
 def test_parse_mdp_choice_offsets():
     text = "mdp\n0 0 0 1.0\n0 1 1 1.0\n1 0 1 1.0\n"
-    kind, m, offsets, _, _ = explicit.parse_transitions(text)
+    kind, m, offsets, _ = explicit.parse_transitions(text)
     assert kind is ModelKind.MDP
     assert list(offsets) == [0, 2, 3]
 
 
 def test_parse_ctmc_builds_embedded_chain():
     text = "ctmc\n0 1 2.0\n0 0 2.0\n1 1 3.0\n"
-    kind, m, offsets, rates, _ = explicit.parse_transitions(text)
+    kind, m, offsets, rates = explicit.parse_transitions(text)
     assert kind is ModelKind.CTMC
     assert rates == [4.0, 3.0]
     cols, vals = m.row(0)
@@ -50,12 +51,12 @@ def test_parse_ctmc_builds_embedded_chain():
 
 def test_comments_and_blank_lines_ignored():
     text = "dtmc\n\n# a comment\n0 0 1.0  # trailing\n\n"
-    kind, m, _, _, _ = explicit.parse_transitions(text)
+    kind, m, _, _ = explicit.parse_transitions(text)
     assert m.rows == 1
 
 
 def test_crlf_line_endings():
-    kind, m, _, _, _ = explicit.parse_transitions("dtmc\r\n0 1 1\r\n1 1 1\r\n")
+    kind, m, _, _ = explicit.parse_transitions("dtmc\r\n0 1 1\r\n1 1 1\r\n")
     assert m.rows == 2
 
 
@@ -88,14 +89,14 @@ def test_deadlock_patch_vs_error():
     text = "dtmc\n0 1 1.0\n"  # state 1 has no outgoing transitions
     with pytest.raises(DeadlockError):
         explicit.parse_transitions(text)
-    kind, m, _, _, patched = explicit.parse_transitions(text, fix_deadlocks=True)
-    assert list(patched) == [False, True]
-    cols, vals = m.row(1)
-    assert list(cols) == [1] and vals[0] == 1.0
+    kind, m, _, _ = explicit.parse_transitions(text, fix_deadlocks=True)
+    # state 0 keeps its row; the deadlocked state 1 gets a self-loop
+    assert [list(m.row(0)[0]), list(m.row(1)[0])] == [[1], [1]]
+    assert list(m.values) == [1.0, 1.0]
 
 
 def test_row_renormalization_within_tolerance():
-    kind, m, _, _, _ = explicit.parse_transitions("dtmc\n0 0 0.3333334\n0 1 0.6666667\n1 1 1\n")
+    kind, m, _, _ = explicit.parse_transitions("dtmc\n0 0 0.3333334\n0 1 0.6666667\n1 1 1\n")
     _, vals = m.row(0)
     assert sum(vals) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ModelError):
@@ -104,7 +105,7 @@ def test_row_renormalization_within_tolerance():
 
 def test_rational_mode_requires_exact_distribution():
     text = "dtmc\n0 0 1/3\n0 1 2/3\n1 1 1\n"
-    kind, m, _, _, _ = explicit.parse_transitions(text, rational=True)
+    kind, m, _, _ = explicit.parse_transitions(text, rational=True)
     assert m.values[0] == Fraction(1, 3)
     with pytest.raises(ModelError):
         explicit.parse_transitions("dtmc\n0 0 1/3\n0 1 1/3\n1 1 1\n", rational=True)
@@ -112,7 +113,7 @@ def test_rational_mode_requires_exact_distribution():
 
 def test_float_mode_parses_fraction_tokens_exactly_once():
     text = "dtmc\n0 0 1/3\n0 1 2/3\n1 1 1\n"
-    _, m, _, _, _ = explicit.parse_transitions(text)
+    _, m, _, _ = explicit.parse_transitions(text)
     assert m.dtype == "float"
     assert list(m.values) == [float(Fraction(1, 3)), float(Fraction(2, 3)), 1.0]
     assert list(explicit.parse_state_rewards("0 1/4\n", 1)) == [0.25]
@@ -123,14 +124,14 @@ def test_float_mode_parses_fraction_tokens_exactly_once():
 
 
 def test_duplicate_transitions_coalesce():
-    kind, m, _, _, _ = explicit.parse_transitions("dtmc\n0 1 0.5\n0 1 0.5\n1 1 1\n")
+    kind, m, _, _ = explicit.parse_transitions("dtmc\n0 1 0.5\n0 1 0.5\n1 1 1\n")
     cols, vals = m.row(0)
     assert list(cols) == [1] and vals[0] == 1.0
 
 
 def test_lines_of_one_state_need_not_be_adjacent():
     text = "mdp\n0 0 1 0.25\n0 1 0 1\n1 0 1 1\n0 0 0 0.5\n0 0 1 0.25\n"
-    _, m, offsets, _, _ = explicit.parse_transitions(text)
+    _, m, offsets, _ = explicit.parse_transitions(text)
     assert offsets.tolist() == [0, 2, 3]
     assert m.row(0)[0].tolist() == [0, 1] and m.row(0)[1].tolist() == [0.5, 0.5]
 
@@ -334,7 +335,7 @@ def ref_domain(rational):
 def ref_parse_transitions(text, rational=False, fix_deadlocks=False):
     """Parse a transitions file.
 
-    Returns (kind, matrix, choice_offsets, exit_rates or None, patched bitset).
+    Returns (kind, matrix, choice_offsets, exit_rates or None).
     DTMC/MDP rows within 1e-6 of a distribution are renormalized; duplicate
     transitions coalesce additively.
     """
@@ -393,7 +394,6 @@ def ref_parse_transitions(text, rational=False, fix_deadlocks=False):
     keys_by_src = {}  # source state -> its (src, choice) keys, in choice order
     for key in order:
         keys_by_src.setdefault(key[0], []).append(key)
-    patched = np.zeros(n, dtype=bool)
     for s in range(n):
         if s in keys_by_src:
             continue
@@ -401,7 +401,6 @@ def ref_parse_transitions(text, rational=False, fix_deadlocks=False):
             raise ParseError(f"gap in state indices: state {s} is never used")
         if not fix_deadlocks:
             raise DeadlockError(s, "no outgoing transitions in transitions file")
-        patched[s] = True
 
     zero = Fraction(0) if rational else 0.0
     one = Fraction(1) if rational else 1.0
@@ -447,7 +446,7 @@ def ref_parse_transitions(text, rational=False, fix_deadlocks=False):
     matrix = sparse.build_sparse(triples, row_index, n, ref_domain(rational))
     if kind is not ModelKind.MDP:
         choice_offsets = np.arange(n + 1, dtype=np.int64)
-    return kind, matrix, np.asarray(choice_offsets, dtype=np.int64), exit_rates, patched
+    return kind, matrix, np.asarray(choice_offsets, dtype=np.int64), exit_rates
 
 
 def ref_parse_state_rewards(text, n_states, rational=False):
@@ -672,14 +671,13 @@ def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piec
         got = explicit.parse_transitions(text, rational, fix)
     finally:
         explicit._PIECE_CHARS = saved
-    kind_, m, offsets, rates, patched = got
-    e_kind, e_m, e_offsets, e_rates, e_patched = expected
+    kind_, m, offsets, rates = got
+    e_kind, e_m, e_offsets, e_rates = expected
     assert kind_ is e_kind
     assert (m.rows, m.cols, m.dtype) == (e_m.rows, e_m.cols, e_m.dtype)
     assert np.array_equal(m.row_offsets, e_m.row_offsets) and np.array_equal(m.col_indices, e_m.col_indices)
     _assert_same_vector(m.values, e_m.values, rational)
     assert offsets.dtype == np.int64 and np.array_equal(offsets, e_offsets)
-    assert patched.dtype == bool and np.array_equal(patched, e_patched)
     if e_rates is None:
         assert rates is None
     else:

@@ -21,7 +21,7 @@ from conftest import (
     rows_to_matrix,
 )
 from stormlet import checkers, kernels, solvers, sparse
-from stormlet.errors import DiagonalOne, LambdaTooLarge, NotConverged, SingularMatrix, SolverError, StormletError
+from stormlet.errors import LambdaTooLarge, NotConverged, SingularMatrix, SolverError, StormletError
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
@@ -38,12 +38,20 @@ def substochastic_system(rng, n, rational=False, scale=Fraction(3, 4)):
     return matrix, b, rows
 
 
+def iterate(m, b, env=None):
+    """The certified iteration on x = A.x + b, as the linear solve falls back to it."""
+    system = BellmanSystem(m, np.arange(m.rows + 1), b, "maximize")
+    return solvers._iterate(system, env or SolverEnvironment())
+
+
 # --- environments ---------------------------------------------------------
 
 
 def test_environment_validation():
     with pytest.raises(SolverError):
         SolverEnvironment(linear_method="sor")
+    with pytest.raises(SolverError):
+        SolverEnvironment(linear_method="gauss_seidel")
     with pytest.raises(SolverError):
         SolverEnvironment(minmax_method="simplex")
     with pytest.raises(SolverError):
@@ -70,34 +78,34 @@ def test_system_validation():
 def test_zero_matrix_returns_b_immediately():
     m = sparse.build_sparse([], 3, 3)
     b = [1.0, 2.0, 3.0]
-    out = solvers.solve_linear(LinearSystem(m, b), SolverEnvironment(linear_method="gauss_seidel"))
-    assert np.array_equal(out.x, b)
-    assert out.iterations <= 2
+    out = iterate(m, b)
+    # one step reaches b, one shows it repeats, one proves the guess above it;
+    # the bound is the rounding allowance of the one addition
+    assert np.array_equal(out.x, b) and out.error_bound < 1e-15
+    assert out.iterations == 3
 
 
 def test_geometric_fixed_point():
     # x = 0.5 x + 0.5 has the fixed point 1
     m = sparse.build_sparse([(0, 0, 0.5)], 1, 1)
-    for method in ("elimination", "gauss_seidel"):
-        out = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(linear_method=method))
-        assert out.x[0] == pytest.approx(1.0, abs=1e-6)
+    for out in (solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment()), iterate(m, [0.5])):
+        assert abs(out.x[0] - 1.0) <= out.error_bound <= 1e-6
     exact = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(linear_method="exact"))
     assert exact.x[0] == 1.0 and exact.method == "exact"
 
 
-def test_gauss_seidel_rejects_unit_diagonal():
+def test_iteration_returns_the_least_fixed_point_of_a_unit_diagonal():
+    # x = x has every fixed point; the iteration rises from 0 and proves 0 at once
     m = sparse.build_sparse([(0, 0, 1.0)], 1, 1)
-    with pytest.raises(DiagonalOne) as exc:
-        solvers.solve_linear(LinearSystem(m, [0.0]), SolverEnvironment(linear_method="gauss_seidel"))
-    assert exc.value.state == 0
+    out = iterate(m, [0.0])
+    assert out.x[0] == 0.0 and out.error_bound == 0
 
 
 def test_not_converged_carries_best_iterate():
     rng = random.Random(5)
     m, b, _ = substochastic_system(rng, 6)
-    env = SolverEnvironment(linear_method="gauss_seidel", max_iterations=1)
     with pytest.raises(NotConverged) as exc:
-        solvers.solve_linear(LinearSystem(m, b), env)
+        iterate(m, b, SolverEnvironment(max_iterations=1))
     assert exc.value.iterations == 1
     assert len(exc.value.best) == 6
 
@@ -110,7 +118,7 @@ def test_exact_solver_singular_matrix():
 
 def test_rational_systems_always_solve_exactly():
     m = sparse.build_sparse([(0, 0, Fraction(1, 3))], 1, 1, "rational")
-    out = solvers.solve_linear(LinearSystem(m, [Fraction(2, 3)]), SolverEnvironment(linear_method="gauss_seidel"))
+    out = solvers.solve_linear(LinearSystem(m, [Fraction(2, 3)]), SolverEnvironment())
     assert out.method == "exact" and out.x[0] == Fraction(1)
 
 
@@ -120,10 +128,8 @@ def test_solvers_agree_with_dense_oracle(seed):
     n = rng.randint(2, 10)
     m, b, rows = substochastic_system(rng, n)
     expected = dense_solve_exact(rows, [Fraction(v).limit_denominator(10**9) for v in b])
-    for method in ("elimination", "gauss_seidel"):
-        out = solvers.solve_linear(
-            LinearSystem(m, b), SolverEnvironment(linear_method=method, precision=1e-10)
-        )
+    env = SolverEnvironment(precision=1e-10)
+    for out in (solvers.solve_linear(LinearSystem(m, b), env), iterate(m, b, env)):
         for i in range(n):
             assert out.x[i] == pytest.approx(float(expected[i]), abs=1e-8)
     exact = solvers.solve_linear_exact(m.to_rational(), [Fraction(v) for v in b])
@@ -136,46 +142,52 @@ def test_solvers_agree_with_dense_oracle(seed):
 
 
 def test_absolute_vs_relative_criterion():
-    # two states that feed each other, so Gauss-Seidel cannot settle them in one sweep
+    # two states that feed each other, with the fixed point 0.1 each
     m = sparse.build_sparse([(0, 1, 0.9), (1, 0, 0.9)], 2, 2)
-    loose = SolverEnvironment(linear_method="gauss_seidel", criterion="absolute", precision=1e-3)
-    tight = SolverEnvironment(linear_method="gauss_seidel", criterion="relative", precision=1e-3)
-    out_a = solvers.solve_linear(LinearSystem(m, [0.1, 0.1]), loose)
-    out_r = solvers.solve_linear(LinearSystem(m, [0.1, 0.1]), tight)
-    # fixed point is 1.0; the relative criterion needs at least as many sweeps
-    assert out_r.iterations >= out_a.iterations
-    assert out_r.x[0] == pytest.approx(1.0, abs=1e-2)
+    loose = SolverEnvironment(criterion="absolute", precision=1e-3)
+    tight = SolverEnvironment(criterion="relative", precision=1e-3)
+    out_a = iterate(m, [0.01, 0.01], loose)
+    out_r = iterate(m, [0.01, 0.01], tight)
+    # a relative 1e-3 of 0.1 is an absolute 1e-4, so it needs more steps
+    assert out_r.iterations > out_a.iterations
+    assert abs(out_a.x[0] - 0.1) <= out_a.error_bound <= 1e-3
+    assert abs(out_r.x[0] - 0.1) <= out_r.error_bound * out_r.x[0] and out_r.error_bound <= 1e-3
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 14), st.integers(0, 2**32), st.sampled_from(["relative", "absolute"]))
-def test_elimination_error_bound_holds(n, seed, criterion):
+def test_linear_error_bounds_hold(n, seed, criterion):
     rng = random.Random(seed)
     m, b, rows = substochastic_system(rng, n)
     # the oracle solves the float system itself: its entries are the exact values of the stored floats
     float_rows = [{c: Fraction(float(v)) for c, v in row.items()} for row in rows]
     expected = dense_solve_exact(float_rows, [Fraction(v) for v in b])
-    out = solvers.solve_linear(LinearSystem(m, b), SolverEnvironment(criterion=criterion))
+    env = SolverEnvironment(criterion=criterion)
+    out = solvers.solve_linear(LinearSystem(m, b), env)
     assert out.method == "elimination" and out.iterations == 0
-    assert 0 <= out.error_bound <= 1e-6
-    scale = np.abs(out.x) if criterion == "relative" else np.ones(n)
-    scale[scale < 1e-30] = 1.0
-    for i in range(n):
-        assert abs(Fraction(out.x[i]) - expected[i]) <= Fraction(out.error_bound * scale[i])
+    # elimination and the iteration it falls back to each prove their bound
+    for out in (out, iterate(m, b, env)):
+        assert 0 <= out.error_bound <= 1e-6
+        scale = np.abs(out.x) if criterion == "relative" else np.ones(n)
+        scale[scale < np.finfo(float).tiny] = 1.0
+        for i in range(n):
+            assert abs(Fraction(out.x[i]) - expected[i]) <= Fraction(out.error_bound * scale[i])
     exact = solvers.solve_linear_exact(rows_to_matrix(float_rows, n, True), [Fraction(v) for v in b])
     assert exact == expected
 
 
-def test_unmet_certificate_falls_back_to_gauss_seidel():
+def test_unmet_certificate_falls_back_to_the_iteration():
     m = sparse.build_sparse([(0, 0, 0.5)], 1, 1)
     # the rounding margin alone makes the bound a few ulps, more than 1e-15 allows
     bound = solvers._certified_elimination(LinearSystem(m, [0.5]), "relative").error_bound
     assert 1e-15 < bound < 1e-13
     out = solvers.solve_linear(LinearSystem(m, [0.5]), SolverEnvironment(precision=1e-15))
-    assert out.method == "gauss_seidel" and out.error_bound is None and out.x[0] == 1.0
-    with pytest.raises(DiagonalOne) as exc:
-        solvers.solve_linear(LinearSystem(sparse.build_sparse([(0, 0, 1.0)], 1, 1), [0.0]), SolverEnvironment())
-    assert exc.value.state == 0
+    # the iteration's rounding allowance is as wide, so it returns its lower side unproven
+    assert out.method == "value_iteration" and out.error_bound is None
+    assert 1 - 1e-14 < out.x[0] < 1
+    out = iterate(m, [0.5], SolverEnvironment(precision=1e-14))
+    assert out.error_bound <= 1e-14
+    assert abs(Fraction(out.x[0]) - 1) <= Fraction(out.error[0])
 
 
 def test_elimination_budget_falls_back():
@@ -183,7 +195,8 @@ def test_elimination_budget_falls_back():
     m = sparse.build_sparse([(i, j, 0.15) for i in range(6) for j in range(6)], 6, 6)
     with mock.patch.object(solvers, "ELIMINATION_BUDGET", 1):
         out = solvers.solve_linear(LinearSystem(m, [0.1] * 6), SolverEnvironment())
-    assert out.method == "gauss_seidel" and out.x == pytest.approx([1.0] * 6)
+    assert out.method == "value_iteration" and out.error_bound <= 1e-6
+    assert np.all(np.abs(out.x - 1.0) <= out.error)
     assert solvers._factor(m).work > m.nnz
 
 
@@ -330,8 +343,8 @@ def _reach_bellman(rows, offsets, target, direction, zero_states=frozenset()):
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(0, 2**32), st.sampled_from(["max", "min"]), st.booleans(),
-       st.sampled_from(["relative", "absolute"]))
-def test_policy_iteration_error_bound_holds(seed, optimum, reward, criterion):
+       st.sampled_from(["relative", "absolute"]), st.sampled_from(["policy_iteration", "value_iteration"]))
+def test_minmax_error_bound_holds(seed, optimum, reward, criterion, method):
     # Pmax, Pmin, Rmax and Rmin on random MDPs; zero rewards allow zero-reward end components
     rng = random.Random(seed)
     n = 5
@@ -341,7 +354,7 @@ def test_policy_iteration_error_bound_holds(seed, optimum, reward, criterion):
     choice_rewards = [Fraction(rng.randint(0, 3)) for _ in rows]
     rm = RewardModel("r", action_rewards=np.array([float(v) for v in choice_rewards]))
     model = Model(ModelKind.MDP, rows_to_matrix(rows, n, False), StateLabeling(n), choice_offsets=offsets)
-    env = SolverEnvironment(criterion=criterion)
+    env = SolverEnvironment(criterion=criterion, minmax_method=method)
     goal = np.array(target)
     if reward:
         values, meta = checkers.check_reach_reward(model, rm, goal, optimum, env)
@@ -351,8 +364,8 @@ def test_policy_iteration_error_bound_holds(seed, optimum, reward, criterion):
         expected = oracle_mdp_reach(rows, offsets, target, optimum == "max")
     if meta["method"] == "precomputation":
         return
-    assert meta["method"] == "policy_iteration"
-    # Rmax's and Pmin's maybe states hold no end component, so their backup always holds
+    assert meta["method"] == method
+    # Rmax's and Pmin's maybe states hold no end component, so both methods prove a bound
     if optimum == "max" and reward or optimum == "min" and not reward:
         assert "error_bound" in meta
     bound = meta.get("error_bound", 1e-6)
@@ -360,15 +373,15 @@ def test_policy_iteration_error_bound_holds(seed, optimum, reward, criterion):
         if expected[s] is None:
             assert values[s] == math.inf
             continue
-        scale = abs(values[s]) if criterion == "relative" and abs(values[s]) >= 1e-30 else 1.0
+        scale = abs(values[s]) if criterion == "relative" and abs(values[s]) >= np.finfo(float).tiny else 1.0
         assert abs(Fraction(values[s]) - expected[s]) <= Fraction(bound * scale)
 
 
 def test_policy_iteration_certifies_a_slow_evaluation():
     # inner states 1..199 of a lazy walk on 0..200: choice 0 drifts down, choice 1 moves
     # each way with 1/100, so Pmax of reaching 200 is i/200 under choice 1. Its elimination
-    # bound, about 3e-9, is above 1e-9 and within the precision 1e-6, so it is the bound
-    # reported; Gauss-Seidel would need far more than 20 000 sweeps
+    # bound, about 3e-9, is within the precision 1e-6, so it is the bound reported; value
+    # iteration would need far more than 20 000 steps
     n = 200
     triples, b = [], []
     for i in range(n - 1):
