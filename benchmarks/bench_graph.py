@@ -12,7 +12,9 @@ one state per round is quadratic there.
 
 For each N the script prints the best time of each graph call in ms and
 the same time per 10^3 stored transitions; a flat last column is linear
-growth.
+growth. The first call on a matrix builds the predecessor index that the
+graph layer caches on it, so the best time is that of a call that reuses
+it; the ``index`` rows time building it.
 
 Usage: python3 benchmarks/bench_graph.py [--sizes 1000,10000,100000]
 """
@@ -60,17 +62,23 @@ def bench_size(n, repeats):
     target = np.zeros(n + 1, dtype=bool)
     target[n] = True
 
-    dtmc, _ = chain(n, 1)
+    dtmc, identity = chain(n, 1)
 
     def dtmc_01():
         graph.prob1(dtmc, everywhere, target, graph.prob0(dtmc, everywhere, target))
+
+    def index(matrix, offsets):
+        matrix.predecessors = None
+        graph._predecessors(matrix, offsets)
 
     mdp, offsets = chain(n, 2)
     _, p1e = graph.prob01_max(mdp, offsets, everywhere, target)
     ruin = np.zeros(n + 1, dtype=bool)
     ruin[0] = True
     return [
+        ("dtmc", "index", dtmc.nnz, best_of(lambda: index(dtmc, identity), repeats)),
         ("dtmc", "prob0+prob1", dtmc.nnz, best_of(dtmc_01, repeats)),
+        ("mdp", "index", mdp.nnz, best_of(lambda: index(mdp, offsets), repeats)),
         ("mdp", "prob01_max", mdp.nnz, best_of(lambda: graph.prob01_max(mdp, offsets, everywhere, target), repeats)),
         ("mdp", "prob01_max to 0", mdp.nnz,
          best_of(lambda: graph.prob01_max(mdp, offsets, everywhere, ruin), repeats)),

@@ -4,7 +4,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -25,18 +25,68 @@ class CheckResult:
 
 
 def check(model, prop, env):
-    """Check a resolved property; nested state operators are checked bottom-up."""
+    """Check a resolved property; nested state operators are checked when
+    first needed, and those equal up to their bound are solved once."""
     start = time.perf_counter()
-    numeric, meta = _check_quantitative(model, prop, env)
+    numeric, meta = _check_quantitative(model, _deferred(prop, {}).operator, env)
     meta["time_ms"] = (time.perf_counter() - start) * 1000.0
-    if prop.bound is None:
-        return CheckResult(values=numeric, numeric=numeric, metadata=meta)
-    rel, threshold = prop.bound
+    values = _compare(model, numeric, prop.bound)
+    return CheckResult(values=values, numeric=numeric, metadata=meta)
+
+
+def _compare(model, numeric, bound):
+    """The bitset where the numbers meet the bound, or the numbers for a query."""
+    if bound is None:
+        return numeric
+    rel, threshold = bound
     if model.dtype == "float":
         threshold = float(threshold)
     compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[rel]
-    booleans = np.asarray(compare(numeric, threshold), dtype=bool)
-    return CheckResult(values=booleans, numeric=numeric, metadata=meta)
+    return np.asarray(compare(numeric, threshold), dtype=bool)
+
+
+class _Nested:
+    """An operator inside a formula, checked when ``_bits`` first needs it.
+
+    ``solved`` is shared by all operators of one ``check`` and maps each
+    operator solved so far, its bound left out, to its numbers.
+    """
+
+    __slots__ = ("operator", "solved")
+
+    def __init__(self, operator, solved):
+        self.operator, self.solved = operator, solved
+
+    def bits(self, model, env):
+        key = _key(replace(self.operator, bound=None))
+        if key not in self.solved:
+            self.solved[key] = _check_quantitative(model, self.operator, env)[0]
+        return _compare(model, self.solved[key], self.operator.bound)
+
+
+def _deferred(node, solved):
+    """node with every operator in it, node itself included, wrapped in a
+    ``_Nested`` that shares ``solved``."""
+    if isinstance(node, tuple):
+        return tuple(_deferred(part, solved) for part in node)
+    if not is_dataclass(node):
+        return node
+    node = replace(node, **{f.name: _deferred(getattr(node, f.name), solved) for f in fields(node)})
+    return _Nested(node, solved) if isinstance(node, (props.ProbOperator, props.RewardOperator)) else node
+
+
+def _key(node):
+    """A hashable image of a resolved formula, bitsets by their bytes and
+    source spans left out."""
+    if isinstance(node, np.ndarray):
+        return node.tobytes()
+    if isinstance(node, _Nested):
+        return _key(node.operator)
+    if isinstance(node, tuple):
+        return tuple(map(_key, node))
+    if is_dataclass(node):
+        return type(node).__name__, *(_key(getattr(node, f.name)) for f in fields(node) if f.name != "span")
+    return node
 
 
 def _check_quantitative(model, prop, env):
@@ -94,8 +144,8 @@ def _bits(model, state_formula, env):
         left = _bits(model, state_formula.left, env)
         right = _bits(model, state_formula.right, env)
         return left & right if state_formula.op == "&" else left | right
-    if isinstance(state_formula, (props.ProbOperator, props.RewardOperator)):
-        return check(model, state_formula, env).values
+    if isinstance(state_formula, _Nested):
+        return state_formula.bits(model, env)
     raise PropertyError(f"cannot evaluate state formula {type(state_formula).__name__}")
 
 

@@ -25,6 +25,7 @@ from .errors import (
     StormletError,
 )
 from .prism import ExploreOptions, explore, parse_program, typecheck
+from .prism.lexer import check_size
 from .prism.semantics import TypecheckError
 from .solvers import SolverEnvironment
 
@@ -97,6 +98,7 @@ def _parse_constants(text):
                 constants[name] = int(value)
             except ValueError:
                 try:
+                    check_size(value)
                     constants[name] = Fraction(value)
                 except (ValueError, ZeroDivisionError):
                     raise ParseError(f"cannot parse constant value {value!r}")

@@ -11,6 +11,17 @@ The transitions, reward and label files are read column by column: a piece
 of lines at a time is split into fields, each column is converted in one
 pass and every check is an array operation over the piece. Of several bad
 lines, the first in file order is reported, with its number.
+
+A piece without comments whose lines all have the same number of fields
+(two for labels) is split by one ``str.split``; any other piece line by line.
+Each index and float value column is converted by one numpy call, which
+applies Python's ``int()`` or ``float()`` to every token. A column falls
+back to reading token by token when a token fails (a fraction, or a bad
+token whose line is reported) or an index is past int64, and a value with
+its sign bit set is read again through Fraction, so ``-0`` is ``+0.0`` as
+in exact mode. Exact mode reads each distinct value token once, through
+Fraction. Keys that come in order, and transitions without duplicates,
+are assembled without a sort.
 """
 
 import itertools
@@ -61,12 +72,15 @@ def _first_failure(convert, tokens):
 def _integers(tokens):
     """The integers of ``tokens`` up to the first token that is none, and its index.
 
-    A value beyond int64 makes the array one of Python ints; every check
-    before the state-index checks handles it alike.
+    numpy converts the whole column in one call, applying Python's ``int()``
+    to each token. A column with a token that is no integer, or one beyond
+    int64, is read token by token instead; a value beyond int64 makes the
+    array one of Python ints, which every check before the state-index
+    checks handles alike.
     """
     try:
-        values = list(map(int, tokens))
-    except ValueError:
+        return np.array(tokens, dtype=np.int64), len(tokens)
+    except (ValueError, OverflowError):
         values = list(map(int, tokens[: _first_failure(int, tokens)]))
     try:
         return np.array(values, dtype=np.int64), len(values)
@@ -83,6 +97,17 @@ def _float(token):
     if "/" in token or token[0] == "-":
         return float(Fraction(token))
     return float(token)
+
+
+def _floats(tokens):
+    """The ``_float`` of every token, converted in one numpy call that applies
+    ``float()`` to each; the finite values with their sign bit set (a
+    negative zero, and every negative value) are read again by ``_float``.
+    """
+    values = np.array(tokens, dtype=np.float64)
+    negative = np.flatnonzero(np.signbit(values) & np.isfinite(values))
+    values[negative] = [_float(tokens[k]) for k in negative]
+    return values
 
 
 class _Rows:
@@ -120,7 +145,7 @@ class _Rows:
             values = np.fromiter(map(parsed.__getitem__, tokens[:k]), object, k)
         else:
             try:
-                values = np.fromiter(map(_float, tokens), np.float64, len(tokens))
+                values = _floats(tokens)
             except (ValueError, ZeroDivisionError, OverflowError):
                 values = np.fromiter(map(_float, tokens), np.float64, _first_failure(_float, tokens))
             k = _first(~np.isfinite(values))
@@ -128,23 +153,39 @@ class _Rows:
         return values[:k]
 
 
-def _pieces(text, start=0, no=1):
+def _pieces(text, start=0, no=1, width=0):
     """Per piece of the lines of ``text[start:]``, the first of them line
-    ``no``: the numbers, field counts and fields of its lines that have any
-    field once comments are removed."""
+    ``no``: the numbers and field counts of its lines that have any field
+    once comments are removed, and all their fields in order.
+
+    A piece without comments whose lines all have ``width`` fields (its last
+    line may be empty) is split in one call, with a NUL token standing for
+    each line end, which the count check then places.
+    """
     while True:
         end = text.find("\n", start + _PIECE_CHARS)
         piece = text[start:] if end < 0 else text[start:end]
-        lines = piece.split("\n")
-        if "#" in piece:
-            lines = [line.partition("#")[0] for line in lines]
-        fields = list(map(str.split, lines))
-        counts = np.fromiter(map(len, fields), np.int64, len(fields))
-        kept = np.flatnonzero(counts)
-        yield no + kept, counts[kept], list(filter(None, fields))
+        ends = piece.count("\n")
+        fields = None
+        if width and "#" not in piece and "\0" not in piece:
+            fields = piece.replace("\n", " \0 ").split()
+            lines, rest = divmod(len(fields) - ends, width)
+            if rest or not ends <= lines <= ends + 1 or fields[width :: width + 1].count("\0") != ends:
+                fields = None
+            else:
+                del fields[width :: width + 1]
+                yield no + np.arange(lines), np.full(lines, width), fields
+        if fields is None:
+            lines = piece.split("\n")
+            if "#" in piece:
+                lines = [line.partition("#")[0] for line in lines]
+            fields = list(map(str.split, lines))
+            counts = np.fromiter(map(len, fields), np.int64, len(fields))
+            kept = np.flatnonzero(counts)
+            yield no + kept, counts[kept], list(itertools.chain.from_iterable(fields))
         if end < 0:
             return
-        start, no = end + 1, no + len(lines)
+        start, no = end + 1, no + ends + 1
 
 
 def _records(text, want, count_message, index_message, start=0, no=1):
@@ -154,10 +195,10 @@ def _records(text, want, count_message, index_message, start=0, no=1):
 
     ``count_message(found)`` is the message for a line of ``found`` fields.
     """
-    for numbers, counts, fields in _pieces(text, start, no):
+    for numbers, counts, tokens in _pieces(text, start, no, want):
         rows = _Rows(numbers)
         rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
-        tokens = list(itertools.chain.from_iterable(fields[: rows.end]))
+        tokens = tokens[: want * rows.end]
         index = [_integers(tokens[j::want]) for j in range(want - 1)]
         rows.cut(min(k for _, k in index), _error(index_message))
         yield rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
@@ -188,8 +229,12 @@ def _new_keys(src, choice, numbers):
 
     The keys must come in ascending order, each state's choices numbered
     from 0 without gaps; the first row that breaks this raises its error.
+    Keys that never go down in file order need no lexsort to find them.
     """
-    order = np.lexsort((choice, src))
+    if np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (choice[1:] >= choice[:-1])):
+        order = np.arange(len(src))
+    else:
+        order = np.lexsort((choice, src))
     s, c = src[order], choice[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (s[1:] != s[:-1]) | (c[1:] != c[:-1])
@@ -208,6 +253,17 @@ def _new_keys(src, choice, numbers):
             raise ParseError(f"gap in choice indices of state {state}", line=no)
         raise ParseError(f"choices of state {state} must start at 0", line=no)
     return new
+
+
+def _least_missing(values):
+    """The least nonnegative integer not among the nonnegative ``values``.
+
+    It is at most their number, so nothing of the size of a huge value is
+    allocated.
+    """
+    present = np.zeros(len(values) + 1, dtype=bool)
+    present[values[values <= len(values)].astype(np.int64)] = True
+    return int(np.argmin(present))
 
 
 def parse_transitions(text, rational=False, fix_deadlocks=False):
@@ -241,17 +297,14 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     if not len(src):
         raise ParseError("transitions file declares no transitions", line=header_no)
 
-    # the first unused and the first source-less state, found from the indices
-    # that occur, so a huge index allocates nothing of its size
-    used = np.unique(np.concatenate((src, dst)))
-    unused = _first(used != np.arange(len(used)))
-    sources = np.unique(src[new])
-    sourceless = _first(sources != np.arange(len(sources)))
-    if not fix_deadlocks and sourceless < unused:
+    # the first unused and the first source-less state
+    states = np.concatenate((src, dst))
+    n = _least_missing(states)
+    sourceless = _least_missing(src)
+    if not fix_deadlocks and sourceless < n:
         raise DeadlockError(sourceless, "no outgoing transitions in transitions file")
-    if unused < len(used):
-        raise ParseError(f"gap in state indices: state {unused} is never used")
-    n = len(used)
+    if states.max() > n:
+        raise ParseError(f"gap in state indices: state {n} is never used")
     src, choice, dst = (np.asarray(a, dtype=np.int64) for a in (src, choice, dst))
     s, c = src[new], choice[new]  # the keys, ascending
 
@@ -339,9 +392,9 @@ def parse_labels(text, n_states):
     declared, start, no = _declarations(text)
     ids = {name: i for i, name in enumerate(declared)}
     bits = np.zeros((len(declared), n_states), dtype=bool)
-    for numbers, counts, fields in _pieces(text, start, no):
+    for numbers, counts, tokens in _pieces(text, start, no, 2):
         rows = _Rows(numbers)
-        tokens = np.array(list(itertools.chain.from_iterable(fields)), dtype=object)
+        tokens = np.array(tokens, dtype=object)
         firsts = np.cumsum(counts) - counts
         state, k = _integers(tokens[firsts].tolist())
         rows.cut(k, _error("label line must start with a state index"))

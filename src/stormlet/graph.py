@@ -4,8 +4,16 @@ All functions work on the transition structure only (values ignored beyond
 being positive). MDP variants take the choice_offsets grouping matrix rows
 by state; deterministic models pass the identity grouping.
 
-Each call builds one predecessor index from the matrix and grows its sets
-by a worklist backward search, so a least fixed point costs
+The first call on a matrix builds its predecessor index and caches it on
+the matrix with the grouping it was built for; another grouping builds it
+again. The index is made of Python tuples and lists, which the searches
+walk about three times faster than memoryviews of numpy arrays: per column
+a tuple of the rows with an entry there, and a list of each row's state. It lives as long
+as the matrix and takes about 70 to 85 bytes per entry (at two entries per
+column), against 16 for the matrix itself.
+
+Each call grows its sets by a worklist backward search over that index,
+so a least fixed point costs
 O(states + transitions). The greatest fixed point behind prob1E starts from
 the states that can reach target and repeats two such searches per round:
 one drops every state whose choices all leave the candidate set, with all
@@ -22,15 +30,22 @@ from . import sparse
 
 
 def _predecessors(matrix, choice_offsets):
-    """Backward index as int64 memoryviews: (offsets, rows, owner).
+    """The backward index of ``matrix`` under a grouping: (rows, owner).
 
-    rows[offsets[t]:offsets[t + 1]] are the matrix rows with an entry in
-    column t, ascending, and owner[r] is the state whose choice row r is.
-    Memoryviews rather than lists, so the index holds no Python int per entry.
+    rows[t] is the tuple of the matrix rows with an entry in column t,
+    ascending, and owner[r] is the state whose choice row r is; the garbage
+    collector stops tracking tuples of ints. The index is cached in
+    ``matrix.predecessors`` with a copy of the grouping.
     """
-    t = sparse.transpose(matrix)
-    owner = np.repeat(np.arange(len(choice_offsets) - 1), np.diff(choice_offsets))
-    return memoryview(t.row_offsets), memoryview(t.col_indices), memoryview(owner)
+    cached = matrix.predecessors
+    if cached is None or not np.array_equal(cached[0], choice_offsets):
+        t = sparse.transpose(matrix)
+        entries = tuple(t.col_indices.tolist())
+        bounds = t.row_offsets.tolist()
+        owner = np.repeat(np.arange(len(choice_offsets) - 1), np.diff(choice_offsets)).tolist()
+        index = [entries[lo:hi] for lo, hi in zip(bounds, bounds[1:])], owner
+        cached = matrix.predecessors = np.array(choice_offsets, dtype=np.int64), index
+    return cached[1]
 
 
 def _closure(index, start, allowed, need=None, row_ok=None):
@@ -39,30 +54,37 @@ def _closure(index, start, allowed, need=None, row_ok=None):
     A state outside the set joins once it is allowed and ``need[s]`` of its
     rows (one when need is None) have a successor in the set; rows with
     ``row_ok`` false never count. Every predecessor entry is visited at most
-    once.
+    once. Without need and row_ok a state joins at its first row that
+    reaches the set, which a tighter loop checks by the state alone.
     """
-    offsets, rows, owner = index
-    start = np.asarray(start, dtype=bool)
-    allowed = np.asarray(allowed, dtype=bool)
-    closed = (start | ~allowed).tolist()
-    need = [1] * len(closed) if need is None else need.tolist()
-    counted = [False] * len(owner) if row_ok is None else (~row_ok).tolist()
-    stack = np.flatnonzero(start).tolist()
-    while stack:
-        t = stack.pop()
-        for r in rows[offsets[t]:offsets[t + 1]]:
-            if counted[r]:
-                continue
-            counted[r] = True
-            s = owner[r]
-            if closed[s]:
-                continue
-            need[s] -= 1
-            if not need[s]:
-                closed[s] = True
-                stack.append(s)
-    # closed now holds the set plus the states never allowed in
-    return np.array(closed) & (allowed | start)
+    rows, owner = index
+    closed = (np.asarray(start, dtype=bool) | ~np.asarray(allowed, dtype=bool)).tolist()
+    reached = np.flatnonzero(start).tolist()  # the set, in the order its states joined
+    if need is None and row_ok is None:
+        for t in reached:  # the loop also takes the states appended to reached
+            for r in rows[t]:
+                s = owner[r]
+                if not closed[s]:
+                    closed[s] = True
+                    reached.append(s)
+    else:
+        need = [1] * len(closed) if need is None else need.tolist()
+        counted = [False] * len(owner) if row_ok is None else (~row_ok).tolist()
+        for t in reached:
+            for r in rows[t]:
+                if counted[r]:
+                    continue
+                counted[r] = True
+                s = owner[r]
+                if closed[s]:
+                    continue
+                need[s] -= 1
+                if not need[s]:
+                    closed[s] = True
+                    reached.append(s)
+    out = np.zeros(len(closed), dtype=bool)
+    out[reached] = True
+    return out
 
 
 def _per_row_all(m, in_set):
@@ -150,7 +172,7 @@ def prob1e_witness(matrix, choice_offsets, safe, target, prob1e):
     joined earlier.
     """
     choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
-    offsets, rows, owner = _predecessors(matrix, choice_offsets)
+    rows, owner = _predecessors(matrix, choice_offsets)
     target = np.asarray(target, dtype=bool)
     pending = (np.asarray(prob1e, dtype=bool) & np.asarray(safe, dtype=bool) & ~target).tolist()
     seen = (~_per_row_all(matrix, prob1e)).tolist()
@@ -159,7 +181,7 @@ def prob1e_witness(matrix, choice_offsets, safe, target, prob1e):
     while layer:
         lowest = {}
         for t in layer:
-            for r in rows[offsets[t]:offsets[t + 1]]:
+            for r in rows[t]:
                 if seen[r]:
                     continue
                 seen[r] = True

@@ -42,6 +42,20 @@ class Token:
     offset: int  # of the token's first character in the source
 
 
+def check_size(literal, line=None, column=None):
+    """Raise a ParseError for a numeric literal past Python's limit on integer
+    string conversion (0 for none): beyond it int() fails, and Fraction builds
+    a power of ten with as many digits as the exponent. A literal whose
+    exponent is no integer raises ValueError."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = literal.lower().partition("e")
+    exponent = exponent.lstrip("+-")
+    digits = len(mantissa.replace(".", ""))
+    if limit and (digits > limit or len(exponent) > limit or int(exponent or 0) > limit):
+        raise ParseError(f"numeric literal has more than {limit} digits or an exponent above {limit}",
+                         line=line, column=column)
+
+
 def tokenize(text):
     """Tokenize source text; `//` comments run to end of line."""
     tokens = []
@@ -65,15 +79,7 @@ def tokenize(text):
         elif kind == "symbol":
             kind = word
         elif kind in ("INT", "DOUBLE"):
-            # past Python's limit on integer string conversion (0 for none), int() fails
-            # and Fraction builds a power of ten with as many digits as the exponent
-            limit = sys.get_int_max_str_digits()
-            mantissa, _, exponent = word.lower().partition("e")
-            exponent = exponent.lstrip("+-")
-            digits = len(mantissa.replace(".", ""))
-            if limit and (digits > limit or len(exponent) > limit or int(exponent or 0) > limit):
-                raise ParseError(f"numeric literal has more than {limit} digits or an exponent above {limit}",
-                                 line=line, column=column)
+            check_size(word, line, column)
             value = int(word) if kind == "INT" else Fraction(word)
         elif kind == "STRING":
             value = word[1:-1]

@@ -5,9 +5,15 @@ value array, ``dtype == "rational"`` an object array of fractions.Fraction.
 Every numeric vector of the engine uses the same representation, made by
 ``as_vector``. Structural zeros are never stored.
 
-A matrix is immutable once built: no code writes to its arrays, and the
-kernels cache a plan of its rows in ``plan`` on first use (see
-``kernels``), which stays valid only while the arrays stay as they are.
+A matrix is immutable once built: no code writes to its arrays, and two
+layers cache what they derive from its structure on first use, valid only
+while the arrays stay as they are: the kernels a plan of its rows in
+``plan`` (see ``kernels``), and the qualitative layer a predecessor index
+in ``predecessors``, Python objects of about 70-85 bytes per entry (see
+``graph``).
+
+``coalesce`` skips its sort when the positions already ascend strictly,
+as the rows of a sorted file without duplicate transitions do.
 
 Sums that must be bitwise those of a plain scalar loop go through one table
 sum, ``sum_runs``. A run is an accumulator followed by terms, added strictly
@@ -32,7 +38,7 @@ from .errors import StormletError
 
 
 class SparseMatrix:
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype", "plan")
+    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype", "plan", "predecessors")
 
     def __init__(self, rows, cols, row_offsets, col_indices, values, dtype):
         self.rows = int(rows)
@@ -42,6 +48,7 @@ class SparseMatrix:
         self.values = as_vector(values, dtype)
         self.dtype = dtype
         self.plan = None  # the kernels' row grouping, built by the first kernel call
+        self.predecessors = None  # the graph layer's backward index, built by its first call
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows+1")
         if self.row_offsets[-1] != len(self.col_indices) or len(self.col_indices) != len(self.values):
@@ -146,6 +153,8 @@ def coalesce(position, values):
     in ascending order, the sum of each, and the input index of the first
     entry of each.
     """
+    if np.all(position[1:] > position[:-1]):
+        return position, values.copy(), np.arange(len(position))
     # a stable sort by position keeps the entries of one position in input order
     order = np.argsort(position, kind="stable")
     position = position[order]

@@ -681,6 +681,26 @@ def test_nested_operators_inside_boolean_structure(die_source, text, expected, e
         assert value == pytest.approx(float(expected), abs=1e-9)
 
 
+@pytest.mark.parametrize("text, solves", [
+    # F "six" under both bounds is solved once, besides the outer until
+    ('P=? [ F !P>=0.5 [ F "six" ] & P>=0.3 [ F "six" ] ]', 2),
+    ('P=? [ F P>=0.5 [ F "six" ] & P>=0.5 [ F "done" ] ]', 3),
+    ('P=? [ F P>=0.5 [ F P>=1 [ F "six" ] ] & P>=1 [ F "six" ] ]', 3),
+])
+def test_equal_nested_operators_are_solved_once(monkeypatch, die_source, text, solves):
+    model, state_map = explore(typecheck(parse_program(die_source)), ExploreOptions())
+    expected = run(model, text, state_map=state_map)
+    calls = []
+    until = checkers.check_until
+    monkeypatch.setattr(checkers, "check_until", lambda *args: calls.append(1) or until(*args))
+    out = run(model, text, state_map=state_map)
+    assert len(calls) == solves
+    assert np.array_equal(out.values, expected.values)
+    # each check solves afresh
+    run(model, text, state_map=state_map)
+    assert len(calls) == 2 * solves
+
+
 def test_die_program_end_to_end(die_source):
     program = typecheck(parse_program(die_source))
     model, state_map = explore(program, ExploreOptions())

@@ -1,6 +1,8 @@
 """Command-line interface: flags, output formats, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -428,6 +430,17 @@ def test_constants_flag(capsys, tmp_path):
     assert code == 0 and "Result (state 0): 1\n" in out
     bad_code, _, _ = run_cli(capsys, "--prism", str(src), "--prop", 'P=? [ F "goal" ]')
     assert bad_code == 1  # undefined constant
+
+
+def test_huge_constant_is_a_parse_error():
+    # Fraction("1e999999999") would build a number of a billion digits, so
+    # the value goes through the lexer's size check; a subprocess bounds the wait
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["--prism", DIE, "--constants", "N=1e999999999", "--prop", 'P=? [ F "six" ]']
+    result = subprocess.run([sys.executable, "-m", "stormlet.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", f"stormlet: error: {OVERSIZED}\n")
 
 
 def test_export_model_round_trip(capsys, tmp_path):

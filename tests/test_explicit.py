@@ -506,8 +506,25 @@ def ref_parse_action_rewards(text, kind, choice_offsets, rational=False):
     return vec
 
 
-GARBAGE = ["x", "-1", "0", "-0", "0.0", "1.2.3", "1/0", "1/-3", "inf", "-inf", "nan", "1e400", "1e-400",
-           "-1e-400", "٣", "1_0", "_1", "1__0", "0x1", "2.5", "9", "1/3", "3_0/4", "1e1_0", "+.5", "1.e1"]
+GARBAGE = ["x", "-1", "0", "-0", "0.0", "-0.0", "1.2.3", "1/0", "1/-3", "inf", "-inf", "nan", "-nan", "1e400",
+           "1e-400", "-1e-400", "٣", "1_0", "_1", "1__0", "0x1", "2.5", "9", "1/3", "3_0/4", "1e1_0", "+.5", "1.e1",
+           "²", "9223372036854775807", "9223372036854775808", "-9223372036854775809", "99999999999999999999"]
+# digits that int() and float() read like ASCII ones
+OTHER_DIGITS = [str.maketrans("0123456789", digits) for digits in ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९")]
+
+
+def _spelled(rng, token):
+    """token, sometimes with a plus sign or in another script's digits."""
+    if rng.random() < 0.1:
+        token = "+" + token
+    if rng.random() < 0.1:
+        token = token.translate(rng.choice(OTHER_DIGITS))
+    return token
+
+
+def _index(rng, i):
+    """A token for the index i: plain, signed, underscore-grouped or non-ASCII."""
+    return _spelled(rng, f"0_{i}" if rng.random() < 0.05 else str(i))
 
 
 def _digits(q):
@@ -520,22 +537,29 @@ def _digits(q):
 
 
 def _token(rng, q, rough=False):
-    """A token for the positive Fraction q: fraction, decimal, exponent or underscore form.
+    """A token for the positive Fraction q: decimal, exponent or underscore
+    form, sometimes signed or in other digits; a fraction now and then among
+    decimals, and always for q without a short decimal.
 
     ``rough`` gives a decimal that misses q by about 10^-k, for rows near 1.
     """
     if rough:
-        return f"{float(q):.{rng.choice([5, 8, 12, 17])}f}"
-    forms = [f"{q.numerator}/{q.denominator}"]
+        return _spelled(rng, f"{float(q):.{rng.choice([5, 8, 12, 17])}f}")
     digits = _digits(q)
-    if digits is not None:
-        whole, frac = digits
-        forms.append(f"{whole}.{frac}" if frac else str(whole))
-        forms.append(f"{int(q * 10**6)}e-6")
-        forms.append(f"{q.numerator * 10}e-1" if q.denominator == 1 else f"{float(q) * 10:g}E-1")
-        if len(frac) >= 2:
-            forms.append(f"{whole}.{frac[0]}_{frac[1:]}")
-    return rng.choice(forms)
+    if digits is None or rng.random() < 0.1:
+        return f"{q.numerator}/{q.denominator}"
+    whole, frac = digits
+    micros = int(q * 10**6)
+    forms = [
+        f"{whole}.{frac}" if frac else str(whole),
+        f"{micros}e-6",
+        f"{micros // 1000}.{micros % 1000:03d}e-3",
+        f"{micros // 10**8}.{micros % 10**8:08d}E+2",
+        f"{q.numerator * 10}e-1" if q.denominator == 1 else f"{float(q) * 10:g}E-1",
+    ]
+    if len(frac) >= 2:
+        forms.append(f"{whole}.{frac[0]}_{frac[1:]}")
+    return _spelled(rng, rng.choice(forms))
 
 
 def _split(rng, q):
@@ -563,8 +587,9 @@ def _transition_lines(rng, kind):
                 cuts = sorted(rng.sample(range(1, whole), len(dsts) - 1))
                 weights = [Fraction(b - a, whole) for a, b in zip([0, *cuts], [*cuts, whole])]
             rough = rng.random() < 0.2
-            head = f"{s} {c}" if kind == "mdp" else f"{s}"
-            row = [f"{head} {d} {_token(rng, part, rough)}" for d, w in zip(dsts, weights) for part in _split(rng, w)]
+            head = f"{_index(rng, s)} {_index(rng, c)}" if kind == "mdp" else _index(rng, s)
+            row = [f"{head} {_index(rng, d)} {_token(rng, part, rough)}"
+                   for d, w in zip(dsts, weights) for part in _split(rng, w)]
             rng.shuffle(row)  # destinations out of order
             keys.append(row)
     lines = [line for row in keys for line in row]
@@ -692,8 +717,10 @@ def _reward_lines(rng, offsets, mdp, per_choice):
         for c in range(offsets[s + 1] - offsets[s] if per_choice else 1):
             if rng.random() < 0.6:
                 value = rng.choice([Fraction(0), Fraction(rng.randint(1, 40), rng.choice([1, 3, 4, 1000]))])
-                token = rng.choice(["0", "-0", "0.0"]) if value == 0 else _token(rng, value, rng.random() < 0.1)
-                lines.append(f"{s} {c} {token}" if per_choice and mdp else f"{s} {token}")
+                zero = ["0", "-0", "0.0", "-0.0", "+0", "-0e-3"]
+                token = rng.choice(zero) if value == 0 else _token(rng, value, rng.random() < 0.1)
+                state = _index(rng, s)
+                lines.append(f"{state} {_index(rng, c)} {token}" if per_choice and mdp else f"{state} {token}")
     rng.shuffle(lines)  # reward lines may come in any order
     return lines
 
@@ -779,7 +806,7 @@ def _label_file(rng, n_states, mutate):
     if names:
         for s in range(n_states):
             if rng.random() < 0.6:
-                body.append(" ".join([str(s), *rng.sample(names, rng.randint(1, len(names)))]))
+                body.append(" ".join([_index(rng, s), *rng.sample(names, rng.randint(1, len(names)))]))
     rng.shuffle(body)
     if mutate:
         what = rng.randrange(6)

@@ -15,7 +15,7 @@ from conftest import (
     random_stochastic_rows,
     rows_to_matrix,
 )
-from stormlet import graph
+from stormlet import graph, sparse
 
 
 def bits(n, true_at):
@@ -225,6 +225,56 @@ def test_graph_functions_match_naive_fixed_points(seed, rational):
     assert graph.prob1e_witness(model.matrix, offsets, safe, target, other).tolist() == naive_witness(
         choices, safe, target, other
     )
+
+
+def _grouping(rng, rows, n):
+    """Offsets that give each of n states at least one of the rows."""
+    return np.array([0, *sorted(rng.sample(range(1, rows), n - 1)), rows], dtype=np.int64)
+
+
+def _mdp_sets(matrix, offsets, safe, target):
+    p0a, p1e = graph.prob01_max(matrix, offsets, safe, target)
+    p0e, p1a = graph.prob01_min(matrix, offsets, safe, target)
+    witness = graph.prob1e_witness(matrix, offsets, safe, target, p1e).tolist()
+    return as_set(p0a), as_set(p1e), as_set(p0e), as_set(p1a), witness
+
+
+def _uncached(m):
+    return sparse.SparseMatrix(m.rows, m.cols, m.row_offsets, m.col_indices, m.values, m.dtype)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_predecessor_index_is_cached_per_matrix_and_grouping(seed):
+    rng = random.Random(9000 + seed)
+    n = rng.randint(1, 8)
+    rows = random_stochastic_rows(rng, n + rng.randint(0, 8), n)
+    matrix = rows_to_matrix(rows, n, False)
+    safe = np.array([rng.random() < 0.85 for _ in range(n)])
+    target = np.array([rng.random() < 0.3 for _ in range(n)])
+    succ = succ_sets(matrix)
+    first, second = (_grouping(rng, len(rows), n) for _ in range(2))
+    # one matrix under two groupings and back, then its exact twin
+    for m, offsets in [(matrix, first), (matrix, second), (matrix, first), (matrix.to_rational(), second)]:
+        got = _mdp_sets(m, offsets, safe, target)
+        assert got == _mdp_sets(_uncached(m), offsets, safe, target)
+        choices = [succ[offsets[s]:offsets[s + 1]] for s in range(n)]
+        p1e_bits = bits(n, got[1])
+        assert got == (*naive_prob01(choices, safe, target), naive_witness(choices, safe, target, p1e_bits))
+
+    # the square matrix of one choice per state, as solvers restrict it
+    chosen = np.array([rng.randrange(lo, hi) for lo, hi in zip(first, first[1:])], dtype=np.int64)
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[chosen] = True
+    sub, _ = sparse.restrict(matrix, keep, np.ones(n, dtype=bool))
+    det = [[succ[r]] for r in chosen]
+    allowed = np.array([rng.random() < 0.7 for _ in range(n)])
+    for m in (sub, sub, _uncached(sub)):
+        assert as_set(graph._backward_closure(m, target, allowed)) == naive_closure(det, target, allowed,
+                                                                                     some_row_hits)
+        p0 = graph.prob0(m, safe, target)
+        assert as_set(p0) == set(range(n)) - naive_closure(det, target, safe, some_row_hits)
+        assert as_set(graph.prob1(m, safe, target, p0)) == set(range(n)) - naive_closure(
+            det, p0, safe & ~target, some_row_hits)
 
 
 LONG = 20000

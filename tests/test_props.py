@@ -174,7 +174,7 @@ def test_resolve_keeps_nested_operators():
     nested = resolved.path.right
     assert isinstance(nested, ProbOperator) and nested.bound == (">=", 1)
     assert list(nested.path.right) == [True, False]
-    assert list(checkers._bits(model, nested, SolverEnvironment())) == [True, False]
+    assert list(checkers.check(model, nested, SolverEnvironment()).values) == [True, False]
 
 
 # --- README examples ------------------------------------------------------
