@@ -5,7 +5,11 @@ The tandem is a CTMC with three stations in series, each holding up to c
 customers; stations 1-2 and 2-3 synchronise on the hand-over actions, and
 the program has three labels and a state and an action reward structure, so
 every construction phase has work to do. c = 10, 20, 30, 40, 46 gives
-(c+1)^3 = 1 331 to 103 823 states, in a few hundred BFS layers.
+(c+1)^3 = 1 331 to 103 823 states, in 6c + 1 = 61 to 277 BFS layers: a
+customer at station k is k steps from the empty queue. After exploring, the
+tandem's three ``P=? [ F<=1/2 ... ]`` checks (one per label, as perfbench's
+``build_tandem`` runs them) are timed together as its ``F<=1/2`` phase, which
+uniformises and steps the states that can still move.
 
 The chain is a birth-death DTMC with as many states, started in the middle,
 so each BFS layer holds about two states: N states take N/2 layers. It
@@ -25,7 +29,8 @@ combination.
 it makes are timed by wrapping them where ``explore`` looks them up, and
 the explore phase is the rest. For each size the script prints the best time
 of each phase in ms and the same time per 10^3 stored transitions; a flat
-column is linear growth.
+column is linear growth. The explore rows of the tandem and the thin chains
+also give the time per BFS layer in microseconds.
 
 Usage: python3 benchmarks/bench_explore.py [--caps 10,20,30,40,46] [--repeats 3]
 """
@@ -34,8 +39,10 @@ import argparse
 import sys
 import time
 
-from stormlet import sparse
+from stormlet import checkers, sparse
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
+from stormlet.props import parse_property, resolve_atoms
+from stormlet.solvers import SolverEnvironment
 
 TANDEM = """ctmc
 
@@ -131,6 +138,8 @@ def sync_program(k):
 
 
 PHASES = ("explore", "labels", "rewards", "build_sparse")
+# the time-bounded checks of perfbench's build_tandem, one per tandem label
+TANDEM_CHECKS = [f'P=? [ F<=1/2 "{label}" ]' for label in ("busy1", "queue1", "busy2")]
 # phase -> (module, attribute) of the call explore makes for it
 TIMED = {
     "labels": (sys.modules["stormlet.prism.explore"], "build_label_bitsets"),
@@ -167,12 +176,21 @@ def timed_explore(program):
     return model, spent
 
 
-def bench(program, repeats):
+def bench(program, repeats, checks=()):
+    """States, transitions and the best seconds of each phase; ``checks`` are
+    property texts, timed together after exploring as phase ``F<=1/2``."""
     best = dict.fromkeys(PHASES, float("inf"))
     for _ in range(repeats):
         model, spent = timed_explore(program)
         for phase in PHASES:
             best[phase] = min(best[phase], spent[phase])
+    if checks:
+        env, props = SolverEnvironment(), [resolve_atoms(parse_property(text), model) for text in checks]
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for prop in props:
+                checkers.check(model, prop, env)
+            best["F<=1/2"] = min(best.get("F<=1/2", float("inf")), time.perf_counter() - start)
     return model.n_states, model.matrix.nnz, best
 
 
@@ -189,13 +207,13 @@ def main():
     for cap in (int(s) for s in args.caps.split(",")):
         n = (cap + 1) ** 3 - 1
         for family, size, program, layers in (
-            ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), None),
+            ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), 6 * cap + 1),
             ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2}), n - n // 2 + 1),
             ("mdp", n + 1, typecheck(parse_program(RUIN_MDP), {"N": n, "M": n // 2}), n - n // 2 + 1),
             ("sync", cap, typecheck(parse_program(sync_program(cap))), None),
         ):
-            states, nnz, best = bench(program, args.repeats)
-            for phase in PHASES:
+            states, nnz, best = bench(program, args.repeats, TANDEM_CHECKS if family == "tandem" else ())
+            for phase in best:
                 ms = best[phase] * 1e3
                 per_layer = f"{ms * 1e3 / layers:9.1f}" if layers and phase == "explore" else f"{'-':>9}"
                 print(f"{family:<7} {size:>7} {states:>8} {nnz:>11}  {phase:<12} {ms:>10.2f} "

@@ -167,6 +167,8 @@ def _step(model, x, optimum, b=None):
 def check_bounded_until(model, left, right, k, optimum=None):
     """k synchronized backward steps; right states pinned to one.
 
+    Only the active states (left & ~right) step, through the rows of the
+    matrix that belong to them; every other state keeps its pinned value.
     The step depends only on x, so stepping stops once an iterate equals its
     predecessor exactly: every later iterate would be the same. Float
     iterates often get there (die.pm after 56 steps); exact ones rarely do
@@ -174,9 +176,14 @@ def check_bounded_until(model, left, right, k, optimum=None):
     """
     active = left & ~right
     pinned = sparse.as_vector(right, model.dtype)
+    counts = np.diff(model.choice_offsets)  # all ones for a chain
+    sub, _ = sparse.restrict(model.matrix, np.repeat(active, counts), np.ones(model.n_states, dtype=bool))
+    offsets = np.concatenate(([0], np.cumsum(counts[active])))
     x = pinned
-    for _ in range(k):
-        x, previous = np.where(active, _step(model, x, optimum), pinned), x
+    for _ in range(k if active.any() else 0):
+        x, previous = pinned.copy(), x
+        x[active] = (kernels.matvec_reduce(sub, offsets, previous, optimum == "max")[0]
+                     if model.kind is ModelKind.MDP else kernels.matvec(sub, previous))
         if np.array_equal(x, previous):
             break
     return x
@@ -337,32 +344,33 @@ def check_cumulative_reward(model, rm, k, optimum=None):
 
 
 def _uniformized(model, active):
-    """The uniformized jump matrix for the active states, and its rate q.
+    """The rows of the active states in the uniformized jump matrix, and its rate q.
 
-    Active row s is the embedded row scaled by ratio = rate(s)/q, with the
-    self-loop folded into the diagonal (1 - ratio) + ratio * p(s,s), which is
-    kept only when positive; other states get identity rows. Entries that
-    round to zero are dropped.
+    Row i, of the i-th active state s, is the embedded row of s scaled by
+    ratio = rate(s)/q, with the self-loop folded into the diagonal
+    (1 - ratio) + ratio * p(s,s), which is kept only when positive. Entries
+    that round to zero are dropped. The matrix has a column per state; the
+    rows it leaves out would be identity rows, so a step keeps those entries.
     """
     n = model.n_states
-    rates = np.where(active, sparse.as_vector(model.exit_rates, "float"), 0.0)
+    states = np.flatnonzero(active)
+    rates = sparse.as_vector(model.exit_rates, "float")[states]
     q = UNIFORMIZATION_SLACK * rates.max()
-    embedded = model.matrix.to_float()
-    # an inactive state has ratio 0, so its row reduces to the identity
+    embedded = sparse.restrict(model.matrix, active, np.ones(n, dtype=bool))[0].to_float()
     ratio = rates / q
-    row_of = np.repeat(np.arange(n), np.diff(embedded.row_offsets))
+    row_of = np.repeat(np.arange(len(states)), np.diff(embedded.row_offsets))
     scaled = ratio[row_of] * embedded.values
-    loop = embedded.col_indices == row_of
+    loop = embedded.col_indices == states[row_of]
     diag = 1.0 - ratio
     diag[row_of[loop]] += scaled[loop]
     off = ~loop & (scaled != 0.0)
     on = np.flatnonzero(diag > 0.0)
     rows = np.concatenate((row_of[off], on))
-    cols = np.concatenate((embedded.col_indices[off], on))
+    cols = np.concatenate((embedded.col_indices[off], states[on]))
     order = np.lexsort((cols, rows))
-    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(states)))))
     values = np.concatenate((scaled[off], diag[on]))[order]
-    return sparse.SparseMatrix(n, n, row_offsets, cols[order], values, "float"), q
+    return sparse.SparseMatrix(len(states), n, row_offsets, cols[order], values, "float"), q
 
 
 def check_timebounded_until_ctmc(model, left, right, t, env):
@@ -384,7 +392,7 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
         if step >= L:
             result += (w[step - L] / total) * v
         if step < R:
-            v = kernels.matvec(p_unif, v)
+            v[active] = kernels.matvec(p_unif, v)
     # target states are absorbing successes: pin them to exactly one instead
     # of accumulating truncation noise from the normalized Poisson window
     result[right] = 1.0

@@ -26,8 +26,6 @@ component, so such models cost O(states * transitions) in the worst case.
 
 import numpy as np
 
-from . import sparse
-
 
 def _predecessors(matrix, choice_offsets):
     """The backward index of ``matrix`` under a grouping: (rows, owner).
@@ -39,9 +37,10 @@ def _predecessors(matrix, choice_offsets):
     """
     cached = matrix.predecessors
     if cached is None or not np.array_equal(cached[0], choice_offsets):
-        t = sparse.transpose(matrix)
-        entries = tuple(t.col_indices.tolist())
-        bounds = t.row_offsets.tolist()
+        # the rows of the entries in column order, each column's ascending; values are not read
+        order = np.argsort(matrix.col_indices, kind="stable")
+        entries = tuple(np.repeat(np.arange(matrix.rows), np.diff(matrix.row_offsets))[order].tolist())
+        bounds = [0] + np.cumsum(np.bincount(matrix.col_indices, minlength=matrix.cols)).tolist()
         owner = np.repeat(np.arange(len(choice_offsets) - 1), np.diff(choice_offsets)).tolist()
         index = [entries[lo:hi] for lo, hi in zip(bounds, bounds[1:])], owner
         cached = matrix.predecessors = np.array(choice_offsets, dtype=np.int64), index

@@ -2,23 +2,24 @@
 
 Every guard, update weight, assignment, label and reward expression is
 compiled once per call into a column closure (``semantics.compile_expr``).
-Exploration expands a layer at a time: the frontier is every state found
-but not yet expanded, and each guard, weight and assignment is evaluated
-once per layer over the frontier's variable columns. States are numbered in
-discovery order and interned by a packed integer key; ``StateMap`` holds one
-column per variable. Variable ranges are checked once before exploring, and
-every assigned value against them.
+A layer is every state found but not yet expanded; each guard is evaluated
+once per layer, and each weight and assignment on the rows it fires on.
+States are numbered in discovery order and interned by a packed integer
+key; ``StateMap`` holds one column per variable. Variable ranges are
+checked once before exploring, and every assigned value against them.
 
 Unlabeled commands interleave. Commands sharing an action label
 synchronize across every module that mentions the action: each combination
 of one such command per module is a choice, whose weights multiply and
 whose assignments merge (a later module's wins). DTMCs take the uniform
 mixture over enabled commands, CTMCs race (rates add), MDPs keep one choice
-per combination. A layer's branches are written into grids with one line
-per row, so that an update costs one array operation whatever the layer's
-size: one-command choices that share a guard form a group (``_Group``),
-and a synchronised action (``_Sync``) evaluates each command once and
-gathers its lines into the combinations that use it.
+per combination. An action with one command per module is one choice
+(``_Folded``) under the conjunction of their guards; one-command choices
+that share a guard form a group (``_Group``), whose branches fill a grid
+with one line per row, so that an update costs one array operation whatever
+the layer's size. An action on which a module has several commands is a
+``_Sync``, which evaluates each command once and gathers its lines into the
+combinations that use it. One stable sort merges the parts of a layer.
 
 A layer gives the model that expanding its states one at a time in index
 order gives: successors are interned in (state, choice, branch) order, and
@@ -33,9 +34,10 @@ branch order.
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, groupby, islice, repeat
+from functools import reduce
+from itertools import accumulate, compress, count, groupby, islice, product, repeat
 from math import prod
-from operator import is_
+from operator import and_, is_, mul, or_
 import numpy as np
 
 from .. import sparse
@@ -141,6 +143,7 @@ class _Command:
     """
 
     __slots__ = ("action", "span", "guard", "updates", "total", "pattern", "plain", "slots")
+    parts = None  # the commands of a ``_Folded``
 
     def __init__(self, command, state_map, exact, kind):
         slots, bounds = state_map.slots, state_map.bounds
@@ -153,12 +156,9 @@ class _Command:
                 constant = Fraction(1) if exact else 1.0
             elif isinstance(weight, syntax.Lit) and (exact or abs(weight.value) <= EXACT_INT):
                 constant = Fraction(weight.value) if exact else float(weight.value)
-            self.updates.append((
-                None if weight is None else compile_expr(weight, slots, exact, bounds),
-                None if weight is None else weight.span,
-                constant,
-                [(slots[var], compile_expr(rhs, slots, exact, bounds)) for var, rhs in upd.assignments],
-            ))
+            assignments = [(slots[var], compile_expr(rhs, slots, exact, bounds)) for var, rhs in upd.assignments]
+            self.updates.append((None if weight is None else compile_expr(weight, slots, exact, bounds),
+                                 None if weight is None else weight.span, constant, assignments))
         constants = [constant for _, _, constant, _ in self.updates]
         self.total, self.pattern, self.plain = None, None, False
         if None not in constants:
@@ -167,6 +167,21 @@ class _Command:
             self.plain = min(constants) >= 0 and not _bad_sum(self.total, kind, exact)
         assigned = [{slot for slot, _ in assignments} for _, _, _, assignments in self.updates]
         self.slots = {slot: all(slot in a for a in assigned) for slot in set().union(*assigned)}
+
+
+class _Folded:
+    """An action on which each module that mentions it has one command, as one
+    choice: its branches are the product of the commands' updates, in module
+    order, whose weights and totals multiply left to right, as they do on each
+    row. ``updates`` only counts them; the rest is as for a ``_Command``."""
+
+    __slots__ = ("parts", "updates", "total", "pattern", "plain", "slots")
+
+    def __init__(self, parts):
+        self.parts, self.plain = parts, all(cmd.plain for cmd in parts)
+        self.updates, self.slots = range(prod(len(cmd.updates) for cmd in parts)), set().union(*(c.slots for c in parts))
+        self.total = prod(cmd.total for cmd in parts) if self.plain else None
+        self.pattern = reduce(np.multiply.outer, [cmd.pattern for cmd in parts]).ravel() if self.plain else None
 
 
 def _bad_sum(total, kind, exact):
@@ -193,13 +208,10 @@ def _ranges(decls):
     """Per variable, None for a boolean or its (low, high); empty ranges are errors."""
     bounds = []
     for decl in decls:
-        if decl.is_bool:
-            bounds.append(None)
-            continue
-        low, high = eval_expr(decl.low), eval_expr(decl.high)
+        low, high = (0, 1) if decl.is_bool else (eval_expr(decl.low), eval_expr(decl.high))
         if low > high:
             raise ModelError(f"variable {decl.name!r} has empty range [{low}..{high}]")
-        bounds.append((low, high))
+        bounds.append(None if decl.is_bool else (low, high))
     return bounds
 
 
@@ -238,7 +250,7 @@ def _flat(values, shape=None):
 class _Group:
     """One-command choices that follow each other in a state's choice order
     and share a guard, so that they fire on the same rows: unlabeled
-    commands, or the commands of an action that one module has.
+    commands, folded actions, or the commands of an action that one module has.
 
     ``choices`` holds each choice's action mask and command. A row's
     branches are one line of a grid, each choice's updates in turn; ``slots``
@@ -285,35 +297,38 @@ class _Layers:
             program.model_type, options.exact, options, state_map, bounds)
         self.ctmc = self.kind is ModelKind.CTMC
         commands = [cmd for module in program.modules for cmd in module.commands]
+        starts = list(accumulate([0] + [len(module.commands) for module in program.modules]))
         self.commands = [_Command(cmd, state_map, self.exact, self.kind) for cmd in commands]
-        self.sizes = [len(cmd.updates) for cmd in commands]
         # a guard that repeats an earlier command's is evaluated once per layer
         first_of = {}
         guard_at = self.guard_at = [first_of.setdefault(_shape(cmd.guard), len(first_of)) for cmd in commands]
         self.guards = [self.commands[guard_at.index(g)].guard for g in range(len(first_of))]
         self.actions = [None] + list(dict.fromkeys(cmd.action for cmd in commands if cmd.action is not None))
         self.mask_dtype = np.int64 if len(self.actions) < 63 else object
-        # a state's choices, in order: each unlabeled command, in module
-        # order, then per action (bit i of a row's action mask; bit 0:
-        # unlabeled) each combination of one command of every module that
-        # mentions it, in product order; one-command choices that follow each
-        # other and share a guard form a group
-        self.groups, singles = [], [(1, k) for k, cmd in enumerate(self.commands) if cmd.action is None]
+        # a state's choices, in order: each unlabeled command, in module order,
+        # then per action (bit i of a row's action mask; bit 0: unlabeled) each
+        # combination of one command of every module that mentions it, in product
+        # order, folded when each module has one; one-command choices that follow
+        # each other and share a guard form a group. A fold is guarded by the
+        # conjunction of its commands' guards, whose id follows the guards' ids
+        self.groups, self.conjunctions = [], {}
+        singles = [(1, k) for k, cmd in enumerate(self.commands) if cmd.action is None]
         runs = lambda: [_Group(list(run), self.commands, g, self.mask_dtype)  # noqa: E731
                         for g, run in groupby(singles, lambda choice: guard_at[choice[1]])]
         for bit, action in enumerate(self.actions[1:], 1):
-            per_module, start = [], 0
-            for module in program.modules:
-                ks = [start + i for i, c in enumerate(module.commands) if c.action == action]
-                per_module += [ks] if ks else []
-                start += len(module.commands)
+            per_module = [ks for lo, hi in zip(starts, starts[1:])
+                          if (ks := [k for k in range(lo, hi) if commands[k].action == action])]
             if len(per_module) == 1:
                 singles += [(1 << bit, k) for k in per_module[0]]
+            elif not any(ks[1:] for ks in per_module):
+                guards = tuple(guard_at[ks[0]] for ks in per_module)
+                guard_at.append(self.conjunctions.setdefault(guards, len(first_of) + len(self.conjunctions)))
+                self.commands.append(_Folded([self.commands[ks[0]] for ks in per_module]))
+                singles.append((1 << bit, len(self.commands) - 1))
             else:
                 self.groups += runs() + [_Sync(1 << bit, per_module, self.commands, guard_at)]
                 singles = []
         self.groups += runs()
-        self.one = Fraction(1) if self.exact else 1.0
         # per expanded batch: its first state and choice; which states have a
         # choice; its choices' states (from its first), totals (CTMC) and action
         # masks; its branches' rows (from its first state or choice), weights;
@@ -327,31 +342,34 @@ class _Layers:
         return out
 
     def _evaluate(self, cmd, table, rows):
-        """An enabled command on the given rows: its weight columns (None when plain), per
-        update {slot: value column}, and the total of each row (CTMC only). For
-        DTMC/MDP the weights must sum to 1 (within 1e-10 in float mode)."""
+        """An enabled command on the given rows: its weight columns, per update
+        {slot: value column}, and the total of each row (CTMC only); both None
+        when plain. For DTMC/MDP the weights must sum to 1 (within 1e-10 in
+        float mode). A fold evaluates its commands in module order, then
+        multiplies weights and totals and merges assignments per branch."""
+        if cmd.parts:
+            done = [self._evaluate(part, table, rows) for part in cmd.parts]
+            assigns = [{k: v for a in combo for k, v in a.items()} for combo in product(*(a for _, a, _ in done))]
+            if cmd.plain:
+                return None, assigns, None
+            grids = [np.array(w or [self._full(len(rows), v) for v in part.pattern])
+                     for part, (w, _, _) in zip(cmd.parts, done)]
+            columns = reduce(lambda x, y: (x[:, None] * y).reshape(-1, len(rows)), grids)
+            totals = [part.total if t is None else t for part, (_, _, t) in zip(cmd.parts, done)]
+            return list(columns), assigns, reduce(mul, totals) if self.ctmc else None
         if cmd.plain:
-            assigns = [{slot: value(table, rows) for slot, value in assignments}
-                       for _, _, _, assignments in cmd.updates]
-            return None, assigns, self._full(len(rows), cmd.total) if self.ctmc else None
-        weights, assigns = [], []
+            return None, [{slot: value(table, rows) for slot, value in assignments}
+                          for _, _, _, assignments in cmd.updates], None
+        columns, assigns = [], []
         for weight, span, constant, assignments in cmd.updates:
-            if constant is None:
-                w = _domain(weight(table, rows), self.exact, "update weight", span)
-                negative = (w < 0).any()
-            else:
-                w, negative = None, constant < 0
-            if negative:
+            columns.append(_domain(weight(table, rows), self.exact, "update weight", span) if constant is None
+                           else self._full(len(rows), constant))
+            if (columns[-1] < 0).any():
                 raise ModelError(f"negative update weight at line {cmd.span[0]}")
-            weights.append(w)
             assigns.append({slot: value(table, rows) for slot, value in assignments})
         if cmd.total is not None:
             self._sum_error(cmd, cmd.total)  # a plain command's total would have passed
-        columns = [self._full(len(rows), constant) if w is None else w
-                   for w, (_, _, constant, _) in zip(weights, cmd.updates)]
-        total = columns[0]  # 0 + w equals w, up to the sign of a zero
-        for w in columns[1:]:
-            total = total + w
+        total = reduce(np.add, columns)  # added left to right; 0 + w equals w, up to the sign of a zero
         bad = _bad_sum(total, self.kind, self.exact)
         if bad.any():
             self._sum_error(cmd, total.item(int(np.argmax(bad))))
@@ -385,15 +403,17 @@ class _Layers:
                     line.append(assign[slot] if slot in assign else table[slot][rows])
             if group.weights is None:
                 weights += columns or [self._full(n, w) for w in self.commands[c].pattern]
-                rates.append(total)
+                rates.append(total if columns else self._full(n, self.commands[c].total))
         values = {slot: _grid(line) for slot, line in values.items()}
         if group.weights is None:
             weights, totals = _grid(weights), _grid(rates) if self.ctmc else None
         else:
             weights, totals = _flat(group.weights, (n, width)), _flat(group.totals, (n, k)) if self.ctmc else None
-        source, choice = rows.repeat(width), (np.arange(0, n * k, k)[:, None] + group.line).ravel()
+        source, choice = (rows, np.arange(n)) if width == 1 else (  # width 1: one choice of one branch per row
+            rows.repeat(width), (np.arange(0, n * k, k)[:, None] + group.line).ravel())
         successors = [values[slot] if slot in values else column[source] for slot, column in enumerate(table)]
-        return rows.repeat(k), _flat(group.masks, (n, k)), totals, choice, weights, successors, values
+        choice_rows = rows if k == 1 else rows.repeat(k)
+        return choice_rows, _flat(group.masks, (n, k)), totals, choice, weights, successors, values
 
     def _join(self, sync, holds, table):
         """A synchronised action's choices on the frontier, as ``_fire`` gives
@@ -404,13 +424,7 @@ class _Layers:
         enabled, and each choice takes its line of the command's columns in
         every module, so that the cost follows commands and branches, not
         combinations."""
-        fire = None
-        for guards in sync.guards:
-            some = holds[guards[0]]
-            for g in guards[1:]:
-                some = some | holds[g]
-            fire = some if fire is None else fire & some
-        rows = fire.nonzero()[0]
+        rows = reduce(and_, [reduce(or_, [holds[g] for g in guards]) for guards in sync.guards]).nonzero()[0]
         if not len(rows):
             return None
         # per module, its commands enabled on some firing row and where (None: on
@@ -451,7 +465,8 @@ class _Layers:
             else:
                 w = lines([[self._full(len(r), v) for v in cmd.pattern] if columns is None else columns
                            for cmd, r, columns, _, _ in cmds])
-                t = _flat([total for *_, total in cmds]) if self.ctmc else None
+                t = _flat([self._full(len(r), cmd.total) if columns is None else total
+                           for cmd, r, columns, _, total in cmds]) if self.ctmc else None
                 t = t if t is None or line is None else t[line]
             weights, totals = (w, t) if weights is None else (weights * w, t if t is None else totals * t)
             for slot, every in sync.slots[j]:
@@ -479,11 +494,11 @@ class _Layers:
 
         Nothing is kept when it raises.
         """
-        state_map = self.state_map
-        table = [column[lo:hi] for column in state_map.columns]
-        n = hi - lo
-        frontier = np.arange(n)
+        state_map, n = self.state_map, hi - lo
+        table, frontier = [column[lo:hi] for column in state_map.columns], np.arange(n)
         holds = [guard(table, frontier) for guard in self.guards]
+        for guards in self.conjunctions:
+            holds.append(reduce(and_, [holds[g] for g in guards]))
 
         # per fired group: its choices' rows, action masks and totals; per
         # branch its choice, weight and successor columns; its assigned slots
@@ -500,7 +515,7 @@ class _Layers:
                 raise DeadlockError(s, f"valuation {dict(zip(state_map.slots, state_map.valuation(s)))}")
             # a deadlock gets one choice: a self-loop of weight (and rate) 1, with no action
             rows = np.flatnonzero(~covered)
-            ones = self._full(len(rows), self.one)
+            ones = self._full(len(rows), Fraction(1))  # 1.0 in a float array
             parts.append((rows, np.zeros(len(rows), dtype=self.mask_dtype), ones, np.arange(len(rows)), ones,
                           [column[rows] for column in table], ()))
 
@@ -508,45 +523,36 @@ class _Layers:
             # one group's choices come in row order, and its branches in choice order
             choice_rows, bits, totals, branch_rank, weights, successors, assigned = parts[0]
         else:
+            # one stable sort by (row, choice), the layer's choices numbered in part
+            # order, puts the branches in (state, choice, branch) order
             rows_, bits_, totals_, branches_, weights_, successors_, slots_ = zip(*parts)
-            choice_rows = np.concatenate(rows_)
-            choice_order = choice_rows.argsort(kind="stable")
-            choice_rows = choice_rows[choice_order]
-            totals = np.concatenate(totals_)[choice_order] if self.ctmc else None
-            bits = np.concatenate(bits_)[choice_order]
-            rank = np.empty(len(choice_order), dtype=np.int64)
-            rank[choice_order] = np.arange(len(choice_order))
-            # branches in (state, choice, branch) order, choices numbered across groups
-            firsts = accumulate([0] + [len(rows) for rows in rows_[:-1]])
-            branch_rank = rank[np.concatenate([branches + first for branches, first in zip(branches_, firsts)])]
-            order = branch_rank.argsort(kind="stable")
-            branch_rank = branch_rank[order]
+            rows, firsts = np.concatenate(rows_), accumulate([0] + [len(part) for part in rows_[:-1]])
+            choice = np.concatenate([branches + first for branches, first in zip(branches_, firsts)])
+            order = (rows[choice] * len(rows) + choice).argsort(kind="stable")
+            choice, branch_rank = choice[order], np.arange(len(order))
+            if len(order) > len(rows):  # some choice has several branches
+                new = np.concatenate(([True], choice[1:] != choice[:-1]))
+                branch_rank, choice = np.cumsum(new) - 1, choice[new]
+            choice_rows, bits = rows[choice], np.concatenate(bits_)[choice]
+            totals = np.concatenate(totals_)[choice] if self.ctmc else None
             weights = np.concatenate(weights_)[order]
             successors = [np.concatenate(column)[order] for column in zip(*successors_)]
             assigned = set().union(*slots_)
         if np.count_nonzero(weights) < len(weights):
             nonzero = weights != 0  # a zero weight gives no transition
-            branch_rank, weights = branch_rank[nonzero], weights[nonzero]
-            successors = [column[nonzero] for column in successors]
-
+            branch_rank, weights, successors = branch_rank[nonzero], weights[nonzero], [c[nonzero] for c in successors]
         # cut before the first branch with an assigned value outside its range
-        bad = None
+        cut, bad_branch = len(weights), None
         for slot in assigned:
             bound, column = self.bounds[slot], successors[slot]
-            if bound is None:
-                continue
-            if column.dtype == np.int64:
-                # within +-2^53, so the offset from the low bound is exact
-                outside = (column - bound[0] if bound[0] else column).view(np.uint64) > bound[1] - bound[0]
-            else:
-                outside = (column < bound[0]) | (column > bound[1])
-            bad = outside if bad is None else bad | outside
-        cut = int(bad.argmax()) if bad is not None and np.count_nonzero(bad) else len(weights)
-        bad_branch = None
+            if bound is not None:
+                # an int64 column is within +-2^53, so its offset from the low bound is exact
+                outside = ((column - bound[0] if bound[0] else column).view(np.uint64) > bound[1] - bound[0]
+                           if column.dtype == np.int64 else (column < bound[0]) | (column > bound[1]))
+                cut = int(outside.argmax()) if np.count_nonzero(outside[:cut]) else cut
         if cut < len(weights):
             bad_branch = lo + int(choice_rows[branch_rank[cut]]), [column[cut] for column in successors]
-            branch_rank, weights = branch_rank[:cut], weights[:cut]
-            successors = [column[:cut] for column in successors]
+            branch_rank, weights, successors = branch_rank[:cut], weights[:cut], [c[:cut] for c in successors]
 
         n_states = len(state_map)
         found = state_map.intern(state_map.keys(successors, len(weights)).tolist())
@@ -637,9 +643,7 @@ def explore(program, options=None):
     counts = np.bincount(choice_states, minlength=n)
     scales = exit_rates = None
     if kind is ModelKind.MDP:
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        masks = bits
+        offsets, masks = np.concatenate(([0], np.cumsum(counts))), bits
     else:
         offsets = np.arange(n + 1, dtype=np.int64)
         masks = np.bitwise_or.reduceat(bits, np.cumsum(counts) - counts)
@@ -647,17 +651,15 @@ def explore(program, options=None):
         scales = counts if kind is ModelKind.DTMC else sparse.coalesce(choice_states, _joined(totals))[1]
         exit_rates = scales if kind is ModelKind.CTMC else None
     del choice_states, totals, bits
-    domain = "rational" if exact else "float"
     rows = _joined(rows, firsts if kind is ModelKind.MDP else los)
     cols = np.array(layers.cols, dtype=np.int64)
     del layers.cols[:]
     with np.errstate(all="ignore"):
         entries = _entries(rows, cols, _joined(values), n, scales, exact)
     del rows, cols
-    matrix = sparse.build_sparse(entries, int(offsets[-1]), n, domain)
+    matrix = sparse.build_sparse(entries, int(offsets[-1]), n, "rational" if exact else "float")
     del entries
-    initial_states = np.zeros(n, dtype=bool)
-    initial_states[0] = True
+    initial_states = np.arange(n) == 0
 
     labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})
     model = Model(kind, matrix, labeling, choice_offsets=offsets, initial_states=initial_states,
@@ -668,8 +670,7 @@ def explore(program, options=None):
     # produced it: one frozenset per distinct set, and each row's set
     masks, row_set = np.unique(masks, return_inverse=True)
     sets = [frozenset(a for i, a in enumerate(layers.actions) if mask >> i & 1) for mask in masks.tolist()]
-    row_actions = (sets, row_set.ravel())
-    model.rewards.update(build_reward_models(program, model, state_map, row_actions, exact=exact))
+    model.rewards.update(build_reward_models(program, model, state_map, (sets, row_set.ravel()), exact=exact))
     return model, state_map
 
 
@@ -726,8 +727,7 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
                 state = np.repeat(np.arange(len(counts)), counts)
                 choice = offsets[rows][state] + np.arange(len(state)) - (np.cumsum(counts) - counts)[state]
                 hit = matches[choice]
-                choice = choice[hit]
-                action_rw[choice] = action_rw[choice] + value[state[hit]]
+                action_rw[choice[hit]] = action_rw[choice[hit]] + value[state[hit]]
             else:
                 has_state = True
                 state_rw[rows] = state_rw[rows] + value

@@ -12,8 +12,9 @@ while the arrays stay as they are: the kernels a plan of its rows in
 in ``predecessors``, Python objects of about 70-85 bytes per entry (see
 ``graph``).
 
-``coalesce`` skips its sort when the positions already ascend strictly,
-as the rows of a sorted file without duplicate transitions do.
+``coalesce`` skips its sort when the positions already ascend, as the
+rows of a sorted file do: a stable sort of sorted positions changes nothing.
+Strictly ascending positions skip the sums as well.
 
 Sums that must be bitwise those of a plain scalar loop go through one table
 sum, ``sum_runs``. A run is an accumulator followed by terms, added strictly
@@ -153,19 +154,21 @@ def coalesce(position, values):
     in ascending order, the sum of each, and the input index of the first
     entry of each.
     """
-    if np.all(position[1:] > position[:-1]):
+    step = np.diff(position)
+    if np.all(step > 0):
         return position, values.copy(), np.arange(len(position))
     # a stable sort by position keeps the entries of one position in input order
-    order = np.argsort(position, kind="stable")
-    position = position[order]
+    order = None if np.all(step >= 0) else np.argsort(position, kind="stable")
+    if order is not None:
+        position, values = position[order], values[order]
     first = np.ones(len(position), dtype=bool)
     first[1:] = position[1:] != position[:-1]
     starts = np.flatnonzero(first)
     # a run's first value is its accumulator and the rest are its terms
-    values = values[order]
     rest = values[~first]
     plan = _Plan(np.append(starts, len(position)) - np.arange(len(starts) + 1))
-    return position[starts], sum_runs(plan, values[starts], lambda lo, hi: rest[lo:hi]), order[starts]
+    sums = sum_runs(plan, values[starts], lambda lo, hi: rest[lo:hi])
+    return position[starts], sums, starts if order is None else order[starts]
 
 
 # the table is filled and added in blocks of about this many cells, so the
@@ -249,15 +252,6 @@ def row_sums(m):
     if nonempty.any():
         out[nonempty] = np.add.reduceat(m.values, m.row_offsets[:-1][nonempty])
     return out
-
-
-def transpose(m):
-    """The transposed matrix; each row keeps its columns in ascending order."""
-    order = np.argsort(m.col_indices, kind="stable")
-    row_of = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
-    counts = np.bincount(m.col_indices, minlength=m.cols)
-    row_offsets = np.concatenate(([0], np.cumsum(counts)))
-    return SparseMatrix(m.cols, m.rows, row_offsets, row_of[order], m.values[order], m.dtype)
 
 
 def restrict(m, keep_rows, keep_cols):

@@ -523,16 +523,18 @@ endmodule
 """
 
 
-def reference_uniformized(model, active):
-    """The uniformized matrix assembled entry by entry through build_sparse."""
+def reference_uniformized(model, active, full=False):
+    """The active states' rows of the uniformized matrix, assembled entry by
+    entry through build_sparse; with ``full``, a row per state, the identity
+    row for an inactive one."""
     n = model.n_states
     rates = np.array([float(model.exit_rates[s]) if active[s] else 0.0 for s in range(n)])
     q = checkers.UNIFORMIZATION_SLACK * rates.max()
     embedded = model.matrix.to_float()
     triples = []
-    for s in range(n):
+    for row, s in enumerate(range(n) if full else np.flatnonzero(active).tolist()):
         if not active[s]:
-            triples.append((s, s, 1.0))
+            triples.append((row, s, 1.0))
             continue
         ratio = rates[s] / q
         diag = 1.0 - ratio
@@ -541,10 +543,10 @@ def reference_uniformized(model, active):
             if j == s:
                 diag += ratio * v
             else:
-                triples.append((s, int(j), ratio * v))
+                triples.append((row, int(j), ratio * v))
         if diag > 0.0:
-            triples.append((s, s, diag))
-    return sparse.build_sparse(triples, n, n, "float"), q
+            triples.append((row, s, diag))
+    return sparse.build_sparse(triples, n if full else int(active.sum()), n, "float"), q
 
 
 def uniformization_models():
@@ -576,6 +578,76 @@ def test_uniformized_matrix_matches_entrywise_assembly():
             expected, expected_q = reference_uniformized(model, active)
             assert got == expected and got.values.tobytes() == expected.values.tobytes()
             assert q == expected_q
+
+
+def full_step(m, x, offsets=None, maximize=True):
+    """Every row of m times x, its products added left to right from zero in
+    CSR order; with choice offsets, each state's best row."""
+    rows, zero = [], sparse.as_vector([0], m.dtype)[0]
+    for i in range(m.rows):
+        acc = zero
+        for j, v in zip(*m.row(i)):
+            acc = acc + v * x[j]
+        rows.append(acc)
+    if offsets is not None:
+        pick = max if maximize else min
+        rows = [pick(rows[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+    return sparse.as_vector(rows, m.dtype)
+
+
+def full_bounded_until(model, left, right, k, maximize=True):
+    """k full steps of every row; states outside left & ~right keep their pinned value."""
+    active = left & ~right
+    pinned = sparse.as_vector(right, model.dtype)
+    offsets = model.choice_offsets if model.kind is ModelKind.MDP else None
+    x = pinned
+    for _ in range(k):
+        x, previous = np.where(active, full_step(model.matrix, x, offsets, maximize), pinned), x
+        if np.array_equal(x, previous):
+            break
+    return x
+
+
+def full_timebounded(model, left, right, t):
+    """Uniformization with the full matrix, identity rows for inactive states, in every step."""
+    matrix, q = reference_uniformized(model, left & ~right, full=True)
+    L, R, w, total = solvers.fox_glynn(q * t, ENV.precision * 0.1)
+    v, result = right.astype(np.float64), np.zeros(model.n_states)
+    for step in range(R + 1):
+        if step >= L:
+            result += (w[step - L] / total) * v
+        if step < R:
+            v = full_step(matrix, v)
+    result[right] = 1.0
+    return result
+
+
+def same_bits(got, expected):
+    if got.dtype == object:
+        return list(got) == list(expected) and all(type(v) is F for v in got)
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_bounded_results_equal_a_full_matrix_step_bit_for_bit():
+    rng = random.Random(5)
+    # queue.sm, the tandem at c <= 3 and random small chains, float and exact
+    models = [model for model in uniformization_models() if model.n_states <= 64]
+    for i in range(30):
+        rational = i % 3 == 0
+        models.append(random_dtmc(rng, rng.randint(1, 12), rational)[0])
+        models.append(random_mdp(rng, rng.randint(1, 12), 3, rational)[0])
+    for model in models:
+        n = model.n_states
+        for left in (np.ones(n, dtype=bool), np.array([rng.random() < 0.7 for _ in range(n)])):
+            right = np.array([rng.random() < 0.3 for _ in range(n)])
+            for k in (0, 1, 7, 60):
+                for optimum in ("max", "min") if model.kind is ModelKind.MDP else (None,):
+                    got = checkers.check_bounded_until(model, left, right, k, optimum)
+                    assert same_bits(got, full_bounded_until(model, left, right, k, optimum == "max"))
+            if model.kind is ModelKind.CTMC and (left & ~right).any():
+                for t in (0.5, 3.0):
+                    got, meta = checkers.check_timebounded_until_ctmc(model, left, right, t, ENV)
+                    assert got.tobytes() == full_timebounded(model, left, right, t).tobytes()
 
 
 # --- conditional probabilities --------------------------------------------

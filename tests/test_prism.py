@@ -880,6 +880,22 @@ def test_explorer_matches_reference_on_the_tandem(cap):
     explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": cap}))
 
 
+def test_only_an_action_with_several_commands_in_a_module_is_joined(monkeypatch):
+    # the tandem's hand-overs have one command per module, so each is one folded choice
+    module = importlib.import_module("stormlet.prism.explore")
+    original, joined = module._Layers._join, []
+
+    def counting(self, sync, holds, table):
+        joined.append(sync.mask)
+        return original(self, sync, holds, table)
+
+    monkeypatch.setattr(module._Layers, "_join", counting)
+    explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": 3}))
+    assert joined == []
+    explore_matches_reference(typecheck(parse_program(SYNC_PROGRAMS["exclusive_guards"])))
+    assert joined
+
+
 # Two faults in one BFS layer: from x=2 the layer is x=1 (state 1) and x=3
 # (state 2); each explorer must report the fault of state 1.
 TWO_FAULTS = """dtmc
@@ -921,11 +937,11 @@ def _guard(rng, ints, bools):
     return rng.choice([guard, guard, guard, "true"])
 
 
-def _assignment(rng, var, k, ints, bools):
+def _assignment(rng, var, k, ints, bools, risk=0.06):
     if k is None:
         return f"({var}'={rng.choice(['!' + var, 'true', 'false', _atom(rng, ints, bools)])})"
     other = rng.choice(ints)[0]
-    if rng.random() < 0.06:  # may leave the range
+    if rng.random() < risk:  # may leave the range
         rhs = rng.choice([f"{var}+1", f"{var}-1", other, f"floor(({var}+{other})/2)+1"])
     else:
         rhs = rng.choice([f"min({var}+1,{k})", f"max({var}-1,0)", f"{k}-{var}", "0", f"{var}",
@@ -947,7 +963,13 @@ def _weights(rng, kind, ints):
 
 
 def random_program(rng, kind):
-    """A small program over one to three modules, with labels and rewards."""
+    """A small program over one to three modules, with labels and rewards.
+
+    Some programs give every module exactly one command on action c, which
+    exploration folds into one choice; its assignments leave their range
+    more often.
+    """
+    shared = rng.random() < 0.3
     modules, ints, bools = [], [], []
     for m in range(rng.randint(1, 3)):
         own = []
@@ -967,12 +989,14 @@ def random_program(rng, kind):
     lines = [kind]
     for m, own in enumerate(modules):
         lines += [f"module m{m}"] + [decl for _, _, decl in own]
-        for _ in range(rng.randint(1, 4)):
-            action = rng.choice(["", "", "a", "b"])
+        count = rng.randint(1, 4)
+        for i in range(count + shared):
+            action = "c" if i == count else rng.choice(["", "", "a", "b"])
             updates = []
             for weight in _weights(rng, kind, ints):
                 assigned = rng.sample(own, rng.randint(0, len(own)))
-                body = " & ".join(_assignment(rng, var, k, ints, bools) for var, k, _ in assigned) or "true"
+                body = " & ".join(_assignment(rng, var, k, ints, bools, 0.2 if action == "c" else 0.06)
+                                  for var, k, _ in assigned) or "true"
                 updates.append(body if weight is None else f"{weight} : {body}")
             lines.append(f"  [{action}] {_guard(rng, ints, bools)} -> {' + '.join(updates)};")
         lines.append("endmodule")
@@ -981,7 +1005,7 @@ def random_program(rng, kind):
     lines.append(f'label "l1" = {rng.choice([_guard(rng, ints, bools), f"{x}/2 > 0.5", f"pow({x}, 2) >= 1"])};')
     lines.append('rewards "r"')
     for _ in range(rng.randint(1, 3)):
-        action = rng.choice(["", "[] ", "[a] ", "[b] "])
+        action = rng.choice(["", "[] ", "[a] ", "[b] ", "[c] "])
         lines.append(f"  {action}{_guard(rng, ints, bools)} : {rng.choice(['1', '0.5', f'{x}+1', f'{x}/3', '2'])};")
     lines.append("endrewards")
     return "\n".join(lines) + "\n"
@@ -999,6 +1023,26 @@ def test_explorer_matches_reference_on_random_programs(seed, kind, exact, fix, l
 MANY_ACTIONS = "mdp\nmodule m\n  x : [0..70] init 0;\n" + "".join(
     f"  [a{i}] x={i} -> (x'={i + 1});\n  [b{i}] x={i} -> 0.5 : (x'={i + 1}) + 0.5 : (x'=0);\n" for i in range(70)
 ) + "  [] x=70 -> true;\nendmodule\nrewards \"r\"\n  [a3] true : 1;\n  [b69] true : 2;\n  [] true : 3;\nendrewards\n"
+
+FOLDED = """ctmc
+module a
+  x : [0..2] init 0;
+  y : [0..3] init 0;
+  [go] x<2 -> x+0.3 : (x'=x+1) & (y'=1) + 0.7 : (y'=2);
+  [] x=2 -> (x'=0);
+endmodule
+module b
+  z : bool init false;
+  [go] true -> 0.1 : (y'=3) & (z'=!z) + 0.9*(y+1) : (z'=true);
+endmodule
+module c
+  w : [0..1] init 0;
+  [go] y<3 -> 1/3 : (y'=y+1) & (w'=1-w) + 2.2/(w+1) : (w'=0);
+endmodule
+rewards "r"
+  [go] true : y;
+endrewards
+"""
 
 EDGE_PROGRAMS = {
     # both modules assign y on [go]: the later module's value wins
@@ -1018,6 +1062,12 @@ rewards "r"
   [go] true : y;
 endrewards
 """,
+    # one [go] command per module, so one folded choice: all three assign y
+    # (the last module's value wins) and their state-dependent rates multiply
+    # in module order
+    "shared_assignment_folded": FOLDED,
+    # the same, but c's y+1 leaves the range from y=3
+    "range_fault_in_a_folded_choice": FOLDED.replace("[go] y<3 ->", "[go] true ->"),
     # values beyond 2^53 and min/max that mix ints and doubles
     "big_values": """ctmc
 const int B = pow(2, 60);

@@ -89,9 +89,17 @@ def test_build_float_matches_left_to_right_reference(triples):
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, -0.0])),
                 max_size=120),
-       st.booleans(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]))
-def test_coalesce_matches_left_to_right_loop(entries, rational, block_cells):
-    """Runs of up to 120 entries, so several table widths and block cuts occur; a run of -0.0 sums to -0.0."""
+       st.booleans(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]), st.sampled_from(["any", "sorted", "strict"]))
+def test_coalesce_matches_left_to_right_loop(entries, rational, block_cells, order):
+    """Runs of up to 120 entries, so several table widths and block cuts occur; a run of -0.0 sums to -0.0.
+
+    Positions come in any order, non-decreasing (sorted stably, so that the
+    entries of one position keep their order), or strictly ascending.
+    """
+    if order == "sorted":
+        entries = sorted(entries, key=lambda entry: entry[0])
+    elif order == "strict":
+        entries = list({p: (p, v) for p, v in sorted(entries, key=lambda entry: entry[0])}.values())
     position = np.array([p for p, _ in entries], dtype=np.int64)
     domain = "rational" if rational else "float"
     values = sparse.as_vector([v for _, v in entries], domain)
@@ -161,13 +169,6 @@ def test_to_float_and_to_rational_round_trip():
     assert back == m
 
 
-def test_transpose_dense_oracle():
-    triples = [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0), (2, 2, 4.0)]
-    m = sparse.build_sparse(triples, 3, 3)
-    t = sparse.transpose(m)
-    assert np.array_equal(to_dense(t), to_dense(m).T)
-
-
 def test_restrict_dense_oracle():
     triples = [(i, j, float(1 + 4 * i + j)) for i in range(4) for j in range(4) if (i + j) % 2]
     m = sparse.build_sparse(triples, 4, 4)
@@ -201,13 +202,6 @@ def test_build_is_order_insensitive(triples, rnd):
     a = sparse.build_sparse(triples, 5, 5, "rational")
     b = sparse.build_sparse(shuffled, 5, 5, "rational")
     assert a == b
-
-
-@settings(deadline=None)
-@given(triple_lists)
-def test_transpose_is_an_involution(triples):
-    m = sparse.build_sparse(triples, 5, 5, "rational")
-    assert sparse.transpose(sparse.transpose(m)) == m
 
 
 @settings(deadline=None)
