@@ -4,7 +4,6 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -12,16 +11,19 @@ from . import graph, kernels, props, solvers, sparse
 from .errors import PropertyError, UnsupportedCombination
 from .models import Model, ModelKind, StateLabeling
 from .prism import syntax
+from .prism.syntax import replace
 
 UNIFORMIZATION_SLACK = 1.02  # diagonal slack factor on the uniformization rate
 _DUAL = {None: None, "min": "max", "max": "min"}
 
 
-@dataclass
 class CheckResult:
-    values: object  # bool array for bounded operators, else numeric vector
-    numeric: object  # underlying per-state quantities
-    metadata: dict = field(default_factory=dict)
+    # values: a bool array for bounded operators, else the numeric vector;
+    # numeric: the underlying per-state quantities
+    __slots__ = ("values", "numeric", "metadata")
+
+    def __init__(self, values, numeric, metadata=None):
+        self.values, self.numeric, self.metadata = values, numeric, {} if metadata is None else metadata
 
 
 def check(model, prop, env):
@@ -69,9 +71,9 @@ def _deferred(node, solved):
     ``_Nested`` that shares ``solved``."""
     if isinstance(node, tuple):
         return tuple(_deferred(part, solved) for part in node)
-    if not is_dataclass(node):
+    if not hasattr(node, "_fields"):
         return node
-    node = replace(node, **{f.name: _deferred(getattr(node, f.name), solved) for f in fields(node)})
+    node = replace(node, **{f: _deferred(getattr(node, f), solved) for f in node._fields})
     return _Nested(node, solved) if isinstance(node, (props.ProbOperator, props.RewardOperator)) else node
 
 
@@ -84,8 +86,8 @@ def _key(node):
         return _key(node.operator)
     if isinstance(node, tuple):
         return tuple(map(_key, node))
-    if is_dataclass(node):
-        return type(node).__name__, *(_key(getattr(node, f.name)) for f in fields(node) if f.name != "span")
+    if hasattr(node, "_fields"):
+        return type(node).__name__, *(_key(getattr(node, f)) for f in node._fields if f != "span")
     return node
 
 

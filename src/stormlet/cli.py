@@ -7,6 +7,7 @@ initial state (only with --fail-on-false); 3 numerical non-convergence;
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checkers, explicit, props
+from . import __version__, checkers, props
 from .errors import (
     ModelError,
     NotConverged,
@@ -24,7 +25,7 @@ from .errors import (
     SolverError,
     StormletError,
 )
-from .prism import ExploreOptions, explore, parse_program, typecheck
+from .prism import parse_program, typecheck
 from .prism.lexer import check_size
 from .prism.semantics import TypecheckError
 from .solvers import SolverEnvironment
@@ -43,6 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# built once per process: parse_args leaves the parser as it was (an append
+# action copies its default list before appending), so every call can share it
+@functools.cache
 def _build_argparser():
     p = _Parser(prog="stormlet", description="Probabilistic model checker for DTMCs, CTMCs and MDPs.")
     src = p.add_argument_group("model input")
@@ -150,8 +154,17 @@ def _fail_usage(message):
     raise SystemExit(EXIT_USAGE)
 
 
+def explore(program, options=None):
+    """``prism.explore.explore``, loading the explorer on the first call."""
+    from .prism.explore import explore
+
+    return explore(program, options)
+
+
 def _load_model(ns):
     if ns.explicit is not None:
+        from . import explicit
+
         tra, lab = ns.explicit
         bundle = explicit.ExplicitBundle(
             Path(tra).read_text(encoding="utf-8"),
@@ -164,6 +177,8 @@ def _load_model(ns):
     source = Path(ns.prism).read_text(encoding="utf-8")
     program = parse_program(source)
     typed = typecheck(program, ns.constants)
+    from .prism.explore import ExploreOptions
+
     options = ExploreOptions(fix_deadlocks=ns.fix_deadlocks, exact=ns.exact)
     return explore(typed, options)
 
@@ -216,6 +231,8 @@ def format_result(result, fmt, property_text, initial_states):
 
 
 def _export(model, directory):
+    from . import explicit
+
     bundle = explicit.write_model(model)
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,6 @@ are assembled without a sort.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,12 +36,12 @@ from .models import ROW_SUM_TOLERANCE, Model, ModelKind, RewardModel, StateLabel
 ROW_TOLERANCE = 1e-6
 
 
-@dataclass
 class ExplicitBundle:
-    transitions_text: str
-    labels_text: str
-    state_rewards_text: str = None
-    action_rewards_text: str = None
+    __slots__ = ("transitions_text", "labels_text", "state_rewards_text", "action_rewards_text")
+
+    def __init__(self, transitions_text, labels_text, state_rewards_text=None, action_rewards_text=None):
+        self.transitions_text, self.labels_text = transitions_text, labels_text
+        self.state_rewards_text, self.action_rewards_text = state_rewards_text, action_rewards_text
 
 
 # a file is read in pieces of whole lines of about this many characters, so

@@ -5,7 +5,6 @@ vector. Absorbing CTMC states carry a probability-1 self-loop with exit
 rate 1 (the rate never influences any supported property).
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,14 +60,13 @@ class StateLabeling:
         )
 
 
-@dataclass
 class RewardModel:
-    name: str
-    state_rewards: object = None  # length = states
-    action_rewards: object = None  # length = choices (MDP) or states
+    # state_rewards: length = states; action_rewards: length = choices (MDP) or states
+    __slots__ = ("name", "state_rewards", "action_rewards")
 
-    def __post_init__(self):
-        for vec in (self.state_rewards, self.action_rewards):
+    def __init__(self, name, state_rewards=None, action_rewards=None):
+        self.name, self.state_rewards, self.action_rewards = name, state_rewards, action_rewards
+        for vec in (state_rewards, action_rewards):
             if vec is None:
                 continue
             if np.any(np.asarray(vec) < 0):

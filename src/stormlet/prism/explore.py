@@ -32,7 +32,6 @@ branch order.
 """
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, count, groupby, islice, product, repeat
@@ -47,11 +46,11 @@ from . import syntax
 from .semantics import EXACT_INT, compile_expr, eval_expr, evaluate_rows
 
 
-@dataclass
 class ExploreOptions:
-    fix_deadlocks: bool = False
-    exact: bool = False
-    max_states: int = 10_000_000
+    __slots__ = ("fix_deadlocks", "exact", "max_states")
+
+    def __init__(self, fix_deadlocks=False, exact=False, max_states=10_000_000):
+        self.fix_deadlocks, self.exact, self.max_states = fix_deadlocks, exact, max_states
 
 
 class StateMap:

@@ -3,7 +3,6 @@ with one alternative per token class."""
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ParseError
@@ -33,13 +32,14 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
 class Token:
-    kind: str  # keyword/symbol text, or IDENT / INT / DOUBLE / STRING / EOF
-    value: object  # an int for INT, a Fraction for DOUBLE, the text otherwise
-    line: int
-    column: int
-    offset: int  # of the token's first character in the source
+    # kind: keyword/symbol text, or IDENT / INT / DOUBLE / STRING / EOF
+    # value: an int for INT, a Fraction for DOUBLE, the text otherwise
+    # offset: of the token's first character in the source
+    __slots__ = ("kind", "value", "line", "column", "offset")
+
+    def __init__(self, kind, value, line, column, offset):
+        self.kind, self.value, self.line, self.column, self.offset = kind, value, line, column, offset
 
 
 def check_size(literal, line=None, column=None):

@@ -13,13 +13,13 @@ evaluate to float64 normally and to Fraction in exact mode.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from ..errors import ModelError, StormletError
 from . import syntax
+from .syntax import replace
 
 NUMERIC = ("int", "double")
 # labels every explored model defines itself

@@ -17,7 +17,6 @@ on CTMCs the bound is the time interval [0, t]. The two paths of a
 conditional are objective and condition.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +26,7 @@ from .models import ModelKind
 from .prism import syntax
 from .prism.parser import Precedence, TokenCursor, parse_expression
 from .prism.semantics import DivisionByZero, TypecheckError, compile_expr, evaluate_rows, typecheck_expr
+from .prism.syntax import replace
 
 RELOPS = ("<", "<=", ">", ">=")
 OPERATORS = ("P", "Pmin", "Pmax", "R", "Rmin", "Rmax")
@@ -35,49 +35,57 @@ OPERATORS = ("P", "Pmin", "Pmax", "R", "Rmin", "Rmax")
 # --- AST ------------------------------------------------------------------
 
 
-@dataclass
 class Label:
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass
 class Predicate:
-    expr: object
-    text: str  # the source between the parentheses
+    __slots__ = _fields = ("expr", "text")  # text: the source between the parentheses
+
+    def __init__(self, expr, text):
+        self.expr, self.text = expr, text
 
 
-@dataclass
 class Next:
-    target: object
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, target):
+        self.target = target
 
 
-@dataclass
 class Until:
-    left: object
-    right: object
-    bound: object = None  # None | ("steps", int) | ("time", Fraction)
+    __slots__ = _fields = ("left", "right", "bound")
+
+    def __init__(self, left, right, bound=None):  # bound: None | ("steps", int) | ("time", Fraction)
+        self.left, self.right, self.bound = left, right, bound
 
 
-@dataclass
 class Globally:
-    target: object
-    bound: object = None
+    __slots__ = _fields = ("target", "bound")
+
+    def __init__(self, target, bound=None):
+        self.target, self.bound = target, bound
 
 
-@dataclass
 class ProbOperator:
-    optimum: str  # None | "min" | "max"
-    bound: object  # None (query) | (relop, Fraction)
-    path: object
-    condition: object = None  # conditional: P[ objective || condition ]
+    # optimum: None | "min" | "max"; bound: None (query) | (relop, Fraction);
+    # condition: of a conditional, P[ objective || condition ]
+    __slots__ = _fields = ("optimum", "bound", "path", "condition")
+
+    def __init__(self, optimum, bound, path, condition=None):
+        self.optimum, self.bound, self.path, self.condition = optimum, bound, path, condition
 
 
-@dataclass
 class RewardOperator:
-    optimum: str
-    bound: object
-    reward_name: str  # None = the model's only reward model
-    target: object  # ("reach", state) | ("cumulative", Fraction)
+    # reward_name: None for the model's only reward model;
+    # target: ("reach", state) | ("cumulative", Fraction)
+    __slots__ = _fields = ("optimum", "bound", "reward_name", "target")
+
+    def __init__(self, optimum, bound, reward_name, target):
+        self.optimum, self.bound, self.reward_name, self.target = optimum, bound, reward_name, target
 
 
 # --- parsing --------------------------------------------------------------

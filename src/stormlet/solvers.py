@@ -58,7 +58,6 @@ minimising and the lower side when maximising.
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,51 +80,45 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _NORMAL = np.finfo(np.float64).tiny
 
 
-@dataclass
 class SolverEnvironment:
-    linear_method: str = "elimination"  # elimination | exact
-    minmax_method: str = "policy_iteration"  # policy_iteration | value_iteration
-    precision: float = 1e-6
-    criterion: str = "relative"  # relative | absolute
-    max_iterations: int = 1_000_000
-    # unread (a rational matrix selects the exact methods); the benchmark's
-    # self-test still passes it, so it goes with the next benchmark change
-    exact: bool = False
+    # linear_method: elimination | exact; minmax_method: policy_iteration |
+    # value_iteration; criterion: relative | absolute. exact is unread (a
+    # rational matrix selects the exact methods); the benchmark's self-test
+    # still passes it, so it goes with the next benchmark change
+    __slots__ = ("linear_method", "minmax_method", "precision", "criterion", "max_iterations", "exact")
 
-    def __post_init__(self):
-        if self.linear_method not in ("elimination", "exact"):
-            raise SolverError(f"unknown linear method {self.linear_method!r}")
-        if self.minmax_method not in ("value_iteration", "policy_iteration"):
-            raise SolverError(f"unknown min-max method {self.minmax_method!r}")
-        if self.criterion not in ("relative", "absolute"):
-            raise SolverError(f"unknown convergence criterion {self.criterion!r}")
-        if not self.precision > 0:
+    def __init__(self, linear_method="elimination", minmax_method="policy_iteration", precision=1e-6,
+                 criterion="relative", max_iterations=1_000_000, exact=False):
+        if linear_method not in ("elimination", "exact"):
+            raise SolverError(f"unknown linear method {linear_method!r}")
+        if minmax_method not in ("value_iteration", "policy_iteration"):
+            raise SolverError(f"unknown min-max method {minmax_method!r}")
+        if criterion not in ("relative", "absolute"):
+            raise SolverError(f"unknown convergence criterion {criterion!r}")
+        if not precision > 0:
             raise SolverError("precision must be positive")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise SolverError("max_iterations must be at least 1")
+        self.linear_method, self.minmax_method, self.precision = linear_method, minmax_method, precision
+        self.criterion, self.max_iterations, self.exact = criterion, max_iterations, exact
 
 
-@dataclass
 class LinearSystem:
-    A: object  # square SparseMatrix
-    b: object  # vector, len = rows
+    __slots__ = ("A", "b")  # A: square SparseMatrix; b: vector, len = rows
 
-    def __post_init__(self):
-        self.b = sparse.as_vector(self.b, self.A.dtype)
-        if self.A.rows != self.A.cols or len(self.b) != self.A.rows:
+    def __init__(self, A, b):
+        self.A, self.b = A, sparse.as_vector(b, A.dtype)
+        if A.rows != A.cols or len(self.b) != A.rows:
             raise SolverError("linear system dimensions are inconsistent")
 
 
-@dataclass
 class BellmanSystem:
-    A: object  # SparseMatrix with one row per choice
-    choice_offsets: object
-    b: object  # len = choices
-    direction: str  # minimize | maximize
+    # A: SparseMatrix with one row per choice; b: len = choices; direction: minimize | maximize
+    __slots__ = ("A", "choice_offsets", "b", "direction")
 
-    def __post_init__(self):
-        self.b = sparse.as_vector(self.b, self.A.dtype)
-        self.choice_offsets = np.asarray(self.choice_offsets, dtype=np.int64)
+    def __init__(self, A, choice_offsets, b, direction):
+        self.A, self.b, self.direction = A, sparse.as_vector(b, A.dtype), direction
+        self.choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
         if np.any(np.diff(self.choice_offsets) < 1):
             raise SolverError("every state needs at least one choice")
         if self.choice_offsets[-1] != self.A.rows or len(self.b) != self.A.rows:
@@ -138,14 +131,14 @@ class BellmanSystem:
         return len(self.choice_offsets) - 1
 
 
-@dataclass
 class SolveOutcome:
-    x: object
-    iterations: int
-    scheduler: object = None
-    method: str = ""
-    error_bound: float = None  # proven bound on the error of x, if any
-    error: object = None  # the proven bound per entry of x, absolute, if any
+    # error_bound: the proven bound on the error of x, if any;
+    # error: the proven bound per entry of x, absolute, if any
+    __slots__ = ("x", "iterations", "scheduler", "method", "error_bound", "error")
+
+    def __init__(self, x, iterations, scheduler=None, method="", error_bound=None, error=None):
+        self.x, self.iterations, self.scheduler = x, iterations, scheduler
+        self.method, self.error_bound, self.error = method, error_bound, error
 
 
 def _largest_error(diff, x, criterion):

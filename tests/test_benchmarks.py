@@ -23,6 +23,7 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     pytest.param("bench_graph.py", ["--sizes", "50", "--repeats", "1"], id="bench_graph"),
     pytest.param("bench_solve.py", ["--chains", "20", "--grids", "3", "--gs-states", "50", "--repeats", "1"],
                  id="bench_solve"),
+    pytest.param("bench_startup.py", ["--runs", "1"], id="bench_startup"),
 ])
 def test_benchmark_script_runs(script, args):
     src = str(Path(stormlet.__file__).resolve().parent.parent)

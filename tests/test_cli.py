@@ -47,6 +47,13 @@ def test_die_exact_result(capsys):
     assert "Result (state 0): 1/6" in out
 
 
+def test_repeated_calls_keep_no_options(capsys):
+    # one argument parser serves every call in a process
+    run_cli(capsys, "--prism", DIE, "--prop", 'P=? [ F "six" ]', "--prop", 'P=? [ F "one" ]')
+    code, out, _ = run_cli(capsys, "--prism", DIE, "--prop", 'P=? [ F "two" ]')
+    assert (code, out) == (0, 'Property: P=? [ F "two" ]\nResult (state 0): 0.166667\n')
+
+
 def test_json_output(capsys):
     code, out, _ = run_cli(capsys, "--prism", DIE, "--json", "--prop", 'P=? [ F "six" ]')
     assert code == 0
