@@ -14,7 +14,10 @@ uniformises and steps the states that can still move.
 The chain is a birth-death DTMC with as many states, started in the middle,
 so each BFS layer holds about two states: N states take N/2 layers. It
 measures the fixed cost that exploration pays per layer, which the short
-chains of ``perfbench``'s ``solve_iter`` pay on every layer. The thin MDP
+chains of ``perfbench``'s ``solve_iter`` pay on every layer. The wide chain
+is the same chain with its variable's range widened past
+``states.DENSE_KEYS``, so that its states are interned through a dict
+instead of the dense index: the two rows compare the two paths. The thin MDP
 has the shape of ``solve_iter``'s two-action gambler's-ruin MDP: two
 interleaved commands that share a guard, so each state of a layer has two
 choices. Their explore rows also give that cost in microseconds per layer.
@@ -30,7 +33,8 @@ it makes are timed by wrapping them where ``explore`` looks them up, and
 the explore phase is the rest. For each size the script prints the best time
 of each phase in ms and the same time per 10^3 stored transitions; a flat
 column is linear growth. The explore rows of the tandem and the thin chains
-also give the time per BFS layer in microseconds.
+(``chain``, ``wide`` and ``mdp``) also give the time per BFS layer in
+microseconds.
 
 Usage: python3 benchmarks/bench_explore.py [--caps 10,20,30,40,46] [--repeats 3]
 """
@@ -41,6 +45,7 @@ import time
 
 from stormlet import checkers, sparse
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
+from stormlet.prism.states import DENSE_KEYS
 from stormlet.props import parse_property, resolve_atoms
 from stormlet.solvers import SolverEnvironment
 
@@ -84,14 +89,16 @@ endrewards
 """
 
 # a birth-death chain over 0..N started at M = N // 2: each BFS layer adds
-# the states one step further down and one step further up
+# the states one step further down and one step further up; x's range 0..R
+# (R >= N) sets the key space
 CHAIN = """dtmc
 
 const int N;
 const int M;
+const int R;
 
 module walk
-  x : [0..N] init M;
+  x : [0..R] init M;
   [] x>0 & x<N -> 0.4 : (x'=x+1) + 0.35 : (x'=x-1) + 0.25 : (x'=x);
   [] x=0 | x=N -> (x'=x);
 endmodule
@@ -208,7 +215,8 @@ def main():
         n = (cap + 1) ** 3 - 1
         for family, size, program, layers in (
             ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), 6 * cap + 1),
-            ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2}), n - n // 2 + 1),
+            ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2, "R": n}), n - n // 2 + 1),
+            ("wide", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2, "R": DENSE_KEYS}), n - n // 2 + 1),
             ("mdp", n + 1, typecheck(parse_program(RUIN_MDP), {"N": n, "M": n // 2}), n - n // 2 + 1),
             ("sync", cap, typecheck(parse_program(sync_program(cap))), None),
         ):

@@ -8,7 +8,6 @@ initial state (only with --fail-on-false); 3 numerical non-convergence;
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -227,6 +226,8 @@ def format_result(result, fmt, property_text, initial_states):
         "values": {str(s): _value(result.values[s], False) for s in initial_states},
         "metadata": meta,
     }
+    import json  # only --json output needs it
+
     return json.dumps(payload, sort_keys=True) + "\n"
 
 

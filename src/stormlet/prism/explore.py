@@ -5,8 +5,13 @@ compiled once per call into a column closure (``semantics.compile_expr``).
 A layer is every state found but not yet expanded; each guard is evaluated
 once per layer, and each weight and assignment on the rows it fires on.
 States are numbered in discovery order and interned by a packed integer
-key; ``StateMap`` holds one column per variable. Variable ranges are
-checked once before exploring, and every assigned value against them.
+key in a ``states.StateMap``, which holds one column per variable and
+interns a layer's successors at once: through a dense index over the key
+space where the ranges span at most ``states.DENSE_KEYS`` (2^24) keys, from
+8 bytes a state where reached keys lie close together up to a 4 KiB page a
+state where each lies alone, and through a dict of about 100 bytes a state
+otherwise. Variable ranges are checked once before exploring, and every
+assigned value against them.
 
 Unlabeled commands interleave. Commands sharing an action label
 synchronize across every module that mentions the action: each combination
@@ -31,12 +36,11 @@ its weights and their sum before its assignments; then range checks in
 branch order.
 """
 
-from array import array
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, count, groupby, islice, product, repeat
+from itertools import accumulate, groupby, product
 from math import prod
-from operator import and_, is_, mul, or_
+from operator import and_, mul, or_
 import numpy as np
 
 from .. import sparse
@@ -44,6 +48,7 @@ from ..errors import DeadlockError, ModelError, StormletError
 from ..models import ROW_SUM_TOLERANCE, Model, ModelKind, RewardModel, StateLabeling
 from . import syntax
 from .semantics import EXACT_INT, compile_expr, eval_expr, evaluate_rows
+from .states import StateMap
 
 
 class ExploreOptions:
@@ -51,84 +56,6 @@ class ExploreOptions:
 
     def __init__(self, fix_deadlocks=False, exact=False, max_states=10_000_000):
         self.fix_deadlocks, self.exact, self.max_states = fix_deadlocks, exact, max_states
-
-
-class StateMap:
-    """Bijection between state indices and variable valuations, one column per variable.
-
-    A valuation is interned by its packed key: each variable's offset from
-    its lower bound (a boolean's 0 or 1), in mixed radix. Keys are int64
-    while the product of the ranges fits, Python ints otherwise.
-    """
-
-    def __init__(self, decls, bounds):
-        self.variable_names = [decl.name for decl in decls]
-        # variable name -> position of its column
-        self.slots = {name: i for i, name in enumerate(self.variable_names)}
-        self.types = {decl.name: "bool" if decl.is_bool else "int" for decl in decls}
-        self.bounds = {decl.name: bound for decl, bound in zip(decls, bounds) if bound is not None}
-        self._low = [0 if bound is None else bound[0] for bound in bounds]
-        self._sizes = [2 if bound is None else bound[1] - bound[0] + 1 for bound in bounds]
-        self._strides = [1] * len(bounds)
-        for i in reversed(range(len(bounds) - 1)):
-            self._strides[i] = self._strides[i + 1] * self._sizes[i + 1]
-        space = self._strides[0] * self._sizes[0] if bounds else 1
-        self._key_dtype = np.int64 if space <= np.iinfo(np.int64).max else object
-        self._data = [np.zeros(16, dtype=bool if bound is None else np.int64 if -EXACT_INT <= bound[0]
-                               and bound[1] <= EXACT_INT else object) for bound in bounds]
-        self._n, self._index_of = 0, {}
-
-    @property
-    def columns(self):
-        return [data[: self._n] for data in self._data]
-
-    def keys(self, columns, n_rows):
-        """The packed key of each row of ``columns``."""
-        key = None
-        for column, low, stride in zip(columns, self._low, self._strides):
-            if column.dtype != self._key_dtype:
-                column = column.astype(self._key_dtype)
-            if low:
-                column = column - low
-            if stride != 1:
-                column = column * stride
-            key = column if key is None else key + column
-        return np.zeros(n_rows, dtype=self._key_dtype) if key is None else key
-
-    def intern(self, keys):
-        """The state index of each key (a list), numbering the keys not interned
-        yet on from ``len(self)`` in the order they first appear."""
-        index_of, n = self._index_of, self._n
-        found = list(map(index_of.get, keys))
-        if None in found:
-            new = dict.fromkeys(compress(keys, map(is_, found, repeat(None))))
-            index_of.update(zip(new, count(n)))
-            found, k = list(map(index_of.__getitem__, keys)), len(new)
-            packed = np.fromiter(new, self._key_dtype, k)
-            if self._data and n + k > len(self._data[0]):
-                size = max(2 * len(self._data[0]), n + k)
-                self._data = [np.concatenate([data[:n], np.zeros(size - n, dtype=data.dtype)]) for data in self._data]
-            for i, (data, low, size, stride) in enumerate(zip(self._data, self._low, self._sizes, self._strides)):
-                digit = packed if stride == 1 else packed // stride
-                if i:
-                    digit = digit % size
-                data[n: n + k] = digit + low if low else digit
-            self._n = n + k
-        return found
-
-    def forget(self, n):
-        """Drop the states numbered from n on."""
-        index_of = self._index_of
-        for key in list(islice(reversed(index_of), len(index_of) - n)):
-            del index_of[key]
-        self._n = n
-
-    def valuation(self, index):
-        """The valuation of a state, as a tuple of Python values."""
-        return tuple(data.item(index) for data in self._data)
-
-    def __len__(self):
-        return self._n
 
 
 class _Command:
@@ -264,7 +191,8 @@ class _Group:
         widths = [len(cmd.updates) for cmd in cmds]
         self.choices, self.guard, self.width = choices, guard, sum(widths)
         self.slots = sorted(set().union(*(cmd.slots for cmd in cmds)))
-        self.line = np.repeat(np.arange(len(choices)), widths)
+        # each branch's choice within a line; None when the choices have one width
+        self.line = None if len(set(widths)) == 1 else np.repeat(np.arange(len(choices)), widths)
         self.masks = np.array([mask for mask, _ in choices], dtype=mask_dtype)
         self.weights = self.totals = None
         if all(cmd.plain for cmd in cmds):
@@ -332,7 +260,7 @@ class _Layers:
         # choice; its choices' states (from its first), totals (CTMC) and action
         # masks; its branches' rows (from its first state or choice), weights;
         # and every branch's target
-        self.batches, self.cols = [], array("q")  # an array of ints, which the garbage collector skips
+        self.batches, self.cols = [], []
         self.n_choices = 0
 
     def _full(self, n, value):
@@ -408,8 +336,14 @@ class _Layers:
             weights, totals = _grid(weights), _grid(rates) if self.ctmc else None
         else:
             weights, totals = _flat(group.weights, (n, width)), _flat(group.totals, (n, k)) if self.ctmc else None
-        source, choice = (rows, np.arange(n)) if width == 1 else (  # width 1: one choice of one branch per row
-            rows.repeat(width), (np.arange(0, n * k, k)[:, None] + group.line).ravel())
+        if width == k:  # one branch per choice
+            choice = np.arange(n * k)
+        elif group.line is None:
+            choice = np.arange(n * k).repeat(width // k)
+        else:
+            choice = (np.arange(0, n * k, k)[:, None] + group.line).ravel()
+        if len(values) < len(table):  # some slot keeps each row's value
+            source = rows if width == 1 else rows.repeat(width)
         successors = [values[slot] if slot in values else column[source] for slot, column in enumerate(table)]
         choice_rows = rows if k == 1 else rows.repeat(k)
         return choice_rows, _flat(group.masks, (n, k)), totals, choice, weights, successors, values
@@ -494,7 +428,7 @@ class _Layers:
         Nothing is kept when it raises.
         """
         state_map, n = self.state_map, hi - lo
-        table, frontier = [column[lo:hi] for column in state_map.columns], np.arange(n)
+        table, frontier = state_map.block(lo, hi), np.arange(n)
         holds = [guard(table, frontier) for guard in self.guards]
         for guards in self.conjunctions:
             holds.append(reduce(and_, [holds[g] for g in guards]))
@@ -554,7 +488,7 @@ class _Layers:
             branch_rank, weights, successors = branch_rank[:cut], weights[:cut], [c[:cut] for c in successors]
 
         n_states = len(state_map)
-        found = state_map.intern(state_map.keys(successors, len(weights)).tolist())
+        found = state_map.intern(successors, len(weights))
         over = len(state_map) > max(n_states, self.options.max_states)
         if over or bad_branch is not None:
             state_map.forget(n_states)
@@ -564,7 +498,7 @@ class _Layers:
 
         rows = branch_rank if self.kind is ModelKind.MDP else choice_rows[branch_rank]
         self.batches.append((lo, self.n_choices, covered, choice_rows, totals, bits, rows, weights))
-        self.cols.extend(found)
+        self.cols.append(found)
         self.n_choices += len(choice_rows)
 
     def _range_error(self, state, values):
@@ -617,7 +551,7 @@ def explore(program, options=None):
     for decl, bound, value in zip(decls, bounds, initial):
         if bound is not None and not bound[0] <= value <= bound[1]:
             raise StormletError(f"initial value of {decl.name!r} is {value}, outside [{bound[0]}..{bound[1]}]")
-    state_map.intern(state_map.keys([np.array([value]) for value in initial], 1).tolist())
+    state_map.intern([np.array([value]) for value in initial], 1)
 
     # BFS: states are numbered in discovery order, so a layer is an index range
     done = 0
@@ -651,8 +585,7 @@ def explore(program, options=None):
         exit_rates = scales if kind is ModelKind.CTMC else None
     del choice_states, totals, bits
     rows = _joined(rows, firsts if kind is ModelKind.MDP else los)
-    cols = np.array(layers.cols, dtype=np.int64)
-    del layers.cols[:]
+    cols = _joined(layers.cols)
     with np.errstate(all="ignore"):
         entries = _entries(rows, cols, _joined(values), n, scales, exact)
     del rows, cols

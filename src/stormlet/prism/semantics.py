@@ -327,8 +327,8 @@ def compile_expr(expr, slots, exact=False, bounds=None):
     (low, high) range of int variables: integer arithmetic whose result
     provably stays within +-2^53 then skips its range check. Literals are converted
     once, here: a double literal becomes a float, or stays a Fraction in
-    exact mode. ``&`` and ``|`` evaluate their right operand only on the rows
-    that need it; ``/`` and ``mod`` by zero raise DivisionByZero; a double
+    exact mode. ``&`` and ``|`` evaluate a right operand that may raise only
+    on the rows that need it; ``/`` and ``mod`` by zero raise DivisionByZero; a double
     ``pow`` whose value is not a finite real, and an integer too large for a
     float met in float arithmetic, raise ModelError. This is the only
     statement of the operator semantics: every value is the one Python's
@@ -351,7 +351,7 @@ def compile_expr(expr, slots, exact=False, bounds=None):
         return lambda table, rows: -operand(table, rows)
     if isinstance(expr, syntax.Binary):
         left, right = (compile_expr(e, slots, exact, bounds) for e in (expr.left, expr.right))
-        return _binary(expr, left, right, exact, _interval(expr, bounds or {}))
+        return _binary(expr, left, right, exact, bounds or {})
     if isinstance(expr, syntax.Call):
         return _call(expr, [compile_expr(a, slots, exact, bounds) for a in expr.args], exact)
     raise StormletError(f"cannot evaluate {type(expr).__name__}")
@@ -387,11 +387,32 @@ def _interval(expr, bounds):
     return None
 
 
-def _binary(expr, left, right, exact, interval=None):
+def _may_raise(expr, bounds):
+    """Whether evaluating an expression may raise: it divides, calls a
+    function, or does arithmetic not proven to stay within +-2^53."""
+    if isinstance(expr, syntax.Unary):
+        return _may_raise(expr.operand, bounds)
+    if isinstance(expr, syntax.Binary):
+        if expr.op == "/" or expr.op in "+-*" and not _within_exact_int(_interval(expr, bounds)):
+            return True
+        return _may_raise(expr.left, bounds) or _may_raise(expr.right, bounds)
+    return isinstance(expr, syntax.Call)
+
+
+def _within_exact_int(interval):
+    return interval is not None and -EXACT_INT <= interval[0] and interval[1] <= EXACT_INT
+
+
+def _binary(expr, left, right, exact, bounds):
     op = expr.op
     if op in ("&", "|"):
-        # the right operand decides only the rows that the left one does not
         conjunction = op == "&"
+        if not _may_raise(expr.right, bounds):
+            # on the rows the left operand decides, the right one changes nothing
+            both = np.logical_and if conjunction else np.logical_or
+            return lambda table, rows: both(left(table, rows), right(table, rows))
+
+        # the right operand decides only the rows that the left one does not
 
         def logical(table, rows):
             holds = left(table, rows)
@@ -426,7 +447,7 @@ def _binary(expr, left, right, exact, interval=None):
     if is_scalar:
         right = lambda table, rows, value=value: value  # noqa: E731
 
-    if (interval is not None and -EXACT_INT <= interval[0] and interval[1] <= EXACT_INT) or op not in "+-*":
+    if op not in "+-*" or _within_exact_int(_interval(expr, bounds)):
         # a comparison never raises, and int arithmetic whose result provably
         # stays within +-2^53 has int64 operands (or small literals) and result
         return lambda table, rows: fn(left(table, rows), right(table, rows))

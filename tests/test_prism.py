@@ -1092,6 +1092,31 @@ module m
 endmodule
 label "far" = x > pow(10, 29) + 2;
 """,
+    # two int64 variables whose key space, about 10^12 keys, is past the dense
+    # index's bound, so states are interned through the dict: (1, 10^6) is
+    # reached twice in the first layer, and y falls by a different step in each
+    "wide_int64": """mdp
+module m
+  x : [0..pow(10, 6)] init 0;
+  y : [0..pow(10, 6)] init pow(10, 6);
+  [] x<4 -> 0.5 : (x'=x+1) + 0.5 : (x'=x+1) & (y'=y-1000*x-1);
+  [a] x<4 -> (x'=x+1);
+  [] x=4 -> (y'=y);
+endmodule
+label "low" = y < pow(10, 6) - 2;
+rewards "r"
+  [a] true : x;
+endrewards
+""",
+    # a small range whose bounds are past int64: int64 keys over object columns
+    "far_range": """dtmc
+module m
+  x : [pow(10, 30)..pow(10, 30) + 3] init pow(10, 30);
+  [] x<pow(10, 30) + 2 -> 0.5 : (x'=x+1) + 0.5 : (x'=x+2);
+  [] x>=pow(10, 30) + 2 -> (x'=x-1);
+endmodule
+label "top" = x = pow(10, 30) + 3;
+""",
     "many_actions": MANY_ACTIONS,
     "many_actions_dtmc": MANY_ACTIONS.replace("mdp", "dtmc", 1),
     # no variables: one state, whose choices loop
@@ -1117,6 +1142,13 @@ endrewards
 def test_explorer_matches_reference_on_edge_programs(name, exact, limit):
     program = typecheck(parse_program(EDGE_PROGRAMS[name]))
     explore_matches_reference(program, exact=exact, fix_deadlocks=True, max_states=limit)
+
+
+@pytest.mark.parametrize("name, dense", [("shared_assignment", True), ("no_variables", True), ("far_range", True),
+                                         ("wide_int64", False), ("wide_range", False)])
+def test_only_a_key_space_past_the_bound_is_interned_through_a_dict(name, dense):
+    _, state_map = explore(typecheck(parse_program(EDGE_PROGRAMS[name])), ExploreOptions(fix_deadlocks=True))
+    assert isinstance(state_map._index, dict) is not dense
 
 
 # Deep, thin chains of about 200 states, started in the middle, so that each
@@ -1210,9 +1242,14 @@ def test_a_fault_deep_in_a_thin_chain_is_reported_as_the_reference_does(name, ol
     assert re.search(message, str(error))
 
 
-@pytest.mark.parametrize("name", ["ruin_dtmc", "synchronised"])
-def test_state_limit_cuts_a_thin_chain_as_the_reference_does(name):
-    error = explore_matches_reference(typecheck(parse_program(DEEP_PROGRAMS[name])), max_states=120)
+@pytest.mark.parametrize("source", [
+    pytest.param(DEEP_PROGRAMS["ruin_dtmc"], id="ruin_dtmc"),
+    pytest.param(DEEP_PROGRAMS["synchronised"], id="synchronised"),
+    # a range past the dense index's bound: the states a cut layer interned leave the dict
+    pytest.param(DEEP_PROGRAMS["ruin_dtmc"].replace("x : [0..200]", "x : [0..pow(10, 8)]"), id="ruin_dtmc_dict"),
+])
+def test_state_limit_cuts_a_thin_chain_as_the_reference_does(source):
+    error = explore_matches_reference(typecheck(parse_program(source)), max_states=120)
     assert "state limit of 120 states exceeded" in str(error)
 
 

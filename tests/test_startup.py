@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: ``import stormlet.cli`` loads no front end,
-each run loads only its own, and ``stormlet.prism.explore`` names the
-explorer's function in any import order. Each check runs in a subprocess."""
+each run loads only its own, human output loads no ``json``, and
+``stormlet.prism.explore`` names the explorer's function in any import
+order. Each check runs in a subprocess."""
 
 import json
 import os
@@ -46,6 +47,10 @@ def test_explicit_run_skips_the_explorer(tmp_path):
 
 
 PRISM_RUN = f"assert cli.main(['--prism', {DIE!r}, '--prop', 'P=? [ F \"six\" ]']) == 0"
+
+
+def test_human_output_skips_json():
+    assert fresh(f"import sys\nfrom stormlet import cli\n{PRISM_RUN}\nprint(str('json' in sys.modules).lower())") is False
 
 
 @pytest.mark.parametrize("prelude", [
