@@ -8,11 +8,9 @@ class StormletError(Exception):
     """Base class for all errors raised by stormlet."""
 
 
-class InputError(StormletError):
+class ParseError(StormletError):
     """Malformed textual input (model files, programs, properties, flags)."""
 
-
-class ParseError(InputError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column

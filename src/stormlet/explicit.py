@@ -312,12 +312,14 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.maximum(np.bincount(s, minlength=n), 1), out=offsets[1:])
     # duplicates add up in file order; a row's total adds its entries in the
-    # order their destinations first appear, the order the scaled entries go in
-    position, summed, first = sparse.coalesce((offsets[src] + choice) * n + dst, values)
-    entry_row = position // n
-    order = np.lexsort((first, entry_row))
-    entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
-    _, totals, _ = sparse.coalesce(entry_row, summed)
+    # order their destinations first appear, the order the scaled entries go in.
+    # Sums past the float range are reported by build_sparse or the model.
+    with np.errstate(all="ignore"):
+        position, summed, first = sparse.coalesce((offsets[src] + choice) * n + dst, values)
+        entry_row = position // n
+        order = np.lexsort((first, entry_row))
+        entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
+        _, totals, _ = sparse.coalesce(entry_row, summed)
     of_entry = np.searchsorted(offsets[s] + c, entry_row)
     domain = _domain(rational)
     exit_rates = None
@@ -325,7 +327,8 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         rates = sparse.as_vector(np.ones(n), domain)
         rates[s] = totals  # absorbing convention: a deadlocked state has a self-loop at rate 1
         exit_rates = rates.tolist()
-        scaled = summed / totals[of_entry]
+        with np.errstate(all="ignore"):
+            scaled = summed / totals[of_entry]
     elif rational:
         k = _first(totals != 1)
         if k < len(totals):

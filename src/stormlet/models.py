@@ -52,13 +52,6 @@ class StateLabeling:
     def states_with(self, name):
         return np.flatnonzero(self.get(name))
 
-    def __eq__(self, other):
-        if not isinstance(other, StateLabeling):
-            return NotImplemented
-        return self.names() == other.names() and all(
-            np.array_equal(self._labels[n], other._labels[n]) for n in self._labels
-        )
-
 
 class RewardModel:
     # state_rewards: length = states; action_rewards: length = choices (MDP) or states
@@ -131,6 +124,13 @@ class Model:
         if len(self.initial_states) != n:
             raise ModelError("initial_states bitset has wrong length")
 
+        # a CTMC state whose rates add past the float range has exit rate inf
+        # and its entries, rate / inf, round to 0: report it before its empty row
+        if self.kind is ModelKind.CTMC and self.exit_rates is not None:
+            bad = np.flatnonzero(self.exit_rates == np.inf)
+            if bad.size:
+                raise ModelError(f"CTMC exit rate of state {bad[0]} is not finite: its rates add past the float range")
+
         # an empty row sums to 0, so the first bad row is empty or off by more than the tolerance
         sums = sparse.row_sums(m)
         if m.dtype == "rational":
@@ -170,33 +170,3 @@ class Model:
         if name not in self.rewards:
             raise ModelError(f"unknown reward model {name!r}")
         return self.rewards[name]
-
-    def __eq__(self, other):
-        if not isinstance(other, Model):
-            return NotImplemented
-        same_rates = (self.exit_rates is None) == (other.exit_rates is None) and (
-            self.exit_rates is None or np.array_equal(self.exit_rates, other.exit_rates)
-        )
-        return (
-            self.kind == other.kind
-            and self.matrix == other.matrix
-            and np.array_equal(self.choice_offsets, other.choice_offsets)
-            and self.labeling == other.labeling
-            and sorted(self.rewards) == sorted(other.rewards)
-            and all(
-                _reward_vec_eq(self.rewards[k].state_rewards, other.rewards[k].state_rewards)
-                and _reward_vec_eq(self.rewards[k].action_rewards, other.rewards[k].action_rewards)
-                for k in self.rewards
-            )
-            and np.array_equal(self.initial_states, other.initial_states)
-            and same_rates
-        )
-
-
-def _reward_vec_eq(a, b):
-    if a is None and b is None:
-        return True
-    zero = lambda v: v is None or all(x == 0 for x in v)
-    if a is None or b is None:
-        return zero(a) and zero(b)
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))

@@ -580,8 +580,10 @@ def explore(program, options=None):
     else:
         offsets = np.arange(n + 1, dtype=np.int64)
         masks = np.bitwise_or.reduceat(bits, np.cumsum(counts) - counts)
-        # a state's rate is its choices' totals added left to right
-        scales = counts if kind is ModelKind.DTMC else sparse.coalesce(choice_states, _joined(totals))[1]
+        # a state's rate is its choices' totals added left to right; rates
+        # that add past the float range are reported by the model
+        with np.errstate(all="ignore"):
+            scales = counts if kind is ModelKind.DTMC else sparse.coalesce(choice_states, _joined(totals))[1]
         exit_rates = scales if kind is ModelKind.CTMC else None
     del choice_states, totals, bits
     rows = _joined(rows, firsts if kind is ModelKind.MDP else los)

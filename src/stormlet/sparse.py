@@ -76,18 +76,6 @@ class SparseMatrix:
             return self
         return SparseMatrix(self.rows, self.cols, self.row_offsets, self.col_indices, self.values, "rational")
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.dtype == other.dtype
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
-
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, dtype={self.dtype})"
 

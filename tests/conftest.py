@@ -15,6 +15,7 @@ import pytest
 
 from stormlet import sparse
 from stormlet.models import Model, ModelKind, StateLabeling
+from stormlet.sparse import SparseMatrix
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -36,6 +37,36 @@ endrewards
 @pytest.fixture
 def die_source():
     return (CORPUS / "die.pm").read_text()
+
+
+def assert_same(got, expected):
+    """Assert that two models, matrices, labelings or vectors are the same:
+    float values bit for bit, rational ones as equal Fractions, and rewards
+    in the same order."""
+    if isinstance(expected, Model):
+        assert got.kind is expected.kind
+        for part in ("matrix", "choice_offsets", "labeling", "initial_states", "exit_rates"):
+            assert_same(getattr(got, part), getattr(expected, part))
+        assert list(got.rewards) == list(expected.rewards)
+        for name, rm in expected.rewards.items():
+            assert_same(got.rewards[name].state_rewards, rm.state_rewards)
+            assert_same(got.rewards[name].action_rewards, rm.action_rewards)
+    elif isinstance(expected, SparseMatrix):
+        assert (got.rows, got.cols, got.dtype) == (expected.rows, expected.cols, expected.dtype)
+        for part in ("row_offsets", "col_indices", "values"):
+            assert_same(getattr(got, part), getattr(expected, part))
+    elif isinstance(expected, StateLabeling):
+        assert got.names() == expected.names()
+        for name in expected.names():
+            assert_same(got.get(name), expected.get(name))
+    elif expected is None:
+        assert got is None
+    else:
+        assert got.dtype == expected.dtype and len(got) == len(expected)
+        if got.dtype == object:
+            assert list(got) == list(expected) and all(type(v) is Fraction for v in got)
+        else:
+            assert got.tobytes() == expected.tobytes()
 
 
 # --- random model generation ---------------------------------------------

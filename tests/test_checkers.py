@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     CORPUS,
     STAY_OR_GO,
+    assert_same,
     oracle_bounded_until,
     oracle_cumulative_reward,
     oracle_mdp_reach,
@@ -23,7 +24,7 @@ from conftest import (
     rows_to_matrix,
 )
 from stormlet import checkers, solvers, sparse
-from stormlet.errors import PropertyError, UnsupportedCombination
+from stormlet.errors import PropertyError, SolverError, UnsupportedCombination
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.props import parse_property, resolve_atoms
@@ -420,6 +421,28 @@ def test_cumulative_reward_matches_recursion_oracle(seed):
         assert out.values[s] == pytest.approx(float(expected), abs=1e-10)
 
 
+@pytest.mark.parametrize("rational", [False, True])
+def test_exact_stepping_fails_only_past_its_budget(rational):
+    # 1 - 2^-k never repeats exactly; float iterates reach 1 after 54 steps
+    model = dtmc([{0: F(1, 2), 1: F(1, 2)}, {1: F(1)}], rational=rational)
+    rm = RewardModel("r", sparse.as_vector([1, 0], model.dtype))
+    left, right = np.array([True, False]), np.array([False, True])
+    with mock.patch.object(checkers, "EXACT_STEP_BUDGET", 5):
+        assert checkers.check_bounded_until(model, left, right, 5)[0] == F(31, 32)
+        assert checkers.check_cumulative_reward(model, rm, 5)[0] == F(31, 16)
+        for check in (lambda: checkers.check_bounded_until(model, left, right, 6),
+                      lambda: checkers.check_cumulative_reward(model, rm, 6)):
+            if rational:
+                with pytest.raises(SolverError, match="no fixed point within 5 steps"):
+                    check()
+            else:
+                check()
+        # a fixed point within the budget answers whatever the bound
+        acyclic = dtmc([{1: F(1, 3), 2: F(2, 3)}, {1: F(1)}, {2: F(1)}], rational=rational)
+        everywhere, one = np.ones(3, dtype=bool), np.array([False, True, False])
+        assert checkers.check_bounded_until(acyclic, everywhere, one, 10**8)[0] == (F(1, 3) if rational else 1 / 3)
+
+
 def test_cumulative_reward_rejected_on_ctmc():
     mat = rows_to_matrix([{1: F(1)}, {1: F(1)}], 2, False)
     rm = RewardModel("r", state_rewards=np.array([1.0, 0.0]))
@@ -576,19 +599,20 @@ def test_uniformized_matrix_matches_entrywise_assembly():
                 continue
             got, q = checkers._uniformized(model, active)
             expected, expected_q = reference_uniformized(model, active)
-            assert got == expected and got.values.tobytes() == expected.values.tobytes()
+            assert_same(got, expected)
             assert q == expected_q
 
 
-def full_step(m, x, offsets=None, maximize=True):
-    """Every row of m times x, its products added left to right from zero in
-    CSR order; with choice offsets, each state's best row."""
+def full_step(m, x, offsets=None, maximize=True, b=None):
+    """Every row of m times x, its products added left to right in CSR order
+    from zero, and b's entry added last; with choice offsets, each state's
+    best row, its products added to b's entry."""
     rows, zero = [], sparse.as_vector([0], m.dtype)[0]
     for i in range(m.rows):
-        acc = zero
+        acc = zero if b is None or offsets is None else b[i]
         for j, v in zip(*m.row(i)):
             acc = acc + v * x[j]
-        rows.append(acc)
+        rows.append(acc if b is None or offsets is not None else acc + b[i])
     if offsets is not None:
         pick = max if maximize else min
         rows = [pick(rows[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
@@ -608,6 +632,17 @@ def full_bounded_until(model, left, right, k, maximize=True):
     return x
 
 
+def full_cumulative(model, b, k, maximize=True):
+    """k full steps of every row from zero, collecting b."""
+    offsets = model.choice_offsets if model.kind is ModelKind.MDP else None
+    x = sparse.as_vector(np.zeros(model.n_states), model.dtype)
+    for _ in range(k):
+        x, previous = full_step(model.matrix, x, offsets, maximize, b), x
+        if np.array_equal(x, previous):
+            break
+    return x
+
+
 def full_timebounded(model, left, right, t):
     """Uniformization with the full matrix, identity rows for inactive states, in every step."""
     matrix, q = reference_uniformized(model, left & ~right, full=True)
@@ -622,14 +657,8 @@ def full_timebounded(model, left, right, t):
     return result
 
 
-def same_bits(got, expected):
-    if got.dtype == object:
-        return list(got) == list(expected) and all(type(v) is F for v in got)
-    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
-
 def test_bounded_results_equal_a_full_matrix_step_bit_for_bit():
-    rng = random.Random(5)
+    rng, draw = random.Random(5), random.Random(6)  # draw: the rewards
     # queue.sm, the tandem at c <= 3 and random small chains, float and exact
     models = [model for model in uniformization_models() if model.n_states <= 64]
     for i in range(30):
@@ -640,10 +669,20 @@ def test_bounded_results_equal_a_full_matrix_step_bit_for_bit():
         n = model.n_states
         for left in (np.ones(n, dtype=bool), np.array([rng.random() < 0.7 for _ in range(n)])):
             right = np.array([rng.random() < 0.3 for _ in range(n)])
-            for k in (0, 1, 7, 60):
-                for optimum in ("max", "min") if model.kind is ModelKind.MDP else (None,):
+            offsets = model.choice_offsets if model.kind is ModelKind.MDP else None
+            rm = RewardModel("r", sparse.as_vector([draw.choice([0, 1, F(1, 3)]) for _ in range(n)], model.dtype),
+                             sparse.as_vector([draw.choice([0, F(5, 2)]) for _ in range(model.n_choices)],
+                                              model.dtype))
+            for optimum in ("max", "min") if model.kind is ModelKind.MDP else (None,):
+                maximize = optimum == "max"
+                got = checkers.check_next(model, right, optimum)
+                assert_same(got, full_step(model.matrix, sparse.as_vector(right, model.dtype), offsets, maximize))
+                for k in (0, 1, 7, 60):
                     got = checkers.check_bounded_until(model, left, right, k, optimum)
-                    assert same_bits(got, full_bounded_until(model, left, right, k, optimum == "max"))
+                    assert_same(got, full_bounded_until(model, left, right, k, maximize))
+                    if model.kind is not ModelKind.CTMC:
+                        got = checkers.check_cumulative_reward(model, rm, k, optimum)
+                        assert_same(got, full_cumulative(model, checkers._choice_rewards(model, rm), k, maximize))
             if model.kind is ModelKind.CTMC and (left & ~right).any():
                 for t in (0.5, 3.0):
                     got, meta = checkers.check_timebounded_until_ctmc(model, left, right, t, ENV)

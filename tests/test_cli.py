@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,66 @@ def test_huge_step_bound_stops_at_a_fixed_point(capsys, tmp_path, corpus_file, a
         assert code == 0
         values.append(json.loads(out)["values"])
     assert values[0] == values[1]
+
+
+STEP_BUDGET_ERROR = (f"stormlet: exact stepping reached no fixed point within {checkers.EXACT_STEP_BUDGET} "
+                     "steps; use float mode for a larger step bound\n")
+
+
+@pytest.mark.parametrize("appended, prop", [
+    ("", 'P=? [ F<=100000000 "six" ]'),
+    ('rewards "flips"\n  s<7 : 1;\nendrewards\n', "R=? [ C<=100000000 ]"),
+])
+def test_exact_stepping_past_its_budget_exit_4(capsys, tmp_path, appended, prop):
+    # exact iterates on a cycle never repeat, and each step adds digits
+    program = tmp_path / "die.pm"
+    program.write_text((CORPUS / "die.pm").read_text() + appended)
+    code, out, err = run_cli(capsys, "--prism", str(program), "--exact", "--prop", prop)
+    assert (code, out, err) == (4, "", STEP_BUDGET_ERROR)
+
+
+def test_exact_stepping_within_its_budget_answers(capsys):
+    code, out, _ = run_cli(capsys, "--prism", DIE, "--exact", "--json", "--prop", 'P=? [ F<=1000 "six" ]')
+    # the paths to six take 3 + 2j steps with probability 2^-(3+2j): j = 0..498 within 1000
+    assert code == 0
+    assert Fraction(json.loads(out)["values"]["0"]) == Fraction(1, 6) * (1 - Fraction(1, 4) ** 499)
+
+
+@pytest.mark.parametrize("prop, value", [
+    ("P=? [ F<=100000000 (x=2) ]", "1/9"),
+    ("R=? [ C<=100000000 ]", "4/3"),
+])
+def test_exact_stepping_on_an_acyclic_program_stops_at_its_fixed_point(capsys, tmp_path, prop, value):
+    program = tmp_path / "acyclic.pm"
+    program.write_text("dtmc\nmodule m\n  x : [0..3] init 0;\n  [] x<2 -> 1/3 : (x'=x+1) + 2/3 : (x'=3);\n"
+                       "  [] x>=2 -> (x'=x);\nendmodule\nrewards\n  x<2 : 1;\nendrewards\n")
+    code, out, _ = run_cli(capsys, "--prism", str(program), "--exact", "--prop", prop)
+    assert (code, out) == (0, f"Property: {prop}\nResult (state 0): {value}\n")
+
+
+RATE_OVERFLOW = "CTMC exit rate of state 0 is not finite: its rates add past the float range"
+
+
+@pytest.mark.parametrize("files, message", [
+    ({"m.sm": "ctmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 1e308 : (x'=1) + 1e308 : (x'=2);\n"
+              "  [] x>0 -> (x'=0);\nendmodule\n"}, RATE_OVERFLOW),
+    ({"m.sm": "ctmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 1e308 : (x'=1);\n  [] x=0 -> 1e308 : (x'=2);\n"
+              "  [] x>0 -> (x'=0);\nendmodule\n"}, RATE_OVERFLOW),
+    ({"m.tra": "ctmc\n0 1 1e308\n0 2 1e308\n1 0 1\n2 0 1\n", "m.lab": "#DECLARATION\n#END\n"}, RATE_OVERFLOW),
+    # duplicate lines add up to inf before the rates do
+    ({"m.tra": "ctmc\n0 1 1e308\n0 1 1e308\n1 0 1\n", "m.lab": "#DECLARATION\n#END\n"},
+     "non-finite value at (0,1)"),
+])
+def test_ctmc_rates_that_add_past_the_float_range_exit_4(capsys, tmp_path, files, message):
+    # the exit rate is inf and the embedded entries round to 0: not a deadlock
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    model = ["--prism", str(tmp_path / "m.sm")] if "m.sm" in files else [
+        "--explicit", str(tmp_path / "m.tra"), str(tmp_path / "m.lab")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the run
+        code, out, err = run_cli(capsys, *model, "--prop", "P=? [ F<=1 true ]")
+    assert (code, out, err) == (4, "", f"stormlet: model error: {message}\n")
 
 
 def test_deadlock_exit_4(capsys, tmp_path):
@@ -501,6 +562,17 @@ def test_json_reports_the_error_bound(capsys, criterion, prop, bounded):
     assert ("error_bound" in meta) == bounded
     if bounded:
         assert 0 < meta["error_bound"] <= 1e-6
+
+
+def test_minimising_vi_reports_no_bound_when_its_seed_chain_proves_none(capsys):
+    # at 1e-17 the seed chain's iteration proves no bound, so the result has none either
+    coin = str(CORPUS / "coin.nm")
+    for precision, bounded in ((["--precision", "1e-17"], False), ([], True)):
+        code, out, _ = run_cli(capsys, "--prism", coin, "--minmax", "vi", *precision, "--json",
+                               "--prop", 'Pmin=? [ F "agree" ]')
+        meta = json.loads(out)["metadata"]
+        assert code == 0 and meta["method"] == "value_iteration"
+        assert ("error_bound" in meta) == bounded
 
 
 def test_rmin_defaults_to_certified_policy_iteration(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same
 from stormlet import explicit, sparse
 from stormlet.errors import DeadlockError, ModelError, ParseError, StormletError
 from stormlet.explicit import ExplicitBundle
@@ -252,11 +253,11 @@ def test_write_then_parse_is_identity(seed):
     rng = random.Random(4000 + seed)
     model, _ = random_dtmc(rng, 6, labels={"init": [True] + [False] * 5})
     model.initial_states = model.labeling.get("init")
-    assert round_trip(model) == model
+    assert_same(round_trip(model), model)
 
     mdp, _, _ = random_mdp(rng, 5, labels={"init": [True] + [False] * 4})
     mdp.initial_states = mdp.labeling.get("init")
-    assert round_trip(mdp) == mdp
+    assert_same(round_trip(mdp), mdp)
 
 
 def test_write_then_parse_rational_identity(rng):
@@ -270,7 +271,7 @@ def test_write_then_parse_rational_identity(rng):
         StateLabeling(6, {"init": [True] + [False] * 5}),
         initial_states=[True] + [False] * 5,
     )
-    assert round_trip(model) == model
+    assert_same(round_trip(model), model)
 
 
 def test_write_is_deterministic(rng):
@@ -287,7 +288,7 @@ def test_ctmc_round_trip_preserves_rates():
     bundle = ExplicitBundle("ctmc\n0 1 2.5\n1 0 0.5\n1 1 1.5\n", LABELS_EMPTY)
     model = explicit.build_model(bundle)
     again = explicit.build_model(explicit.write_model(model))
-    assert again == model
+    assert_same(again, model)
     assert list(again.exit_rates) == [2.5, 2.0]
 
 
@@ -659,14 +660,6 @@ def _same_failure(expected, call):
     assert getattr(got.value, "line", None) == getattr(expected, "line", None)
 
 
-def _assert_same_vector(got, expected, rational):
-    assert got.dtype == expected.dtype and len(got) == len(expected)
-    if rational:
-        assert list(got) == list(expected) and all(type(v) is Fraction for v in got)
-    else:
-        assert got.tobytes() == expected.tobytes()
-
-
 def _outcome(call):
     try:
         return call(), None
@@ -699,15 +692,13 @@ def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piec
     kind_, m, offsets, rates = got
     e_kind, e_m, e_offsets, e_rates = expected
     assert kind_ is e_kind
-    assert (m.rows, m.cols, m.dtype) == (e_m.rows, e_m.cols, e_m.dtype)
-    assert np.array_equal(m.row_offsets, e_m.row_offsets) and np.array_equal(m.col_indices, e_m.col_indices)
-    _assert_same_vector(m.values, e_m.values, rational)
-    assert offsets.dtype == np.int64 and np.array_equal(offsets, e_offsets)
+    assert_same(m, e_m)
+    assert_same(offsets, e_offsets)
     if e_rates is None:
         assert rates is None
     else:
         assert type(rates) is list
-        _assert_same_vector(sparse.as_vector(rates, m.dtype), sparse.as_vector(e_rates, m.dtype), rational)
+        assert_same(sparse.as_vector(rates, m.dtype), sparse.as_vector(e_rates, m.dtype))
         assert [type(r) for r in rates] == [type(r) for r in e_rates]
 
 
@@ -750,7 +741,7 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
             if error is not None:
                 _same_failure(error, lambda: loader(text))
             else:
-                _assert_same_vector(loader(text), expected, rational)
+                assert_same(loader(text), expected)
     finally:
         explicit._PIECE_CHARS = saved
 
@@ -838,6 +829,6 @@ def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
         if error is not None:
             _same_failure(error, lambda: explicit.parse_labels(text, n_states))
         else:
-            assert explicit.parse_labels(text, n_states) == expected
+            assert_same(explicit.parse_labels(text, n_states), expected)
     finally:
         explicit._PIECE_CHARS = saved

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same
 from stormlet import sparse
 from stormlet.errors import DeadlockError, ModelError, ParseError, StormletError
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
@@ -404,7 +405,7 @@ def test_explore_negative_reward_rejected():
 def test_explore_is_deterministic(die_source):
     a_model, a_map = build(die_source)
     b_model, b_map = build(die_source)
-    assert a_model == b_model
+    assert_same(a_model, b_model)
     assert list(zip(*a_map.columns)) == list(zip(*b_map.columns))
 
 
@@ -802,17 +803,6 @@ def ref_explore(program, options):
     return model, valuations, row_actions
 
 
-def _same_vector(got, expected):
-    if expected is None:
-        assert got is None
-        return
-    assert got.dtype == expected.dtype and len(got) == len(expected)
-    if got.dtype == object:
-        assert list(got) == list(expected) and all(type(v) is Fraction for v in got)
-    else:
-        assert got.tobytes() == expected.tobytes()
-
-
 def explore_matches_reference(program, **opts):
     """Explore with both explorers; assert the same model or the same error."""
     options = ExploreOptions(**opts)
@@ -838,18 +828,10 @@ def explore_matches_reference(program, **opts):
     finally:
         module.build_reward_models = original
     e_model, e_valuations, e_row_actions = expected
-    assert model == e_model
+    assert_same(model, e_model)
     assert [state_map.valuation(s) for s in range(len(state_map))] == e_valuations
     assert [tuple(map(type, state_map.valuation(s))) for s in range(len(state_map))] == [
         tuple(map(type, v)) for v in e_valuations]
-    assert np.array_equal(model.choice_offsets, e_model.choice_offsets)
-    _same_vector(model.matrix.values, e_model.matrix.values)
-    _same_vector(model.exit_rates, e_model.exit_rates)
-    assert model.labeling == e_model.labeling
-    assert list(model.rewards) == list(e_model.rewards)
-    for name, rm in model.rewards.items():
-        _same_vector(rm.state_rewards, e_model.rewards[name].state_rewards)
-        _same_vector(rm.action_rewards, e_model.rewards[name].action_rewards)
     sets, row_set = seen[0]
     assert [sets[i] for i in row_set] == e_row_actions
     return model
@@ -1116,6 +1098,25 @@ module m
   [] x>=pow(10, 30) + 2 -> (x'=x-1);
 endmodule
 label "top" = x = pow(10, 30) + 3;
+""",
+    # state 1's rates add past the float range, so its entries are not finite;
+    # the first reported is the first discovered, (1,3), not the first in its row
+    "overflowing_rates": """ctmc
+module m
+  x : [0..3] init 0;
+  [] x=0 -> 1 : (x'=1) + 1 : (x'=2);
+  [] x=1 -> 1e308*10 : (x'=3) + 1e308*10 : (x'=2);
+  [] x>=2 -> 1 : (x'=0);
+endmodule
+""",
+    # x*x past 2^53 is multiplied as Python ints; in int64 it would wrap
+    "int64_product": """dtmc
+module m
+  x : [0..pow(10, 10)] init pow(10, 10);
+  [] x*x > pow(10, 19) -> 0.5 : (x'=x-pow(10, 9)) + 0.5 : (x'=0);
+  [] x*x <= pow(10, 19) -> (x'=x);
+endmodule
+label "big" = x*x > pow(10, 19);
 """,
     "many_actions": MANY_ACTIONS,
     "many_actions_dtmc": MANY_ACTIONS.replace("mdp", "dtmc", 1),

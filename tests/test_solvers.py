@@ -190,6 +190,17 @@ def test_unmet_certificate_falls_back_to_the_iteration():
     assert abs(Fraction(out.x[0]) - 1) <= Fraction(out.error[0])
 
 
+def test_zero_pivot_falls_back_to_the_iteration():
+    # state 1 loops with probability one, so I - A has a zero second pivot
+    m = sparse.build_sparse([(0, 0, 0.5), (0, 1, 0.5), (1, 1, 1.0)], 2, 2)
+    with pytest.raises(SingularMatrix):
+        solvers._factor(m)
+    out = solvers.solve_linear(LinearSystem(m, [0.5, 0.0]), SolverEnvironment())
+    # the iteration rises from 0 to the least fixed point, (1, 0)
+    assert out.method == "value_iteration" and out.error_bound <= 1e-6
+    assert out.x[1] == 0.0 and abs(Fraction(out.x[0]) - 1) <= Fraction(out.error[0])
+
+
 def test_elimination_budget_falls_back():
     # a dense 6x6 block needs more multiply-adds than a budget of one per entry allows
     m = sparse.build_sparse([(i, j, 0.15) for i in range(6) for j in range(6)], 6, 6)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same
 from stormlet import sparse
 from stormlet.errors import StormletError
 
@@ -121,7 +122,7 @@ def test_coalesce_matches_left_to_right_loop(entries, rational, block_cells, ord
 def test_build_takes_columns_as_a_record_array():
     triples = [(1, 0, 0.5), (0, 1, 0.25), (1, 0, 0.25), (0, 0, 1.0)]
     columns = np.rec.fromarrays([np.array(c) for c in zip(*triples)], names="row,col,value")
-    assert sparse.build_sparse(columns, 2, 2) == sparse.build_sparse(triples, 2, 2)
+    assert_same(sparse.build_sparse(columns, 2, 2), sparse.build_sparse(triples, 2, 2))
 
 
 @pytest.mark.parametrize("triples, message", [
@@ -166,7 +167,7 @@ def test_to_float_and_to_rational_round_trip():
     r = m.to_rational()
     assert r.dtype == "rational" and list(r.values) == [Fraction(1, 2), Fraction(1, 2)]
     back = r.to_float()
-    assert back == m
+    assert_same(back, m)
 
 
 def test_restrict_dense_oracle():
@@ -201,7 +202,7 @@ def test_build_is_order_insensitive(triples, rnd):
     rnd.shuffle(shuffled)
     a = sparse.build_sparse(triples, 5, 5, "rational")
     b = sparse.build_sparse(shuffled, 5, 5, "rational")
-    assert a == b
+    assert_same(a, b)
 
 
 @settings(deadline=None)
@@ -209,7 +210,7 @@ def test_build_is_order_insensitive(triples, rnd):
 def test_restrict_to_everything_is_identity(triples):
     m = sparse.build_sparse(triples, 5, 5, "rational")
     sub, col_map = sparse.restrict(m, np.ones(5, dtype=bool), np.ones(5, dtype=bool))
-    assert sub == m
+    assert_same(sub, m)
     assert list(col_map) == [0, 1, 2, 3, 4]
 
 
