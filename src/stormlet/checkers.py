@@ -8,16 +8,18 @@ import numpy as np
 
 from . import graph, kernels, props, solvers, sparse
 from .errors import PropertyError, SolverError, UnsupportedCombination
-from .models import Model, ModelKind, StateLabeling
+from .models import ModelKind
 from .prism import syntax
 from .prism.syntax import replace
 
 UNIFORMIZATION_SLACK = 1.02  # diagonal slack factor on the uniformization rate
-# Exact iterates on a cycle never repeat and gain about 0.6 digits a step on
-# die.pm, where 10 000 steps take 0.7 s and print 6 000 digits and 50 000 take
-# 4.5 s; past this many steps an exact step-bounded check fails instead of
-# running on towards an answer too long to read.
-EXACT_STEP_BUDGET = 10_000
+# Exact iterates on a cycle never repeat, and a step costs more the longer the
+# numerators and denominators it computes. Their bit lengths, summed over the
+# steps taken, reach 3.0e8 in die.pm's first 10 000 steps (0.7 s end to end)
+# and 4.6e8 in the first 500 of a 201-state ruin chain (2.5 s), whose 1 000
+# steps sum to 2.0e9 (11.5 s); past this budget an exact step-bounded check
+# fails instead of running on towards an answer too long to read.
+EXACT_BIT_BUDGET = 500_000_000
 _DUAL = {None: None, "min": "max", "max": "min"}
 
 
@@ -112,7 +114,7 @@ def _dispatch_path(model, path, optimum, env):
     left = _bits(model, path.left, env)
     right = _bits(model, path.right, env)
     if path.bound is not None:
-        q = path.bound[1]
+        q = path.bound
         if model.kind is ModelKind.CTMC:
             if q < 0:
                 raise PropertyError("time bound must be nonnegative")
@@ -176,8 +178,8 @@ def _steps(model, active, x, k, optimum, b=None):
     The step depends only on x, so stepping stops once an iterate equals its
     predecessor exactly: every later iterate would be the same. Float
     iterates often get there (die.pm after 56 steps); exact ones on a cyclic
-    chain never do, so an exact model that has taken EXACT_STEP_BUDGET steps
-    without reaching one raises SolverError.
+    chain never do, so an exact model whose stepped entries have summed to
+    more than EXACT_BIT_BUDGET bits without reaching one raises SolverError.
     """
     matrix, offsets = model.matrix, model.choice_offsets
     if not active.all():
@@ -186,10 +188,11 @@ def _steps(model, active, x, k, optimum, b=None):
         matrix, _ = sparse.restrict(matrix, rows, np.ones(model.n_states, dtype=bool))
         offsets = np.concatenate(([0], np.cumsum(counts[active])))
         b = None if b is None else b[rows]
-    for step in range(k if active.any() else 0):
-        if step == EXACT_STEP_BUDGET and model.dtype == "rational":
-            raise SolverError(f"exact stepping reached no fixed point within {EXACT_STEP_BUDGET} steps; "
-                              "use float mode for a larger step bound")
+    bits = 0
+    for _ in range(k if active.any() else 0):
+        if bits > EXACT_BIT_BUDGET:
+            raise SolverError(f"exact stepping reached no fixed point within its budget of {EXACT_BIT_BUDGET} "
+                              "numerator and denominator bits; use float mode for a larger step bound")
         if model.kind is ModelKind.MDP:
             y = kernels.matvec_reduce(matrix, offsets, x, optimum == "max", b)[0]
         else:
@@ -198,6 +201,8 @@ def _steps(model, active, x, k, optimum, b=None):
         x[active] = y
         if np.array_equal(x, previous):
             break
+        if model.dtype == "rational":
+            bits += sum(v.numerator.bit_length() + v.denominator.bit_length() for v in y)
     return x
 
 
@@ -389,6 +394,8 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
 
     p_unif, q = _uniformized(model, active)
     lam = q * t
+    if lam == 0.0:  # q * t underflowed; a Poisson window at rate 0 is a point mass at step 0
+        return right.astype(np.float64), meta
     L, R, w, total = solvers.fox_glynn(lam, env.precision * 0.1)
     meta["poisson_window"] = (L, R)
     v = right.astype(np.float64)
@@ -407,26 +414,13 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
 # --- conditional probabilities --------------------------------------------
 
 
-_PENDING, _SUCCESS, _FAILED = 0, 1, 2
-
-
-def _monitor_step(status, state, left, right):
-    if status != _PENDING:
-        return status
-    if right[state]:
-        return _SUCCESS
-    if not left[state]:
-        return _FAILED
-    return _PENDING
-
-
 def check_conditional(model, objective, condition, env):
-    """P(objective | condition) on a DTMC via a monitor-product construction.
+    """P(objective | condition) on a DTMC, as P(objective and condition) over P(condition).
 
-    Each path formula is tracked by a pending/success/failed monitor flipped
-    on entering states; the numerator is reachability of the (success,
-    success) monitor pair in the product, the denominator the unconditional
-    condition probability. States with zero condition probability get NaN
+    The joint probability g is reachability on the model's own states (Baier,
+    Klein, Klueppelholz & Maercker, TACAS 2014): once one path formula holds,
+    g is the probability of the other; where either has failed, g is 0; where
+    both are pending, g = P.g. States with zero condition probability get NaN
     and are reported in metadata["condition_zero"].
     """
     for path in (objective, condition):
@@ -434,61 +428,24 @@ def check_conditional(model, objective, condition, env):
             raise UnsupportedCombination(
                 "conditional probabilities support unbounded reachability/until formulas only"
             )
-    obj_l = _bits(model, objective.left, env)
-    obj_r = _bits(model, objective.right, env)
-    con_l = _bits(model, condition.left, env)
-    con_r = _bits(model, condition.right, env)
-
-    index = {}
-    order = []
-
-    def intern(key):
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    starts = []
-    for s in range(model.n_states):
-        a = _monitor_step(_PENDING, s, obj_l, obj_r)
-        b = _monitor_step(_PENDING, s, con_l, con_r)
-        starts.append(intern((s, a, b)))
-    # close under successors
-    frontier = list(order)
-    while frontier:
-        s, a, b = frontier.pop()
-        cols, _ = model.matrix.row(s)
-        for j in cols:
-            j = int(j)
-            key = (j, _monitor_step(a, j, obj_l, obj_r), _monitor_step(b, j, con_l, con_r))
-            if key not in index:
-                intern(key)
-                frontier.append(key)
-
-    triples = []
-    for idx, (s, a, b) in enumerate(order):
-        cols, vals = model.matrix.row(s)
-        for j, v in zip(cols, vals):
-            j = int(j)
-            key = (j, _monitor_step(a, j, obj_l, obj_r), _monitor_step(b, j, con_l, con_r))
-            triples.append((idx, index[key], v))
-    product = sparse.build_sparse(triples, len(order), len(order), model.dtype)
-
-    target = np.array([a == _SUCCESS and b == _SUCCESS for (_, a, b) in order])
-    everywhere = np.ones(len(order), dtype=bool)
-    chain = Model(ModelKind.DTMC, product, StateLabeling(len(order)))
-    num_all, _ = check_until(chain, everywhere, target, None, env)
+    obj_l, obj_r, con_l, con_r = (_bits(model, f, env) for f in
+                                  (objective.left, objective.right, condition.left, condition.right))
+    num, num_meta = check_until(model, obj_l, obj_r, None, env)
     den, den_meta = check_until(model, con_l, con_r, None, env)
+    joint = sparse.as_vector(np.zeros(model.n_states), model.dtype)
+    joint[con_r] = num[con_r]
+    joint[obj_r] = den[obj_r]
+    pending = obj_l & ~obj_r & con_l & ~con_r
+    maybe = pending & ~graph.prob0(model.matrix, pending, joint != 0)
+    one_step = functools.partial(kernels.matvec, model.matrix, joint)
+    joint_meta = _solve_maybe(model, joint, maybe, one_step, None, env)
 
-    num = num_all[starts]
     zero = den == 0
     values = sparse.as_vector(np.zeros(model.n_states), model.dtype)
-    values[~zero] = num[~zero] / den[~zero]
+    values[~zero] = joint[~zero] / den[~zero]
     values[zero] = math.nan
-    zero_states = np.flatnonzero(zero).tolist()
-    meta = {"method": "conditional-product", "product_states": len(order)}
-    if zero_states:
-        meta["condition_zero"] = zero_states
-    meta.update({k: v for k, v in den_meta.items() if k == "iterations"})
+    meta = {"method": "conditional",
+            "iterations": num_meta["iterations"] + den_meta["iterations"] + joint_meta["iterations"]}
+    if zero.any():
+        meta["condition_zero"] = np.flatnonzero(zero).tolist()
     return values, meta
-

@@ -61,8 +61,6 @@ def _build_argparser():
                       help="property string (repeatable)")
     prop.add_argument("--prop-file", metavar="FILE", help="property file, one property per line")
     solver = p.add_argument_group("solver")
-    solver.add_argument("--solver", choices=["elimination", "exact"],
-                        default="elimination", help="linear equation method")
     solver.add_argument("--minmax", choices=["vi", "pi"], default="pi",
                         help="Bellman equation method (value/policy iteration)")
     solver.add_argument("--precision", type=float, default=1e-6)
@@ -135,9 +133,8 @@ def parse_args(argv):
         _fail_usage("at least one property is required (--prop or --prop-file)")
 
     # with --exact the matrices are rational, and the solvers then pick
-    # exact elimination and policy iteration whatever the method flags say
+    # exact elimination and policy iteration whatever --minmax says
     env = SolverEnvironment(
-        linear_method=ns.solver,
         minmax_method="policy_iteration" if ns.minmax == "pi" else "value_iteration",
         precision=ns.precision,
         criterion="absolute" if ns.absolute else "relative",
@@ -219,7 +216,7 @@ def format_result(result, fmt, property_text, initial_states):
     meta = {
         k: v
         for k, v in result.metadata.items()
-        if k in ("iterations", "method", "error_bound", "prob0", "prob1", "direction", "product_states")
+        if k in ("iterations", "method", "error_bound", "prob0", "prob1", "direction")
     }
     payload = {
         "property": property_text,

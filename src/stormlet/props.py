@@ -59,7 +59,7 @@ class Next:
 class Until:
     __slots__ = _fields = ("left", "right", "bound")
 
-    def __init__(self, left, right, bound=None):  # bound: None | ("steps", int) | ("time", Fraction)
+    def __init__(self, left, right, bound=None):  # bound: None | Fraction, steps or time by the model
         self.left, self.right, self.bound = left, right, bound
 
 
@@ -158,7 +158,7 @@ def _parse_number(cur):
 
 def _parse_bound_suffix(cur):
     if cur.accept("<="):
-        return ("steps-or-time", _parse_number(cur))
+        return _parse_number(cur)
     return None
 
 

@@ -81,16 +81,15 @@ _NORMAL = np.finfo(np.float64).tiny
 
 
 class SolverEnvironment:
-    # linear_method: elimination | exact; minmax_method: policy_iteration |
-    # value_iteration; criterion: relative | absolute. exact is unread (a
-    # rational matrix selects the exact methods); the benchmark's self-test
-    # still passes it, so it goes with the next benchmark change
-    __slots__ = ("linear_method", "minmax_method", "precision", "criterion", "max_iterations", "exact")
+    # minmax_method: policy_iteration | value_iteration; criterion: relative |
+    # absolute. The domain of a system's matrix alone selects the exact
+    # methods; linear_method and exact are accepted and ignored only because
+    # the benchmark's self-test still passes them, so they go with the next
+    # benchmark change
+    __slots__ = ("minmax_method", "precision", "criterion", "max_iterations")
 
-    def __init__(self, linear_method="elimination", minmax_method="policy_iteration", precision=1e-6,
-                 criterion="relative", max_iterations=1_000_000, exact=False):
-        if linear_method not in ("elimination", "exact"):
-            raise SolverError(f"unknown linear method {linear_method!r}")
+    def __init__(self, linear_method=None, minmax_method="policy_iteration", precision=1e-6,
+                 criterion="relative", max_iterations=1_000_000, exact=None):
         if minmax_method not in ("value_iteration", "policy_iteration"):
             raise SolverError(f"unknown min-max method {minmax_method!r}")
         if criterion not in ("relative", "absolute"):
@@ -99,8 +98,8 @@ class SolverEnvironment:
             raise SolverError("precision must be positive")
         if max_iterations < 1:
             raise SolverError("max_iterations must be at least 1")
-        self.linear_method, self.minmax_method, self.precision = linear_method, minmax_method, precision
-        self.criterion, self.max_iterations, self.exact = criterion, max_iterations, exact
+        self.minmax_method, self.precision = minmax_method, precision
+        self.criterion, self.max_iterations = criterion, max_iterations
 
 
 class LinearSystem:
@@ -155,8 +154,8 @@ def _largest_error(diff, x, criterion):
 
 def solve_linear(system, env):
     """Solve x = A.x + b: exact or certified elimination, else the certified iteration."""
-    if env.linear_method == "exact" or system.A.dtype == "rational":
-        x = sparse.as_vector(solve_linear_exact(system.A.to_rational(), system.b), system.A.dtype)
+    if system.A.dtype == "rational":
+        x = sparse.as_vector(solve_linear_exact(system.A, system.b), "rational")
         return SolveOutcome(x=x, iterations=0, method="exact")
     outcome = _certified_elimination(system, env.criterion)
     if outcome is not None and outcome.error_bound <= env.precision:
@@ -360,15 +359,14 @@ def _evaluate_scheduler(system, scheduler, env):
 
     Returns (x, d, margin): the value x, a bound d with the value within
     [x - d, x + d] (None when the solve was exact) and the rounding margin of
-    each state's induced row (0 in exact arithmetic). Under float
-    elimination, returns None instead when elimination cannot certify the
-    value within the precision. States that cannot reach the support of b
-    have value 0 and are excluded before solving, which keeps the restricted
-    system nonsingular.
+    each state's induced row (0 in exact arithmetic). In floats, returns None
+    instead when elimination cannot certify the value within the precision.
+    States that cannot reach the support of b have value 0 and are excluded
+    before solving, which keeps the restricted system nonsingular.
     """
     A, b = _induced_rows(system, scheduler)
     x = sparse.as_vector(np.zeros(A.rows), A.dtype)
-    certify = A.dtype == "float" and env.linear_method == "elimination"
+    certify = A.dtype == "float"
     d = np.zeros(A.rows) if certify else None
     relevant = graph._backward_closure(A, b != 0, np.ones(A.rows, dtype=bool))
     if relevant.any():
@@ -382,7 +380,7 @@ def _evaluate_scheduler(system, scheduler, env):
         else:
             outcome = solve_linear(linear, env)
         x[relevant] = outcome.x
-    if A.dtype == "rational":
+    if not certify:
         return x, None, 0
     return x, d, _rounding_margin(A, b, x)
 

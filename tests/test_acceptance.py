@@ -40,7 +40,7 @@ CORPUS_MODELS = ["die.pm", "coin.nm", "queue.sm"]
 
 FLOAT_ENV = SolverEnvironment(precision=1e-6)
 TIGHT_ENV = SolverEnvironment(precision=1e-10)
-EXACT_ENV = SolverEnvironment(linear_method="exact", minmax_method="policy_iteration")
+EXACT_ENV = SolverEnvironment()  # the exact methods follow from a rational matrix
 
 
 def report(name, ok, detail=""):
@@ -100,11 +100,10 @@ def test_02_solver_cross_validation():
         matrix = rows_to_matrix(rows, n, False)
         b = [float(Fraction(rng.randint(0, 5), 4)) for _ in range(n)]
         solutions = []
-        for method in ("elimination", "exact"):
-            env = SolverEnvironment(linear_method=method, precision=1e-6)
-            out = solvers.solve_linear(LinearSystem(matrix, b), env)
-            x = np.array([float(v) for v in out.x])
-            solutions.append(x)
+        # certified elimination, and the exact solve of the same float system
+        for A in (matrix, matrix.to_rational()):
+            out = solvers.solve_linear(LinearSystem(A, b), FLOAT_ENV)
+            solutions.append(np.array([float(v) for v in out.x]))
         # the certified iteration that the linear solve falls back to
         chain = BellmanSystem(matrix, np.arange(n + 1), b, "maximize")
         solutions.append(solvers._iterate(chain, SolverEnvironment(precision=1e-6)).x)

@@ -1,5 +1,6 @@
 """End-to-end property checking against closed forms and brute-force oracles."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,7 @@ from stormlet.props import parse_property, resolve_atoms
 from stormlet.solvers import SolverEnvironment
 
 ENV = SolverEnvironment(precision=1e-10)
-EXACT_ENV = SolverEnvironment(linear_method="exact", minmax_method="policy_iteration")
+EXACT_ENV = SolverEnvironment()  # the exact methods follow from a rational matrix
 
 
 def dtmc(rows, labels=None, rational=False, rewards=None):
@@ -423,17 +424,18 @@ def test_cumulative_reward_matches_recursion_oracle(seed):
 
 @pytest.mark.parametrize("rational", [False, True])
 def test_exact_stepping_fails_only_past_its_budget(rational):
-    # 1 - 2^-k never repeats exactly; float iterates reach 1 after 54 steps
+    # 1 - 2^-k never repeats exactly; float iterates reach 1 after 54 steps. Step j's
+    # stepped entries have 2j + 1 bits in both checks, 24 after four steps and 35 after five
     model = dtmc([{0: F(1, 2), 1: F(1, 2)}, {1: F(1)}], rational=rational)
     rm = RewardModel("r", sparse.as_vector([1, 0], model.dtype))
     left, right = np.array([True, False]), np.array([False, True])
-    with mock.patch.object(checkers, "EXACT_STEP_BUDGET", 5):
+    with mock.patch.object(checkers, "EXACT_BIT_BUDGET", 30):
         assert checkers.check_bounded_until(model, left, right, 5)[0] == F(31, 32)
         assert checkers.check_cumulative_reward(model, rm, 5)[0] == F(31, 16)
         for check in (lambda: checkers.check_bounded_until(model, left, right, 6),
                       lambda: checkers.check_cumulative_reward(model, rm, 6)):
             if rational:
-                with pytest.raises(SolverError, match="no fixed point within 5 steps"):
+                with pytest.raises(SolverError, match="no fixed point within its budget of 30 "):
                     check()
             else:
                 check()
@@ -746,16 +748,65 @@ def test_conditional_rejected_on_mdp():
         run(model, 'Pmax=? [ F "a" || F "b" ]')
 
 
-def test_conditional_product_size_bound():
-    rng = random.Random(55)
-    rows = random_stochastic_rows(rng, 8, 8)
-    labels = {
-        "a": [rng.random() < 0.4 for _ in range(8)],
-        "b": [rng.random() < 0.4 for _ in range(8)],
-    }
-    model = dtmc(rows, labels)
-    out = run(model, 'P=? [ F "a" || F "b" ]')
-    assert out.metadata["product_states"] <= 9 * 8
+CONDITIONALS = [
+    ('P=? [ "a" U "b" || "c" U "d" ]', ("a", "b"), ("c", "d")),
+    ('P=? [ F "b" || F "d" ]', (None, "b"), (None, "d")),
+    ('P=? [ F "b" || "c" U "d" ]', (None, "b"), ("c", "d")),
+    ('P=? [ "a" U "b" || F "d" ]', ("a", "b"), (None, "d")),
+    ('P=? [ "a" U "b" || "a" U "d" ]', ("a", "b"), ("a", "d")),
+]
+
+
+def oracle_conditional(rows, labels, objective, condition):
+    """P(objective | condition) per state, exact, NaN where the condition has
+    probability 0: reachability of (success, success) in the product of the
+    chain with a pending/success/failed monitor per path, as row dicts."""
+    n = len(rows)
+
+    def holds(name, s):
+        return True if name is None else labels[name][s]
+
+    def monitor(status, path, s):  # 0 pending, 1 success, 2 failed
+        left, right = path
+        if status != 0:
+            return status
+        return 1 if labels[right][s] else 0 if holds(left, s) else 2
+
+    def index(s, a, b):
+        return 9 * s + 3 * a + b
+
+    product = [{} for _ in range(9 * n)]
+    for s, a, b in itertools.product(range(n), range(3), range(3)):
+        row = product[index(s, a, b)]
+        for t, p in rows[s].items():
+            j = index(t, monitor(a, objective, t), monitor(b, condition, t))
+            row[j] = row.get(j, 0) + p
+    target = [a == 1 and b == 1 for _, a, b in itertools.product(range(n), range(3), range(3))]
+    joint = oracle_reach_probability(product, [True] * (9 * n), target)
+    den = oracle_reach_probability(rows, [holds(condition[0], s) for s in range(n)], labels[condition[1]])
+    return [math.nan if den[s] == 0 else
+            joint[index(s, monitor(0, objective, s), monitor(0, condition, s))] / den[s] for s in range(n)]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("seed", range(6))
+def test_conditional_against_the_monitor_product(seed, rational):
+    rng = random.Random(seed)
+    for _ in range(8):
+        n = rng.randint(1, 10)
+        rows = random_stochastic_rows(rng, n, n)
+        labels = {name: [rng.random() < 0.4 for _ in range(n)] for name in "abcd"}
+        model = dtmc(rows, labels, rational=rational)
+        for text, objective, condition in CONDITIONALS:
+            expected = oracle_conditional(rows, labels, objective, condition)
+            got = run(model, text, EXACT_ENV if rational else ENV).values
+            for value, want in zip(got, expected):
+                if isinstance(want, float):
+                    assert math.isnan(value)
+                elif rational:
+                    assert value == want
+                else:
+                    assert value == pytest.approx(float(want), abs=1e-9)
 
 
 # --- nesting and misc -----------------------------------------------------

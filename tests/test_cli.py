@@ -231,8 +231,9 @@ def test_huge_step_bound_stops_at_a_fixed_point(capsys, tmp_path, corpus_file, a
     assert values[0] == values[1]
 
 
-STEP_BUDGET_ERROR = (f"stormlet: exact stepping reached no fixed point within {checkers.EXACT_STEP_BUDGET} "
-                     "steps; use float mode for a larger step bound\n")
+STEP_BUDGET_ERROR = (f"stormlet: exact stepping reached no fixed point within its budget of "
+                     f"{checkers.EXACT_BIT_BUDGET} numerator and denominator bits; use float mode for a "
+                     "larger step bound\n")
 
 
 @pytest.mark.parametrize("appended, prop", [
@@ -289,6 +290,15 @@ def test_ctmc_rates_that_add_past_the_float_range_exit_4(capsys, tmp_path, files
         warnings.simplefilter("error")  # numpy's overflow warning would fail the run
         code, out, err = run_cli(capsys, *model, "--prop", "P=? [ F<=1 true ]")
     assert (code, out, err) == (4, "", f"stormlet: model error: {message}\n")
+
+
+def test_ctmc_time_bound_whose_rate_underflows_answers_at_step_0(capsys, tmp_path):
+    # q * t rounds to 0, and a Poisson window at rate 0 is a point mass at step 0
+    tra, lab = tmp_path / "slow.tra", tmp_path / "slow.lab"
+    tra.write_text("ctmc\n0 1 5e-324\n1 1 1\n")
+    lab.write_text("#DECLARATION\ninit goal\n#END\n0 init\n1 goal\n")
+    code, out, err = run_cli(capsys, "--explicit", str(tra), str(lab), "--prop", 'P=? [ F<=0.5 "goal" ]')
+    assert (code, out, err) == (0, 'Property: P=? [ F<=0.5 "goal" ]\nResult (state 0): 0\n', "")
 
 
 def test_deadlock_exit_4(capsys, tmp_path):
@@ -536,18 +546,11 @@ def test_version(capsys):
     assert out.startswith("stormlet ")
 
 
-def test_solver_flag_selects_method(capsys):
-    for solver in ("elimination", "exact"):
-        code, out, _ = run_cli(
-            capsys, "--prism", DIE, "--solver", solver, "--json", "--prop", 'P=? [ F "six" ]'
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["values"]["0"] == pytest.approx(1 / 6, abs=1e-6)
-        assert payload["metadata"]["method"] == solver
+def test_solver_flag_is_gone(capsys):
+    # --exact is the one exact route: a float model solved exactly answers for the rounded probabilities
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--prism", DIE, "--solver", "gauss-seidel", "--prop", 'P=? [ F "six" ]'])
-    assert exc.value.code == 1 and "invalid choice: 'gauss-seidel'" in capsys.readouterr().err
+        cli.main(["--prism", DIE, "--solver", "exact", "--prop", 'P=? [ F "six" ]'])
+    assert exc.value.code == 1 and "unrecognized arguments: --solver exact" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("criterion, prop, bounded", [

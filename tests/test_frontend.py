@@ -153,7 +153,7 @@ def test_property_errors_give_their_message_and_position(text, message):
 
 
 def test_a_bound_may_be_a_fraction():
-    assert parse_property('P=? [ F<=1/2 "a" ]').path.bound == ("steps-or-time", Fraction(1, 2))
+    assert parse_property('P=? [ F<=1/2 "a" ]').path.bound == Fraction(1, 2)
     assert parse_property('P>=-3/4 [ F "a" ]').bound == (">=", Fraction(-3, 4))
 
 

@@ -39,14 +39,14 @@ def test_parse_bounded_operator():
     p = parse_property('Pmax>=0.9 [ "a" U<=5 "b" ]')
     assert p.optimum == "max"
     assert p.bound == (">=", Fraction(9, 10))
-    assert p.path.bound == ("steps-or-time", Fraction(5))
+    assert p.path.bound == Fraction(5)
 
 
 def test_parse_next_and_globally():
     p = parse_property('P<0.5 [ X "a" ]')
     assert isinstance(p.path, Next)
     g = parse_property('P=? [ G<=3 "a" ]')
-    assert isinstance(g.path, Globally) and g.path.bound[1] == 3
+    assert isinstance(g.path, Globally) and g.path.bound == 3
 
 
 def test_parse_conditional():

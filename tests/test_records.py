@@ -46,7 +46,6 @@ def test_expression_span_and_type_are_keyword_only():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"linear_method": "sor"}, "unknown linear method 'sor'"),
     ({"minmax_method": "simplex"}, "unknown min-max method 'simplex'"),
     ({"criterion": "mixed"}, "unknown convergence criterion 'mixed'"),
     ({"precision": 0}, "precision must be positive"),
@@ -58,10 +57,11 @@ def test_environment_messages(kwargs, message):
         SolverEnvironment(**kwargs)
 
 
-def test_environment_defaults_and_exact_keyword():
-    env = SolverEnvironment(exact=True)
-    assert (env.linear_method, env.minmax_method, env.precision, env.criterion, env.max_iterations, env.exact) == (
-        "elimination", "policy_iteration", 1e-6, "relative", 1_000_000, True)
+def test_environment_defaults_and_ignored_keywords():
+    env = SolverEnvironment(linear_method="exact", exact=True)
+    assert (env.minmax_method, env.precision, env.criterion, env.max_iterations) == (
+        "policy_iteration", 1e-6, "relative", 1_000_000)
+    assert not hasattr(env, "linear_method") and not hasattr(env, "exact")
 
 
 def test_system_messages():
