@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark model construction on a growing tandem queue, two thin chains and a synchronised product.
+"""Benchmark model construction on a growing tandem queue, thin chains, a synchronised product and a lone state.
 
 The tandem is a CTMC with three stations in series, each holding up to c
 customers; stations 1-2 and 2-3 synchronise on the hand-over actions, and
@@ -11,16 +11,24 @@ tandem's three ``P=? [ F<=1/2 ... ]`` checks (one per label, as perfbench's
 ``build_tandem`` runs them) are timed together as its ``F<=1/2`` phase, which
 uniformises and steps the states that can still move.
 
+``explore`` builds a model one of two ways, and each row says which in its
+``path`` column: ``whole`` where the packed key space has at most
+``explore.WHOLE_SPACE_KEYS`` (2^14) keys, whose every valuation it expands
+at once before numbering the reached ones, and ``layers`` (BFS, one layer at
+a time) past it. The tandem's (c+1)^3 keys stay whole up to c = 24.
+
 The chain is a birth-death DTMC with as many states, started in the middle,
-so each BFS layer holds about two states: N states take N/2 layers. It
-measures the fixed cost that exploration pays per layer, which the short
-chains of ``perfbench``'s ``solve_iter`` pay on every layer. The wide chain
-is the same chain with its variable's range widened past
-``states.DENSE_KEYS``, so that its states are interned through a dict
-instead of the dense index: the two rows compare the two paths. The thin MDP
-has the shape of ``solve_iter``'s two-action gambler's-ruin MDP: two
-interleaved commands that share a guard, so each state of a layer has two
-choices. Their explore rows also give that cost in microseconds per layer.
+so each BFS layer holds about two states: N states take N/2 layers. Past
+``WHOLE_SPACE_KEYS`` it measures the fixed cost that exploration pays per
+layer; below it, as at c = 10 and 20 here and for the 61- to 81-state chains
+of ``perfbench``'s ``solve_iter``, the whole space is expanded and there is
+no per-layer cost. The wide chain is the same chain with its variable's
+range widened past ``states.DENSE_KEYS``, so that its states are interned
+layer by layer through a dict instead of the dense index: at c >= 30 the two
+rows compare the two indexes. The thin MDP has the shape of ``solve_iter``'s
+two-action gambler's-ruin MDP: two interleaved commands that share a guard,
+so each state of a layer has two choices. The explore rows of the layered
+thin chains also give that cost in microseconds per layer.
 
 The sync family has two modules with c commands each on one action, the
 j-th guarded by ``mod(x, c)=j``: each state has one choice, but a layer's
@@ -28,18 +36,25 @@ states use up to c*c combinations of commands, over (4c+1)^2 states. It
 measures that a synchronised action costs per command and branch, not per
 combination.
 
+The lone family has one reachable state, a loop, in a 128 x 128 key space
+whose every valuation has the same two-branch choice: the worst case of the
+whole-space path, which expands 16 384 valuations to keep one. Its second
+row widens y's range to 129 values, past ``WHOLE_SPACE_KEYS``, so the same
+state is explored as one layer: the two rows give what the worst case costs.
+
 ``explore`` is timed whole; the label, reward and ``build_sparse`` calls
 it makes are timed by wrapping them where ``explore`` looks them up, and
 the explore phase is the rest. For each size the script prints the best time
 of each phase in ms and the same time per 10^3 stored transitions; a flat
-column is linear growth. The explore rows of the tandem and the thin chains
-(``chain``, ``wide`` and ``mdp``) also give the time per BFS layer in
+column is linear growth. The explore rows of the layered tandem and thin
+chains (``chain``, ``wide`` and ``mdp``) also give the time per BFS layer in
 microseconds.
 
 Usage: python3 benchmarks/bench_explore.py [--caps 10,20,30,40,46] [--repeats 3]
 """
 
 import argparse
+import importlib
 import sys
 import time
 
@@ -131,6 +146,17 @@ rewards "steps"
 endrewards
 """
 
+# one reachable state in a 128 x R key space, every valuation a loop
+LONE = """dtmc
+
+const int R;
+
+module m
+  x : [0..127] init 0;
+  y : [0..R-1] init 0;
+  [] true -> 0.5 : (x'=x) + 0.5 : (y'=y);
+endmodule
+"""
 
 
 def sync_program(k):
@@ -147,18 +173,21 @@ def sync_program(k):
 PHASES = ("explore", "labels", "rewards", "build_sparse")
 # the time-bounded checks of perfbench's build_tandem, one per tandem label
 TANDEM_CHECKS = [f'P=? [ F<=1/2 "{label}" ]' for label in ("busy1", "queue1", "busy2")]
+EXPLORE = sys.modules["stormlet.prism.explore"]
+WHOLE = importlib.import_module("stormlet.prism.whole")
 # phase -> (module, attribute) of the call explore makes for it
 TIMED = {
-    "labels": (sys.modules["stormlet.prism.explore"], "build_label_bitsets"),
-    "rewards": (sys.modules["stormlet.prism.explore"], "build_reward_models"),
+    "labels": (EXPLORE, "build_label_bitsets"),
+    "rewards": (EXPLORE, "build_reward_models"),
     "build_sparse": (sparse, "build_sparse"),
 }
 
 
 def timed_explore(program):
-    """One explore call: the model and the seconds spent in each phase."""
+    """One explore call: the model, the seconds spent in each phase and the
+    path it took (``whole`` or ``layers``)."""
     spent = dict.fromkeys(PHASES, 0.0)
-    saved = {}
+    saved, built = {}, []
 
     def wrap(phase, fn):
         def timed(*args, **kwargs):
@@ -169,9 +198,15 @@ def timed_explore(program):
                 spent[phase] += time.perf_counter() - start
         return timed
 
+    def whole_space(*args):
+        layers = whole(*args)
+        built.append(layers is not None)
+        return layers
+
     for phase, (owner, attr) in TIMED.items():
         saved[phase] = getattr(owner, attr)
         setattr(owner, attr, wrap(phase, saved[phase]))
+    whole, WHOLE.whole_space = WHOLE.whole_space, whole_space
     try:
         start = time.perf_counter()
         model, _ = explore(program, ExploreOptions())
@@ -179,16 +214,18 @@ def timed_explore(program):
     finally:
         for phase, (owner, attr) in TIMED.items():
             setattr(owner, attr, saved[phase])
+        WHOLE.whole_space = whole
     spent["explore"] = total - sum(spent[p] for p in TIMED)
-    return model, spent
+    return model, spent, "whole" if built == [True] else "layers"
 
 
 def bench(program, repeats, checks=()):
-    """States, transitions and the best seconds of each phase; ``checks`` are
-    property texts, timed together after exploring as phase ``F<=1/2``."""
+    """States, transitions, the exploration path and the best seconds of each
+    phase; ``checks`` are property texts, timed together after exploring as
+    phase ``F<=1/2``."""
     best = dict.fromkeys(PHASES, float("inf"))
     for _ in range(repeats):
-        model, spent = timed_explore(program)
+        model, spent, path = timed_explore(program)
         for phase in PHASES:
             best[phase] = min(best[phase], spent[phase])
     if checks:
@@ -198,7 +235,7 @@ def bench(program, repeats, checks=()):
             for prop in props:
                 checkers.check(model, prop, env)
             best["F<=1/2"] = min(best.get("F<=1/2", float("inf")), time.perf_counter() - start)
-    return model.n_states, model.matrix.nnz, best
+    return model.n_states, model.matrix.nnz, path, best
 
 
 def main():
@@ -209,23 +246,27 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
-    print(f"{'family':<7} {'size':>7} {'states':>8} {'transitions':>11}  {'phase':<12} {'ms':>10} "
+    print(f"{'family':<7} {'size':>7} {'states':>8} {'transitions':>11} {'path':<6}  {'phase':<12} {'ms':>10} "
           f"{'ms/1e3 tr':>10} {'us/layer':>9}")
+    runs = []
     for cap in (int(s) for s in args.caps.split(",")):
         n = (cap + 1) ** 3 - 1
-        for family, size, program, layers in (
+        runs += [
             ("tandem", cap, typecheck(parse_program(TANDEM), {"c": cap}), 6 * cap + 1),
             ("chain", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2, "R": n}), n - n // 2 + 1),
             ("wide", n + 1, typecheck(parse_program(CHAIN), {"N": n, "M": n // 2, "R": DENSE_KEYS}), n - n // 2 + 1),
             ("mdp", n + 1, typecheck(parse_program(RUIN_MDP), {"N": n, "M": n // 2}), n - n // 2 + 1),
             ("sync", cap, typecheck(parse_program(sync_program(cap))), None),
-        ):
-            states, nnz, best = bench(program, args.repeats, TANDEM_CHECKS if family == "tandem" else ())
-            for phase in best:
-                ms = best[phase] * 1e3
-                per_layer = f"{ms * 1e3 / layers:9.1f}" if layers and phase == "explore" else f"{'-':>9}"
-                print(f"{family:<7} {size:>7} {states:>8} {nnz:>11}  {phase:<12} {ms:>10.2f} "
-                      f"{ms / nnz * 1e3:>10.4f} {per_layer}")
+        ]
+    runs += [("lone", r, typecheck(parse_program(LONE), {"R": r}), 1) for r in (128, 129)]
+    for family, size, program, layers in runs:
+        states, nnz, path, best = bench(program, args.repeats, TANDEM_CHECKS if family == "tandem" else ())
+        for phase in best:
+            ms = best[phase] * 1e3
+            per_layer = (f"{ms * 1e3 / layers:9.1f}" if layers and path == "layers" and phase == "explore"
+                         else f"{'-':>9}")
+            print(f"{family:<7} {size:>7} {states:>8} {nnz:>11} {path:<6}  {phase:<12} {ms:>10.2f} "
+                  f"{ms / nnz * 1e3:>10.4f} {per_layer}")
 
 
 if __name__ == "__main__":

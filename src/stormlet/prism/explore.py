@@ -1,4 +1,5 @@
-"""Explicit-state exploration of a typechecked program, one BFS layer at a time.
+"""Explicit-state exploration of a typechecked program: one BFS layer at a
+time, or every valuation of a small variable space at once.
 
 Every guard, update weight, assignment, label and reward expression is
 compiled once per call into a column closure (``semantics.compile_expr``).
@@ -34,6 +35,13 @@ reports the error of its first faulty state, raised in the order the checks
 of one state run: guards; then each command, unlabeled ones before actions,
 its weights and their sum before its assignments; then range checks in
 branch order.
+
+Each layer costs a fixed amount on top of its states, which on a deep, thin
+space is most of the work. So where the packed key space has at most
+``WHOLE_SPACE_KEYS`` (2^14) keys, ``whole.whole_space`` first expands every
+valuation of the space at once and numbers the reached ones as BFS does, so
+that the model is the same bit for bit; on any fault it gives way to the
+layers, so every error still comes from them.
 """
 
 from fractions import Fraction
@@ -49,6 +57,10 @@ from ..models import ROW_SUM_TOLERANCE, Model, ModelKind, RewardModel, StateLabe
 from . import syntax
 from .semantics import EXACT_INT, compile_expr, eval_expr, evaluate_rows
 from .states import StateMap
+
+# A program whose key space has at most this many keys is built by expanding
+# every valuation of the space (``whole.whole_space``).
+WHOLE_SPACE_KEYS = 1 << 14
 
 
 class ExploreOptions:
@@ -546,27 +558,34 @@ def explore(program, options=None):
     decls = list(program.all_variables())
     bounds = _ranges(decls)
     state_map = StateMap(decls, bounds)
-    layers = _Layers(program, state_map, bounds, options)
     initial = [eval_expr(decl.init, exact=exact) for decl in decls]
     for decl, bound, value in zip(decls, bounds, initial):
         if bound is not None and not bound[0] <= value <= bound[1]:
             raise StormletError(f"initial value of {decl.name!r} is {value}, outside [{bound[0]}..{bound[1]}]")
-    state_map.intern([np.array([value]) for value in initial], 1)
+    initial = [np.array([value]) for value in initial]
 
-    # BFS: states are numbered in discovery order, so a layer is an index range
-    done = 0
     with np.errstate(all="ignore"):
-        while done < len(state_map):
-            end = len(state_map)
-            try:
-                layers.expand(done, end)
-            except StormletError:
-                if end - done == 1:
-                    raise
-                # again one state at a time: the first faulty state raises its own error
-                for s in range(done, end):
-                    layers.expand(s, s + 1)
-            done = end
+        layers = None
+        if state_map.space <= WHOLE_SPACE_KEYS:
+            from .whole import whole_space  # loaded here: it imports this module
+
+            layers = whole_space(program, decls, bounds, state_map, initial, options)
+        if layers is None:
+            layers = _Layers(program, state_map, bounds, options)
+            state_map.intern(initial, 1)
+            # BFS: states are numbered in discovery order, so a layer is an index range
+            done = 0
+            while done < len(state_map):
+                end = len(state_map)
+                try:
+                    layers.expand(done, end)
+                except StormletError:
+                    if end - done == 1:
+                        raise
+                    # again one state at a time: the first faulty state raises its own error
+                    for s in range(done, end):
+                        layers.expand(s, s + 1)
+                done = end
 
     n = len(state_map)
     los, firsts, covered, choice_states, totals, bits, rows, values = map(list, zip(*layers.batches))

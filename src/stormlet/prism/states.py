@@ -1,4 +1,9 @@
-"""The explored states: a bijection between state indices and variable valuations."""
+"""The explored states: a bijection between state indices and variable valuations.
+
+``StateMap.valuations`` goes the other way from ``StateMap.keys``: it gives
+the valuations of any packed keys, such as a whole range of them, as typed
+columns, so that every valuation of a small space can be expanded at once.
+"""
 
 from itertools import compress, count, islice, repeat
 from operator import is_
@@ -43,7 +48,8 @@ class StateMap:
         self._strides = [1] * len(bounds)
         for i in reversed(range(len(bounds) - 1)):
             self._strides[i] = self._strides[i + 1] * self._sizes[i + 1]
-        space = self._strides[0] * self._sizes[0] if bounds else 1
+        # the number of packed keys: every valuation in the ranges has one
+        self.space = space = self._strides[0] * self._sizes[0] if bounds else 1
         self._key_dtype = np.int64 if space <= np.iinfo(np.int64).max else object
         self._index = np.zeros(space, dtype=np.int64) if space <= DENSE_KEYS else {}
         self._data = [np.zeros(16, dtype=bool if bound is None else np.int64 if -EXACT_INT <= bound[0]
@@ -70,6 +76,16 @@ class StateMap:
                 column = column * stride
             key = column if key is None else key + column
         return np.zeros(n_rows, dtype=self._key_dtype) if key is None else key
+
+    def valuations(self, keys):
+        """The columns of the valuations whose packed keys are ``keys`` (int64),
+        typed as the state columns are."""
+        columns = []
+        for data, low, size, stride in zip(self._data, self._low, self._sizes, self._strides):
+            digit = keys // stride % size
+            columns.append(digit.astype(bool) if data.dtype == bool else
+                           digit.astype(object) + low if data.dtype == object else digit + low)
+        return columns
 
     def intern(self, columns, n_rows):
         """The state index of each row of ``columns`` (an int64 array), numbering

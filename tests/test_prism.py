@@ -803,8 +803,31 @@ def ref_explore(program, options):
     return model, valuations, row_actions
 
 
-def explore_matches_reference(program, **opts):
-    """Explore with both explorers; assert the same model or the same error."""
+# ``explore`` builds a model from its whole key space where that has at most
+# WHOLE_SPACE_KEYS keys, else layer by layer; the suites below run each path,
+# the whole space with a bound past every small space they explore (the
+# largest is a random program's 5^6 keys; the others past it are 10^10 or more)
+PATHS = {"layered": 0, "whole_space": 1 << 16}
+
+
+@pytest.fixture
+def built_whole(monkeypatch):
+    """Per ``whole_space`` call, whether it built the model (else the layers do)."""
+    module = importlib.import_module("stormlet.prism.whole")
+    original, built = module.whole_space, []
+
+    def recording(*args):
+        layers = original(*args)
+        built.append(layers is not None)
+        return layers
+
+    monkeypatch.setattr(module, "whole_space", recording)
+    return built
+
+
+def explore_matches_reference(program, path, **opts):
+    """Explore with both explorers, ``explore`` taking the path named in
+    ``PATHS``; assert the same model or the same error."""
     options = ExploreOptions(**opts)
     try:
         expected, error = ref_explore(program, options), None
@@ -818,6 +841,7 @@ def explore_matches_reference(program, **opts):
         return original(program_, model, state_map, row_actions, exact=exact)
 
     module.build_reward_models = capture
+    bound, module.WHOLE_SPACE_KEYS = module.WHOLE_SPACE_KEYS, PATHS[path]
     try:
         if error is not None:
             with pytest.raises(StormletError) as got:
@@ -826,7 +850,7 @@ def explore_matches_reference(program, **opts):
             return error
         model, state_map = explore(program, options)
     finally:
-        module.build_reward_models = original
+        module.build_reward_models, module.WHOLE_SPACE_KEYS = original, bound
     e_model, e_valuations, e_row_actions = expected
     assert_same(model, e_model)
     assert [state_map.valuation(s) for s in range(len(state_map))] == e_valuations
@@ -840,16 +864,19 @@ def explore_matches_reference(program, **opts):
 CORPUS_PROGRAMS = [path.name for path in sorted((Path(__file__).parent / "corpus").iterdir())]
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
 @pytest.mark.parametrize("exact", [False, True])
-def test_explorer_matches_reference_on_the_corpus(name, exact):
+def test_explorer_matches_reference_on_the_corpus(name, exact, path, built_whole):
     source = (Path(__file__).parent / "corpus" / name).read_text()
-    explore_matches_reference(typecheck(parse_program(source)), exact=exact)
+    explore_matches_reference(typecheck(parse_program(source)), path, exact=exact)
+    assert built_whole == ([True] if path == "whole_space" else [])
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("exact", [False, True])
-def test_explorer_matches_reference_on_every_operator(exact):
-    explore_matches_reference(typecheck(parse_program(OPERATORS)), exact=exact)
+def test_explorer_matches_reference_on_every_operator(exact, path):
+    explore_matches_reference(typecheck(parse_program(OPERATORS)), path, exact=exact)
 
 
 def _bench_tandem():
@@ -857,9 +884,11 @@ def _bench_tandem():
     return re.search(r'TANDEM = """(.*?)"""', path.read_text(), re.S).group(1)
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("cap", [3, 10, 18])
-def test_explorer_matches_reference_on_the_tandem(cap):
-    explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": cap}))
+def test_explorer_matches_reference_on_the_tandem(cap, path, built_whole):
+    explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": cap}), path)
+    assert built_whole == ([True] if path == "whole_space" else [])
 
 
 def test_only_an_action_with_several_commands_in_a_module_is_joined(monkeypatch):
@@ -872,10 +901,22 @@ def test_only_an_action_with_several_commands_in_a_module_is_joined(monkeypatch)
         return original(self, sync, holds, table)
 
     monkeypatch.setattr(module._Layers, "_join", counting)
-    explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": 3}))
+    explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": 3}), "layered")
     assert joined == []
-    explore_matches_reference(typecheck(parse_program(SYNC_PROGRAMS["exclusive_guards"])))
+    explore_matches_reference(typecheck(parse_program(SYNC_PROGRAMS["exclusive_guards"])), "layered")
     assert joined
+
+
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("name", ["tandem", "overlapping_ctmc", "overlapping_mdp", "ruin_mdp"])
+def test_the_whole_space_expanded_in_small_blocks_gives_the_same_model(name, block, built_whole, monkeypatch):
+    sources = {"tandem": (_bench_tandem(), {"c": 3}), "ruin_mdp": (DEEP_PROGRAMS["ruin_mdp"], None)}
+    for kind in ("ctmc", "mdp"):
+        sources[f"overlapping_{kind}"] = (SYNC_PROGRAMS["overlapping"].format(kind=kind, **SYNC_WEIGHTS[kind]), None)
+    monkeypatch.setattr(importlib.import_module("stormlet.prism.whole"), "BLOCK", block)
+    source, constants = sources[name]
+    explore_matches_reference(typecheck(parse_program(source), constants), "whole_space", fix_deadlocks=True)
+    assert built_whole == [True]
 
 
 # Two faults in one BFS layer: from x=2 the layer is x=1 (state 1) and x=3
@@ -898,10 +939,44 @@ endmodule
     ("(x'=mod(x, x-1))", "(x'=6)", "mod by zero"),
 ])
 @pytest.mark.parametrize("exact", [False, True])
-def test_the_first_faulty_state_of_a_layer_reports_its_fault(fault1, fault3, message, exact):
+@pytest.mark.parametrize("path", PATHS)
+def test_the_first_faulty_state_of_a_layer_reports_its_fault(fault1, fault3, message, exact, path):
     program = typecheck(parse_program(TWO_FAULTS.format(fault1=fault1, fault3=fault3)))
-    error = explore_matches_reference(program, exact=exact)
+    error = explore_matches_reference(program, path, exact=exact)
     assert re.search(message, str(error))
+
+
+# From x=0 only x=0 and x=1 are reached, so the valuations x=2..4, where each
+# fault below lies, are never expanded layer by layer; from x=3 they are.
+UNREACHED_FAULTS = """dtmc
+module m
+  x : [0..4] init {init};
+  [] x<2 -> 0.5 : (x'=1-x) + 0.5 : (x'=x);
+  {fault}
+endmodule
+"""
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param("", r"deadlock state 0: valuation \{'x': 3\}", id="deadlock"),
+    pytest.param("[] x>=2 -> (x'=x+3);", r"assignment in state \(3,\) of 'x' is 6", id="out_of_range"),
+    pytest.param("[] x>=2 & 1/(x-3)>0 -> (x'=x);", "division by zero", id="guard_divides_by_zero"),
+    pytest.param("[] x>=2 -> 1/(x-3) : (x'=x);", "division by zero", id="weight_divides_by_zero"),
+    pytest.param("[] x>=2 -> 0.5 : (x'=x) + 0.4 : (x'=2);", "sum to (0.9|9/10), expected 1", id="bad_sum"),
+    pytest.param("[] x>=2 -> -1 : (x'=x) + 2 : (x'=2);", "negative update weight at line 5", id="negative_weight"),
+])
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_fault_in_an_unreached_valuation_changes_nothing(fault, message, exact, built_whole):
+    unreached = typecheck(parse_program(UNREACHED_FAULTS.format(init=0, fault=fault)))
+    models = [explore_matches_reference(unreached, path, exact=exact) for path in PATHS]
+    assert_same(models[1], models[0])
+    assert models[0].n_states == 2
+    reached = typecheck(parse_program(UNREACHED_FAULTS.format(init=3, fault=fault)))
+    errors = [explore_matches_reference(reached, path, exact=exact) for path in PATHS]
+    assert str(errors[1]) == str(errors[0]) and re.search(message, str(errors[0]))
+    # an unreached deadlock gets a loop the model never sees; every other fault
+    # sends the whole-space pass back to the layers
+    assert built_whole == [fault == "", False]
 
 
 def _atom(rng, ints, bools):
@@ -993,13 +1068,14 @@ def random_program(rng, kind):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("path", PATHS)
 @settings(deadline=None, max_examples=400)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]),
        exact=st.booleans(), fix=st.booleans(), limit=st.sampled_from([0, 1, 3, 10_000_000, 10_000_000]))
-def test_explorer_matches_reference_on_random_programs(seed, kind, exact, fix, limit):
+def test_explorer_matches_reference_on_random_programs(path, seed, kind, exact, fix, limit):
     source = random_program(random.Random(seed), kind)
     program = typecheck(parse_program(source))
-    explore_matches_reference(program, exact=exact, fix_deadlocks=fix, max_states=limit)
+    explore_matches_reference(program, path, exact=exact, fix_deadlocks=fix, max_states=limit)
 
 
 MANY_ACTIONS = "mdp\nmodule m\n  x : [0..70] init 0;\n" + "".join(
@@ -1140,9 +1216,10 @@ endrewards
 @pytest.mark.parametrize("name", EDGE_PROGRAMS)
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("limit", [1, 10_000_000])
-def test_explorer_matches_reference_on_edge_programs(name, exact, limit):
+@pytest.mark.parametrize("path", PATHS)
+def test_explorer_matches_reference_on_edge_programs(name, exact, limit, path):
     program = typecheck(parse_program(EDGE_PROGRAMS[name]))
-    explore_matches_reference(program, exact=exact, fix_deadlocks=True, max_states=limit)
+    explore_matches_reference(program, path, exact=exact, fix_deadlocks=True, max_states=limit)
 
 
 @pytest.mark.parametrize("name, dense", [("shared_assignment", True), ("no_variables", True), ("far_range", True),
@@ -1220,8 +1297,9 @@ endrewards
 
 @pytest.mark.parametrize("name", DEEP_PROGRAMS)
 @pytest.mark.parametrize("exact", [False, True])
-def test_explorer_matches_reference_on_deep_thin_chains(name, exact):
-    model = explore_matches_reference(typecheck(parse_program(DEEP_PROGRAMS[name])), exact=exact)
+@pytest.mark.parametrize("path", PATHS)
+def test_explorer_matches_reference_on_deep_thin_chains(name, exact, path):
+    model = explore_matches_reference(typecheck(parse_program(DEEP_PROGRAMS[name])), path, exact=exact)
     assert model.n_states >= 200
 
 
@@ -1236,10 +1314,11 @@ DEEP_FAULTS = [
 
 @pytest.mark.parametrize("name, old, new, message", DEEP_FAULTS)
 @pytest.mark.parametrize("exact", [False, True])
-def test_a_fault_deep_in_a_thin_chain_is_reported_as_the_reference_does(name, old, new, message, exact):
+@pytest.mark.parametrize("path", PATHS)
+def test_a_fault_deep_in_a_thin_chain_is_reported_as_the_reference_does(name, old, new, message, exact, path):
     source = DEEP_PROGRAMS[name]
     assert old in source
-    error = explore_matches_reference(typecheck(parse_program(source.replace(old, new, 1))), exact=exact)
+    error = explore_matches_reference(typecheck(parse_program(source.replace(old, new, 1))), path, exact=exact)
     assert re.search(message, str(error))
 
 
@@ -1249,8 +1328,9 @@ def test_a_fault_deep_in_a_thin_chain_is_reported_as_the_reference_does(name, ol
     # a range past the dense index's bound: the states a cut layer interned leave the dict
     pytest.param(DEEP_PROGRAMS["ruin_dtmc"].replace("x : [0..200]", "x : [0..pow(10, 8)]"), id="ruin_dtmc_dict"),
 ])
-def test_state_limit_cuts_a_thin_chain_as_the_reference_does(source):
-    error = explore_matches_reference(typecheck(parse_program(source)), max_states=120)
+@pytest.mark.parametrize("path", PATHS)
+def test_state_limit_cuts_a_thin_chain_as_the_reference_does(source, path):
+    error = explore_matches_reference(typecheck(parse_program(source)), path, max_states=120)
     assert "state limit of 120 states exceeded" in str(error)
 
 
@@ -1290,9 +1370,10 @@ SYNC_WEIGHTS = {"mdp": dict(w1=0.5, w2=0.5, w3=0.2, w4=0.3, w5=0.5, w6=0.25, w7=
 
 @pytest.mark.parametrize("name, kind", [("exclusive_guards", "mdp"), ("overlapping", "mdp"), ("overlapping", "ctmc")])
 @pytest.mark.parametrize("exact", [False, True])
-def test_synchronised_commands_in_every_combination_match_the_reference(name, kind, exact):
+@pytest.mark.parametrize("path", PATHS)
+def test_synchronised_commands_in_every_combination_match_the_reference(name, kind, exact, path):
     source = SYNC_PROGRAMS[name].format(kind=kind, **SYNC_WEIGHTS[kind])
-    model = explore_matches_reference(typecheck(parse_program(source)), exact=exact, fix_deadlocks=True)
+    model = explore_matches_reference(typecheck(parse_program(source)), path, exact=exact, fix_deadlocks=True)
     assert model.n_states >= 20
     if name == "overlapping" and kind == "mdp":
         # the initial state x=6, y=2, z=1 enables every [go] command of both modules: nine choices
@@ -1300,17 +1381,19 @@ def test_synchronised_commands_in_every_combination_match_the_reference(name, ki
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_a_fault_deep_in_a_chain_of_synchronised_combinations_is_reported_as_the_reference_does(exact):
+@pytest.mark.parametrize("path", PATHS)
+def test_a_fault_deep_in_a_chain_of_synchronised_combinations_is_reported_as_the_reference_does(exact, path):
     # both modules have two [step] commands; the walker's second is enabled where x is a multiple of 3
     source = DEEP_PROGRAMS["synchronised"].replace(
         "  [] x=0 | x=200 -> true;", "  [step] x>0 & x<200 & mod(x, 3)=0 -> (x'=x+1);\n  [] x=0 | x=200 -> true;")
-    explore_matches_reference(typecheck(parse_program(source)), exact=exact)
+    explore_matches_reference(typecheck(parse_program(source)), path, exact=exact)
     error = explore_matches_reference(typecheck(parse_program(source.replace("(t'=1)", "(t'=floor(x/160)+1)"))),
-                                      exact=exact)
+                                      path, exact=exact)
     assert re.search(r"assignment in state \(160, 0\) of 't' is 2", str(error))
 
 
-def test_synchronised_commands_are_checked_in_the_order_one_state_uses_them():
+@pytest.mark.parametrize("path", PATHS)
+def test_synchronised_commands_are_checked_in_the_order_one_state_uses_them(path):
     # one state's combinations (a1,b1), (a1,b2), (a2,b1), (a2,b2) first use a1, b1, b2, then a2: b2's
     # weights are checked before a2's division by zero
     source = """dtmc
@@ -1326,5 +1409,5 @@ module b
 endmodule
 """
     for exact in (False, True):
-        error = explore_matches_reference(typecheck(parse_program(source)), exact=exact)
+        error = explore_matches_reference(typecheck(parse_program(source)), path, exact=exact)
         assert "expected 1" in str(error)
