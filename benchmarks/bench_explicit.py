@@ -10,7 +10,9 @@ declares three labels.
 For each N the script times ``explicit.build_model`` on the file texts (no
 file I/O), in float and in exact mode, and prints the best time in ms and
 the same time per 10^3 lines of the ``.tra`` file; a flat last column is
-linear growth.
+linear growth. Each ``.tra`` file is timed as written (``clean``: numpy's
+text reader reads its pieces) and as a copy with a comment line after
+every 100 lines (``comment``), whose pieces all take the token path.
 
 Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repeats 3]
 """
@@ -45,6 +47,12 @@ def chain_files(n, choices, seed=1):
     return "\n".join(lines) + "\n", "\n".join(lab) + "\n"
 
 
+def commented(tra):
+    """``tra`` with a comment line after every 100 lines."""
+    lines = tra.splitlines()
+    return "".join(f"{line}\n# line {k + 1}\n" if k % 100 == 99 else f"{line}\n" for k, line in enumerate(lines))
+
+
 def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -60,18 +68,19 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
-    print(f"{'N':>8}  {'model':<5} {'mode':<6} {'lines':>9} {'ms':>10} {'ms/1e3 lines':>13}")
+    print(f"{'N':>8}  {'model':<5} {'file':<7} {'mode':<6} {'lines':>9} {'ms':>10} {'ms/1e3 lines':>13}")
     for n in (int(s) for s in args.sizes.split(",")):
         for model, choices in (("dtmc", 1), ("mdp", 2)):
             tra, lab = chain_files(n, choices)
-            bundle = explicit.ExplicitBundle(tra, lab)
-            lines = tra.count("\n")
-            for mode, rational in (("float", False), ("exact", True)):
-                loaded = explicit.build_model(bundle, rational=rational)
-                if loaded.n_states != n + 1:
-                    raise SystemExit(f"{model} N={n}: loaded {loaded.n_states} states, expected {n + 1}")
-                ms = best_of(lambda: explicit.build_model(bundle, rational=rational), args.repeats) * 1e3
-                print(f"{n:>8}  {model:<5} {mode:<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+            for file, text in (("clean", tra), ("comment", commented(tra))):
+                bundle = explicit.ExplicitBundle(text, lab)
+                lines = text.count("\n")
+                for mode, rational in (("float", False), ("exact", True)):
+                    loaded = explicit.build_model(bundle, rational=rational)
+                    if loaded.n_states != n + 1:
+                        raise SystemExit(f"{model} N={n}: loaded {loaded.n_states} states, expected {n + 1}")
+                    ms = best_of(lambda: explicit.build_model(bundle, rational=rational), args.repeats) * 1e3
+                    print(f"{n:>8}  {model:<5} {file:<7} {mode:<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
 
 
 if __name__ == "__main__":

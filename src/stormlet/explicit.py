@@ -12,19 +12,31 @@ of lines at a time is split into fields, each column is converted in one
 pass and every check is an array operation over the piece. Of several bad
 lines, the first in file order is reported, with its number.
 
-A piece without comments whose lines all have the same number of fields
-(two for labels) is split by one ``str.split``; any other piece line by line.
-Each index and float value column is converted by one numpy call, which
-applies Python's ``int()`` or ``float()`` to every token. A column falls
-back to reading token by token when a token fails (a fraction, or a bad
-token whose line is reported) or an index is past int64, and a value with
-its sign bit set is read again through Fraction, so ``-0`` is ``+0.0`` as
-in exact mode. Exact mode reads each distinct value token once, through
-Fraction. Keys that come in order, and transitions without duplicates,
-are assembled without a sort.
+A clean piece of a transitions or reward file (ASCII, no comment, no NUL,
+no blank line) is read by one ``np.loadtxt`` call, which parses the tokens
+in C into int64 index columns and a float64 value column (a column of
+tokens in exact mode). It keeps ASCII pieces only, because numpy reads some
+other scripts' digits unlike ``int()``. Any piece that call rejects or
+warns about (numpy 1.23 reads a float token in an int64 column, truncated,
+with a DeprecationWarning), or that it reads to a value that is not finite
+or has its sign bit set, is read again by the token path below, so its
+first bad line, message and ``-0`` (read as ``+0.0``) come out as they
+would without it.
+
+On the token path a piece without comments whose lines all have the same
+number of fields (two for labels) is split by one ``str.split``; any other
+piece line by line. Each index and float value column is converted by one
+numpy call, which applies Python's ``int()`` or ``float()`` to every token.
+A column falls back to reading token by token when a token fails (a
+fraction, or a bad token whose line is reported) or an index is past
+int64, and a value with its sign bit set is read again through Fraction, so
+``-0`` is ``+0.0`` as in exact mode. Exact mode reads each distinct value
+token once, through Fraction. Keys that come in order, and transitions
+without duplicates, are assembled without a sort.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -134,8 +146,11 @@ class _Rows:
     def values(self, tokens, rational, parsed):
         """The values of the kept rows' tokens, up to the first that is not a
         finite number. ``parsed`` holds the Fraction of each distinct token
-        read so far, so exact mode reads each token once."""
+        read so far, so exact mode reads each token once. ``tokens`` that
+        are an array are floats already read by ``_table``, all finite."""
         tokens = tokens[: self.end]
+        if isinstance(tokens, np.ndarray):
+            return tokens
         if rational:
             new = [token for token in dict.fromkeys(tokens) if token not in parsed]
             bad = _first_failure(Fraction, new)
@@ -152,49 +167,96 @@ class _Rows:
         return values[:k]
 
 
-def _pieces(text, start=0, no=1, width=0):
-    """Per piece of the lines of ``text[start:]``, the first of them line
-    ``no``: the numbers and field counts of its lines that have any field
-    once comments are removed, and all their fields in order.
+def _pieces(text, start=0, no=1):
+    """Per piece of the lines of ``text[start:]``: the number of its first
+    line (the first of all is line ``no``) and the piece.
+
+    Transitions and reward files send each piece to ``_table``, which reads
+    a clean piece (ASCII, no comment, no NUL, no blank line) through
+    ``np.loadtxt``, and every other piece to ``_fields``. Non-ASCII pieces
+    stay off ``np.loadtxt`` because it reads some other scripts' digits
+    unlike ``int()``: a lone Devanagari two as 2360, not 2. Label files,
+    whose lines vary in width, send every piece to ``_fields``.
+    """
+    while True:
+        end = text.find("\n", start + _PIECE_CHARS)
+        piece = text[start:] if end < 0 else text[start:end]
+        yield no, piece
+        if end < 0:
+            return
+        start, no = end + 1, no + piece.count("\n") + 1
+
+
+def _fields(piece, no, width):
+    """The numbers and field counts of the lines of ``piece``, the first of
+    them line ``no``, that have any field once comments are removed, and all
+    their fields in order.
 
     A piece without comments whose lines all have ``width`` fields (its last
     line may be empty) is split in one call, with a NUL token standing for
     each line end, which the count check then places.
     """
-    while True:
-        end = text.find("\n", start + _PIECE_CHARS)
-        piece = text[start:] if end < 0 else text[start:end]
-        ends = piece.count("\n")
-        fields = None
-        if width and "#" not in piece and "\0" not in piece:
-            fields = piece.replace("\n", " \0 ").split()
-            lines, rest = divmod(len(fields) - ends, width)
-            if rest or not ends <= lines <= ends + 1 or fields[width :: width + 1].count("\0") != ends:
-                fields = None
-            else:
-                del fields[width :: width + 1]
-                yield no + np.arange(lines), np.full(lines, width), fields
-        if fields is None:
-            lines = piece.split("\n")
-            if "#" in piece:
-                lines = [line.partition("#")[0] for line in lines]
-            fields = list(map(str.split, lines))
-            counts = np.fromiter(map(len, fields), np.int64, len(fields))
-            kept = np.flatnonzero(counts)
-            yield no + kept, counts[kept], list(itertools.chain.from_iterable(fields))
-        if end < 0:
-            return
-        start, no = end + 1, no + ends + 1
+    ends = piece.count("\n")
+    if "#" not in piece and "\0" not in piece:
+        fields = piece.replace("\n", " \0 ").split()
+        lines, rest = divmod(len(fields) - ends, width)
+        if not rest and ends <= lines <= ends + 1 and fields[width :: width + 1].count("\0") == ends:
+            del fields[width :: width + 1]
+            return no + np.arange(lines), np.full(lines, width), fields
+    lines = piece.split("\n")
+    if "#" in piece:
+        lines = [line.partition("#")[0] for line in lines]
+    fields = list(map(str.split, lines))
+    counts = np.fromiter(map(len, fields), np.int64, len(fields))
+    kept = np.flatnonzero(counts)
+    return no + kept, counts[kept], list(itertools.chain.from_iterable(fields))
 
 
-def _records(text, want, count_message, index_message, start=0, no=1):
+def _table(piece, want, rational):
+    """The index columns and the values (their tokens in exact mode) of a
+    clean piece of lines of ``want`` fields each, read by one ``np.loadtxt``
+    call; or None, and the token path reads the piece instead.
+
+    None also stands for a line that numpy rejects or warns about, a row
+    count other than the line count (numpy skips blank lines), and a float
+    value that is not finite or has its sign bit set, so that messages, line
+    numbers and the reading of ``-0`` stay those of the token path.
+    """
+    if not piece.isascii() or "#" in piece or "\0" in piece or not piece.strip():
+        return None  # numpy warns on a piece of no data
+    lines = piece.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the piece's last line end
+    try:
+        # numpy 1.23 reads a float token in an int64 column, truncated, with
+        # a DeprecationWarning; raised, it sends the piece to the token path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=",".join(["i8"] * (want - 1) + ["O" if rational else "f8"]),
+                               comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    values = table[f"f{want - 1}"]
+    if len(table) != len(lines) or not rational and (np.signbit(values).any() or not np.isfinite(values).all()):
+        return None
+    return [table[f"f{j}"] for j in range(want - 1)], values.tolist() if rational else values
+
+
+def _records(text, want, count_message, index_message, start=0, no=1, rational=False):
     """Per piece of the lines of ``text[start:]``, the first of them line
     ``no``: its rows, cut before the first line that has other than ``want``
-    fields or a non-integer index field; the index columns; the value tokens.
+    fields or a non-integer index field; the index columns; the value tokens,
+    or in float mode their floats when ``_table`` has read the piece.
 
     ``count_message(found)`` is the message for a line of ``found`` fields.
     """
-    for numbers, counts, tokens in _pieces(text, start, no, want):
+    for no, piece in _pieces(text, start, no):
+        table = _table(piece, want, rational)
+        if table is not None:
+            index, values = table
+            yield _Rows(no + np.arange(len(values))), index, values
+            continue
+        numbers, counts, tokens = _fields(piece, no, want)
         rows = _Rows(numbers)
         rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
         tokens = tokens[: want * rows.end]
@@ -279,7 +341,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     parsed = {}
     blocks = []  # per piece: (src, choice, dst, value, line number) of its rows before the first bad line
     for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields, found {found}",
-                                              "state indices must be integers", start, header_no + 1):
+                                              "state indices must be integers", start, header_no + 1, rational):
         src, dst = index[0], index[-1]
         choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
         rows.check((src < 0) | (choice < 0) | (dst < 0), _error("indices must be nonnegative"))
@@ -319,8 +381,11 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         entry_row = position // n
         order = np.lexsort((first, entry_row))
         entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
-        _, totals, _ = sparse.coalesce(entry_row, summed)
-    of_entry = np.searchsorted(offsets[s] + c, entry_row)
+        of_entry = np.searchsorted(offsets[s] + c, entry_row)
+        # a row's first entry starts its total, and np.add.at adds the rest in order
+        rest = np.concatenate(([False], of_entry[1:] == of_entry[:-1]))
+        totals = summed[~rest]
+        np.add.at(totals, of_entry[rest], summed[rest])
     domain = _domain(rational)
     exit_rates = None
     if kind is ModelKind.CTMC:
@@ -394,7 +459,8 @@ def parse_labels(text, n_states):
     declared, start, no = _declarations(text)
     ids = {name: i for i, name in enumerate(declared)}
     bits = np.zeros((len(declared), n_states), dtype=bool)
-    for numbers, counts, tokens in _pieces(text, start, no, 2):
+    for no, piece in _pieces(text, start, no):
+        numbers, counts, tokens = _fields(piece, no, 2)
         rows = _Rows(numbers)
         tokens = np.array(tokens, dtype=object)
         firsts = np.cumsum(counts) - counts
@@ -430,7 +496,7 @@ def parse_state_rewards(text, n_states, rational=False):
     seen = np.zeros(n_states, dtype=bool)
     parsed = {}
     for rows, (state,), value_tokens in _records(text, 2, lambda found: "expected `state reward`",
-                                                 "state index must be an integer"):
+                                                 "state index must be an integer", rational=rational):
         rows.check((state < 0) | (state >= n_states),
                    lambda k, no: ParseError(f"state {state[k]} out of range", line=no))
         state = state[: rows.end].astype(np.int64)
@@ -454,7 +520,7 @@ def parse_action_rewards(text, kind, choice_offsets, rational=False):
     parsed = {}
     want = 3 if kind is ModelKind.MDP else 2
     for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields",
-                                              "indices must be integers"):
+                                              "indices must be integers", rational=rational):
         state = index[0]
         choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
         rows.check((state < 0) | (state >= n_states),

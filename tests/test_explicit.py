@@ -1,6 +1,7 @@
 """Explicit transition/label/reward file parsing and serialization."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -744,6 +745,192 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
                 assert_same(loader(text), expected)
     finally:
         explicit._PIECE_CHARS = saved
+
+
+# --- clean pieces, which np.loadtxt reads, against the scalar reference ------
+#
+# A clean piece (ASCII, no comment, no NUL, no blank line) of a transitions or
+# reward file is read by one np.loadtxt call. The tokens below are the ones
+# numpy's text reader could read apart from int()/float(), or split apart
+# from str.split(); spliced into undecorated files they must still give the
+# reference's model or its exact error.
+
+SPLICED = ["२", "٣", "１", "1_0", "0_7", "-0", "+5", "0x10", "1e400", "nan", "12345678901234567890"]
+
+
+def _splice(rng, lines):
+    """The lines with one to three of them changed: a field replaced by a
+    SPLICED token, a space replaced by ``\\x0c`` or ``\\x1c``, or a ``\\r`` put
+    inside the line."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3) if lines else 0):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split()
+        what = rng.randrange(3)
+        if what == 0:
+            fields[rng.randrange(len(fields))] = rng.choice(SPLICED)
+            lines[i] = " ".join(fields)
+        elif what == 1 and len(fields) > 1:
+            j = rng.randrange(1, len(fields))
+            lines[i] = " ".join(fields[:j]) + rng.choice(["\x0c", "\x1c"]) + " ".join(fields[j:])
+        else:
+            j = rng.randrange(1, max(2, len(lines[i])))
+            lines[i] = lines[i][:j] + "\r" + lines[i][j:]
+    return lines
+
+
+def _agree(reference, loader, same=assert_same):
+    expected, error = _outcome(reference)
+    if error is not None:
+        _same_failure(error, loader)
+    else:
+        same(loader(), expected)
+
+
+def _same_transitions(got, expected):
+    (kind, m, offsets, rates), (e_kind, e_m, e_offsets, e_rates) = got, expected
+    assert kind is e_kind
+    assert_same(m, e_m)
+    assert_same(offsets, e_offsets)
+    assert (rates is None) == (e_rates is None)
+    if rates is not None:
+        assert [type(r) for r in rates] == [type(r) for r in e_rates]
+        assert_same(sparse.as_vector(rates, m.dtype), sparse.as_vector(e_rates, m.dtype))
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]), rational=st.booleans(),
+       splice=st.booleans(), piece=st.sampled_from([1, 9, 50, explicit._PIECE_CHARS]))
+def test_clean_pieces_match_scalar_reference(seed, kind, rational, splice, piece):
+    rng = random.Random(seed)
+    lines = _transition_lines(rng, kind)
+    text = "\n".join([kind, *(_splice(rng, lines) if splice else lines)]) + rng.choice(["", "\n"])
+    mdp = kind == "mdp"
+    counts = [rng.randint(1, 3) if mdp else 1 for _ in range(rng.randint(1, 6))]
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    model_kind = ModelKind(kind)
+    rewards = []
+    for per_choice in (False, True):
+        lines = _reward_lines(rng, offsets, mdp, per_choice)
+        rewards.append("".join(line + "\n" for line in (_splice(rng, lines) if splice else lines)))
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    try:
+        _agree(lambda: ref_parse_transitions(text, rational), lambda: explicit.parse_transitions(text, rational),
+               _same_transitions)
+        _agree(lambda: ref_parse_state_rewards(rewards[0], len(counts), rational),
+               lambda: explicit.parse_state_rewards(rewards[0], len(counts), rational))
+        _agree(lambda: ref_parse_action_rewards(rewards[1], model_kind, offsets, rational),
+               lambda: explicit.parse_action_rewards(rewards[1], model_kind, offsets, rational))
+    finally:
+        explicit._PIECE_CHARS = saved
+
+
+def test_other_scripts_digits_are_read_as_int_reads_them():
+    # numpy's text reader reads a lone Devanagari two as 2360 in an int64 column
+    assert explicit.parse_state_rewards("0 1\n२ 5\n", 3).tolist() == [1.0, 0.0, 5.0]
+    assert explicit.parse_action_rewards("0 ० 1\n१ 1 2\n", ModelKind.MDP, [0, 1, 3]).tolist() == [1.0, 0.0, 2.0]
+    _, m, _, _ = explicit.parse_transitions("dtmc\n0 २ 1\n1 0 1\n2 1 1\n")
+    assert m.row(0)[0].tolist() == [2]
+
+
+def test_clean_pieces_take_one_loadtxt_call_each(monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
+    body = "".join(f"{i} {i + 1} 1\n" for i in range(3000)) + "3000 3000 1\n"
+    pieces = len(list(explicit._pieces(body)))
+    assert pieces > 1
+    for rational in (False, True):
+        calls.clear()
+        _same_transitions(explicit.parse_transitions("dtmc\n" + body, rational),
+                          ref_parse_transitions("dtmc\n" + body, rational))
+        assert len(calls) == pieces
+    rewards = "".join(f"{i} {i % 7}.5\n" for i in range(3001))
+    for rational in (False, True):
+        calls.clear()
+        assert_same(explicit.parse_state_rewards(rewards, 3001, rational),
+                    ref_parse_state_rewards(rewards, 3001, rational))
+        assert len(calls) == len(list(explicit._pieces(rewards)))
+    # a comment or a non-ASCII digit keeps its piece away from loadtxt
+    for text in ("dtmc\n# note\n" + body, "dtmc\n٠" + body[1:]):
+        calls.clear()
+        _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
+        assert len(calls) == len(list(explicit._pieces(text, len("dtmc\n")))) - 1
+
+
+FLOAT_INDICES = ["dtmc\n0 1.0 1\n1 1 1\n", "dtmc\n0 1.7 1\n1 1 1\n", "mdp\n0 0 1e0 1\n1 0.0 1 1\n"]
+
+
+def _truncating_loadtxt(loadtxt):
+    """np.loadtxt as numpy 1.23 has it: a float token in an int64 column is
+    read truncated, with one DeprecationWarning."""
+    def load(lines, dtype, **kw):
+        fixed = [" ".join([str(int(float(t))) for t in line.split()[:-1]] + line.split()[-1:]) for line in lines]
+        if fixed != lines:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt(fixed, dtype, **kw)
+    return load
+
+
+@pytest.mark.parametrize("text", FLOAT_INDICES)
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("truncating", [False, True])
+def test_float_indices_fail_as_in_the_reference(text, rational, truncating, monkeypatch):
+    if truncating:
+        monkeypatch.setattr(np, "loadtxt", _truncating_loadtxt(np.loadtxt))
+    _, error = _outcome(lambda: ref_parse_transitions(text, rational))
+    assert error is not None
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            _same_failure(error, lambda: explicit.parse_transitions(text, rational))
+    for rewards, load, ref in [
+        ("0 1\n1.7 2\n", lambda t: explicit.parse_state_rewards(t, 3, rational),
+         lambda t: ref_parse_state_rewards(t, 3, rational)),
+        ("0 0 1\n1 1.0 2\n", lambda t: explicit.parse_action_rewards(t, ModelKind.MDP, [0, 1, 3], rational),
+         lambda t: ref_parse_action_rewards(t, ModelKind.MDP, [0, 1, 3], rational)),
+    ]:
+        _, error = _outcome(lambda: ref(rewards))
+        assert error is not None
+        _same_failure(error, lambda: load(rewards))
+
+
+@pytest.mark.parametrize("piece", [1, 9, explicit._PIECE_CHARS])
+def test_blank_pieces_raise_no_warning(piece, monkeypatch):
+    monkeypatch.setattr(explicit, "_PIECE_CHARS", piece)
+    blanks = ["", "\n", "\n\n\n", "   \n\t\n", " \t ", "\r\n", "\r\n\r\n", "\x0c\n"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for blank in blanks:
+            for text in (f"dtmc\n0 0 1\n{blank}", f"dtmc\r\n{blank}0 0 1\r\n{blank}"):
+                assert explicit.parse_transitions(text)[1].nnz == 1
+            for text in (blank, f"0 2\r\n{blank}"):
+                assert_same(explicit.parse_state_rewards(text, 1), ref_parse_state_rewards(text, 1))
+                assert_same(explicit.parse_action_rewards(text, ModelKind.DTMC, [0, 1]),
+                            ref_parse_action_rewards(text, ModelKind.DTMC, [0, 1]))
+
+
+@pytest.mark.parametrize("load, text, message, line", [
+    (explicit.parse_transitions, "dtmc\n0 1 1\n\n   \n1 1 0\n", "transition values must be positive", 5),
+    (explicit.parse_transitions, "dtmc\r\n1 1 1\r\n\r\n0 0 1\r\n", "state 0 choice 0 out of ascending order", 4),
+    (lambda text: explicit.parse_state_rewards(text, 2), "0 1\n\t\n0 2\n", "duplicate reward assignment for state 0", 3),
+])
+def test_blank_lines_keep_line_numbers(load, text, message, line):
+    with pytest.raises(ParseError) as exc:
+        load(text)
+    assert str(exc.value) == f"{message} at line {line}"
+
+
+def test_row_totals_add_left_to_right():
+    rng = random.Random(1)
+    rates = [rng.uniform(0.1, 10.0) for _ in range(40)]
+    order = rng.sample(range(40), 40)
+    text = "ctmc\n" + "".join(f"0 {j} {rates[j]!r}\n" for j in order) + "".join(f"{j} 0 1\n" for j in range(1, 40))
+    total = 0.0
+    for j in order:
+        total += rates[j]
+    assert total != sum(rates) and total != float(np.sum(np.array(rates)[order]))  # the order shows
+    assert explicit.parse_transitions(text)[3][0] == total
 
 
 def ref_parse_labels(text, n_states):
