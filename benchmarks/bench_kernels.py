@@ -7,8 +7,8 @@ matrix's numpy arrays, on random row-stochastic matrices of growing size and
 on a 10^4-state skewed matrix: one 10^4-entry row among two-entry rows.
 ``gauss_seidel_sweep`` is timed on the Python lists the solver hands it
 against the same sweep on numpy arrays. Each line prints, in ms, the first
-call on a fresh matrix (which builds the matrix's kernel plan), the best warm
-call and the best reference run, and the reference/warm ratio. A last line
+call on a fresh matrix (which builds the matrix's entry-row index), the best
+warm call and the best reference run, and the reference/warm ratio. A last line
 runs 10^3 back-to-back ``matvec_reduce`` calls on a 120-row matrix with two
 choices per state, the size value iteration repeats on in the perfbench
 ``solve_iter`` chains, and prints the time per call in µs. Every output is
@@ -63,7 +63,7 @@ def two_choices(m):
 
 
 def fresh(m):
-    """The same matrix without a kernel plan, so that the next kernel call builds one."""
+    """The same matrix without its kernel caches, so that the next kernel call builds them."""
     return SparseMatrix(m.rows, m.cols, m.row_offsets, m.col_indices, m.values, m.dtype)
 
 

@@ -382,10 +382,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         order = np.lexsort((first, entry_row))
         entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
         of_entry = np.searchsorted(offsets[s] + c, entry_row)
-        # a row's first entry starts its total, and np.add.at adds the rest in order
-        rest = np.concatenate(([False], of_entry[1:] == of_entry[:-1]))
-        totals = summed[~rest]
-        np.add.at(totals, of_entry[rest], summed[rest])
+        totals = sparse.coalesce(of_entry, summed)[1]
     domain = _domain(rational)
     exit_rates = None
     if kind is ModelKind.CTMC:

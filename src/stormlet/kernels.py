@@ -1,20 +1,18 @@
 """CSR kernels over either scalar domain.
 
 ``matvec`` and ``matvec_reduce`` have one numpy body for float64 and for
-object arrays of Fraction. Each row's sum starts from its accumulator (0, or
-``b[c]`` for a choice row) and adds the row's products strictly left to right
-in CSR order, so float results are bitwise those of the plain scalar loop:
-the products are the terms of ``sparse.sum_runs``'s table sum (the scheme is
-described in ``sparse``), computed per block of rows. Among the choices of a
-state, the first that reaches the optimum wins.
+object arrays of Fraction. Each row's sum follows ``sparse``'s one summation
+rule: it starts from its accumulator (0, or ``b[c]`` for a choice row) and
+``np.add.at`` adds the row's products in CSR order, so float results are
+bitwise those of the plain scalar loop. Among the choices of a state, the
+first that reaches the optimum wins.
 
-The table layout depends on the row offsets alone, so it is worked out once
-per matrix: the first kernel call on a matrix builds its plan and caches it in
-``SparseMatrix.plan``. The padding is taken from the matrix's domain on every
-call, and a matrix's ``to_rational()``/``to_float()`` twin builds a plan of
-its own. The plan also keeps ``matvec_reduce``'s choice index (each state's
-first row, each row's state) together with the choice offsets it was built
-for, and builds it again when a call passes offsets that differ.
+The first kernel call on a matrix caches the row of each stored entry in
+``SparseMatrix.entry_rows``, and a matrix's ``to_rational()``/``to_float()``
+twin caches its own. ``matvec_reduce`` caches its choice index (each state's
+first row, each row's state) in ``SparseMatrix.choices`` together with the
+choice offsets it was built for, and builds it again when a call passes
+offsets that differ.
 
 ``gauss_seidel_sweep`` is the one sequential kernel; it is float-only and
 runs fastest on Python lists.
@@ -36,15 +34,13 @@ def _checked_vector(m, x):
     return x
 
 
-def _plan(m):
-    if m.plan is None:
-        m.plan = sparse._Plan(m.row_offsets)
-    return m.plan
-
-
 def _add_rows(m, x, start):
     """start[r] + sum_k values[k] * x[cols[k]] over row r, added left to right."""
-    return sparse.sum_runs(_plan(m), start, lambda lo, hi: m.values[lo:hi] * x[m.col_indices[lo:hi]])
+    if m.entry_rows is None:
+        m.entry_rows = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
+    out = start.copy()
+    np.add.at(out, m.entry_rows, m.values * x[m.col_indices])
+    return out
 
 
 def _choice_index(offsets, n):
@@ -82,10 +78,9 @@ def matvec_reduce(m, choice_offsets, x, maximize, b=None):
     x = _checked_vector(m, x)
     choice_offsets = np.asarray(choice_offsets, dtype=np.int64)
     b = sparse.as_vector(np.zeros(m.rows) if b is None else b, m.dtype)
-    plan = _plan(m)
-    if plan.choices is None or not np.array_equal(plan.choices[0], choice_offsets):
-        plan.choices = _choice_index(choice_offsets.copy(), m.rows)
-    return _first_optimum(_add_rows(m, x, b), plan.choices, maximize)
+    if m.choices is None or not np.array_equal(m.choices[0], choice_offsets):
+        m.choices = _choice_index(choice_offsets.copy(), m.rows)
+    return _first_optimum(_add_rows(m, x, b), m.choices, maximize)
 
 
 def matvec_rational(m, x):

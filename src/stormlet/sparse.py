@@ -7,28 +7,18 @@ Every numeric vector of the engine uses the same representation, made by
 
 A matrix is immutable once built: no code writes to its arrays, and two
 layers cache what they derive from its structure on first use, valid only
-while the arrays stay as they are: the kernels a plan of its rows in
-``plan`` (see ``kernels``), and the qualitative layer a predecessor index
+while the arrays stay as they are: the kernels the row of each stored entry
+in ``entry_rows`` (8 bytes per entry) and ``matvec_reduce``'s choice index in
+``choices`` (see ``kernels``), and the qualitative layer a predecessor index
 in ``predecessors``, Python objects of about 70-85 bytes per entry (see
 ``graph``).
 
-``coalesce`` skips its sort when the positions already ascend, as the
-rows of a sorted file do: a stable sort of sorted positions changes nothing.
-Strictly ascending positions skip the sums as well.
-
-Sums that must be bitwise those of a plain scalar loop go through one table
-sum, ``sum_runs``. A run is an accumulator followed by terms, added strictly
-left to right; a run with no terms sums to its accumulator. Runs are grouped
-by their number of terms (1, 2, 3-4, 5-8, ...), a run of group j gets a table
-row of 1 + 2^j cells, the accumulator and then its terms padded with the
-additive identity (-0.0, or Fraction(0)), and ``np.add.accumulate`` adds along
-each table row in order. The table is filled and added in blocks of
-consecutive runs of about 2^16 cells, so the temporaries do not grow with the
-input. The grouping depends on the term offsets alone, so it is worked out
-once into a ``_Plan``: per block, the block's runs in group order, its range
-of terms, the table cell of each accumulator and of each term, and where each
-group starts. A sum then scatters the accumulators and the range's terms into
-a fresh table, accumulates each group and scatters the sums out.
+Sums that must be bitwise those of a plain scalar loop follow one rule: the
+sum starts from its accumulator and ``np.add.at``, which is unbuffered and
+goes in index order, adds the terms in entry order. ``coalesce`` skips its
+sort when the positions already ascend, as the rows of a sorted file do: a
+stable sort of sorted positions changes nothing. Strictly ascending
+positions skip the sums as well.
 """
 
 from fractions import Fraction
@@ -39,7 +29,8 @@ from .errors import StormletError
 
 
 class SparseMatrix:
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype", "plan", "predecessors")
+    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype",
+                 "entry_rows", "choices", "predecessors")
 
     def __init__(self, rows, cols, row_offsets, col_indices, values, dtype):
         self.rows = int(rows)
@@ -48,7 +39,8 @@ class SparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = as_vector(values, dtype)
         self.dtype = dtype
-        self.plan = None  # the kernels' row grouping, built by the first kernel call
+        self.entry_rows = None  # the kernels' row of each entry, built by the first kernel call
+        self.choices = None  # matvec_reduce's choice index, built by its first call
         self.predecessors = None  # the graph layer's backward index, built by its first call
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows+1")
@@ -152,81 +144,10 @@ def coalesce(position, values):
     first = np.ones(len(position), dtype=bool)
     first[1:] = position[1:] != position[:-1]
     starts = np.flatnonzero(first)
-    # a run's first value is its accumulator and the rest are its terms
-    rest = values[~first]
-    plan = _Plan(np.append(starts, len(position)) - np.arange(len(starts) + 1))
-    sums = sum_runs(plan, values[starts], lambda lo, hi: rest[lo:hi])
+    # a run's first value starts its sum, and np.add.at adds the rest in order
+    sums = values[starts]
+    np.add.at(sums, np.cumsum(first)[~first] - 1, values[~first])
     return position[starts], sums, starts if order is None else order[starts]
-
-
-# the table is filled and added in blocks of about this many cells, so the
-# temporaries stay the same size however large the input is
-_BLOCK_CELLS = 1 << 16
-
-
-class _Plan:
-    """The table layout of a sequence of runs, built from their term offsets alone.
-
-    ``blocks`` holds, per block of consecutive runs, ``(runs, cells, lo, hi,
-    slots, size, segments)``: the block's runs with terms in group order, the
-    table cell of each run's accumulator, the block's range of terms, the
-    table cell of each term, the table size, and per group ``(first, end,
-    first cell, end cell)`` in the order of ``runs``. ``choices`` is left to
-    the kernels, which cache a choice index there.
-    """
-
-    __slots__ = ("blocks", "choices")
-
-    def __init__(self, offsets):
-        self.blocks = []
-        self.choices = None
-        lengths = np.diff(offsets)
-        runs = np.flatnonzero(lengths)
-        # group j holds the runs of 2^(j-1) < terms <= 2^j; each has a table row of 1 + 2^j cells
-        group = np.frexp(lengths[runs] - 1)[1].astype(np.int8)
-        cell = np.concatenate(([0], np.cumsum((1 << group.astype(np.int64)) + 1)))
-        lo = 0
-        while lo < len(runs):
-            hi = max(lo + 1, int(np.searchsorted(cell, cell[lo] + _BLOCK_CELLS, side="right")) - 1)
-            self.blocks.append(_block(offsets, runs[lo:hi], group[lo:hi]))
-            lo = hi
-
-
-def _block(offsets, runs, group):
-    """The plan of one block of runs with terms, given in order."""
-    order = np.argsort(group, kind="stable")
-    cell = np.concatenate(([0], np.cumsum((1 << group[order].astype(np.int64)) + 1)))
-    cells = cell[:-1]
-    first = offsets[runs]
-    lengths = offsets[runs + 1] - first
-    # the block's terms are one range; the k-th term of a run goes k + 1 cells after its accumulator
-    run_cell = np.empty_like(cells)
-    run_cell[order] = cells
-    lo, hi = int(first[0]), int(first[-1] + lengths[-1])
-    slots = np.repeat(run_cell + 1 - (first - lo), lengths) + np.arange(hi - lo)
-    group = group[order]
-    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(runs)]
-    segments = [(i, j, int(cell[i]), int(cell[j])) for i, j in zip(bounds, bounds[1:])]
-    return runs[order], cells, lo, hi, slots, int(cell[-1]), segments
-
-
-def sum_runs(plan, acc, terms):
-    """Per run r, acc[r] and then its terms, added strictly left to right.
-
-    ``terms(lo, hi)`` gives the terms lo..hi-1 of the offsets ``plan`` was
-    built from, in the domain of ``acc``.
-    """
-    out = acc.copy()
-    pad = -0.0 if out.dtype == np.float64 else Fraction(0)
-    for runs, cells, lo, hi, slots, size, segments in plan.blocks:
-        table = np.full(size, pad, dtype=out.dtype)
-        table[cells] = acc[runs]
-        table[slots] = terms(lo, hi)
-        sums = np.empty(len(runs), dtype=out.dtype)
-        for i, j, ci, cj in segments:
-            sums[i:j] = np.add.accumulate(table[ci:cj].reshape(j - i, -1), axis=1)[:, -1]
-        out[runs] = sums
-    return out
 
 
 def row_sums(m):

@@ -597,15 +597,14 @@ def assert_same_vector(got, expected, dtype):
 
 
 @settings(deadline=None, max_examples=300)
-@given(choice_matrices(), st.booleans(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]))
-def test_kernels_match_scalar_reference_loops(problem, maximize, block_cells):
+@given(choice_matrices(), st.booleans())
+def test_kernels_match_scalar_reference_loops(problem, maximize):
     m, choice_offsets, b, x = problem
     offsets, cols, values = m.row_offsets.tolist(), m.col_indices.tolist(), m.values.tolist()
     zero = sparse.as_vector([0], m.dtype)[0]
 
-    with mock.patch.object(sparse, "_BLOCK_CELLS", block_cells):
-        got = kernels.matvec(m, x)
-        out, arg = kernels.matvec_reduce(m, choice_offsets, x, maximize, b)
+    got = kernels.matvec(m, x)
+    out, arg = kernels.matvec_reduce(m, choice_offsets, x, maximize, b)
     assert_same_vector(got, reference_matvec(offsets, cols, values, x.tolist(), zero), m.dtype)
 
     ref_out, ref_arg = reference_matvec_reduce(
@@ -616,30 +615,68 @@ def test_kernels_match_scalar_reference_loops(problem, maximize, block_cells):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.data(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]))
-def test_kernel_plans_are_reused_across_calls(data, block_cells):
-    # each matrix plans its rows at its first call: inside the patch, so small blocks are planned too
-    with mock.patch.object(sparse, "_BLOCK_CELLS", block_cells):
-        m, first_offsets, _, _ = data.draw(choice_matrices())
-        twin = m.to_rational() if m.dtype == "float" else m.to_float()
-        choices = [first_offsets, data.draw(choice_offset_arrays(m.rows))]
-        rnd = random.Random(data.draw(st.integers(0, 2**32)))
-        for _ in range(data.draw(st.integers(2, 5))):
-            x = [random_scalar(rnd, m.dtype == "rational") for _ in range(m.cols)]
-            b = [random_scalar(rnd, m.dtype == "rational") for _ in range(m.rows)]
-            maximize, choice_offsets = data.draw(st.booleans()), choices[data.draw(st.integers(0, 1))]
-            for matrix in (m, twin):
-                xs, bs = sparse.as_vector(x, matrix.dtype), sparse.as_vector(b, matrix.dtype)
-                offsets, cols, values = matrix.row_offsets.tolist(), matrix.col_indices.tolist(), matrix.values.tolist()
-                zero = sparse.as_vector([0], matrix.dtype)[0]
-                assert_same_vector(kernels.matvec(matrix, xs),
-                                   reference_matvec(offsets, cols, values, xs.tolist(), zero), matrix.dtype)
-                out, arg = kernels.matvec_reduce(matrix, choice_offsets, xs, maximize, bs)
-                ref_out, ref_arg = reference_matvec_reduce(
-                    offsets, cols, values, choice_offsets.tolist(), bs.tolist(), xs.tolist(), maximize
-                )
-                assert_same_vector(out, ref_out, matrix.dtype)
-                assert arg.tolist() == ref_arg
+@given(st.data())
+def test_kernel_plans_are_reused_across_calls(data):
+    # each matrix caches its entry rows and choice index at its first calls
+    m, first_offsets, _, _ = data.draw(choice_matrices())
+    twin = m.to_rational() if m.dtype == "float" else m.to_float()
+    choices = [first_offsets, data.draw(choice_offset_arrays(m.rows))]
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(data.draw(st.integers(2, 5))):
+        x = [random_scalar(rnd, m.dtype == "rational") for _ in range(m.cols)]
+        b = [random_scalar(rnd, m.dtype == "rational") for _ in range(m.rows)]
+        maximize, choice_offsets = data.draw(st.booleans()), choices[data.draw(st.integers(0, 1))]
+        for matrix in (m, twin):
+            xs, bs = sparse.as_vector(x, matrix.dtype), sparse.as_vector(b, matrix.dtype)
+            offsets, cols, values = matrix.row_offsets.tolist(), matrix.col_indices.tolist(), matrix.values.tolist()
+            zero = sparse.as_vector([0], matrix.dtype)[0]
+            assert_same_vector(kernels.matvec(matrix, xs),
+                               reference_matvec(offsets, cols, values, xs.tolist(), zero), matrix.dtype)
+            out, arg = kernels.matvec_reduce(matrix, choice_offsets, xs, maximize, bs)
+            ref_out, ref_arg = reference_matvec_reduce(
+                offsets, cols, values, choice_offsets.tolist(), bs.tolist(), xs.tolist(), maximize
+            )
+            assert_same_vector(out, ref_out, matrix.dtype)
+            assert arg.tolist() == ref_arg
+
+
+@pytest.mark.parametrize("dtype", ["float", "rational"])
+def test_every_row_length_adds_left_to_right(dtype):
+    """Rows of 0 to 70 entries and one of 10^4, over terms whose float sum depends on the order of addition.
+
+    ``matvec``, ``matvec_reduce`` and ``coalesce`` (on the entries in CSR
+    order and shuffled) equal the scalar loops byte for byte in float mode
+    and exactly in exact mode.
+    """
+    rnd = random.Random(25)
+    terms = [0.1, 1e16, -1e16, 3e-17, -0.0]
+    lengths = [*range(71), 10_000]
+    n_cols = 7
+    cols = [rnd.randrange(n_cols) for _ in range(sum(lengths))]
+    m = sparse.SparseMatrix(len(lengths), n_cols, np.cumsum([0, *lengths]), cols,
+                            [rnd.choice(terms) for _ in cols], dtype)
+    x = sparse.as_vector([rnd.choice([1.0, *terms]) for _ in range(n_cols)], dtype)
+    b = sparse.as_vector([rnd.choice(terms) for _ in lengths], dtype)
+    choice_offsets = np.arange(0, len(lengths) + 1, 3)
+    offsets, values = m.row_offsets.tolist(), m.values.tolist()
+    zero = sparse.as_vector([0], dtype)[0]
+
+    assert_same_vector(kernels.matvec(m, x), reference_matvec(offsets, cols, values, x.tolist(), zero), dtype)
+    out, arg = kernels.matvec_reduce(m, choice_offsets, x, False, b)
+    ref_out, ref_arg = reference_matvec_reduce(
+        offsets, cols, values, choice_offsets.tolist(), b.tolist(), x.tolist(), False
+    )
+    assert_same_vector(out, ref_out, dtype)
+    assert arg.tolist() == ref_arg
+
+    entry_rows = np.repeat(np.arange(len(lengths)), lengths)
+    for order in (np.arange(len(cols)), np.random.default_rng(25).permutation(len(cols))):
+        sums = {}
+        for row, value in zip(entry_rows[order].tolist(), m.values[order].tolist()):
+            sums[row] = sums[row] + value if row in sums else value
+        position, got, _ = sparse.coalesce(entry_rows[order], m.values[order])
+        assert position.tolist() == sorted(sums)
+        assert_same_vector(got, [sums[row] for row in sorted(sums)], dtype)
 
 
 def test_matvec_reduce_sees_choice_offsets_changed_in_place():

@@ -1,7 +1,6 @@
 """CSR matrix assembly, conversion, and restriction."""
 
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,9 +89,9 @@ def test_build_float_matches_left_to_right_reference(triples):
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, -0.0])),
                 max_size=120),
-       st.booleans(), st.sampled_from([1, 3, 40, sparse._BLOCK_CELLS]), st.sampled_from(["any", "sorted", "strict"]))
-def test_coalesce_matches_left_to_right_loop(entries, rational, block_cells, order):
-    """Runs of up to 120 entries, so several table widths and block cuts occur; a run of -0.0 sums to -0.0.
+       st.booleans(), st.sampled_from(["any", "sorted", "strict"]))
+def test_coalesce_matches_left_to_right_loop(entries, rational, order):
+    """Runs of up to 120 entries; a run of -0.0 sums to -0.0.
 
     Positions come in any order, non-decreasing (sorted stably, so that the
     entries of one position keep their order), or strictly ascending.
@@ -108,8 +107,7 @@ def test_coalesce_matches_left_to_right_loop(entries, rational, block_cells, ord
     for i, (p, v) in enumerate(zip(position.tolist(), values.tolist())):
         sums[p] = sums[p] + v if p in sums else v
         first.setdefault(p, i)
-    with mock.patch.object(sparse, "_BLOCK_CELLS", block_cells):
-        got_position, got_sums, got_first = sparse.coalesce(position, values)
+    got_position, got_sums, got_first = sparse.coalesce(position, values)
     assert got_position.tolist() == sorted(sums)
     assert got_first.tolist() == [first[p] for p in sorted(sums)]
     expected = sparse.as_vector([sums[p] for p in sorted(sums)], domain)
