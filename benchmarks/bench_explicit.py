@@ -10,9 +10,12 @@ declares three labels.
 For each N the script times ``explicit.build_model`` on the file texts (no
 file I/O), in float and in exact mode, and prints the best time in ms and
 the same time per 10^3 lines of the ``.tra`` file; a flat last column is
-linear growth. Each ``.tra`` file is timed as written (``clean``: numpy's
-text reader reads its pieces) and as a copy with a comment line after
-every 100 lines (``comment``), whose pieces all take the token path.
+linear growth. Each ``.tra`` file is timed as written (``clean``) and as a
+copy with a comment line after every 100 lines (``comment``); numpy's text
+reader reads the pieces of both. Then ``explicit.parse_labels`` alone is
+timed on the chain's ``.lab`` file (``labels``: one label per line but the
+last, numpy's text reader) and on a file that gives every state two labels
+(``labels2``: the line reader), per 10^3 lines of the ``.lab`` file.
 
 Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repeats 3]
 """
@@ -45,6 +48,13 @@ def chain_files(n, choices, seed=1):
     lab += [f"{i} far" for i in range(half, n)]
     lab.append(f"{n} far done")
     return "\n".join(lines) + "\n", "\n".join(lab) + "\n"
+
+
+def two_labels(n):
+    """A ``.lab`` text that gives every state of 0..n two labels."""
+    lab = ["#DECLARATION", "low high even odd", "#END"]
+    lab += [f"{i} {'low' if 2 * i < n else 'high'} {'odd' if i % 2 else 'even'}" for i in range(n + 1)]
+    return "\n".join(lab) + "\n"
 
 
 def commented(tra):
@@ -81,6 +91,14 @@ def main():
                         raise SystemExit(f"{model} N={n}: loaded {loaded.n_states} states, expected {n + 1}")
                     ms = best_of(lambda: explicit.build_model(bundle, rational=rational), args.repeats) * 1e3
                     print(f"{n:>8}  {model:<5} {file:<7} {mode:<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+        _, lab = chain_files(n, 1)
+        for file, text, label, count in (("labels", lab, "far", n - n // 2 + 1),
+                                         ("labels2", two_labels(n), "even", n // 2 + 1)):
+            if explicit.parse_labels(text, n + 1).get(label).sum() != count:
+                raise SystemExit(f"{file} N={n}: {label!r} not on {count} states")
+            lines = text.count("\n")
+            ms = best_of(lambda: explicit.parse_labels(text, n + 1), args.repeats) * 1e3
+            print(f"{n:>8}  {'dtmc':<5} {file:<7} {'-':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
 
 
 if __name__ == "__main__":

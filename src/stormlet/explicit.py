@@ -7,32 +7,28 @@ file starts with a header token (``dtmc``, ``ctmc`` or ``mdp``) followed by
 0-based; each (state, choice) must first appear in ascending order, and its
 later lines may come anywhere after that.
 
-The transitions, reward and label files are read column by column: a piece
-of lines at a time is split into fields, each column is converted in one
-pass and every check is an array operation over the piece. Of several bad
-lines, the first in file order is reported, with its number.
+The transitions, reward and label files are read a piece of lines at a
+time, by one of two readers, and every check is an array operation over a
+piece. Of several bad lines, the first in file order is reported, with its
+number. Keys that come in order, and transitions without duplicates, are
+assembled without a sort.
 
-A clean piece of a transitions or reward file (ASCII, no comment, no NUL,
-no blank line) is read by one ``np.loadtxt`` call, which parses the tokens
-in C into int64 index columns and a float64 value column (a column of
-tokens in exact mode). It keeps ASCII pieces only, because numpy reads some
-other scripts' digits unlike ``int()``. Any piece that call rejects or
-warns about (numpy 1.23 reads a float token in an int64 column, truncated,
-with a DeprecationWarning), or that it reads to a value that is not finite
-or has its sign bit set, is read again by the token path below, so its
-first bad line, message and ``-0`` (read as ``+0.0``) come out as they
-would without it.
+The fast reader, ``_table``, reads an ASCII piece without NUL by one
+``np.loadtxt`` call, which drops blank and comment lines and parses the
+tokens in C: int64 index columns, and a float64 value column, or a column
+of tokens in exact mode and of label names in a labels file. It keeps no
+line numbers, so when a check fails on a row it read, ``_Reread`` is raised
+and the whole file is parsed again by the line reader alone, which reports
+the bad line.
 
-On the token path a piece without comments whose lines all have the same
-number of fields (two for labels) is split by one ``str.split``; any other
-piece line by line. Each index and float value column is converted by one
-numpy call, which applies Python's ``int()`` or ``float()`` to every token.
-A column falls back to reading token by token when a token fails (a
-fraction, or a bad token whose line is reported) or an index is past
-int64, and a value with its sign bit set is read again through Fraction, so
-``-0`` is ``+0.0`` as in exact mode. Exact mode reads each distinct value
-token once, through Fraction. Keys that come in order, and transitions
-without duplicates, are assembled without a sort.
+The line reader, ``_fields``, splits the lines with ``str.split`` and reads
+each index token with ``int()``. It reads, in place, what the fast reader
+leaves: non-ASCII pieces (numpy reads some other scripts' digits unlike
+``int()``), label lines of more than one label, pieces numpy rejects or
+warns about, and float pieces it reads to a value that is not finite or has
+its sign bit set. It reads each distinct value token once, as
+``Fraction(token)``, rounded by ``float()`` in float mode, so ``-0`` is
+``+0.0``.
 """
 
 import itertools
@@ -61,6 +57,19 @@ class ExplicitBundle:
 _PIECE_CHARS = 1 << 14
 
 
+class _Reread(Exception):
+    """A check failed on a row that the fast reader read, which has no line number."""
+
+
+def _reread(parse, *args):
+    """``parse(*args, fast)`` with the fast reader, or, when a check fails on
+    a row it read, again with the line reader alone, which numbers the lines."""
+    try:
+        return parse(*args, True)
+    except _Reread:
+        return parse(*args, False)
+
+
 def _first(bad):
     """Index of the first true entry of ``bad``, or its length if there is none."""
     return int(np.argmax(bad)) if bad.any() else len(bad)
@@ -70,55 +79,22 @@ def _error(message):
     return lambda k, no: ParseError(message, line=no)
 
 
-def _first_failure(convert, tokens):
-    """Index of the first token that ``convert`` rejects, or the number of tokens."""
-    for k, token in enumerate(tokens):
-        try:
-            convert(token)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return k
-    return len(tokens)
-
-
 def _integers(tokens):
     """The integers of ``tokens`` up to the first token that is none, and its index.
 
-    numpy converts the whole column in one call, applying Python's ``int()``
-    to each token. A column with a token that is no integer, or one beyond
-    int64, is read token by token instead; a value beyond int64 makes the
-    array one of Python ints, which every check before the state-index
-    checks handles alike.
+    A value beyond int64 makes the array one of Python ints, which every
+    check before the state-index checks handles alike.
     """
+    values = []
     try:
-        return np.array(tokens, dtype=np.int64), len(tokens)
-    except (ValueError, OverflowError):
-        values = list(map(int, tokens[: _first_failure(int, tokens)]))
+        for token in tokens:
+            values.append(int(token))
+    except ValueError:
+        pass
     try:
         return np.array(values, dtype=np.int64), len(values)
     except OverflowError:
         return np.array(values, dtype=object), len(values)
-
-
-def _float(token):
-    """The float nearest to the exact value of a decimal or fraction token.
-
-    ``float()`` rounds a decimal correctly, but reads no fraction and keeps
-    the sign of a negative zero; those tokens go through Fraction.
-    """
-    if "/" in token or token[0] == "-":
-        return float(Fraction(token))
-    return float(token)
-
-
-def _floats(tokens):
-    """The ``_float`` of every token, converted in one numpy call that applies
-    ``float()`` to each; the finite values with their sign bit set (a
-    negative zero, and every negative value) are read again by ``_float``.
-    """
-    values = np.array(tokens, dtype=np.float64)
-    negative = np.flatnonzero(np.signbit(values) & np.isfinite(values))
-    values[negative] = [_float(tokens[k]) for k in negative]
-    return values
 
 
 class _Rows:
@@ -126,7 +102,9 @@ class _Rows:
 
     Each check is applied to the rows still kept, in the order a line is
     checked in, so ``error`` ends up as the error of the first bad line in
-    file order, for the first check that line fails.
+    file order, for the first check that line fails. A line number of 0
+    stands for a row the fast reader read; a check that fails on one raises
+    ``_Reread``.
     """
 
     def __init__(self, numbers):
@@ -137,6 +115,8 @@ class _Rows:
     def cut(self, k, error):
         """Keep the rows before row k, which fails with ``error(k, line number)``."""
         if k < self.end:
+            if not self.numbers[k]:
+                raise _Reread
             self.end, self.error = k, error(k, int(self.numbers[k]))
 
     def check(self, bad, error):
@@ -145,39 +125,28 @@ class _Rows:
 
     def values(self, tokens, rational, parsed):
         """The values of the kept rows' tokens, up to the first that is not a
-        finite number. ``parsed`` holds the Fraction of each distinct token
-        read so far, so exact mode reads each token once. ``tokens`` that
-        are an array are floats already read by ``_table``, all finite."""
+        finite number. ``parsed`` holds the value of each distinct token read
+        so far, so each is read once. ``tokens`` that are an array are floats
+        already read by ``_table``, all finite."""
         tokens = tokens[: self.end]
         if isinstance(tokens, np.ndarray):
             return tokens
-        if rational:
-            new = [token for token in dict.fromkeys(tokens) if token not in parsed]
-            bad = _first_failure(Fraction, new)
-            parsed.update(zip(new[:bad], map(Fraction, new[:bad])))
-            k = tokens.index(new[bad]) if bad < len(new) else len(tokens)
-            values = np.fromiter(map(parsed.__getitem__, tokens[:k]), object, k)
-        else:
-            try:
-                values = _floats(tokens)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                values = np.fromiter(map(_float, tokens), np.float64, _first_failure(_float, tokens))
-            k = _first(~np.isfinite(values))
+        k = len(tokens)
+        for token in dict.fromkeys(tokens):
+            if token not in parsed:
+                try:
+                    value = Fraction(token)
+                    parsed[token] = value if rational else float(value)
+                except (ValueError, ZeroDivisionError, OverflowError):
+                    k = tokens.index(token)
+                    break
         self.cut(k, lambda k, no: ParseError(f"invalid number {tokens[k]!r}", line=no))
-        return values[:k]
+        return np.fromiter(map(parsed.__getitem__, tokens[:k]), object if rational else np.float64, k)
 
 
 def _pieces(text, start=0, no=1):
     """Per piece of the lines of ``text[start:]``: the number of its first
-    line (the first of all is line ``no``) and the piece.
-
-    Transitions and reward files send each piece to ``_table``, which reads
-    a clean piece (ASCII, no comment, no NUL, no blank line) through
-    ``np.loadtxt``, and every other piece to ``_fields``. Non-ASCII pieces
-    stay off ``np.loadtxt`` because it reads some other scripts' digits
-    unlike ``int()``: a lone Devanagari two as 2360, not 2. Label files,
-    whose lines vary in width, send every piece to ``_fields``.
-    """
+    line (the first of all is line ``no``) and the piece."""
     while True:
         end = text.find("\n", start + _PIECE_CHARS)
         piece = text[start:] if end < 0 else text[start:end]
@@ -187,22 +156,10 @@ def _pieces(text, start=0, no=1):
         start, no = end + 1, no + piece.count("\n") + 1
 
 
-def _fields(piece, no, width):
-    """The numbers and field counts of the lines of ``piece``, the first of
-    them line ``no``, that have any field once comments are removed, and all
-    their fields in order.
-
-    A piece without comments whose lines all have ``width`` fields (its last
-    line may be empty) is split in one call, with a NUL token standing for
-    each line end, which the count check then places.
-    """
-    ends = piece.count("\n")
-    if "#" not in piece and "\0" not in piece:
-        fields = piece.replace("\n", " \0 ").split()
-        lines, rest = divmod(len(fields) - ends, width)
-        if not rest and ends <= lines <= ends + 1 and fields[width :: width + 1].count("\0") == ends:
-            del fields[width :: width + 1]
-            return no + np.arange(lines), np.full(lines, width), fields
+def _fields(piece, no):
+    """The line reader: the numbers and field counts of the lines of
+    ``piece``, the first of them line ``no``, that have any field once
+    comments are removed, and all their fields in order."""
     lines = piece.split("\n")
     if "#" in piece:
         lines = [line.partition("#")[0] for line in lines]
@@ -213,50 +170,49 @@ def _fields(piece, no, width):
 
 
 def _table(piece, want, rational):
-    """The index columns and the values (their tokens in exact mode) of a
-    clean piece of lines of ``want`` fields each, read by one ``np.loadtxt``
-    call; or None, and the token path reads the piece instead.
+    """The fast reader: the rows, index columns and values (their tokens in
+    exact mode) of the lines of ``piece`` that are not blank or comments,
+    read by one ``np.loadtxt`` call as ``want`` fields each; or None, and
+    the line reader reads the piece. The rows' line numbers are all 0.
 
-    None also stands for a line that numpy rejects or warns about, a row
-    count other than the line count (numpy skips blank lines), and a float
-    value that is not finite or has its sign bit set, so that messages, line
-    numbers and the reading of ``-0`` stay those of the token path.
+    It reads ASCII pieces without NUL only: numpy reads a lone Devanagari
+    two as 2360, where ``int()`` reads 2. None also stands for a piece numpy
+    rejects or warns about, and for a float value that is not finite or has
+    its sign bit set, so that the line reader reads ``-0`` as ``+0.0``.
     """
-    if not piece.isascii() or "#" in piece or "\0" in piece or not piece.strip():
-        return None  # numpy warns on a piece of no data
-    lines = piece.split("\n")
-    if not lines[-1]:
-        lines.pop()  # after the piece's last line end
+    if not piece.isascii() or "\0" in piece:
+        return None
     try:
-        # numpy 1.23 reads a float token in an int64 column, truncated, with
-        # a DeprecationWarning; raised, it sends the piece to the token path
+        # numpy warns on a piece of no data, and numpy 1.23 reads a float
+        # token in an int64 column, truncated, with a DeprecationWarning
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(lines, dtype=",".join(["i8"] * (want - 1) + ["O" if rational else "f8"]),
-                               comments=None, ndmin=1)
-    except (ValueError, OverflowError, DeprecationWarning):
+            warnings.simplefilter("error")
+            table = np.loadtxt(piece.split("\n"), dtype=",".join(["i8"] * (want - 1) + ["O" if rational else "f8"]),
+                               comments="#", ndmin=1)
+    except (ValueError, OverflowError, Warning):
         return None
     values = table[f"f{want - 1}"]
-    if len(table) != len(lines) or not rational and (np.signbit(values).any() or not np.isfinite(values).all()):
+    if not rational and (np.signbit(values).any() or not np.isfinite(values).all()):
         return None
-    return [table[f"f{j}"] for j in range(want - 1)], values.tolist() if rational else values
+    rows = _Rows(np.zeros(len(table), dtype=np.int64))
+    return rows, [table[f"f{j}"] for j in range(want - 1)], values.tolist() if rational else values
 
 
-def _records(text, want, count_message, index_message, start=0, no=1, rational=False):
+def _records(text, want, count_message, index_message, rational, fast, start=0, no=1):
     """Per piece of the lines of ``text[start:]``, the first of them line
     ``no``: its rows, cut before the first line that has other than ``want``
     fields or a non-integer index field; the index columns; the value tokens,
-    or in float mode their floats when ``_table`` has read the piece.
+    or in float mode their floats when the fast reader has read the piece.
+    Only the line reader runs unless ``fast``.
 
     ``count_message(found)`` is the message for a line of ``found`` fields.
     """
     for no, piece in _pieces(text, start, no):
-        table = _table(piece, want, rational)
-        if table is not None:
-            index, values = table
-            yield _Rows(no + np.arange(len(values))), index, values
+        table = fast and _table(piece, want, rational)
+        if table:
+            yield table
             continue
-        numbers, counts, tokens = _fields(piece, no, want)
+        numbers, counts, tokens = _fields(piece, no)
         rows = _Rows(numbers)
         rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
         tokens = tokens[: want * rows.end]
@@ -285,12 +241,13 @@ def _header(text):
         start, no = end + 1, no + 1
 
 
-def _new_keys(src, choice, numbers):
+def _new_keys(src, choice, rows):
     """The rows that bring a new (state, choice) key, in file order.
 
     The keys must come in ascending order, each state's choices numbered
-    from 0 without gaps; the first row that breaks this raises its error.
-    Keys that never go down in file order need no lexsort to find them.
+    from 0 without gaps; the first of ``rows`` that breaks this raises its
+    error. Keys that never go down in file order need no lexsort to find
+    them.
     """
     if np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (choice[1:] >= choice[:-1])):
         order = np.arange(len(src))
@@ -307,12 +264,15 @@ def _new_keys(src, choice, numbers):
     start = ~same & (c != 0)
     j = _first(back | gap | start)
     if j < len(new):
-        state, no = s[j], int(numbers[new[j]])
+        state = s[j]
         if back[j]:
-            raise ParseError(f"state {state} choice {c[j]} out of ascending order", line=no)
-        if gap[j]:
-            raise ParseError(f"gap in choice indices of state {state}", line=no)
-        raise ParseError(f"choices of state {state} must start at 0", line=no)
+            message = f"state {state} choice {c[j]} out of ascending order"
+        elif gap[j]:
+            message = f"gap in choice indices of state {state}"
+        else:
+            message = f"choices of state {state} must start at 0"
+        rows.cut(new[j], _error(message))
+        raise rows.error
     return new
 
 
@@ -336,12 +296,16 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     file order; then DTMC/MDP rows within 1e-6 of a distribution are
     renormalized. The first bad line in file order is reported by number.
     """
+    return _reread(_transitions, text, rational, fix_deadlocks)
+
+
+def _transitions(text, rational, fix_deadlocks, fast):
     kind, header_no, start = _header(text)
     want = 4 if kind is ModelKind.MDP else 3
     parsed = {}
-    blocks = []  # per piece: (src, choice, dst, value, line number) of its rows before the first bad line
+    blocks = []  # per piece: (src, choice, dst, value, line number or 0) of its rows before the first bad line
     for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields, found {found}",
-                                              "state indices must be integers", start, header_no + 1, rational):
+                                              "state indices must be integers", rational, fast, start, header_no + 1):
         src, dst = index[0], index[-1]
         choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
         rows.check((src < 0) | (choice < 0) | (dst < 0), _error("indices must be nonnegative"))
@@ -352,7 +316,7 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         if rows.error is not None:
             break
     src, choice, dst, values, numbers = (np.concatenate(column) for column in zip(*blocks))
-    new = _new_keys(src, choice, numbers)
+    new = _new_keys(src, choice, _Rows(numbers))
     if rows.error is not None:
         raise rows.error
     if not len(src):
@@ -453,24 +417,31 @@ def parse_labels(text, n_states):
     The state lines after the declaration block are read column by column;
     of several bad lines, the first in file order is reported.
     """
+    return _reread(_labels, text, n_states)
+
+
+def _labels(text, n_states, fast):
     declared, start, no = _declarations(text)
     ids = {name: i for i, name in enumerate(declared)}
     bits = np.zeros((len(declared), n_states), dtype=bool)
     for no, piece in _pieces(text, start, no):
-        numbers, counts, tokens = _fields(piece, no, 2)
-        rows = _Rows(numbers)
-        tokens = np.array(tokens, dtype=object)
-        firsts = np.cumsum(counts) - counts
-        state, k = _integers(tokens[firsts].tolist())
-        rows.cut(k, _error("label line must start with a state index"))
+        table = fast and _table(piece, 2, True)
+        if table:  # one label on every line
+            rows, (state,), names = table
+            counts, line_of = np.full(len(names), 2), np.arange(len(names))
+        else:
+            numbers, counts, tokens = _fields(piece, no)
+            rows = _Rows(numbers)
+            tokens = np.array(tokens, dtype=object)
+            firsts = np.cumsum(counts) - counts
+            state, k = _integers(tokens[firsts].tolist())
+            rows.cut(k, _error("label line must start with a state index"))
+            names = np.delete(tokens, firsts).tolist()
+            line_of = np.repeat(np.arange(len(counts)), counts - 1)
         rows.check((state < 0) | (state >= n_states), lambda k, no: ParseError(
             f"state {state[k]} out of range (model has {n_states} states)", line=no))
         rows.check(counts < 2, _error("label line lists no labels"))
-        is_name = np.ones(len(tokens), dtype=bool)
-        is_name[firsts] = False
-        names = tokens[is_name].tolist()
         label = np.fromiter(map(ids.get, names, itertools.repeat(-1)), np.int64, len(names))
-        line_of = np.repeat(np.arange(len(counts)), counts - 1)
         j = _first(label < 0)
         if j < len(names):
             rows.cut(int(line_of[j]), lambda k, no: ParseError(f"label {names[j]!r} was not declared", line=no))
@@ -489,11 +460,15 @@ def _repeated(keys, seen):
 
 def parse_state_rewards(text, n_states, rational=False):
     """Parse `state reward` lines into a dense vector (unlisted states are 0)."""
+    return _reread(_state_rewards, text, n_states, rational)
+
+
+def _state_rewards(text, n_states, rational, fast):
     vec = sparse.as_vector(np.zeros(n_states), _domain(rational))
     seen = np.zeros(n_states, dtype=bool)
     parsed = {}
     for rows, (state,), value_tokens in _records(text, 2, lambda found: "expected `state reward`",
-                                                 "state index must be an integer", rational=rational):
+                                                 "state index must be an integer", rational, fast):
         rows.check((state < 0) | (state >= n_states),
                    lambda k, no: ParseError(f"state {state[k]} out of range", line=no))
         state = state[: rows.end].astype(np.int64)
@@ -510,6 +485,10 @@ def parse_state_rewards(text, n_states, rational=False):
 
 def parse_action_rewards(text, kind, choice_offsets, rational=False):
     """Parse action rewards keyed by (state, choice) for MDPs, by state otherwise."""
+    return _reread(_action_rewards, text, kind, choice_offsets, rational)
+
+
+def _action_rewards(text, kind, choice_offsets, rational, fast):
     offsets = np.asarray(choice_offsets, dtype=np.int64)
     n_states = len(offsets) - 1
     vec = sparse.as_vector(np.zeros(int(offsets[-1])), _domain(rational))
@@ -517,7 +496,7 @@ def parse_action_rewards(text, kind, choice_offsets, rational=False):
     parsed = {}
     want = 3 if kind is ModelKind.MDP else 2
     for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields",
-                                              "indices must be integers", rational=rational):
+                                              "indices must be integers", rational, fast):
         state = index[0]
         choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
         rows.check((state < 0) | (state >= n_states),
@@ -541,7 +520,7 @@ def parse_action_rewards(text, kind, choice_offsets, rational=False):
     return vec
 
 
-def build_model(bundle, rational=False, fix_deadlocks=False, reward_name="default"):
+def build_model(bundle, rational=False, fix_deadlocks=False):
     """Assemble a Model from an ExplicitBundle."""
     kind, matrix, offsets, exit_rates = parse_transitions(
         bundle.transitions_text, rational=rational, fix_deadlocks=fix_deadlocks
@@ -555,7 +534,7 @@ def build_model(bundle, rational=False, fix_deadlocks=False, reward_name="defaul
     if bundle.action_rewards_text is not None:
         action_rw = parse_action_rewards(bundle.action_rewards_text, kind, offsets, rational)
     if state_rw is not None or action_rw is not None:
-        rewards[reward_name] = RewardModel(reward_name, state_rw, action_rw)
+        rewards["default"] = RewardModel("default", state_rw, action_rw)
     initial = labeling.get("init") if "init" in labeling else np.zeros(n, dtype=bool)
     return Model(
         kind,

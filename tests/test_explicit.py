@@ -749,11 +749,11 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
 
 # --- clean pieces, which np.loadtxt reads, against the scalar reference ------
 #
-# A clean piece (ASCII, no comment, no NUL, no blank line) of a transitions or
-# reward file is read by one np.loadtxt call. The tokens below are the ones
-# numpy's text reader could read apart from int()/float(), or split apart
-# from str.split(); spliced into undecorated files they must still give the
-# reference's model or its exact error.
+# A clean piece (ASCII, no NUL) of a transitions or reward file is read by
+# one np.loadtxt call, which drops its comment and blank lines. The tokens
+# below are the ones numpy's text reader could read apart from int()/float(),
+# or split apart from str.split(); spliced into undecorated files they must
+# still give the reference's model or its exact error.
 
 SPLICED = ["२", "٣", "１", "1_0", "0_7", "-0", "+5", "0x10", "1e400", "nan", "12345678901234567890"]
 
@@ -851,11 +851,16 @@ def test_clean_pieces_take_one_loadtxt_call_each(monkeypatch):
         assert_same(explicit.parse_state_rewards(rewards, 3001, rational),
                     ref_parse_state_rewards(rewards, 3001, rational))
         assert len(calls) == len(list(explicit._pieces(rewards)))
-    # a comment or a non-ASCII digit keeps its piece away from loadtxt
-    for text in ("dtmc\n# note\n" + body, "dtmc\n٠" + body[1:]):
+    # a commented piece takes one call too; a non-ASCII digit keeps its piece away from loadtxt
+    for text, skipped in (("dtmc\n# note\n" + body, 0), ("dtmc\n٠" + body[1:], 1)):
         calls.clear()
         _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
-        assert len(calls) == len(list(explicit._pieces(text, len("dtmc\n")))) - 1
+        assert len(calls) == len(list(explicit._pieces(text, len("dtmc\n")))) - skipped
+    # so does a labels piece of one label per line
+    labels = "#DECLARATION\ninit far\n#END\n" + "".join(f"{i} far # far\n" for i in range(1000))
+    calls.clear()
+    assert_same(explicit.parse_labels(labels, 1000), ref_parse_labels(labels, 1000))
+    assert len(calls) == len(list(explicit._pieces(labels))) == 1
 
 
 FLOAT_INDICES = ["dtmc\n0 1.0 1\n1 1 1\n", "dtmc\n0 1.7 1\n1 1 1\n", "mdp\n0 0 1e0 1\n1 0.0 1 1\n"]
@@ -919,6 +924,32 @@ def test_blank_lines_keep_line_numbers(load, text, message, line):
     with pytest.raises(ParseError) as exc:
         load(text)
     assert str(exc.value) == f"{message} at line {line}"
+
+
+LABELS_AB = "#DECLARATION\na b\n#END\n"
+
+
+@pytest.mark.parametrize("load, reference, text", [
+    (explicit.parse_transitions, ref_parse_transitions, "dtmc\n# c\n0 1 1\n\n# c\n1 1 0 # zero\n"),
+    (explicit.parse_transitions, ref_parse_transitions, "dtmc\n# c\n1 1 1\n# c\n\n0 0 1\n"),
+    (explicit.parse_transitions, ref_parse_transitions, "mdp\n# c\n0 0 0 1\n# c\n0 2 0 1\n"),
+    (lambda t: explicit.parse_state_rewards(t, 2), lambda t: ref_parse_state_rewards(t, 2), "0 1\n# c\n\n0 2\n"),
+    (lambda t: explicit.parse_state_rewards(t, 2, True), lambda t: ref_parse_state_rewards(t, 2, True),
+     "# c\n0 1\n# c\n1 -2\n"),
+    (lambda t: explicit.parse_action_rewards(t, ModelKind.DTMC, [0, 1, 2], True),
+     lambda t: ref_parse_action_rewards(t, ModelKind.DTMC, [0, 1, 2], True), "0 1\n# c\n\n1 -1/2\n"),
+    (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "# c\n0 a\n\n# c\n5 b\n"),
+    (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "0 a\n# c\n1 b # c\n1 x\n"),
+])
+def test_bad_line_after_comments_is_numbered_by_the_reread(load, reference, text, monkeypatch):
+    events = []
+    loadtxt, fields = np.loadtxt, explicit._fields
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: events.append("loadtxt") or loadtxt(*args, **kw))
+    monkeypatch.setattr(explicit, "_fields", lambda *args: events.append("fields") or fields(*args))
+    _, error = _outcome(lambda: reference(text))
+    assert error is not None and "line" in str(error)
+    _same_failure(error, lambda: load(text))
+    assert events == ["loadtxt", "fields"]  # the fast reader read the one piece; the re-read found the line
 
 
 def test_row_totals_add_left_to_right():
