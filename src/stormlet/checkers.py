@@ -385,18 +385,14 @@ def _uniformized(model, active):
 
 def check_timebounded_until_ctmc(model, left, right, t, env):
     """CSL time-bounded until via uniformization with a truncated Poisson window."""
-    t = float(t)
     n = model.n_states
     active = left & ~right
     meta = {"method": "uniformization"}
-    if t == 0.0 or not active.any():
+    if not active.any():
         return right.astype(np.float64), meta
 
     p_unif, q = _uniformized(model, active)
-    lam = q * t
-    if lam == 0.0:  # q * t underflowed; a Poisson window at rate 0 is a point mass at step 0
-        return right.astype(np.float64), meta
-    L, R, w, total = solvers.fox_glynn(lam, env.precision * 0.1)
+    L, R, w, total = solvers.fox_glynn(q * float(t), env.precision * 0.1)
     meta["poisson_window"] = (L, R)
     v = right.astype(np.float64)
     result = np.zeros(n)

@@ -216,7 +216,7 @@ def format_result(result, fmt, property_text, initial_states):
     meta = {
         k: v
         for k, v in result.metadata.items()
-        if k in ("iterations", "method", "error_bound", "prob0", "prob1", "direction")
+        if k in ("iterations", "method", "error_bound", "prob0", "prob1", "direction", "poisson_window")
     }
     payload = {
         "property": property_text,

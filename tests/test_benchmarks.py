@@ -21,6 +21,9 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     pytest.param("bench_explicit.py", ["--sizes", "50", "--repeats", "1"], id="bench_explicit"),
     pytest.param("bench_explore.py", ["--caps", "2", "--repeats", "1"], id="bench_explore"),
     pytest.param("bench_graph.py", ["--sizes", "50", "--repeats", "1"], id="bench_graph"),
+    # bench_poisson fails if a window's true tail exceeds its epsilon
+    pytest.param("bench_poisson.py", ["--rates", "0.5,30", "--epsilons", "1e-18", "--repeats", "1"],
+                 id="bench_poisson"),
     pytest.param("bench_solve.py", ["--chains", "20", "--grids", "3", "--gs-states", "50", "--repeats", "1"],
                  id="bench_solve"),
     pytest.param("bench_startup.py", ["--runs", "1"], id="bench_startup"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import STAY_OR_GO
-from stormlet import checkers, cli
+from stormlet import checkers, cli, solvers
 
 CORPUS = Path(__file__).parent / "corpus"
 DIE = str(CORPUS / "die.pm")
@@ -565,6 +565,16 @@ def test_json_reports_the_error_bound(capsys, criterion, prop, bounded):
     assert ("error_bound" in meta) == bounded
     if bounded:
         assert 0 < meta["error_bound"] <= 1e-6
+
+
+def test_json_reports_the_poisson_window(capsys):
+    queue, prop = str(CORPUS / "queue.sm"), 'P=? [ F<=2 "full" ]'
+    code, out, _ = run_cli(capsys, "--prism", queue, "--json", "--prop", prop)
+    # the exit rates are 2, 5, 5 and 3: the window is that of rate 1.02 * 5 over t = 2
+    L, R, _, _ = solvers.fox_glynn(checkers.UNIFORMIZATION_SLACK * 5 * 2, 1e-7)
+    assert code == 0 and json.loads(out)["metadata"] == {"method": "uniformization", "poisson_window": [L, R]}
+    code, out, _ = run_cli(capsys, "--prism", queue, "--prop", prop)
+    assert (code, out) == (0, f"Property: {prop}\nResult (state 0): 0.347832\n")
 
 
 def test_minimising_vi_reports_no_bound_when_its_seed_chain_proves_none(capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -511,9 +511,39 @@ def test_fox_glynn_weights_are_unimodal():
     assert all(w[i] >= w[i + 1] for i in range(mode, len(w) - 1))
 
 
+def poisson_window_tail(lam, L, R):
+    """1 - the Poisson(lam) mass of [L, R], summed at 50 digits by the pmf recurrence."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        p = mpmath.exp(L * mpmath.log(lam) - lam - mpmath.loggamma(L + 1))
+        mass = p
+        for k in range(L + 1, R + 1):
+            p = p * lam / k
+            mass += p
+        return 1 - mass
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0 ** u)
+
+
+@given(log_uniform(1e-3, 1e6), log_uniform(1e-18, 1e-2))
+@example(0.5, 1e-18)  # the step limit of a fixed-length window left a tail of 1.46e-17 here
+@settings(deadline=None, max_examples=100)
+def test_fox_glynn_tail_is_within_epsilon(lam, eps):
+    L, R, w, total = solvers.fox_glynn(lam, eps)
+    assert len(w) == R - L + 1 and total == math.fsum(w)
+    assert poisson_window_tail(lam, L, R) <= eps
+
+
 def test_fox_glynn_input_validation():
-    with pytest.raises(SolverError):
-        solvers.fox_glynn(0.0, 1e-10)
+    L, R, w, total = solvers.fox_glynn(0.0, 1e-10)
+    assert (L, R, list(w), total) == (0, 0, [1.0], 1.0)
+    for lam in (-1.0, -5e-324, math.nan):
+        with pytest.raises(SolverError):
+            solvers.fox_glynn(lam, 1e-10)
     with pytest.raises(SolverError):
         solvers.fox_glynn(1.0, 0.0)
     with pytest.raises(LambdaTooLarge):
