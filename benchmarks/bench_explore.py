@@ -43,8 +43,10 @@ row widens y's range to 129 values, past ``WHOLE_SPACE_KEYS``, so the same
 state is explored as one layer: the two rows give what the worst case costs.
 
 ``explore`` is timed whole; the label, reward and ``build_sparse`` calls
-it makes are timed by wrapping them where ``explore`` looks them up, and
-the explore phase is the rest. For each size the script prints the best time
+it makes, and on the whole path its BFS numbering of the reached keys
+(``whole.bfs_order``, phase ``number``), are timed by wrapping them where
+``explore`` and ``whole_space`` look them up, and the explore phase is the
+rest. For each size the script prints the best time
 of each phase in ms and the same time per 10^3 stored transitions; a flat
 column is linear growth. The explore rows of the layered tandem and thin
 chains (``chain``, ``wide`` and ``mdp``) also give the time per BFS layer in
@@ -170,13 +172,14 @@ def sync_program(k):
     return "\n".join(lines + ["endmodule", ""])
 
 
-PHASES = ("explore", "labels", "rewards", "build_sparse")
+PHASES = ("explore", "number", "labels", "rewards", "build_sparse")
 # the time-bounded checks of perfbench's build_tandem, one per tandem label
 TANDEM_CHECKS = [f'P=? [ F<=1/2 "{label}" ]' for label in ("busy1", "queue1", "busy2")]
 EXPLORE = sys.modules["stormlet.prism.explore"]
 WHOLE = importlib.import_module("stormlet.prism.whole")
-# phase -> (module, attribute) of the call explore makes for it
+# phase -> (module, attribute) of the call explore or whole_space makes for it
 TIMED = {
+    "number": (WHOLE, "bfs_order"),
     "labels": (EXPLORE, "build_label_bitsets"),
     "rewards": (EXPLORE, "build_reward_models"),
     "build_sparse": (sparse, "build_sparse"),

@@ -365,7 +365,10 @@ def _uniformized(model, active):
     n = model.n_states
     states = np.flatnonzero(active)
     rates = sparse.as_vector(model.exit_rates, "float")[states]
-    q = UNIFORMIZATION_SLACK * rates.max()
+    top = float(rates.max())
+    # any q at or above the largest rate uniformizes; the slack is left out
+    # where it would take q past the float range
+    q = UNIFORMIZATION_SLACK * top if top <= np.finfo(np.float64).max / UNIFORMIZATION_SLACK else top
     embedded = sparse.restrict(model.matrix, active, np.ones(n, dtype=bool))[0].to_float()
     ratio = rates / q
     row_of = np.repeat(np.arange(len(states)), np.diff(embedded.row_offsets))
@@ -377,7 +380,7 @@ def _uniformized(model, active):
     on = np.flatnonzero(diag > 0.0)
     rows = np.concatenate((row_of[off], on))
     cols = np.concatenate((embedded.col_indices[off], states[on]))
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows * n + cols, kind="stable")  # the pairs are distinct: lexsort's order
     row_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(states)))))
     values = np.concatenate((scaled[off], diag[on]))[order]
     return sparse.SparseMatrix(len(states), n, row_offsets, cols[order], values, "float"), q

@@ -163,24 +163,35 @@ def row_sums(m):
     return out
 
 
+def spans(starts, counts):
+    """Each range starts[i] .. starts[i] + counts[i] - 1, in turn, as one index
+    array; ``starts`` and ``counts`` are integer arrays."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+
+
 def restrict(m, keep_rows, keep_cols):
     """Submatrix of the kept rows/columns with dense reindexing.
 
     Returns (submatrix, old-to-new column map); dropped positions map to -1.
-    Mass in dropped columns is simply removed.
+    Mass in dropped columns is simply removed. Only the kept rows' entries
+    are read: past the O(rows + cols) masks, the cost grows with those
+    entries, not with ``nnz``.
     """
     keep_rows = np.asarray(keep_rows, dtype=bool)
     keep_cols = np.asarray(keep_cols, dtype=bool)
     if len(keep_rows) != m.rows or len(keep_cols) != m.cols:
         raise StormletError("restriction bitsets must match matrix dimensions")
+    n_cols = int(keep_cols.sum())
     col_map = np.full(m.cols, -1, dtype=np.int64)
-    col_map[keep_cols] = np.arange(int(keep_cols.sum()))
-    row_of = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
-    keep = keep_rows[row_of] & keep_cols[m.col_indices]
-    counts = np.bincount(row_of[keep], minlength=m.rows)[keep_rows]
+    col_map[keep_cols] = np.arange(n_cols)
+    rows = np.flatnonzero(keep_rows)
+    counts = m.row_offsets[rows + 1] - m.row_offsets[rows]
+    entries = spans(m.row_offsets[rows], counts)
+    cols = col_map[m.col_indices[entries]]
+    kept = cols >= 0
+    if not kept.all():
+        counts = np.bincount(np.repeat(np.arange(len(rows)), counts)[kept], minlength=len(rows))
+        entries, cols = entries[kept], cols[kept]
     row_offsets = np.concatenate(([0], np.cumsum(counts)))
-    sub = SparseMatrix(
-        int(keep_rows.sum()), int(keep_cols.sum()), row_offsets,
-        col_map[m.col_indices[keep]], m.values[keep], m.dtype,
-    )
-    return sub, col_map
+    return SparseMatrix(len(rows), n_cols, row_offsets, cols, m.values[entries], m.dtype), col_map

@@ -301,6 +301,20 @@ def test_ctmc_time_bound_whose_rate_underflows_answers_at_step_0(capsys, tmp_pat
     assert (code, out, err) == (0, 'Property: P=? [ F<=0.5 "goal" ]\nResult (state 0): 0\n', "")
 
 
+@pytest.mark.parametrize("bound, expected", [
+    ("0", (0, 'Property: P=? [ F<=0 "goal" ]\nResult (state 0): 0\n', "")),
+    ("1", (4, "", "stormlet: rate 1.79e+308 exceeds the supported bound 1e9\n")),
+])
+def test_ctmc_time_bound_at_an_exit_rate_near_the_float_range(capsys, tmp_path, bound, expected):
+    # 1.02 times the rate is past the float range, so q is the rate itself
+    tra, lab = tmp_path / "fast.tra", tmp_path / "fast.lab"
+    tra.write_text("ctmc\n0 1 1.79e308\n1 1 1\n")
+    lab.write_text("#DECLARATION\ninit goal\n#END\n0 init\n1 goal\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the run
+        assert run_cli(capsys, "--explicit", str(tra), str(lab), "--prop", f'P=? [ F<={bound} "goal" ]') == expected
+
+
 def test_deadlock_exit_4(capsys, tmp_path):
     tra = tmp_path / "dead.tra"
     lab = tmp_path / "dead.lab"

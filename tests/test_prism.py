@@ -808,6 +808,13 @@ def ref_explore(program, options):
 # the whole space with a bound past every small space they explore (the
 # largest is a random program's 5^6 keys; the others past it are 10^10 or more)
 PATHS = {"layered": 0, "whole_space": 1 << 16}
+# The whole space numbers a BFS frontier of fewer than ARRAY_FRONTIER keys one
+# successor at a time, a larger one in array rounds. The reference suites run
+# it twice, with a cut that sends every frontier one way: 1 for the rounds,
+# 2^14 + 1 for the loop, past every key space they expand (at most 5^6). The
+# layered path numbers no frontier, so its cut is None.
+NUMBERINGS = [pytest.param("layered", None, id="layered"), pytest.param("whole_space", 1, id="whole_space"),
+              pytest.param("whole_space", (1 << 14) + 1, id="whole_space-loop")]
 
 
 @pytest.fixture
@@ -864,10 +871,11 @@ def explore_matches_reference(program, path, **opts):
 CORPUS_PROGRAMS = [path.name for path in sorted((Path(__file__).parent / "corpus").iterdir())]
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path, frontier", NUMBERINGS)
 @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
 @pytest.mark.parametrize("exact", [False, True])
-def test_explorer_matches_reference_on_the_corpus(name, exact, path, built_whole):
+def test_explorer_matches_reference_on_the_corpus(name, exact, path, frontier, built_whole, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("stormlet.prism.whole"), "ARRAY_FRONTIER", frontier)
     source = (Path(__file__).parent / "corpus" / name).read_text()
     explore_matches_reference(typecheck(parse_program(source)), path, exact=exact)
     assert built_whole == ([True] if path == "whole_space" else [])
@@ -884,9 +892,10 @@ def _bench_tandem():
     return re.search(r'TANDEM = """(.*?)"""', path.read_text(), re.S).group(1)
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path, frontier", NUMBERINGS)
 @pytest.mark.parametrize("cap", [3, 10, 18])
-def test_explorer_matches_reference_on_the_tandem(cap, path, built_whole):
+def test_explorer_matches_reference_on_the_tandem(cap, path, frontier, built_whole, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("stormlet.prism.whole"), "ARRAY_FRONTIER", frontier)
     explore_matches_reference(typecheck(parse_program(_bench_tandem()), {"c": cap}), path)
     assert built_whole == ([True] if path == "whole_space" else [])
 
@@ -1068,14 +1077,16 @@ def random_program(rng, kind):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path, frontier", NUMBERINGS)
 @settings(deadline=None, max_examples=400)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]),
        exact=st.booleans(), fix=st.booleans(), limit=st.sampled_from([0, 1, 3, 10_000_000, 10_000_000]))
-def test_explorer_matches_reference_on_random_programs(path, seed, kind, exact, fix, limit):
+def test_explorer_matches_reference_on_random_programs(path, frontier, seed, kind, exact, fix, limit):
     source = random_program(random.Random(seed), kind)
     program = typecheck(parse_program(source))
-    explore_matches_reference(program, path, exact=exact, fix_deadlocks=fix, max_states=limit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("stormlet.prism.whole"), "ARRAY_FRONTIER", frontier)
+        explore_matches_reference(program, path, exact=exact, fix_deadlocks=fix, max_states=limit)
 
 
 MANY_ACTIONS = "mdp\nmodule m\n  x : [0..70] init 0;\n" + "".join(

@@ -213,9 +213,15 @@ def test_restrict_to_everything_is_identity(triples):
 
 
 @settings(deadline=None)
-@given(triple_lists, st.lists(st.booleans(), min_size=5, max_size=5), st.lists(st.booleans(), min_size=5, max_size=5))
-def test_restrict_matches_dense_oracle(triples, keep_rows, keep_cols):
-    m = sparse.build_sparse(triples, 5, 5, "rational")
+@given(st.integers(1, 7), st.integers(1, 7), st.sampled_from(["rational", "float"]), st.data())
+def test_restrict_matches_dense_oracle(rows, cols, dtype, data):
+    # rows and columns are drawn apart, as an MDP's choice rows and states are
+    value = st.fractions(-3, 3, max_denominator=8) if dtype == "rational" else st.floats(-3, 3)
+    triples = data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), value), max_size=20))
+    keep_rows = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    keep_cols = data.draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    m = sparse.build_sparse(triples, rows, cols, dtype)
     sub, _ = sparse.restrict(m, keep_rows, keep_cols)
-    assert sub.dtype == "rational" and all(type(v) is Fraction for v in sub.values)
+    scalar = Fraction if dtype == "rational" else np.float64
+    assert sub.dtype == dtype and all(type(v) is scalar for v in sub.values)
     assert np.array_equal(to_dense(sub), to_dense(m)[np.ix_(keep_rows, keep_cols)])
