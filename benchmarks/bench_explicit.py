@@ -16,6 +16,9 @@ reader reads the pieces of both. Then ``explicit.parse_labels`` alone is
 timed on the chain's ``.lab`` file (``labels``: one label per line but the
 last, numpy's text reader) and on a file that gives every state two labels
 (``labels2``: the line reader), per 10^3 lines of the ``.lab`` file.
+Last, ``explicit.parse_transitions`` alone is timed on the DTMC's ``.tra``
+file (``tra``) and on a copy whose last value is 0 (``error``), which fails
+a check on a row that numpy's text reader read, on the file's last line.
 
 Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repeats 3]
 """
@@ -25,6 +28,7 @@ import random
 import time
 
 from stormlet import explicit
+from stormlet.errors import ParseError
 
 
 def chain_files(n, choices, seed=1):
@@ -63,6 +67,15 @@ def commented(tra):
     return "".join(f"{line}\n# line {k + 1}\n" if k % 100 == 99 else f"{line}\n" for k, line in enumerate(lines))
 
 
+def failure(parse, text):
+    """The ParseError that ``parse(text)`` raises, or None."""
+    try:
+        parse(text)
+    except ParseError as exc:
+        return exc
+    return None
+
+
 def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -99,6 +112,14 @@ def main():
             lines = text.count("\n")
             ms = best_of(lambda: explicit.parse_labels(text, n + 1), args.repeats) * 1e3
             print(f"{n:>8}  {'dtmc':<5} {file:<7} {'-':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+        tra, _ = chain_files(n, 1)
+        lines = tra.count("\n")
+        for file, text in (("tra", tra), ("error", tra[: tra.rindex(" ")] + " 0\n")):
+            line = getattr(failure(explicit.parse_transitions, text), "line", None)
+            if line != (lines if file == "error" else None):
+                raise SystemExit(f"{file} N={n}: error at line {line}")
+            ms = best_of(lambda: failure(explicit.parse_transitions, text), args.repeats) * 1e3
+            print(f"{n:>8}  {'dtmc':<5} {file:<7} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import operator
 import numpy as np
 
 from . import graph, kernels, props, solvers, sparse
-from .errors import PropertyError, SolverError, UnsupportedCombination
+from .errors import LambdaTooLarge, PropertyError, SolverError, UnsupportedCombination
 from .models import ModelKind
 from .prism import syntax
 from .prism.syntax import replace
@@ -59,12 +59,13 @@ class _Nested:
     """
 
     __slots__ = ("operator", "solved")
+    _fields = ("operator",)  # what ``syntax.key`` reads
 
     def __init__(self, operator, solved):
         self.operator, self.solved = operator, solved
 
     def bits(self, model, env):
-        key = _key(replace(self.operator, bound=None))
+        key = syntax.key(replace(self.operator, bound=None))
         if key not in self.solved:
             self.solved[key] = _check_quantitative(model, self.operator, env)[0]
         return _compare(model, self.solved[key], self.operator.bound)
@@ -79,20 +80,6 @@ def _deferred(node, solved):
         return node
     node = replace(node, **{f: _deferred(getattr(node, f), solved) for f in node._fields})
     return _Nested(node, solved) if isinstance(node, (props.ProbOperator, props.RewardOperator)) else node
-
-
-def _key(node):
-    """A hashable image of a resolved formula, bitsets by their bytes and
-    source spans left out."""
-    if isinstance(node, np.ndarray):
-        return node.tobytes()
-    if isinstance(node, _Nested):
-        return _key(node.operator)
-    if isinstance(node, tuple):
-        return tuple(map(_key, node))
-    if hasattr(node, "_fields"):
-        return type(node).__name__, *(_key(getattr(node, f)) for f in node._fields if f != "span")
-    return node
 
 
 def _check_quantitative(model, prop, env):
@@ -395,7 +382,11 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
         return right.astype(np.float64), meta
 
     p_unif, q = _uniformized(model, active)
-    L, R, w, total = solvers.fox_glynn(q * float(t), env.precision * 0.1)
+    try:
+        L, R, w, total = solvers.fox_glynn(q * float(t), env.precision * 0.1)
+    except (OverflowError, LambdaTooLarge):  # q * t past 1e9, or t past the float range
+        raise LambdaTooLarge(f"uniformization rate {q!r} times time bound {t} "
+                             "exceeds the supported bound 1e9") from None
     meta["poisson_window"] = (L, R)
     v = right.astype(np.float64)
     result = np.zeros(n)

@@ -17,9 +17,9 @@ The fast reader, ``_table``, reads an ASCII piece without NUL by one
 ``np.loadtxt`` call, which drops blank and comment lines and parses the
 tokens in C: int64 index columns, and a float64 value column, or a column
 of tokens in exact mode and of label names in a labels file. It keeps no
-line numbers, so when a check fails on a row it read, ``_Reread`` is raised
-and the whole file is parsed again by the line reader alone, which reports
-the bad line.
+line numbers: a row it read knows only where its piece starts in the text.
+When a check fails on such a row, the line reader reads that one piece
+again and numbers the row, and the bad line is reported in the same pass.
 
 The line reader, ``_fields``, splits the lines with ``str.split`` and reads
 each index token with ``int()``. It reads, in place, what the fast reader
@@ -57,19 +57,6 @@ class ExplicitBundle:
 _PIECE_CHARS = 1 << 14
 
 
-class _Reread(Exception):
-    """A check failed on a row that the fast reader read, which has no line number."""
-
-
-def _reread(parse, *args):
-    """``parse(*args, fast)`` with the fast reader, or, when a check fails on
-    a row it read, again with the line reader alone, which numbers the lines."""
-    try:
-        return parse(*args, True)
-    except _Reread:
-        return parse(*args, False)
-
-
 def _first(bad):
     """Index of the first true entry of ``bad``, or its length if there is none."""
     return int(np.argmax(bad)) if bad.any() else len(bad)
@@ -102,22 +89,32 @@ class _Rows:
 
     Each check is applied to the rows still kept, in the order a line is
     checked in, so ``error`` ends up as the error of the first bad line in
-    file order, for the first check that line fails. A line number of 0
-    stands for a row the fast reader read; a check that fails on one raises
-    ``_Reread``.
+    file order, for the first check that line fails.
+
+    ``numbers`` holds each row's line number, or, for a row the fast reader
+    read, ``-1 - start``, where ``start`` is the offset in ``text`` of its
+    piece. Such a row is numbered only when a check fails on it.
     """
 
-    def __init__(self, numbers):
-        self.numbers = numbers
+    def __init__(self, text, numbers):
+        self.text, self.numbers = text, numbers
         self.end = len(numbers)
         self.error = None
+
+    def number(self, k):
+        """The line number of row k. The line reader numbers a row the fast
+        reader read on its piece, whose rows are the run of entries of
+        ``numbers`` equal to row k's that ends at row k."""
+        no = int(self.numbers[k])
+        if no > 0:
+            return no
+        _, first, piece = next(_pieces(self.text, -1 - no, self.text.count("\n", 0, -1 - no) + 1))
+        return int(_fields(piece, first)[0][_first(self.numbers[k::-1] != no) - 1])
 
     def cut(self, k, error):
         """Keep the rows before row k, which fails with ``error(k, line number)``."""
         if k < self.end:
-            if not self.numbers[k]:
-                raise _Reread
-            self.end, self.error = k, error(k, int(self.numbers[k]))
+            self.end, self.error = k, error(k, self.number(k))
 
     def check(self, bad, error):
         """Keep the rows before the first true entry of ``bad``."""
@@ -145,12 +142,12 @@ class _Rows:
 
 
 def _pieces(text, start=0, no=1):
-    """Per piece of the lines of ``text[start:]``: the number of its first
-    line (the first of all is line ``no``) and the piece."""
+    """Per piece of the lines of ``text[start:]``: its offset in ``text``, the
+    number of its first line (the first of all is line ``no``) and the piece."""
     while True:
         end = text.find("\n", start + _PIECE_CHARS)
         piece = text[start:] if end < 0 else text[start:end]
-        yield no, piece
+        yield start, no, piece
         if end < 0:
             return
         start, no = end + 1, no + piece.count("\n") + 1
@@ -169,11 +166,11 @@ def _fields(piece, no):
     return no + kept, counts[kept], list(itertools.chain.from_iterable(fields))
 
 
-def _table(piece, want, rational):
+def _table(text, start, piece, want, rational):
     """The fast reader: the rows, index columns and values (their tokens in
-    exact mode) of the lines of ``piece`` that are not blank or comments,
-    read by one ``np.loadtxt`` call as ``want`` fields each; or None, and
-    the line reader reads the piece. The rows' line numbers are all 0.
+    exact mode) of the lines of ``piece``, at offset ``start`` of ``text``,
+    that are not blank or comments, read by one ``np.loadtxt`` call as
+    ``want`` fields each; or None, and the line reader reads the piece.
 
     It reads ASCII pieces without NUL only: numpy reads a lone Devanagari
     two as 2360, where ``int()`` reads 2. None also stands for a piece numpy
@@ -194,35 +191,30 @@ def _table(piece, want, rational):
     values = table[f"f{want - 1}"]
     if not rational and (np.signbit(values).any() or not np.isfinite(values).all()):
         return None
-    rows = _Rows(np.zeros(len(table), dtype=np.int64))
+    rows = _Rows(text, np.full(len(table), -1 - start))
     return rows, [table[f"f{j}"] for j in range(want - 1)], values.tolist() if rational else values
 
 
-def _records(text, want, count_message, index_message, rational, fast, start=0, no=1):
+def _records(text, want, count_message, index_message, rational, start=0, no=1):
     """Per piece of the lines of ``text[start:]``, the first of them line
     ``no``: its rows, cut before the first line that has other than ``want``
     fields or a non-integer index field; the index columns; the value tokens,
     or in float mode their floats when the fast reader has read the piece.
-    Only the line reader runs unless ``fast``.
 
     ``count_message(found)`` is the message for a line of ``found`` fields.
     """
-    for no, piece in _pieces(text, start, no):
-        table = fast and _table(piece, want, rational)
+    for start, no, piece in _pieces(text, start, no):
+        table = _table(text, start, piece, want, rational)
         if table:
             yield table
             continue
         numbers, counts, tokens = _fields(piece, no)
-        rows = _Rows(numbers)
+        rows = _Rows(text, numbers)
         rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
         tokens = tokens[: want * rows.end]
         index = [_integers(tokens[j::want]) for j in range(want - 1)]
         rows.cut(min(k for _, k in index), _error(index_message))
         yield rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
-
-
-def _domain(rational):
-    return "rational" if rational else "float"
 
 
 def _header(text):
@@ -296,16 +288,12 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     file order; then DTMC/MDP rows within 1e-6 of a distribution are
     renormalized. The first bad line in file order is reported by number.
     """
-    return _reread(_transitions, text, rational, fix_deadlocks)
-
-
-def _transitions(text, rational, fix_deadlocks, fast):
     kind, header_no, start = _header(text)
     want = 4 if kind is ModelKind.MDP else 3
     parsed = {}
-    blocks = []  # per piece: (src, choice, dst, value, line number or 0) of its rows before the first bad line
+    blocks = []  # per piece: (src, choice, dst, value, line number) of its rows before the first bad line
     for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields, found {found}",
-                                              "state indices must be integers", rational, fast, start, header_no + 1):
+                                              "state indices must be integers", rational, start, header_no + 1):
         src, dst = index[0], index[-1]
         choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
         rows.check((src < 0) | (choice < 0) | (dst < 0), _error("indices must be nonnegative"))
@@ -316,7 +304,8 @@ def _transitions(text, rational, fix_deadlocks, fast):
         if rows.error is not None:
             break
     src, choice, dst, values, numbers = (np.concatenate(column) for column in zip(*blocks))
-    new = _new_keys(src, choice, _Rows(numbers))
+    del blocks
+    new = _new_keys(src, choice, _Rows(text, numbers))
     if rows.error is not None:
         raise rows.error
     if not len(src):
@@ -347,7 +336,7 @@ def _transitions(text, rational, fix_deadlocks, fast):
         entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
         of_entry = np.searchsorted(offsets[s] + c, entry_row)
         totals = sparse.coalesce(of_entry, summed)[1]
-    domain = _domain(rational)
+    domain = "rational" if rational else "float"
     exit_rates = None
     if kind is ModelKind.CTMC:
         rates = sparse.as_vector(np.ones(n), domain)
@@ -417,21 +406,17 @@ def parse_labels(text, n_states):
     The state lines after the declaration block are read column by column;
     of several bad lines, the first in file order is reported.
     """
-    return _reread(_labels, text, n_states)
-
-
-def _labels(text, n_states, fast):
     declared, start, no = _declarations(text)
     ids = {name: i for i, name in enumerate(declared)}
     bits = np.zeros((len(declared), n_states), dtype=bool)
-    for no, piece in _pieces(text, start, no):
-        table = fast and _table(piece, 2, True)
+    for start, no, piece in _pieces(text, start, no):
+        table = _table(text, start, piece, 2, True)
         if table:  # one label on every line
             rows, (state,), names = table
             counts, line_of = np.full(len(names), 2), np.arange(len(names))
         else:
             numbers, counts, tokens = _fields(piece, no)
-            rows = _Rows(numbers)
+            rows = _Rows(text, numbers)
             tokens = np.array(tokens, dtype=object)
             firsts = np.cumsum(counts) - counts
             state, k = _integers(tokens[firsts].tolist())
@@ -460,15 +445,11 @@ def _repeated(keys, seen):
 
 def parse_state_rewards(text, n_states, rational=False):
     """Parse `state reward` lines into a dense vector (unlisted states are 0)."""
-    return _reread(_state_rewards, text, n_states, rational)
-
-
-def _state_rewards(text, n_states, rational, fast):
-    vec = sparse.as_vector(np.zeros(n_states), _domain(rational))
+    vec = sparse.as_vector(np.zeros(n_states), "rational" if rational else "float")
     seen = np.zeros(n_states, dtype=bool)
     parsed = {}
     for rows, (state,), value_tokens in _records(text, 2, lambda found: "expected `state reward`",
-                                                 "state index must be an integer", rational, fast):
+                                                 "state index must be an integer", rational):
         rows.check((state < 0) | (state >= n_states),
                    lambda k, no: ParseError(f"state {state[k]} out of range", line=no))
         state = state[: rows.end].astype(np.int64)
@@ -485,18 +466,14 @@ def _state_rewards(text, n_states, rational, fast):
 
 def parse_action_rewards(text, kind, choice_offsets, rational=False):
     """Parse action rewards keyed by (state, choice) for MDPs, by state otherwise."""
-    return _reread(_action_rewards, text, kind, choice_offsets, rational)
-
-
-def _action_rewards(text, kind, choice_offsets, rational, fast):
     offsets = np.asarray(choice_offsets, dtype=np.int64)
     n_states = len(offsets) - 1
-    vec = sparse.as_vector(np.zeros(int(offsets[-1])), _domain(rational))
+    vec = sparse.as_vector(np.zeros(int(offsets[-1])), "rational" if rational else "float")
     seen = np.zeros(len(vec), dtype=bool)
     parsed = {}
     want = 3 if kind is ModelKind.MDP else 2
     for rows, index, value_tokens in _records(text, want, lambda found: f"expected {want} fields",
-                                              "indices must be integers", rational, fast):
+                                              "indices must be integers", rational):
         state = index[0]
         choice = index[1] if kind is ModelKind.MDP else np.zeros(rows.end, dtype=np.int64)
         rows.check((state < 0) | (state >= n_states),

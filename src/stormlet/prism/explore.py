@@ -129,19 +129,6 @@ def _bad_sum(total, kind, exact):
     return total != 1 if exact else abs(total - 1.0) > ROW_SUM_TOLERANCE
 
 
-def _shape(expr):
-    """A hashable form of an expression that leaves out its source positions."""
-    if isinstance(expr, syntax.Lit):
-        return type(expr.value), expr.value
-    if isinstance(expr, syntax.Var):
-        return expr.name
-    if isinstance(expr, syntax.Unary):
-        return expr.op, _shape(expr.operand)
-    if isinstance(expr, syntax.Binary):
-        return expr.op, _shape(expr.left), _shape(expr.right)
-    return expr.func, tuple(_shape(arg) for arg in expr.args)
-
-
 def _ranges(decls):
     """Per variable, None for a boolean or its (low, high); empty ranges are errors."""
     bounds = []
@@ -154,16 +141,10 @@ def _ranges(decls):
 
 
 def _domain(values, exact, what, span):
-    """A numeric column as the domain's values: Fractions in exact mode, else
-    float64; an integer too large for a float is a ModelError at its expression."""
-    if exact:
-        out = np.empty(len(values), dtype=object)
-        out[:] = [Fraction(v) for v in values.tolist()]
-        return out
-    if values.dtype != object:
-        return values.astype(np.float64)
+    """A numeric column as the domain's values; an integer too large for a
+    float is a ModelError at its expression."""
     try:
-        return np.array([float(v) for v in values.tolist()], dtype=np.float64)
+        return sparse.as_vector(values, "rational" if exact else "float")
     except OverflowError:
         where = f" (line {span[0]}, column {span[1]})" if span else ""
         raise ModelError(f"{what} is an integer too large for a float{where}") from None
@@ -240,7 +221,7 @@ class _Layers:
         self.commands = [_Command(cmd, state_map, self.exact, self.kind) for cmd in commands]
         # a guard that repeats an earlier command's is evaluated once per layer
         first_of = {}
-        guard_at = self.guard_at = [first_of.setdefault(_shape(cmd.guard), len(first_of)) for cmd in commands]
+        guard_at = self.guard_at = [first_of.setdefault(syntax.key(cmd.guard), len(first_of)) for cmd in commands]
         self.guards = [self.commands[guard_at.index(g)].guard for g in range(len(first_of))]
         self.actions = [None] + list(dict.fromkeys(cmd.action for cmd in commands if cmd.action is not None))
         self.mask_dtype = np.int64 if len(self.actions) < 63 else object
@@ -276,9 +257,7 @@ class _Layers:
         self.n_choices = 0
 
     def _full(self, n, value):
-        out = np.empty(n, dtype=object if self.exact else np.float64)
-        out.fill(value)
-        return out
+        return np.full(n, value, dtype=object if self.exact else np.float64)
 
     def _evaluate(self, cmd, table, rows):
         """An enabled command on the given rows: its weight columns, per update
@@ -575,16 +554,8 @@ def explore(program, options=None):
             state_map.intern(initial, 1)
             # BFS: states are numbered in discovery order, so a layer is an index range
             done = 0
-            while done < len(state_map):
-                end = len(state_map)
-                try:
-                    layers.expand(done, end)
-                except StormletError:
-                    if end - done == 1:
-                        raise
-                    # again one state at a time: the first faulty state raises its own error
-                    for s in range(done, end):
-                        layers.expand(s, s + 1)
+            while done < (end := len(state_map)):
+                evaluate_rows(lambda states: layers.expand(states[0], states[-1] + 1), range(done, end))
                 done = end
 
     n = len(state_map)
@@ -677,10 +648,9 @@ def build_reward_models(program, model, state_map, row_actions, exact=False):
                 matches = np.array([(item.action or None) in s for s in sets], dtype=bool)[row_set]
                 # each choice of the matched states, from its state's first
                 counts = offsets[rows + 1] - offsets[rows]
-                state = np.repeat(np.arange(len(counts)), counts)
-                choice = offsets[rows][state] + np.arange(len(state)) - (np.cumsum(counts) - counts)[state]
+                choice = sparse.spans(offsets[rows], counts)
                 hit = matches[choice]
-                action_rw[choice[hit]] = action_rw[choice[hit]] + value[state[hit]]
+                action_rw[choice[hit]] = action_rw[choice[hit]] + value.repeat(counts)[hit]
             else:
                 has_state = True
                 state_rw[rows] = state_rw[rows] + value

@@ -5,8 +5,8 @@ reuse the same grammar, and state formulas are built from ``Lit``, ``Unary``
 and ``Binary``. Spans are (line, column) pairs for diagnostics.
 
 Nodes are plain ``__slots__`` classes. ``_fields`` lists every field of a
-node class in ``__init__`` order, ``span`` and ``type`` included; ``replace``
-and the checkers' formula walks read it.
+node class in ``__init__`` order, ``span`` and ``type`` included; ``replace``,
+``key`` and the checkers' formula walks read it.
 """
 
 
@@ -15,6 +15,18 @@ def replace(node, **changes):
     values = {name: getattr(node, name) for name in node._fields}
     values.update(changes)
     return type(node)(**values)
+
+
+def key(node):
+    """A hashable image of an expression or formula without its source spans:
+    lists become tuples, a bitset its bytes, a value a pair with its type (``1`` is not ``true``)."""
+    if hasattr(node, "_fields"):
+        return type(node).__name__, *(key(getattr(node, f)) for f in node._fields if f != "span")
+    if isinstance(node, (list, tuple)):
+        return tuple(map(key, node))
+    if hasattr(node, "tobytes"):
+        return node.tobytes()
+    return type(node), node
 
 
 class Expr:

@@ -848,6 +848,8 @@ def test_nested_operators_inside_boolean_structure(die_source, text, expected, e
     ('P=? [ F !P>=0.5 [ F "six" ] & P>=0.3 [ F "six" ] ]', 2),
     ('P=? [ F P>=0.5 [ F "six" ] & P>=0.5 [ F "done" ] ]', 3),
     ('P=? [ F P>=0.5 [ F P>=1 [ F "six" ] ] & P>=1 [ F "six" ] ]', 3),
+    # so is an operator that holds a nested one
+    ('P=? [ F P>=0.5 [ F P>=1 [ F "six" ] ] & P>=0.3 [ F P>=1 [ F "six" ] ] ]', 3),
 ])
 def test_equal_nested_operators_are_solved_once(monkeypatch, die_source, text, solves):
     model, state_map = explore(typecheck(parse_program(die_source)), ExploreOptions())
@@ -871,6 +873,19 @@ def test_die_program_end_to_end(die_source):
     exact_model, exact_map = explore(program, ExploreOptions(exact=True))
     exact_out = run(exact_model, 'P=? [ F "six" ]', EXACT_ENV, state_map=exact_map)
     assert exact_out.values[0] == F(1, 6)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_bounded_property_keeps_its_numbers_in_numeric(die_source, exact):
+    # README's library contract: a bound gives a bool array, its numbers stay in result.numeric
+    model, state_map = explore(typecheck(parse_program(die_source)), ExploreOptions(exact=exact))
+    env = EXACT_ENV if exact else ENV
+    bounded = run(model, 'P>=0.5 [ F "six" ]', env, state_map)
+    query = run(model, 'P=? [ F "six" ]', env, state_map)
+    assert bounded.values.dtype == bool
+    assert_same(bounded.numeric, query.values)
+    assert bounded.values.tolist() == [v >= F(1, 2) for v in query.values.tolist()]
+    assert bounded.values.any() and not bounded.values.all()
 
 
 def test_predicate_property_on_program_model(die_source):

@@ -303,7 +303,7 @@ def test_ctmc_time_bound_whose_rate_underflows_answers_at_step_0(capsys, tmp_pat
 
 @pytest.mark.parametrize("bound, expected", [
     ("0", (0, 'Property: P=? [ F<=0 "goal" ]\nResult (state 0): 0\n', "")),
-    ("1", (4, "", "stormlet: rate 1.79e+308 exceeds the supported bound 1e9\n")),
+    ("1", (4, "", "stormlet: uniformization rate 1.79e+308 times time bound 1 exceeds the supported bound 1e9\n")),
 ])
 def test_ctmc_time_bound_at_an_exit_rate_near_the_float_range(capsys, tmp_path, bound, expected):
     # 1.02 times the rate is past the float range, so q is the rate itself
@@ -313,6 +313,22 @@ def test_ctmc_time_bound_at_an_exit_rate_near_the_float_range(capsys, tmp_path, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning would fail the run
         assert run_cli(capsys, "--explicit", str(tra), str(lab), "--prop", f'P=? [ F<={bound} "goal" ]') == expected
+
+
+@pytest.mark.parametrize("rate, bound, q, t", [
+    ("1.79e308", "10", "1.79e+308", "10"),  # q * t is past the float range
+    ("2", "1e9", "2.04", "1000000000"),  # q * t is past 1e9
+    ("2", "1e400", "2.04", "1" + "0" * 400),  # t is past the float range
+], ids=["q_t_overflows", "q_t_past_1e9", "t_overflows"])
+def test_ctmc_time_bound_past_the_poisson_bound_names_rate_and_bound(capsys, tmp_path, rate, bound, q, t):
+    tra, lab = tmp_path / "m.tra", tmp_path / "m.lab"
+    tra.write_text(f"ctmc\n0 1 {rate}\n1 1 1\n")
+    lab.write_text("#DECLARATION\ninit goal\n#END\n0 init\n1 goal\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--explicit", str(tra), str(lab), "--prop", f'P=? [ F<={bound} "goal" ]')
+    assert (code, out, err) == (
+        4, "", f"stormlet: uniformization rate {q} times time bound {t} exceeds the supported bound 1e9\n")
 
 
 def test_deadlock_exit_4(capsys, tmp_path):

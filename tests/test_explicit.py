@@ -941,7 +941,7 @@ LABELS_AB = "#DECLARATION\na b\n#END\n"
     (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "# c\n0 a\n\n# c\n5 b\n"),
     (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "0 a\n# c\n1 b # c\n1 x\n"),
 ])
-def test_bad_line_after_comments_is_numbered_by_the_reread(load, reference, text, monkeypatch):
+def test_bad_line_after_comments_is_numbered_in_the_same_pass(load, reference, text, monkeypatch):
     events = []
     loadtxt, fields = np.loadtxt, explicit._fields
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: events.append("loadtxt") or loadtxt(*args, **kw))
@@ -949,7 +949,23 @@ def test_bad_line_after_comments_is_numbered_by_the_reread(load, reference, text
     _, error = _outcome(lambda: reference(text))
     assert error is not None and "line" in str(error)
     _same_failure(error, lambda: load(text))
-    assert events == ["loadtxt", "fields"]  # the fast reader read the one piece; the re-read found the line
+    assert events == ["loadtxt", "fields"]  # the fast reader read the one piece; the line reader numbered it
+
+
+def test_bad_last_line_of_a_clean_file_is_numbered_in_one_pass(monkeypatch):
+    text = "dtmc\n" + "".join(f"{i} {i + 1} 0.5\n{i} {i} 0.5\n" for i in range(1500)) + "1500 1500 0\n"
+    pieces = list(explicit._pieces(text, len("dtmc\n"), 2))
+    assert len(pieces) > 1
+    _, error = _outcome(lambda: ref_parse_transitions(text))
+    assert (str(error), error.line) == ("transition values must be positive at line 3002", 3002)
+    loads, fields = [], []
+    loadtxt, read = np.loadtxt, explicit._fields
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: loads.append(args[0]) or loadtxt(*args, **kw))
+    monkeypatch.setattr(explicit, "_fields", lambda *args: fields.append(args) or read(*args))
+    _same_failure(error, lambda: explicit.parse_transitions(text))
+    # every piece read once by numpy, and only the last, where the check failed, by the line reader
+    assert loads == [piece.split("\n") for _, _, piece in pieces]
+    assert fields == [(pieces[-1][2], pieces[-1][1])]
 
 
 def test_row_totals_add_left_to_right():

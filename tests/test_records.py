@@ -8,7 +8,7 @@ import pytest
 from stormlet import props, sparse
 from stormlet.errors import ModelError, SolverError
 from stormlet.models import RewardModel
-from stormlet.prism import syntax
+from stormlet.prism import parse_program, syntax, typecheck
 from stormlet.prism.syntax import replace
 from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
@@ -43,6 +43,32 @@ def test_expression_span_and_type_are_keyword_only():
         syntax.Lit(3, (1, 2))
     binary = syntax.Binary("+", lit, lit)
     assert (binary.op, binary.left, binary.right, binary.span, binary.type) == ("+", lit, lit, None, None)
+
+
+def _expr(text):
+    """``text``, typed, as the guard of a one-command program over ``x``."""
+    source = f"dtmc\nmodule m\n  x : [0..3] init 0;\n  [] {text} -> (x'=x);\nendmodule\n"
+    return typecheck(parse_program(source)).modules[0].commands[0].guard
+
+
+def test_key_leaves_out_spans():
+    assert _expr("x<1 & max(x, 2)=2").span != _expr("  x<1 & max(x, 2)=2").span
+    assert syntax.key(_expr("x<1 & max(x, 2)=2")) == syntax.key(_expr("  x<1 & max(x, 2)=2"))
+
+
+@pytest.mark.parametrize("one, other", [("x<1", "x<=1"), ("1=1", "true=true")])
+def test_key_tells_apart(one, other):
+    assert syntax.key(_expr(one)) != syntax.key(_expr(other))
+
+
+def test_key_of_literals_keeps_their_type():
+    assert syntax.key(syntax.Lit(1)) != syntax.key(syntax.Lit(True))
+
+
+def test_key_of_a_call_is_hashable():
+    call = _expr("max(x, 1, 2)=2").left
+    assert isinstance(call, syntax.Call) and isinstance(call.args, list)
+    assert hash(syntax.key(call)) == hash(syntax.key(_expr("max(x,1,2) = 2").left))
 
 
 @pytest.mark.parametrize("kwargs, message", [
