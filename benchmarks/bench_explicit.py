@@ -18,7 +18,10 @@ last, numpy's text reader) and on a file that gives every state two labels
 (``labels2``: the line reader), per 10^3 lines of the ``.lab`` file.
 Last, ``explicit.parse_transitions`` alone is timed on the DTMC's ``.tra``
 file (``tra``) and on a copy whose last value is 0 (``error``), which fails
-a check on a row that numpy's text reader read, on the file's last line.
+a check on a row that numpy's text reader read, on the file's last line;
+and a bare ``np.loadtxt`` call on the same file's lines after its header,
+split from the text as the loader splits them (``loadtxt``): numpy's C
+reader alone, which ``tra`` exceeds by the loader's own work.
 
 Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repeats 3]
 """
@@ -26,6 +29,8 @@ Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repea
 import argparse
 import random
 import time
+
+import numpy as np
 
 from stormlet import explicit
 from stormlet.errors import ParseError
@@ -120,6 +125,15 @@ def main():
                 raise SystemExit(f"{file} N={n}: error at line {line}")
             ms = best_of(lambda: failure(explicit.parse_transitions, text), args.repeats) * 1e3
             print(f"{n:>8}  {'dtmc':<5} {file:<7} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+        body = tra[tra.index("\n") + 1 :]
+
+        def read():
+            return np.loadtxt(body.split("\n"), dtype="i8,i8,f8", comments="#", ndmin=1)
+
+        if len(read()) != lines - 1:
+            raise SystemExit(f"loadtxt N={n}: not {lines - 1} rows")
+        ms = best_of(read, args.repeats) * 1e3
+        print(f"{n:>8}  {'dtmc':<5} {'loadtxt':<7} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
 
 
 if __name__ == "__main__":

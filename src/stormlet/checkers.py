@@ -1,5 +1,6 @@
 """Sparse verification engine: property dispatch, precomputation, solving."""
 
+import decimal
 import functools
 import math
 import operator
@@ -385,20 +386,33 @@ def check_timebounded_until_ctmc(model, left, right, t, env):
     try:
         L, R, w, total = solvers.fox_glynn(q * float(t), env.precision * 0.1)
     except (OverflowError, LambdaTooLarge):  # q * t past 1e9, or t past the float range
-        raise LambdaTooLarge(f"uniformization rate {q!r} times time bound {t} "
+        raise LambdaTooLarge(f"uniformization rate {q!r} times time bound {_short(t)} "
                              "exceeds the supported bound 1e9") from None
     meta["poisson_window"] = (L, R)
+    # only the active states' probabilities move; the others stay 0 or, on
+    # targets, 1, which are absorbing successes: pinned to exactly one below
+    # instead of accumulating truncation noise from the normalized window
+    states = np.flatnonzero(active)
     v = right.astype(np.float64)
-    result = np.zeros(n)
+    acc = np.zeros(len(states))
     for step in range(R + 1):
         if step >= L:
-            result += (w[step - L] / total) * v
+            acc += (w[step - L] / total) * v[states]
         if step < R:
-            v[active] = kernels.matvec(p_unif, v)
-    # target states are absorbing successes: pin them to exactly one instead
-    # of accumulating truncation noise from the normalized Poisson window
+            v[states] = kernels.matvec(p_unif, v)
+    result = np.zeros(n)
+    result[states] = acc
     result[right] = 1.0
     return result, meta
+
+
+def _short(t):
+    """The time bound ``t`` as it was written, or past 17 digits in short
+    scientific form: ``1e+400``."""
+    text = str(t)
+    if sum(map(str.isdigit, text)) <= 17:
+        return text
+    return f"{decimal.Context(prec=17).divide(t.numerator, t.denominator).normalize():e}"
 
 
 # --- conditional probabilities --------------------------------------------

@@ -10,35 +10,50 @@ later lines may come anywhere after that.
 The transitions, reward and label files are read a piece of lines at a
 time, by one of two readers, and every check is an array operation over a
 piece. Of several bad lines, the first in file order is reported, with its
-number. Keys that come in order, and transitions without duplicates, are
-assembled without a sort.
+number.
 
-The fast reader, ``_table``, reads an ASCII piece without NUL by one
-``np.loadtxt`` call, which drops blank and comment lines and parses the
-tokens in C: int64 index columns, and a float64 value column, or a column
-of tokens in exact mode and of label names in a labels file. It keeps no
-line numbers: a row it read knows only where its piece starts in the text.
-When a check fails on such a row, the line reader reads that one piece
-again and numbers the row, and the bad line is reported in the same pass.
+The fast reader, ``_table``, reads an ASCII piece without NUL, of about
+``_TABLE_CHARS`` characters, by one ``np.loadtxt`` call, which drops blank
+and comment lines and parses the tokens in C: int64 index columns, and a
+float64 value column, or a column of tokens in exact mode. A labels piece
+(``_label_table``) has lines of any number of names, and numpy reads lines
+of one width only: each line gets pads up to the most fields a line of the
+piece can have, and the names are read as bytes and looked up as integers.
+The fast reader keeps no line numbers: a row it read knows only where its
+piece starts in the text. When a check fails on such a row, the lines of
+that one piece that have a field are found again by a pass over its bytes
+(``_blanks``), and the bad line is reported with its number in the same
+pass.
 
 The line reader, ``_fields``, splits the lines with ``str.split`` and reads
 each index token with ``int()``. It reads, in place, what the fast reader
 leaves: non-ASCII pieces (numpy reads some other scripts' digits unlike
-``int()``), label lines of more than one label, pieces numpy rejects or
-warns about, and float pieces it reads to a value that is not finite or has
-its sign bit set. It reads each distinct value token once, as
+``int()``), pieces numpy rejects or warns about, float pieces it reads to a
+value that is not finite or has its sign bit set, and labels pieces with a
+line that lists no label or an undeclared one. A piece the fast reader
+leaves is read again in pieces of about ``_PIECE_CHARS`` characters, by the
+fast reader first (``_read``), so one such line costs no more line-reader
+work than that. The line reader reads each distinct value token once, as
 ``Fraction(token)``, rounded by ``float()`` in float mode, so ``-0`` is
 ``+0.0``.
+
+The transitions are assembled into the CSR matrix in one pass of array
+work: duplicates add up in file order, which ``sparse.coalesce`` does
+without a sort when the positions come in order, as they do in a file
+sorted by state, choice and destination; each entry finds its (state,
+choice) key by its row, and each row's total adds its entries in the order
+their destinations first appear.
 """
 
 import itertools
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from . import sparse
-from .errors import DeadlockError, ModelError, ParseError
+from .errors import DeadlockError, ModelError, ParseError, StormletError
 from .models import ROW_SUM_TOLERANCE, Model, ModelKind, RewardModel, StateLabeling
 
 ROW_TOLERANCE = 1e-6
@@ -52,9 +67,22 @@ class ExplicitBundle:
         self.state_rewards_text, self.action_rewards_text = state_rewards_text, action_rewards_text
 
 
-# a file is read in pieces of whole lines of about this many characters, so
-# the per-token strings held at once stay few however long the file is
+# a file is read in pieces of whole lines. The fast reader holds a string per
+# line of its piece and the line reader one per token, so the line reader
+# takes pieces of about _PIECE_CHARS characters and the fast reader of about
+# _TABLE_CHARS; either way the strings held at once stay few however long the
+# file is
 _PIECE_CHARS = 1 << 14
+_TABLE_CHARS = 1 << 16
+# the bits of +inf: a float is finite without its sign bit set exactly when
+# its bits, read as an unsigned integer, are below these
+_INF_BITS = np.float64(np.inf).view(np.uint64)
+# fills out the short lines of a labels piece for the fast reader
+_PAD = "\x01"
+# each byte of an ASCII piece as 2 for "\n", 1 for the other whitespace of
+# str.split, 0 for the rest
+_KINDS = bytes(2 if c == 10 else int(c < 128 and chr(c).isspace()) for c in range(256))
+_COMMENT = re.compile("#[^\n]*")
 
 
 def _first(bad):
@@ -102,14 +130,16 @@ class _Rows:
         self.error = None
 
     def number(self, k):
-        """The line number of row k. The line reader numbers a row the fast
-        reader read on its piece, whose rows are the run of entries of
-        ``numbers`` equal to row k's that ends at row k."""
+        """The line number of row k. A row the fast reader read is numbered
+        on its piece, whose rows are its lines that have a field once comments
+        are removed, and the run of entries of ``numbers`` equal to row k's
+        that ends at row k."""
         no = int(self.numbers[k])
         if no > 0:
             return no
-        _, first, piece = next(_pieces(self.text, -1 - no, self.text.count("\n", 0, -1 - no) + 1))
-        return int(_fields(piece, first)[0][_first(self.numbers[k::-1] != no) - 1])
+        _, first, piece = next(_pieces(self.text, _TABLE_CHARS, -1 - no, self.text.count("\n", 0, -1 - no) + 1))
+        kept = np.flatnonzero(_blanks(_COMMENT.sub("", piece))[1])
+        return first + int(kept[_first(self.numbers[k::-1] != no) - 1])
 
     def cut(self, k, error):
         """Keep the rows before row k, which fails with ``error(k, line number)``."""
@@ -141,11 +171,12 @@ class _Rows:
         return np.fromiter(map(parsed.__getitem__, tokens[:k]), object if rational else np.float64, k)
 
 
-def _pieces(text, start=0, no=1):
-    """Per piece of the lines of ``text[start:]``: its offset in ``text``, the
-    number of its first line (the first of all is line ``no``) and the piece."""
+def _pieces(text, size, start=0, no=1):
+    """Per piece of the lines of ``text[start:]`` of about ``size``
+    characters: its offset in ``text``, the number of its first line (the
+    first of all is line ``no``) and the piece."""
     while True:
-        end = text.find("\n", start + _PIECE_CHARS)
+        end = text.find("\n", start + size)
         piece = text[start:] if end < 0 else text[start:end]
         yield start, no, piece
         if end < 0:
@@ -166,33 +197,55 @@ def _fields(piece, no):
     return no + kept, counts[kept], list(itertools.chain.from_iterable(fields))
 
 
-def _table(text, start, piece, want, rational):
-    """The fast reader: the rows, index columns and values (their tokens in
-    exact mode) of the lines of ``piece``, at offset ``start`` of ``text``,
-    that are not blank or comments, read by one ``np.loadtxt`` call as
-    ``want`` fields each; or None, and the line reader reads the piece.
+def _blanks(piece):
+    """Per line of ``piece``, ASCII and without comments: its blanks (the
+    whitespace of ``str.split`` other than "\\n"), and whether it has a field,
+    that is more characters than blanks."""
+    kinds = np.frombuffer(piece.encode().translate(_KINDS), np.uint8)
+    spaces = np.flatnonzero(kinds)
+    breaks = np.flatnonzero(kinds[spaces] == 2)
+    # a line's blanks are the whitespace between its end and the one before
+    blanks = np.diff(breaks, prepend=-1, append=len(spaces)) - 1
+    return blanks, blanks < np.diff(spaces[breaks], prepend=-1, append=len(kinds)) - 1
 
-    It reads ASCII pieces without NUL only: numpy reads a lone Devanagari
-    two as 2360, where ``int()`` reads 2. None also stands for a piece numpy
-    rejects or warns about, and for a float value that is not finite or has
-    its sign bit set, so that the line reader reads ``-0`` as ``+0.0``.
-    """
-    if not piece.isascii() or "\0" in piece:
-        return None
+
+def _readable(piece):
+    """Whether the fast reader may read ``piece``: ASCII without NUL only, as
+    numpy reads a lone Devanagari two as 2360, where ``int()`` reads 2."""
+    return piece.isascii() and "\0" not in piece
+
+
+def _table(text, start, lines, dtype, usecols=None):
+    """The fast reader: the rows and the table of ``lines``, the lines of a
+    piece at offset ``start`` of ``text``, but for blank and comment lines,
+    read into ``dtype`` by one ``np.loadtxt`` call; or None, when numpy
+    rejects the lines or warns about them, and the line reader reads the
+    piece."""
     try:
         # numpy warns on a piece of no data, and numpy 1.23 reads a float
         # token in an int64 column, truncated, with a DeprecationWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(piece.split("\n"), dtype=",".join(["i8"] * (want - 1) + ["O" if rational else "f8"]),
-                               comments="#", ndmin=1)
+            table = np.loadtxt(lines, dtype=dtype, comments="#", usecols=usecols, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
-    values = table[f"f{want - 1}"]
-    if not rational and (np.signbit(values).any() or not np.isfinite(values).all()):
-        return None
-    rows = _Rows(text, np.full(len(table), -1 - start))
-    return rows, [table[f"f{j}"] for j in range(want - 1)], values.tolist() if rational else values
+    return _Rows(text, np.full(len(table), -1 - start)), table
+
+
+def _read(text, start, no, fast, slow):
+    """Per piece of the lines of ``text[start:]``, the first of them line
+    ``no``: what ``fast(start, piece)``, the fast reader, reads of a piece of
+    about ``_TABLE_CHARS`` characters at offset ``start``. Where it reads
+    None, the piece is read in pieces of about ``_PIECE_CHARS``: each by the
+    fast reader again, and where that reads None too, by ``slow(no, piece)``,
+    the line reader."""
+    for start, no, piece in _pieces(text, _TABLE_CHARS, start, no):
+        read = fast(start, piece)
+        if read:
+            yield read
+            continue
+        for offset, no, part in _pieces(piece, _PIECE_CHARS, 0, no):
+            yield (len(part) < len(piece) and fast(start + offset, part)) or slow(no, part)
 
 
 def _records(text, want, count_message, index_message, rational, start=0, no=1):
@@ -201,20 +254,32 @@ def _records(text, want, count_message, index_message, rational, start=0, no=1):
     fields or a non-integer index field; the index columns; the value tokens,
     or in float mode their floats when the fast reader has read the piece.
 
+    The fast reader leaves a float piece with a value that is not finite or
+    has its sign bit set to the line reader, which reads ``-0`` as ``+0.0``.
     ``count_message(found)`` is the message for a line of ``found`` fields.
     """
-    for start, no, piece in _pieces(text, start, no):
-        table = _table(text, start, piece, want, rational)
-        if table:
-            yield table
-            continue
+    dtype = np.dtype(",".join(["i8"] * (want - 1) + ["O" if rational else "f8"]))
+    *index_names, value_name = dtype.names
+
+    def fast(start, piece):
+        read = _readable(piece) and _table(text, start, piece.split("\n"), dtype)
+        if read:
+            rows, table = read
+            values = table[value_name]
+            if rational or (values.view(np.uint64) < _INF_BITS).all():
+                return rows, [table[name] for name in index_names], values.tolist() if rational else values
+        return None
+
+    def slow(no, piece):
         numbers, counts, tokens = _fields(piece, no)
         rows = _Rows(text, numbers)
         rows.check(counts != want, lambda k, no: ParseError(count_message(counts[k]), line=no))
         tokens = tokens[: want * rows.end]
         index = [_integers(tokens[j::want]) for j in range(want - 1)]
         rows.cut(min(k for _, k in index), _error(index_message))
-        yield rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
+        return rows, [column[: rows.end] for column, _ in index], tokens[want - 1 :: want]
+
+    return _read(text, start, no, fast, slow)
 
 
 def _header(text):
@@ -241,14 +306,16 @@ def _new_keys(src, choice, rows):
     error. Keys that never go down in file order need no lexsort to find
     them.
     """
-    if np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (choice[1:] >= choice[:-1])):
-        order = np.arange(len(src))
+    step, choice_step = np.diff(src), np.diff(choice)
+    new = np.ones(len(src), dtype=bool)
+    if np.all((step > 0) | (step == 0) & (choice_step >= 0)):
+        new[1:] = (step != 0) | (choice_step != 0)
+        new = np.flatnonzero(new)
     else:
         order = np.lexsort((choice, src))
-    s, c = src[order], choice[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (s[1:] != s[:-1]) | (c[1:] != c[:-1])
-    new = np.sort(order[new])
+        s, c = src[order], choice[order]
+        new[1:] = (s[1:] != s[:-1]) | (c[1:] != c[:-1])
+        new = np.sort(order[new])
     s, c = src[new], choice[new]
     same = np.concatenate(([False], s[1:] == s[:-1]))
     back = np.concatenate(([False], (s[1:] < s[:-1]) | same[1:] & (c[1:] < c[:-1])))
@@ -268,14 +335,17 @@ def _new_keys(src, choice, rows):
     return new
 
 
-def _least_missing(values):
-    """The least nonnegative integer not among the nonnegative ``values``.
+def _least_missing(*columns):
+    """The least nonnegative integer in none of ``columns``, arrays of
+    nonnegative integers.
 
-    It is at most their number, so nothing of the size of a huge value is
-    allocated.
+    It is at most their total length, so nothing of the size of a huge value
+    is allocated.
     """
-    present = np.zeros(len(values) + 1, dtype=bool)
-    present[values[values <= len(values)].astype(np.int64)] = True
+    bound = sum(map(len, columns))
+    present = np.zeros(bound + 1, dtype=bool)
+    for values in columns:
+        present[np.minimum(values, bound).astype(np.int64)] = True
     return int(np.argmin(present))
 
 
@@ -312,12 +382,11 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         raise ParseError("transitions file declares no transitions", line=header_no)
 
     # the first unused and the first source-less state
-    states = np.concatenate((src, dst))
-    n = _least_missing(states)
+    n = _least_missing(src, dst)
     sourceless = _least_missing(src)
     if not fix_deadlocks and sourceless < n:
         raise DeadlockError(sourceless, "no outgoing transitions in transitions file")
-    if states.max() > n:
+    if max(src.max(), dst.max()) > n:
         raise ParseError(f"gap in state indices: state {n} is never used")
     src, choice, dst = (np.asarray(a, dtype=np.int64) for a in (src, choice, dst))
     s, c = src[new], choice[new]  # the keys, ascending
@@ -326,16 +395,22 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
     deadlocked[s] = False
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.maximum(np.bincount(s, minlength=n), 1), out=offsets[1:])
-    # duplicates add up in file order; a row's total adds its entries in the
-    # order their destinations first appear, the order the scaled entries go in.
-    # Sums past the float range are reported by build_sparse or the model.
+    key_of_row = np.zeros(int(offsets[-1]), dtype=np.int64)  # a deadlocked state's row has no key and no entry
+    key_of_row[offsets[s] + c] = np.arange(len(s))
+    # duplicates add up in file order, and the entries come out in column order
+    # within each row. A row's total adds its entries in the order their
+    # destinations first appear, so that order is sorted for only when it is
+    # not the column order. Sums past the float range are reported below or by
+    # the model.
     with np.errstate(all="ignore"):
         position, summed, first = sparse.coalesce((offsets[src] + choice) * n + dst, values)
-        entry_row = position // n
-        order = np.lexsort((first, entry_row))
-        entry_row, entry_col, summed = entry_row[order], position[order] % n, summed[order]
-        of_entry = np.searchsorted(offsets[s] + c, entry_row)
-        totals = sparse.coalesce(of_entry, summed)[1]
+        entry_row, entry_col = np.divmod(position, n)
+        of_entry = key_of_row[entry_row]
+        if np.all((first[1:] > first[:-1]) | (entry_row[1:] != entry_row[:-1])):
+            totals = sparse.coalesce(of_entry, summed)[1]
+        else:
+            order = np.lexsort((first, entry_row))
+            totals = sparse.coalesce(of_entry[order], summed[order])[1]
     domain = "rational" if rational else "float"
     exit_rates = None
     if kind is ModelKind.CTMC:
@@ -359,13 +434,25 @@ def parse_transitions(text, rational=False, fix_deadlocks=False):
         # renormalize only when the deviation is above rounding noise, so
         # written models parse back value-identical
         scaled = summed / np.where(deviation <= ROW_SUM_TOLERANCE, 1.0, totals)[of_entry]
+    if not rational:  # exact entries are sums and quotients of positive values: finite and nonzero
+        bad = np.flatnonzero(~np.isfinite(scaled))
+        if len(bad):  # the first in the order the row totals add up
+            bad = bad[entry_row[bad] == entry_row[bad[0]]]
+            k = bad[np.argmin(first[bad])]
+            raise StormletError(f"non-finite value at ({entry_row[k]},{entry_col[k]})")
+        kept = scaled != 0
+        if not kept.all():
+            entry_row, entry_col, scaled = entry_row[kept], entry_col[kept], scaled[kept]
+    counts = np.bincount(entry_row, minlength=len(key_of_row))
     loops = np.flatnonzero(deadlocked)
-    entries = np.rec.fromarrays([
-        np.concatenate((entry_row, offsets[loops])),
-        np.concatenate((entry_col, loops)),
-        np.concatenate((scaled, np.repeat(sparse.as_vector([1], domain), len(loops)))),
-    ], names="row,col,value")
-    matrix = sparse.build_sparse(entries, int(offsets[-1]), n, domain)
+    if len(loops):  # each a row of its own with no other entry
+        at = np.searchsorted(entry_row, offsets[loops])
+        entry_col = np.insert(entry_col, at, loops)
+        scaled = np.insert(scaled, at, sparse.as_vector([1], domain))
+        counts[offsets[loops]] = 1
+    row_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_offsets[1:])
+    matrix = sparse.SparseMatrix(len(counts), n, row_offsets, entry_col, scaled, domain)
     if kind is not ModelKind.MDP:
         offsets = np.arange(n + 1, dtype=np.int64)
     return kind, matrix, offsets, exit_rates
@@ -400,6 +487,69 @@ def _declarations(text):
     raise ParseError("missing #END after label declarations", line=last)
 
 
+def _words(names, size):
+    """``names``, an array of strings of ``8 * size`` bytes, as ``size``
+    uint64 words each, and a key per name that mixes its words."""
+    words = names.view(np.uint64).reshape(*names.shape, size)
+    return words, words @ (np.uint64(0x9E3779B97F4A7C15) ** np.arange(size, dtype=np.uint64))
+
+
+def _name_index(declared):
+    """What the fast reader looks names up in: the pad and the declared names
+    it can meet, those that are ASCII and not the pad, as bytes in whole
+    8-byte words and at least one byte longer than the longest of them, read
+    as words (see ``_words``) and sorted by key; their keys; and the index of
+    each among the declared names, the pad's -1. Of two names of one key,
+    the second never matches, and the line reader reads its pieces."""
+    names = [(name, i) for i, name in enumerate(declared) if name.isascii() and name != _PAD] + [(_PAD, -1)]
+    size = max(len(name) for name, _ in names) // 8 + 1
+    words, keys = _words(np.array([name for name, _ in names], dtype=f"S{8 * size}"), size)
+    order = np.argsort(keys)
+    return words[order], keys[order], np.array([i for _, i in names])[order]
+
+
+def _label_table(text, start, piece, index):
+    """The fast reader on a labels piece: its rows, their states, and per row
+    the indices of its labels among the declared names, then -1s; or None,
+    and the line reader reads the piece. ``index`` is ``_name_index``'s.
+
+    numpy reads lines of one width only. A line has at most one field more
+    than it has blanks, so each line that has a field once comments are
+    removed gets pads to make it as wide as the most blanks on a line allow,
+    and numpy reads that many fields of each. Names are read as bytes at
+    least one longer than the longest declared name, so a longer name that
+    numpy cuts short matches none. None also stands for a line that lists no
+    labels or an undeclared one: the line reader reports it.
+    """
+    if not _readable(piece) or _PAD in piece:
+        return None
+    # "\r" is a blank to str.split and a line end to numpy; the last line
+    # ending in "\n" is not followed by one
+    piece = _COMMENT.sub("", piece).replace("\r", " ").removesuffix("\n")
+    blanks, kept = _blanks(piece)
+    width = int(blanks[kept].max(initial=0)) + 1
+    if width < 2:  # no line, or none with a label
+        return None
+    pads = f" {_PAD}" * (width - 1)
+    if kept.all():
+        piece = piece.replace("\n", pads + "\n") + pads
+    else:
+        piece = (pads + "\n").join(itertools.compress(piece.split("\n"), kept.tolist())) + pads
+    words, keys, labels = index
+    size = words.shape[1]
+    dtype = np.dtype([("state", np.int64), ("names", f"S{8 * size}", (width - 1,))])
+    read = _table(text, start, piece.split("\n"), dtype, range(width))
+    if not read:
+        return None
+    rows, table = read
+    found, found_keys = _words(table["names"], size)
+    at = np.minimum(np.searchsorted(keys, found_keys), len(keys) - 1)
+    label = labels[at]
+    if not (words[at] == found).all() or (label[:, 0] < 0).any():
+        return None
+    return rows, table["state"], label
+
+
 def parse_labels(text, n_states):
     """Parse a labels file into a StateLabeling (declared labels only).
 
@@ -408,31 +558,44 @@ def parse_labels(text, n_states):
     """
     declared, start, no = _declarations(text)
     ids = {name: i for i, name in enumerate(declared)}
-    bits = np.zeros((len(declared), n_states), dtype=bool)
-    for start, no, piece in _pieces(text, start, no):
-        table = _table(text, start, piece, 2, True)
-        if table:  # one label on every line
-            rows, (state,), names = table
-            counts, line_of = np.full(len(names), 2), np.arange(len(names))
-        else:
-            numbers, counts, tokens = _fields(piece, no)
-            rows = _Rows(text, numbers)
-            tokens = np.array(tokens, dtype=object)
-            firsts = np.cumsum(counts) - counts
-            state, k = _integers(tokens[firsts].tolist())
-            rows.cut(k, _error("label line must start with a state index"))
-            names = np.delete(tokens, firsts).tolist()
-            line_of = np.repeat(np.arange(len(counts)), counts - 1)
+    index = _name_index(declared)
+    bits = np.zeros((len(declared) + 1, n_states), dtype=bool)  # the last row takes the fast reader's pads
+
+    def check_states(rows, state):
         rows.check((state < 0) | (state >= n_states), lambda k, no: ParseError(
             f"state {state[k]} out of range (model has {n_states} states)", line=no))
+
+    def fast(start, piece):
+        read = _label_table(text, start, piece, index)
+        if not read:
+            return None
+        rows, state, label = read
+        check_states(rows, state)
+        if rows.error is not None:
+            raise rows.error
+        return label, state[:, None]
+
+    def slow(no, piece):
+        numbers, counts, tokens = _fields(piece, no)
+        rows = _Rows(text, numbers)
+        tokens = np.array(tokens, dtype=object)
+        firsts = np.cumsum(counts) - counts
+        state, k = _integers(tokens[firsts].tolist())
+        rows.cut(k, _error("label line must start with a state index"))
+        check_states(rows, state)
         rows.check(counts < 2, _error("label line lists no labels"))
+        names = np.delete(tokens, firsts).tolist()
         label = np.fromiter(map(ids.get, names, itertools.repeat(-1)), np.int64, len(names))
+        line_of = np.repeat(np.arange(len(counts)), counts - 1)
         j = _first(label < 0)
         if j < len(names):
             rows.cut(int(line_of[j]), lambda k, no: ParseError(f"label {names[j]!r} was not declared", line=no))
         if rows.error is not None:
             raise rows.error
-        bits[label, state[line_of].astype(np.int64)] = True
+        return label, state[line_of].astype(np.int64)
+
+    for label, state in _read(text, start, no, fast, slow):
+        bits[label, state] = True
     return StateLabeling(n_states, dict(zip(declared, bits)))
 
 

@@ -146,7 +146,8 @@ def coalesce(position, values):
     starts = np.flatnonzero(first)
     # a run's first value starts its sum, and np.add.at adds the rest in order
     sums = values[starts]
-    np.add.at(sums, np.cumsum(first)[~first] - 1, values[~first])
+    later = np.ediff1d(starts, to_end=len(position) - starts[-1]) - 1  # the entries of each run after its first
+    np.add.at(sums, np.arange(len(starts)).repeat(later), values[~first])
     return position[starts], sums, starts if order is None else order[starts]
 
 

@@ -318,7 +318,7 @@ def test_ctmc_time_bound_at_an_exit_rate_near_the_float_range(capsys, tmp_path, 
 @pytest.mark.parametrize("rate, bound, q, t", [
     ("1.79e308", "10", "1.79e+308", "10"),  # q * t is past the float range
     ("2", "1e9", "2.04", "1000000000"),  # q * t is past 1e9
-    ("2", "1e400", "2.04", "1" + "0" * 400),  # t is past the float range
+    ("2", "1e400", "2.04", "1e+400"),  # t is past the float range
 ], ids=["q_t_overflows", "q_t_past_1e9", "t_overflows"])
 def test_ctmc_time_bound_past_the_poisson_bound_names_rate_and_bound(capsys, tmp_path, rate, bound, q, t):
     tra, lab = tmp_path / "m.tra", tmp_path / "m.lab"

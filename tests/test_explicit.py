@@ -668,10 +668,15 @@ def _outcome(call):
         return None, exc
 
 
+# (fast reader, line reader) piece sizes; a fast-reader piece that fails is
+# read again in line-reader pieces, first by the fast reader
+PIECES = [(1, 1), (9, 9), (50, 50), (50, 9), (explicit._PIECE_CHARS,) * 2, (explicit._TABLE_CHARS, explicit._PIECE_CHARS)]
+
+
 @settings(deadline=None, max_examples=400)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]),
        rational=st.booleans(), fix=st.booleans(), mutate=st.booleans(),
-       piece=st.sampled_from([1, 9, 50, explicit._PIECE_CHARS]))
+       piece=st.sampled_from(PIECES))
 def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piece):
     rng = random.Random(seed)
     lines = _transition_lines(rng, kind)
@@ -681,7 +686,8 @@ def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piec
     header.append(rng.choice([kind, f" {kind}\t", f"{kind} # kind"] if not mutate or rng.random() < 0.8
                              else ["markov", f"{kind} 0", "", f"{kind}{kind}"]))
     text = _decorate(rng, header + lines)
-    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
+    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
     try:
         expected, error = _outcome(lambda: ref_parse_transitions(text, rational, fix))
         if error is not None:
@@ -689,7 +695,7 @@ def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piec
             return
         got = explicit.parse_transitions(text, rational, fix)
     finally:
-        explicit._PIECE_CHARS = saved
+        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
     kind_, m, offsets, rates = got
     e_kind, e_m, e_offsets, e_rates = expected
     assert kind_ is e_kind
@@ -719,7 +725,7 @@ def _reward_lines(rng, offsets, mdp, per_choice):
 
 @settings(deadline=None, max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1), mdp=st.booleans(), rational=st.booleans(),
-       mutate=st.booleans(), piece=st.sampled_from([1, 9, explicit._PIECE_CHARS]))
+       mutate=st.booleans(), piece=st.sampled_from(PIECES))
 def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piece):
     rng = random.Random(seed)
     counts = [rng.randint(1, 3) if mdp else 1 for _ in range(rng.randint(1, 6))]
@@ -731,7 +737,8 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
         (lambda text: ref_parse_action_rewards(text, kind, offsets, rational),
          lambda text: explicit.parse_action_rewards(text, kind, offsets, rational), True),
     ]
-    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
+    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
     try:
         for reference, loader, per_choice in cases:
             lines = _reward_lines(rng, offsets, mdp, per_choice)
@@ -744,7 +751,7 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
             else:
                 assert_same(loader(text), expected)
     finally:
-        explicit._PIECE_CHARS = saved
+        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
 
 
 # --- clean pieces, which np.loadtxt reads, against the scalar reference ------
@@ -800,7 +807,7 @@ def _same_transitions(got, expected):
 
 @settings(deadline=None, max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]), rational=st.booleans(),
-       splice=st.booleans(), piece=st.sampled_from([1, 9, 50, explicit._PIECE_CHARS]))
+       splice=st.booleans(), piece=st.sampled_from(PIECES))
 def test_clean_pieces_match_scalar_reference(seed, kind, rational, splice, piece):
     rng = random.Random(seed)
     lines = _transition_lines(rng, kind)
@@ -813,7 +820,8 @@ def test_clean_pieces_match_scalar_reference(seed, kind, rational, splice, piece
     for per_choice in (False, True):
         lines = _reward_lines(rng, offsets, mdp, per_choice)
         rewards.append("".join(line + "\n" for line in (_splice(rng, lines) if splice else lines)))
-    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
+    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
     try:
         _agree(lambda: ref_parse_transitions(text, rational), lambda: explicit.parse_transitions(text, rational),
                _same_transitions)
@@ -822,7 +830,7 @@ def test_clean_pieces_match_scalar_reference(seed, kind, rational, splice, piece
         _agree(lambda: ref_parse_action_rewards(rewards[1], model_kind, offsets, rational),
                lambda: explicit.parse_action_rewards(rewards[1], model_kind, offsets, rational))
     finally:
-        explicit._PIECE_CHARS = saved
+        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
 
 
 def test_other_scripts_digits_are_read_as_int_reads_them():
@@ -837,8 +845,8 @@ def test_clean_pieces_take_one_loadtxt_call_each(monkeypatch):
     calls = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
-    body = "".join(f"{i} {i + 1} 1\n" for i in range(3000)) + "3000 3000 1\n"
-    pieces = len(list(explicit._pieces(body)))
+    body = "".join(f"{i} {i + 1} 1\n" for i in range(12000)) + "12000 12000 1\n"
+    pieces = len(list(explicit._pieces(body, explicit._TABLE_CHARS)))
     assert pieces > 1
     for rational in (False, True):
         calls.clear()
@@ -850,17 +858,57 @@ def test_clean_pieces_take_one_loadtxt_call_each(monkeypatch):
         calls.clear()
         assert_same(explicit.parse_state_rewards(rewards, 3001, rational),
                     ref_parse_state_rewards(rewards, 3001, rational))
-        assert len(calls) == len(list(explicit._pieces(rewards)))
-    # a commented piece takes one call too; a non-ASCII digit keeps its piece away from loadtxt
-    for text, skipped in (("dtmc\n# note\n" + body, 0), ("dtmc\n٠" + body[1:], 1)):
-        calls.clear()
-        _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
-        assert len(calls) == len(list(explicit._pieces(text, len("dtmc\n")))) - skipped
-    # so does a labels piece of one label per line
+        assert len(calls) == len(list(explicit._pieces(rewards, explicit._TABLE_CHARS)))
+    # a commented piece takes one call too
+    text = "dtmc\n# note\n" + body
+    calls.clear()
+    _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
+    assert len(calls) == len(list(explicit._pieces(text, explicit._TABLE_CHARS, len("dtmc\n"))))
+    # a non-ASCII digit keeps only its piece of the line reader's size away from loadtxt
+    text = "dtmc\n٠" + body[1:]
+    pieces = list(explicit._pieces(text, explicit._TABLE_CHARS, len("dtmc\n")))
+    parts = len(list(explicit._pieces(pieces[0][2], explicit._PIECE_CHARS)))
+    assert parts > 1
+    calls.clear()
+    _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
+    assert len(calls) == len(pieces) - 1 + parts - 1
+    # a labels piece of one label per line takes one call too
     labels = "#DECLARATION\ninit far\n#END\n" + "".join(f"{i} far # far\n" for i in range(1000))
     calls.clear()
     assert_same(explicit.parse_labels(labels, 1000), ref_parse_labels(labels, 1000))
-    assert len(calls) == len(list(explicit._pieces(labels))) == 1
+    assert len(calls) == len(list(explicit._pieces(labels, explicit._TABLE_CHARS))) == 1
+
+
+def test_labels_of_any_width_take_one_loadtxt_call_per_piece(monkeypatch):
+    calls, split = [], []
+    loadtxt, fields = np.loadtxt, explicit._fields
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
+    monkeypatch.setattr(explicit, "_fields", lambda *args: split.append(args) or fields(*args))
+    head = "#DECLARATION\ninit low high odd\n#END\n"
+    names = ["low", "high odd", "init\tlow  high", "low # a comment", "high\r", "odd low high low"]
+    text = head + "".join(f"{i} {names[i % len(names)]}\n" + ("\n" if i % 1000 == 999 else "") for i in range(12000))
+    pieces = list(explicit._pieces(text, explicit._TABLE_CHARS, len(head)))
+    assert len(pieces) > 1
+    assert_same(explicit.parse_labels(text, 12000), ref_parse_labels(text, 12000))
+    assert len(calls) == len(pieces) and split == []
+
+
+def test_first_non_finite_entry_is_reported_in_file_order():
+    # both entries of row 0 add up past the float range, the later column first in the file
+    text = "ctmc\n0 2 1e308\n0 1 1e308\n0 2 1e308\n0 1 1e308\n1 0 1\n2 0 1\n"
+    _, error = _outcome(lambda: ref_parse_transitions(text))
+    assert str(error) == "non-finite value at (0,2)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _same_failure(error, lambda: explicit.parse_transitions(text))
+
+
+def test_entries_that_round_to_zero_are_dropped():
+    # 5e-324 / 4 rounds to 0, and a deadlocked state keeps its own row
+    text = "ctmc\n0 1 5e-324\n0 2 4\n1 1 1\n"
+    _same_transitions(explicit.parse_transitions(text, fix_deadlocks=True),
+                      ref_parse_transitions(text, fix_deadlocks=True))
+    assert explicit.parse_transitions(text, fix_deadlocks=True)[1].row(0)[0].tolist() == [2]
 
 
 FLOAT_INDICES = ["dtmc\n0 1.0 1\n1 1 1\n", "dtmc\n0 1.7 1\n1 1 1\n", "mdp\n0 0 1e0 1\n1 0.0 1 1\n"]
@@ -900,9 +948,10 @@ def test_float_indices_fail_as_in_the_reference(text, rational, truncating, monk
         _same_failure(error, lambda: load(rewards))
 
 
-@pytest.mark.parametrize("piece", [1, 9, explicit._PIECE_CHARS])
+@pytest.mark.parametrize("piece", [1, 9, explicit._PIECE_CHARS, explicit._TABLE_CHARS])
 def test_blank_pieces_raise_no_warning(piece, monkeypatch):
     monkeypatch.setattr(explicit, "_PIECE_CHARS", piece)
+    monkeypatch.setattr(explicit, "_TABLE_CHARS", piece)
     blanks = ["", "\n", "\n\n\n", "   \n\t\n", " \t ", "\r\n", "\r\n\r\n", "\x0c\n"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -929,19 +978,23 @@ def test_blank_lines_keep_line_numbers(load, text, message, line):
 LABELS_AB = "#DECLARATION\na b\n#END\n"
 
 
-@pytest.mark.parametrize("load, reference, text", [
-    (explicit.parse_transitions, ref_parse_transitions, "dtmc\n# c\n0 1 1\n\n# c\n1 1 0 # zero\n"),
-    (explicit.parse_transitions, ref_parse_transitions, "dtmc\n# c\n1 1 1\n# c\n\n0 0 1\n"),
-    (explicit.parse_transitions, ref_parse_transitions, "mdp\n# c\n0 0 0 1\n# c\n0 2 0 1\n"),
-    (lambda t: explicit.parse_state_rewards(t, 2), lambda t: ref_parse_state_rewards(t, 2), "0 1\n# c\n\n0 2\n"),
+@pytest.mark.parametrize("load, reference, text, readers", [
+    (explicit.parse_transitions, ref_parse_transitions, "dtmc\n# c\n0 1 1\n\n# c\n1 1 0 # zero\n", ["loadtxt"]),
+    (explicit.parse_transitions, ref_parse_transitions, "dtmc\n# c\n1 1 1\n# c\n\n0 0 1\n", ["loadtxt"]),
+    (explicit.parse_transitions, ref_parse_transitions, "mdp\n# c\n0 0 0 1\n# c\n0 2 0 1\n", ["loadtxt"]),
+    (lambda t: explicit.parse_state_rewards(t, 2), lambda t: ref_parse_state_rewards(t, 2), "0 1\n# c\n\n0 2\n",
+     ["loadtxt"]),
     (lambda t: explicit.parse_state_rewards(t, 2, True), lambda t: ref_parse_state_rewards(t, 2, True),
-     "# c\n0 1\n# c\n1 -2\n"),
+     "# c\n0 1\n# c\n1 -2\n", ["loadtxt"]),
     (lambda t: explicit.parse_action_rewards(t, ModelKind.DTMC, [0, 1, 2], True),
-     lambda t: ref_parse_action_rewards(t, ModelKind.DTMC, [0, 1, 2], True), "0 1\n# c\n\n1 -1/2\n"),
-    (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "# c\n0 a\n\n# c\n5 b\n"),
-    (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "0 a\n# c\n1 b # c\n1 x\n"),
+     lambda t: ref_parse_action_rewards(t, ModelKind.DTMC, [0, 1, 2], True), "0 1\n# c\n\n1 -1/2\n", ["loadtxt"]),
+    (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "# c\n0 a\n\n# c\n5 b\n",
+     ["loadtxt"]),
+    # an undeclared name leaves the piece to the line reader, which reports it
+    (lambda t: explicit.parse_labels(t, 2), lambda t: ref_parse_labels(t, 2), LABELS_AB + "0 a\n# c\n1 b # c\n1 x\n",
+     ["loadtxt", "fields"]),
 ])
-def test_bad_line_after_comments_is_numbered_in_the_same_pass(load, reference, text, monkeypatch):
+def test_bad_line_after_comments_is_numbered_in_the_same_pass(load, reference, text, readers, monkeypatch):
     events = []
     loadtxt, fields = np.loadtxt, explicit._fields
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: events.append("loadtxt") or loadtxt(*args, **kw))
@@ -949,23 +1002,24 @@ def test_bad_line_after_comments_is_numbered_in_the_same_pass(load, reference, t
     _, error = _outcome(lambda: reference(text))
     assert error is not None and "line" in str(error)
     _same_failure(error, lambda: load(text))
-    assert events == ["loadtxt", "fields"]  # the fast reader read the one piece; the line reader numbered it
+    assert events == readers  # the fast reader read the one piece once, and no reader read it again to number it
 
 
 def test_bad_last_line_of_a_clean_file_is_numbered_in_one_pass(monkeypatch):
-    text = "dtmc\n" + "".join(f"{i} {i + 1} 0.5\n{i} {i} 0.5\n" for i in range(1500)) + "1500 1500 0\n"
-    pieces = list(explicit._pieces(text, len("dtmc\n"), 2))
+    text = "dtmc\n" + "".join(f"{i} {i + 1} 0.5\n{i} {i} 0.5\n" for i in range(6000)) + "6000 6000 0\n"
+    pieces = list(explicit._pieces(text, explicit._TABLE_CHARS, len("dtmc\n"), 2))
     assert len(pieces) > 1
     _, error = _outcome(lambda: ref_parse_transitions(text))
-    assert (str(error), error.line) == ("transition values must be positive at line 3002", 3002)
+    assert (str(error), error.line) == ("transition values must be positive at line 12002", 12002)
     loads, fields = [], []
     loadtxt, read = np.loadtxt, explicit._fields
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: loads.append(args[0]) or loadtxt(*args, **kw))
     monkeypatch.setattr(explicit, "_fields", lambda *args: fields.append(args) or read(*args))
     _same_failure(error, lambda: explicit.parse_transitions(text))
-    # every piece read once by numpy, and only the last, where the check failed, by the line reader
+    # every piece read once by numpy, and none by the line reader: the failing row is numbered by
+    # a pass over its piece's bytes
     assert loads == [piece.split("\n") for _, _, piece in pieces]
-    assert fields == [(pieces[-1][2], pieces[-1][1])]
+    assert fields == []
 
 
 def test_row_totals_add_left_to_right():
@@ -1052,12 +1106,13 @@ def _label_file(rng, n_states, mutate):
 
 
 @settings(deadline=None, max_examples=400)
-@given(seed=st.integers(0, 2**32 - 1), mutate=st.booleans(), piece=st.sampled_from([1, 9, explicit._PIECE_CHARS]))
+@given(seed=st.integers(0, 2**32 - 1), mutate=st.booleans(), piece=st.sampled_from(PIECES))
 def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
     rng = random.Random(seed)
     n_states = rng.randint(1, 8)
     text = _decorate(rng, _label_file(rng, n_states, mutate))
-    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
+    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
+    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
     try:
         expected, error = _outcome(lambda: ref_parse_labels(text, n_states))
         if error is not None:
@@ -1065,4 +1120,19 @@ def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
         else:
             assert_same(explicit.parse_labels(text, n_states), expected)
     finally:
-        explicit._PIECE_CHARS = saved
+        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
+
+
+@pytest.mark.parametrize("names, body", [
+    ("deadlock init", "0 deadlock\n1 init deadlock deadlock\n"),  # a name of two 8-byte words
+    ("deadlock init", "0 deadlockX\n1 init\n"),  # one byte longer than the longest: numpy cuts it short
+    ("deadlock init", "0 deadloc\n"),
+    ("abcdefghijklmnop q", "0 q abcdefghijklmnop q q\n1 abcdefghijklmnopq\n"),
+    ("a \x01", "0 a\n1 a a\n"),  # a declared name that is the fast reader's pad
+    ("été a", "0 a\n1 a\n"),  # a declared name the fast reader cannot meet
+    ("été a", "0 a\n1 été\n"),
+    ("a b", "0 a" + " " * 40 + "\n1 b\t \x0ca  b\n"),  # blanks that make lines look wider than they are
+])
+def test_label_names_match_the_reference_however_long(names, body):
+    text = f"#DECLARATION\n{names}\n#END\n{body}"
+    _agree(lambda: ref_parse_labels(text, 2), lambda: explicit.parse_labels(text, 2))
