@@ -14,8 +14,9 @@ Three families of maybe-state systems x = A.x + b:
   ``bench_explore.py``, solved for ``P=? [ (n3<c) U (n1=c) ]`` on its
   embedded chain; elimination in the explored order fills in badly.
 
-For each system the script prints the best time of the factorisation, the
-multiply-adds it took per stored entry of A (against the budget
+For each system the script prints the best times of the factorisation and
+of one solve with its factors (both triangular solves), the multiply-adds
+the factorisation took per stored entry of A (against the budget
 ``solvers.ELIMINATION_BUDGET``), the certified relative ``error_bound`` and
 whether the default solve falls back to the certified iteration (the budget
 runs out, or the bound is missing or above the precision 1e-6), and, at the
@@ -35,14 +36,16 @@ iteration (``pi``, the default) and by value iteration (``vi``):
   chains fill in like the grid, more so in the explored order, and by
   k = 45 their elimination runs out of budget, so policy iteration hands
   over to the certified iteration.
-Per check it prints the best time, the iterations, the method reported, the
-``error_bound`` ("-" for none) and the relative error at the initial state
-against a reference. The ruin references are exact: the closed form
-(r^i - 1) / (r^N - 1), r = down/up, of the better or worse choice for ``Pmax``
-and ``Pmin``, and for ``Rmin`` the expected steps of the scheduler that
-policy iteration in integers, started from the one ``pi`` returned, ends at
-(``tests/test_acceptance.py`` checks against the same references). The grid
-reference is the certified ``pi`` value, exact within its bound.
+Per check it prints the best time, each repeat starting from an empty
+factorisation cache as a model's first check does, the iterations, the
+method reported, the ``error_bound`` ("-" for none) and the relative error
+at the initial state against a reference. The ruin references are exact:
+the closed form (r^i - 1) / (r^N - 1), r = down/up, of the better or worse
+choice for ``Pmax`` and ``Pmin``, and for ``Rmin`` the expected steps of the
+scheduler that policy iteration in integers, started from the one ``pi``
+returned, ends at (``tests/test_acceptance.py`` checks against the same
+references). The grid reference is the certified ``pi`` value, exact within
+its bound.
 
 Usage: python3 benchmarks/bench_solve.py [--chains 60,300,1000]
        [--grids 10,30] [--gs-states 2500] [--repeats 3]
@@ -122,6 +125,8 @@ def best_of(fn, repeats):
 
 def bench(name, A, b, repeats, gs_states):
     factor_s, lu = best_of(lambda: solvers._factor(A), repeats)
+    rhs = b.tolist()
+    solve_s, _ = best_of(lambda: lu.solve(rhs), repeats)
     certified = solvers._certified_elimination(LinearSystem(A, b), "relative")
     bound = float("inf") if certified is None else certified.error_bound
     fell_back = not bound <= PRECISION
@@ -137,7 +142,7 @@ def bench(name, A, b, repeats, gs_states):
         except NotConverged:
             iterated = f"no convergence in {ITERATIONS} iterations"
     shown = "-" if bound == float("inf") else f"{bound:.2e}"
-    print(f"{name:<12} {A.rows:>8} {A.nnz:>8} {factor_s * 1e3:>10.1f} {lu.work / A.nnz:>9.1f} "
+    print(f"{name:<12} {A.rows:>8} {A.nnz:>8} {factor_s * 1e3:>10.1f} {solve_s * 1e3:>9.2f} {lu.work / A.nnz:>9.1f} "
           f"{shown:>11} {'yes' if fell_back else 'no':>9}  {iterated}")
 
 
@@ -237,6 +242,12 @@ def relative_error(value, reference):
     return abs(vp * q - p * vq) / (vq * p)
 
 
+def check_afresh(model, prop, env):
+    """``checkers.check`` as on a model's first check: without the factorisations earlier checks left."""
+    model.matrix.factors.clear()
+    return checkers.check(model, prop, env)
+
+
 def bench_mdp(name, model, state_map, props, repeats, reference):
     """Time each property by policy and by value iteration.
 
@@ -248,7 +259,7 @@ def bench_mdp(name, model, state_map, props, repeats, reference):
         env = SolverEnvironment(minmax_method=method, precision=PRECISION)
         for text in props:
             prop = resolve_atoms(parse_property(text), model, state_map)
-            seconds, result = best_of(lambda: checkers.check(model, prop, env), repeats)
+            seconds, result = best_of(lambda: check_afresh(model, prop, env), repeats)
             meta = result.metadata
             if text not in refs:
                 refs[text] = reference(text, result)
@@ -297,7 +308,7 @@ def main():
     chains = [int(v) for v in args.chains.split(",") if v]
     grids = [int(v) for v in args.grids.split(",") if v]
     print(f"budget {solvers.ELIMINATION_BUDGET} multiply-adds per entry, precision {PRECISION:g}")
-    print(f"{'system':<12} {'states':>8} {'nnz':>8} {'factor ms':>10} {'madd/nnz':>9} "
+    print(f"{'system':<12} {'states':>8} {'nnz':>8} {'factor ms':>10} {'solve ms':>9} {'madd/nnz':>9} "
           f"{'error_bound':>11} {'fallback':>9}  iteration ms")
     for n in chains:
         bench(f"chain {n}", *chain(n), args.repeats, args.gs_states)

@@ -352,7 +352,12 @@ def _uniformized(model, active):
     """
     n = model.n_states
     states = np.flatnonzero(active)
-    rates = sparse.as_vector(model.exit_rates, "float")[states]
+    try:
+        rates = sparse.as_vector(model.exit_rates[states], "float")
+    except OverflowError:  # an exact rate past the float range
+        s = next(s for s in states if model.exit_rates[s] > np.finfo(np.float64).max)
+        raise LambdaTooLarge(f"exit rate {_short(model.exit_rates[s])} of state {s} is past "
+                             "the float range that uniformization computes in") from None
     top = float(rates.max())
     # any q at or above the largest rate uniformizes; the slack is left out
     # where it would take q past the float range

@@ -7,8 +7,16 @@ re-verify it.
 
 Linear systems are solved by sparse LU of I - A in A's row order without
 pivoting (``_factor``), one body for float64 and Fraction: I - A is a
-nonsingular M-matrix, so every pivot is positive. Exact mode eliminates all
-the way. Float elimination gives up past ``ELIMINATION_BUDGET`` multiply-adds
+nonsingular M-matrix, so every pivot is positive. Each row is scattered into
+one dense accumulator, and L and U are kept in flat lists; the arithmetic,
+in its order, is that of a row-by-row dict elimination (the tests' scalar
+reference), so the factors, their multiply-add count and the solves are
+bitwise the same.
+Properties of one model often solve systems with one matrix (P and R on one
+maybe set, or the first policy-iteration round of Pmax, Pmin and Rmin, all
+seeded by choice 0), so a model keeps its last ``FACTOR_CACHE``
+factorisations (``_shared_factor``). Exact mode eliminates all the way.
+Float elimination gives up past ``ELIMINATION_BUDGET`` multiply-adds
 per entry read, and its x must pass the verification step of optimistic value
 iteration (Hartmanns & Kaminski, CAV 2020): with f(y) = A.y + b, one matvec
 each shows f(x+d) <= x+d and f(x-d) >= x-d, which puts the one fixed point
@@ -82,12 +90,13 @@ from .errors import LambdaTooLarge, NotConverged, SingularMatrix, SolverError
 # Float elimination gives up once it has spent more than this many
 # multiply-adds per entry of the rows it has read. benchmarks/bench_solve.py,
 # against the certified iteration it falls back to: a chain takes 0.3 per
-# entry; a k x k grid walk about k^2/4, at 45 x 45 (503) 0.55 s against
-# 1.4 s and at 60 x 60 (895) 1.9 s against 4.3 s, so grids up to about
+# entry; a k x k grid walk about k^2/4, at 45 x 45 (503) 0.31 s against
+# 0.77 s and at 60 x 60 (895) 0.95 s against 2.3 s, so grids up to about
 # 63 x 63 get through. The 3-D tandem of bench_explore.py iterates faster:
-# 0.09 s against 0.03 s at c = 8 (285), and at c = 12 (1 322) the give-up
-# alone takes 0.43 s, the iteration then 0.14 s. No budget wins on both.
+# 0.05 s against 0.03 s at c = 8 (285), and at c = 12 (1 322) the give-up
+# alone takes 0.25 s, the iteration then 0.09 s. No budget wins on both.
 ELIMINATION_BUDGET = 1000
+FACTOR_CACHE = 2  # factorisations kept per model
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -178,29 +187,30 @@ def solve_linear(system, env):
 
 
 class _LU:
-    """LU factors of I - A: per row, L's and U's off-diagonal (columns, values) and U's pivot.
+    """LU factors of I - A in flat lists.
 
-    ``work`` counts the multiply-adds the factorisation took.
+    ``lower`` is (rows, cols, values): L's off-diagonal entries in row order,
+    each row's in the order eliminated. ``upper`` is (ptr, cols, values):
+    row i of U's off-diagonal entries are at ptr[i] to ptr[i + 1] - 1, and
+    ``pivots`` is its diagonal. ``work`` counts the multiply-adds the
+    factorisation took.
     """
 
     __slots__ = ("lower", "upper", "pivots", "work")
 
-    def __init__(self):
-        self.lower, self.upper, self.pivots, self.work = [], [], [], 0
+    def __init__(self, lower, upper, pivots, work):
+        self.lower, self.upper, self.pivots, self.work = lower, upper, pivots, work
 
     def solve(self, rhs):
         """The list x with (I - A) x = rhs, for a list rhs in the factors' domain."""
         y = list(rhs)
-        for i, (cols, values) in enumerate(self.lower):
-            acc = y[i]
-            for k, f in zip(cols, values):
-                acc -= f * y[k]
-            y[i] = acc
+        for i, k, f in zip(*self.lower):  # y[k] is final: row k's entries all came before
+            y[i] -= f * y[k]
+        ptr, cols, values = self.upper
         for i in range(len(y) - 1, -1, -1):
-            cols, values = self.upper[i]
             acc = y[i]
-            for j, u in zip(cols, values):
-                acc -= u * y[j]
+            for p in range(ptr[i], ptr[i + 1]):
+                acc -= values[p] * y[cols[p]]
             y[i] = acc / self.pivots[i]
         return y
 
@@ -212,45 +222,81 @@ def _factor(A, budget=None):
     the rows read so far, so that a matrix that fills in badly is given up
     after a share of its rows, not all of them.
 
-    Row i starts as row i of I - A in a dict and has its entries left of the
-    diagonal eliminated in column order, against the finished rows above;
-    a fill-in left of the diagonal joins the sorted list being walked. The same
-    body serves float64 and Fraction. Raises SingularMatrix on a pivot that
-    is not positive, which for a substochastic A means I - A is singular.
+    Row i of I - A is scattered into the dense accumulator w, with mark[j] = i
+    on each column j it holds (a sparse accumulator: Gilbert, Moler &
+    Schreiber, SIAM J. Matrix Anal. Appl. 1992). Its entries left of the
+    diagonal are eliminated in column order against the finished rows
+    above; a fill-in left of the diagonal joins the sorted list being
+    walked, one right of it follows A's entries in U's row. The columns of
+    each row of A must ascend strictly, as ``build_sparse`` and ``restrict``
+    keep them. The same body serves float64 and Fraction. Raises
+    SingularMatrix on a pivot that is not positive, which for a
+    substochastic A means I - A is singular.
     """
     offsets, cols, values = A.row_offsets.tolist(), A.col_indices.tolist(), A.values.tolist()
-    lu = _LU()
-    upper, pivots = lu.upper, lu.pivots
+    negated = (0 - A.values).tolist()
+    l_rows, l_cols, l_values, u_ptr, u_cols, u_values = [], [], [], [0], [], []
+    pivots, w, mark = [], [0] * A.rows, [-1] * A.rows
     work = 0
     for i in range(A.rows):
-        limit = math.inf if budget is None else budget * offsets[i + 1]
-        row = {i: 1}
-        for k in range(offsets[i], offsets[i + 1]):
-            row[cols[k]] = row.get(cols[k], 0) - values[k]
-        left = sorted(j for j in row if j < i)
-        lower_cols, lower_values = [], []
+        lo, hi = offsets[i], offsets[i + 1]
+        limit = math.inf if budget is None else budget * hi
+        for p in range(lo, hi):
+            j = cols[p]
+            w[j], mark[j] = negated[p], i
+        mid = bisect.bisect_left(cols, i, lo, hi)
+        if mid < hi and cols[mid] == i:
+            w[i] = 1 - values[mid]
+            left, right = cols[lo:mid], cols[mid + 1:hi]
+        else:
+            w[i], mark[i] = 1, i
+            left, right = cols[lo:mid], cols[mid:hi]
         for k in left:
-            f = row.pop(k) / pivots[k]
-            lower_cols.append(k)
-            lower_values.append(f)
-            u_cols, u_values = upper[k]
-            work += len(u_cols)
+            f = w[k] / pivots[k]
+            l_rows.append(i)
+            l_values.append(f)
+            start, end = u_ptr[k], u_ptr[k + 1]
+            work += end - start
             if work > limit:
                 return None
-            for j, u in zip(u_cols, u_values):
-                if j in row:
-                    row[j] -= f * u
+            for p in range(start, end):
+                j = u_cols[p]
+                if mark[j] == i:
+                    w[j] -= f * u_values[p]
                 else:
-                    row[j] = -(f * u)
+                    w[j], mark[j] = -(f * u_values[p]), i
                     if j < i:
                         bisect.insort(left, j)
-        pivot = row.pop(i)
+                    else:
+                        right.append(j)
+        pivot = w[i]
         if not pivot > 0:
             raise SingularMatrix(f"system matrix I - A is singular (pivot {pivot} in row {i})")
         pivots.append(pivot)
-        lu.lower.append((lower_cols, lower_values))
-        upper.append((list(row), list(row.values())))
-    lu.work = work
+        l_cols += left
+        u_cols += right
+        u_values += map(w.__getitem__, right)
+        u_ptr.append(len(u_cols))
+    return _LU((l_rows, l_cols, l_values), (u_ptr, u_cols, u_values), pivots, work)
+
+
+def _shared_factor(A, budget=None):
+    """``_factor(A, budget)``, kept for the other systems of A's model.
+
+    The cache is the list ``A.factors``, which ``sparse.restrict`` hands from
+    a matrix to its submatrices, so it dies with the model and holds its last
+    ``FACTOR_CACHE`` results (None included). A result is reused for the same
+    budget and equal content: the structure and float64 values by their
+    bytes, rational values by value (an object array's bytes are addresses).
+    """
+    key = (budget, A.row_offsets.tobytes(), A.col_indices.tobytes(),
+           A.values.tobytes() if A.dtype == "float" else A.values.tolist())
+    for seen, lu in A.factors:
+        if seen == key:
+            return lu
+    lu = _factor(A, budget)
+    A.factors.append((key, lu))
+    del A.factors[:-FACTOR_CACHE]
     return lu
 
 
@@ -275,7 +321,7 @@ def _certified_elimination(system, criterion):
     """
     A, b = system.A, system.b
     try:
-        lu = _factor(A, ELIMINATION_BUDGET)
+        lu = _shared_factor(A, ELIMINATION_BUDGET)
     except SingularMatrix:
         lu = None
     if lu is None:
@@ -293,7 +339,7 @@ def _certified_elimination(system, criterion):
 
 def solve_linear_exact(A, b):
     """The exact solution of (I - A) x = b, a list of Fraction, for a rational A."""
-    return _factor(A).solve(sparse.as_vector(b, "rational").tolist())
+    return _shared_factor(A).solve(sparse.as_vector(b, "rational").tolist())
 
 
 def solve_minmax(system, env, initial_scheduler=None):
@@ -361,11 +407,12 @@ def _iterate(system, env, lower=None, upper=None):
 
 
 def _induced_rows(system, scheduler):
+    """The chain a scheduler induces, (A, b), and the mask of its rows in the system."""
     rows = system.choice_offsets[:-1] + scheduler
     keep = np.zeros(system.A.rows, dtype=bool)
     keep[rows] = True
     sub, _ = sparse.restrict(system.A, keep, np.ones(system.A.cols, dtype=bool))
-    return sub, system.b[rows]
+    return sub, system.b[rows], keep
 
 
 def _evaluate_scheduler(system, scheduler, env):
@@ -378,13 +425,14 @@ def _evaluate_scheduler(system, scheduler, env):
     States that cannot reach the support of b have value 0 and are excluded
     before solving, which keeps the restricted system nonsingular.
     """
-    A, b = _induced_rows(system, scheduler)
+    A, b, chosen = _induced_rows(system, scheduler)
     x = sparse.as_vector(np.zeros(A.rows), A.dtype)
     certify = A.dtype == "float"
     d = np.zeros(A.rows) if certify else None
-    relevant = graph._backward_closure(A, b != 0, np.ones(A.rows, dtype=bool))
+    index = graph._predecessors(system.A, system.choice_offsets)  # built once per system
+    relevant = graph._closure(index, b != 0, np.ones(A.rows, dtype=bool), row_ok=chosen)
     if relevant.any():
-        sub, _ = sparse.restrict(A, relevant, relevant)
+        sub = A if relevant.all() else sparse.restrict(A, relevant, relevant)[0]
         linear = LinearSystem(sub, b[relevant])
         if certify:
             outcome = _certified_elimination(linear, env.criterion)
@@ -411,7 +459,7 @@ def _hand_over(system, env, scheduler, x=None, d=None):
         return _iterate(system, env, lower=None if x is None else np.maximum(x - d, 0.0))
     steps = 0
     if x is None:
-        A, b = _induced_rows(system, scheduler)
+        A, b, _ = _induced_rows(system, scheduler)
         chain = _iterate(BellmanSystem(A, np.arange(A.rows + 1), b, "minimize"), env)
         x, d, steps = chain.x, chain.error, chain.iterations
     outcome = _iterate(system, env, upper=x if d is None else x + d)

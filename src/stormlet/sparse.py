@@ -5,13 +5,16 @@ value array, ``dtype == "rational"`` an object array of fractions.Fraction.
 Every numeric vector of the engine uses the same representation, made by
 ``as_vector``. Structural zeros are never stored.
 
-A matrix is immutable once built: no code writes to its arrays, and two
-layers cache what they derive from its structure on first use, valid only
-while the arrays stay as they are: the kernels the row of each stored entry
-in ``entry_rows`` (8 bytes per entry) and ``matvec_reduce``'s choice index in
-``choices`` (see ``kernels``), and the qualitative layer a predecessor index
-in ``predecessors``, Python objects of about 70-85 bytes per entry (see
-``graph``).
+A matrix is immutable once built: no code writes to its arrays, and three
+layers cache what they derive from it on first use, valid only while the
+arrays stay as they are: the kernels the row of each stored entry in
+``entry_rows`` (8 bytes per entry) and ``matvec_reduce``'s choice index in
+``choices`` (see ``kernels``), the qualitative layer a predecessor index in
+``predecessors``, Python objects of about 70-85 bytes per entry (see
+``graph``), and the solvers the last LU factors of the systems solved on the
+matrix or on its submatrices, in ``factors``, a list ``restrict`` passes on
+(see ``solvers``). The columns of each row strictly ascend (``build_sparse``
+sorts them and ``restrict`` keeps their order), which the LU relies on.
 
 Sums that must be bitwise those of a plain scalar loop follow one rule: the
 sum starts from its accumulator and ``np.add.at``, which is unbuffered and
@@ -30,7 +33,7 @@ from .errors import StormletError
 
 class SparseMatrix:
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "dtype",
-                 "entry_rows", "choices", "predecessors")
+                 "entry_rows", "choices", "predecessors", "factors")
 
     def __init__(self, rows, cols, row_offsets, col_indices, values, dtype):
         self.rows = int(rows)
@@ -42,6 +45,7 @@ class SparseMatrix:
         self.entry_rows = None  # the kernels' row of each entry, built by the first kernel call
         self.choices = None  # matvec_reduce's choice index, built by its first call
         self.predecessors = None  # the graph layer's backward index, built by its first call
+        self.factors = []  # the solvers' LU cache, shared with the submatrices restrict takes
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows+1")
         if self.row_offsets[-1] != len(self.col_indices) or len(self.col_indices) != len(self.values):
@@ -195,4 +199,6 @@ def restrict(m, keep_rows, keep_cols):
         counts = np.bincount(np.repeat(np.arange(len(rows)), counts)[kept], minlength=len(rows))
         entries, cols = entries[kept], cols[kept]
     row_offsets = np.concatenate(([0], np.cumsum(counts)))
-    return SparseMatrix(len(rows), n_cols, row_offsets, cols, m.values[entries], m.dtype), col_map
+    sub = SparseMatrix(len(rows), n_cols, row_offsets, cols, m.values[entries], m.dtype)
+    sub.factors = m.factors
+    return sub, col_map

@@ -292,6 +292,25 @@ def test_ctmc_rates_that_add_past_the_float_range_exit_4(capsys, tmp_path, files
     assert (code, out, err) == (4, "", f"stormlet: model error: {message}\n")
 
 
+@pytest.mark.parametrize("name, text", [
+    ("m.tra", "ctmc\n0 1 1e308\n0 1 1e308\n1 0 1\n"),
+    ("m.sm", "ctmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 1e308 : (x'=1) + 1e308 : (x'=2);\n"
+             "  [] x>0 -> (x'=0);\nendmodule\nlabel \"goal\" = x=1;\n"),
+], ids=["explicit", "prism"])
+def test_exact_ctmc_rate_past_the_float_range_exit_4(capsys, tmp_path, name, text):
+    # exact rates add up to 2e308 without overflow; uniformization needs the rate as a float
+    (tmp_path / name).write_text(text)
+    (tmp_path / "m.lab").write_text("#DECLARATION\ninit goal\n#END\n0 init\n1 goal\n")
+    model = ["--prism", str(tmp_path / name)] if name == "m.sm" else [
+        "--explicit", str(tmp_path / name), str(tmp_path / "m.lab")]
+    code, out, err = run_cli(capsys, *model, "--exact", "--prop", 'P=? [ F<=1 "goal" ]')
+    assert (code, out) == (4, "")
+    assert err == "stormlet: exit rate 2e+308 of state 0 is past the float range that uniformization computes in\n"
+    # an unbounded property reads no exit rate and answers
+    assert run_cli(capsys, *model, "--exact", "--prop", 'P=? [ F "goal" ]')[:2] == (
+        0, 'Property: P=? [ F "goal" ]\nResult (state 0): 1\n')
+
+
 def test_ctmc_time_bound_whose_rate_underflows_answers_at_step_0(capsys, tmp_path):
     # q * t rounds to 0, and a Poisson window at rate 0 is a point mass at step 0
     tra, lab = tmp_path / "slow.tra", tmp_path / "slow.lab"

@@ -1,5 +1,6 @@
 """Linear and Bellman solvers, cross-validated and oracle-checked."""
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -20,9 +21,11 @@ from conftest import (
     random_stochastic_rows,
     rows_to_matrix,
 )
-from stormlet import checkers, kernels, solvers, sparse
+from stormlet import checkers, cli, kernels, solvers, sparse
 from stormlet.errors import LambdaTooLarge, NotConverged, SingularMatrix, SolverError, StormletError
 from stormlet.models import Model, ModelKind, RewardModel, StateLabeling
+from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
+from stormlet.props import parse_property, resolve_atoms
 from stormlet.solvers import BellmanSystem, LinearSystem, SolverEnvironment
 
 
@@ -224,6 +227,205 @@ def test_certificate_covers_subnormal_values():
         xp, xq = out.x[i - 1].as_integer_ratio()
         dp, dq = out.error[i - 1].as_integer_ratio()
         assert abs(xp * denominator - value * xq) * dq <= dp * denominator * xq
+
+
+# --- the flat LU against the dict LU it replaced ----------------------------
+
+
+def reference_factor(A, budget=None):
+    """The LU of I - A with one dict per row: per row L's and U's (columns,
+    values), U's pivots and the multiply-adds, or None past the budget."""
+    offsets, cols, values = A.row_offsets.tolist(), A.col_indices.tolist(), A.values.tolist()
+    lower, upper, pivots, work = [], [], [], 0
+    for i in range(A.rows):
+        limit = math.inf if budget is None else budget * offsets[i + 1]
+        row = {i: 1}
+        for k in range(offsets[i], offsets[i + 1]):
+            row[cols[k]] = row.get(cols[k], 0) - values[k]
+        left = sorted(j for j in row if j < i)
+        lower_cols, lower_values = [], []
+        for k in left:
+            f = row.pop(k) / pivots[k]
+            lower_cols.append(k)
+            lower_values.append(f)
+            u_cols, u_values = upper[k]
+            work += len(u_cols)
+            if work > limit:
+                return None
+            for j, u in zip(u_cols, u_values):
+                if j in row:
+                    row[j] -= f * u
+                else:
+                    row[j] = -(f * u)
+                    if j < i:
+                        bisect.insort(left, j)
+        pivot = row.pop(i)
+        if not pivot > 0:
+            raise SingularMatrix(f"system matrix I - A is singular (pivot {pivot} in row {i})")
+        pivots.append(pivot)
+        lower.append((lower_cols, lower_values))
+        upper.append((list(row), list(row.values())))
+    return lower, upper, pivots, work
+
+
+def reference_solve(lower, upper, pivots, rhs):
+    y = list(rhs)
+    for i, (cols, values) in enumerate(lower):
+        acc = y[i]
+        for k, f in zip(cols, values):
+            acc -= f * y[k]
+        y[i] = acc
+    for i in range(len(y) - 1, -1, -1):
+        cols, values = upper[i]
+        acc = y[i]
+        for j, u in zip(cols, values):
+            acc -= u * y[j]
+        y[i] = acc / pivots[i]
+    return y
+
+
+def factor_rows(lu, n):
+    """A flat ``_LU`` per row, as ``reference_factor`` returns it."""
+    lower = [([], []) for _ in range(n)]
+    rows, cols, values = lu.lower
+    assert rows == sorted(rows)
+    for i, k, f in zip(rows, cols, values):
+        lower[i][0].append(k)
+        lower[i][1].append(f)
+    ptr, cols, values = lu.upper
+    upper = [(cols[ptr[i]:ptr[i + 1]], values[ptr[i]:ptr[i + 1]]) for i in range(n)]
+    return lower, upper, lu.pivots, lu.work
+
+
+@st.composite
+def elimination_systems(draw):
+    """A substochastic A in either domain with fill-in, self-loops and empty
+    rows (some rows stochastic, so some I - A are singular), and a rhs."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    rational = draw(st.booleans())
+    n = draw(st.integers(1, 14))
+    triples = []
+    for i in range(n):
+        succ = rnd.sample(range(n), min(n, rnd.choice([0, 1, 2, 3, 6])))
+        if succ and rnd.random() < 0.3:
+            succ[0] = i  # a self-loop
+        weights = [rnd.randint(1, 9) for _ in succ]
+        mass = rnd.choice([Fraction(1), Fraction(9, 10), Fraction(2, 7)])
+        triples += [(i, j, w * mass / sum(weights)) for j, w in zip(succ, weights)]
+    if not rational:
+        triples = [(i, j, float(v)) for i, j, v in triples]
+    A = sparse.build_sparse(triples, n, n, "rational" if rational else "float")
+    rhs = [Fraction(rnd.randint(0, 9), rnd.randint(1, 7)) for _ in range(n)]
+    return A, rhs if rational else [float(v) for v in rhs]
+
+
+@settings(deadline=None, max_examples=400)
+@given(elimination_systems(), st.sampled_from([None, 0, 1, 2, 5]))
+def test_flat_lu_matches_the_dict_lu(problem, budget):
+    # the same pivots, entries in the same order, work and solves, bit for bit (repr tells -0.0 and 1 from 1.0)
+    A, rhs = problem
+    try:
+        expected = reference_factor(A, budget)
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix) as got:
+            solvers._factor(A, budget)
+        assert str(got.value) == str(exc)
+        return
+    lu = solvers._factor(A, budget)
+    if expected is None:
+        assert lu is None
+        return
+    assert repr(factor_rows(lu, A.rows)) == repr(expected)
+    assert repr(lu.solve(rhs)) == repr(reference_solve(*expected[:3], rhs))
+
+
+# --- one factorisation per shared system ------------------------------------
+
+
+RUIN_MDP = """mdp
+module walk
+  x : [0..20] init 10;
+  [] x>0 & x<20 -> 0.401 : (x'=x+1) + 0.599 : (x'=x-1);
+  [] x>0 & x<20 -> 0.441 : (x'=x+1) + 0.559 : (x'=x-1);
+  [] x=0 | x=20 -> (x'=x);
+endmodule
+label "top" = x=20;
+label "end" = x=0 | x=20;
+rewards "steps"
+  x>0 & x<20 : 1;
+endrewards
+"""
+RUIN_PROPS = ["--prop", 'Pmax=? [ F "top" ]', "--prop", 'Pmin=? [ F "top" ]', "--prop", 'Rmin=? [ F "end" ]']
+
+
+def content(A):
+    return A.row_offsets.tobytes(), A.col_indices.tobytes(), A.values.tobytes()
+
+
+@pytest.fixture
+def ruin_argv(tmp_path):
+    program = tmp_path / "ruin.nm"
+    program.write_text(RUIN_MDP)
+    return ["--prism", str(program), "--json", *RUIN_PROPS]
+
+
+@pytest.fixture
+def factored():
+    """The content of every matrix ``solvers._factor`` factors while the fixture is in use."""
+    seen, real = [], solvers._factor
+
+    def spy(A, budget=None):
+        seen.append(content(A))
+        return real(A, budget)
+
+    with mock.patch.object(solvers, "_factor", spy):
+        yield seen
+
+
+def test_properties_of_one_model_share_a_factorisation(ruin_argv, factored, capsys):
+    evaluated, real = [], solvers._certified_elimination
+
+    def spy(system, criterion):
+        evaluated.append(content(system.A))
+        return real(system, criterion)
+
+    with mock.patch.object(solvers, "_certified_elimination", spy):
+        assert cli.main(ruin_argv) == 0
+    out = capsys.readouterr().out
+    # Pmax, Pmin and Rmin all start policy iteration from choice 0, whose chain is factored once
+    assert evaluated.count(evaluated[0]) == 3 and factored.count(evaluated[0]) == 1
+    assert len(set(factored)) == len(factored) < len(evaluated)
+    with mock.patch.object(solvers, "_shared_factor", lambda A, budget=None: solvers._factor(A, budget)):
+        assert cli.main(ruin_argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_calls_share_no_factorisation(ruin_argv, factored, capsys):
+    assert cli.main(ruin_argv) == 0
+    first = len(factored)
+    assert cli.main(ruin_argv) == 0
+    assert first > 0 and factored[first:] == factored[:first]
+
+
+def test_the_cache_lives_on_the_model_matrix():
+    model, state_map = explore(typecheck(parse_program(RUIN_MDP)), ExploreOptions())
+    sub, _ = sparse.restrict(model.matrix, np.ones(model.n_choices, dtype=bool), np.ones(model.n_states, dtype=bool))
+    assert sub.factors is model.matrix.factors == []
+    for prop in RUIN_PROPS[1::2]:
+        checkers.check(model, resolve_atoms(parse_property(prop), model, state_map), SolverEnvironment())
+    assert len(model.matrix.factors) == solvers.FACTOR_CACHE
+    assert model.matrix.to_rational().factors == []
+
+
+def test_the_cache_tells_rational_systems_apart():
+    # an object array's bytes are the addresses of its Fractions, which a freed
+    # matrix hands on to the next one: equal bytes, different systems
+    shared = []
+    for k in range(2, 60):
+        A = sparse.build_sparse([(0, 0, Fraction(1, k))], 1, 1, "rational")
+        A.factors = shared
+        assert solvers.solve_linear_exact(A, [Fraction(1)]) == [Fraction(k, k - 1)]
+    assert len(shared) == solvers.FACTOR_CACHE
 
 
 # --- kernels --------------------------------------------------------------
