@@ -14,14 +14,19 @@ linear growth. Each ``.tra`` file is timed as written (``clean``) and as a
 copy with a comment line after every 100 lines (``comment``); numpy's text
 reader reads the pieces of both. Then ``explicit.parse_labels`` alone is
 timed on the chain's ``.lab`` file (``labels``: one label per line but the
-last, numpy's text reader) and on a file that gives every state two labels
-(``labels2``: the line reader), per 10^3 lines of the ``.lab`` file.
-Last, ``explicit.parse_transitions`` alone is timed on the DTMC's ``.tra``
-file (``tra``) and on a copy whose last value is 0 (``error``), which fails
-a check on a row that numpy's text reader read, on the file's last line;
-and a bare ``np.loadtxt`` call on the same file's lines after its header,
-split from the text as the loader splits them (``loadtxt``): numpy's C
-reader alone, which ``tra`` exceeds by the loader's own work.
+last), on a file that gives every state two labels (``labels2``) and on one
+that declares 12 labels and gives every state one but the last, which lists
+all 12 (``wide``: at N = 4000, a file of 4 001 state lines), per 10^3 lines
+of the ``.lab`` file. numpy's text reader reads all three, each line padded
+to the width of its piece's widest, so the one wide line makes ``wide``'s
+last piece pay. Last, ``explicit.parse_transitions`` alone is timed on the
+DTMC's ``.tra`` file (``tra``), on a copy whose first state index is an
+Arabic-Indic zero (``nonascii``), whose whole first piece the line reader
+reads, and on a copy whose last value is 0 (``error``), which fails a check
+on a row that numpy's text reader read, on the file's last line; and a bare
+``np.loadtxt`` call on the same file's lines after its header, split from
+the text as the loader splits them (``loadtxt``): numpy's C reader alone,
+which ``tra`` exceeds by the loader's own work.
 
 Usage: python3 benchmarks/bench_explicit.py [--sizes 1000,10000,100000] [--repeats 3]
 """
@@ -66,6 +71,15 @@ def two_labels(n):
     return "\n".join(lab) + "\n"
 
 
+def wide_labels(n):
+    """A ``.lab`` text that declares 12 labels and gives each state of 0..n-1
+    one of them, and state n all 12."""
+    names = [f"l{j}" for j in range(12)]
+    lab = ["#DECLARATION", " ".join(names), "#END"]
+    lab += [f"{i} {names[i % 12]}" for i in range(n)] + [f"{n} {' '.join(names)}"]
+    return "\n".join(lab) + "\n"
+
+
 def commented(tra):
     """``tra`` with a comment line after every 100 lines."""
     lines = tra.splitlines()
@@ -96,7 +110,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best kept)")
     args = parser.parse_args()
 
-    print(f"{'N':>8}  {'model':<5} {'file':<7} {'mode':<6} {'lines':>9} {'ms':>10} {'ms/1e3 lines':>13}")
+    print(f"{'N':>8}  {'model':<5} {'file':<8} {'mode':<6} {'lines':>9} {'ms':>10} {'ms/1e3 lines':>13}")
     for n in (int(s) for s in args.sizes.split(",")):
         for model, choices in (("dtmc", 1), ("mdp", 2)):
             tra, lab = chain_files(n, choices)
@@ -108,23 +122,26 @@ def main():
                     if loaded.n_states != n + 1:
                         raise SystemExit(f"{model} N={n}: loaded {loaded.n_states} states, expected {n + 1}")
                     ms = best_of(lambda: explicit.build_model(bundle, rational=rational), args.repeats) * 1e3
-                    print(f"{n:>8}  {model:<5} {file:<7} {mode:<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+                    print(f"{n:>8}  {model:<5} {file:<8} {mode:<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
         _, lab = chain_files(n, 1)
         for file, text, label, count in (("labels", lab, "far", n - n // 2 + 1),
-                                         ("labels2", two_labels(n), "even", n // 2 + 1)):
+                                         ("labels2", two_labels(n), "even", n // 2 + 1),
+                                         ("wide", wide_labels(n), "l0", (n - 1) // 12 + 2)):
             if explicit.parse_labels(text, n + 1).get(label).sum() != count:
                 raise SystemExit(f"{file} N={n}: {label!r} not on {count} states")
             lines = text.count("\n")
             ms = best_of(lambda: explicit.parse_labels(text, n + 1), args.repeats) * 1e3
-            print(f"{n:>8}  {'dtmc':<5} {file:<7} {'-':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+            print(f"{n:>8}  {'dtmc':<5} {file:<8} {'-':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
         tra, _ = chain_files(n, 1)
         lines = tra.count("\n")
-        for file, text in (("tra", tra), ("error", tra[: tra.rindex(" ")] + " 0\n")):
+        header = len("dtmc\n")
+        for file, text in (("tra", tra), ("nonascii", tra[:header] + "\u0660" + tra[header + 1 :]),
+                           ("error", tra[: tra.rindex(" ")] + " 0\n")):
             line = getattr(failure(explicit.parse_transitions, text), "line", None)
             if line != (lines if file == "error" else None):
                 raise SystemExit(f"{file} N={n}: error at line {line}")
             ms = best_of(lambda: failure(explicit.parse_transitions, text), args.repeats) * 1e3
-            print(f"{n:>8}  {'dtmc':<5} {file:<7} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+            print(f"{n:>8}  {'dtmc':<5} {file:<8} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
         body = tra[tra.index("\n") + 1 :]
 
         def read():
@@ -133,7 +150,7 @@ def main():
         if len(read()) != lines - 1:
             raise SystemExit(f"loadtxt N={n}: not {lines - 1} rows")
         ms = best_of(read, args.repeats) * 1e3
-        print(f"{n:>8}  {'dtmc':<5} {'loadtxt':<7} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
+        print(f"{n:>8}  {'dtmc':<5} {'loadtxt':<8} {'float':<6} {lines:>9} {ms:>10.2f} {ms / lines * 1e3:>13.4f}")
 
 
 if __name__ == "__main__":

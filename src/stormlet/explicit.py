@@ -12,30 +12,28 @@ time, by one of two readers, and every check is an array operation over a
 piece. Of several bad lines, the first in file order is reported, with its
 number.
 
-The fast reader, ``_table``, reads an ASCII piece without NUL, of about
-``_TABLE_CHARS`` characters, by one ``np.loadtxt`` call, which drops blank
-and comment lines and parses the tokens in C: int64 index columns, and a
-float64 value column, or a column of tokens in exact mode. A labels piece
-(``_label_table``) has lines of any number of names, and numpy reads lines
-of one width only: each line gets pads up to the most fields a line of the
-piece can have, and the names are read as bytes and looked up as integers.
-The fast reader keeps no line numbers: a row it read knows only where its
-piece starts in the text. When a check fails on such a row, the lines of
-that one piece that have a field are found again by a pass over its bytes
-(``_blanks``), and the bad line is reported with its number in the same
-pass.
+The fast reader, ``_table``, reads an ASCII piece without NUL by one
+``np.loadtxt`` call, which drops blank and comment lines and parses the
+tokens in C: int64 index columns, and a float64 value column, or a column of
+tokens in exact mode. A labels piece (``_label_table``) has lines of any
+number of names, and numpy reads lines of one width only: each line gets
+pads up to the most fields a line of the piece can have, and the names are
+read as bytes and looked up by one ``np.searchsorted`` in the sorted
+declared names. The fast reader keeps no line numbers: a row it read knows
+only where its piece starts in the text. When a check fails on such a row,
+the lines of that one piece that have a field are found again by a pass
+over its bytes (``_blanks``), and the bad line is reported with its number
+in the same pass.
 
 The line reader, ``_fields``, splits the lines with ``str.split`` and reads
 each index token with ``int()``. It reads, in place, what the fast reader
 leaves: non-ASCII pieces (numpy reads some other scripts' digits unlike
 ``int()``), pieces numpy rejects or warns about, float pieces it reads to a
 value that is not finite or has its sign bit set, and labels pieces with a
-line that lists no label or an undeclared one. A piece the fast reader
-leaves is read again in pieces of about ``_PIECE_CHARS`` characters, by the
-fast reader first (``_read``), so one such line costs no more line-reader
-work than that. The line reader reads each distinct value token once, as
-``Fraction(token)``, rounded by ``float()`` in float mode, so ``-0`` is
-``+0.0``.
+line that lists no label or an undeclared one. Every piece, whichever
+reader reads it, has about ``_PIECE_CHARS`` characters (``_read``). The
+line reader reads each distinct value token once, as ``Fraction(token)``,
+rounded by ``float()`` in float mode, so ``-0`` is ``+0.0``.
 
 The transitions are assembled into the CSR matrix in one pass of array
 work: duplicates add up in file order, which ``sparse.coalesce`` does
@@ -67,13 +65,11 @@ class ExplicitBundle:
         self.state_rewards_text, self.action_rewards_text = state_rewards_text, action_rewards_text
 
 
-# a file is read in pieces of whole lines. The fast reader holds a string per
-# line of its piece and the line reader one per token, so the line reader
-# takes pieces of about _PIECE_CHARS characters and the fast reader of about
-# _TABLE_CHARS; either way the strings held at once stay few however long the
-# file is
-_PIECE_CHARS = 1 << 14
-_TABLE_CHARS = 1 << 16
+# a file is read in pieces of whole lines of about _PIECE_CHARS characters,
+# so the strings held at once (one per line, or per token in the line reader)
+# stay few however long the file is; at 2^14, numpy's calls cost about a
+# tenth more time on a clean file
+_PIECE_CHARS = 1 << 16
 # the bits of +inf: a float is finite without its sign bit set exactly when
 # its bits, read as an unsigned integer, are below these
 _INF_BITS = np.float64(np.inf).view(np.uint64)
@@ -137,7 +133,7 @@ class _Rows:
         no = int(self.numbers[k])
         if no > 0:
             return no
-        _, first, piece = next(_pieces(self.text, _TABLE_CHARS, -1 - no, self.text.count("\n", 0, -1 - no) + 1))
+        _, first, piece = next(_pieces(self.text, _PIECE_CHARS, -1 - no, self.text.count("\n", 0, -1 - no) + 1))
         kept = np.flatnonzero(_blanks(_COMMENT.sub("", piece))[1])
         return first + int(kept[_first(self.numbers[k::-1] != no) - 1])
 
@@ -202,7 +198,7 @@ def _blanks(piece):
     whitespace of ``str.split`` other than "\\n"), and whether it has a field,
     that is more characters than blanks."""
     kinds = np.frombuffer(piece.encode().translate(_KINDS), np.uint8)
-    spaces = np.flatnonzero(kinds)
+    spaces = np.flatnonzero(kinds != 0)  # numpy finds a bool array's true entries faster
     breaks = np.flatnonzero(kinds[spaces] == 2)
     # a line's blanks are the whitespace between its end and the one before
     blanks = np.diff(breaks, prepend=-1, append=len(spaces)) - 1
@@ -233,19 +229,12 @@ def _table(text, start, lines, dtype, usecols=None):
 
 
 def _read(text, start, no, fast, slow):
-    """Per piece of the lines of ``text[start:]``, the first of them line
-    ``no``: what ``fast(start, piece)``, the fast reader, reads of a piece of
-    about ``_TABLE_CHARS`` characters at offset ``start``. Where it reads
-    None, the piece is read in pieces of about ``_PIECE_CHARS``: each by the
-    fast reader again, and where that reads None too, by ``slow(no, piece)``,
-    the line reader."""
-    for start, no, piece in _pieces(text, _TABLE_CHARS, start, no):
-        read = fast(start, piece)
-        if read:
-            yield read
-            continue
-        for offset, no, part in _pieces(piece, _PIECE_CHARS, 0, no):
-            yield (len(part) < len(piece) and fast(start + offset, part)) or slow(no, part)
+    """Per piece of the lines of ``text[start:]`` of about ``_PIECE_CHARS``
+    characters, the first of them line ``no``: what ``fast(start, piece)``,
+    the fast reader, reads of the piece at offset ``start``, or where it
+    reads None, what ``slow(no, piece)``, the line reader, reads."""
+    for start, no, piece in _pieces(text, _PIECE_CHARS, start, no):
+        yield fast(start, piece) or slow(no, piece)
 
 
 def _records(text, want, count_message, index_message, rational, start=0, no=1):
@@ -487,25 +476,14 @@ def _declarations(text):
     raise ParseError("missing #END after label declarations", line=last)
 
 
-def _words(names, size):
-    """``names``, an array of strings of ``8 * size`` bytes, as ``size``
-    uint64 words each, and a key per name that mixes its words."""
-    words = names.view(np.uint64).reshape(*names.shape, size)
-    return words, words @ (np.uint64(0x9E3779B97F4A7C15) ** np.arange(size, dtype=np.uint64))
-
-
 def _name_index(declared):
     """What the fast reader looks names up in: the pad and the declared names
-    it can meet, those that are ASCII and not the pad, as bytes in whole
-    8-byte words and at least one byte longer than the longest of them, read
-    as words (see ``_words``) and sorted by key; their keys; and the index of
-    each among the declared names, the pad's -1. Of two names of one key,
-    the second never matches, and the line reader reads its pieces."""
-    names = [(name, i) for i, name in enumerate(declared) if name.isascii() and name != _PAD] + [(_PAD, -1)]
-    size = max(len(name) for name, _ in names) // 8 + 1
-    words, keys = _words(np.array([name for name, _ in names], dtype=f"S{8 * size}"), size)
-    order = np.argsort(keys)
-    return words[order], keys[order], np.array([i for _, i in names])[order]
+    it can meet, those ``_readable`` and without the pad, sorted, as bytes in
+    whole 8-byte words and at least one byte longer than the longest of them;
+    and the index of each among the declared names, the pad's -1."""
+    names, labels = zip(*sorted([(name, i) for i, name in enumerate(declared) if _readable(name) and _PAD not in name]
+                                + [(_PAD, -1)]))
+    return np.array(names, dtype=f"S{max(map(len, names)) // 8 * 8 + 8}"), np.array(labels)
 
 
 def _label_table(text, start, piece, index):
@@ -535,17 +513,17 @@ def _label_table(text, start, piece, index):
         piece = piece.replace("\n", pads + "\n") + pads
     else:
         piece = (pads + "\n").join(itertools.compress(piece.split("\n"), kept.tolist())) + pads
-    words, keys, labels = index
-    size = words.shape[1]
-    dtype = np.dtype([("state", np.int64), ("names", f"S{8 * size}", (width - 1,))])
+    names, labels = index
+    dtype = np.dtype([("state", np.int64), ("names", names.dtype, (width - 1,))])
     read = _table(text, start, piece.split("\n"), dtype, range(width))
     if not read:
         return None
     rows, table = read
-    found, found_keys = _words(table["names"], size)
-    at = np.minimum(np.searchsorted(keys, found_keys), len(keys) - 1)
+    found = table["names"]
+    at = np.minimum(np.searchsorted(names, found), len(names) - 1)
     label = labels[at]
-    if not (words[at] == found).all() or (label[:, 0] < 0).any():
+    # names of whole 8-byte words compare faster as integers than as bytes
+    if not (names[at].view(np.uint64) == found.view(np.uint64)).all() or (label[:, 0] < 0).any():
         return None
     return rows, table["state"], label
 

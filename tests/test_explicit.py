@@ -668,9 +668,9 @@ def _outcome(call):
         return None, exc
 
 
-# (fast reader, line reader) piece sizes; a fast-reader piece that fails is
-# read again in line-reader pieces, first by the fast reader
-PIECES = [(1, 1), (9, 9), (50, 50), (50, 9), (explicit._PIECE_CHARS,) * 2, (explicit._TABLE_CHARS, explicit._PIECE_CHARS)]
+# piece sizes; each piece is read by the fast reader, or by the line reader
+# where the fast reader leaves it
+PIECES = [1, 9, 50, 1 << 14, explicit._PIECE_CHARS]
 
 
 @settings(deadline=None, max_examples=400)
@@ -686,8 +686,7 @@ def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piec
     header.append(rng.choice([kind, f" {kind}\t", f"{kind} # kind"] if not mutate or rng.random() < 0.8
                              else ["markov", f"{kind} 0", "", f"{kind}{kind}"]))
     text = _decorate(rng, header + lines)
-    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
-    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
     try:
         expected, error = _outcome(lambda: ref_parse_transitions(text, rational, fix))
         if error is not None:
@@ -695,7 +694,7 @@ def test_loader_matches_scalar_reference(seed, kind, rational, fix, mutate, piec
             return
         got = explicit.parse_transitions(text, rational, fix)
     finally:
-        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
+        explicit._PIECE_CHARS = saved
     kind_, m, offsets, rates = got
     e_kind, e_m, e_offsets, e_rates = expected
     assert kind_ is e_kind
@@ -737,8 +736,7 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
         (lambda text: ref_parse_action_rewards(text, kind, offsets, rational),
          lambda text: explicit.parse_action_rewards(text, kind, offsets, rational), True),
     ]
-    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
-    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
     try:
         for reference, loader, per_choice in cases:
             lines = _reward_lines(rng, offsets, mdp, per_choice)
@@ -751,7 +749,7 @@ def test_reward_loaders_match_scalar_reference(seed, mdp, rational, mutate, piec
             else:
                 assert_same(loader(text), expected)
     finally:
-        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
+        explicit._PIECE_CHARS = saved
 
 
 # --- clean pieces, which np.loadtxt reads, against the scalar reference ------
@@ -820,8 +818,7 @@ def test_clean_pieces_match_scalar_reference(seed, kind, rational, splice, piece
     for per_choice in (False, True):
         lines = _reward_lines(rng, offsets, mdp, per_choice)
         rewards.append("".join(line + "\n" for line in (_splice(rng, lines) if splice else lines)))
-    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
-    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
     try:
         _agree(lambda: ref_parse_transitions(text, rational), lambda: explicit.parse_transitions(text, rational),
                _same_transitions)
@@ -830,7 +827,7 @@ def test_clean_pieces_match_scalar_reference(seed, kind, rational, splice, piece
         _agree(lambda: ref_parse_action_rewards(rewards[1], model_kind, offsets, rational),
                lambda: explicit.parse_action_rewards(rewards[1], model_kind, offsets, rational))
     finally:
-        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
+        explicit._PIECE_CHARS = saved
 
 
 def test_other_scripts_digits_are_read_as_int_reads_them():
@@ -846,7 +843,7 @@ def test_clean_pieces_take_one_loadtxt_call_each(monkeypatch):
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
     body = "".join(f"{i} {i + 1} 1\n" for i in range(12000)) + "12000 12000 1\n"
-    pieces = len(list(explicit._pieces(body, explicit._TABLE_CHARS)))
+    pieces = len(list(explicit._pieces(body, explicit._PIECE_CHARS)))
     assert pieces > 1
     for rational in (False, True):
         calls.clear()
@@ -858,25 +855,22 @@ def test_clean_pieces_take_one_loadtxt_call_each(monkeypatch):
         calls.clear()
         assert_same(explicit.parse_state_rewards(rewards, 3001, rational),
                     ref_parse_state_rewards(rewards, 3001, rational))
-        assert len(calls) == len(list(explicit._pieces(rewards, explicit._TABLE_CHARS)))
+        assert len(calls) == len(list(explicit._pieces(rewards, explicit._PIECE_CHARS)))
     # a commented piece takes one call too
     text = "dtmc\n# note\n" + body
     calls.clear()
     _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
-    assert len(calls) == len(list(explicit._pieces(text, explicit._TABLE_CHARS, len("dtmc\n"))))
-    # a non-ASCII digit keeps only its piece of the line reader's size away from loadtxt
+    assert len(calls) == len(list(explicit._pieces(text, explicit._PIECE_CHARS, len("dtmc\n"))))
+    # a non-ASCII digit keeps only its own piece away from loadtxt
     text = "dtmc\n٠" + body[1:]
-    pieces = list(explicit._pieces(text, explicit._TABLE_CHARS, len("dtmc\n")))
-    parts = len(list(explicit._pieces(pieces[0][2], explicit._PIECE_CHARS)))
-    assert parts > 1
     calls.clear()
     _same_transitions(explicit.parse_transitions(text), ref_parse_transitions(text))
-    assert len(calls) == len(pieces) - 1 + parts - 1
+    assert len(calls) == len(list(explicit._pieces(text, explicit._PIECE_CHARS, len("dtmc\n")))) - 1
     # a labels piece of one label per line takes one call too
     labels = "#DECLARATION\ninit far\n#END\n" + "".join(f"{i} far # far\n" for i in range(1000))
     calls.clear()
     assert_same(explicit.parse_labels(labels, 1000), ref_parse_labels(labels, 1000))
-    assert len(calls) == len(list(explicit._pieces(labels, explicit._TABLE_CHARS))) == 1
+    assert len(calls) == len(list(explicit._pieces(labels, explicit._PIECE_CHARS))) == 1
 
 
 def test_labels_of_any_width_take_one_loadtxt_call_per_piece(monkeypatch):
@@ -887,7 +881,7 @@ def test_labels_of_any_width_take_one_loadtxt_call_per_piece(monkeypatch):
     head = "#DECLARATION\ninit low high odd\n#END\n"
     names = ["low", "high odd", "init\tlow  high", "low # a comment", "high\r", "odd low high low"]
     text = head + "".join(f"{i} {names[i % len(names)]}\n" + ("\n" if i % 1000 == 999 else "") for i in range(12000))
-    pieces = list(explicit._pieces(text, explicit._TABLE_CHARS, len(head)))
+    pieces = list(explicit._pieces(text, explicit._PIECE_CHARS, len(head)))
     assert len(pieces) > 1
     assert_same(explicit.parse_labels(text, 12000), ref_parse_labels(text, 12000))
     assert len(calls) == len(pieces) and split == []
@@ -948,10 +942,9 @@ def test_float_indices_fail_as_in_the_reference(text, rational, truncating, monk
         _same_failure(error, lambda: load(rewards))
 
 
-@pytest.mark.parametrize("piece", [1, 9, explicit._PIECE_CHARS, explicit._TABLE_CHARS])
+@pytest.mark.parametrize("piece", PIECES)
 def test_blank_pieces_raise_no_warning(piece, monkeypatch):
     monkeypatch.setattr(explicit, "_PIECE_CHARS", piece)
-    monkeypatch.setattr(explicit, "_TABLE_CHARS", piece)
     blanks = ["", "\n", "\n\n\n", "   \n\t\n", " \t ", "\r\n", "\r\n\r\n", "\x0c\n"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1007,7 +1000,7 @@ def test_bad_line_after_comments_is_numbered_in_the_same_pass(load, reference, t
 
 def test_bad_last_line_of_a_clean_file_is_numbered_in_one_pass(monkeypatch):
     text = "dtmc\n" + "".join(f"{i} {i + 1} 0.5\n{i} {i} 0.5\n" for i in range(6000)) + "6000 6000 0\n"
-    pieces = list(explicit._pieces(text, explicit._TABLE_CHARS, len("dtmc\n"), 2))
+    pieces = list(explicit._pieces(text, explicit._PIECE_CHARS, len("dtmc\n"), 2))
     assert len(pieces) > 1
     _, error = _outcome(lambda: ref_parse_transitions(text))
     assert (str(error), error.line) == ("transition values must be positive at line 12002", 12002)
@@ -1111,8 +1104,7 @@ def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
     rng = random.Random(seed)
     n_states = rng.randint(1, 8)
     text = _decorate(rng, _label_file(rng, n_states, mutate))
-    saved = explicit._TABLE_CHARS, explicit._PIECE_CHARS
-    explicit._TABLE_CHARS, explicit._PIECE_CHARS = piece
+    saved, explicit._PIECE_CHARS = explicit._PIECE_CHARS, piece
     try:
         expected, error = _outcome(lambda: ref_parse_labels(text, n_states))
         if error is not None:
@@ -1120,7 +1112,7 @@ def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
         else:
             assert_same(explicit.parse_labels(text, n_states), expected)
     finally:
-        explicit._TABLE_CHARS, explicit._PIECE_CHARS = saved
+        explicit._PIECE_CHARS = saved
 
 
 @pytest.mark.parametrize("names, body", [
@@ -1132,6 +1124,9 @@ def test_labels_parser_matches_scalar_reference(seed, mutate, piece):
     ("été a", "0 a\n1 a\n"),  # a declared name the fast reader cannot meet
     ("été a", "0 a\n1 été\n"),
     ("a b", "0 a" + " " * 40 + "\n1 b\t \x0ca  b\n"),  # blanks that make lines look wider than they are
+    ("a\x00 b", "0 a\n1 b\n"),  # numpy's bytes drop a trailing NUL, but "a" was not declared
+    ("abcdefgh a", "0 abcdefgh a\n1 a abcdefgh\n"),  # a name of exactly one 8-byte word
+    ("abcdefghX abcdefghY", "0 abcdefghY\n1 abcdefghX abcdefghY\n"),  # names whose first 8 bytes agree
 ])
 def test_label_names_match_the_reference_however_long(names, body):
     text = f"#DECLARATION\n{names}\n#END\n{body}"
