@@ -42,11 +42,12 @@ whole-space path, which expands 16 384 valuations to keep one. Its second
 row widens y's range to 129 values, past ``WHOLE_SPACE_KEYS``, so the same
 state is explored as one layer: the two rows give what the worst case costs.
 
-``explore`` is timed whole; the label, reward and ``build_sparse`` calls
-it makes, and on the whole path its BFS numbering of the reached keys
-(``whole.bfs_order``, phase ``number``), are timed by wrapping them where
-``explore`` and ``whole_space`` look them up, and the explore phase is the
-rest. For each size the script prints the best time
+``explore`` is timed whole; the label and reward calls it makes, its one
+assembly of the transition matrix from the explored branches
+(``explore._assemble``, phase ``assemble``), and on the whole path its BFS
+numbering of the reached keys (``whole.bfs_order``, phase ``number``), are
+timed by wrapping them where ``explore`` and ``whole_space`` look them up,
+and the explore phase is the rest. For each size the script prints the best time
 of each phase in ms and the same time per 10^3 stored transitions; a flat
 column is linear growth. The explore rows of the layered tandem and thin
 chains (``chain``, ``wide`` and ``mdp``) also give the time per BFS layer in
@@ -60,7 +61,7 @@ import importlib
 import sys
 import time
 
-from stormlet import checkers, sparse
+from stormlet import checkers
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.prism.states import DENSE_KEYS
 from stormlet.props import parse_property, resolve_atoms
@@ -172,7 +173,7 @@ def sync_program(k):
     return "\n".join(lines + ["endmodule", ""])
 
 
-PHASES = ("explore", "number", "labels", "rewards", "build_sparse")
+PHASES = ("explore", "number", "labels", "rewards", "assemble")
 # the time-bounded checks of perfbench's build_tandem, one per tandem label
 TANDEM_CHECKS = [f'P=? [ F<=1/2 "{label}" ]' for label in ("busy1", "queue1", "busy2")]
 EXPLORE = sys.modules["stormlet.prism.explore"]
@@ -182,7 +183,7 @@ TIMED = {
     "number": (WHOLE, "bfs_order"),
     "labels": (EXPLORE, "build_label_bitsets"),
     "rewards": (EXPLORE, "build_reward_models"),
-    "build_sparse": (sparse, "build_sparse"),
+    "assemble": (EXPLORE, "_assemble"),
 }
 
 

@@ -137,7 +137,9 @@ def prob01_max(matrix, choice_offsets, safe, target):
     while True:
         if not u.all():
             u = ~_closure(index, ~u, ~target, need=choices)
-        v = _closure(index, target, safe, row_ok=_per_row_all(matrix, u))
+        row_ok = _per_row_all(matrix, u)
+        # with every row counted the closure is the plain one, prob0A's complement
+        v = ~prob0a if row_ok.all() else _closure(index, target, safe, row_ok=row_ok)
         if np.array_equal(v, u):
             return prob0a, u
         u = v

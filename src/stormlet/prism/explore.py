@@ -42,6 +42,10 @@ space is most of the work. So where the packed key space has at most
 valuation of the space at once and numbers the reached ones as BFS does, so
 that the model is the same bit for bit; on any fault it gives way to the
 layers, so every error still comes from them.
+
+Either way the explored branches become the transition matrix in one step,
+``_assemble``, which coalesces them once, scales each row and builds the CSR
+arrays from the row counts, with ``sparse.build_sparse``'s checks.
 """
 
 from fractions import Fraction
@@ -504,30 +508,58 @@ class _Layers:
 
 
 def _joined(parts, offsets=None):
-    """A list of arrays concatenated and emptied, each raised by its offset if given."""
-    out = np.concatenate(parts)
-    if offsets is not None:
-        out += np.repeat(offsets, [len(part) for part in parts])
+    """A list of arrays concatenated and emptied, each raised by its offset if
+    given; a lone array that no offset raises is returned as it is."""
+    if len(parts) == 1 and not (offsets and offsets[0]):
+        out = parts[0]
+    else:
+        out = np.concatenate(parts)
+        if offsets is not None:
+            out += np.repeat(offsets, [len(part) for part in parts])
     parts.clear()
     return out
 
 
-def _entries(rows, cols, values, n, scales, exact):
-    """The (row, col, value) records of the explored branches, given as arrays.
+def _assemble(rows, cols, values, n_rows, n, scales, exact):
+    """The ``n_rows`` x ``n`` transition matrix of the explored branches, given as arrays.
 
-    Without ``scales`` (an MDP) they are the branches themselves. Else a target's
-    weights add left to right, and each row is scaled once, by its number of choices
-    (DTMC) or its exit rate (CTMC); with a value that is not finite the entries go in
-    the order their targets first appear, so that build_sparse reports the first one.
+    A row's weights to one target add left to right (``sparse.coalesce``) and
+    its columns ascend. With ``scales`` each row is then divided by its number
+    of choices (DTMC) or its exit rate (CTMC); without (an MDP) a row is one
+    choice's branches. Entries that end up exactly 0 are dropped. The checks
+    are those of ``sparse.build_sparse``: more positions than int64 indexes, a
+    branch outside the matrix, and a float entry that is not finite, the first
+    one reported in the order build_sparse met them: an MDP's branch order, or
+    else the order in which the targets first appear.
     """
+    if n_rows * n > np.iinfo(np.int64).max:
+        raise StormletError(f"a {n_rows}x{n} matrix has more positions than int64 can index")
+    if len(rows) and not (0 <= rows.min() and rows.max() < n_rows and 0 <= cols.min() and cols.max() < n):
+        k = int(np.argmax((rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n)))
+        raise StormletError(f"index ({rows[k]},{cols[k]}) out of range for {n_rows}x{n} matrix")
+    if scales is None and not exact:
+        _finite(values, rows, cols)
+    _, values, first = sparse.coalesce(rows * n + cols, values)
+    rows, cols = rows[first], cols[first]
     if scales is not None:
-        position, summed, first = sparse.coalesce(rows * n + cols, values)
-        rows, cols = np.divmod(position, n)
-        values = summed / scales[rows]
-        if not exact and not np.isfinite(values).all():
-            order = np.argsort(first)
-            rows, cols, values = rows[order], cols[order], values[order]
-    return np.rec.fromarrays([rows, cols, values], names="row,col,value")
+        values = values / scales[rows]
+        if not exact:
+            _finite(values, rows, cols, first)
+    kept = values != 0
+    if not kept.all():
+        rows, cols, values = rows[kept], cols[kept], values[kept]
+    row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_offsets[1:])
+    return sparse.SparseMatrix(n_rows, n, row_offsets, cols, values, "rational" if exact else "float")
+
+
+def _finite(values, rows, cols, rank=None):
+    """Raise at the float entry that is not finite and comes first by ``rank``
+    (else in entry order), if any."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        k = bad[0] if rank is None else bad[np.argmin(rank[bad])]
+        raise StormletError(f"non-finite value at ({rows[k]},{cols[k]})")
 
 
 def explore(program, options=None):
@@ -548,7 +580,7 @@ def explore(program, options=None):
         if state_map.space <= WHOLE_SPACE_KEYS:
             from .whole import whole_space  # loaded here: it imports this module
 
-            layers = whole_space(program, decls, bounds, state_map, initial, options)
+            layers = whole_space(program, bounds, state_map, initial, options)
         if layers is None:
             layers = _Layers(program, state_map, bounds, options)
             state_map.intern(initial, 1)
@@ -576,13 +608,9 @@ def explore(program, options=None):
             scales = counts if kind is ModelKind.DTMC else sparse.coalesce(choice_states, _joined(totals))[1]
         exit_rates = scales if kind is ModelKind.CTMC else None
     del choice_states, totals, bits
-    rows = _joined(rows, firsts if kind is ModelKind.MDP else los)
-    cols = _joined(layers.cols)
     with np.errstate(all="ignore"):
-        entries = _entries(rows, cols, _joined(values), n, scales, exact)
-    del rows, cols
-    matrix = sparse.build_sparse(entries, int(offsets[-1]), n, "rational" if exact else "float")
-    del entries
+        matrix = _assemble(_joined(rows, firsts if kind is ModelKind.MDP else los), _joined(layers.cols),
+                           _joined(values), int(offsets[-1]), n, scales, exact)
     initial_states = np.arange(n) == 0
 
     labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})

@@ -3,8 +3,9 @@
 ``explore`` calls ``whole_space`` where the packed key space has at most
 ``explore.WHOLE_SPACE_KEYS`` keys. It expands every valuation of the space
 through the same ``_Layers.expand`` that BFS uses, ``BLOCK`` rows at a time,
-over a throwaway ``StateMap`` filled in key order, so that a valuation's
-index is its key. ``bfs_order`` then numbers the reached keys from the
+over a view of the space numbered by key (``_KeyView``): a block's columns are
+the valuations of its keys, and a successor's index is its key, so nothing is
+interned. ``bfs_order`` then numbers the reached keys from the
 initial key one BFS layer at a time: the keys numbered but not yet taken are
 always exactly one layer, the frontier, and a round gathers their successors
 in (state, choice, branch) order and numbers each one not seen before at its
@@ -19,15 +20,19 @@ reached state needs a deadlock loop without ``fix_deadlocks``, or if more
 than ``max_states`` states are reached, it is dropped and the layers run as
 they do past the bound, so every error still comes from them.
 
-A round costs about a dozen numpy calls whatever the frontier's size, so a
-frontier of fewer than ``ARRAY_FRONTIER`` (32) keys is numbered by a Python
-loop over its successors instead. Measured on a shared 2-vCPU x86-64 VM:
-on the c = 18 tandem of ``benchmarks/bench_explore.py`` (6 859 keys, 25 308
-successor entries, 109 layers) the loop alone took 2.7-3.0 ms, array rounds
-alone 1.4-1.8 ms, and the two split at 32 keys 1.3-1.4 ms; on the 61- to
-81-key chains of ``perfbench``'s ``solve_iter``, about two keys a layer,
-array rounds alone took 0.28-0.36 ms against 0.02-0.04 ms with the loop. A
-cut anywhere from 8 to 32 keys gave the tandem's best figure within noise.
+A round costs about a dozen numpy calls whatever the frontier's size, so
+from a frontier of fewer than ``ARRAY_FRONTIER`` (32) keys a Python loop
+numbers the successors instead: one FIFO run across the small layers that
+follow, which looks at the frontier's size only where a layer ends and
+leaves the rest to array rounds once a frontier reaches 32 keys. Measured
+on a shared 2-vCPU x86-64 VM: on the c = 18 tandem of
+``benchmarks/bench_explore.py`` (6 859 keys, 25 308 successor entries, 109
+layers) the loop alone took 2.7-3.0 ms, array rounds alone 1.4-1.8 ms, and
+the two split at 32 keys 1.3-1.4 ms; on the 61- to 81-key chains of
+``perfbench``'s ``solve_iter``, about two keys a layer, array rounds alone
+took 0.28-0.36 ms against 0.02-0.04 ms with the loop, and one run across
+the layers about 4 us (13%) less than a loop per layer. A cut anywhere
+from 8 to 32 keys gave the tandem's best figure within noise.
 
 It is a module of its own because CPython compiles a module's source in one
 piece, and what that takes stays in the process: inside ``explore.py`` the
@@ -41,7 +46,6 @@ from .. import sparse
 from ..errors import StormletError
 from ..models import ModelKind
 from .explore import ExploreOptions, _joined, _Layers
-from .states import StateMap
 
 # Rows expanded at once. Expanding a space in one block holds every
 # temporary of ``expand`` for all its rows together: on the tandem of
@@ -54,13 +58,40 @@ BLOCK = 2048
 ARRAY_FRONTIER = 32
 
 
+class _KeyView:
+    """A program's whole key space as ``_Layers`` sees its state map: state k
+    is the valuation of key k, so a block's columns are the valuations of its
+    keys and a successor's index is its key."""
+
+    def __init__(self, state_map):
+        self.state_map, self.slots, self.bounds = state_map, state_map.slots, state_map.bounds
+        self.variable_names = state_map.variable_names
+
+    def block(self, lo, hi):
+        return self.state_map.valuations(np.arange(lo, hi))
+
+    def intern(self, columns, n_rows):
+        return self.state_map.keys(columns, n_rows)
+
+    def forget(self, n):
+        pass
+
+    def valuation(self, key):
+        return tuple(column.item() for column in self.block(key, key + 1))
+
+    def __len__(self):
+        return self.state_map.space
+
+
 def bfs_order(start, starts, targets):
     """The keys reached from ``start`` in the order FIFO BFS numbers them,
     where key k's successors, in order, are ``targets[starts[k]:starts[k + 1]]``.
 
     The keys numbered but not yet taken are always one BFS layer, the
-    frontier, and each round numbers the next one: its keys' successors in
-    turn, each the first time it is seen.
+    frontier. A frontier of ``ARRAY_FRONTIER`` keys or more is numbered in one
+    array round: its keys' successors in turn, each the first time it is
+    seen. From a smaller one a FIFO run takes the keys one at a time, across
+    layers, and looks at the frontier's size only where a layer ends.
     """
     space, counts = len(starts) - 1, starts[1:] - starts[:-1]
     order, first = np.empty(space, dtype=np.int64), np.empty(space, dtype=np.int64)
@@ -70,14 +101,7 @@ def bfs_order(start, starts, targets):
     lo, hi = 0, 1  # the frontier is order[lo:hi]
     while lo < hi:
         end = hi
-        if hi - lo < ARRAY_FRONTIER:
-            for key in order_[lo:hi]:
-                for target in targets_[starts_[key]:starts_[key + 1]]:
-                    if not seen_[target]:
-                        seen_[target] = 1
-                        order_[end] = target
-                        end += 1
-        else:
+        if hi - lo >= ARRAY_FRONTIER:
             frontier = order[lo:hi]
             succ = targets[sparse.spans(starts[frontier], counts[frontier])]
             succ = succ[seen[succ] == 0]
@@ -87,21 +111,33 @@ def bfs_order(start, starts, targets):
             new = succ[first[succ] == rank]
             end += len(new)
             order[hi:end], seen[new] = new, 1
-        lo, hi = hi, end
+            lo, hi = hi, end
+            continue
+        # the run reads order as it grows: key i is numbered before it is taken
+        for i, key in enumerate(order_[lo:], lo):
+            if i == hi:  # a layer ends, and the next one is order[hi:end]
+                lo, hi = hi, end
+                if not 0 < hi - lo < ARRAY_FRONTIER:
+                    break
+            for target in targets_[starts_[key]:starts_[key + 1]]:
+                if not seen_[target]:
+                    seen_[target] = 1
+                    order_[end] = target
+                    end += 1
+        else:  # every key is numbered and taken
+            lo, hi = hi, end
     return order[:hi]
 
 
-def whole_space(program, decls, bounds, state_map, initial, options):
+def whole_space(program, bounds, state_map, initial, options):
     """The layers of a program built by expanding every valuation of its key
     space, as one batch that holds the reached states in BFS order, which it
     interns into ``state_map``; None where layered exploration must run
     instead: some valuation raises, a reached state needs a deadlock loop
     without ``fix_deadlocks``, or more states are reached than ``max_states``."""
     space = state_map.space
-    every = StateMap(decls, bounds)  # a state's index is its key
-    every.intern(every.valuations(np.arange(space)), space)
     whole = ExploreOptions(fix_deadlocks=True, exact=options.exact, max_states=space)
-    layers = _Layers(program, every, bounds, whole)
+    layers = _Layers(program, _KeyView(state_map), bounds, whole)
     try:
         for lo in range(0, space, BLOCK):
             layers.expand(lo, min(lo + BLOCK, space))
@@ -117,7 +153,7 @@ def whole_space(program, decls, bounds, state_map, initial, options):
     n_branches = np.bincount(choice_states[owners] if mdp else owners, minlength=space)
     starts = np.concatenate(([0], np.cumsum(n_branches)))  # each key's first branch
 
-    keys = bfs_order(int(every.keys(initial, 1)[0]), starts, targets)
+    keys = bfs_order(int(state_map.keys(initial, 1)[0]), starts, targets)
     covered = _joined(covered)[keys]
     if len(keys) > max(1, options.max_states) or not (options.fix_deadlocks or covered.all()):
         return None
@@ -139,5 +175,5 @@ def whole_space(program, decls, bounds, state_map, initial, options):
                            _joined(bits)[choices], owners, _joined(weights)[branches]))
     layers.cols.append(number[targets[branches]])
     state_map.intern(state_map.valuations(keys), n)
-    layers.state_map = state_map  # the throwaway map goes before the tail
+    layers.state_map = state_map  # the view goes before the tail
     return layers

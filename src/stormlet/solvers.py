@@ -228,8 +228,8 @@ def _factor(A, budget=None):
     diagonal are eliminated in column order against the finished rows
     above; a fill-in left of the diagonal joins the sorted list being
     walked, one right of it follows A's entries in U's row. The columns of
-    each row of A must ascend strictly, as ``build_sparse`` and ``restrict``
-    keep them. The same body serves float64 and Fraction. Raises
+    each row of A must ascend strictly, as the engine's matrices keep them
+    (see ``sparse``). The same body serves float64 and Fraction. Raises
     SingularMatrix on a pivot that is not positive, which for a
     substochastic A means I - A is singular.
     """

@@ -13,15 +13,18 @@ arrays stay as they are: the kernels the row of each stored entry in
 ``predecessors``, Python objects of about 70-85 bytes per entry (see
 ``graph``), and the solvers the last LU factors of the systems solved on the
 matrix or on its submatrices, in ``factors``, a list ``restrict`` passes on
-(see ``solvers``). The columns of each row strictly ascend (``build_sparse``
-sorts them and ``restrict`` keeps their order), which the LU relies on.
+(see ``solvers``). The columns of each row strictly ascend, which the LU
+relies on: ``build_sparse``, the explicit loader and the PRISM explorer
+(``prism.explore._assemble``) sort them through ``coalesce``,
+``checkers._uniformized`` sorts its rows' distinct pairs, and ``restrict``
+keeps their order.
 
 Sums that must be bitwise those of a plain scalar loop follow one rule: the
 sum starts from its accumulator and ``np.add.at``, which is unbuffered and
 goes in index order, adds the terms in entry order. ``coalesce`` skips its
 sort when the positions already ascend, as the rows of a sorted file do: a
-stable sort of sorted positions changes nothing. Strictly ascending
-positions skip the sums as well.
+stable sort of sorted positions changes nothing. Distinct positions, sorted
+or not, skip the sums as well.
 """
 
 from fractions import Fraction
@@ -147,6 +150,8 @@ def coalesce(position, values):
         position, values = position[order], values[order]
     first = np.ones(len(position), dtype=bool)
     first[1:] = position[1:] != position[:-1]
+    if order is not None and first.all():  # distinct positions: the sort was all there was to do
+        return position, values, order
     starts = np.flatnonzero(first)
     # a run's first value starts its sum, and np.add.at adds the rest in order
     sums = values[starts]

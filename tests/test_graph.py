@@ -342,6 +342,20 @@ def test_prob1e_drops_a_whole_attractor_per_round(monkeypatch):
     assert len(calls) == 3
 
 
+def test_prob1e_skips_the_closure_that_every_row_stays_in(monkeypatch):
+    # toward LONG every state reaches it under some scheduler, so prob0A is
+    # empty and every row stays inside the candidates: the restricted closure
+    # would repeat prob0A's, and only that one runs
+    mdp, offsets = long_chain(2)
+    calls = []
+    closure = graph._closure
+    monkeypatch.setattr(graph, "_closure", lambda *args, **kw: calls.append(1) or closure(*args, **kw))
+    everywhere = np.ones(LONG + 1, dtype=bool)
+    p0a, p1e = graph.prob01_max(mdp, offsets, everywhere, bits(LONG + 1, [LONG]))
+    assert not p0a.any() and p1e.all()
+    assert len(calls) == 1
+
+
 def stepping_mdp(rng, n, stay):
     """Choices that mostly step to a neighbour, so the fixed points take many
     rounds; with ``stay`` some choices loop on their state (end components)."""

@@ -928,6 +928,35 @@ def test_the_whole_space_expanded_in_small_blocks_gives_the_same_model(name, blo
     assert built_whole == [True]
 
 
+def fifo_order(start, starts, targets):
+    """The keys reached from ``start`` in the order a plain FIFO pass numbers them."""
+    order, seen = [start], {start}
+    for key in order:
+        for target in targets[starts[key]:starts[key + 1]].tolist():
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return order
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), cut=st.sampled_from([1, 2, 3, 5, 32]))
+def test_bfs_order_is_the_fifo_order_whatever_the_frontiers_cut(seed, cut):
+    # layers that grow and shrink across the cut, so that FIFO runs and array
+    # rounds take turns
+    rng = random.Random(seed)
+    space = rng.randint(1, 120)
+    counts = [rng.choice([0, 1, 1, 2, 3, 6]) for _ in range(space)]
+    targets = np.array([rng.randrange(space) if rng.random() < 0.3 else min(space - 1, k + rng.randint(0, 3))
+                        for k, count in enumerate(counts) for _ in range(count)], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    start = rng.randrange(space)
+    with pytest.MonkeyPatch.context() as patch:
+        module = importlib.import_module("stormlet.prism.whole")
+        patch.setattr(module, "ARRAY_FRONTIER", cut)
+        assert module.bfs_order(start, starts, targets).tolist() == fifo_order(start, starts, targets)
+
+
 # Two faults in one BFS layer: from x=2 the layer is x=1 (state 1) and x=3
 # (state 2); each explorer must report the fault of state 1.
 TWO_FAULTS = """dtmc
@@ -1238,6 +1267,120 @@ def test_explorer_matches_reference_on_edge_programs(name, exact, limit, path):
 def test_only_a_key_space_past_the_bound_is_interned_through_a_dict(name, dense):
     _, state_map = explore(typecheck(parse_program(EDGE_PROGRAMS[name])), ExploreOptions(fix_deadlocks=True))
     assert isinstance(state_map._index, dict) is not dense
+
+
+def build_sparse_assembly(rows, cols, values, n_rows, n, scales, exact):
+    """The matrix of the explored branches as ``sparse.build_sparse`` builds
+    it: an MDP's branches as they are; a DTMC's or CTMC's coalesced and each
+    row scaled first, put in the order their targets first appear where some
+    entry is not finite, so that build_sparse reports the first of those."""
+    if scales is not None:
+        position, summed, first = sparse.coalesce(rows * n + cols, values)
+        rows, cols = np.divmod(position, n)
+        values = summed / scales[rows]
+        if not exact and not np.isfinite(values).all():
+            order = np.argsort(first)
+            rows, cols, values = rows[order], cols[order], values[order]
+    records = np.rec.fromarrays([rows, cols, values], names="row,col,value")
+    return sparse.build_sparse(records, n_rows, n, "rational" if exact else "float")
+
+
+def assembles_as_build_sparse(monkeypatch, program, path, **opts):
+    """Explore ``program`` on the path named in ``PATHS`` and assert that the
+    matrix ``explore`` assembles, or the error it raises there, is the one
+    ``build_sparse_assembly`` gives for the same branches. Returns that
+    matrix or error, or None where exploring fails before it assembles."""
+    module = importlib.import_module("stormlet.prism.explore")
+    assemble, done = module._assemble, []
+
+    def checked(*args):
+        try:
+            expected = build_sparse_assembly(*(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+        except StormletError as exc:
+            expected = exc
+        try:
+            done.append(assemble(*args))
+        except StormletError as exc:
+            assert type(exc) is type(expected) and str(exc) == str(expected)
+            done.append(exc)
+            raise
+        assert_same(done[-1], expected)
+        return done[-1]
+
+    monkeypatch.setattr(module, "_assemble", checked)
+    monkeypatch.setattr(module, "WHOLE_SPACE_KEYS", PATHS[path])
+    try:
+        explore(program, ExploreOptions(**opts))
+    except StormletError:
+        pass
+    assert len(done) <= 1
+    return done[0] if done else None
+
+
+# A float entry that is not finite is reported at the first such entry in
+# the order build_sparse met them: an MDP's branch order, a DTMC's or CTMC's
+# order of first appearance, which is neither column order nor branch order.
+# inf - inf is NaN, and a NaN weight passes the weight checks.
+NAN = "(1e308*10 - 1e308*10)"
+NON_FINITE = {
+    # the NaN branch comes last, but the sum of the first two is inf
+    "dtmc_sum": (f"dtmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 1e308 : (x'=1) + 1e308 : (x'=1) + {NAN} : (x'=2);\n"
+                 "  [] x>0 -> (x'=x);\nendmodule\n", "(0,1)"),
+    # the same branches as an MDP choice: the NaN branch is the first non-finite one
+    "mdp_branch": (f"mdp\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 1e308 : (x'=1) + 1e308 : (x'=1) + {NAN} : (x'=2);\n"
+                   "  [] x>0 -> (x'=x);\nendmodule\n", "(0,2)"),
+    "dtmc_nan": (f"dtmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 0.5 : (x'=1) + {NAN} : (x'=2) + 0.5 : (x'=0);\n"
+                 "  [] x>0 -> (x'=x);\nendmodule\n", "(0,2)"),
+    "mdp_nan": (f"mdp\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> (x'=1);\n"
+                f"  [] x=0 -> 0.5 : (x'=1) + {NAN} : (x'=2) + 0.5 : (x'=0);\n  [] x>0 -> (x'=x);\nendmodule\n", "(1,2)"),
+    # x=1 is state 1 and x=2 state 2; from x=1 the rates add past the float
+    # range and every entry is NaN: x=2 appears first, before x=0
+    "ctmc_rates": ("ctmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 1 : (x'=1) + 1 : (x'=2);\n"
+                   "  [] x=1 -> 1e308 : (x'=2) + 1e308 : (x'=0) + 1e308 : (x'=2) + 1e308 : (x'=0);\n"
+                   "  [] x=2 -> 1 : (x'=0);\nendmodule\n", "(1,2)"),
+    # a NaN rate makes the exit rate NaN, so the whole row is
+    "ctmc_nan": (f"ctmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> 0.5 : (x'=2) + {NAN} : (x'=1);\n"
+                 "  [] x>0 -> 1 : (x'=0);\nendmodule\n", "(0,1)"),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+@pytest.mark.parametrize("path", PATHS)
+def test_the_first_non_finite_entry_is_reported_in_the_order_build_sparse_met_it(name, path, monkeypatch):
+    source, position = NON_FINITE[name]
+    program = typecheck(parse_program(source))
+    error = explore_matches_reference(program, path)
+    assert str(error) == f"non-finite value at {position}"
+    assert str(assembles_as_build_sparse(monkeypatch, program, path)) == str(error)
+
+
+ASSEMBLED = {
+    **{name: (path.read_text(), None) for path in sorted((Path(__file__).parent / "corpus").iterdir())
+       for name in [path.name]},
+    "tandem": (_bench_tandem(), {"c": 4}),
+    "overflowing_rates": (EDGE_PROGRAMS["overflowing_rates"], None),
+    "many_actions": (EDGE_PROGRAMS["many_actions"], None),
+    "many_actions_dtmc": (EDGE_PROGRAMS["many_actions_dtmc"], None),
+    "no_variables": (EDGE_PROGRAMS["no_variables"], None),
+}
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("path", PATHS)
+def test_the_explorer_assembles_the_matrix_build_sparse_builds(name, exact, path, monkeypatch):
+    source, constants = ASSEMBLED[name]
+    program = typecheck(parse_program(source), constants)
+    assert assembles_as_build_sparse(monkeypatch, program, path, exact=exact, fix_deadlocks=True) is not None
+
+
+@pytest.mark.parametrize("path", PATHS)
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dtmc", "ctmc", "mdp"]), exact=st.booleans())
+def test_the_explorer_assembles_the_matrix_build_sparse_builds_on_random_programs(path, seed, kind, exact):
+    program = typecheck(parse_program(random_program(random.Random(seed), kind)))
+    with pytest.MonkeyPatch.context() as patch:
+        assembles_as_build_sparse(patch, program, path, exact=exact, fix_deadlocks=True)
 
 
 # Deep, thin chains of about 200 states, started in the middle, so that each

@@ -89,17 +89,20 @@ def test_build_float_matches_left_to_right_reference(triples):
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, -0.0])),
                 max_size=120),
-       st.booleans(), st.sampled_from(["any", "sorted", "strict"]))
+       st.booleans(), st.sampled_from(["any", "sorted", "strict", "distinct"]))
 def test_coalesce_matches_left_to_right_loop(entries, rational, order):
     """Runs of up to 120 entries; a run of -0.0 sums to -0.0.
 
     Positions come in any order, non-decreasing (sorted stably, so that the
-    entries of one position keep their order), or strictly ascending.
+    entries of one position keep their order), strictly ascending, or
+    distinct in the order they first appear.
     """
     if order == "sorted":
         entries = sorted(entries, key=lambda entry: entry[0])
     elif order == "strict":
         entries = list({p: (p, v) for p, v in sorted(entries, key=lambda entry: entry[0])}.values())
+    elif order == "distinct":
+        entries = list({p: (p, v) for p, v in entries}.values())
     position = np.array([p for p, _ in entries], dtype=np.int64)
     domain = "rational" if rational else "float"
     values = sparse.as_vector([v for _, v in entries], domain)
