@@ -44,7 +44,7 @@ state is explored as one layer: the two rows give what the worst case costs.
 
 ``explore`` is timed whole; the label and reward calls it makes, its one
 assembly of the transition matrix from the explored branches
-(``explore._assemble``, phase ``assemble``), and on the whole path its BFS
+(``sparse.assemble``, phase ``assemble``), and on the whole path its BFS
 numbering of the reached keys (``whole.bfs_order``, phase ``number``), are
 timed by wrapping them where ``explore`` and ``whole_space`` look them up,
 and the explore phase is the rest. For each size the script prints the best time
@@ -61,7 +61,7 @@ import importlib
 import sys
 import time
 
-from stormlet import checkers
+from stormlet import checkers, sparse
 from stormlet.prism import ExploreOptions, explore, parse_program, typecheck
 from stormlet.prism.states import DENSE_KEYS
 from stormlet.props import parse_property, resolve_atoms
@@ -183,7 +183,7 @@ TIMED = {
     "number": (WHOLE, "bfs_order"),
     "labels": (EXPLORE, "build_label_bitsets"),
     "rewards": (EXPLORE, "build_reward_models"),
-    "assemble": (EXPLORE, "_assemble"),
+    "assemble": (sparse, "assemble"),
 }
 
 

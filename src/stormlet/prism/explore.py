@@ -44,8 +44,9 @@ that the model is the same bit for bit; on any fault it gives way to the
 layers, so every error still comes from them.
 
 Either way the explored branches become the transition matrix in one step,
-``_assemble``, which coalesces them once, scales each row and builds the CSR
-arrays from the row counts, with ``sparse.build_sparse``'s checks.
+``sparse.assemble``, which coalesces them once, divides each DTMC or CTMC row
+by its number of choices or its exit rate and builds the CSR arrays from the
+row counts.
 """
 
 from fractions import Fraction
@@ -520,48 +521,6 @@ def _joined(parts, offsets=None):
     return out
 
 
-def _assemble(rows, cols, values, n_rows, n, scales, exact):
-    """The ``n_rows`` x ``n`` transition matrix of the explored branches, given as arrays.
-
-    A row's weights to one target add left to right (``sparse.coalesce``) and
-    its columns ascend. With ``scales`` each row is then divided by its number
-    of choices (DTMC) or its exit rate (CTMC); without (an MDP) a row is one
-    choice's branches. Entries that end up exactly 0 are dropped. The checks
-    are those of ``sparse.build_sparse``: more positions than int64 indexes, a
-    branch outside the matrix, and a float entry that is not finite, the first
-    one reported in the order build_sparse met them: an MDP's branch order, or
-    else the order in which the targets first appear.
-    """
-    if n_rows * n > np.iinfo(np.int64).max:
-        raise StormletError(f"a {n_rows}x{n} matrix has more positions than int64 can index")
-    if len(rows) and not (0 <= rows.min() and rows.max() < n_rows and 0 <= cols.min() and cols.max() < n):
-        k = int(np.argmax((rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n)))
-        raise StormletError(f"index ({rows[k]},{cols[k]}) out of range for {n_rows}x{n} matrix")
-    if scales is None and not exact:
-        _finite(values, rows, cols)
-    _, values, first = sparse.coalesce(rows * n + cols, values)
-    rows, cols = rows[first], cols[first]
-    if scales is not None:
-        values = values / scales[rows]
-        if not exact:
-            _finite(values, rows, cols, first)
-    kept = values != 0
-    if not kept.all():
-        rows, cols, values = rows[kept], cols[kept], values[kept]
-    row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_offsets[1:])
-    return sparse.SparseMatrix(n_rows, n, row_offsets, cols, values, "rational" if exact else "float")
-
-
-def _finite(values, rows, cols, rank=None):
-    """Raise at the float entry that is not finite and comes first by ``rank``
-    (else in entry order), if any."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        k = bad[0] if rank is None else bad[np.argmin(rank[bad])]
-        raise StormletError(f"non-finite value at ({rows[k]},{cols[k]})")
-
-
 def explore(program, options=None):
     """Build (Model, StateMap) from a typechecked program."""
     options = options or ExploreOptions()
@@ -609,8 +568,8 @@ def explore(program, options=None):
         exit_rates = scales if kind is ModelKind.CTMC else None
     del choice_states, totals, bits
     with np.errstate(all="ignore"):
-        matrix = _assemble(_joined(rows, firsts if kind is ModelKind.MDP else los), _joined(layers.cols),
-                           _joined(values), int(offsets[-1]), n, scales, exact)
+        matrix = sparse.assemble(_joined(rows, firsts if kind is ModelKind.MDP else los), _joined(layers.cols),
+                                 _joined(values), int(offsets[-1]), n, "rational" if exact else "float", scales)
     initial_states = np.arange(n) == 0
 
     labeling = StateLabeling(n, {"init": initial_states, "deadlock": deadlock_fixed})

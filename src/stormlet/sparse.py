@@ -14,10 +14,9 @@ arrays stay as they are: the kernels the row of each stored entry in
 ``graph``), and the solvers the last LU factors of the systems solved on the
 matrix or on its submatrices, in ``factors``, a list ``restrict`` passes on
 (see ``solvers``). The columns of each row strictly ascend, which the LU
-relies on: ``build_sparse``, the explicit loader and the PRISM explorer
-(``prism.explore._assemble``) sort them through ``coalesce``,
-``checkers._uniformized`` sorts its rows' distinct pairs, and ``restrict``
-keeps their order.
+relies on: ``assemble`` (behind ``build_sparse`` and the PRISM explorer) and
+the explicit loader sort them through ``coalesce``, ``checkers._uniformized``
+sorts its rows' distinct pairs, and ``restrict`` keeps their order.
 
 Sums that must be bitwise those of a plain scalar loop follow one rule: the
 sum starts from its accumulator and ``np.add.at``, which is unbuffered and
@@ -98,40 +97,54 @@ def as_vector(values, dtype):
 
 
 def build_sparse(triples, rows, cols, dtype="float"):
-    """Assemble a CSR matrix from (row, col, value) triples.
+    """Assemble a CSR matrix from an iterable of (row, col, value) triples, as
+    ``assemble`` does from the three columns."""
+    entries = np.fromiter(triples, dtype=[
+        ("row", np.int64), ("col", np.int64), ("value", np.float64 if dtype == "float" else object),
+    ])
+    return assemble(entries["row"], entries["col"], as_vector(entries["value"], dtype), rows, cols, dtype)
 
-    ``triples`` is an iterable of triples, or a record array whose ``row``,
-    ``col`` and ``value`` fields are the three columns. Duplicate positions
-    are coalesced by addition, strictly left to right in input order,
-    columns are sorted within each row, and entries that end up exactly zero
-    are dropped. Of several bad triples (index out of range, or a non-finite
-    float), the first in input order is reported.
+
+def assemble(rows, cols, values, n_rows, n_cols, dtype, scales=None):
+    """The ``n_rows`` x ``n_cols`` CSR matrix of the entries given as row,
+    column and value arrays, the values a vector of the domain ``dtype``.
+
+    Duplicate positions are coalesced by addition, strictly left to right in
+    input order (``coalesce``), and columns are sorted within each row. With
+    ``scales``, each row is then divided by its scale (a DTMC's number of
+    choices, a CTMC's exit rate). Entries that end up exactly zero are
+    dropped. More positions than int64 indexes are reported first. Of
+    several bad entries (an index out of range, or a float that is not
+    finite), the first in input order is reported; with ``scales``, every
+    index is checked first, and then the non-finite scaled entry whose
+    position appears first in the input.
     """
-    if rows * cols > np.iinfo(np.int64).max:
-        raise StormletError(f"a {rows}x{cols} matrix has more positions than int64 can index")
-    if isinstance(triples, np.ndarray):
-        entries = triples
-    else:
-        entries = np.fromiter(triples, dtype=[
-            ("row", np.int64), ("col", np.int64), ("value", np.float64 if dtype == "float" else object),
-        ])
-    row_of, col_of, values = entries["row"], entries["col"], entries["value"]
-    bad = (row_of < 0) | (row_of >= rows) | (col_of < 0) | (col_of >= cols)
-    if dtype == "float":
-        bad |= ~np.isfinite(values)
-    if bad.any():
+    if n_rows * n_cols > np.iinfo(np.int64).max:
+        raise StormletError(f"a {n_rows}x{n_cols} matrix has more positions than int64 can index")
+    outside = len(rows) and not (0 <= rows.min() and rows.max() < n_rows and 0 <= cols.min() and cols.max() < n_cols)
+    finite = dtype != "float" or scales is not None or np.isfinite(values).all()
+    if outside or not finite:
+        bad = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+        if not finite:
+            bad |= ~np.isfinite(values)
         k = int(np.argmax(bad))
-        row, col = int(row_of[k]), int(col_of[k])
-        if 0 <= row < rows and 0 <= col < cols:
-            raise StormletError(f"non-finite value at ({row},{col})")
-        raise StormletError(f"index ({row},{col}) out of range for {rows}x{cols} matrix")
-
-    position, summed, _ = coalesce(row_of * cols + col_of, as_vector(values, dtype))
-    keep = summed != 0
-    row_of, col_of = np.divmod(position[keep], cols)
-    row_offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of, minlength=rows), out=row_offsets[1:])
-    return SparseMatrix(rows, cols, row_offsets, col_of, summed[keep], dtype)
+        if 0 <= rows[k] < n_rows and 0 <= cols[k] < n_cols:
+            raise StormletError(f"non-finite value at ({rows[k]},{cols[k]})")
+        raise StormletError(f"index ({rows[k]},{cols[k]}) out of range for {n_rows}x{n_cols} matrix")
+    _, values, first = coalesce(rows * n_cols + cols, values)
+    rows, cols = rows[first], cols[first]
+    if scales is not None:
+        values = values / scales[rows]
+        bad = np.flatnonzero(~np.isfinite(values)) if dtype == "float" else ()
+        if len(bad):
+            k = bad[np.argmin(first[bad])]
+            raise StormletError(f"non-finite value at ({rows[k]},{cols[k]})")
+    kept = values != 0
+    if not kept.all():
+        rows, cols, values = rows[kept], cols[kept], values[kept]
+    row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_offsets[1:])
+    return SparseMatrix(n_rows, n_cols, row_offsets, cols, values, dtype)
 
 
 def coalesce(position, values):
@@ -156,7 +169,7 @@ def coalesce(position, values):
     # a run's first value starts its sum, and np.add.at adds the rest in order
     sums = values[starts]
     later = np.ediff1d(starts, to_end=len(position) - starts[-1]) - 1  # the entries of each run after its first
-    np.add.at(sums, np.arange(len(starts)).repeat(later), values[~first])
+    np.add.at(sums, np.arange(len(starts)).repeat(later), values[np.flatnonzero(~first)])
     return position[starts], sums, starts if order is None else order[starts]
 
 

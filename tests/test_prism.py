@@ -1269,33 +1269,34 @@ def test_only_a_key_space_past_the_bound_is_interned_through_a_dict(name, dense)
     assert isinstance(state_map._index, dict) is not dense
 
 
-def build_sparse_assembly(rows, cols, values, n_rows, n, scales, exact):
-    """The matrix of the explored branches as ``sparse.build_sparse`` builds
-    it: an MDP's branches as they are; a DTMC's or CTMC's coalesced and each
-    row scaled first, put in the order their targets first appear where some
-    entry is not finite, so that build_sparse reports the first of those."""
+def build_sparse_assembly(assemble, rows, cols, values, n_rows, n, dtype, scales):
+    """The matrix of the explored branches as ``assemble`` builds it without
+    scales, as for ``sparse.build_sparse``: an MDP's branches as they are; a
+    DTMC's or CTMC's coalesced and each row scaled first, put in the order
+    their targets first appear where some entry is not finite, so that the
+    first of those is reported."""
     if scales is not None:
         position, summed, first = sparse.coalesce(rows * n + cols, values)
         rows, cols = np.divmod(position, n)
         values = summed / scales[rows]
-        if not exact and not np.isfinite(values).all():
+        if dtype == "float" and not np.isfinite(values).all():
             order = np.argsort(first)
             rows, cols, values = rows[order], cols[order], values[order]
-    records = np.rec.fromarrays([rows, cols, values], names="row,col,value")
-    return sparse.build_sparse(records, n_rows, n, "rational" if exact else "float")
+    return assemble(rows, cols, values, n_rows, n, dtype)
 
 
 def assembles_as_build_sparse(monkeypatch, program, path, **opts):
     """Explore ``program`` on the path named in ``PATHS`` and assert that the
-    matrix ``explore`` assembles, or the error it raises there, is the one
-    ``build_sparse_assembly`` gives for the same branches. Returns that
-    matrix or error, or None where exploring fails before it assembles."""
-    module = importlib.import_module("stormlet.prism.explore")
-    assemble, done = module._assemble, []
+    matrix ``explore`` assembles through ``sparse.assemble``, or the error it
+    raises there, is the one ``build_sparse_assembly`` gives for the same
+    branches. Returns that matrix or error, or None where exploring fails
+    before it assembles."""
+    assemble, done = sparse.assemble, []
 
     def checked(*args):
         try:
-            expected = build_sparse_assembly(*(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+            # the reference calls the unpatched function, or it would recurse
+            expected = build_sparse_assembly(assemble, *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
         except StormletError as exc:
             expected = exc
         try:
@@ -1307,8 +1308,8 @@ def assembles_as_build_sparse(monkeypatch, program, path, **opts):
         assert_same(done[-1], expected)
         return done[-1]
 
-    monkeypatch.setattr(module, "_assemble", checked)
-    monkeypatch.setattr(module, "WHOLE_SPACE_KEYS", PATHS[path])
+    monkeypatch.setattr(sparse, "assemble", checked)
+    monkeypatch.setattr(importlib.import_module("stormlet.prism.explore"), "WHOLE_SPACE_KEYS", PATHS[path])
     try:
         explore(program, ExploreOptions(**opts))
     except StormletError:

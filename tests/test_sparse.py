@@ -65,22 +65,36 @@ def test_build_adds_float_duplicates_left_to_right(values, expected):
     assert list(m.row_offsets) == [0, len(expected)]
 
 
-def _left_to_right(triples, rows):
-    """Reference assembly: one dict cell per position, added in input order."""
+def _left_to_right(triples, rows, scales=None):
+    """Reference assembly: one dict cell per position, added in input order,
+    then divided by its row's scale if given."""
     cells = {}
     for r, c, v in triples:
         cells[r, c] = cells[r, c] + v if (r, c) in cells else v
+    if scales is not None:
+        cells = {(r, c): v / scales[r] for (r, c), v in cells.items()}
     kept = sorted((key, v) for key, v in cells.items() if v != 0)
     offsets = np.cumsum([0] + [sum(1 for (r, _), _ in kept if r == i) for i in range(rows)])
     return offsets.tolist(), [c for (_, c), _ in kept], [v for _, v in kept]
 
 
+def columns(triples):
+    """The row, column and float value arrays of a list of triples."""
+    return (np.array([t[0] for t in triples], dtype=np.int64), np.array([t[1] for t in triples], dtype=np.int64),
+            np.array([t[2] for t in triples], dtype=np.float64))
+
+
 @settings(deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
-                          st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, 0.0, -0.0])), max_size=40))
-def test_build_float_matches_left_to_right_reference(triples):
-    m = sparse.build_sparse(triples, 4, 3)
-    offsets, cols, values = _left_to_right(triples, 4)
+                          st.sampled_from([0.1, 1.0, -1.0, 1e16, -1e16, 3e-17, 0.0, -0.0])), max_size=40),
+       st.none() | st.lists(st.sampled_from([1.0, 3.0, 0.1, 7.0]), min_size=4, max_size=4))
+def test_build_float_matches_left_to_right_reference(triples, scales):
+    """``build_sparse`` of the triples and ``assemble`` of their columns,
+    each row divided by its scale where there are scales."""
+    m = sparse.assemble(*columns(triples), 4, 3, "float", None if scales is None else np.array(scales))
+    if scales is None:
+        assert_same(m, sparse.build_sparse(triples, 4, 3))
+    offsets, cols, values = _left_to_right(triples, 4, scales)
     assert m.row_offsets.tolist() == offsets
     assert m.col_indices.tolist() == cols
     assert m.values.tolist() == values
@@ -120,12 +134,6 @@ def test_coalesce_matches_left_to_right_loop(entries, rational, order):
         assert got_sums.tobytes() == expected.tobytes()
 
 
-def test_build_takes_columns_as_a_record_array():
-    triples = [(1, 0, 0.5), (0, 1, 0.25), (1, 0, 0.25), (0, 0, 1.0)]
-    columns = np.rec.fromarrays([np.array(c) for c in zip(*triples)], names="row,col,value")
-    assert_same(sparse.build_sparse(columns, 2, 2), sparse.build_sparse(triples, 2, 2))
-
-
 @pytest.mark.parametrize("triples, message", [
     ([(0, 0, 1.0), (0, 1, float("nan")), (2, 0, 1.0)], r"non-finite value at \(0,1\)"),
     ([(0, 0, 1.0), (2, 0, 1.0), (0, 1, float("inf"))], r"index \(2,0\) out of range for 1x2 matrix"),
@@ -134,6 +142,12 @@ def test_build_takes_columns_as_a_record_array():
 def test_build_reports_the_first_bad_triple(triples, message):
     with pytest.raises(StormletError, match=message):
         sparse.build_sparse(triples, 1, 2)
+
+
+def test_scaled_assembly_checks_every_index_before_a_value():
+    # unscaled, the NaN entry comes first and is reported
+    with pytest.raises(StormletError, match=r"index \(2,0\) out of range for 1x2 matrix"):
+        sparse.assemble(*columns([(0, 0, float("nan")), (2, 0, 1.0)]), 1, 2, "float", np.array([1.0]))
 
 
 def test_build_rejects_positions_beyond_int64():
